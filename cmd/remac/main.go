@@ -4,7 +4,7 @@
 // Usage:
 //
 //	remac -workload DFP -dataset cri2 -strategy adaptive -iterations 15
-//	remac -workload DFP -faults 60 -fault-seed 7 -checkpoint
+//	remac -workload DFP -faults 60 -fault-seed 7 -recovery checkpoint
 //	remac -workload DFP -corrupt-rate 120 -verify abft -nan-guard iter
 package main
 
@@ -26,8 +26,7 @@ func main() {
 	nodes := flag.Int("nodes", 0, "cluster size override (0 = profile default; one node hosts the driver)")
 	faults := flag.Float64("faults", 0, "inject r worker failures, 2r transmission errors and r stragglers per simulated hour of work")
 	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed (same seed + rates = same schedule)")
-	checkpoint := flag.Bool("checkpoint", false, "persist loop-hoisted intermediates to DFS so failures recover them by re-reading (alias for -recovery checkpoint)")
-	recovery := flag.String("recovery", "", "recovery policy: lineage (default), checkpoint, coded or coded:k,n (k-of-n erasure-coded recovery)")
+	recovery := flag.String("recovery", "", "recovery policy: lineage (default), checkpoint (persist loop-hoisted intermediates to DFS so failures re-read them), coded or coded:k,n (k-of-n erasure-coded recovery)")
 	corruptRate := flag.Float64("corrupt-rate", 0, "inject r silent payload corruptions per simulated hour of work")
 	verify := flag.String("verify", "off", "integrity verification: off, digest (block checksums), abft (digest + multiply checksum vectors)")
 	nanGuard := flag.String("nan-guard", "off", "non-finite scan cadence: off, iter (loop variables each iteration), op (every operator output)")
@@ -62,7 +61,7 @@ func main() {
 	})
 	fatal(err)
 
-	opts := remac.RunOptions{Recovery: *recovery, Checkpoint: *checkpoint, Verify: *verify, NaNGuard: *nanGuard}
+	opts := remac.RunOptions{Recovery: *recovery, Verify: *verify, NaNGuard: *nanGuard}
 	if *faults > 0 || *corruptRate > 0 {
 		opts.Faults = &remac.FaultConfig{
 			Seed:                  *faultSeed,

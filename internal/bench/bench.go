@@ -20,6 +20,7 @@ import (
 	"remac/internal/engine"
 	"remac/internal/fault"
 	"remac/internal/integrity"
+	"remac/internal/matrix"
 	"remac/internal/opt"
 	"remac/internal/sparsity"
 	"remac/internal/trace"
@@ -95,11 +96,10 @@ type runCfg struct {
 	cluster    cluster.Config
 	manualKeys []string
 	// faults, when any rate is nonzero, injects deterministic failures
-	// during the run; checkpoint persists LSE values against them.
-	faults     fault.Config
-	checkpoint bool
+	// during the run.
+	faults fault.Config
 	// recovery selects the failure-recovery policy (lineage, checkpoint,
-	// coded k-of-n); the zero value plus checkpoint=false means lineage.
+	// coded k-of-n); the zero value means lineage.
 	recovery engine.RecoveryPolicy
 	// verify and nanGuard select the run's integrity layer (see
 	// engine.RunOptions).
@@ -250,11 +250,10 @@ func runOneTraced(cfg runCfg, rec *trace.Recorder) (*runOut, error) {
 	fcfg := cfg.faults
 	fcfg.Workers = cfg.cluster.Workers()
 	res, err := engine.RunWithOptions(context.Background(), compiled, ins, rec, engine.RunOptions{
-		Faults:     fault.NewPlan(fcfg),
-		Recovery:   cfg.recovery,
-		Checkpoint: cfg.checkpoint,
-		Verify:     cfg.verify,
-		NaNGuard:   cfg.nanGuard,
+		Faults:   fault.NewPlan(fcfg),
+		Recovery: cfg.recovery,
+		Verify:   cfg.verify,
+		NaNGuard: cfg.nanGuard,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%v/%s/%v: %w", cfg.alg, cfg.dataset, cfg.strategy, err)
@@ -299,30 +298,14 @@ func runOneTraced(cfg runCfg, rec *trace.Recorder) (*runOut, error) {
 	return out, nil
 }
 
-// envHash fingerprints a run's final variable bindings: equal hashes mean
-// every binding is bitwise identical (names, shapes and value bits).
+// envHash is the result identity (integrity.DigestValues) of a run's final
+// variable bindings.
 func envHash(env map[string]*distmat.DistMatrix) uint64 {
-	names := make([]string, 0, len(env))
-	for n := range env {
-		names = append(names, n)
+	values := make(map[string]*matrix.Matrix, len(env))
+	for name, d := range env {
+		values[name] = d.Data()
 	}
-	sort.Strings(names)
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	for _, n := range names {
-		for i := 0; i < len(n); i++ {
-			mix(n[i])
-		}
-		d := integrity.Digest(env[n].Data())
-		for i := 0; i < 8; i++ {
-			mix(byte(d >> (8 * i)))
-		}
-	}
-	return h
+	return integrity.DigestValues(values)
 }
 
 // Experiments maps experiment IDs to their runners.

@@ -90,7 +90,7 @@ func Chaos() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos reference %s/%d: %w", w.alg, w.iters, err)
 		}
-		refHash[wi] = resultHash(res)
+		refHash[wi] = res.ResultHash
 	}
 	if err := refSrv.Shutdown(context.Background()); err != nil {
 		return nil, err
@@ -184,7 +184,7 @@ func Chaos() (*Table, error) {
 			}
 			c.ok++
 			wi := uint64(fault.DeriveSeed(^ChaosSeed, i)) % uint64(len(chaosWorkload))
-			if resultHash(o.res) != refHash[wi] {
+			if o.res.ResultHash != refHash[wi] {
 				return nil, fmt.Errorf("chaos: query %d (%s) result differs bitwise from fault-free reference", i, o.kind)
 			}
 		case chaosPanic:

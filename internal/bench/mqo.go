@@ -57,12 +57,9 @@ func MQOBench() (*Table, error) {
 	var hashMu sync.Mutex
 	var hashErr error
 	check := func(wi int, res *serve.QueryResult) {
-		hh := resultHash(res)
 		hashMu.Lock()
 		defer hashMu.Unlock()
-		if ref, ok := hashes[wi]; !ok {
-			hashes[wi] = hh
-		} else if ref != hh && hashErr == nil {
+		if !matchesRef(hashes, wi, res.ResultHash) && hashErr == nil {
 			hashErr = fmt.Errorf("mqo: workload %d (%s/%s) result differs bitwise between batched and unbatched arms",
 				wi, mqoWorkload[wi].alg, mqoWorkload[wi].dataset)
 		}

@@ -153,9 +153,7 @@ func remoteArm(failover bool) (gateway.Stats, float64, map[int]uint64, error) {
 		if hh == 0 {
 			return fail(fmt.Errorf("remote: query %d returned no server-computed result hash", k))
 		}
-		if ref, seen := hashes[wi]; !seen {
-			hashes[wi] = hh
-		} else if ref != hh {
+		if !matchesRef(hashes, wi, hh) {
 			return fail(fmt.Errorf("remote: workload %d result differs bitwise across the partition", wi))
 		}
 	}

@@ -3,9 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -49,34 +46,15 @@ func serveQuery(w serveCase) (serve.Query, error) {
 	return q, nil
 }
 
-// resultHash fingerprints a query result bitwise: variable names, shapes,
-// and the bit pattern of every cell, in deterministic order.
-func resultHash(res *serve.QueryResult) uint64 {
-	h := fnv.New64a()
-	names := make([]string, 0, len(res.Values))
-	for name := range res.Values {
-		names = append(names, name)
+// matchesRef records the first result hash seen for workload wi and
+// reports whether hh equals it: the "bitwise identical across repeats and
+// arms" check every serving experiment makes on QueryResult.ResultHash.
+func matchesRef(refs map[int]uint64, wi int, hh uint64) bool {
+	ref, seen := refs[wi]
+	if !seen {
+		refs[wi] = hh
 	}
-	sort.Strings(names)
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, name := range names {
-		h.Write([]byte(name))
-		m := res.Values[name]
-		put(uint64(m.Rows()))
-		put(uint64(m.Cols()))
-		for i := 0; i < m.Rows(); i++ {
-			for j := 0; j < m.Cols(); j++ {
-				put(math.Float64bits(m.At(i, j)))
-			}
-		}
-	}
-	return h.Sum64()
+	return !seen || ref == hh
 }
 
 // ServeBench measures the serving layer: the mixed workload replayed at
@@ -96,12 +74,9 @@ func ServeBench() (*Table, error) {
 	var hashErr error
 	var hashMu sync.Mutex
 	check := func(wi int, res *serve.QueryResult) {
-		hh := resultHash(res)
 		hashMu.Lock()
 		defer hashMu.Unlock()
-		if ref, ok := hashes[wi]; !ok {
-			hashes[wi] = hh
-		} else if ref != hh && hashErr == nil {
+		if !matchesRef(hashes, wi, res.ResultHash) && hashErr == nil {
 			hashErr = fmt.Errorf("serve: workload %d (%s/%s) result differs bitwise across arms",
 				wi, serveWorkload[wi].alg, serveWorkload[wi].dataset)
 		}

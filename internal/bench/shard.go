@@ -61,10 +61,7 @@ func shardArm(shards int, random bool, seed uint64) (gateway.Stats, map[int]uint
 		if err != nil {
 			return gateway.Stats{}, nil, fmt.Errorf("shard arm (%d shards): query %d: %w", shards, k, err)
 		}
-		hh := resultHash(res.QueryResult)
-		if ref, ok := hashes[wi]; !ok {
-			hashes[wi] = hh
-		} else if ref != hh {
+		if !matchesRef(hashes, wi, res.ResultHash) {
 			return gateway.Stats{}, nil, fmt.Errorf("shard arm (%d shards): workload %d result differs bitwise between repeats", shards, wi)
 		}
 	}
@@ -235,10 +232,7 @@ func shardFailoverArm(failover bool) (gateway.Stats, float64, map[int]uint64, er
 		if shardWorkload[wi].dataset == "cri1" && victim < 0 {
 			victim = res.Shard
 		}
-		hh := resultHash(res.QueryResult)
-		if ref, seen := hashes[wi]; !seen {
-			hashes[wi] = hh
-		} else if ref != hh {
+		if !matchesRef(hashes, wi, res.ResultHash) {
 			return fail(fmt.Errorf("shard failover: workload %d result differs bitwise across the kill", wi))
 		}
 	}

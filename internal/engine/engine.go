@@ -148,9 +148,6 @@ type RunOptions struct {
 	// LSE-hoisted intermediates, or k-of-n coded recovery. See
 	// RecoveryPolicy.
 	Recovery RecoveryPolicy
-	// Checkpoint is the legacy toggle for RecoverCheckpoint, kept for
-	// back-compat: it is honored only when Recovery is the zero policy.
-	Checkpoint bool
 	// MaxIter overrides MaxIterations when positive.
 	MaxIter int
 	// Intermediates, when non-nil, is a cross-run cache consulted for
@@ -199,11 +196,7 @@ func RunTraced(c *opt.Compiled, inputs map[string]Input, rec *trace.Recorder) (*
 // its deadline passes, the run stops promptly and returns an error wrapping
 // ErrCanceled.
 func RunWithOptions(goCtx context.Context, c *opt.Compiled, inputs map[string]Input, rec *trace.Recorder, opts RunOptions) (*Result, error) {
-	rp := opts.Recovery
-	if rp == (RecoveryPolicy{}) && opts.Checkpoint {
-		rp.Kind = RecoverCheckpoint
-	}
-	rp, err := rp.Normalize()
+	rp, err := opts.Recovery.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +320,7 @@ type executor struct {
 	transCache   map[*distmat.DistMatrix]*distmat.DistMatrix
 
 	// checkpoint persists LSE values to DFS on first computation
-	// (RunOptions.Checkpoint).
+	// (RecoverCheckpoint).
 	checkpoint bool
 }
 

@@ -104,7 +104,7 @@ func TestFaultsNeverChangeResults(t *testing.T) {
 	for _, tc := range cases {
 		ref := compileAndRun(t, tc.alg, tc.ds, opt.Conservative)
 		got := runFaulted(t, tc.alg, tc.ds, opt.Conservative,
-			RunOptions{Faults: stressPlan(7), Checkpoint: true})
+			RunOptions{Faults: stressPlan(7), Recovery: RecoveryPolicy{Kind: RecoverCheckpoint}})
 		if got.Stats.FailedWorkers == 0 {
 			t.Fatalf("%v: no failures fired; test is vacuous", tc.alg)
 		}
@@ -137,9 +137,13 @@ func TestCheckpointReducesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(checkpoint bool) *Result {
+		var rp RecoveryPolicy
+		if checkpoint {
+			rp.Kind = RecoverCheckpoint
+		}
 		res, err := RunWithOptions(context.Background(), compiled, inputsFor(t, algorithms.DFP, "cri2"), trace.New(), RunOptions{
-			Faults:     stressPlan(11),
-			Checkpoint: checkpoint,
+			Faults:   stressPlan(11),
+			Recovery: rp,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 
 	"remac/internal/algorithms"
@@ -81,33 +80,6 @@ func TestRunRejectsInvalidPolicy(t *testing.T) {
 	var pe *RecoveryPolicyError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *RecoveryPolicyError", err)
-	}
-}
-
-// TestLegacyCheckpointMapsToPolicy: the deprecated Checkpoint bool and the
-// explicit checkpoint policy must drive identical runs (same simulated
-// stats), so existing callers keep their behavior.
-func TestLegacyCheckpointMapsToPolicy(t *testing.T) {
-	c := compileFor(t, algorithms.GD, "cri1", opt.Aggressive)
-	plan := func() *fault.Plan {
-		return fault.NewPlan(fault.Config{
-			Seed:                  5,
-			WorkerFailuresPerHour: 300,
-			Workers:               cluster.DefaultConfig().Workers(),
-		})
-	}
-	legacy, err := RunWithOptions(context.Background(), c, inputsFor(t, algorithms.GD, "cri1"), nil,
-		RunOptions{Faults: plan(), Checkpoint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy, err := RunWithOptions(context.Background(), c, inputsFor(t, algorithms.GD, "cri1"), nil,
-		RunOptions{Faults: plan(), Recovery: RecoveryPolicy{Kind: RecoverCheckpoint}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Stats, policy.Stats) {
-		t.Fatalf("legacy Checkpoint bool and checkpoint policy diverge:\n%+v\n%+v", legacy.Stats, policy.Stats)
 	}
 }
 

@@ -144,19 +144,35 @@ type Config struct {
 	Workers int
 }
 
-// DeriveSeed maps a root seed and a query index to an independent
-// sub-stream seed via a SplitMix64-style mix of seed ⊕ index. Concurrent
-// runs sharing a root seed each draw from their own deterministic stream,
-// so a chaos storm's fault schedules depend only on (root seed, query
-// index) — never on goroutine scheduling order.
-func DeriveSeed(seed int64, index int) int64 {
-	x := uint64(seed) ^ (uint64(index)+1)*0x9E3779B97F4A7C15
+// Mix64 is the SplitMix64 finalizer, the one avalanche step behind every
+// seeded draw in the repository: fault sub-streams (DeriveSeed), retry
+// jitter (resilience.RetryPolicy.Backoff), consistent-hash ring placement,
+// RouteRandom shard choice and NetFault rolls all end in it. A stream
+// position n of seed s is Mix64(s + n·0x9e3779b97f4a7c15).
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
+	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
-	x *= 0x94D049BB133111EB
+	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int64(x)
+	return x
+}
+
+// Mix64Key draws from a seed at up to two coordinates (a query id and an
+// attempt, a member index): Mix64 of seed ⊕ a·γ ⊕ b·μ with two odd
+// multipliers, so nearby coordinates land on unrelated draws and no global
+// RNG state is consulted.
+func Mix64Key(seed, a, b uint64) uint64 {
+	return Mix64(seed ^ a*0x9e3779b97f4a7c15 ^ b*0xbf58476d1ce4e5b9)
+}
+
+// DeriveSeed maps a root seed and a query index to an independent
+// sub-stream seed (Mix64Key at coordinate index+1). Concurrent runs
+// sharing a root seed each draw from their own deterministic stream, so a
+// chaos storm's fault schedules depend only on (root seed, query index) —
+// never on goroutine scheduling order.
+func DeriveSeed(seed int64, index int) int64 {
+	return int64(Mix64Key(uint64(seed), uint64(index)+1, 0))
 }
 
 // Derive returns the config reseeded for the index-th member of a family

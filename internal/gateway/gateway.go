@@ -22,8 +22,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"remac/internal/fault"
 	"remac/internal/httpapi"
 	"remac/internal/lang"
+	"remac/internal/lru"
 	"remac/internal/resilience"
 	"remac/internal/serve"
 )
@@ -230,21 +232,13 @@ type Gateway struct {
 	verMu    sync.Mutex
 	versions map[string]int64
 
-	routed      atomic.Uint64
-	spilled     atomic.Uint64
-	failedOver  atomic.Uint64
-	quotaRej    atomic.Uint64
-	overloadRej atomic.Uint64
-	failoverExh atomic.Uint64
-	deadlineRej atomic.Uint64
-	invals      atomic.Uint64
-	invalLagged atomic.Uint64
-	ejections   atomic.Uint64
-	respawns    atomic.Uint64
-	rejoins     atomic.Uint64
+	// stat accumulates the routing, invalidation and lifecycle counters of
+	// Stats in place (count); Stats() copies it and fills in the rest.
+	statMu sync.Mutex
+	stat   Stats
 
 	tenantMu sync.Mutex
-	tenants  map[string]*tenantStats
+	tenants  *lru.Cache[string, *tenantStats]
 }
 
 // New builds a gateway running cfg.Shards in-process serve.Server shards.
@@ -301,13 +295,20 @@ func newGateway(cfg Config, shards []Instance, ids []string) *Gateway {
 		ring:     newRing(len(shards), cfg.VirtualNodes, cfg.Seed),
 		quotas:   newQuotas(cfg.Quotas, cfg.DefaultQuota, cfg.Clock),
 		versions: map[string]int64{},
-		tenants:  map[string]*tenantStats{},
+		tenants:  lru.New[string, *tenantStats](tenantCap),
 	}
 	if cfg.AuditDepth > 0 {
 		g.audit = newAuditor(cfg.AuditDepth, cfg.AuditTail, cfg.AuditSink)
 	}
 	g.life = newLifecycle(g)
 	return g
+}
+
+// count applies one counter update under the stats lock.
+func (g *Gateway) count(update func(st *Stats)) {
+	g.statMu.Lock()
+	update(&g.stat)
+	g.statMu.Unlock()
 }
 
 // Shards returns the number of shards behind the gateway.
@@ -377,12 +378,7 @@ func (g *Gateway) order(q serve.Query) []int {
 	}
 	// Seeded pseudo-random (SplitMix64 over a stream counter): uniform,
 	// deterministic for a given seed and call sequence, and cache-blind.
-	x := g.cfg.Seed + 0x9e3779b97f4a7c15*(g.routeSeq.Add(1))
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := fault.Mix64(g.cfg.Seed + 0x9e3779b97f4a7c15*g.routeSeq.Add(1))
 	home := int(x % uint64(len(g.ids)))
 	out := make([]int, len(g.ids))
 	for i := range out {
@@ -481,7 +477,7 @@ func (g *Gateway) Do(ctx context.Context, req Request) (*Result, error) {
 
 	release, err := g.quotas.admit(tenant)
 	if err != nil {
-		g.quotaRej.Add(1)
+		g.count(func(st *Stats) { st.QuotaRejected++ })
 		g.tenantFinish(tenant, 0, 0, err)
 		g.auditFinish(ev, start, err)
 		return nil, err
@@ -492,7 +488,7 @@ func (g *Gateway) Do(ctx context.Context, req Request) (*Result, error) {
 	if len(order) == 0 {
 		err := &resilience.QueryError{Class: resilience.Overloaded, Stage: "route",
 			Err: ErrNoShards, RetryAfter: time.Second}
-		g.overloadRej.Add(1)
+		g.count(func(st *Stats) { st.OverloadRejected++ })
 		g.tenantFinish(tenant, 0, 0, err)
 		g.auditFinish(ev, start, err)
 		return nil, err
@@ -550,15 +546,15 @@ func (g *Gateway) Do(ctx context.Context, req Request) (*Result, error) {
 	if lastErr != nil {
 		switch {
 		case errors.Is(ctx.Err(), context.DeadlineExceeded):
-			g.deadlineRej.Add(1)
+			g.count(func(st *Stats) { st.DeadlineExceeded++ })
 			lastErr = &resilience.QueryError{Class: resilience.Canceled, Stage: "deadline",
 				Err: fmt.Errorf("%w: %w", ErrDeadlineExhausted, lastErr)}
 		case resilience.IsClass(lastErr, resilience.Internal) && failedOver:
-			g.failoverExh.Add(1)
+			g.count(func(st *Stats) { st.FailoverExhausted++ })
 			lastErr = &resilience.QueryError{Class: resilience.Internal, Stage: "failover",
 				Err: fmt.Errorf("%w after %d attempt(s): %w", ErrFailoverExhausted, failovers+1, lastErr)}
 		case resilience.IsClass(lastErr, resilience.Overloaded):
-			g.overloadRej.Add(1)
+			g.count(func(st *Stats) { st.OverloadRejected++ })
 			// The last-tried shard's hint competes for the minimum too.
 			if ra := retryAfterOf(lastErr); ra > 0 && (retryAfterHint == 0 || ra < retryAfterHint) {
 				retryAfterHint = ra
@@ -576,13 +572,15 @@ func (g *Gateway) Do(ctx context.Context, req Request) (*Result, error) {
 		g.auditFinish(ev, start, lastErr)
 		return nil, lastErr
 	}
-	g.routed.Add(1)
-	if spilled {
-		g.spilled.Add(1)
-	}
-	if failedOver {
-		g.failedOver.Add(1)
-	}
+	g.count(func(st *Stats) {
+		st.Routed++
+		if spilled {
+			st.Spilled++
+		}
+		if failedOver {
+			st.FailedOver++
+		}
+	})
 	ev.FLOP = res.FLOP
 	g.tenantFinish(tenant, latency, res.FLOP, nil)
 	g.auditFinish(ev, start, nil)
@@ -645,10 +643,10 @@ func (g *Gateway) InvalidateDataset(id string) int64 {
 	g.verMu.Unlock()
 	for i := range g.ids {
 		if !g.bumpToVersion(g.instance(i), id, v) {
-			g.invalLagged.Add(1)
+			g.count(func(st *Stats) { st.InvalidationsLagged++ })
 		}
 	}
-	g.invals.Add(1)
+	g.count(func(st *Stats) { st.Invalidations++ })
 	return v
 }
 

@@ -1,0 +1,110 @@
+package gateway
+
+import (
+	"encoding/json"
+	"reflect"
+	"sort"
+	"testing"
+
+	"remac/internal/serve"
+)
+
+// The goldens below were recorded at the commit before the SplitMix64
+// finalizer moved into fault.Mix64. Ring placement, RouteRandom order and
+// NetFault rolls are what the shard/remote bench gates and the chaos storms
+// replay by seed, so a refactor of the mixer may never move them.
+
+func TestRingOrderGolden(t *testing.T) {
+	keys := []string{"cri1@0", "cri2@0", "red1@3", "zipf-1.4@1", "script:00deadbeef", "", "key-17"}
+	cases := []struct {
+		shards, vnodes int
+		seed           uint64
+		want           [][]int // preference order per key, in keys order
+	}{
+		{4, 64, 42, [][]int{{0, 2, 3, 1}, {0, 2, 1, 3}, {3, 0, 1, 2}, {1, 2, 3, 0}, {0, 1, 3, 2}, {1, 2, 3, 0}, {0, 3, 2, 1}}},
+		{3, 16, 0xC0FFEE5EED, [][]int{{1, 0, 2}, {1, 2, 0}, {0, 2, 1}, {0, 1, 2}, {1, 0, 2}, {2, 0, 1}, {0, 1, 2}}},
+		{5, 64, 0, [][]int{{2, 4, 0, 1, 3}, {4, 1, 3, 0, 2}, {3, 2, 4, 1, 0}, {3, 1, 4, 0, 2}, {1, 3, 4, 2, 0}, {4, 0, 1, 2, 3}, {1, 4, 0, 2, 3}}},
+	}
+	for _, tc := range cases {
+		r := newRing(tc.shards, tc.vnodes, tc.seed)
+		for i, key := range keys {
+			if got := r.order(key); !reflect.DeepEqual(got, tc.want[i]) {
+				t.Errorf("ring(%d shards, %d vnodes, seed %#x).order(%q) = %v, want %v",
+					tc.shards, tc.vnodes, tc.seed, key, got, tc.want[i])
+			}
+		}
+	}
+}
+
+func TestRouteRandomOrderGolden(t *testing.T) {
+	insts := make([]Instance, 5)
+	for i := range insts {
+		insts[i] = newFakeShard(string(rune('a' + i)))
+	}
+	g := NewWithInstances(Config{RouteRandom: true, Seed: 7, AuditDepth: -1}, insts)
+	want := []int{2, 4, 1, 3, 4, 0, 3, 2, 0, 0, 3, 1, 0, 4, 0, 0}
+	for i, w := range want {
+		order := g.order(serve.Query{})
+		if order[0] != w {
+			t.Fatalf("RouteRandom draw %d homes on shard %d, want %d", i, order[0], w)
+		}
+		for k, s := range order {
+			if s != (w+k)%len(insts) {
+				t.Fatalf("draw %d order %v is not the rotation starting at its home", i, order)
+			}
+		}
+	}
+}
+
+func TestNetFaultRollGolden(t *testing.T) {
+	f := NewNetFault(nil, NetFaultConfig{Seed: 99})
+	want := []float64{0.2615304715693846, 0.0316577610861849, 0.8347597245449443,
+		0.10231939626956132, 0.1700589441522914, 0.23466461646336212}
+	for i, w := range want {
+		if got := f.next(); got != w {
+			t.Fatalf("roll %d = %v, want %v", i, got, w)
+		}
+	}
+}
+
+// jsonKeys returns the sorted top-level JSON keys of v's zero-ish encoding.
+func jsonKeys(t *testing.T, v interface{}) []string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestStatsKeysGolden pins the /stats wire contract of the gateway tier:
+// dashboards and benchmark/ read these keys.
+func TestStatsKeysGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		v    interface{}
+		want []string
+	}{
+		{"Stats", Stats{}, []string{"audit_dropped", "audit_written", "deadline_exceeded", "ejections",
+			"failed_over", "failover_exhausted", "invalidations", "invalidations_lagged", "merged",
+			"overload_rejected", "per_shard", "quota_rejected", "rejoins", "respawns", "routed", "shards",
+			"spilled", "tenants"}},
+		{"TenantStats", TenantStats{}, []string{"completed", "failed", "flop", "latency_p50_sec",
+			"latency_p95_sec", "queries", "quota_rejected"}},
+		{"WireStats", WireStats{}, []string{"attempts", "budget_exhausted", "failures", "replays", "retries"}},
+	}
+	for _, tc := range cases {
+		if got := jsonKeys(t, tc.v); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s JSON keys = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

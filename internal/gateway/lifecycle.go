@@ -227,7 +227,7 @@ func (lc *lifecycle) ejectLocked(shard int, reason, evidence, requestID string) 
 	s.probeOKs = 0
 	s.ejections++
 	s.passive = lc.newPassiveWindow()
-	lc.g.ejections.Add(1)
+	lc.g.count(func(st *Stats) { st.Ejections++ })
 	lc.g.recordTransition(shard, from, ShardEjected, reason, evidence, requestID)
 }
 
@@ -340,7 +340,7 @@ func (lc *lifecycle) apply(i int, pr probeResult) {
 			s.probeFails = 0
 			s.rejoins++
 			s.passive = lc.newPassiveWindow()
-			lc.g.rejoins.Add(1)
+			lc.g.count(func(st *Stats) { st.Rejoins++ })
 			lc.g.recordTransition(i, ShardRejoining, ShardHealthy, "rejoin",
 				"dataset versions caught up to broadcast", "")
 			return true
@@ -366,7 +366,7 @@ func (lc *lifecycle) respawnLocked(i int, s *shardLife) {
 	s.state = ShardRejoining
 	s.probeOKs = 0
 	s.respawns++
-	lc.g.respawns.Add(1)
+	lc.g.count(func(st *Stats) { st.Respawns++ })
 	lc.g.recordTransition(i, ShardEjected, ShardRejoining, "respawn", "supervisor respawned instance", "")
 	lc.wg.Add(1)
 	go func() {

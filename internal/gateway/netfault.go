@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"remac/internal/fault"
 )
 
 // Wire-fault root causes. http.Client wraps transport errors in
@@ -156,12 +158,7 @@ func isProbePath(path string) bool {
 
 // next draws the request's fault roll from the seeded SplitMix64 stream.
 func (f *NetFault) next() float64 {
-	x := f.cfg.Seed + 0x9e3779b97f4a7c15*f.seq.Add(1)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := fault.Mix64(f.cfg.Seed + 0x9e3779b97f4a7c15*f.seq.Add(1))
 	return float64(x>>11) / float64(1<<53)
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"remac/internal/lru"
 	"remac/internal/resilience"
 )
 
@@ -58,7 +59,10 @@ type quotas struct {
 	mu  sync.Mutex
 	cfg map[string]TenantQuota
 	def TenantQuota
-	st  map[string]*tenantBucket
+	// st holds the live buckets, LRU-bounded at tenantCap. A bucket with
+	// queries in flight is pinned, so a release can never hit a dropped
+	// bucket (and the tenant's concurrency count can never restart low).
+	st  *lru.Cache[string, *tenantBucket]
 	now func() time.Time
 }
 
@@ -70,7 +74,9 @@ func newQuotas(perTenant map[string]TenantQuota, def TenantQuota, now func() tim
 	for t, q := range perTenant {
 		cfg[t] = q.withDefaults()
 	}
-	return &quotas{cfg: cfg, def: def.withDefaults(), st: map[string]*tenantBucket{}, now: now}
+	st := lru.New[string, *tenantBucket](tenantCap)
+	st.Pin(func(b *tenantBucket) bool { return b.inflight > 0 })
+	return &quotas{cfg: cfg, def: def.withDefaults(), st: st, now: now}
 }
 
 // quotaFor resolves the quota applying to a tenant: its own entry if
@@ -94,11 +100,10 @@ func (qs *quotas) admit(tenant string) (release func(), err error) {
 	}
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
-	b, ok := qs.st[tenant]
+	b, ok := qs.st.Get(tenant)
 	now := qs.now()
 	if !ok {
 		b = &tenantBucket{tokens: float64(q.Burst), last: now}
-		qs.st[tenant] = b
 	}
 	if q.QPS > 0 {
 		elapsed := now.Sub(b.last).Seconds()
@@ -123,6 +128,11 @@ func (qs *quotas) admit(tenant string) (release func(), err error) {
 		b.tokens--
 	}
 	b.inflight++
+	if !ok {
+		// Stored only once admitted (a fresh bucket always is): it enters
+		// the cache already pinned by its own in-flight query.
+		qs.st.Put(tenant, b, 1)
+	}
 	var once sync.Once
 	return func() {
 		once.Do(func() {

@@ -1,19 +1,24 @@
 package gateway
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"remac/internal/resilience"
+	"remac/internal/serve"
 )
 
 // fakeClock is a manually advanced clock for quota tests.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time           { return c.t }
-func (c *fakeClock) advance(d time.Duration)  { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 func mustAdmit(t *testing.T, qs *quotas, tenant string) func() {
 	t.Helper()
 	rel, err := qs.admit(tenant)
@@ -101,5 +106,112 @@ func TestQuotaBurstDefault(t *testing.T) {
 	q = TenantQuota{QPS: 0.25}.withDefaults()
 	if q.Burst != 1 {
 		t.Fatalf("Burst default for fractional QPS = %d, want 1", q.Burst)
+	}
+}
+
+// holdShard blocks queries against the "hold" dataset until released, so a
+// test can keep one tenant's query in flight for as long as it likes.
+type holdShard struct {
+	*fakeShard
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *holdShard) Do(ctx context.Context, q serve.Query) (*serve.QueryResult, error) {
+	if q.Dataset == "hold" {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+	return h.fakeShard.Do(ctx, q)
+}
+
+// TestHostileTenantCardinalityIsBounded: the tenant name is a client-
+// supplied header, so 100k distinct names must not grow the gateway. Both
+// per-tenant maps stay at tenantCap, a known tenant that stays active
+// through the flood keeps exact counters, and a sleeper whose only query is
+// in flight the whole time — pinned by it, though never touched — keeps
+// exact concurrency-slot accounting.
+func TestHostileTenantCardinalityIsBounded(t *testing.T) {
+	// The known tenant needs a slot per flood worker.
+	const workers, slots = 4, 4
+	sh := &holdShard{fakeShard: newFakeShard("s0"), entered: make(chan struct{}), release: make(chan struct{})}
+	g := NewWithInstances(Config{
+		AuditDepth:   -1,
+		DefaultQuota: TenantQuota{MaxConcurrent: slots}, // every tenant gets a bucket
+	}, []Instance{sh})
+	defer g.Shutdown(context.Background())
+	do := func(tenant, dataset string) error {
+		_, err := g.Do(context.Background(), Request{Tenant: tenant, Query: serve.Query{Dataset: dataset}})
+		return err
+	}
+
+	held := make(chan error, 1)
+	go func() { held <- do("sleeper", "hold") }()
+	<-sh.entered // the sleeper now holds one of its slots
+
+	// Every worker interleaves the known tenant into its own share of the
+	// flood, so however the scheduler runs them no more than
+	// workers*knownEvery < tenantCap new names separate two of its queries.
+	const hostile, knownEvery = 100_000, 250
+	var wg sync.WaitGroup
+	var knownDone atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < hostile; i += workers {
+				if err := do(fmt.Sprintf("bot-%d", i), "d"); err != nil {
+					t.Errorf("hostile tenant %d: %v", i, err)
+					return
+				}
+				if (i/workers)%knownEvery == 0 {
+					if err := do("known", "d"); err != nil {
+						t.Errorf("known tenant mid-flood: %v", err)
+						return
+					}
+					knownDone.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	g.tenantMu.Lock()
+	tenants := g.tenants.Len()
+	g.tenantMu.Unlock()
+	g.quotas.mu.Lock()
+	buckets := g.quotas.st.Len()
+	g.quotas.mu.Unlock()
+	if tenants > tenantCap || buckets > tenantCap {
+		t.Fatalf("after %d distinct tenants: %d stats entries, %d quota buckets; cap %d", hostile, tenants, buckets, tenantCap)
+	}
+	if got := len(g.Stats().Tenants); got > tenantCap {
+		t.Fatalf("/stats lists %d tenants, cap %d", got, tenantCap)
+	}
+
+	// Slot accounting survived the flood: one slot is still held, so exactly
+	// slots-1 more admit and the next is refused.
+	var releases []func()
+	for k := 1; k < slots; k++ {
+		rel, err := g.quotas.admit("sleeper")
+		if err != nil {
+			t.Fatalf("slot %d of %d refused with one query in flight: %v", k+1, slots, err)
+		}
+		releases = append(releases, rel)
+	}
+	if _, err := g.quotas.admit("sleeper"); !resilience.IsClass(err, resilience.Quota) {
+		t.Fatalf("query %d admitted (err %v): the in-flight bucket was dropped and lost its count", slots+1, err)
+	}
+	for _, rel := range releases {
+		rel()
+	}
+
+	close(sh.release)
+	if err := <-held; err != nil {
+		t.Fatalf("held query: %v", err)
+	}
+	want := uint64(knownDone.Load())
+	if ts := g.Stats().Tenants["known"]; ts.Queries != want || ts.Completed != want || ts.Failed != 0 || ts.FLOP != 100*float64(want) {
+		t.Fatalf("known tenant stats %+v, want %d queries all completed", ts, want)
 	}
 }

@@ -3,11 +3,9 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"net/url"
@@ -280,22 +278,11 @@ func wireRequest(q serve.Query) (httpapi.QueryRequest, error) {
 	return req, nil
 }
 
-// wireBackoff is the deterministic retry delay: exponential from 2ms,
-// capped, with jitter derived from the idempotency key and attempt so
-// concurrent retriers do not synchronize.
-func wireBackoff(key string, attempt int) time.Duration {
-	base := 2 * time.Millisecond << uint(attempt-1)
-	if base > 20*time.Millisecond {
-		base = 20 * time.Millisecond
-	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(attempt))
-	h.Write(b[:])
-	jitter := time.Duration(h.Sum64() % uint64(base))
-	return base + jitter
-}
+// wireRetry is the wire-retry delay schedule: resilience's one capped
+// exponential backoff at transport scale (2ms doubling to a 20ms cap),
+// jittered per (idempotency key, attempt) so concurrent retriers do not
+// synchronize. Constants, not configuration.
+var wireRetry = resilience.RetryPolicy{BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond}
 
 // Do submits the query over the wire. The attempt loop retries only
 // transport failures — each funded by the shared budget and re-sent under
@@ -326,7 +313,7 @@ func (ri *RemoteInstance) Do(ctx context.Context, q serve.Query) (*serve.QueryRe
 				}
 			}
 			ri.wireRetries.Add(1)
-			t := time.NewTimer(wireBackoff(q.IdempotencyKey, attempt))
+			t := time.NewTimer(wireRetry.Backoff(hashKey(0, q.IdempotencyKey), attempt))
 			select {
 			case <-t.C:
 			case <-ctx.Done():

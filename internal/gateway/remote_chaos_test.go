@@ -224,7 +224,9 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 		if got := g.ShardState(victim); got != ShardHealthy {
 			t.Fatalf("cycle %d: shard %d state %v after heal, want healthy", cycle, victim, got)
 		}
-		if got := g.ShardVersions("cri1")[victim]; got != want {
+		// Read the shard's own state, not the wire's view of it: the healed
+		// link still rolls seeded resets, and a reset version read says -1.
+		if got := servers[victim].DatasetVersion("cri1"); got != want {
 			t.Fatalf("cycle %d: shard %d readmitted at version %d, want broadcast version %d",
 				cycle, victim, got, want)
 		}
@@ -289,9 +291,33 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 	if !res.Replayed {
 		t.Fatal("epilogue: forced drop was not answered by a replay")
 	}
-	if got := servers[0].Metrics().IdemReplays; got != idemBefore+1 {
-		t.Fatalf("epilogue: shard IdemReplays %d, want %d", got, idemBefore+1)
+	// At least the forced drop replayed; the seeded stream may roll a second
+	// drop on the re-send, which replays again.
+	if got := servers[0].Metrics().IdemReplays; got <= idemBefore {
+		t.Fatalf("epilogue: shard IdemReplays %d, want more than %d", got, idemBefore)
 	}
+
+	// Worst-case execution amplification of the four stacked retry layers
+	// (DESIGN.md §18): a request tries at most 1+SpillOver+Failover shards,
+	// each over at most 1+Retries wire attempts, each of which the shard
+	// may execute up to its retry policy's MaxAttempts times (hedging, off
+	// here, would double it). The idempotency window keeps the measured
+	// figure far below the bound; a single attempt allowance would lower
+	// the bound itself.
+	var executions uint64
+	for i := range servers {
+		executions += servers[i].Metrics().Executions
+	}
+	const requests = clients*perClient + 1 // the storm plus the epilogue
+	const wireRetries = 3                  // RemoteConfig.Retries above
+	bound := min(shards, 1+cfg.SpillOver+cfg.Failover) * (1 + wireRetries) *
+		resilience.RetryPolicy{}.WithDefaults().MaxAttempts
+	if executions > uint64(requests*bound) {
+		t.Fatalf("execution amplification: %d executions for %d requests exceeds the stacked bound %d per request",
+			executions, requests, bound)
+	}
+	t.Logf("execution amplification: %d executions for %d requests (%.2fx; stacked worst case %dx)",
+		executions, requests, float64(executions)/requests, bound)
 
 	var drops, garbles uint64
 	for i := range faults {

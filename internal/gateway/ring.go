@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"remac/internal/fault"
 )
 
 // ring is a consistent-hash ring over shard indices: each shard owns
@@ -53,11 +55,12 @@ func newRing(shards, vnodes int, seed uint64) *ring {
 }
 
 // hashKey is FNV-64a over the seed bytes followed by the key bytes, run
-// through a SplitMix64 finalizer. Raw FNV clusters badly on the short,
-// near-identical strings this ring hashes (vnode labels, "key-%d"-style
-// dataset ids): correlated inputs land in correlated hash regions and
-// whole shards end up owning no keys. The finalizer's avalanche breaks
-// that correlation while keeping the function deterministic.
+// through the SplitMix64 finalizer (fault.Mix64). Raw FNV clusters badly
+// on the short, near-identical strings this ring hashes (vnode labels,
+// "key-%d"-style dataset ids): correlated inputs land in correlated hash
+// regions and whole shards end up owning no keys. The finalizer's
+// avalanche breaks that correlation while keeping the function
+// deterministic.
 func hashKey(seed uint64, key string) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -66,13 +69,7 @@ func hashKey(seed uint64, key string) uint64 {
 	}
 	h.Write(b[:])
 	h.Write([]byte(key))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return fault.Mix64(h.Sum64())
 }
 
 // order returns the full preference order for key: the home shard (owner

@@ -1,8 +1,6 @@
 package gateway
 
 import (
-	"sort"
-
 	"remac/internal/resilience"
 	"remac/internal/serve"
 )
@@ -10,17 +8,18 @@ import (
 // tenantLatencyWindow bounds each tenant's sliding latency window.
 const tenantLatencyWindow = 256
 
-// tenantStats is one tenant's live accounting.
-type tenantStats struct {
-	queries   uint64
-	completed uint64
-	failed    uint64
-	quotaRej  uint64
-	flop      float64
+// tenantCap bounds the per-tenant state keyed by the client-supplied
+// tenant name — the stats here and the quota buckets in quota.go — so a
+// stream of made-up X-Tenant values cannot grow the gateway without bound:
+// beyond it the least-recently-seen tenant's state is dropped (its counters
+// restart from zero if it returns).
+const tenantCap = 4096
 
-	lat     [tenantLatencyWindow]float64
-	latIdx  int
-	latFull bool
+// tenantStats is one tenant's live accounting: the exported counters,
+// updated in place, plus the latency window its percentiles are read from.
+type tenantStats struct {
+	TenantStats
+	lat *serve.LatencyRing
 }
 
 // tenantFinish folds one settled request into its tenant's stats. Quota
@@ -30,26 +29,21 @@ type tenantStats struct {
 func (g *Gateway) tenantFinish(tenant string, latencySec, flop float64, err error) {
 	g.tenantMu.Lock()
 	defer g.tenantMu.Unlock()
-	ts, ok := g.tenants[tenant]
+	ts, ok := g.tenants.Get(tenant)
 	if !ok {
-		ts = &tenantStats{}
-		g.tenants[tenant] = ts
+		ts = &tenantStats{lat: serve.NewLatencyRing(tenantLatencyWindow)}
+		g.tenants.Put(tenant, ts, 1)
 	}
-	ts.queries++
+	ts.Queries++
 	switch {
 	case err == nil:
-		ts.completed++
-		ts.flop += flop
-		ts.lat[ts.latIdx] = latencySec
-		ts.latIdx++
-		if ts.latIdx == tenantLatencyWindow {
-			ts.latIdx = 0
-			ts.latFull = true
-		}
+		ts.Completed++
+		ts.FLOP += flop
+		ts.lat.Observe(latencySec)
 	case resilience.IsClass(err, resilience.Quota):
-		ts.quotaRej++
+		ts.QuotaRejected++
 	default:
-		ts.failed++
+		ts.Failed++
 	}
 }
 
@@ -125,22 +119,11 @@ type Stats struct {
 // Stats assembles the aggregate view: every shard's snapshot (merged and
 // per-shard), the routing and audit counters, and per-tenant breakdowns.
 func (g *Gateway) Stats() Stats {
-	st := Stats{
-		Shards:              len(g.ids),
-		Routed:              g.routed.Load(),
-		Spilled:             g.spilled.Load(),
-		FailedOver:          g.failedOver.Load(),
-		QuotaRejected:       g.quotaRej.Load(),
-		OverloadRejected:    g.overloadRej.Load(),
-		FailoverExhausted:   g.failoverExh.Load(),
-		DeadlineExceeded:    g.deadlineRej.Load(),
-		Invalidations:       g.invals.Load(),
-		InvalidationsLagged: g.invalLagged.Load(),
-		Ejections:           g.ejections.Load(),
-		Respawns:            g.respawns.Load(),
-		Rejoins:             g.rejoins.Load(),
-		Tenants:             map[string]TenantStats{},
-	}
+	g.statMu.Lock()
+	st := g.stat
+	g.statMu.Unlock()
+	st.Shards = len(g.ids)
+	st.Tenants = map[string]TenantStats{}
 	if g.audit != nil {
 		st.AuditWritten, st.AuditDropped = g.audit.counters()
 	}
@@ -159,39 +142,13 @@ func (g *Gateway) Stats() Stats {
 	}
 	st.Merged = serve.MergeSnapshots(snaps...)
 	g.tenantMu.Lock()
-	for name, ts := range g.tenants {
-		out := TenantStats{
-			Queries:       ts.queries,
-			Completed:     ts.completed,
-			Failed:        ts.failed,
-			QuotaRejected: ts.quotaRej,
-			FLOP:          ts.flop,
-		}
-		n := ts.latIdx
-		if ts.latFull {
-			n = tenantLatencyWindow
-		}
-		if n > 0 {
-			window := make([]float64, n)
-			copy(window, ts.lat[:n])
-			sort.Float64s(window)
-			out.LatencyP50Sec = quantileOf(window, 0.50)
-			out.LatencyP95Sec = quantileOf(window, 0.95)
-		}
+	g.tenants.Each(func(name string, ts *tenantStats) bool {
+		out := ts.TenantStats
+		p := ts.lat.Percentiles(0.50, 0.95)
+		out.LatencyP50Sec, out.LatencyP95Sec = p[0], p[1]
 		st.Tenants[name] = out
-	}
+		return false
+	})
 	g.tenantMu.Unlock()
 	return st
-}
-
-// quantileOf reads the nearest-rank percentile from a sorted slice.
-func quantileOf(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

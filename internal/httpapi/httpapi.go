@@ -96,9 +96,10 @@ type QueryResponse struct {
 	FLOP             float64                 `json:"flop,omitempty"`
 	Attempts         int                     `json:"attempts,omitempty"`
 
-	// ResultHash is the FNV-64a fingerprint of the result's materialized
-	// values (hex; see serve.HashValues): the bitwise identity a remote
-	// caller can assert without the cells ever crossing the wire.
+	// ResultHash is the identity of the result's materialized values (hex;
+	// integrity.DigestValues): same names, shapes and nonzero cells bit for
+	// bit, independent of storage format and of the sign of a zero — what a
+	// remote caller can assert without the cells ever crossing the wire.
 	ResultHash string `json:"result_hash,omitempty"`
 	// Replayed marks a response served from the shard's idempotency
 	// window — a retry after a lost response, answered without

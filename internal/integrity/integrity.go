@@ -25,6 +25,7 @@ package integrity
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"remac/internal/matrix"
 )
@@ -131,30 +132,66 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// fnv1a is the running FNV-1a state both digests below fold into.
+type fnv1a uint64
+
+func (h *fnv1a) byte(b byte) { *h = (*h ^ fnv1a(b)) * fnvPrime }
+
+// word folds x low byte first, keeping the state in a register across the
+// eight steps (Digest spends its whole time here).
+func (h *fnv1a) word(x uint64) {
+	v := *h
+	for s := 0; s < 64; s += 8 {
+		v = (v ^ fnv1a(x>>s)&0xFF) * fnvPrime
+	}
+	*h = v
+}
+
 // Digest folds a matrix's logical payload — dimensions, then (row, col,
 // bits) for every stored value that is numerically nonzero — into a 64-bit
-// FNV-1a hash. Skipping explicit zeros makes the digest representation
-// independent: a dense block and a CSR block holding the same values hash
-// identically, so a format switch in transit is not a false corruption.
+// FNV-1a hash. It is the one function in the repository that walks matrix
+// cells to hash them. Skipping explicit zeros makes the digest
+// representation independent: a dense block and a CSR block holding the
+// same values hash identically, so a format switch in transit is not a
+// false corruption.
 func Digest(m *matrix.Matrix) uint64 {
-	h := uint64(fnvOffset)
-	mix := func(x uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (x >> s) & 0xFF
-			h *= fnvPrime
-		}
-	}
-	mix(uint64(m.Rows()))
-	mix(uint64(m.Cols()))
+	h := fnv1a(fnvOffset)
+	h.word(uint64(m.Rows()))
+	h.word(uint64(m.Cols()))
 	m.ForEachNonzero(func(i, j int, v float64) {
 		if v == 0 {
 			return // CSR may store explicit zeros; hash values, not storage
 		}
-		mix(uint64(i))
-		mix(uint64(j))
-		mix(math.Float64bits(v))
+		h.word(uint64(i))
+		h.word(uint64(j))
+		h.word(math.Float64bits(v))
 	})
-	return h
+	return uint64(h)
+}
+
+// DigestValues folds a set of named matrices into one result identity:
+// names sorted, each name's bytes followed by its matrix's Digest. Two
+// sets hash equal iff they bind the same names to matrices of the same
+// shape holding the same nonzero cells bit for bit — Matrix.Equal's
+// notion of equality, made a fingerprint. It inherits Digest's
+// independence of storage format, and like a dense↔CSR conversion it does
+// not preserve the sign of a zero, which is therefore not part of the
+// identity. Result hashes (serve.QueryResult.ResultHash, the wire's
+// result_hash, the benches' cross-arm checks) are this function.
+func DigestValues(values map[string]*matrix.Matrix) uint64 {
+	names := make([]string, 0, len(values))
+	for name := range values {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := fnv1a(fnvOffset)
+	for _, name := range names {
+		for i := 0; i < len(name); i++ {
+			h.byte(name[i])
+		}
+		h.word(Digest(values[name]))
+	}
+	return uint64(h)
 }
 
 // Corrupt returns a copy of m with CorruptedBit flipped in one stored

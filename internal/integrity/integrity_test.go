@@ -160,3 +160,50 @@ func TestColumnChecksum(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestValuesIdentity: the result identity is "same names, shapes and
+// nonzero cells bit for bit" — independent of storage format and of the
+// sign of a zero, sensitive to everything else.
+func TestDigestValuesIdentity(t *testing.T) {
+	dense := matrix.NewDenseData(2, 3, []float64{1.5, 0, -2, 0, 0, 3})
+	base := map[string]*matrix.Matrix{"x": dense, "H": matrix.Identity(2)}
+	ref := DigestValues(base)
+	with := func(name string, m *matrix.Matrix) map[string]*matrix.Matrix {
+		out := map[string]*matrix.Matrix{"H": base["H"]}
+		out[name] = m
+		return out
+	}
+
+	if got := DigestValues(with("x", dense.ToCSR())); got != ref {
+		t.Errorf("CSR encoding of the same values hashes %016x, dense %016x", got, ref)
+	}
+	if got := DigestValues(with("x", dense.Clone())); got != ref {
+		t.Errorf("clone hashes %016x, original %016x", got, ref)
+	}
+	negZero := matrix.NewDenseData(2, 3, []float64{1.5, math.Copysign(0, -1), -2, 0, 0, 3})
+	if got := DigestValues(with("x", negZero)); got != ref {
+		t.Errorf("the sign of a zero changed the identity (%016x vs %016x), but dense↔CSR conversion drops it too", got, ref)
+	}
+
+	changed := map[string]*matrix.Matrix{
+		"one mantissa bit flipped": matrix.NewDenseData(2, 3, []float64{math.Float64frombits(math.Float64bits(1.5) ^ 1), 0, -2, 0, 0, 3}),
+		"one nonzero moved":        matrix.NewDenseData(2, 3, []float64{1.5, -2, 0, 0, 0, 3}),
+		"shape transposed":         matrix.NewDenseData(3, 2, []float64{1.5, 0, -2, 0, 0, 3}),
+		"a zero became nonzero":    matrix.NewDenseData(2, 3, []float64{1.5, 0, -2, 0, 5e-324, 3}),
+	}
+	for what, m := range changed {
+		if DigestValues(with("x", m)) == ref {
+			t.Errorf("%s: identity unchanged", what)
+		}
+	}
+	if DigestValues(with("y", dense)) == ref {
+		t.Error("renaming a variable left the identity unchanged")
+	}
+	swapped := map[string]*matrix.Matrix{"x": base["H"], "H": dense}
+	if DigestValues(swapped) == ref {
+		t.Error("swapping two variables' values left the identity unchanged")
+	}
+	if DigestValues(map[string]*matrix.Matrix{"x": dense}) == ref {
+		t.Error("dropping a variable left the identity unchanged")
+	}
+}

@@ -106,6 +106,35 @@ func TestBackoffDeterministicCappedJittered(t *testing.T) {
 	}
 }
 
+// TestBackoffGolden pins the jittered delay sequence (nanoseconds, attempts
+// 1..6) to the values recorded before the mixer moved into fault.Mix64Key:
+// chaos runs replay retry schedules by (seed, query id, attempt).
+func TestBackoffGolden(t *testing.T) {
+	wire := RetryPolicy{Seed: -7, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond}
+	cases := []struct {
+		p    RetryPolicy
+		id   uint64
+		want [6]int64
+	}{
+		{RetryPolicy{}, 1, [6]int64{9712852, 18007812, 35513503, 64510228, 100174972, 288568849}},
+		{RetryPolicy{}, 17, [6]int64{8352726, 13405817, 36167024, 71402241, 135183003, 216062259}},
+		{RetryPolicy{}, 1 << 40, [6]int64{5165788, 12046798, 28264760, 40473497, 95116699, 248163008}},
+		{RetryPolicy{Seed: 42}, 1, [6]int64{9736824, 18581308, 36565557, 56354407, 130689313, 171823377}},
+		{RetryPolicy{Seed: 42}, 17, [6]int64{5061409, 13629385, 36775127, 59770068, 80977597, 206422542}},
+		{RetryPolicy{Seed: 42}, 1 << 40, [6]int64{9614195, 16014433, 21894820, 49495050, 82880776, 161955503}},
+		{wire, 1, [6]int64{1228032, 3001356, 4710379, 8648308, 13356218, 12640506}},
+		{wire, 17, [6]int64{1091601, 2655967, 6443492, 10355012, 17625054, 12664102}},
+		{wire, 1 << 40, [6]int64{1176251, 2257560, 5652490, 15909779, 17303300, 10568008}},
+	}
+	for _, tc := range cases {
+		for a, want := range tc.want {
+			if got := int64(tc.p.Backoff(tc.id, a+1)); got != want {
+				t.Errorf("seed %d base %v id %d attempt %d: %d ns, want %d", tc.p.Seed, tc.p.BaseBackoff, tc.id, a+1, got, want)
+			}
+		}
+	}
+}
+
 // TestRetryPolicyDefaults: zero value fills in, negative MaxAttempts means
 // one attempt.
 func TestRetryPolicyDefaults(t *testing.T) {

@@ -1,6 +1,10 @@
 package resilience
 
-import "time"
+import (
+	"time"
+
+	"remac/internal/fault"
+)
 
 // RetryPolicy bounds server-side re-execution of transient failures:
 // capped exponential backoff with deterministic seeded jitter and a total
@@ -60,7 +64,7 @@ func (p RetryPolicy) Backoff(queryID uint64, attempt int) time.Duration {
 	if d > p.MaxBackoff {
 		d = p.MaxBackoff
 	}
-	u := mix64(uint64(p.Seed) ^ queryID*0x9E3779B97F4A7C15 ^ uint64(attempt)*0xBF58476D1CE4E5B9)
+	u := fault.Mix64Key(uint64(p.Seed), queryID, uint64(attempt))
 	frac := 0.5 + 0.5*float64(u>>11)/(1<<53)
 	return time.Duration(float64(d) * frac)
 }
@@ -118,15 +122,4 @@ func (h HedgePolicy) Delay(quantileSec float64) time.Duration {
 		d = h.MinDelay
 	}
 	return d
-}
-
-// mix64 is the SplitMix64 finalizer: a cheap, well-distributed hash used
-// for jitter and for deriving per-query fault sub-streams.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sort"
@@ -11,6 +10,7 @@ import (
 
 	"remac/internal/engine"
 	"remac/internal/lang"
+	"remac/internal/lru"
 	"remac/internal/matrix"
 	"remac/internal/opt"
 )
@@ -56,12 +56,6 @@ func (s *Server) planKey(q Query, cfg opt.Config) (string, error) {
 // metaSigCap bounds the sparsity-signature memo (sparsitySig).
 const metaSigCap = 4096
 
-// metaSig is one memoized per-matrix sparsity bucket.
-type metaSig struct {
-	m   *matrix.Matrix
-	sig string
-}
-
 // sparsitySig returns a matrix's bucketed sparsity, memoized by identity:
 // matrices are immutable once handed to the engine, and counting nonzeros
 // of a dense matrix is O(cells) — too slow for the plan-cache hit path.
@@ -71,21 +65,11 @@ type metaSig struct {
 func (s *Server) sparsitySig(m *matrix.Matrix) string {
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
-	if s.metaSigs == nil {
-		s.metaSigs = map[*matrix.Matrix]*list.Element{}
-		s.metaLRU = list.New()
-	}
-	if el, ok := s.metaSigs[m]; ok {
-		s.metaLRU.MoveToFront(el)
-		return el.Value.(*metaSig).sig
+	if sig, ok := s.metaSigs.Get(m); ok {
+		return sig
 	}
 	sig := sparsityBucket(m.Sparsity())
-	s.metaSigs[m] = s.metaLRU.PushFront(&metaSig{m: m, sig: sig})
-	for s.metaLRU.Len() > metaSigCap {
-		back := s.metaLRU.Back()
-		s.metaLRU.Remove(back)
-		delete(s.metaSigs, back.Value.(*metaSig).m)
-	}
+	s.metaSigs.Put(m, sig, 1)
 	return sig
 }
 
@@ -99,9 +83,8 @@ func sparsityBucket(s float64) string {
 	return strconv.FormatFloat(s, 'e', 1, 64)
 }
 
-// planEntry is one cached (or in-flight) compilation.
+// planEntry is one in-flight compilation.
 type planEntry struct {
-	key   string
 	c     *opt.Compiled
 	err   error
 	ready chan struct{}
@@ -112,17 +95,13 @@ type planEntry struct {
 // key wait for it rather than duplicating the search.
 type planCache struct {
 	mu       sync.Mutex
-	cap      int
-	ll       *list.List // front = most recent; elements hold *planEntry
-	items    map[string]*list.Element
+	plans    *lru.Cache[string, *opt.Compiled]
 	inflight map[string]*planEntry
 }
 
 func newPlanCache(capacity int) *planCache {
 	return &planCache{
-		cap:      capacity,
-		ll:       list.New(),
-		items:    map[string]*list.Element{},
+		plans:    lru.New[string, *opt.Compiled](int64(capacity)),
 		inflight: map[string]*planEntry{},
 	}
 }
@@ -134,9 +113,7 @@ func (p *planCache) getOrCompile(ctx context.Context, key string, compile func()
 	var e *planEntry
 	for e == nil {
 		p.mu.Lock()
-		if el, ok := p.items[key]; ok {
-			p.ll.MoveToFront(el)
-			c = el.Value.(*planEntry).c
+		if c, ok := p.plans.Get(key); ok {
 			p.mu.Unlock()
 			return c, true, nil
 		}
@@ -158,7 +135,7 @@ func (p *planCache) getOrCompile(ctx context.Context, key string, compile func()
 			// recompile, not one per waiter.
 			continue
 		}
-		e = &planEntry{key: key, ready: make(chan struct{})}
+		e = &planEntry{ready: make(chan struct{})}
 		p.inflight[key] = e
 		p.mu.Unlock()
 	}
@@ -168,12 +145,7 @@ func (p *planCache) getOrCompile(ctx context.Context, key string, compile func()
 	p.mu.Lock()
 	delete(p.inflight, key)
 	if e.err == nil {
-		p.items[key] = p.ll.PushFront(e)
-		for p.ll.Len() > p.cap {
-			back := p.ll.Back()
-			p.ll.Remove(back)
-			delete(p.items, back.Value.(*planEntry).key)
-		}
+		p.plans.Put(key, e.c, 1)
 	}
 	p.mu.Unlock()
 	close(e.ready)
@@ -183,14 +155,7 @@ func (p *planCache) getOrCompile(ctx context.Context, key string, compile func()
 func (p *planCache) len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.ll.Len()
-}
-
-// interEntry is one cached loop-constant intermediate.
-type interEntry struct {
-	key   string
-	v     engine.Intermediate
-	bytes int64
+	return p.plans.Len()
 }
 
 // interCache is a byte-budgeted LRU of materialized LSE intermediates.
@@ -198,58 +163,31 @@ type interEntry struct {
 // cache stands in for cluster memory, so its budget is accounted in the
 // same units the simulated cluster's cost model uses.
 type interCache struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	ll     *list.List // front = most recent; elements hold *interEntry
-	items  map[string]*list.Element
+	mu sync.Mutex
+	c  *lru.Cache[string, engine.Intermediate]
 }
 
 func newInterCache(budget int64) *interCache {
-	return &interCache{budget: budget, ll: list.New(), items: map[string]*list.Element{}}
+	return &interCache{c: lru.New[string, engine.Intermediate](budget)}
 }
 
 func (c *interCache) get(key string) (engine.Intermediate, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return engine.Intermediate{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*interEntry).v, true
+	return c.c.Get(key)
 }
 
+// put offers a value at its modelled size. A re-offer refreshes the value
+// and its byte charge (the producer's sparsity may have settled
+// differently); a value larger than the whole budget is not cacheable.
 func (c *interCache) put(key string, v engine.Intermediate) {
 	if v.Data == nil {
 		return
 	}
 	bytes := matrix.SizeBytesFor(int(v.VRows), int(v.VCols), v.Data.Sparsity())
-	if bytes > c.budget {
-		return // larger than the whole budget: not cacheable
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		// Refresh the value and its byte accounting: a re-offer can carry a
-		// different modelled size (the producer's sparsity settled
-		// differently), and keeping the old charge would drift used away
-		// from the sum of resident entries.
-		e := el.Value.(*interEntry)
-		c.used += bytes - e.bytes
-		e.v, e.bytes = v, bytes
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&interEntry{key: key, v: v, bytes: bytes})
-		c.used += bytes
-	}
-	for c.used > c.budget {
-		back := c.ll.Back()
-		e := back.Value.(*interEntry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.used -= e.bytes
-	}
+	c.c.Put(key, v, bytes)
 }
 
 // dropNamespace evicts every entry whose key starts with prefix (dataset
@@ -257,22 +195,13 @@ func (c *interCache) put(key string, v engine.Intermediate) {
 func (c *interCache) dropNamespace(prefix string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*interEntry)
-		if strings.HasPrefix(e.key, prefix) {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.used -= e.bytes
-		}
-		el = next
-	}
+	c.c.Each(func(key string, _ engine.Intermediate) bool { return strings.HasPrefix(key, prefix) })
 }
 
 func (c *interCache) usage() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len(), c.used
+	return c.c.Len(), c.c.Cost()
 }
 
 // view scopes the cache to one (dataset version, cluster) namespace and

@@ -1,8 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
+
+	"remac/internal/lru"
 )
 
 // defaultIdemEntries bounds the completed-result replay window when
@@ -46,18 +47,14 @@ type idemEntry struct {
 // able to settle, so in-flight keys are never evicted.
 type idemWindow struct {
 	mu       sync.Mutex
-	cap      int
 	inflight map[string]*idemEntry
-	done     map[string]*list.Element // of *idemEntry, LRU-ordered
-	lru      *list.List               // front = most recently used
+	done     *lru.Cache[string, *idemEntry]
 }
 
 func newIdemWindow(capacity int) *idemWindow {
 	return &idemWindow{
-		cap:      capacity,
 		inflight: map[string]*idemEntry{},
-		done:     map[string]*list.Element{},
-		lru:      list.New(),
+		done:     lru.New[string, *idemEntry](int64(capacity)),
 	}
 }
 
@@ -66,9 +63,8 @@ func newIdemWindow(capacity int) *idemWindow {
 func (w *idemWindow) begin(key string) (*idemEntry, idemRole) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if el, ok := w.done[key]; ok {
-		w.lru.MoveToFront(el)
-		return el.Value.(*idemEntry), idemReplay
+	if e, ok := w.done.Get(key); ok {
+		return e, idemReplay
 	}
 	if e, ok := w.inflight[key]; ok {
 		return e, idemWaiter
@@ -87,12 +83,7 @@ func (w *idemWindow) settle(e *idemEntry, res *QueryResult, err error) {
 	w.mu.Lock()
 	delete(w.inflight, e.key)
 	if err == nil {
-		w.done[e.key] = w.lru.PushFront(e)
-		for w.lru.Len() > w.cap {
-			old := w.lru.Back()
-			w.lru.Remove(old)
-			delete(w.done, old.Value.(*idemEntry).key)
-		}
+		w.done.Put(e.key, e, 1)
 	}
 	w.mu.Unlock()
 	close(e.done)
@@ -102,7 +93,7 @@ func (w *idemWindow) settle(e *idemEntry, res *QueryResult, err error) {
 func (w *idemWindow) entries() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.lru.Len()
+	return w.done.Len()
 }
 
 // replayOf returns a settled entry's result as a fresh shallow copy marked

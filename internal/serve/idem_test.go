@@ -10,6 +10,7 @@ import (
 	"remac/internal/algorithms"
 	"remac/internal/fault"
 	"remac/internal/integrity"
+	"remac/internal/matrix"
 	"remac/internal/resilience"
 )
 
@@ -43,6 +44,17 @@ func TestIdemReplayIsBitwiseIdenticalWithoutReexecution(t *testing.T) {
 	}
 	if second.ResultHash == 0 || second.ResultHash != first.ResultHash {
 		t.Fatalf("replay hash %016x != original %016x", second.ResultHash, first.ResultHash)
+	}
+	// The hash both carry is the one value identity, computed by the
+	// execution: integrity.DigestValues of the result, whatever the storage
+	// format of its matrices.
+	csr := map[string]*matrix.Matrix{}
+	for name, v := range first.Values {
+		csr[name] = v.ToCSR()
+	}
+	if first.ResultHash != integrity.DigestValues(first.Values) || first.ResultHash != HashValues(csr) {
+		t.Fatalf("ResultHash %016x is not the format-independent digest of Values (%016x dense, %016x CSR)",
+			first.ResultHash, integrity.DigestValues(first.Values), HashValues(csr))
 	}
 	bitwiseEqualValues(t, first.Values, second.Values)
 	// The copy is shallow by design — but the struct itself must be fresh

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -13,82 +15,70 @@ import (
 // latencyWindow bounds the sliding window percentiles are computed over.
 const latencyWindow = 1024
 
+// LatencyRing is a fixed-size sliding window of latency samples with
+// nearest-rank percentiles: the one ring behind the server-wide
+// percentiles, the hedge trigger and the gateway's per-tenant percentiles.
+// Not safe for concurrent use; each owner guards it with its own mutex.
+type LatencyRing struct {
+	n    int
+	buf  []float64 // grows to n samples, then wraps at next
+	next int
+}
+
+// NewLatencyRing returns a ring holding the last n samples.
+func NewLatencyRing(n int) *LatencyRing { return &LatencyRing{n: n} }
+
+// Observe records one sample, overwriting the oldest once the ring is full.
+func (r *LatencyRing) Observe(sec float64) {
+	if len(r.buf) < r.n {
+		r.buf = append(r.buf, sec)
+		return
+	}
+	r.buf[r.next] = sec
+	r.next = (r.next + 1) % r.n
+}
+
+// Percentiles reads the nearest-rank percentile of the current window for
+// each p (all zero while the window is empty).
+func (r *LatencyRing) Percentiles(ps ...float64) []float64 {
+	out := make([]float64, len(ps))
+	if len(r.buf) == 0 {
+		return out
+	}
+	sorted := append([]float64(nil), r.buf...)
+	sort.Float64s(sorted)
+	for i, p := range ps {
+		k := int(p * float64(len(sorted)))
+		if k >= len(sorted) {
+			k = len(sorted) - 1
+		}
+		out[i] = sorted[k]
+	}
+	return out
+}
+
 // metrics aggregates server-wide counters. A single mutex is fine at this
 // scale: updates are a handful per query, queries take milliseconds.
 type metrics struct {
-	mu        sync.Mutex
-	start     time.Time
-	completed uint64
-	failed    uint64
-	canceledN uint64
-	rejectedN uint64
-	shedN     uint64
-	queued    int
-	inflight  int
-
-	planHits, planMisses   uint64
-	interHits, interMisses uint64
-
-	panics   uint64
-	respawns uint64
-	retries  uint64
-	hedges   uint64
-	hedgeWin uint64
-
-	executions    uint64
-	idemReplays   uint64
-	idemCoalesces uint64
-
-	corrInjected uint64
-	corrDigest   uint64
-	corrABFT     uint64
-	corrRepairs  uint64
-	repairSec    float64
-
-	codedRecovered uint64
-	codedDecodeSec float64
-	codedEncFLOP   float64
-
-	mqoBatches    uint64
-	mqoMembers    uint64
-	mqoOverlapped uint64
-	mqoHits       uint64
-	mqoProduced   uint64
-	mqoAbandoned  uint64
-	mqoFlopSaved  float64
-
-	lat     [latencyWindow]float64
-	latIdx  int
-	latFull bool
+	mu    sync.Mutex
+	start time.Time
+	c     Snapshot // counter and gauge fields, updated in place under mu
+	lat   *LatencyRing
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now()}
+	return &metrics{start: time.Now(), lat: NewLatencyRing(latencyWindow)}
 }
 
-func (m *metrics) enqueued() {
+// add applies one counter update under the lock.
+func (m *metrics) add(update func(c *Snapshot)) {
 	m.mu.Lock()
-	m.queued++
-	m.mu.Unlock()
-}
-
-func (m *metrics) rejected() {
-	m.mu.Lock()
-	m.rejectedN++
-	m.mu.Unlock()
-}
-
-func (m *metrics) shed() {
-	m.mu.Lock()
-	m.shedN++
+	update(&m.c)
 	m.mu.Unlock()
 }
 
 func (m *metrics) dequeued() {
-	m.mu.Lock()
-	m.queued--
-	m.inflight++
-	m.mu.Unlock()
+	m.add(func(c *Snapshot) { c.QueueDepth--; c.InFlight++ })
 }
 
 // finished records one settled query: its wall latency and outcome.
@@ -96,175 +86,35 @@ func (m *metrics) dequeued() {
 // counted apart from genuine failures, and neither feeds the latency
 // window.
 func (m *metrics) finished(latencySec float64, err error) {
-	m.mu.Lock()
-	m.inflight--
-	switch {
-	case err == nil:
-		m.completed++
-		m.lat[m.latIdx] = latencySec
-		m.latIdx++
-		if m.latIdx == latencyWindow {
-			m.latIdx = 0
-			m.latFull = true
+	m.add(func(c *Snapshot) {
+		c.InFlight--
+		switch {
+		case err == nil:
+			c.Completed++
+			m.lat.Observe(latencySec)
+		case resilience.IsClass(err, resilience.Canceled) || errors.Is(err, engine.ErrCanceled):
+			c.Canceled++
+		default:
+			c.Failed++
 		}
-	case resilience.IsClass(err, resilience.Canceled) || errors.Is(err, engine.ErrCanceled):
-		m.canceledN++
-	default:
-		m.failed++
-	}
-	m.mu.Unlock()
+	})
 }
 
-func (m *metrics) planHit() {
-	m.mu.Lock()
-	m.planHits++
-	m.mu.Unlock()
-}
-
-func (m *metrics) planMiss() {
-	m.mu.Lock()
-	m.planMisses++
-	m.mu.Unlock()
-}
-
-func (m *metrics) interCounts(hits, misses int) {
-	m.mu.Lock()
-	m.interHits += uint64(hits)
-	m.interMisses += uint64(misses)
-	m.mu.Unlock()
-}
-
-func (m *metrics) panicRecovered() {
-	m.mu.Lock()
-	m.panics++
-	m.mu.Unlock()
-}
-
-func (m *metrics) workerRespawn() {
-	m.mu.Lock()
-	m.respawns++
-	m.mu.Unlock()
-}
-
-func (m *metrics) retried() {
-	m.mu.Lock()
-	m.retries++
-	m.mu.Unlock()
-}
-
-func (m *metrics) hedged() {
-	m.mu.Lock()
-	m.hedges++
-	m.mu.Unlock()
-}
-
-func (m *metrics) hedgeWon() {
-	m.mu.Lock()
-	m.hedgeWin++
-	m.mu.Unlock()
-}
-
-// executed counts one engine plan execution (every retry and hedged
-// duplicate included) — the counter the remote-transport chaos harness
-// asserts "zero duplicate executions" against.
-func (m *metrics) executed() {
-	m.mu.Lock()
-	m.executions++
-	m.mu.Unlock()
-}
-
-// idemReplayed counts a completed-entry replay: a keyed resubmission that
-// returned the stored result with no execution.
-func (m *metrics) idemReplayed() {
-	m.mu.Lock()
-	m.idemReplays++
-	m.mu.Unlock()
-}
-
-// idemCoalesced counts a keyed duplicate that latched onto its in-flight
-// leader instead of executing.
-func (m *metrics) idemCoalesced() {
-	m.mu.Lock()
-	m.idemCoalesces++
-	m.mu.Unlock()
-}
-
-// integrityCounts folds one query's corruption accounting into the
-// server-wide totals.
-func (m *metrics) integrityCounts(injected, byDigest, byABFT, repairs int, repairSec float64) {
-	m.mu.Lock()
-	m.corrInjected += uint64(injected)
-	m.corrDigest += uint64(byDigest)
-	m.corrABFT += uint64(byABFT)
-	m.corrRepairs += uint64(repairs)
-	m.repairSec += repairSec
-	m.mu.Unlock()
-}
-
-// codedCounts folds one query's coded-recovery accounting into the
-// server-wide totals.
-func (m *metrics) codedCounts(recoveries int, decodeSec, encodeFLOP float64) {
-	m.mu.Lock()
-	m.codedRecovered += uint64(recoveries)
-	m.codedDecodeSec += decodeSec
-	m.codedEncFLOP += encodeFLOP
-	m.mu.Unlock()
-}
-
-// mqoAdmitted records one query joining an MQO batch (newBatch marks the
-// admission that opened it); batch occupancy is members/batches.
-func (m *metrics) mqoAdmitted(newBatch bool) {
-	m.mu.Lock()
-	m.mqoMembers++
-	if newBatch {
-		m.mqoBatches++
-	}
-	m.mu.Unlock()
-}
-
-// mqoOverlap records keys of the cross-query subexpression index that just
-// became overlapping (announced by a second session of their batch).
-func (m *metrics) mqoOverlap(keys int) {
-	m.mu.Lock()
-	m.mqoOverlapped += uint64(keys)
-	m.mu.Unlock()
-}
-
-// mqoSession folds one run's shared-producer coordinator traffic into the
-// server totals: adoptions, productions, the charged FLOP adoptions
-// avoided, and leaderships the run abandoned (panic paths).
-func (m *metrics) mqoSession(hits, led int, flopSaved float64, abandoned int) {
-	if hits == 0 && led == 0 && abandoned == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.mqoHits += uint64(hits)
-	m.mqoProduced += uint64(led)
-	m.mqoFlopSaved += flopSaved
-	m.mqoAbandoned += uint64(abandoned)
-	m.mu.Unlock()
-}
-
-// latencyQuantile reads a percentile of the current window without
-// snapshotting everything (the hedge trigger calls it per query).
+// latencyQuantile reads one percentile of the current window (the hedge
+// trigger calls it per query).
 func (m *metrics) latencyQuantile(p float64) float64 {
 	m.mu.Lock()
-	n := m.latIdx
-	if m.latFull {
-		n = latencyWindow
-	}
-	window := make([]float64, n)
-	copy(window, m.lat[:n])
-	m.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Float64s(window)
-	return percentile(window, p)
+	defer m.mu.Unlock()
+	return m.lat.Percentiles(p)[0]
 }
 
 // Snapshot is a point-in-time view of the server's aggregate metrics,
-// JSON-serializable for cmd/remac-serve's /stats endpoint.
+// JSON-serializable for cmd/remac-serve's /stats endpoint. Its counter
+// fields are also the live accumulators (metrics.c): adding a counter is
+// one field here plus one increment where the event happens. Every numeric
+// field sums across shards in MergeSnapshots except the derived ones
+// (uptime, QPS, hit rates, latency percentiles), which snapshot and
+// MergeSnapshots fill in.
 type Snapshot struct {
 	// Shard labels the instance this snapshot came from (Config.ShardID;
 	// empty for a standalone server or a merged snapshot).
@@ -345,156 +195,79 @@ type Snapshot struct {
 	MQOFlopSaved      float64 `json:"mqo_flop_saved"`
 }
 
+// snapshot copies the accumulators and fills in the derived fields.
 func (m *metrics) snapshot() Snapshot {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Snapshot{
-		UptimeSec:       time.Since(m.start).Seconds(),
-		Completed:       m.completed,
-		Failed:          m.failed,
-		Canceled:        m.canceledN,
-		Rejected:        m.rejectedN,
-		Shed:            m.shedN,
-		PlanHits:        m.planHits,
-		PlanMisses:      m.planMisses,
-		InterHits:       m.interHits,
-		InterMisses:     m.interMisses,
-		QueueDepth:      m.queued,
-		InFlight:        m.inflight,
-		PanicsRecovered: m.panics,
-		WorkerRespawns:  m.respawns,
-		Retries:         m.retries,
-		Hedges:          m.hedges,
-		HedgesWon:       m.hedgeWin,
-
-		Executions:    m.executions,
-		IdemReplays:   m.idemReplays,
-		IdemCoalesced: m.idemCoalesces,
-
-		CorruptionsInjected: m.corrInjected,
-		CorruptionsDigest:   m.corrDigest,
-		CorruptionsABFT:     m.corrABFT,
-		IntegrityRepairs:    m.corrRepairs,
-		RepairSec:           m.repairSec,
-
-		CodedRecoveries: m.codedRecovered,
-		DecodeSec:       m.codedDecodeSec,
-		EncodeFLOP:      m.codedEncFLOP,
-
-		MQOBatches:        m.mqoBatches,
-		MQOBatchedQueries: m.mqoMembers,
-		MQOOverlapKeys:    m.mqoOverlapped,
-		MQOSharedHits:     m.mqoHits,
-		MQOSharedProduced: m.mqoProduced,
-		MQOAbandoned:      m.mqoAbandoned,
-		MQOFlopSaved:      m.mqoFlopSaved,
-	}
-	if s.UptimeSec > 0 {
-		s.QPS = float64(s.Completed) / s.UptimeSec
-	}
-	if t := s.PlanHits + s.PlanMisses; t > 0 {
-		s.PlanHitRate = float64(s.PlanHits) / float64(t)
-	}
-	if t := s.InterHits + s.InterMisses; t > 0 {
-		s.InterHitRate = float64(s.InterHits) / float64(t)
-	}
-	n := m.latIdx
-	if m.latFull {
-		n = latencyWindow
-	}
-	if n > 0 {
-		window := make([]float64, n)
-		copy(window, m.lat[:n])
-		sort.Float64s(window)
-		s.LatencyP50Sec = percentile(window, 0.50)
-		s.LatencyP95Sec = percentile(window, 0.95)
-		s.LatencyP99Sec = percentile(window, 0.99)
-	}
+	s := m.c
+	p := m.lat.Percentiles(0.50, 0.95, 0.99)
+	m.mu.Unlock()
+	s.UptimeSec = time.Since(m.start).Seconds()
+	s.LatencyP50Sec, s.LatencyP95Sec, s.LatencyP99Sec = p[0], p[1], p[2]
+	s.fillRates()
 	return s
 }
 
+// fillRates derives QPS and the cache hit rates from the counters.
+func (s *Snapshot) fillRates() {
+	ratio := func(num, den float64) float64 {
+		if den <= 0 {
+			return 0
+		}
+		return num / den
+	}
+	s.QPS = ratio(float64(s.Completed), s.UptimeSec)
+	s.PlanHitRate = ratio(float64(s.PlanHits), float64(s.PlanHits+s.PlanMisses))
+	s.InterHitRate = ratio(float64(s.InterHits), float64(s.InterHits+s.InterMisses))
+}
+
 // MergeSnapshots folds per-shard snapshots into one aggregate view for a
-// gateway tier's /stats: counters, cache occupancy and resilience totals
-// sum; rates (QPS, hit rates) are recomputed from the summed counters over
-// the longest shard uptime; latency percentiles are completed-weighted
-// averages of the shard percentiles — an approximation (exact merging
-// would need the raw windows), adequate for dashboards and documented as
-// such. The merged snapshot carries no Shard label.
+// gateway tier's /stats: every numeric field — counters, cache occupancy,
+// resilience totals, the nested breaker counters — sums; rates (QPS, hit
+// rates) are recomputed from the summed counters over the longest shard
+// uptime; latency percentiles are completed-weighted averages of the shard
+// percentiles — an approximation (exact merging would need the raw
+// windows), adequate for dashboards and documented as such. The merged
+// snapshot carries no Shard label.
 func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	var m Snapshot
-	var completed float64
+	sum := reflect.ValueOf(&m).Elem()
+	var uptime, p50, p95, p99 float64
 	for _, s := range snaps {
-		if s.UptimeSec > m.UptimeSec {
-			m.UptimeSec = s.UptimeSec
-		}
-		m.Completed += s.Completed
-		m.Failed += s.Failed
-		m.Canceled += s.Canceled
-		m.Rejected += s.Rejected
-		m.Shed += s.Shed
-		m.PlanHits += s.PlanHits
-		m.PlanMisses += s.PlanMisses
-		m.PlanEntries += s.PlanEntries
-		m.InterHits += s.InterHits
-		m.InterMisses += s.InterMisses
-		m.InterEntries += s.InterEntries
-		m.InterBytes += s.InterBytes
-		m.QueueDepth += s.QueueDepth
-		m.InFlight += s.InFlight
-		m.PanicsRecovered += s.PanicsRecovered
-		m.WorkerRespawns += s.WorkerRespawns
-		m.Retries += s.Retries
-		m.Hedges += s.Hedges
-		m.HedgesWon += s.HedgesWon
-		m.Executions += s.Executions
-		m.IdemReplays += s.IdemReplays
-		m.IdemCoalesced += s.IdemCoalesced
-		m.IdemEntries += s.IdemEntries
-		m.Breaker.Opened += s.Breaker.Opened
-		m.Breaker.HalfOpened += s.Breaker.HalfOpened
-		m.Breaker.Closed += s.Breaker.Closed
-		m.Breaker.Shed += s.Breaker.Shed
-		m.CorruptionsInjected += s.CorruptionsInjected
-		m.CorruptionsDigest += s.CorruptionsDigest
-		m.CorruptionsABFT += s.CorruptionsABFT
-		m.IntegrityRepairs += s.IntegrityRepairs
-		m.RepairSec += s.RepairSec
-		m.CodedRecoveries += s.CodedRecoveries
-		m.DecodeSec += s.DecodeSec
-		m.EncodeFLOP += s.EncodeFLOP
-		m.MQOBatches += s.MQOBatches
-		m.MQOBatchedQueries += s.MQOBatchedQueries
-		m.MQOOverlapKeys += s.MQOOverlapKeys
-		m.MQOSharedHits += s.MQOSharedHits
-		m.MQOSharedProduced += s.MQOSharedProduced
-		m.MQOAbandoned += s.MQOAbandoned
-		m.MQOFlopSaved += s.MQOFlopSaved
+		sumNumeric(sum, reflect.ValueOf(s))
+		uptime = math.Max(uptime, s.UptimeSec)
 		w := float64(s.Completed)
-		m.LatencyP50Sec += w * s.LatencyP50Sec
-		m.LatencyP95Sec += w * s.LatencyP95Sec
-		m.LatencyP99Sec += w * s.LatencyP99Sec
-		completed += w
+		p50 += w * s.LatencyP50Sec
+		p95 += w * s.LatencyP95Sec
+		p99 += w * s.LatencyP99Sec
 		// The merged breaker state reports the worst shard: one open
 		// breaker anywhere is the operational signal that matters.
 		if worseBreakerState(s.BreakerState, m.BreakerState) {
 			m.BreakerState = s.BreakerState
 		}
 	}
-	if completed > 0 {
-		m.LatencyP50Sec /= completed
-		m.LatencyP95Sec /= completed
-		m.LatencyP99Sec /= completed
-	}
-	if m.UptimeSec > 0 {
-		m.QPS = float64(m.Completed) / m.UptimeSec
-	}
-	if t := m.PlanHits + m.PlanMisses; t > 0 {
-		m.PlanHitRate = float64(m.PlanHits) / float64(t)
-	}
-	if t := m.InterHits + m.InterMisses; t > 0 {
-		m.InterHitRate = float64(m.InterHits) / float64(t)
-	}
+	w := math.Max(float64(m.Completed), 1)
+	m.UptimeSec = uptime
+	m.LatencyP50Sec, m.LatencyP95Sec, m.LatencyP99Sec = p50/w, p95/w, p99/w
+	m.fillRates()
 	return m
+}
+
+// sumNumeric adds every numeric field of src into dst, descending into
+// nested structs; strings (labels, states) are left alone.
+func sumNumeric(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		d, s := dst.Field(i), src.Field(i)
+		switch d.Kind() {
+		case reflect.Uint64:
+			d.SetUint(d.Uint() + s.Uint())
+		case reflect.Int, reflect.Int64:
+			d.SetInt(d.Int() + s.Int())
+		case reflect.Float64:
+			d.SetFloat(d.Float() + s.Float())
+		case reflect.Struct:
+			sumNumeric(d, s)
+		}
+	}
 }
 
 // worseBreakerState orders breaker states by operational severity:
@@ -513,16 +286,4 @@ func worseBreakerState(a, b string) bool {
 		}
 	}
 	return rank(a) > rank(b)
-}
-
-// percentile reads the nearest-rank percentile from a sorted slice.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -72,7 +75,7 @@ func TestMetricsQuantileConcurrent(t *testing.T) {
 	go func() {
 		for {
 			m.mu.Lock()
-			total := m.completed + m.failed + m.canceledN
+			total := m.c.Completed + m.c.Failed + m.c.Canceled
 			m.mu.Unlock()
 			if total == writers*perWriter {
 				close(stop)
@@ -351,5 +354,95 @@ func TestMergeSnapshotsEmptyAndSingle(t *testing.T) {
 	m := MergeSnapshots(one)
 	if m.Completed != 7 || m.UptimeSec != 5 || m.LatencyP50Sec != 0.002 {
 		t.Fatalf("single merge mangled counters: %+v", m)
+	}
+}
+
+// TestSnapshotKeysGolden pins the /stats wire contract (recorded before the
+// counters became the accumulators): dashboards, RemoteInstance.Metrics and
+// benchmark/ read these keys.
+func TestSnapshotKeysGolden(t *testing.T) {
+	want := []string{"breaker", "breaker_state", "canceled", "coded_recoveries", "completed",
+		"corruptions_detected_abft", "corruptions_detected_digest", "corruptions_injected", "decode_sec",
+		"encode_flop", "executions", "failed", "hedges", "hedges_won", "idem_coalesced", "idem_entries",
+		"idem_replays", "in_flight", "integrity_repairs", "intermediate_cache_bytes",
+		"intermediate_cache_entries", "intermediate_cache_hit_rate", "intermediate_cache_hits",
+		"intermediate_cache_misses", "latency_p50_sec", "latency_p95_sec", "latency_p99_sec",
+		"mqo_abandoned", "mqo_batched_queries", "mqo_batches", "mqo_flop_saved", "mqo_overlap_keys",
+		"mqo_shared_hits", "mqo_shared_produced", "panics_recovered", "plan_cache_entries",
+		"plan_cache_hit_rate", "plan_cache_hits", "plan_cache_misses", "qps", "queue_depth", "rejected",
+		"repair_sec", "retries", "shed", "uptime_sec", "worker_respawns"}
+	b, err := json.Marshal(Snapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 0, len(m))
+	for k := range m {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Snapshot JSON keys = %q, want %q", got, want)
+	}
+}
+
+// TestMergeSnapshotsSumsEveryCounter: a counter added to Snapshot merges
+// with no further code — every numeric field outside the derived set sums,
+// nested breaker counters included.
+func TestMergeSnapshotsSumsEveryCounter(t *testing.T) {
+	derived := map[string]bool{"UptimeSec": true, "QPS": true, "PlanHitRate": true, "InterHitRate": true,
+		"LatencyP50Sec": true, "LatencyP95Sec": true, "LatencyP99Sec": true}
+	var fill func(v reflect.Value, x int64)
+	fill = func(v reflect.Value, x int64) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Uint64:
+				f.SetUint(uint64(x))
+			case reflect.Int, reflect.Int64:
+				f.SetInt(x)
+			case reflect.Float64:
+				f.SetFloat(float64(x))
+			case reflect.Struct:
+				fill(f, x)
+			}
+		}
+	}
+	var a, b Snapshot
+	fill(reflect.ValueOf(&a).Elem(), 3)
+	fill(reflect.ValueOf(&b).Elem(), 4)
+	m := MergeSnapshots(a, b)
+	var check func(path string, v reflect.Value)
+	check = func(path string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			name := path + v.Type().Field(i).Name
+			if derived[name] {
+				continue
+			}
+			var got float64
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Uint64:
+				got = float64(f.Uint())
+			case reflect.Int, reflect.Int64:
+				got = float64(f.Int())
+			case reflect.Float64:
+				got = f.Float()
+			case reflect.Struct:
+				check(name+".", f)
+				continue
+			default:
+				continue
+			}
+			if got != 7 {
+				t.Errorf("merged %s = %v, want 3 + 4", name, got)
+			}
+		}
+	}
+	check("", reflect.ValueOf(m))
+	if m.UptimeSec != 4 || m.QPS != 7.0/4 || m.PlanHitRate != 0.5 || m.InterHitRate != 0.5 {
+		t.Errorf("derived fields not recomputed: uptime %v qps %v plan %v inter %v",
+			m.UptimeSec, m.QPS, m.PlanHitRate, m.InterHitRate)
 	}
 }

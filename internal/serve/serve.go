@@ -30,16 +30,13 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +46,7 @@ import (
 	"remac/internal/fault"
 	"remac/internal/integrity"
 	"remac/internal/lang"
+	"remac/internal/lru"
 	"remac/internal/matrix"
 	"remac/internal/opt"
 	"remac/internal/resilience"
@@ -182,10 +180,6 @@ type Query struct {
 	// carry parity-decode float residue, which must not propagate into
 	// sibling queries that expect bitwise-reproducible values.
 	Recovery engine.RecoveryPolicy
-	// Checkpoint is the legacy toggle for Recovery checkpointing, honored
-	// only when Recovery is the zero policy (see
-	// engine.RunOptions.Checkpoint).
-	Checkpoint bool
 	// Verify selects the integrity verification mode for this query's run
 	// (see engine.RunOptions.Verify): detected corruptions repair through
 	// lineage, unrepairable ones fail with an Integrity-class error.
@@ -275,11 +269,12 @@ type QueryResult struct {
 	SelectedKeys []string
 	// Trace is the query's span recorder (nil unless Query.Trace).
 	Trace *trace.Recorder
-	// ResultHash is the FNV-64a fingerprint of Values — names sorted,
-	// dimensions, and the bit pattern of every cell — so two results hash
-	// equal iff they are bitwise identical. A replayed result carries the
-	// original's hash; a remote result carries the hash computed by the
-	// shard that executed the plan.
+	// ResultHash is the identity of Values (integrity.DigestValues): two
+	// results hash equal iff they bind the same names to matrices of the
+	// same shape with the same nonzero cells bit for bit, whatever their
+	// storage format; the sign of a zero is not part of it. A replayed
+	// result carries the original's hash; a remote result carries the hash
+	// computed by the shard that executed the plan.
 	ResultHash uint64
 	// Replayed marks a result served from the idempotency window (or a
 	// coalesced duplicate of an in-flight leader) rather than a fresh
@@ -388,8 +383,7 @@ type Server struct {
 	// metaSigs memoizes per-matrix sparsity buckets for plan-key
 	// computation, LRU-bounded at metaSigCap entries (see sparsitySig).
 	metaMu   sync.Mutex
-	metaSigs map[*matrix.Matrix]*list.Element
-	metaLRU  *list.List
+	metaSigs *lru.Cache[*matrix.Matrix, string]
 
 	plans   *planCache
 	inter   *interCache
@@ -411,6 +405,7 @@ func New(cfg Config) *Server {
 	}
 	if cfg.PlanCacheEntries > 0 {
 		s.plans = newPlanCache(cfg.PlanCacheEntries)
+		s.metaSigs = lru.New[*matrix.Matrix, string](metaSigCap)
 	}
 	if cfg.IntermediateBudgetBytes > 0 {
 		s.inter = newInterCache(cfg.IntermediateBudgetBytes)
@@ -477,10 +472,10 @@ func (s *Server) Do(ctx context.Context, q Query) (*QueryResult, error) {
 	e, role := s.idem.begin(q.IdempotencyKey)
 	switch role {
 	case idemReplay:
-		s.metrics.idemReplayed()
+		s.metrics.add(func(c *Snapshot) { c.IdemReplays++ })
 		return replayOf(e), nil
 	case idemWaiter:
-		s.metrics.idemCoalesced()
+		s.metrics.add(func(c *Snapshot) { c.IdemCoalesced++ })
 		select {
 		case <-e.done:
 			if e.err != nil {
@@ -508,7 +503,7 @@ func (s *Server) submit(ctx context.Context, q Query) (*QueryResult, error) {
 	}
 	if ok, retryAfter := s.breaker.Admit(len(s.queue), cap(s.queue)); !ok {
 		s.mu.Unlock()
-		s.metrics.shed()
+		s.metrics.add(func(c *Snapshot) { c.Shed++ })
 		return nil, overloadedErr(id, retryAfter, ErrOverloaded)
 	}
 	// MQO batch membership is decided at admission time: everything that
@@ -522,13 +517,19 @@ func (s *Server) submit(ctx context.Context, q Query) (*QueryResult, error) {
 	select {
 	case s.queue <- j:
 		s.mu.Unlock()
-		s.metrics.enqueued()
-		if j.batch != nil {
-			s.metrics.mqoAdmitted(newBatch)
-		}
+		s.metrics.add(func(c *Snapshot) {
+			c.QueueDepth++
+			if j.batch != nil {
+				// Batch occupancy is batched queries / batches.
+				c.MQOBatchedQueries++
+				if newBatch {
+					c.MQOBatches++
+				}
+			}
+		})
 	default:
 		s.mu.Unlock()
-		s.metrics.rejected()
+		s.metrics.add(func(c *Snapshot) { c.Rejected++ })
 		s.breaker.Forgive()
 		return nil, overloadedErr(id, 0, ErrOverloaded)
 	}
@@ -596,7 +597,7 @@ func (s *Server) DatasetVersion(id string) int64 {
 func (s *Server) worker() {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.workerRespawn()
+			s.metrics.add(func(c *Snapshot) { c.WorkerRespawns++ })
 			s.wg.Add(1)
 			go s.worker()
 		}
@@ -676,7 +677,7 @@ func (s *Server) run(j *job) (*QueryResult, error) {
 				return nil, canceledErr(j.id, "backoff", j.ctx.Err())
 			}
 			slept += delay
-			s.metrics.retried()
+			s.metrics.add(func(c *Snapshot) { c.Retries++ })
 		}
 		res, err := s.attemptOnce(j, attempt)
 		if err == nil {
@@ -726,7 +727,7 @@ func (s *Server) attemptOnce(j *job, attempt int) (*QueryResult, error) {
 		o := <-ch
 		return o.res, o.err
 	}
-	s.metrics.hedged()
+	s.metrics.add(func(c *Snapshot) { c.Hedges++ })
 	hedgeCtx, cancelHedge := context.WithCancel(j.ctx)
 	defer cancelHedge()
 	go func() {
@@ -737,7 +738,7 @@ func (s *Server) attemptOnce(j *job, attempt int) (*QueryResult, error) {
 	o := <-ch
 	if o.hedge {
 		cancelPrim()
-		s.metrics.hedgeWon()
+		s.metrics.add(func(c *Snapshot) { c.HedgesWon++ })
 		if o.res != nil {
 			o.res.HedgeWon = true
 		}
@@ -763,7 +764,7 @@ func (s *Server) hedgeDelay() time.Duration {
 func (s *Server) guarded(ctx context.Context, j *job, attempt int) (res *QueryResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.panicRecovered()
+			s.metrics.add(func(c *Snapshot) { c.PanicsRecovered++ })
 			res, err = nil, resilience.PanicError(j.id, "execute", r, debug.Stack())
 		}
 	}()
@@ -875,20 +876,27 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 		// blocking forever or silently missing a value.
 		defer func() {
 			abandoned := sess.close(err)
-			s.metrics.mqoSession(sess.hits, sess.led, sess.flopSaved, abandoned)
+			s.metrics.add(func(c *Snapshot) {
+				c.MQOSharedHits += uint64(sess.hits)
+				c.MQOSharedProduced += uint64(sess.led)
+				c.MQOFlopSaved += sess.flopSaved
+				c.MQOAbandoned += uint64(abandoned)
+			})
 		}()
 		// Announce this plan's shareable subexpressions to the batch's
 		// cross-query index (metrics observe how many keys overlap).
 		if n := sess.announce(compiled.SharedManifest()); n > 0 {
-			s.metrics.mqoOverlap(n)
+			s.metrics.add(func(c *Snapshot) { c.MQOOverlapKeys += uint64(n) })
 		}
 	}
-	s.metrics.executed()
+	// Every engine run counts, retries and hedged duplicates included: the
+	// counter the remote chaos harness asserts "zero duplicate executions"
+	// against.
+	s.metrics.add(func(c *Snapshot) { c.Executions++ })
 	res, err := engine.RunWithOptions(ctx, compiled, q.Inputs, rec, engine.RunOptions{
 		MaxIter:       q.MaxIterations,
 		Faults:        q.Faults,
 		Recovery:      q.Recovery,
-		Checkpoint:    q.Checkpoint,
 		Intermediates: inter,
 		Shared:        shared,
 		Verify:        q.Verify,
@@ -917,7 +925,6 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	}
 	if view != nil {
 		out.IntermediateHits, out.IntermediateMisses = view.hits, view.misses
-		s.metrics.interCounts(view.hits, view.misses)
 	}
 	if sess != nil {
 		out.SharedHits, out.SharedProduced = sess.hits, sess.led
@@ -927,15 +934,21 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	out.CorruptionsInjected = st.CorruptionsInjected
 	out.CorruptionsDetected = st.CorruptionsDigest + st.CorruptionsABFT
 	out.IntegrityRepairs = st.IntegrityRepairs
-	if st.CorruptionsInjected > 0 || st.IntegrityRepairs > 0 {
-		s.metrics.integrityCounts(st.CorruptionsInjected, st.CorruptionsDigest, st.CorruptionsABFT, st.IntegrityRepairs, st.RepairSec)
-	}
 	out.CodedRecoveries = st.CodedRecoveries
 	out.DecodeSec = st.DecodeSec
 	out.EncodeFLOP = st.EncodeFLOP
-	if st.CodedRecoveries > 0 || st.EncodeFLOP > 0 {
-		s.metrics.codedCounts(st.CodedRecoveries, st.DecodeSec, st.EncodeFLOP)
-	}
+	s.metrics.add(func(c *Snapshot) {
+		c.InterHits += uint64(out.IntermediateHits)
+		c.InterMisses += uint64(out.IntermediateMisses)
+		c.CorruptionsInjected += uint64(st.CorruptionsInjected)
+		c.CorruptionsDigest += uint64(st.CorruptionsDigest)
+		c.CorruptionsABFT += uint64(st.CorruptionsABFT)
+		c.IntegrityRepairs += uint64(st.IntegrityRepairs)
+		c.RepairSec += st.RepairSec
+		c.CodedRecoveries += uint64(st.CodedRecoveries)
+		c.DecodeSec += st.DecodeSec
+		c.EncodeFLOP += st.EncodeFLOP
+	})
 	return out, nil
 }
 
@@ -971,11 +984,13 @@ func (s *Server) plan(ctx context.Context, q Query, ocfg opt.Config) (*opt.Compi
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if hit {
-		s.metrics.planHit()
-	} else {
-		s.metrics.planMiss()
-	}
+	s.metrics.add(func(c *Snapshot) {
+		if hit {
+			c.PlanHits++
+		} else {
+			c.PlanMisses++
+		}
+	})
 	return c, time.Since(start).Seconds(), hit, nil
 }
 
@@ -999,37 +1014,12 @@ func clusterSig(c cluster.Config) string {
 		c.NoLocalMode, c.DenseOnly)
 }
 
-// HashValues fingerprints materialized result values bitwise: variable
-// names sorted, dimensions, and the bit pattern of every cell through
-// FNV-64a. Two value sets hash equal iff they are bitwise identical —
-// the identity the idempotency replay window and the remote transport's
-// end-to-end chaos assertions are built on.
+// HashValues is the result identity carried as QueryResult.ResultHash:
+// integrity.DigestValues, computed once per execution. The idempotency
+// replay window and the remote transport's end-to-end chaos assertions
+// compare it instead of cells.
 func HashValues(values map[string]*matrix.Matrix) uint64 {
-	h := fnv.New64a()
-	names := make([]string, 0, len(values))
-	for name := range values {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, name := range names {
-		h.Write([]byte(name))
-		m := values[name]
-		put(uint64(m.Rows()))
-		put(uint64(m.Cols()))
-		for i := 0; i < m.Rows(); i++ {
-			for j := 0; j < m.Cols(); j++ {
-				put(math.Float64bits(m.At(i, j)))
-			}
-		}
-	}
-	return h.Sum64()
+	return integrity.DigestValues(values)
 }
 
 // Metrics returns a point-in-time snapshot of the server's aggregate

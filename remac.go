@@ -349,9 +349,6 @@ type RunOptions struct {
 	// blocks are encoded at honest cost and erased blocks decode with no
 	// recomputation).
 	Recovery string
-	// Checkpoint is the legacy toggle for Recovery: "checkpoint", honored
-	// only when Recovery is unset.
-	Checkpoint bool
 	// MaxIterations overrides the engine's runaway-loop cap when positive.
 	MaxIterations int
 	// Verify selects integrity verification: "off" (or ""), "digest" (block
@@ -514,12 +511,11 @@ func (p *Program) run(ctx context.Context, rec *trace.Recorder, opts RunOptions)
 		return nil, err
 	}
 	res, err := engine.RunWithOptions(ctx, p.compiled, ins, rec, engine.RunOptions{
-		Faults:     plan,
-		Recovery:   recovery,
-		Checkpoint: opts.Checkpoint,
-		MaxIter:    opts.MaxIterations,
-		Verify:     verify,
-		NaNGuard:   guard,
+		Faults:   plan,
+		Recovery: recovery,
+		MaxIter:  opts.MaxIterations,
+		Verify:   verify,
+		NaNGuard: guard,
 	})
 	if err != nil {
 		return nil, err
