@@ -12,7 +12,7 @@
 // half of the loop; internal/distmat closes it by treating a corrupted block
 // as a lost partition of its producer and re-running lineage recovery.
 //
-// Coverage is layered. Digests (an FNV-1a fold over the logical payload)
+// Coverage is layered. Digests (an FNV-style fold over the logical payload)
 // catch any bit flip on data *in flight* — transmissions and DFS reads —
 // because the received bytes no longer hash to the producer's digest. They
 // cannot catch a flip that happens *inside* a distributed multiply, before
@@ -25,6 +25,7 @@ package integrity
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"remac/internal/matrix"
@@ -137,20 +138,22 @@ type fnv1a uint64
 
 func (h *fnv1a) byte(b byte) { *h = (*h ^ fnv1a(b)) * fnvPrime }
 
-// word folds x low byte first, keeping the state in a register across the
-// eight steps (Digest spends its whole time here).
+// word folds a whole 64-bit word in one xor-multiply step (Digest spends
+// its whole time here; the byte-at-a-time fold cost eight dependent
+// multiplies per word). A multiply only carries differences upward, so the
+// xor-ed state is first rotated by half a word: a difference in the top
+// bits — the sign and exponent bits corruption flips — lands in the low half
+// and the multiply spreads it. Xor, rotate and multiply by an odd constant
+// are each a bijection of the state, so two payloads that differ in one
+// word can never fold to the same state.
 func (h *fnv1a) word(x uint64) {
-	v := *h
-	for s := 0; s < 64; s += 8 {
-		v = (v ^ fnv1a(x>>s)&0xFF) * fnvPrime
-	}
-	*h = v
+	*h = fnv1a(bits.RotateLeft64(uint64(*h)^x, 32)) * fnvPrime
 }
 
-// Digest folds a matrix's logical payload — dimensions, then (row, col,
-// bits) for every stored value that is numerically nonzero — into a 64-bit
-// FNV-1a hash. It is the one function in the repository that walks matrix
-// cells to hash them. Skipping explicit zeros makes the digest
+// Digest folds a matrix's logical payload — dimensions, then (linear cell
+// index, bits) for every stored value that is numerically nonzero — into a
+// 64-bit FNV-style hash. It is the one function in the repository that walks
+// matrix cells to hash them. Skipping explicit zeros makes the digest
 // representation independent: a dense block and a CSR block holding the
 // same values hash identically, so a format switch in transit is not a
 // false corruption.
@@ -158,12 +161,12 @@ func Digest(m *matrix.Matrix) uint64 {
 	h := fnv1a(fnvOffset)
 	h.word(uint64(m.Rows()))
 	h.word(uint64(m.Cols()))
+	cols := m.Cols()
 	m.ForEachNonzero(func(i, j int, v float64) {
 		if v == 0 {
 			return // CSR may store explicit zeros; hash values, not storage
 		}
-		h.word(uint64(i))
-		h.word(uint64(j))
+		h.word(uint64(i*cols + j))
 		h.word(math.Float64bits(v))
 	})
 	return uint64(h)

@@ -207,3 +207,47 @@ func TestDigestValuesIdentity(t *testing.T) {
 		t.Error("dropping a variable left the identity unchanged")
 	}
 }
+
+// The digest folds a word per step; it must still see every single flipped
+// bit, and differences confined to the top bits of two cells (two sign
+// flips) must not cancel each other.
+func TestDigestSeesEveryBitAndPairedSignFlips(t *testing.T) {
+	cells := []float64{1.5, 0, -2, 0.25, 0, 3, 7, -1e-3, 0}
+	ref := Digest(matrix.NewDenseData(3, 3, cells))
+	for idx, v := range cells {
+		if v == 0 {
+			continue
+		}
+		for bit := 0; bit < 64; bit++ {
+			flipped := append([]float64(nil), cells...)
+			flipped[idx] = math.Float64frombits(math.Float64bits(v) ^ 1<<bit)
+			if flipped[idx] == 0 {
+				continue // a value flipped to zero leaves the payload; covered below
+			}
+			if Digest(matrix.NewDenseData(3, 3, flipped)) == ref {
+				t.Fatalf("cell %d bit %d: digest unchanged", idx, bit)
+			}
+		}
+	}
+	for a := range cells {
+		for b := a + 1; b < len(cells); b++ {
+			if cells[a] == 0 || cells[b] == 0 {
+				continue
+			}
+			negated := append([]float64(nil), cells...)
+			negated[a], negated[b] = -negated[a], -negated[b]
+			if Digest(matrix.NewDenseData(3, 3, negated)) == ref {
+				t.Fatalf("negating cells %d and %d: digest unchanged", a, b)
+			}
+		}
+	}
+	dropped := append([]float64(nil), cells...)
+	dropped[0] = 0
+	if Digest(matrix.NewDenseData(3, 3, dropped)) == ref {
+		t.Fatal("a value that became zero left the digest unchanged")
+	}
+	// Same cells in another shape: the linear index alone would collide.
+	if Digest(matrix.NewDenseData(1, 9, cells)) == ref || Digest(matrix.NewDenseData(9, 1, cells)) == ref {
+		t.Fatal("reshaping left the digest unchanged")
+	}
+}

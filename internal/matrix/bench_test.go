@@ -1,0 +1,114 @@
+package matrix_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"remac/internal/matrix"
+	"remac/internal/sparsity"
+)
+
+// Microbenchmarks of the local kernels at the operand shapes the workloads
+// run: the 870- and 1500-column quasi-Newton updates (outer product,
+// mat-vec, vec-mat, scale, add), GNMF's tall-narrow product, the 2000×870
+// CSR data matrices (uniform and zipf-skewed), and the metadata reads that
+// follow every kernel. Run with
+//
+//	go test -run '^$' -bench . -benchmem ./internal/matrix
+
+var sink any // keeps results alive
+
+func benchOp(b *testing.B, f func() *matrix.Matrix) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = f()
+	}
+}
+
+func benchMul(b *testing.B, x, y *matrix.Matrix) {
+	b.Helper()
+	benchOp(b, func() *matrix.Matrix { return x.Mul(y) })
+}
+
+func BenchmarkMulDenseDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{870, 1500} {
+		h := matrix.RandDense(rng, n, n)
+		col := matrix.RandVector(rng, n)
+		row := col.Transpose()
+		b.Run(fmt.Sprintf("outer/%d", n), func(b *testing.B) { benchMul(b, col, row) })
+		b.Run(fmt.Sprintf("matvec/%d", n), func(b *testing.B) { benchMul(b, h, col) })
+		b.Run(fmt.Sprintf("vecmat/%d", n), func(b *testing.B) { benchMul(b, row, h) })
+	}
+	w := matrix.RandDense(rng, 4000, 47)
+	hh := matrix.RandDense(rng, 47, 10)
+	b.Run("tall/4000x47x10", func(b *testing.B) { benchMul(b, w, hh) })
+	sq := matrix.RandDense(rng, 870, 870)
+	b.Run("square/870", func(b *testing.B) { benchMul(b, sq, sq) })
+}
+
+func BenchmarkMulSparse(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	uniform := matrix.RandSparse(rng, 2000, 870, 0.02)
+	zipf := matrix.ZipfSparse(rng, 2000, 870, 0.02, 2.1)
+	dense := matrix.RandDense(rng, 870, 870)
+	fat := matrix.RandDense(rng, 870, 2000)
+	vec := matrix.RandVector(rng, 870)
+	b.Run("csr_dense/uniform", func(b *testing.B) { benchMul(b, uniform, dense) })
+	b.Run("csr_dense/zipf", func(b *testing.B) { benchMul(b, zipf, dense) })
+	b.Run("csr_vec", func(b *testing.B) { benchMul(b, uniform, vec) })
+	b.Run("dense_csr", func(b *testing.B) { benchMul(b, fat, uniform) })
+	b.Run("csr_csr", func(b *testing.B) { benchMul(b, uniform.Transpose(), uniform) })
+}
+
+func BenchmarkDenseOps(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	x := matrix.RandDense(rng, 870, 870)
+	y := matrix.RandDense(rng, 870, 870)
+	b.Run("add/870", func(b *testing.B) { benchOp(b, func() *matrix.Matrix { return x.Add(y) }) })
+	b.Run("elemmul/870", func(b *testing.B) { benchOp(b, func() *matrix.Matrix { return x.ElemMul(y) }) })
+	b.Run("scale/870", func(b *testing.B) { benchOp(b, func() *matrix.Matrix { return x.Scale(2) }) })
+	b.Run("transpose/870", func(b *testing.B) { benchOp(b, x.Transpose) })
+	b.Run("clone/870", func(b *testing.B) { benchOp(b, x.Clone) })
+}
+
+// BenchmarkCompactFreshProduct is the format decision every operator ends
+// in, on a result no one has looked at yet: the multiply runs off the clock.
+func BenchmarkCompactFreshProduct(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	col := matrix.RandVector(rng, 870)
+	row := col.Transpose()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		prod := col.Mul(row)
+		b.StartTimer()
+		sink = prod.Compact()
+	}
+}
+
+func BenchmarkMetaOf(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	dense := matrix.RandDense(rng, 870, 870)
+	csr := matrix.RandSparse(rng, 2000, 870, 0.02)
+	cells := make([]float64, 870*870)
+	for i := range cells {
+		cells[i] = rng.Float64()
+	}
+	metaOf := func(get func() *matrix.Matrix) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = sparsity.MetaOf(get())
+			}
+		}
+	}
+	// cold: a matrix nothing has been asked of yet (wrapping the same
+	// cells each time costs nothing).
+	b.Run("dense/cold", metaOf(func() *matrix.Matrix { return matrix.NewDenseData(870, 870, cells) }))
+	b.Run("dense/repeat", metaOf(func() *matrix.Matrix { return dense }))
+	b.Run("csr/repeat", metaOf(func() *matrix.Matrix { return csr }))
+}

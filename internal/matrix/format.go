@@ -10,11 +10,17 @@ func (m *Matrix) ToDense() *Matrix {
 		return m
 	}
 	d := NewDense(m.rows, m.cols)
+	nnz := 0
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			d.data[i*m.cols+m.colIdx[p]] = m.vals[p]
+			v := m.vals[p]
+			d.data[i*m.cols+m.colIdx[p]] = v
+			if v != 0 { // CSR may store explicit zeros
+				nnz++
+			}
 		}
 	}
+	d.setNNZ(nnz)
 	return d
 }
 
@@ -109,39 +115,49 @@ func (m *Matrix) RowNNZ(i int) int {
 }
 
 // ColNNZCounts returns a vector of per-column nonzero counts (used by the
-// MNC sparsity estimator).
+// MNC sparsity estimator). The caller owns the returned slice.
 func (m *Matrix) ColNNZCounts() []int {
-	counts := make([]int, m.cols)
-	if m.format == CSR {
-		for _, j := range m.colIdx {
-			counts[j]++
-		}
-		return counts
-	}
-	for i := 0; i < m.rows; i++ {
-		base := i * m.cols
-		for j := 0; j < m.cols; j++ {
-			if m.data[base+j] != 0 {
-				counts[j]++
-			}
-		}
-	}
-	return counts
+	return append([]int(nil), m.nnzCounts().col...)
 }
 
-// RowNNZCounts returns a vector of per-row nonzero counts.
+// RowNNZCounts returns a vector of per-row nonzero counts. The caller owns
+// the returned slice.
 func (m *Matrix) RowNNZCounts() []int {
-	counts := make([]int, m.rows)
+	return append([]int(nil), m.nnzCounts().row...)
+}
+
+// nnzCounts returns the carried count vectors, computing them — in one pass
+// over the payload, which for a dense matrix also settles NNZ — the first
+// time they are asked for.
+func (m *Matrix) nnzCounts() *nnzCounts {
+	if c := m.counts.Load(); c != nil {
+		return c
+	}
+	c := &nnzCounts{row: make([]int, m.rows), col: make([]int, m.cols)}
 	if m.format == CSR {
-		for i := 0; i < m.rows; i++ {
-			counts[i] = m.rowPtr[i+1] - m.rowPtr[i]
+		for i := range c.row {
+			c.row[i] = m.rowPtr[i+1] - m.rowPtr[i]
 		}
-		return counts
+		for _, j := range m.colIdx {
+			c.col[j]++
+		}
+	} else {
+		nnz := 0
+		for i := range c.row {
+			n := 0
+			for j, v := range m.data[i*m.cols : (i+1)*m.cols] {
+				if v != 0 {
+					c.col[j]++
+					n++
+				}
+			}
+			c.row[i] = n
+			nnz += n
+		}
+		m.setNNZ(nnz)
 	}
-	for i := 0; i < m.rows; i++ {
-		counts[i] = m.RowNNZ(i)
-	}
-	return counts
+	m.counts.Store(c)
+	return c
 }
 
 // ForEachNonzero calls fn for every structurally nonzero element in row

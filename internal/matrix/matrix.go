@@ -11,6 +11,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Format identifies the physical representation of a Matrix.
@@ -60,6 +61,37 @@ type Matrix struct {
 	rowPtr []int
 	colIdx []int
 	vals   []float64
+
+	// Carried metadata. Matrices are shared across goroutines (plan,
+	// intermediate and idempotency caches), so both fields are atomics:
+	// racing lazy fills compute and store the same value.
+	//
+	// nnz is the number of nonzero dense cells plus one; zero means "not
+	// counted yet". Kernels store it while the row they just produced is
+	// still in cache; anything else is counted on first use. CSR matrices
+	// never need it (len(vals)).
+	nnz atomic.Int64
+	// counts holds the per-row and per-column nonzero counts once asked
+	// for. The vectors are never written after publication.
+	counts atomic.Pointer[nnzCounts]
+}
+
+type nnzCounts struct{ row, col []int }
+
+// setNNZ records the nonzero count of a dense matrix whose cells the caller
+// has just written.
+func (m *Matrix) setNNZ(n int) { m.nnz.Store(int64(n) + 1) }
+
+// invalidate drops the carried metadata; every writer that changes a cell
+// after construction calls it. Builders call Set once per cell, so the
+// common nothing-to-drop case stays a pair of loads.
+func (m *Matrix) invalidate() {
+	if m.nnz.Load() != 0 {
+		m.nnz.Store(0)
+	}
+	if m.counts.Load() != nil {
+		m.counts.Store(nil)
+	}
 }
 
 // NewDense returns a rows×cols dense zero matrix.
@@ -101,6 +133,7 @@ func Identity(n int) *Matrix {
 	for i := 0; i < n; i++ {
 		m.data[i*n+i] = 1
 	}
+	m.setNNZ(n)
 	return m
 }
 
@@ -169,6 +202,7 @@ func (m *Matrix) Set(i, j int, v float64) {
 		panic("matrix: Set on sparse matrix")
 	}
 	m.data[i*m.cols+j] = v
+	m.invalidate()
 }
 
 func (m *Matrix) checkIndex(i, j int) {
@@ -178,13 +212,23 @@ func (m *Matrix) checkIndex(i, j int) {
 }
 
 // NNZ returns the number of structurally stored nonzero elements. For dense
-// matrices it counts exact nonzero values.
+// matrices it counts exact nonzero values — once: kernel outputs arrive with
+// the count filled in, anything else is scanned on first use.
 func (m *Matrix) NNZ() int {
 	if m.format == CSR {
 		return len(m.vals)
 	}
+	if c := m.nnz.Load(); c != 0 {
+		return int(c - 1)
+	}
+	n := countNonzero(m.data)
+	m.setNNZ(n)
+	return n
+}
+
+func countNonzero(vals []float64) int {
 	n := 0
-	for _, v := range m.data {
+	for _, v := range vals {
 		if v != 0 {
 			n++
 		}
@@ -197,9 +241,12 @@ func (m *Matrix) Sparsity() float64 {
 	return float64(m.NNZ()) / (float64(m.rows) * float64(m.cols))
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. Carried metadata comes along (the count
+// vectors are immutable, so the copy shares them).
 func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{rows: m.rows, cols: m.cols, format: m.format}
+	c.nnz.Store(m.nnz.Load())
+	c.counts.Store(m.counts.Load())
 	if m.format == Dense {
 		c.data = append([]float64(nil), m.data...)
 		return c
@@ -221,12 +268,7 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) FlipValueBit(k, bit int) (flipped *Matrix, ok bool) {
 	n := m.NNZ()
 	if m.format == CSR {
-		n = 0
-		for _, v := range m.vals {
-			if v != 0 {
-				n++
-			}
-		}
+		n = countNonzero(m.vals)
 	}
 	if n == 0 {
 		return m, false
@@ -253,6 +295,9 @@ func (m *Matrix) FlipValueBit(k, bit int) (flipped *Matrix, ok bool) {
 	} else {
 		flip(c.vals)
 	}
+	// The flipped value may have become zero (bit 62 of 2.0), so the
+	// metadata Clone carried over is not the copy's.
+	c.invalidate()
 	return c, true
 }
 

@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements matrix multiplication for every format pairing. The
-// dense×dense kernel parallelizes over row stripes; sparse kernels walk CSR
-// structure directly so FLOP tracks nnz, matching the FLOP model the cost
-// model charges (3·R·C·C'·S_U·S_V, §4.2).
+// kernels parallelize over row stripes (dense×dense over columns when there
+// are too few rows); sparse kernels walk CSR structure directly so FLOP
+// tracks nnz, matching the FLOP model the cost model charges
+// (3·R·C·C'·S_U·S_V, §4.2). Dense outputs leave with their nonzero count
+// set, so the Compact that ends Mul does not scan them again.
 
 // Mul returns m · other. Panics if the inner dimensions disagree. The result
 // is compacted to the format its sparsity warrants.
@@ -38,21 +41,45 @@ func MulFLOP(rowsU, colsU, colsV int, sU, sV float64) float64 {
 	return 3 * float64(rowsU) * float64(colsU) * float64(colsV) * sU * sV
 }
 
-func stripeParallel(rows int, body func(lo, hi int)) {
+// minStripeRows is the row count below which a kernel runs on the calling
+// goroutine; minStripeCells is the same bound for kernels that stripe a flat
+// cell range (a goroutine hand-off costs about as much as a pass over it).
+const (
+	minStripeRows  = 64
+	minStripeCells = 1 << 14
+)
+
+// callers is how many goroutines run whole computations side by side.
+var callers atomic.Int32
+
+// AddCallers declares n more (n < 0: n fewer) goroutines that each run
+// computations of their own for as long as they are declared: a server's
+// workers. The parallelism is then already there, one level up, and a kernel
+// stripes over its share of the processors, GOMAXPROCS/callers, rather than
+// all of them; helpers beyond that would queue behind the other callers.
+func AddCallers(n int) { callers.Add(int32(n)) }
+
+// stripeParallel splits [0, n) into one contiguous range per processor of the
+// caller's share and runs body on each concurrently, the first on the calling
+// goroutine; below min it calls body(0, n) directly.
+func stripeParallel(n, min int, body func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
+	if c := int(callers.Load()); c > 1 {
+		workers /= c
 	}
-	if workers <= 1 || rows < 64 {
-		body(0, rows)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 || n < min {
+		body(0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
+	chunk := (n + workers - 1) / workers
+	for lo := chunk; lo < n; lo += chunk {
 		hi := lo + chunk
-		if hi > rows {
-			hi = rows
+		if hi > n {
+			hi = n
 		}
 		wg.Add(1)
 		go func(lo, hi int) {
@@ -60,36 +87,177 @@ func stripeParallel(rows int, body func(lo, hi int)) {
 			body(lo, hi)
 		}(lo, hi)
 	}
+	body(0, chunk)
 	wg.Wait()
 }
 
+// stripeCount is stripeParallel for kernels that count the nonzeros they
+// produce: it returns the sum of what the stripes return.
+func stripeCount(n, min int, body func(lo, hi int) int) int {
+	var total atomic.Int64
+	stripeParallel(n, min, func(lo, hi int) { total.Add(int64(body(lo, hi))) })
+	return int(total.Load())
+}
+
+// mulDenseDense computes a·b for dense operands. Every path below builds
+// each output cell the same way — start from +0, then for k ascending add
+// a[i,k]·b[k,j] unless a[i,k] == 0 — so the result does not depend on the
+// path, the striping or the unrolling, bit for bit. The paths differ in what
+// they keep in registers: the shapes the workloads run are rank-one updates
+// (k = 1), matrix·vector (p = 1) and vector·matrix (one row), not squares.
 func mulDenseDense(a, b *Matrix) *Matrix {
 	out := NewDense(a.rows, b.cols)
 	n, k, p := a.rows, a.cols, b.cols
-	stripeParallel(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			orow := out.data[i*p : (i+1)*p]
-			for kk := 0; kk < k; kk++ {
-				av := arow[kk]
-				if av == 0 {
-					continue
-				}
-				brow := b.data[kk*p : (kk+1)*p]
-				for j := 0; j < p; j++ {
-					orow[j] += av * brow[j]
-				}
+	ad, bd, od := a.data, b.data, out.data
+	var nnz int
+	switch {
+	case p == 1:
+		nnz = stripeCount(n, minStripeRows, func(lo, hi int) int {
+			return mulMatVec(od[lo:hi], ad[lo*k:hi*k], bd)
+		})
+	case k == 1:
+		nnz = stripeCount(n, minStripeRows, func(lo, hi int) int {
+			return mulOuter(od[lo*p:hi*p], ad[lo:hi], bd)
+		})
+	case n < minStripeRows:
+		// Too few rows to stripe: stripe the columns instead (when there is
+		// a pass worth of work), each worker streaming its own column range
+		// of b.
+		nnz = stripeCount(p, minStripeCells/(n*k)+1, func(lo, hi int) int {
+			c := 0
+			for i := 0; i < n; i++ {
+				c += mulRow(od[i*p+lo:i*p+hi], ad[i*k:(i+1)*k], bd[lo:], p)
+			}
+			return c
+		})
+	default:
+		nnz = stripeCount(n, minStripeRows, func(lo, hi int) int {
+			c := 0
+			for i := lo; i < hi; i++ {
+				c += mulRow(od[i*p:(i+1)*p], ad[i*k:(i+1)*k], bd, p)
+			}
+			return c
+		})
+	}
+	out.setNNZ(nnz)
+	return out
+}
+
+// mulOuter writes the rank-one product x·yᵀ (one pass, nothing read back)
+// and returns its nonzero count.
+func mulOuter(o, x, y []float64) int {
+	p, nnz := len(y), 0
+	for i, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		orow := o[i*p : (i+1)*p]
+		for j, yv := range y {
+			v := 0 + xv*yv // a −0 product lands as +0, as it would accumulating
+			orow[j] = v
+			if v != 0 {
+				nnz++
 			}
 		}
-	})
-	return out
+	}
+	return nnz
+}
+
+// mulMatVec computes o = a·x for len(o) rows of a, four rows at a time so
+// four independent accumulation chains are in flight (one chain per output
+// cell is fixed by the accumulation order).
+func mulMatVec(o, a, x []float64) int {
+	k := len(x)
+	i := 0
+	for ; i+4 <= len(o); i += 4 {
+		r0 := a[i*k : (i+1)*k]
+		r1 := a[(i+1)*k : (i+2)*k]
+		r2 := a[(i+2)*k : (i+3)*k]
+		r3 := a[(i+3)*k : (i+4)*k]
+		var s0, s1, s2, s3 float64
+		for kk, xv := range x {
+			if av := r0[kk]; av != 0 {
+				s0 += av * xv
+			}
+			if av := r1[kk]; av != 0 {
+				s1 += av * xv
+			}
+			if av := r2[kk]; av != 0 {
+				s2 += av * xv
+			}
+			if av := r3[kk]; av != 0 {
+				s3 += av * xv
+			}
+		}
+		o[i], o[i+1], o[i+2], o[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(o); i++ {
+		var s float64
+		for kk, av := range a[i*k : (i+1)*k] {
+			if av != 0 {
+				s += av * x[kk]
+			}
+		}
+		o[i] = s
+	}
+	return countNonzero(o)
+}
+
+// mulRow accumulates one output row (or a column range of it): o[j] +=
+// Σ_k a[k]·b[k*stride+j], k ascending. Four k at a time share one load and
+// store of o[j]; a group holding a zero a[k] falls back to single steps so
+// the skip applies to exactly that k. Returns the row's nonzero count.
+func mulRow(o, a, b []float64, stride int) int {
+	w := len(o)
+	kk := 0
+	for ; kk+4 <= len(a); kk += 4 {
+		a0, a1, a2, a3 := a[kk], a[kk+1], a[kk+2], a[kk+3]
+		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+			for u := kk; u < kk+4; u++ {
+				axpy(o, a[u], b[u*stride:u*stride+w])
+			}
+			continue
+		}
+		b0 := b[kk*stride:][:w]
+		b1 := b[(kk+1)*stride:][:w]
+		b2 := b[(kk+2)*stride:][:w]
+		b3 := b[(kk+3)*stride:][:w]
+		for j := range o {
+			v := o[j]
+			v += a0 * b0[j]
+			v += a1 * b1[j]
+			v += a2 * b2[j]
+			v += a3 * b3[j]
+			o[j] = v
+		}
+	}
+	for ; kk < len(a); kk++ {
+		axpy(o, a[kk], b[kk*stride:kk*stride+w])
+	}
+	return countNonzero(o)
+}
+
+// axpy is one accumulation step o += av·brow, skipped when av is zero (so
+// 0·Inf never poisons a cell).
+func axpy(o []float64, av float64, brow []float64) {
+	if av == 0 {
+		return
+	}
+	brow = brow[:len(o)]
+	for j := range o {
+		o[j] += av * brow[j]
+	}
 }
 
 func mulCSRDense(a, b *Matrix) *Matrix {
 	out := NewDense(a.rows, b.cols)
 	p := b.cols
-	stripeParallel(a.rows, func(lo, hi int) {
+	out.setNNZ(stripeCount(a.rows, minStripeRows, func(lo, hi int) int {
+		nnz := 0
 		for i := lo; i < hi; i++ {
+			if a.rowPtr[i] == a.rowPtr[i+1] {
+				continue
+			}
 			orow := out.data[i*p : (i+1)*p]
 			for q := a.rowPtr[i]; q < a.rowPtr[i+1]; q++ {
 				av := a.vals[q]
@@ -98,15 +266,18 @@ func mulCSRDense(a, b *Matrix) *Matrix {
 					orow[j] += av * brow[j]
 				}
 			}
+			nnz += countNonzero(orow)
 		}
-	})
+		return nnz
+	}))
 	return out
 }
 
 func mulDenseCSR(a, b *Matrix) *Matrix {
 	out := NewDense(a.rows, b.cols)
 	k, p := a.cols, b.cols
-	stripeParallel(a.rows, func(lo, hi int) {
+	out.setNNZ(stripeCount(a.rows, minStripeRows, func(lo, hi int) int {
+		nnz := 0
 		for i := lo; i < hi; i++ {
 			arow := a.data[i*k : (i+1)*k]
 			orow := out.data[i*p : (i+1)*p]
@@ -119,8 +290,10 @@ func mulDenseCSR(a, b *Matrix) *Matrix {
 					orow[b.colIdx[q]] += av * b.vals[q]
 				}
 			}
+			nnz += countNonzero(orow)
 		}
-	})
+		return nnz
+	}))
 	return out
 }
 
@@ -133,7 +306,7 @@ func mulCSRCSR(a, b *Matrix) *Matrix {
 		vals []float64
 	}
 	results := make([]rowResult, a.rows)
-	stripeParallel(a.rows, func(lo, hi int) {
+	stripeParallel(a.rows, minStripeRows, func(lo, hi int) {
 		acc := make([]float64, p)
 		marked := make([]int, 0, 64)
 		for i := lo; i < hi; i++ {

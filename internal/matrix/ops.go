@@ -8,17 +8,15 @@ import (
 // This file implements the element-wise, scalar and reduction operators the
 // DML runtime needs besides multiplication.
 
+// transposeTile is the side of the square tile the dense transpose moves at
+// a time: 32 rows of 32 doubles keep the strided side of the copy within 32
+// cache lines, each reused for 8 consecutive columns.
+const transposeTile = 32
+
 // Transpose returns mᵀ in the same format as m.
 func (m *Matrix) Transpose() *Matrix {
 	if m.format == Dense {
-		t := NewDense(m.cols, m.rows)
-		for i := 0; i < m.rows; i++ {
-			base := i * m.cols
-			for j := 0; j < m.cols; j++ {
-				t.data[j*m.rows+i] = m.data[base+j]
-			}
-		}
-		return t
+		return transposeDense(m)
 	}
 	// CSR transpose via column counting (classic two-pass).
 	nnz := len(m.vals)
@@ -44,18 +42,99 @@ func (m *Matrix) Transpose() *Matrix {
 	return NewCSR(m.cols, m.rows, rowPtr, colIdx, vals)
 }
 
+// transposeDense moves m tile by tile, striped over tile columns of m (tile
+// rows of the result).
+func transposeDense(m *Matrix) *Matrix {
+	t := NewDense(m.cols, m.rows)
+	// Transposing moves cells, it does not change them.
+	t.nnz.Store(m.nnz.Load())
+	if c := m.counts.Load(); c != nil {
+		t.counts.Store(&nnzCounts{row: c.col, col: c.row})
+	}
+	if m.IsVector() {
+		copy(t.data, m.data)
+		return t
+	}
+	rows, cols := m.rows, m.cols
+	tiles := (cols + transposeTile - 1) / transposeTile
+	stripeParallel(tiles, minStripeCells/(rows*transposeTile)+1, func(lo, hi int) {
+		for jj := lo * transposeTile; jj < min(hi*transposeTile, cols); jj += transposeTile {
+			jEnd := min(jj+transposeTile, cols)
+			for ii := 0; ii < rows; ii += transposeTile {
+				iEnd := min(ii+transposeTile, rows)
+				for j := jj; j < jEnd; j++ {
+					trow := t.data[j*rows+ii : j*rows+iEnd]
+					src := m.data[ii*cols+j:]
+					for i := range trow {
+						trow[i] = src[i*cols]
+					}
+				}
+			}
+		}
+	})
+	return t
+}
+
 func (m *Matrix) checkSameShape(other *Matrix, op string) {
 	if m.rows != other.rows || m.cols != other.cols {
 		panic(fmt.Sprintf("matrix: %s shape mismatch %dx%d vs %dx%d", op, m.rows, m.cols, other.rows, other.cols))
 	}
 }
 
-func zipDense(a, b *Matrix, f func(x, y float64) float64) *Matrix {
-	ad, bd := a.ToDense(), b.ToDense()
+// ewise names the element-wise operators of zipDense.
+type ewise int
+
+const (
+	ewAdd ewise = iota
+	ewSub
+	ewMul
+	ewDiv
+)
+
+// zipDense applies op cell by cell to the dense forms of a and b: one
+// striped pass that also counts the nonzeros it writes.
+func zipDense(a, b *Matrix, op ewise) *Matrix {
 	out := NewDense(a.rows, a.cols)
-	for i := range out.data {
-		out.data[i] = f(ad.data[i], bd.data[i])
-	}
+	ad, bd, od := a.ToDense().data, b.ToDense().data, out.data
+	out.setNNZ(stripeCount(len(od), minStripeCells, func(lo, hi int) int {
+		x, y, o := ad[lo:hi], bd[lo:hi], od[lo:hi]
+		nnz := 0
+		switch op {
+		case ewAdd:
+			for i := range o {
+				v := x[i] + y[i]
+				o[i] = v
+				if v != 0 {
+					nnz++
+				}
+			}
+		case ewSub:
+			for i := range o {
+				v := x[i] - y[i]
+				o[i] = v
+				if v != 0 {
+					nnz++
+				}
+			}
+		case ewMul:
+			for i := range o {
+				v := x[i] * y[i]
+				o[i] = v
+				if v != 0 {
+					nnz++
+				}
+			}
+		case ewDiv:
+			for i := range o {
+				v := x[i] / y[i]
+				o[i] = v
+				if v != 0 {
+					nnz++
+				}
+			}
+		}
+		return nnz
+	}))
 	return out
 }
 
@@ -65,7 +144,7 @@ func (m *Matrix) Add(other *Matrix) *Matrix {
 	if m.format == CSR && other.format == CSR {
 		return addCSR(m, other, 1).Compact()
 	}
-	return zipDense(m, other, func(x, y float64) float64 { return x + y }).Compact()
+	return zipDense(m, other, ewAdd).Compact()
 }
 
 // Sub returns m - other.
@@ -74,7 +153,7 @@ func (m *Matrix) Sub(other *Matrix) *Matrix {
 	if m.format == CSR && other.format == CSR {
 		return addCSR(m, other, -1).Compact()
 	}
-	return zipDense(m, other, func(x, y float64) float64 { return x - y }).Compact()
+	return zipDense(m, other, ewSub).Compact()
 }
 
 // addCSR merges two CSR matrices row-wise computing a + sign*b.
@@ -134,40 +213,63 @@ func (m *Matrix) ElemMul(other *Matrix) *Matrix {
 	if other.format == CSR {
 		return other.ElemMul(m)
 	}
-	return zipDense(m, other, func(x, y float64) float64 { return x * y }).Compact()
+	return zipDense(m, other, ewMul).Compact()
 }
 
 // ElemDiv returns element-wise m / other (IEEE semantics for zero divisors).
 func (m *Matrix) ElemDiv(other *Matrix) *Matrix {
 	m.checkSameShape(other, "ElemDiv")
-	return zipDense(m, other, func(x, y float64) float64 { return x / y }).Compact()
+	return zipDense(m, other, ewDiv).Compact()
 }
 
-// Scale returns s · m.
+// Scale returns s · m in m's format.
 func (m *Matrix) Scale(s float64) *Matrix {
 	if s == 0 {
-		return NewDense(m.rows, m.cols).Compact()
+		return NewCSR(m.rows, m.cols, make([]int, m.rows+1), nil, nil)
 	}
-	out := m.Clone()
-	if out.format == Dense {
-		for i := range out.data {
-			out.data[i] *= s
-		}
+	if m.format == Dense {
+		out := NewDense(m.rows, m.cols)
+		out.setNNZ(stripeCount(len(out.data), minStripeCells, func(lo, hi int) int {
+			x, o := m.data[lo:hi], out.data[lo:hi]
+			nnz := 0
+			for i := range o {
+				v := x[i] * s
+				o[i] = v
+				if v != 0 {
+					nnz++
+				}
+			}
+			return nnz
+		}))
 		return out
 	}
-	for i := range out.vals {
-		out.vals[i] *= s
+	vals := make([]float64, len(m.vals))
+	for i, v := range m.vals {
+		vals[i] = v * s
 	}
-	return out
+	return NewCSR(m.rows, m.cols, append([]int(nil), m.rowPtr...), append([]int(nil), m.colIdx...), vals)
 }
 
 // AddScalar returns m + s on every element (densifying).
 func (m *Matrix) AddScalar(s float64) *Matrix {
-	d := m.ToDense().Clone()
-	for i := range d.data {
-		d.data[i] += s
+	d := m.ToDense()
+	out := d // a CSR receiver's dense form is ours to overwrite
+	if d == m {
+		out = NewDense(m.rows, m.cols)
 	}
-	return d.Compact()
+	out.setNNZ(stripeCount(len(out.data), minStripeCells, func(lo, hi int) int {
+		x, o := d.data[lo:hi], out.data[lo:hi]
+		nnz := 0
+		for i := range o {
+			v := x[i] + s
+			o[i] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+		return nnz
+	}))
+	return out.Compact()
 }
 
 // Sum returns the sum of all elements.

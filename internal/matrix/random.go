@@ -13,9 +13,15 @@ import (
 // [-1, 1).
 func RandDense(rng *rand.Rand, rows, cols int) *Matrix {
 	m := NewDense(rows, cols)
+	nnz := 0
 	for i := range m.data {
-		m.data[i] = 2*rng.Float64() - 1
+		v := 2*rng.Float64() - 1
+		m.data[i] = v
+		if v != 0 { // Float64 can return exactly 0.5
+			nnz++
+		}
 	}
+	m.setNNZ(nnz)
 	return m
 }
 

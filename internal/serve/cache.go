@@ -19,9 +19,9 @@ import (
 // everything else that can change the chosen plan — input shapes and
 // sparsity buckets, cluster configuration, strategy, estimator, combiner,
 // and the expected iteration count the adaptive selector amortizes over.
-// Key computation is on the warm path, so the per-matrix sparsity scan is
-// memoized by matrix identity (sparsitySig).
-func (s *Server) planKey(q Query, cfg opt.Config) (string, error) {
+// Key computation is on the warm path; a matrix carries its nonzero count,
+// so only the first key over a given input scans it.
+func planKey(q Query, cfg opt.Config) (string, error) {
 	canon, err := lang.Canonical(q.Script)
 	if err != nil {
 		return "", err
@@ -46,31 +46,11 @@ func (s *Server) planKey(q Query, cfg opt.Config) (string, error) {
 		if vc <= 0 {
 			vc = int64(in.Data.Cols())
 		}
-		fmt.Fprintf(&b, "%s=%dx%d@%s;", name, vr, vc, s.sparsitySig(in.Data))
+		fmt.Fprintf(&b, "%s=%dx%d@%s;", name, vr, vc, sparsityBucket(in.Data.Sparsity()))
 	}
 	fmt.Fprintf(&b, "\n%v|%s|%v|it%d|%s",
 		cfg.Strategy, cfg.Estimator.Name(), cfg.Combiner, cfg.Iterations, clusterSig(cfg.Cluster))
 	return b.String(), nil
-}
-
-// metaSigCap bounds the sparsity-signature memo (sparsitySig).
-const metaSigCap = 4096
-
-// sparsitySig returns a matrix's bucketed sparsity, memoized by identity:
-// matrices are immutable once handed to the engine, and counting nonzeros
-// of a dense matrix is O(cells) — too slow for the plan-cache hit path.
-// The memo is a bounded LRU: a stream of never-repeating matrices evicts
-// only the coldest entry, so the hot inputs of live sessions keep their
-// memoized signature instead of being rescanned after a wholesale flush.
-func (s *Server) sparsitySig(m *matrix.Matrix) string {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	if sig, ok := s.metaSigs.Get(m); ok {
-		return sig
-	}
-	sig := sparsityBucket(m.Sparsity())
-	s.metaSigs.Put(m, sig, 1)
-	return sig
 }
 
 // sparsityBucket coarsens a sparsity to two significant digits so inputs

@@ -41,12 +41,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"remac/internal/affinity"
 	"remac/internal/cluster"
 	"remac/internal/engine"
 	"remac/internal/fault"
 	"remac/internal/integrity"
 	"remac/internal/lang"
-	"remac/internal/lru"
 	"remac/internal/matrix"
 	"remac/internal/opt"
 	"remac/internal/resilience"
@@ -380,11 +380,6 @@ type Server struct {
 	closed   bool
 	versions map[string]int64
 
-	// metaSigs memoizes per-matrix sparsity buckets for plan-key
-	// computation, LRU-bounded at metaSigCap entries (see sparsitySig).
-	metaMu   sync.Mutex
-	metaSigs *lru.Cache[*matrix.Matrix, string]
-
 	plans   *planCache
 	inter   *interCache
 	batches *batcher
@@ -405,7 +400,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.PlanCacheEntries > 0 {
 		s.plans = newPlanCache(cfg.PlanCacheEntries)
-		s.metaSigs = lru.New[*matrix.Matrix, string](metaSigCap)
 	}
 	if cfg.IntermediateBudgetBytes > 0 {
 		s.inter = newInterCache(cfg.IntermediateBudgetBytes)
@@ -593,8 +587,11 @@ func (s *Server) DatasetVersion(id string) int64 {
 // somehow escapes that — a bug in the pool itself — is caught here, counted,
 // and the worker respawned so capacity never silently decays. The
 // wg.Add-before-Done ordering keeps Shutdown's WaitGroup balanced across a
-// respawn.
+// respawn. While it lives the worker is declared to the kernels, which stripe
+// over a worker's share of the processors only: the pool is the parallelism.
 func (s *Server) worker() {
+	matrix.AddCallers(1)
+	defer matrix.AddCallers(-1)
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.add(func(c *Snapshot) { c.WorkerRespawns++ })
@@ -762,6 +759,7 @@ func (s *Server) hedgeDelay() time.Duration {
 // compiler or engine becomes an Internal-class QueryError with a redacted
 // stack, and the worker (or hedge goroutine) survives.
 func (s *Server) guarded(ctx context.Context, j *job, attempt int) (res *QueryResult, err error) {
+	defer affinity.Claim()()
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.add(func(c *Snapshot) { c.PanicsRecovered++ })
@@ -976,7 +974,7 @@ func (s *Server) plan(ctx context.Context, q Query, ocfg opt.Config) (*opt.Compi
 		c, err := compile()
 		return c, time.Since(start).Seconds(), false, err
 	}
-	key, err := s.planKey(q, ocfg)
+	key, err := planKey(q, ocfg)
 	if err != nil {
 		return nil, 0, false, err
 	}

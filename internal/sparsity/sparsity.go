@@ -43,7 +43,8 @@ func (m Meta) Valid() error {
 }
 
 // MetaOf extracts a full descriptor (including count vectors) from a
-// materialized matrix.
+// materialized matrix. The matrix carries its counts once taken, so only
+// the first call on a matrix scans it (once, not once per field).
 func MetaOf(m *matrix.Matrix) Meta {
 	return Meta{
 		Rows:      int64(m.Rows()),
