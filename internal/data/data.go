@@ -10,12 +10,14 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"remac/internal/matrix"
 )
 
 // Dataset is one evaluation input: the materialized design matrix plus its
-// virtual (paper-scale) dimensions and the derived model inputs.
+// virtual (paper-scale) dimensions and the derived model inputs. Hold it by
+// pointer: it memoises the derived inputs.
 type Dataset struct {
 	Name string
 	// A is the materialized design matrix.
@@ -28,6 +30,24 @@ type Dataset struct {
 	Dense bool
 	// FootprintGB is Table 2's reported memory footprint.
 	FootprintGB float64
+
+	// The derived inputs are pure functions of the dataset, computed on
+	// first request and shared by every query over it afterwards (they are
+	// inputs: nothing downstream writes one).
+	label, x0, h0 derived
+	gnmfMu        sync.Mutex
+	gnmf          map[int][2]*matrix.Matrix
+}
+
+// derived is one lazily built input.
+type derived struct {
+	once sync.Once
+	m    *matrix.Matrix
+}
+
+func (d *derived) get(build func() *matrix.Matrix) *matrix.Matrix {
+	d.once.Do(func() { d.m = build() })
+	return d.m
 }
 
 // Spec describes a dataset before materialization.
@@ -126,15 +146,13 @@ func Generate(spec Spec) *Dataset {
 // denseWithSparsity builds a dense-format matrix with the target fraction
 // of nonzeros (cri1/red1 are dense-stored but not fully filled).
 func denseWithSparsity(rng *rand.Rand, rows, cols int, s float64) *matrix.Matrix {
-	m := matrix.NewDense(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if rng.Float64() < s {
-				m.Set(i, j, 2*rng.Float64()-1)
-			}
+	cells := make([]float64, rows*cols)
+	for i := range cells {
+		if rng.Float64() < s {
+			cells[i] = 2*rng.Float64() - 1
 		}
 	}
-	return m
+	return matrix.NewDenseData(rows, cols, cells)
 }
 
 func seedFor(name string) int64 {
@@ -149,41 +167,53 @@ func seedFor(name string) int64 {
 // Label returns a deterministic b vector (rows×1 dense) for least-squares
 // workloads, with virtual rows matching the dataset.
 func (d *Dataset) Label() *matrix.Matrix {
-	rng := rand.New(rand.NewSource(seedFor(d.Name + "/label")))
-	return matrix.RandVector(rng, d.A.Rows())
+	return d.label.get(func() *matrix.Matrix {
+		rng := rand.New(rand.NewSource(seedFor(d.Name + "/label")))
+		return matrix.RandVector(rng, d.A.Rows())
+	})
 }
 
 // InitialX returns a deterministic starting point x0 (cols×1).
 func (d *Dataset) InitialX() *matrix.Matrix {
-	rng := rand.New(rand.NewSource(seedFor(d.Name + "/x0")))
-	return matrix.RandVector(rng, d.A.Cols()).Scale(0.01)
+	return d.x0.get(func() *matrix.Matrix {
+		rng := rand.New(rand.NewSource(seedFor(d.Name + "/x0")))
+		return matrix.RandVector(rng, d.A.Cols()).Scale(0.01)
+	})
 }
 
 // InitialH returns the identity inverse-Hessian approximation (cols×cols).
 func (d *Dataset) InitialH() *matrix.Matrix {
-	return matrix.Identity(d.A.Cols())
+	return d.h0.get(func() *matrix.Matrix { return matrix.Identity(d.A.Cols()) })
 }
 
 // GNMFFactors returns deterministic non-negative W0 (rows×k) and H0 (k×cols)
 // factors for GNMF.
 func (d *Dataset) GNMFFactors(k int) (*matrix.Matrix, *matrix.Matrix) {
-	rng := rand.New(rand.NewSource(seedFor(d.Name + "/gnmf")))
-	w := matrix.RandDense(rng, d.A.Rows(), k)
-	h := matrix.RandDense(rng, k, d.A.Cols())
-	return absAll(w), absAll(h)
+	d.gnmfMu.Lock()
+	defer d.gnmfMu.Unlock()
+	f, ok := d.gnmf[k]
+	if !ok {
+		rng := rand.New(rand.NewSource(seedFor(d.Name + "/gnmf")))
+		f[0] = absAll(matrix.RandDense(rng, d.A.Rows(), k))
+		f[1] = absAll(matrix.RandDense(rng, k, d.A.Cols()))
+		if d.gnmf == nil {
+			d.gnmf = map[int][2]*matrix.Matrix{}
+		}
+		d.gnmf[k] = f
+	}
+	return f[0], f[1]
 }
 
+// absAll returns |m| built on the cells of m, a dense matrix nothing else
+// holds: one pass, and a new header, since the cells change under it.
 func absAll(m *matrix.Matrix) *matrix.Matrix {
-	out := m.Clone()
-	for i := 0; i < out.Rows(); i++ {
-		for j := 0; j < out.Cols(); j++ {
-			v := out.At(i, j)
-			if v < 0 {
-				out.Set(i, j, -v)
-			}
+	cells := m.Buffer()
+	for i, v := range cells {
+		if v < 0 {
+			cells[i] = -v
 		}
 	}
-	return out
+	return matrix.NewDenseData(m.Rows(), m.Cols(), cells)
 }
 
 // Table2Row is one row of the dataset-statistics table.

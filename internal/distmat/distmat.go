@@ -66,6 +66,11 @@ type Context struct {
 	// intErr is the first unrecoverable integrity or numeric error
 	// (IntegrityErr exposes it to the engine).
 	intErr error
+	// free holds, by length, the dense buffers of consumed temporaries that
+	// no result was built on, until a later operator of the run takes one as
+	// its destination (ownership.go). It lives and dies with the context:
+	// never more than the temporaries that were dead at once.
+	free map[int][][]float64
 }
 
 // NewContext creates a runtime context for a cluster.
@@ -145,6 +150,10 @@ type DistMatrix struct {
 	// p parity blocks persisted to DFS from which erased data groups
 	// decode without recomputation (coded.go).
 	parity *codedParity
+	// temp marks a temporary (ownership.go): a value only the expression
+	// under evaluation holds, which the operator that consumes it may
+	// overwrite or recycle. Values are not temporaries unless Temp said so.
+	temp bool
 }
 
 // New wraps a materialized matrix with virtual dimensions and places it
@@ -175,7 +184,10 @@ func Read(ctx *Context, m *matrix.Matrix, vRows, vCols int64) *DistMatrix {
 }
 
 // Data returns the materialized matrix.
-func (d *DistMatrix) Data() *matrix.Matrix { return d.data }
+func (d *DistMatrix) Data() *matrix.Matrix {
+	d.live()
+	return d.data
+}
 
 // Local reports whether the value resides in driver memory.
 func (d *DistMatrix) Local() bool { return d.local }
@@ -199,6 +211,7 @@ func (d *DistMatrix) derive(m *matrix.Matrix, meta sparsity.Meta, local bool, pr
 // operand use, it makes recovery lazy the way Spark's lineage model is —
 // values never touched after a failure cost nothing.
 func (d *DistMatrix) repair() {
+	d.live()
 	ctx := d.ctx
 	if d.epoch == ctx.failEpoch {
 		return
@@ -285,16 +298,17 @@ func (d *DistMatrix) ewise(o *DistMatrix, kind cost.EWiseKind, op string) *DistM
 	d.repair()
 	o.repair()
 	start := time.Now()
+	dst := d.ctx.dest(d.data.Rows()*d.data.Cols(), d, o)
 	var out *matrix.Matrix
 	switch op {
 	case "+":
-		out = d.data.Add(o.data)
+		out = d.data.AddInto(dst, o.data)
 	case "-":
-		out = d.data.Sub(o.data)
+		out = d.data.SubInto(dst, o.data)
 	case "*":
-		out = d.data.ElemMul(o.data)
+		out = d.data.ElemMulInto(dst, o.data)
 	default:
-		out = d.data.ElemDiv(o.data)
+		out = d.data.ElemDivInto(dst, o.data)
 	}
 	wall := time.Since(start)
 	var (
@@ -311,6 +325,7 @@ func (d *DistMatrix) ewise(o *DistMatrix, kind cost.EWiseKind, op string) *DistM
 	}
 	d.ctx.apply("ewise", "ewise/"+op, bd, []sparsity.Meta{d.vMeta, o.vMeta}, &outMeta, wall)
 	out = d.ctx.settle("ewise", "ewise/"+op, bd, outMeta, out, nil)
+	d.ctx.recycle(out, dst, d, o)
 	return d.derive(out, outMeta, outLocal, bd)
 }
 
@@ -318,11 +333,13 @@ func (d *DistMatrix) ewise(o *DistMatrix, kind cost.EWiseKind, op string) *DistM
 func (d *DistMatrix) Transpose() *DistMatrix {
 	d.repair()
 	start := time.Now()
-	out := d.data.Transpose()
+	dst := d.ctx.dest(d.data.Rows() * d.data.Cols())
+	out := d.data.TransposeInto(dst)
 	wall := time.Since(start)
 	outMeta, bd, outLocal := d.ctx.Model.Transpose(d.vMeta, d.local)
 	d.ctx.apply("transpose", "transpose", bd, []sparsity.Meta{d.vMeta}, &outMeta, wall)
 	out = d.ctx.settle("transpose", "transpose", bd, outMeta, out, nil)
+	d.ctx.recycle(out, dst, d)
 	return d.derive(out, outMeta, outLocal, bd)
 }
 
@@ -342,11 +359,13 @@ func (d *DistMatrix) TransposeFused() *DistMatrix {
 func (d *DistMatrix) Scale(s float64) *DistMatrix {
 	d.repair()
 	start := time.Now()
-	out := d.data.Scale(s)
+	dst := d.ctx.dest(d.data.Rows()*d.data.Cols(), d)
+	out := d.data.ScaleInto(dst, s)
 	wall := time.Since(start)
 	outMeta, bd, outLocal := d.ctx.Model.Scale(d.vMeta, d.local)
 	d.ctx.apply("scale", "scale", bd, []sparsity.Meta{d.vMeta}, &outMeta, wall)
 	out = d.ctx.settle("scale", "scale", bd, outMeta, out, nil)
+	d.ctx.recycle(out, dst, d)
 	return d.derive(out, outMeta, outLocal, bd)
 }
 
@@ -357,11 +376,13 @@ func (d *DistMatrix) Scale(s float64) *DistMatrix {
 func (d *DistMatrix) AddScalar(s float64) *DistMatrix {
 	d.repair()
 	start := time.Now()
-	out := d.data.AddScalar(s)
+	dst := d.ctx.dest(d.data.Rows()*d.data.Cols(), d)
+	out := d.data.AddScalarInto(dst, s)
 	wall := time.Since(start)
 	outMeta, bd, outLocal := d.ctx.Model.AddScalar(d.vMeta, d.local)
 	d.ctx.apply("add-scalar", "add-scalar", bd, []sparsity.Meta{d.vMeta}, &outMeta, wall)
 	out = d.ctx.settle("add-scalar", "add-scalar", bd, outMeta, out, nil)
+	d.ctx.recycle(out, dst, d)
 	return d.derive(out, outMeta, outLocal, bd)
 }
 
@@ -379,7 +400,9 @@ func (d *DistMatrix) Sum() float64 {
 	// Route the scalar through settlement as a 1×1 block so a corruption
 	// landing on the collected partials damages (or is caught on) the sum
 	// like any other payload.
-	return d.ctx.settle("sum", "sum", bd, outMeta, matrix.Scalar(v), nil).ScalarValue()
+	v = d.ctx.settle("sum", "sum", bd, outMeta, matrix.Scalar(v), nil).ScalarValue()
+	d.ctx.recycle(nil, nil, d)
+	return v
 }
 
 // chargeWorkers distributes the matrix's virtual bytes across workers by
@@ -447,11 +470,14 @@ func (d *DistMatrix) MulHinted(o *DistMatrix, tsmm bool) *DistMatrix {
 	d.repair()
 	o.repair()
 	start := time.Now()
-	out := d.data.Mul(o.data)
+	dst := d.ctx.dest(d.data.Rows() * o.data.Cols())
+	out := d.data.MulInto(dst, o.data)
 	wall := time.Since(start)
 	outMeta, bd, outLocal := d.ctx.Model.MulHinted(d.vMeta, o.vMeta, d.local, o.local, tsmm)
 	label := "mul/" + bd.Method.String()
 	d.ctx.apply("mul", label, bd, []sparsity.Meta{d.vMeta, o.vMeta}, &outMeta, wall)
+	// ABFT reads both operands, so they are given up only after settlement.
 	out = d.ctx.settle("mul", label, bd, outMeta, out, &mulOperands{a: d.data, b: o.data})
+	d.ctx.recycle(out, dst, d, o)
 	return d.derive(out, outMeta, outLocal, bd)
 }

@@ -196,6 +196,14 @@ func RunTraced(c *opt.Compiled, inputs map[string]Input, rec *trace.Recorder) (*
 // its deadline passes, the run stops promptly and returns an error wrapping
 // ErrCanceled.
 func RunWithOptions(goCtx context.Context, c *opt.Compiled, inputs map[string]Input, rec *trace.Recorder, opts RunOptions) (*Result, error) {
+	e, err := newExecutor(goCtx, c, inputs, rec, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.run()
+}
+
+func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input, rec *trace.Recorder, opts RunOptions) (*executor, error) {
 	rp, err := opts.Recovery.Normalize()
 	if err != nil {
 		return nil, err
@@ -222,10 +230,20 @@ func RunWithOptions(goCtx context.Context, c *opt.Compiled, inputs map[string]In
 		checkpoint: rp.Kind == RecoverCheckpoint,
 		inter:      opts.Intermediates,
 		shared:     opts.Shared,
+		maxIter:    MaxIterations,
+		guard:      opts.NaNGuard,
+	}
+	if opts.MaxIter > 0 {
+		e.maxIter = opts.MaxIter
 	}
 	if err := e.prepare(); err != nil {
 		return nil, err
 	}
+	return e, nil
+}
+
+func (e *executor) run() (*Result, error) {
+	c, ctx, rec, maxIter := e.c, e.ctx, e.rec, e.maxIter
 
 	// Pre-loop statements.
 	for _, sp := range c.Plans.Pre {
@@ -234,10 +252,6 @@ func RunWithOptions(goCtx context.Context, c *opt.Compiled, inputs map[string]In
 		}
 	}
 
-	maxIter := MaxIterations
-	if opts.MaxIter > 0 {
-		maxIter = opts.MaxIter
-	}
 	iterations := 0
 	if c.Plans.Loop != nil {
 		for iterations < maxIter {
@@ -253,7 +267,7 @@ func RunWithOptions(goCtx context.Context, c *opt.Compiled, inputs map[string]In
 			}
 			id := rec.Begin("iteration", fmt.Sprintf("iteration %d", iterations+1))
 			err = e.iteration()
-			if err == nil && opts.NaNGuard == integrity.GuardPerIteration {
+			if err == nil && e.guard == integrity.GuardPerIteration {
 				e.guardIteration()
 			}
 			rec.End(id)
@@ -264,6 +278,9 @@ func RunWithOptions(goCtx context.Context, c *opt.Compiled, inputs map[string]In
 				return nil, err
 			}
 			iterations++
+			if e.afterIteration != nil {
+				e.afterIteration()
+			}
 		}
 		if iterations >= maxIter {
 			return nil, &MaxIterationsError{Iterations: maxIter}
@@ -281,7 +298,7 @@ func RunWithOptions(goCtx context.Context, c *opt.Compiled, inputs map[string]In
 	}
 	return &Result{
 		Env:               e.env,
-		Stats:             cl.Stats(),
+		Stats:             ctx.Cluster.Stats(),
 		Iterations:        iterations,
 		InputPartitionSec: ctx.PartitionSec,
 		CompileSec:        c.TotalTime.Seconds(),
@@ -322,6 +339,13 @@ type executor struct {
 	// checkpoint persists LSE values to DFS on first computation
 	// (RecoverCheckpoint).
 	checkpoint bool
+	// maxIter caps the loop; guard is the non-finite scan cadence.
+	maxIter int
+	guard   integrity.GuardMode
+
+	// afterIteration, when set (by the ownership tests), runs after every
+	// completed iteration.
+	afterIteration func()
 }
 
 // cachedSubtree is an explicit-CSE cache entry: the value plus the
@@ -375,7 +399,7 @@ func (e *executor) iteration() error {
 			if err != nil {
 				return fmt.Errorf("engine: %s: %w", sp.Target, err)
 			}
-			e.env[sp.Target] = v
+			e.bind(sp.Target, v)
 			e.invalidate(sp.Target)
 		}
 		return nil
@@ -397,7 +421,7 @@ func (e *executor) iteration() error {
 		// Bind the versioned symbol: inlined references to the pre-update
 		// value keep resolving to the old binding until the end-of-
 		// iteration promotion below.
-		e.env[sp.TargetSym] = v
+		e.bind(sp.TargetSym, v)
 		if sp.TargetSym == sp.Target {
 			// Unversioned rebinds (e.g. the per-iteration gradient)
 			// invalidate cached spans that referenced the old value.
@@ -411,7 +435,7 @@ func (e *executor) iteration() error {
 			continue
 		}
 		if v, ok := e.env[sp.TargetSym]; ok {
-			e.env[sp.Target] = v
+			e.bind(sp.Target, v)
 		}
 	}
 	return nil
@@ -432,6 +456,26 @@ func (e *executor) guardIteration() {
 	for _, name := range names {
 		e.env[name].GuardValue(name)
 	}
+}
+
+// bind binds name to v. A bound value is retained — by the environment, and
+// by Result.Env after the run — so it stops being a temporary here. The
+// value the name held before stays as it is, never recycled: inlined
+// references and cached spans may still resolve to it. Only its fused
+// transpose goes, once no name holds the value any more, since transCache is
+// reached through bound values alone.
+func (e *executor) bind(name string, v *distmat.DistMatrix) {
+	old := e.env[name]
+	e.env[name] = v.Pin()
+	if old == v || e.transCache[old] == nil {
+		return
+	}
+	for _, held := range e.env {
+		if held == old {
+			return
+		}
+	}
+	delete(e.transCache, old)
 }
 
 // invalidate drops cached values that referenced the reassigned variable.
@@ -459,7 +503,7 @@ func (e *executor) execStmtOriginal(sp plan.StmtPlan) error {
 	if err != nil {
 		return fmt.Errorf("engine: %s: %w", sp.Target, err)
 	}
-	e.env[sp.Target] = v
+	e.bind(sp.Target, v)
 	// An assignment invalidates cached subtrees that referenced the
 	// variable's previous value (SystemDS's CSE never unifies values from
 	// different program points).
@@ -509,7 +553,7 @@ func (e *executor) eval(n *plan.Node) (*distmat.DistMatrix, error) {
 				refs[baseSym(c.Sym)] = true
 			}
 		})
-		e.subtreeCache[n.Key()] = cachedSubtree{v: v, refs: refs}
+		e.subtreeCache[n.Key()] = cachedSubtree{v: v.Pin(), refs: refs}
 	}
 	return v, nil
 }
@@ -527,15 +571,15 @@ func (e *executor) evalStructural(n *plan.Node) (*distmat.DistMatrix, error) {
 		}
 		if n.L().Kind == plan.Leaf {
 			// Leaf transposes are fused into consumers, like chain atoms.
-			return e.fusedTranspose(n.L().Sym, x), nil
+			return e.fusedTranspose(x), nil
 		}
-		return x.Transpose(), nil
+		return x.Transpose().Temp(), nil
 	case plan.Neg:
 		x, err := e.eval(n.L())
 		if err != nil {
 			return nil, err
 		}
-		return x.Scale(-1), nil
+		return x.Scale(-1).Temp(), nil
 	case plan.SumAll:
 		x, err := e.eval(n.L())
 		if err != nil {
@@ -586,9 +630,16 @@ func (e *executor) evalStructural(n *plan.Node) (*distmat.DistMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.applyBin(n.Kind, l, r)
+	v, err := e.applyBin(n.Kind, l, r)
+	if err != nil {
+		return nil, err
+	}
+	return v.Temp(), nil
 }
 
+// applyBin applies a binary operator. The value it returns is always one it
+// has just made, never an operand, which is why evalStructural may declare
+// it a temporary.
 func (e *executor) applyBin(k plan.Kind, l, r *distmat.DistMatrix) (*distmat.DistMatrix, error) {
 	ls, rs := l.Data().IsScalar(), r.Data().IsScalar()
 	switch k {
@@ -643,7 +694,7 @@ func (e *executor) broadcastScalarOp(k plan.Kind, l, r *distmat.DistMatrix, left
 		if k == plan.Add {
 			return e.addScalar(r, s), nil
 		}
-		return e.addScalar(r.Scale(-1), s), nil
+		return e.addScalar(r.Scale(-1).Temp(), s), nil
 	}
 	s := r.Data().ScalarValue()
 	if k == plan.Sub {
@@ -700,7 +751,7 @@ func (e *executor) evalBlock(bp *costgraph.BlockPlan) (*distmat.DistMatrix, erro
 		if err != nil {
 			return nil, err
 		}
-		v = v.Scale(s.Data().ScalarValue())
+		v = v.Scale(s.Data().ScalarValue()).Temp()
 	}
 	return v, nil
 }
@@ -723,7 +774,7 @@ func (e *executor) evalOpNode(b *chain.Block, n *costgraph.OpNode) (*distmat.Dis
 			return nil, err
 		}
 		if n.Flipped {
-			v = v.Transpose()
+			v = v.Transpose().Temp()
 		}
 		return v, nil
 	}
@@ -749,7 +800,7 @@ func (e *executor) evalOpNode(b *chain.Block, n *costgraph.OpNode) (*distmat.Dis
 		isTSMMAtoms(b.Atoms[n.L.Lo], b.Atoms[n.R.Lo])
 	v := e.mulWithHint(l, r, tsmm)
 	if cacheKey != "" {
-		e.subtreeCache[cacheKey] = cachedSubtree{v: v, refs: spanRefs(b.Atoms[n.Lo : n.Hi+1])}
+		e.subtreeCache[cacheKey] = cachedSubtree{v: v.Pin(), refs: spanRefs(b.Atoms[n.Lo : n.Hi+1])}
 	}
 	return v, nil
 }
@@ -775,7 +826,7 @@ func isTSMMAtoms(l, r chain.Atom) bool {
 }
 
 func (e *executor) mulWithHint(l, r *distmat.DistMatrix, tsmm bool) *distmat.DistMatrix {
-	return l.MulHinted(r, tsmm)
+	return l.MulHinted(r, tsmm).Temp()
 }
 
 func (e *executor) atomValue(a chain.Atom) (*distmat.DistMatrix, error) {
@@ -785,7 +836,7 @@ func (e *executor) atomValue(a chain.Atom) (*distmat.DistMatrix, error) {
 			return nil, err
 		}
 		if a.T {
-			return v.Transpose(), nil
+			return v.Transpose().Temp(), nil
 		}
 		return v, nil
 	}
@@ -795,14 +846,16 @@ func (e *executor) atomValue(a chain.Atom) (*distmat.DistMatrix, error) {
 	}
 	if a.T {
 		// Fused: chain atoms never materialize a distributed transpose.
-		return e.fusedTranspose(a.Sym, v), nil
+		return e.fusedTranspose(v), nil
 	}
 	return v, nil
 }
 
-// fusedTranspose returns the transposed value, memoized per symbol so the
-// (real) transpose kernel runs once per binding.
-func (e *executor) fusedTranspose(sym string, v *distmat.DistMatrix) *distmat.DistMatrix {
+// fusedTranspose returns the transpose of a bound value, memoized per value
+// so the (real) transpose kernel runs once per binding; bind drops the entry
+// with the value's last binding. The transpose is retained here, so it is
+// not a temporary.
+func (e *executor) fusedTranspose(v *distmat.DistMatrix) *distmat.DistMatrix {
 	if e.transCache == nil {
 		e.transCache = map[*distmat.DistMatrix]*distmat.DistMatrix{}
 	}
@@ -811,7 +864,6 @@ func (e *executor) fusedTranspose(sym string, v *distmat.DistMatrix) *distmat.Di
 	}
 	tv := v.TransposeFused()
 	e.transCache[v] = tv
-	_ = sym
 	return tv
 }
 
@@ -905,6 +957,10 @@ func (e *executor) optionValue(o *search.Option) (*distmat.DistMatrix, error) {
 		}
 		return nil, err
 	}
+	// The value is about to be cached here and, below, written to DFS and
+	// handed to sibling runs and later ones on other goroutines: from this
+	// point nobody may write it again.
+	v.Pin()
 	if o.Kind == search.LSE && e.checkpoint {
 		// Loop-hoisted values live for the whole run: paying one DFS write
 		// here converts every later failure's recompute into a DFS read.
@@ -940,7 +996,7 @@ func (e *executor) groupValue(o *search.Option) (*distmat.DistMatrix, error) {
 		if total == nil {
 			total = v
 		} else {
-			total = total.Add(v)
+			total = total.Add(v).Temp()
 		}
 	}
 	return total, nil
@@ -958,7 +1014,7 @@ func (e *executor) evalSpan(b *chain.Block, lo, hi int) (*distmat.DistMatrix, er
 		if err != nil {
 			return nil, err
 		}
-		v = l.Mul(v)
+		v = l.Mul(v).Temp()
 	}
 	return v, nil
 }

@@ -29,19 +29,22 @@ func compileAndRun(t *testing.T, alg algorithms.Name, dsName string, strategy op
 
 func compileFor(t *testing.T, alg algorithms.Name, dsName string, strategy opt.Strategy) *opt.Compiled {
 	t.Helper()
-	iters := 5
-	prog := algorithms.MustProgram(alg, iters)
-	ds := data.MustLoad(dsName)
-	// ReMac's reported configuration uses the MNC estimator (§6.3.2); it
-	// also matches the runtime's own cost propagation.
-	c, err := opt.Compile(prog, inputMetas(alg, ds), opt.Config{
+	return compileOn(t, alg, data.MustLoad(dsName), strategy, 5)
+}
+
+// compileOn compiles a workload over a dataset. ReMac's reported
+// configuration uses the MNC estimator (§6.3.2); it also matches the
+// runtime's own cost propagation.
+func compileOn(t testing.TB, alg algorithms.Name, ds *data.Dataset, strategy opt.Strategy, iters int) *opt.Compiled {
+	t.Helper()
+	c, err := opt.Compile(algorithms.MustProgram(alg, iters), inputMetas(alg, ds), opt.Config{
 		Strategy:   strategy,
 		Estimator:  sparsity.MNC{},
 		Cluster:    cluster.DefaultConfig(),
 		Iterations: iters,
 	})
 	if err != nil {
-		t.Fatalf("%v/%s/%v: compile: %v", alg, dsName, strategy, err)
+		t.Fatalf("%v/%s/%v: compile: %v", alg, ds.Name, strategy, err)
 	}
 	return c
 }
@@ -66,7 +69,11 @@ func inputMetas(alg algorithms.Name, ds *data.Dataset) map[string]sparsity.Meta 
 
 func inputsFor(t *testing.T, alg algorithms.Name, dsName string) map[string]Input {
 	t.Helper()
-	ds := data.MustLoad(dsName)
+	return inputsOn(alg, data.MustLoad(dsName))
+}
+
+// inputsOn binds a dataset's standard symbols for a workload.
+func inputsOn(alg algorithms.Name, ds *data.Dataset) map[string]Input {
 	if alg == algorithms.GNMF {
 		w, h := ds.GNMFFactors(10)
 		return map[string]Input{

@@ -75,6 +75,42 @@ func BenchmarkDenseOps(b *testing.B) {
 	b.Run("clone/870", func(b *testing.B) { benchOp(b, x.Clone) })
 }
 
+// BenchmarkDestinations times the kernels the quasi-Newton updates end in
+// three ways: allocating (fresh), into a buffer some dead value left behind
+// (dirty), and over an operand's own buffer (inplace, where the operator
+// allows it). Results that are handed a destination do not allocate one.
+func BenchmarkDestinations(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	x := matrix.RandDense(rng, 870, 870)
+	own := x.Clone() // overwritten by the in-place cases
+	spare := make([]float64, 870*870)
+	zeros := matrix.NewDense(870, 870)
+	for _, c := range []struct {
+		name string
+		dst  []float64
+		left *matrix.Matrix
+	}{{"fresh", nil, x}, {"dirty", spare, x}, {"inplace", own.Buffer(), own}} {
+		dst, left := c.dst, c.left
+		// Scaling by one and adding zeros keep the in-place operand's cells
+		// what they were, whatever b.N is.
+		b.Run("scale/870/"+c.name, func(b *testing.B) {
+			benchOp(b, func() *matrix.Matrix { return left.ScaleInto(dst, 1) })
+		})
+		b.Run("add/870/"+c.name, func(b *testing.B) {
+			benchOp(b, func() *matrix.Matrix { return left.AddInto(dst, zeros) })
+		})
+	}
+	for _, n := range []int{870, 1500} {
+		col := matrix.RandVector(rng, n)
+		row := col.Transpose()
+		into := make([]float64, n*n)
+		b.Run(fmt.Sprintf("outer/%d/fresh", n), func(b *testing.B) { benchMul(b, col, row) })
+		b.Run(fmt.Sprintf("outer/%d/dirty", n), func(b *testing.B) {
+			benchOp(b, func() *matrix.Matrix { return col.MulInto(into, row) })
+		})
+	}
+}
+
 // BenchmarkCompactFreshProduct is the format decision every operator ends
 // in, on a result no one has looked at yet: the multiply runs off the clock.
 func BenchmarkCompactFreshProduct(b *testing.B) {

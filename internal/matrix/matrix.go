@@ -110,6 +110,26 @@ func NewDenseData(rows, cols int, data []float64) *Matrix {
 	return &Matrix{rows: rows, cols: cols, format: Dense, data: data}
 }
 
+// denseOver is how every kernel with a dense result gets its output: a
+// rows×cols matrix over dst, or over a fresh zeroed buffer when dst is nil —
+// the allocating operators are the nil-destination call of the Into ones. A
+// caller's dst must hold rows·cols cells and may hold anything in them
+// (dirty): the kernel writes or clears every one. The result gets a new
+// header either way, so carried counts are never those of the cells dst held
+// before. An operator whose result ends up CSR leaves dst behind, as scratch
+// or untouched; Buffer tells the caller which happened.
+func denseOver(dst []float64, rows, cols int) (out *Matrix, dirty bool) {
+	if dst == nil {
+		return NewDense(rows, cols), false
+	}
+	return NewDenseData(rows, cols, dst), true
+}
+
+// Buffer returns the dense payload itself, not a copy (nil for CSR): what a
+// caller that owns m outright may pass as a destination once m is dead, and
+// what tells it whether a result was built on the destination it supplied.
+func (m *Matrix) Buffer() []float64 { return m.data }
+
 // NewCSR returns a rows×cols sparse matrix from raw CSR arrays. The arrays
 // are owned by the matrix afterwards. Column indices within a row must be
 // strictly increasing.

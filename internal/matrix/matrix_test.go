@@ -140,13 +140,13 @@ func TestMulAllFormatPairsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := RandSparse(rng, 13, 9, 0.3)
 	b := RandSparse(rng, 9, 11, 0.3)
-	ref := mulDenseDense(a.ToDense(), b.ToDense())
+	ref := mulDenseDense(nil, a.ToDense(), b.ToDense())
 	for _, pair := range []struct {
 		name string
 		got  *Matrix
 	}{
-		{"csr-dense", mulCSRDense(a.ToCSR(), b.ToDense())},
-		{"dense-csr", mulDenseCSR(a.ToDense(), b.ToCSR())},
+		{"csr-dense", mulCSRDense(nil, a.ToCSR(), b.ToDense())},
+		{"dense-csr", mulDenseCSR(nil, a.ToDense(), b.ToCSR())},
 		{"csr-csr", mulCSRCSR(a.ToCSR(), b.ToCSR())},
 	} {
 		if !pair.got.ApproxEqual(ref, 1e-12) {

@@ -16,18 +16,22 @@ import (
 
 // Mul returns m · other. Panics if the inner dimensions disagree. The result
 // is compacted to the format its sparsity warrants.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
+func (m *Matrix) Mul(other *Matrix) *Matrix { return m.MulInto(nil, other) }
+
+// MulInto is Mul into a destination (see denseOver), which must not be an
+// operand's buffer: a product reads cells it has already written over.
+func (m *Matrix) MulInto(dst []float64, other *Matrix) *Matrix {
 	if m.cols != other.rows {
 		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d · %dx%d", m.rows, m.cols, other.rows, other.cols))
 	}
 	var out *Matrix
 	switch {
 	case m.format == Dense && other.format == Dense:
-		out = mulDenseDense(m, other)
+		out = mulDenseDense(dst, m, other)
 	case m.format == CSR && other.format == Dense:
-		out = mulCSRDense(m, other)
+		out = mulCSRDense(dst, m, other)
 	case m.format == Dense && other.format == CSR:
-		out = mulDenseCSR(m, other)
+		out = mulDenseCSR(dst, m, other)
 	default:
 		out = mulCSRCSR(m, other)
 	}
@@ -105,8 +109,12 @@ func stripeCount(n, min int, body func(lo, hi int) int) int {
 // path, the striping or the unrolling, bit for bit. The paths differ in what
 // they keep in registers: the shapes the workloads run are rank-one updates
 // (k = 1), matrix·vector (p = 1) and vector·matrix (one row), not squares.
-func mulDenseDense(a, b *Matrix) *Matrix {
-	out := NewDense(a.rows, b.cols)
+// They also differ in what a dirty destination asks of them: the mat-vec
+// writes every cell, the outer product zero-fills the rows it skips, and the
+// accumulating paths clear each row as they reach it — inside the stripe,
+// while the row is about to be in cache anyway.
+func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
+	out, dirty := denseOver(dst, a.rows, b.cols)
 	n, k, p := a.rows, a.cols, b.cols
 	ad, bd, od := a.data, b.data, out.data
 	var nnz int
@@ -117,7 +125,7 @@ func mulDenseDense(a, b *Matrix) *Matrix {
 		})
 	case k == 1:
 		nnz = stripeCount(n, minStripeRows, func(lo, hi int) int {
-			return mulOuter(od[lo*p:hi*p], ad[lo:hi], bd)
+			return mulOuter(od[lo*p:hi*p], ad[lo:hi], bd, dirty)
 		})
 	case n < minStripeRows:
 		// Too few rows to stripe: stripe the columns instead (when there is
@@ -126,7 +134,11 @@ func mulDenseDense(a, b *Matrix) *Matrix {
 		nnz = stripeCount(p, minStripeCells/(n*k)+1, func(lo, hi int) int {
 			c := 0
 			for i := 0; i < n; i++ {
-				c += mulRow(od[i*p+lo:i*p+hi], ad[i*k:(i+1)*k], bd[lo:], p)
+				o := od[i*p+lo : i*p+hi]
+				if dirty {
+					clear(o)
+				}
+				c += mulRow(o, ad[i*k:(i+1)*k], bd[lo:], p)
 			}
 			return c
 		})
@@ -134,7 +146,11 @@ func mulDenseDense(a, b *Matrix) *Matrix {
 		nnz = stripeCount(n, minStripeRows, func(lo, hi int) int {
 			c := 0
 			for i := lo; i < hi; i++ {
-				c += mulRow(od[i*p:(i+1)*p], ad[i*k:(i+1)*k], bd, p)
+				o := od[i*p : (i+1)*p]
+				if dirty {
+					clear(o)
+				}
+				c += mulRow(o, ad[i*k:(i+1)*k], bd, p)
 			}
 			return c
 		})
@@ -144,11 +160,15 @@ func mulDenseDense(a, b *Matrix) *Matrix {
 }
 
 // mulOuter writes the rank-one product x·yᵀ (one pass, nothing read back)
-// and returns its nonzero count.
-func mulOuter(o, x, y []float64) int {
+// and returns its nonzero count. Rows of a zero x[i] are skipped, which in a
+// dirty o means zero-filled.
+func mulOuter(o, x, y []float64, dirty bool) int {
 	p, nnz := len(y), 0
 	for i, xv := range x {
 		if xv == 0 {
+			if dirty {
+				clear(o[i*p : (i+1)*p])
+			}
 			continue
 		}
 		orow := o[i*p : (i+1)*p]
@@ -249,16 +269,19 @@ func axpy(o []float64, av float64, brow []float64) {
 	}
 }
 
-func mulCSRDense(a, b *Matrix) *Matrix {
-	out := NewDense(a.rows, b.cols)
+func mulCSRDense(dst []float64, a, b *Matrix) *Matrix {
+	out, dirty := denseOver(dst, a.rows, b.cols)
 	p := b.cols
 	out.setNNZ(stripeCount(a.rows, minStripeRows, func(lo, hi int) int {
 		nnz := 0
 		for i := lo; i < hi; i++ {
+			orow := out.data[i*p : (i+1)*p]
+			if dirty {
+				clear(orow)
+			}
 			if a.rowPtr[i] == a.rowPtr[i+1] {
 				continue
 			}
-			orow := out.data[i*p : (i+1)*p]
 			for q := a.rowPtr[i]; q < a.rowPtr[i+1]; q++ {
 				av := a.vals[q]
 				brow := b.data[a.colIdx[q]*p : (a.colIdx[q]+1)*p]
@@ -273,14 +296,17 @@ func mulCSRDense(a, b *Matrix) *Matrix {
 	return out
 }
 
-func mulDenseCSR(a, b *Matrix) *Matrix {
-	out := NewDense(a.rows, b.cols)
+func mulDenseCSR(dst []float64, a, b *Matrix) *Matrix {
+	out, dirty := denseOver(dst, a.rows, b.cols)
 	k, p := a.cols, b.cols
 	out.setNNZ(stripeCount(a.rows, minStripeRows, func(lo, hi int) int {
 		nnz := 0
 		for i := lo; i < hi; i++ {
 			arow := a.data[i*k : (i+1)*k]
 			orow := out.data[i*p : (i+1)*p]
+			if dirty {
+				clear(orow)
+			}
 			for kk := 0; kk < k; kk++ {
 				av := arow[kk]
 				if av == 0 {

@@ -14,9 +14,13 @@ import (
 const transposeTile = 32
 
 // Transpose returns mᵀ in the same format as m.
-func (m *Matrix) Transpose() *Matrix {
+func (m *Matrix) Transpose() *Matrix { return m.TransposeInto(nil) }
+
+// TransposeInto is Transpose into a destination (see denseOver), which must
+// not be m's own buffer.
+func (m *Matrix) TransposeInto(dst []float64) *Matrix {
 	if m.format == Dense {
-		return transposeDense(m)
+		return transposeDense(dst, m)
 	}
 	// CSR transpose via column counting (classic two-pass).
 	nnz := len(m.vals)
@@ -43,9 +47,9 @@ func (m *Matrix) Transpose() *Matrix {
 }
 
 // transposeDense moves m tile by tile, striped over tile columns of m (tile
-// rows of the result).
-func transposeDense(m *Matrix) *Matrix {
-	t := NewDense(m.cols, m.rows)
+// rows of the result). Every cell of t is written.
+func transposeDense(dst []float64, m *Matrix) *Matrix {
+	t, _ := denseOver(dst, m.cols, m.rows)
 	// Transposing moves cells, it does not change them.
 	t.nnz.Store(m.nnz.Load())
 	if c := m.counts.Load(); c != nil {
@@ -92,9 +96,11 @@ const (
 )
 
 // zipDense applies op cell by cell to the dense forms of a and b: one
-// striped pass that also counts the nonzeros it writes.
-func zipDense(a, b *Matrix, op ewise) *Matrix {
-	out := NewDense(a.rows, a.cols)
+// striped pass that also counts the nonzeros it writes. It reads cell i of
+// both operands and then writes cell i, nothing else, so dst may be either
+// operand's own buffer.
+func zipDense(dst []float64, a, b *Matrix, op ewise) *Matrix {
+	out, _ := denseOver(dst, a.rows, a.cols)
 	ad, bd, od := a.ToDense().data, b.ToDense().data, out.data
 	out.setNNZ(stripeCount(len(od), minStripeCells, func(lo, hi int) int {
 		x, y, o := ad[lo:hi], bd[lo:hi], od[lo:hi]
@@ -139,21 +145,29 @@ func zipDense(a, b *Matrix, op ewise) *Matrix {
 }
 
 // Add returns m + other.
-func (m *Matrix) Add(other *Matrix) *Matrix {
+func (m *Matrix) Add(other *Matrix) *Matrix { return m.AddInto(nil, other) }
+
+// AddInto is Add into a destination (see denseOver), which may be the dense
+// buffer of either operand. The same holds for SubInto, ElemMulInto and
+// ElemDivInto.
+func (m *Matrix) AddInto(dst []float64, other *Matrix) *Matrix {
 	m.checkSameShape(other, "Add")
 	if m.format == CSR && other.format == CSR {
 		return addCSR(m, other, 1).Compact()
 	}
-	return zipDense(m, other, ewAdd).Compact()
+	return zipDense(dst, m, other, ewAdd).Compact()
 }
 
 // Sub returns m - other.
-func (m *Matrix) Sub(other *Matrix) *Matrix {
+func (m *Matrix) Sub(other *Matrix) *Matrix { return m.SubInto(nil, other) }
+
+// SubInto is Sub into a destination.
+func (m *Matrix) SubInto(dst []float64, other *Matrix) *Matrix {
 	m.checkSameShape(other, "Sub")
 	if m.format == CSR && other.format == CSR {
 		return addCSR(m, other, -1).Compact()
 	}
-	return zipDense(m, other, ewSub).Compact()
+	return zipDense(dst, m, other, ewSub).Compact()
 }
 
 // addCSR merges two CSR matrices row-wise computing a + sign*b.
@@ -190,7 +204,10 @@ func addCSR(a, b *Matrix, sign float64) *Matrix {
 }
 
 // ElemMul returns the Hadamard product m ⊙ other.
-func (m *Matrix) ElemMul(other *Matrix) *Matrix {
+func (m *Matrix) ElemMul(other *Matrix) *Matrix { return m.ElemMulInto(nil, other) }
+
+// ElemMulInto is ElemMul into a destination.
+func (m *Matrix) ElemMulInto(dst []float64, other *Matrix) *Matrix {
 	m.checkSameShape(other, "ElemMul")
 	if m.format == CSR {
 		// Walk the sparser operand's structure.
@@ -211,24 +228,31 @@ func (m *Matrix) ElemMul(other *Matrix) *Matrix {
 		return NewCSR(m.rows, m.cols, rowPtr, colIdx, vals).Compact()
 	}
 	if other.format == CSR {
-		return other.ElemMul(m)
+		return other.ElemMulInto(dst, m)
 	}
-	return zipDense(m, other, ewMul).Compact()
+	return zipDense(dst, m, other, ewMul).Compact()
 }
 
 // ElemDiv returns element-wise m / other (IEEE semantics for zero divisors).
-func (m *Matrix) ElemDiv(other *Matrix) *Matrix {
+func (m *Matrix) ElemDiv(other *Matrix) *Matrix { return m.ElemDivInto(nil, other) }
+
+// ElemDivInto is ElemDiv into a destination.
+func (m *Matrix) ElemDivInto(dst []float64, other *Matrix) *Matrix {
 	m.checkSameShape(other, "ElemDiv")
-	return zipDense(m, other, ewDiv).Compact()
+	return zipDense(dst, m, other, ewDiv).Compact()
 }
 
 // Scale returns s · m in m's format.
-func (m *Matrix) Scale(s float64) *Matrix {
+func (m *Matrix) Scale(s float64) *Matrix { return m.ScaleInto(nil, s) }
+
+// ScaleInto is Scale into a destination (see denseOver), which may be m's
+// own buffer: cell i is read, then written.
+func (m *Matrix) ScaleInto(dst []float64, s float64) *Matrix {
 	if s == 0 {
 		return NewCSR(m.rows, m.cols, make([]int, m.rows+1), nil, nil)
 	}
 	if m.format == Dense {
-		out := NewDense(m.rows, m.cols)
+		out, _ := denseOver(dst, m.rows, m.cols)
 		out.setNNZ(stripeCount(len(out.data), minStripeCells, func(lo, hi int) int {
 			x, o := m.data[lo:hi], out.data[lo:hi]
 			nnz := 0
@@ -251,12 +275,16 @@ func (m *Matrix) Scale(s float64) *Matrix {
 }
 
 // AddScalar returns m + s on every element (densifying).
-func (m *Matrix) AddScalar(s float64) *Matrix {
+func (m *Matrix) AddScalar(s float64) *Matrix { return m.AddScalarInto(nil, s) }
+
+// AddScalarInto is AddScalar into a destination (see denseOver), which may
+// be m's own buffer.
+func (m *Matrix) AddScalarInto(dst []float64, s float64) *Matrix {
 	d := m.ToDense()
-	out := d // a CSR receiver's dense form is ours to overwrite
-	if d == m {
-		out = NewDense(m.rows, m.cols)
+	if d != m {
+		dst = d.data // a CSR receiver's dense form is ours to overwrite
 	}
+	out, _ := denseOver(dst, m.rows, m.cols)
 	out.setNNZ(stripeCount(len(out.data), minStripeCells, func(lo, hi int) int {
 		x, o := d.data[lo:hi], out.data[lo:hi]
 		nnz := 0
