@@ -161,7 +161,7 @@ func (ctx *Context) codedSettle(d *DistMatrix, bd cost.Breakdown) {
 		// after all; charge the stretch it masked too early.
 		sec := (factor - 1) * bd.Total()
 		ctx.Cluster.ChargeRecovery(0, sec, [4]float64{})
-		ctx.Recorder.Record(trace.FaultOp("fault", "fault/straggler", sec, 0, [4]float64{}))
+		ctx.recordFault("fault", "fault/straggler", sec, 0, [4]float64{})
 	}
 }
 
@@ -283,7 +283,7 @@ func (d *DistMatrix) repairCoded(from int) {
 	flop := bd.FLOP * lost
 	sec := bd.Total() * lost
 	ctx.Cluster.ChargeRecovery(flop, sec, bytes)
-	ctx.Recorder.Record(trace.FaultOp("recovery", label, sec, flop, bytes))
+	ctx.recordFault("recovery", label, sec, flop, bytes)
 }
 
 // decodeGroups reconstructs the erased data groups from parity: for each
@@ -390,10 +390,12 @@ func (ctx *Context) decodeGroups(d *DistMatrix, erased []int) bool {
 	bytes[cluster.DFS] = parityBytes
 	bytes[cluster.Shuffle] = reconBytes
 	ctx.Cluster.ChargeCodedDecode(sec, bytes)
-	sp := trace.FaultOp("recovery", "recovery/coded-decode", sec, 0, bytes)
-	sp.RelErr = relErr
-	sp.WallNS = wall.Nanoseconds()
-	ctx.Recorder.Record(sp)
+	if ctx.Recorder != nil {
+		sp := trace.FaultOp("recovery", "recovery/coded-decode", sec, 0, bytes)
+		sp.RelErr = relErr
+		sp.WallNS = wall.Nanoseconds()
+		ctx.Recorder.Record(sp)
+	}
 	return true
 }
 

@@ -110,10 +110,10 @@ func (ctx *Context) onFault(fc cluster.FaultCharge) {
 			f = fault.DefaultStragglerFactor
 		}
 		ctx.masked = append(ctx.masked, f)
-		ctx.Recorder.Record(trace.FaultOp("fault", "fault/"+fc.Event.Kind.String(), 0, 0, fc.Bytes))
+		ctx.recordFault("fault", "fault/"+fc.Event.Kind.String(), 0, 0, fc.Bytes)
 		return
 	}
-	ctx.Recorder.Record(trace.FaultOp("fault", "fault/"+fc.Event.Kind.String(), fc.RecoverySec, 0, fc.Bytes))
+	ctx.recordFault("fault", "fault/"+fc.Event.Kind.String(), fc.RecoverySec, 0, fc.Bytes)
 }
 
 // apply charges the cluster for one operator and mirrors the charge as a
@@ -121,8 +121,18 @@ func (ctx *Context) onFault(fc cluster.FaultCharge) {
 // keeps the stats-equals-spans invariant (summed span seconds and bytes
 // equal Cluster.Stats totals) that the trace tests cross-check.
 func (ctx *Context) apply(kind, label string, bd cost.Breakdown, in []sparsity.Meta, out *sparsity.Meta, wall time.Duration) {
-	ctx.Recorder.Record(trace.Op(kind, label, bd, in, out, wall))
+	if ctx.Recorder != nil { // nobody to read the span: do not build it
+		ctx.Recorder.Record(trace.Op(kind, label, bd, in, out, wall))
+	}
 	ctx.Cluster.ChargeProfile(bd.FLOP, bd.ComputeSec, bd.TransmitSec, bd.Bytes[:])
+}
+
+// recordFault mirrors a retry or recovery charge as a fault span, when
+// someone records.
+func (ctx *Context) recordFault(kind, label string, recoverySec, flop float64, bytes [4]float64) {
+	if ctx.Recorder != nil {
+		ctx.Recorder.Record(trace.FaultOp(kind, label, recoverySec, flop, bytes))
+	}
 }
 
 // DistMatrix is a matrix value in the simulated distributed runtime.
@@ -154,6 +164,11 @@ type DistMatrix struct {
 	// under evaluation holds, which the operator that consumes it may
 	// overwrite or recycle. Values are not temporaries unless Temp said so.
 	temp bool
+	// expr is the payload of a deferred value (deferred.go): data stays nil
+	// until force evaluates it. owned lists the buffers of the temporaries the
+	// expression took over, which go to the free list once it is evaluated.
+	expr  *matrix.Expr
+	owned [][]float64
 }
 
 // New wraps a materialized matrix with virtual dimensions and places it
@@ -183,10 +198,23 @@ func Read(ctx *Context, m *matrix.Matrix, vRows, vCols int64) *DistMatrix {
 	return d
 }
 
-// Data returns the materialized matrix.
-func (d *DistMatrix) Data() *matrix.Matrix {
+// Data returns the materialized matrix, evaluating a deferred value.
+func (d *DistMatrix) Data() *matrix.Matrix { return d.force() }
+
+// Dims returns the materialized dimensions without materializing a deferred
+// value.
+func (d *DistMatrix) Dims() (rows, cols int) {
 	d.live()
-	return d.data
+	if d.expr != nil {
+		return d.expr.Rows(), d.expr.Cols()
+	}
+	return d.data.Rows(), d.data.Cols()
+}
+
+// IsScalar reports whether the value is 1×1.
+func (d *DistMatrix) IsScalar() bool {
+	rows, cols := d.Dims()
+	return rows == 1 && cols == 1
 }
 
 // Local reports whether the value resides in driver memory.
@@ -247,13 +275,14 @@ func (d *DistMatrix) repair() {
 	flop := bd.FLOP * lost
 	sec := bd.Total() * lost
 	ctx.Cluster.ChargeRecovery(flop, sec, bytes)
-	ctx.Recorder.Record(trace.FaultOp("recovery", label, sec, flop, bytes))
+	ctx.recordFault("recovery", label, sec, flop, bytes)
 }
 
 // Checkpoint persists the value to DFS so later failures recover it at
 // DFS-read cost instead of re-running its lineage. No-op for local or
 // already-checkpointed values.
 func (d *DistMatrix) Checkpoint() {
+	d.force() // what is persisted is cells, wherever they are kept
 	if d.local || d.ckpt {
 		return
 	}
@@ -298,19 +327,6 @@ func (d *DistMatrix) ewise(o *DistMatrix, kind cost.EWiseKind, op string) *DistM
 	d.repair()
 	o.repair()
 	start := time.Now()
-	dst := d.ctx.dest(d.data.Rows()*d.data.Cols(), d, o)
-	var out *matrix.Matrix
-	switch op {
-	case "+":
-		out = d.data.AddInto(dst, o.data)
-	case "-":
-		out = d.data.SubInto(dst, o.data)
-	case "*":
-		out = d.data.ElemMulInto(dst, o.data)
-	default:
-		out = d.data.ElemDivInto(dst, o.data)
-	}
-	wall := time.Since(start)
 	var (
 		outMeta  sparsity.Meta
 		bd       cost.Breakdown
@@ -323,7 +339,35 @@ func (d *DistMatrix) ewise(o *DistMatrix, kind cost.EWiseKind, op string) *DistM
 	} else {
 		outMeta, bd, outLocal = d.ctx.Model.EWise(kind, d.vMeta, o.vMeta, d.local, o.local)
 	}
-	d.ctx.apply("ewise", "ewise/"+op, bd, []sparsity.Meta{d.vMeta, o.vMeta}, &outMeta, wall)
+	in := []sparsity.Meta{d.vMeta, o.vMeta}
+	if (d.expr != nil || o.expr != nil) && d.ctx.unobserved(bd) {
+		var e *matrix.Expr
+		switch op {
+		case "+":
+			e = d.operand().Add(o.operand())
+		case "-":
+			e = d.operand().Sub(o.operand())
+		}
+		if e != nil {
+			return d.ctx.deferOp("ewise", "ewise/"+op, e, bd, in, outMeta, start, d, o)
+		}
+	}
+	dm, om := d.force(), o.force()
+	start = time.Now() // the kernel's wall, not an operand's evaluation
+	dst := d.ctx.dest(dm.Rows()*dm.Cols(), d, o)
+	var out *matrix.Matrix
+	switch op {
+	case "+":
+		out = dm.AddInto(dst, om)
+	case "-":
+		out = dm.SubInto(dst, om)
+	case "*":
+		out = dm.ElemMulInto(dst, om)
+	default:
+		out = dm.ElemDivInto(dst, om)
+	}
+	wall := time.Since(start)
+	d.ctx.apply("ewise", "ewise/"+op, bd, in, &outMeta, wall)
 	out = d.ctx.settle("ewise", "ewise/"+op, bd, outMeta, out, nil)
 	d.ctx.recycle(out, dst, d, o)
 	return d.derive(out, outMeta, outLocal, bd)
@@ -333,11 +377,19 @@ func (d *DistMatrix) ewise(o *DistMatrix, kind cost.EWiseKind, op string) *DistM
 func (d *DistMatrix) Transpose() *DistMatrix {
 	d.repair()
 	start := time.Now()
-	dst := d.ctx.dest(d.data.Rows() * d.data.Cols())
-	out := d.data.TransposeInto(dst)
-	wall := time.Since(start)
 	outMeta, bd, outLocal := d.ctx.Model.Transpose(d.vMeta, d.local)
-	d.ctx.apply("transpose", "transpose", bd, []sparsity.Meta{d.vMeta}, &outMeta, wall)
+	in := []sparsity.Meta{d.vMeta}
+	if d.expr != nil && d.ctx.unobserved(bd) {
+		if e := d.expr.Transpose(); e != nil {
+			return d.ctx.deferOp("transpose", "transpose", e, bd, in, outMeta, start, d)
+		}
+	}
+	m := d.force()
+	start = time.Now()
+	dst := d.ctx.dest(m.Rows() * m.Cols())
+	out := m.TransposeInto(dst)
+	wall := time.Since(start)
+	d.ctx.apply("transpose", "transpose", bd, in, &outMeta, wall)
 	out = d.ctx.settle("transpose", "transpose", bd, outMeta, out, nil)
 	d.ctx.recycle(out, dst, d)
 	return d.derive(out, outMeta, outLocal, bd)
@@ -350,7 +402,7 @@ func (d *DistMatrix) Transpose() *DistMatrix {
 // multiply on the transposed metadata.
 func (d *DistMatrix) TransposeFused() *DistMatrix {
 	d.repair()
-	out := d.data.Transpose()
+	out := d.force().Transpose()
 	// Uncharged: the fused view inherits its parent's lineage.
 	return d.derive(out, sparsity.MNC{}.Transpose(d.vMeta), d.local, d.prod)
 }
@@ -359,11 +411,19 @@ func (d *DistMatrix) TransposeFused() *DistMatrix {
 func (d *DistMatrix) Scale(s float64) *DistMatrix {
 	d.repair()
 	start := time.Now()
-	dst := d.ctx.dest(d.data.Rows()*d.data.Cols(), d)
-	out := d.data.ScaleInto(dst, s)
-	wall := time.Since(start)
 	outMeta, bd, outLocal := d.ctx.Model.Scale(d.vMeta, d.local)
-	d.ctx.apply("scale", "scale", bd, []sparsity.Meta{d.vMeta}, &outMeta, wall)
+	in := []sparsity.Meta{d.vMeta}
+	if d.expr != nil && d.ctx.unobserved(bd) {
+		if e := d.expr.Scale(s); e != nil {
+			return d.ctx.deferOp("scale", "scale", e, bd, in, outMeta, start, d)
+		}
+	}
+	m := d.force()
+	start = time.Now()
+	dst := d.ctx.dest(m.Rows()*m.Cols(), d)
+	out := m.ScaleInto(dst, s)
+	wall := time.Since(start)
+	d.ctx.apply("scale", "scale", bd, in, &outMeta, wall)
 	out = d.ctx.settle("scale", "scale", bd, outMeta, out, nil)
 	d.ctx.recycle(out, dst, d)
 	return d.derive(out, outMeta, outLocal, bd)
@@ -375,9 +435,10 @@ func (d *DistMatrix) Scale(s float64) *DistMatrix {
 // the densified result).
 func (d *DistMatrix) AddScalar(s float64) *DistMatrix {
 	d.repair()
+	m := d.force()
 	start := time.Now()
-	dst := d.ctx.dest(d.data.Rows()*d.data.Cols(), d)
-	out := d.data.AddScalarInto(dst, s)
+	dst := d.ctx.dest(m.Rows()*m.Cols(), d)
+	out := m.AddScalarInto(dst, s)
 	wall := time.Since(start)
 	outMeta, bd, outLocal := d.ctx.Model.AddScalar(d.vMeta, d.local)
 	d.ctx.apply("add-scalar", "add-scalar", bd, []sparsity.Meta{d.vMeta}, &outMeta, wall)
@@ -392,8 +453,9 @@ func (d *DistMatrix) AddScalar(s float64) *DistMatrix {
 // trace and its collect bytes follow the breakdown path.
 func (d *DistMatrix) Sum() float64 {
 	d.repair()
+	m := d.force()
 	start := time.Now()
-	v := d.data.Sum()
+	v := m.Sum()
 	wall := time.Since(start)
 	outMeta, bd, _ := d.ctx.Model.Sum(d.vMeta, d.local)
 	d.ctx.apply("sum", "sum", bd, []sparsity.Meta{d.vMeta}, &outMeta, wall)
@@ -421,25 +483,21 @@ func chargeWorkers(ctx *Context, d *DistMatrix) {
 // would hold under block hash partitioning. The materialized matrix is cut
 // into a grid standing in for the virtual 1000×1000 block grid; each cell
 // is weighted by its nonzero count and assigned by the cluster's hash.
+//
+// The grid's nonzero counts are a function of the matrix alone and ride on
+// it (matrix.BlockNNZ); only the fold over the cluster's hash happens here.
 func WorkerShares(c *cluster.Cluster, m *matrix.Matrix) []float64 {
 	const gridTarget = 48
-	gr := min(gridTarget, m.Rows())
-	gc := min(gridTarget, m.Cols())
+	counts, gc := m.BlockNNZ(gridTarget)
 	weights := make([]float64, c.Config().Workers())
-	cellRows := (m.Rows() + gr - 1) / gr
-	cellCols := (m.Cols() + gc - 1) / gc
-	counts := make([]float64, gr*gc)
-	m.ForEachNonzero(func(i, j int, _ float64) {
-		counts[(i/cellRows)*gc+j/cellCols]++
-	})
 	total := 0.0
 	for idx, n := range counts {
 		if n == 0 {
 			continue
 		}
 		w := c.PartitionOf(idx/gc, idx%gc)
-		weights[w] += n
-		total += n
+		weights[w] += float64(n)
+		total += float64(n)
 	}
 	if total == 0 {
 		for i := range weights {
@@ -453,13 +511,6 @@ func WorkerShares(c *cluster.Cluster, m *matrix.Matrix) []float64 {
 	return weights
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // MulHinted is Mul with the TSMM structural hint (the operands form a
 // transpose-self product over the same underlying matrix).
 func (d *DistMatrix) MulHinted(o *DistMatrix, tsmm bool) *DistMatrix {
@@ -469,15 +520,23 @@ func (d *DistMatrix) MulHinted(o *DistMatrix, tsmm bool) *DistMatrix {
 	}
 	d.repair()
 	o.repair()
+	dm, om := d.force(), o.force()
 	start := time.Now()
-	dst := d.ctx.dest(d.data.Rows() * o.data.Cols())
-	out := d.data.MulInto(dst, o.data)
-	wall := time.Since(start)
 	outMeta, bd, outLocal := d.ctx.Model.MulHinted(d.vMeta, o.vMeta, d.local, o.local, tsmm)
 	label := "mul/" + bd.Method.String()
-	d.ctx.apply("mul", label, bd, []sparsity.Meta{d.vMeta, o.vMeta}, &outMeta, wall)
+	in := []sparsity.Meta{d.vMeta, o.vMeta}
+	if d.ctx.unobserved(bd) {
+		// A rank-one product is where a deferred value starts.
+		if e := matrix.Outer(dm, om); e != nil {
+			return d.ctx.deferOp("mul", label, e, bd, in, outMeta, start, d, o)
+		}
+	}
+	dst := d.ctx.dest(dm.Rows() * om.Cols())
+	out := dm.MulInto(dst, om)
+	wall := time.Since(start)
+	d.ctx.apply("mul", label, bd, in, &outMeta, wall)
 	// ABFT reads both operands, so they are given up only after settlement.
-	out = d.ctx.settle("mul", label, bd, outMeta, out, &mulOperands{a: d.data, b: o.data})
+	out = d.ctx.settle("mul", label, bd, outMeta, out, &mulOperands{a: dm, b: om})
 	d.ctx.recycle(out, dst, d, o)
 	return d.derive(out, outMeta, outLocal, bd)
 }

@@ -7,7 +7,6 @@ import (
 	"remac/internal/integrity"
 	"remac/internal/matrix"
 	"remac/internal/sparsity"
-	"remac/internal/trace"
 )
 
 // This file is the integrity settlement layer: after every charged operator,
@@ -124,7 +123,7 @@ func blocksOf(meta sparsity.Meta, blockSize int) float64 {
 // charge window it fired in, returning the payload to keep.
 func (ctx *Context) settleEvent(ev fault.Event, kind, label string, bd cost.Breakdown, outMeta sparsity.Meta, data *matrix.Matrix, mul *mulOperands) *matrix.Matrix {
 	inert := func() *matrix.Matrix {
-		ctx.Recorder.Record(trace.FaultOp("fault", "fault/corruption-inert", 0, 0, [4]float64{}))
+		ctx.recordFault("fault", "fault/corruption-inert", 0, 0, [4]float64{})
 		return data
 	}
 	transit := 0.0
@@ -170,7 +169,7 @@ func (ctx *Context) settleEvent(ev fault.Event, kind, label string, bd cost.Brea
 	} else if ctx.Verify >= integrity.VerifyDigest && integrity.Digest(corrupted) != integrity.Digest(data) {
 		detected, via = true, "digest"
 	}
-	ctx.Recorder.Record(trace.FaultOp("fault", "fault/corruption", 0, 0, [4]float64{}))
+	ctx.recordFault("fault", "fault/corruption", 0, 0, [4]float64{})
 	if !detected {
 		ctx.Cluster.AddIntegrity(cluster.IntegrityCharge{Injected: 1})
 		return corrupted
@@ -195,7 +194,7 @@ func (ctx *Context) settleEvent(ev fault.Event, kind, label string, bd cost.Brea
 	flop := bd.FLOP * scale
 	sec := bd.Total() * scale
 	ctx.Cluster.ChargeRecovery(flop, sec, bytes)
-	ctx.Recorder.Record(trace.FaultOp("recovery", "recovery/integrity-"+via, sec, flop, bytes))
+	ctx.recordFault("recovery", "recovery/integrity-"+via, sec, flop, bytes)
 	ic := cluster.IntegrityCharge{Injected: 1, Repairs: attempts, RepairSec: sec}
 	if via == "digest" {
 		ic.ByDigest = 1
@@ -231,5 +230,5 @@ func (ctx *Context) guardScan(label string, meta sparsity.Meta, data *matrix.Mat
 // GuardValue scans one bound value at iteration end (GuardPerIteration); the
 // engine calls it for every loop variable after each iteration.
 func (d *DistMatrix) GuardValue(name string) {
-	d.ctx.guardScan("iteration/"+name, d.vMeta, d.data, d.local)
+	d.ctx.guardScan("iteration/"+name, d.vMeta, d.force(), d.local)
 }

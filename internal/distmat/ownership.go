@@ -12,8 +12,8 @@ import "remac/internal/matrix"
 // context's free list for a later operator to use as its destination. A
 // consumed temporary is emptied: using it again panics. Everything else —
 // inputs, cache hits, anything bound, cached, published or returned — is not
-// a temporary, is never written and never recycled; Pin withdraws the
-// declaration when a temporary comes to be retained after all.
+// a temporary, is never written and never recycled; Pin and Retain withdraw
+// the declaration when a temporary comes to be retained after all.
 
 // Temp declares d a temporary and returns it. The caller vouches that it
 // holds the only reference to d and to d's matrix.
@@ -22,16 +22,26 @@ func (d *DistMatrix) Temp() *DistMatrix {
 	return d
 }
 
-// Pin withdraws Temp — d is about to be bound, cached or handed to another
-// goroutine — and returns d.
+// Pin withdraws Temp — d is about to be bound, or to outlive the run — and
+// returns d, materialised: what a name, a result or another goroutine holds
+// is cells (deferred.go).
 func (d *DistMatrix) Pin() *DistMatrix {
+	d.force()
+	d.temp = false
+	return d
+}
+
+// Retain withdraws Temp for a holder that lives and dies with the run (the
+// executor's reuse caches) and returns d as it is: a deferred value stays
+// deferred.
+func (d *DistMatrix) Retain() *DistMatrix {
 	d.temp = false
 	return d
 }
 
 // live panics on a consumed temporary.
 func (d *DistMatrix) live() {
-	if d.data == nil {
+	if d.data == nil && d.expr == nil {
 		panic("distmat: use of a consumed temporary")
 	}
 }

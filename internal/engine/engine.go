@@ -459,7 +459,8 @@ func (e *executor) guardIteration() {
 }
 
 // bind binds name to v. A bound value is retained — by the environment, and
-// by Result.Env after the run — so it stops being a temporary here. The
+// by Result.Env after the run — so it stops being a temporary here, and a
+// deferred one (distmat: deferred.go) is materialised: Pin does both. The
 // value the name held before stays as it is, never recycled: inlined
 // references and cached spans may still resolve to it. Only its fused
 // transpose goes, once no name holds the value any more, since transCache is
@@ -553,7 +554,7 @@ func (e *executor) eval(n *plan.Node) (*distmat.DistMatrix, error) {
 				refs[baseSym(c.Sym)] = true
 			}
 		})
-		e.subtreeCache[n.Key()] = cachedSubtree{v: v.Pin(), refs: refs}
+		e.subtreeCache[n.Key()] = cachedSubtree{v: v.Retain(), refs: refs}
 	}
 	return v, nil
 }
@@ -591,8 +592,9 @@ func (e *executor) evalStructural(n *plan.Node) (*distmat.DistMatrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !x.Data().IsScalar() {
-			return nil, fmt.Errorf("as.scalar of %dx%d matrix", x.Data().Rows(), x.Data().Cols())
+		if !x.IsScalar() {
+			rows, cols := x.Dims()
+			return nil, fmt.Errorf("as.scalar of %dx%d matrix", rows, cols)
 		}
 		return x, nil
 	case plan.NRows, plan.NCols:
@@ -602,16 +604,17 @@ func (e *executor) evalStructural(n *plan.Node) (*distmat.DistMatrix, error) {
 		if err != nil {
 			return nil, err
 		}
+		rows, cols := x.Dims()
 		if n.Kind == plan.NRows {
-			return e.scalar(float64(x.Data().Rows())), nil
+			return e.scalar(float64(rows)), nil
 		}
-		return e.scalar(float64(x.Data().Cols())), nil
+		return e.scalar(float64(cols)), nil
 	case plan.Sqrt, plan.Abs:
 		x, err := e.eval(n.L())
 		if err != nil {
 			return nil, err
 		}
-		if !x.Data().IsScalar() {
+		if !x.IsScalar() {
 			return nil, fmt.Errorf("%v of non-scalar", n.Kind)
 		}
 		v := x.Data().ScalarValue()
@@ -639,9 +642,10 @@ func (e *executor) evalStructural(n *plan.Node) (*distmat.DistMatrix, error) {
 
 // applyBin applies a binary operator. The value it returns is always one it
 // has just made, never an operand, which is why evalStructural may declare
-// it a temporary.
+// it a temporary. Shapes are asked of the values, not of their matrices:
+// Data would materialise a deferred operand the operator may well defer over.
 func (e *executor) applyBin(k plan.Kind, l, r *distmat.DistMatrix) (*distmat.DistMatrix, error) {
-	ls, rs := l.Data().IsScalar(), r.Data().IsScalar()
+	ls, rs := l.IsScalar(), r.IsScalar()
 	switch k {
 	case plan.MMul:
 		if ls {
@@ -800,7 +804,7 @@ func (e *executor) evalOpNode(b *chain.Block, n *costgraph.OpNode) (*distmat.Dis
 		isTSMMAtoms(b.Atoms[n.L.Lo], b.Atoms[n.R.Lo])
 	v := e.mulWithHint(l, r, tsmm)
 	if cacheKey != "" {
-		e.subtreeCache[cacheKey] = cachedSubtree{v: v.Pin(), refs: spanRefs(b.Atoms[n.Lo : n.Hi+1])}
+		e.subtreeCache[cacheKey] = cachedSubtree{v: v.Retain(), refs: spanRefs(b.Atoms[n.Lo : n.Hi+1])}
 	}
 	return v, nil
 }
@@ -959,8 +963,10 @@ func (e *executor) optionValue(o *search.Option) (*distmat.DistMatrix, error) {
 	}
 	// The value is about to be cached here and, below, written to DFS and
 	// handed to sibling runs and later ones on other goroutines: from this
-	// point nobody may write it again.
-	v.Pin()
+	// point nobody may write it again. The cache is the run's own, so a
+	// deferred value stays deferred in it; Checkpoint and Data, on the way
+	// out of the run, materialise.
+	v.Retain()
 	if o.Kind == search.LSE && e.checkpoint {
 		// Loop-hoisted values live for the whole run: paying one DFS write
 		// here converts every later failure's recompute into a DFS read.

@@ -2,15 +2,18 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"remac/internal/algorithms"
 	"remac/internal/data"
 	"remac/internal/distmat"
+	"remac/internal/integrity"
 	"remac/internal/matrix"
 	"remac/internal/opt"
 )
@@ -51,14 +54,26 @@ func (r *recordingCaches) Publish(_ string, v Intermediate, _ float64) {
 func (r *recordingCaches) Fail(string, error) {}
 
 // retained lists the matrix of every value the executor holds on to, by
-// where it holds it.
-func (e *executor) retained() map[string]*matrix.Matrix {
+// where it holds it, and the places that hold a value still deferred — which
+// has no matrix yet, and which only the run-local caches may do.
+func (e *executor) retained() (held map[string]*matrix.Matrix, deferred []string) {
 	out := map[string]*matrix.Matrix{}
-	add := func(where string, v *distmat.DistMatrix) { out[where] = v.Data() }
+	add := func(where string, v *distmat.DistMatrix) {
+		if v.Deferred() {
+			deferred = append(deferred, where)
+			return
+		}
+		out[where] = v.Data()
+	}
 	for name, v := range e.env {
 		add("env["+name+"]", v)
 	}
 	for key, v := range e.lseCache {
+		if e.checkpoint || e.inter != nil || e.shared != nil {
+			// Checkpointed, or handed to a cache or to sibling runs: cells.
+			add("env[lseCache["+key+"]]", v)
+			continue
+		}
 		add("lseCache["+key+"]", v)
 	}
 	for key, v := range e.cseCache {
@@ -68,16 +83,20 @@ func (e *executor) retained() map[string]*matrix.Matrix {
 		add("subtreeCache["+key+"]", entry.v)
 	}
 	for src, tv := range e.transCache {
-		add(fmt.Sprintf("transCache key %p", src), src)
-		add(fmt.Sprintf("transCache[%p]", src), tv)
+		add(fmt.Sprintf("env[transCache key %p]", src), src)
+		add(fmt.Sprintf("env[transCache[%p]]", src), tv)
 	}
-	return out
+	return out, deferred
 }
 
 // checkOwnership fails if a retained dense payload is on the free list or
-// shared between two distinct retained matrices, or if transCache keeps the
-// transpose of a value no name is bound to.
-func checkOwnership(t *testing.T, ctx string, e *executor, rec *recordingCaches) {
+// shared between two distinct retained matrices, if transCache keeps the
+// transpose of a value no name is bound to, or if anything but a run-local
+// reuse cache holds a value still deferred. It returns how many of those
+// there were, and leaves every free buffer full of NaN: a deferred value
+// whose leaves are on the free list will not evaluate to what the plain run
+// computed.
+func checkOwnership(t *testing.T, ctx string, e *executor, rec *recordingCaches) (deferred int) {
 	t.Helper()
 	idle := map[*float64]bool{}
 	for _, buf := range e.ctx.Idle() {
@@ -86,7 +105,12 @@ func checkOwnership(t *testing.T, ctx string, e *executor, rec *recordingCaches)
 		}
 		idle[&buf[0]] = true
 	}
-	held := e.retained()
+	held, lazy := e.retained()
+	for _, at := range lazy {
+		if strings.HasPrefix(at, "env[") {
+			t.Fatalf("%s: %s is still deferred", ctx, at)
+		}
+	}
 	for i, m := range rec.given {
 		held[fmt.Sprintf("handed out #%d", i)] = m
 	}
@@ -115,9 +139,16 @@ func checkOwnership(t *testing.T, ctx string, e *executor, rec *recordingCaches)
 			t.Fatalf("%s: transCache keeps the transpose of a value with no binding left", ctx)
 		}
 	}
+	for _, buf := range e.ctx.Idle() {
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+	}
+	return len(lazy)
 }
 
 func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
+	deferred := 0
 	dense, sparse := smallDataset("cri1", 300, 40), smallDataset("cri2", 300, 120)
 	for _, ds := range []*data.Dataset{dense, sparse} {
 		for _, alg := range ownershipAlgs {
@@ -138,7 +169,7 @@ func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
 					iteration := 0
 					e.afterIteration = func() {
 						iteration++
-						checkOwnership(t, fmt.Sprintf("%s after iteration %d", ctx, iteration), e, rec)
+						deferred += checkOwnership(t, fmt.Sprintf("%s after iteration %d", ctx, iteration), e, rec)
 					}
 					res, err := e.run()
 					if err != nil {
@@ -155,6 +186,53 @@ func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
 							t.Fatalf("%s: %s differs from the plain run", ctx, name)
 						}
 					}
+				}
+			}
+		}
+	}
+	if deferred == 0 {
+		t.Fatal("no reuse cache ever held a deferred value: the walk never saw one to tell from a bound one")
+	}
+}
+
+// TestDeferredRunsEqualEagerRuns: under NaNGuard: GuardPerOp every operator's
+// result is scanned, so nothing defers (distmat: unobserved) — that run is
+// the eager reference, in the tree, with no switch to flip. The plain run,
+// which defers every update tail, must end in the same cells, formats and
+// counts, bit for bit, and must have charged the same cluster but for the
+// scans.
+func TestDeferredRunsEqualEagerRuns(t *testing.T) {
+	dense, sparse := smallDataset("cri1", 300, 40), smallDataset("cri2", 300, 120)
+	for _, ds := range []*data.Dataset{dense, sparse} {
+		for _, alg := range ownershipAlgs {
+			for _, strategy := range ownershipStrategies {
+				ctx := fmt.Sprintf("%v/%s/%v", alg, ds.Name, strategy)
+				c := compileOn(t, alg, ds, strategy, 4)
+				plain, err := Run(c, inputsOn(alg, ds))
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				eager, err := RunWithOptions(context.Background(), c, inputsOn(alg, ds), nil,
+					RunOptions{NaNGuard: integrity.GuardPerOp})
+				var poison *integrity.NumericError
+				if errors.As(err, &poison) && alg == algorithms.GNMF {
+					// 0/0 in the multiplicative update of an all-zero row: the
+					// guard does what it is for. GNMF has no rank-one product.
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s under a per-operator guard: %v", ctx, err)
+				}
+				if len(plain.Env) != len(eager.Env) {
+					t.Fatalf("%s: %d bindings, %d in the eager run", ctx, len(plain.Env), len(eager.Env))
+				}
+				for name, v := range eager.Env {
+					if !sameBits(plain.Env[name].Data(), v.Data()) {
+						t.Fatalf("%s: %s differs from the eager run", ctx, name)
+					}
+				}
+				if plain.Stats.FLOP != eager.Stats.FLOP {
+					t.Fatalf("%s: %g FLOP, eager run %g", ctx, plain.Stats.FLOP, eager.Stats.FLOP)
 				}
 			}
 		}
@@ -276,9 +354,10 @@ func TestOwnershipConcurrentRunsShareInputsAndIntermediates(t *testing.T) {
 
 // TestExecAllocBudget bounds what one run of the quasi-Newton solvers
 // allocates, in units of one n×n buffer (n²·8 bytes): the rank-two update of
-// the inverse Hessian materialises six (DFP) or nine (BFGS) n×n values per
-// iteration, and all but the one that ends up bound are overwritten in place
-// or recycled. No timing is involved, so the bound holds on any machine.
+// the inverse Hessian is six (DFP) or nine (BFGS) n×n operators per
+// iteration, and it stays an expression until H is bound, so the one value
+// an iteration allocates is the H it ends with (distmat: deferred.go).
+// No timing is involved, so the bound holds on any machine.
 func TestExecAllocBudget(t *testing.T) {
 	const n, iters = 320, 3
 	// Dense, and with few rows, so that A-sized values (the fused t(A), A·x)
@@ -288,7 +367,7 @@ func TestExecAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		alg    algorithms.Name
 		budget float64
-	}{{algorithms.DFP, 7}, {algorithms.BFGS, 9}} {
+	}{{algorithms.DFP, 4.5}, {algorithms.BFGS, 4.5}} {
 		for _, strategy := range []opt.Strategy{opt.NoElimination, opt.Adaptive} {
 			c := compileOn(t, tc.alg, ds, strategy, iters)
 			ins := inputsOn(tc.alg, ds)

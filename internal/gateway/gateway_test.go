@@ -24,9 +24,9 @@ type fakeShard struct {
 	invalOrder *[]string // shared recorder: "shardID" appended per invalidation
 	overloaded bool
 	fail       error
-	down       bool // liveness: Do fails Internal, Healthz reports not-OK
-	noAck      bool // drop invalidations (a shard that stopped acknowledging)
-	deadlines  []time.Time // ctx deadline observed per Do attempt (zero when none)
+	down       bool            // liveness: Do fails Internal, Healthz reports not-OK
+	noAck      bool            // drop invalidations (a shard that stopped acknowledging)
+	deadlines  []time.Time     // ctx deadline observed per Do attempt (zero when none)
 	timeouts   []time.Duration // q.Timeout observed per Do attempt
 }
 

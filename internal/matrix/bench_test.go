@@ -148,3 +148,69 @@ func BenchmarkMetaOf(b *testing.B) {
 	b.Run("dense/repeat", metaOf(func() *matrix.Matrix { return dense }))
 	b.Run("csr/repeat", metaOf(func() *matrix.Matrix { return csr }))
 }
+
+// BenchmarkDeferredUpdate times the tail of one quasi-Newton iteration — the
+// 6 n×n operators of DFP's H − (u·vᵀ)·c + (d·dᵀ)·c' and the 9 of BFGS's
+// H + (s·sᵀ)·c·c' − (S + Sᵀ)·c”, S = (H·y)·sᵀ — as the eager operator
+// sequence and as one deferred expression. fresh allocates every n×n value
+// (the expression: its one result); recycled is what a run reaches once its
+// free list is warm: the eager temporaries overwritten in place over two
+// spare buffers, the expression evaluated into one.
+func BenchmarkDeferredUpdate(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{870, 1500} {
+		h := matrix.RandDense(rng, n, n)
+		u, d, hy := matrix.RandVector(rng, n), matrix.RandVector(rng, n), matrix.RandVector(rng, n)
+		v, dT := matrix.RandVector(rng, n).Transpose(), d.Transpose()
+		bufs := [][]float64{make([]float64, n*n), make([]float64, n*n)}
+		for _, recycled := range []bool{false, true} {
+			// spare is the destination of an operator with no dead operand, on
+			// that of one whose operand is dead: a spare buffer and the
+			// operand's own when recycling, fresh ones otherwise.
+			name := "fresh"
+			spare := func(int) []float64 { return nil }
+			on := func(*matrix.Matrix) []float64 { return nil }
+			if recycled {
+				name = "recycled"
+				spare = func(i int) []float64 { return bufs[i] }
+				on = (*matrix.Matrix).Buffer
+			}
+			b.Run(fmt.Sprintf("dfp/%d/eager/%s", n, name), func(b *testing.B) {
+				benchOp(b, func() *matrix.Matrix {
+					t := u.MulInto(spare(0), v)
+					t = t.ScaleInto(on(t), 0.5)
+					t = h.SubInto(on(t), t)
+					w := d.MulInto(spare(1), dT)
+					w = w.ScaleInto(on(w), 0.25)
+					return t.AddInto(on(t), w)
+				})
+			})
+			b.Run(fmt.Sprintf("dfp/%d/deferred/%s", n, name), func(b *testing.B) {
+				benchOp(b, func() *matrix.Matrix {
+					e := matrix.Leaf(h).Sub(matrix.Outer(u, v).Scale(0.5)).Add(matrix.Outer(d, dT).Scale(0.25))
+					return e.Eval(spare(0))
+				})
+			})
+			b.Run(fmt.Sprintf("bfgs/%d/eager/%s", n, name), func(b *testing.B) {
+				benchOp(b, func() *matrix.Matrix {
+					t := d.MulInto(spare(0), dT)
+					t = t.ScaleInto(on(t), 1.5)
+					t = t.ScaleInto(on(t), 0.25)
+					t = h.AddInto(on(t), t)
+					s := hy.MulInto(spare(1), dT) // retained by the CSE cache: not overwritten
+					w := s.Transpose()
+					w = s.AddInto(on(w), w)
+					w = w.ScaleInto(on(w), 0.5)
+					return t.SubInto(on(t), w)
+				})
+			})
+			b.Run(fmt.Sprintf("bfgs/%d/deferred/%s", n, name), func(b *testing.B) {
+				benchOp(b, func() *matrix.Matrix {
+					s := matrix.Outer(hy, dT)
+					e := matrix.Leaf(h).Add(matrix.Outer(d, dT).Scale(1.5).Scale(0.25)).Sub(s.Add(s.Transpose()).Scale(0.5))
+					return e.Eval(spare(0))
+				})
+			})
+		}
+	}
+}

@@ -1,0 +1,353 @@
+package matrix
+
+import (
+	"math"
+	"sync"
+)
+
+// This file is the deferred form of the tail every quasi-Newton iteration
+// ends in, H ± (u·vᵀ)·c ± …: an Expr records a rank-one product and the
+// scale, +, − and transpose operators applied on top of it, and Eval produces
+// the cells in one pass over the rows, a chunk of columns at a time, so that
+// only the leaves are read and only the result is written — none of the n×n
+// values between them exists.
+//
+// The operators stay the single implementation of their arithmetic: per node
+// the evaluator applies the scalar statement the eager kernel applies to a
+// cell (0 + x[i]·y[j] with the rows of a zero x[i] written as +0, v·s, a+b,
+// a−b), in the order the operators were called, so every cell goes through
+// the same roundings. What the eager operators do besides arithmetic is pick
+// a format: a product, a sum or a difference at or under DenseThreshold
+// leaves as CSR, and CSR operands take other kernels, whose results differ
+// from the dense ones in the sign of zero cells. Eval therefore counts the
+// nonzeros of every such node and, if one of them would have compacted,
+// discards what it wrote and runs the operators themselves (eager). Nothing
+// is ever written over a leaf, so the leaves are intact for that second run.
+
+type exprOp uint8
+
+const (
+	exLeaf exprOp = iota
+	exOuter
+	exOuterT // compiled form only: a transposed exOuter
+	exTranspose
+	exScale
+	exAdd
+	exSub
+)
+
+// maxExprNodes bounds the operator applications of one expression (a shared
+// subexpression counts once per use, as it is evaluated). The update tails
+// hold 6 (DFP) and 9 (BFGS); beyond the bound the constructors decline and
+// the caller materialises.
+const maxExprNodes = 64
+
+// exprChunk is the most columns of a row a node is evaluated over at a time:
+// a few nodes' worth of scratch at that width stays in L1/L2.
+const exprChunk = 1024
+
+// Expr is an immutable deferred matrix expression. Leaves are dense matrices
+// and rank-one products of two dense vectors; interior nodes are transpose,
+// scale, + and −.
+type Expr struct {
+	op         exprOp
+	rows, cols int
+	m, y       *Matrix // exLeaf: m; exOuter: the column vector m times the row vector y
+	s          float64 // exScale
+	a, b       *Expr
+	nodes      int
+	leafy      bool // a matrix leaf below: no transpose can be pushed through
+}
+
+// Rows returns the number of rows of the value e stands for.
+func (e *Expr) Rows() int { return e.rows }
+
+// Cols returns the number of columns of the value e stands for.
+func (e *Expr) Cols() int { return e.cols }
+
+// Outer returns the deferred product x·y of a dense column vector and a dense
+// row vector of more than one column — what Mul computes with mulOuter — and
+// nil for any other operands.
+func Outer(x, y *Matrix) *Expr {
+	if x.format != Dense || y.format != Dense || x.cols != 1 || y.rows != 1 || y.cols == 1 {
+		return nil
+	}
+	return &Expr{op: exOuter, rows: x.rows, cols: y.cols, m: x, y: y, nodes: 1}
+}
+
+// Leaf returns m as an operand of Add and Sub, nil unless m is dense. A leaf
+// is not a value of its own: Eval needs a product somewhere.
+func Leaf(m *Matrix) *Expr {
+	if m.format != Dense {
+		return nil
+	}
+	return &Expr{op: exLeaf, rows: m.rows, cols: m.cols, m: m, nodes: 1, leafy: true}
+}
+
+// Scale returns s·e, or nil for a factor the dense and CSR kernels disagree
+// about (0 empties the result; 0·±Inf and 0·NaN are NaN in a dense cell and
+// nothing in a CSR one).
+func (e *Expr) Scale(s float64) *Expr {
+	if s == 0 || math.IsInf(s, 0) || math.IsNaN(s) || e.nodes >= maxExprNodes {
+		return nil
+	}
+	return &Expr{op: exScale, rows: e.rows, cols: e.cols, s: s, a: e, nodes: e.nodes + 1, leafy: e.leafy}
+}
+
+// Transpose returns eᵀ, or nil when e reads a matrix leaf: a transpose is
+// evaluated by swapping the roles of a product's two vectors, and a matrix
+// read by columns would be a strided pass.
+func (e *Expr) Transpose() *Expr {
+	if e.leafy || e.nodes >= maxExprNodes {
+		return nil
+	}
+	return &Expr{op: exTranspose, rows: e.cols, cols: e.rows, a: e, nodes: e.nodes + 1}
+}
+
+// Add returns e + o, nil when either is nil, the shapes differ (the eager
+// operator reports that) or the expression would grow past maxExprNodes.
+func (e *Expr) Add(o *Expr) *Expr { return e.zip(exAdd, o) }
+
+// Sub returns e − o under the conditions of Add.
+func (e *Expr) Sub(o *Expr) *Expr { return e.zip(exSub, o) }
+
+func (e *Expr) zip(op exprOp, o *Expr) *Expr {
+	if e == nil || o == nil || e.rows != o.rows || e.cols != o.cols || e.nodes+o.nodes >= maxExprNodes {
+		return nil
+	}
+	return &Expr{op: op, rows: e.rows, cols: e.cols, a: e, b: o, nodes: e.nodes + o.nodes + 1, leafy: e.leafy || o.leafy}
+}
+
+// eager computes e with the operators it defers, one materialised value per
+// node, the last of them into dst: the reference the striped evaluation
+// equals bit for bit, and what Eval falls back on when a node compacts.
+func (e *Expr) eager(dst []float64) *Matrix {
+	switch e.op {
+	case exLeaf:
+		return e.m
+	case exOuter:
+		return e.m.MulInto(dst, e.y)
+	case exTranspose:
+		return e.a.eager(nil).TransposeInto(dst)
+	case exScale:
+		return e.a.eager(nil).ScaleInto(dst, e.s)
+	case exAdd:
+		return e.a.eager(nil).AddInto(dst, e.b.eager(nil))
+	default:
+		return e.a.eager(nil).SubInto(dst, e.b.eager(nil))
+	}
+}
+
+// Eval materialises e into a destination (see denseOver), which must not be
+// the buffer of a leaf. The result is the one the eager operators arrive at:
+// cells, format and nonzero count; a CSR result leaves dst behind as scratch
+// (Buffer tells).
+func (e *Expr) Eval(dst []float64) *Matrix {
+	if e.op == exLeaf {
+		panic("matrix: Eval of a bare leaf")
+	}
+	p := &program{rows: e.rows, cols: e.cols}
+	p.root, p.depth = p.compile(e, false)
+	if !p.root.check {
+		p.root.count = true // no format rides on it, but the result carries its count
+	}
+
+	cells := float64(e.rows) * float64(e.cols)
+	compacts := func(n *evalNode) bool { return n.check && !(float64(n.nnz)/cells > DenseThreshold) }
+	for _, n := range p.nodes {
+		if !n.count && compacts(n) { // known from the vectors: no need to evaluate first
+			return e.eager(dst)
+		}
+	}
+	out, _ := denseOver(dst, e.rows, e.cols)
+	counts := p.run(out.data)
+	for _, n := range p.nodes {
+		if n.count {
+			n.nnz = counts[n.id]
+		}
+		if compacts(n) {
+			return e.eager(dst)
+		}
+	}
+	out.setNNZ(p.root.nnz)
+	return out
+}
+
+// program is an expression compiled for evaluation: transposes pushed down
+// to the products, every node numbered.
+type program struct {
+	rows, cols int
+	root       *evalNode
+	nodes      []*evalNode
+	// depth is how many chunk-wide scratch rows evaluation needs: a binary
+	// node builds its left operand where its own result goes and its right
+	// operand one scratch row further down.
+	depth int
+}
+
+type evalNode struct {
+	op    exprOp
+	cells []float64 // exLeaf
+	x, y  []float64 // exOuter, exOuterT
+	s     float64
+	a, b  *evalNode
+	id    int
+	// check: the eager operator ends in Compact, so the node's nonzero count
+	// nnz decides a format. count: nnz is summed while evaluating; otherwise
+	// it is known beforehand (or, for a node that is neither checked nor the
+	// root, not needed).
+	check, count bool
+	nnz          int
+}
+
+func (p *program) compile(e *Expr, transposed bool) (n *evalNode, depth int) {
+	if e.op == exTranspose {
+		return p.compile(e.a, !transposed)
+	}
+	n = &evalNode{op: e.op, id: len(p.nodes)}
+	p.nodes = append(p.nodes, n)
+	switch e.op {
+	case exLeaf:
+		n.cells = e.m.data // never transposed: Transpose declines over a leaf
+	case exOuter:
+		n.x, n.y = e.m.data, e.y.data
+		if transposed {
+			n.op = exOuterT
+		}
+		n.check = true
+		var known bool
+		n.nnz, known = outerNNZ(n.x, n.y)
+		n.count = !known
+	case exScale:
+		n.s = e.s
+		n.a, depth = p.compile(e.a, transposed)
+	default:
+		var right int
+		n.a, depth = p.compile(e.a, transposed)
+		n.b, right = p.compile(e.b, transposed)
+		depth = max(depth, right+1)
+		n.check, n.count = true, true
+	}
+	return n, depth
+}
+
+// outerNNZ returns the nonzero count of x·yᵀ without forming it, when it can
+// be told from the vectors: nnz(x)·nnz(y), provided every entry is finite
+// (else a 0·Inf cell is a nonzero NaN) and the smallest product does not
+// underflow (rounding is monotonic, so then no product does).
+func outerNNZ(x, y []float64) (nnz int, ok bool) {
+	nx, minX, ok := nonzeroStats(x)
+	if !ok {
+		return 0, false
+	}
+	ny, minY, ok := nonzeroStats(y)
+	if !ok {
+		return 0, false
+	}
+	if nx == 0 || ny == 0 {
+		return 0, true
+	}
+	return nx * ny, minX*minY != 0
+}
+
+// nonzeroStats returns the number and the least magnitude of v's nonzero
+// entries, or !finite if one is NaN or ±Inf.
+func nonzeroStats(v []float64) (nnz int, least float64, finite bool) {
+	least = math.MaxFloat64
+	for _, c := range v {
+		a := math.Abs(c)
+		if !(a <= math.MaxFloat64) {
+			return 0, 0, false
+		}
+		if a != 0 {
+			nnz++
+			least = min(least, a)
+		}
+	}
+	return nnz, least, true
+}
+
+// run evaluates the program into od, striped over rows, and returns the
+// nonzero count of every counted node.
+func (p *program) run(od []float64) []int {
+	rows, cols := p.rows, p.cols
+	chunks := (cols + exprChunk - 1) / exprChunk
+	width := (cols + chunks - 1) / chunks
+	total := make([]int, len(p.nodes))
+	var mu sync.Mutex
+	stripeParallel(rows, minStripeCells/cols+1, func(lo, hi int) {
+		counts := make([]int, len(p.nodes))
+		scratch := make([]float64, p.depth*width)
+		for i := lo; i < hi; i++ {
+			for c0 := 0; c0 < cols; c0 += width {
+				out := od[i*cols+c0 : i*cols+min(c0+width, cols)]
+				p.root.eval(i, c0, cols, out, scratch, counts)
+			}
+		}
+		mu.Lock()
+		for id, c := range counts {
+			total[id] += c
+		}
+		mu.Unlock()
+	})
+	return total
+}
+
+// eval computes cells (i, c0) … (i, c0+len(out)−1) of n and returns them: in
+// out, or where they already are for a leaf. scratch is free for operands.
+func (n *evalNode) eval(i, c0, cols int, out, scratch []float64, counts []int) []float64 {
+	w := len(out)
+	switch n.op {
+	case exLeaf:
+		return n.cells[i*cols+c0:][:w]
+	case exOuter: // mulOuter's statement; a zero x[i] skips the row
+		if xv := n.x[i]; xv == 0 {
+			clear(out)
+		} else {
+			for j, yv := range n.y[c0:][:w] {
+				out[j] = 0 + xv*yv
+			}
+		}
+	case exOuterT: // the same cells read by columns: (i, j) is x[j]·y[i]
+		yv := n.y[i]
+		for j, xv := range n.x[c0:][:w] {
+			if xv == 0 {
+				out[j] = 0
+			} else {
+				out[j] = 0 + xv*yv
+			}
+		}
+	case exScale:
+		s := n.s
+		for j, v := range n.a.eval(i, c0, cols, out, scratch, counts)[:w] {
+			out[j] = v * s
+		}
+	default: // zipDense's statements, counting included: a sum always decides a format
+		a := n.a.eval(i, c0, cols, out, scratch, counts)[:w]
+		b := n.b.eval(i, c0, cols, scratch[:w], scratch[w:], counts)[:w]
+		nnz := 0
+		if n.op == exAdd {
+			for j := range out {
+				v := a[j] + b[j]
+				out[j] = v
+				if v != 0 {
+					nnz++
+				}
+			}
+		} else {
+			for j := range out {
+				v := a[j] - b[j]
+				out[j] = v
+				if v != 0 {
+					nnz++
+				}
+			}
+		}
+		counts[n.id] += nnz
+		return out
+	}
+	if n.count {
+		counts[n.id] += countNonzero(out)
+	}
+	return out
+}

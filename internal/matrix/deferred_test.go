@@ -1,0 +1,300 @@
+package matrix
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// "Bit-identical by construction", made executable: random expressions over
+// {leaf, x·yᵀ, transpose, scale, +, −} are evaluated by Eval and, node by
+// node, by the eager operators the expression defers; cells (by bits),
+// format and nonzero count must agree.
+
+// deferredFactors are scale factors Scale accepts, the extremes included.
+var deferredFactors = []float64{2, -1, -0.5, 1e-300, -1e300, math.SmallestNonzeroFloat64, 1e-160, -3}
+
+// exprGen builds an expression and, in step, the value the eager operators
+// give for it.
+type exprGen struct {
+	rng  *rand.Rand
+	kind int // fill kind of the leaves and vectors
+	// sparseX: the column vector of every product keeps this share of zeros,
+	// so that products at or under DenseThreshold occur.
+	sparseX float64
+	// csr: some node's eager value was CSR, so Eval takes the eager path too
+	// and a dense result may come from a CSR kernel, in a buffer of its own.
+	csr bool
+}
+
+// saw notes the format of one node's eager value and returns the value.
+func (g *exprGen) saw(v *Matrix) *Matrix {
+	g.csr = g.csr || v.Format() == CSR
+	return v
+}
+
+func (g *exprGen) vector(n int, zeros float64) []float64 {
+	v := genDense(g.rng, 1, n, g.kind).data
+	for i := range v {
+		if g.rng.Float64() < zeros {
+			v[i] = specials[g.rng.Intn(2)] // ±0
+		}
+	}
+	return v
+}
+
+func (g *exprGen) outer(rows, cols int) (*Expr, *Matrix) {
+	x := NewDenseData(rows, 1, g.vector(rows, g.sparseX))
+	y := NewDenseData(1, cols, g.vector(cols, 0.1))
+	return Outer(x, y), g.saw(x.Mul(y))
+}
+
+// gen returns a rows×cols expression of the given depth; leafless ones can
+// be transposed.
+func (g *exprGen) gen(rows, cols, depth int, leafless bool) (*Expr, *Matrix) {
+	if depth == 0 {
+		return g.outer(rows, cols)
+	}
+	switch op := g.rng.Intn(6); {
+	case op == 0:
+		e, v := g.gen(rows, cols, depth-1, leafless)
+		s := deferredFactors[g.rng.Intn(len(deferredFactors))]
+		return e.Scale(s), g.saw(v.Scale(s))
+	case op == 1 && rows > 1: // a one-column product is a matrix·vector, not deferred
+		e, v := g.gen(cols, rows, depth-1, true)
+		return e.Transpose(), g.saw(v.Transpose())
+	case op == 2 && !leafless:
+		// A matrix leaf on either side of ±.
+		e, v := g.gen(rows, cols, depth-1, false)
+		m := genDense(g.rng, rows, cols, g.kind)
+		switch g.rng.Intn(4) {
+		case 0:
+			return e.Add(Leaf(m)), g.saw(v.Add(m))
+		case 1:
+			return Leaf(m).Add(e), g.saw(m.Add(v))
+		case 2:
+			return e.Sub(Leaf(m)), g.saw(v.Sub(m))
+		default:
+			return Leaf(m).Sub(e), g.saw(m.Sub(v))
+		}
+	case op == 3:
+		// One subtree used twice, once transposed when it can be: BFGS's
+		// H·y·sᵀ + (H·y·sᵀ)ᵀ.
+		if rows == cols {
+			e, v := g.gen(rows, cols, depth-1, true)
+			return e.Add(e.Transpose()), g.saw(v.Add(g.saw(v.Transpose())))
+		}
+		e, v := g.gen(rows, cols, depth-1, leafless)
+		return e.Add(e.Scale(-3)), g.saw(v.Add(g.saw(v.Scale(-3))))
+	default:
+		a, av := g.gen(rows, cols, depth-1, leafless)
+		b, bv := g.gen(rows, cols, g.rng.Intn(depth), leafless)
+		if op == 4 {
+			return a.Add(b), g.saw(av.Add(bv))
+		}
+		return a.Sub(b), g.saw(av.Sub(bv))
+	}
+}
+
+// requireSameAsEager fails unless got is, bit for bit, the value the eager
+// operators produced; a dense result must stand on the destination it was
+// given (dst nil: unless a CSR kernel produced it).
+func requireSameAsEager(t *testing.T, ctx string, got, want *Matrix, dst []float64) {
+	t.Helper()
+	if got.Format() != want.Format() || got.NNZ() != want.NNZ() {
+		t.Fatalf("%s: %v nnz %d, want %v nnz %d", ctx, got.Format(), got.NNZ(), want.Format(), want.NNZ())
+	}
+	requireSameBits(t, ctx, got, want)
+	if got.Format() == Dense {
+		if dst != nil && &got.data[0] != &dst[0] {
+			t.Fatalf("%s: dense result not built on its destination", ctx)
+		}
+		requireFreshCounts(t, ctx, got)
+	}
+}
+
+func TestDeferredMatchesEagerOperators(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	// Rows around the striping threshold; widths of one chunk, of two equal
+	// ones and around the boundary between the two.
+	fellBack, trees := 0, 0
+	shapes := [][2]int{{1, 7}, {63, 300}, {64, 1024}, {65, 1025}, {130, 2049}, {130, 130}, {70, 70}, {1500, 2}}
+	for _, sh := range shapes {
+		for kind := fillPlain; kind <= fillSpecial; kind++ {
+			for _, sparseX := range []float64{0, 0.3, 0.7} {
+				for trial := 0; trial < 3; trial++ {
+					trees++
+					g := &exprGen{rng: rng, kind: kind, sparseX: sparseX}
+					e, want := g.gen(sh[0], sh[1], 1+rng.Intn(3), false)
+					ctx := fmt.Sprintf("%dx%d kind %d zeros %.1f trial %d (%d nodes)", sh[0], sh[1], kind, sparseX, trial, e.nodes)
+					dst := dirty(sh[0] * sh[1])
+					on := dst
+					if g.csr {
+						on = nil
+						fellBack++
+					}
+					requireSameAsEager(t, ctx, e.Eval(dst), want, on)
+					if trial == 0 { // an expression is reusable
+						requireSameAsEager(t, ctx+" again", e.Eval(dst), want, on)
+					}
+				}
+			}
+		}
+	}
+	if fellBack < trees/5 || trees-fellBack < trees/5 {
+		t.Fatalf("%d of %d trees had a CSR node: both paths must be well covered", fellBack, trees)
+	}
+}
+
+// TestDeferredFallsBackWhereEagerCompacts: an interior node at or under
+// DenseThreshold is CSR on the eager path, and what the CSR kernels make of
+// it differs from the dense statements in the sign of zero cells. Eval must
+// notice and take the eager path, for a product as well as for a sum.
+func TestDeferredFallsBackWhereEagerCompacts(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	const n = 96
+	h := genDense(rng, n, n, fillPlain)
+	for i := 0; i < n*n; i += 3 {
+		h.data[i] = math.Copysign(0, -1)
+	}
+	xs := make([]float64, n)
+	for i := 0; i < n; i += 4 { // a quarter of the rows: the product is CSR
+		xs[i] = 1 + rng.Float64()
+	}
+	x, y := NewDenseData(n, 1, xs), genDense(rng, 1, n, fillPlain)
+
+	// (a) A sparse product, scaled by a negative factor, under a dense sum:
+	// the dense statements would give −0 + −0 = −0 where the CSR ones give
+	// −0 + 0 = +0.
+	e := Leaf(h).Add(Outer(x, y).Scale(-2))
+	want := h.Add(x.Mul(y).Scale(-2))
+	if x.Mul(y).Format() != CSR || want.Format() != Dense {
+		t.Fatalf("setup: product %v, sum %v", x.Mul(y).Format(), want.Format())
+	}
+	dst := dirty(n * n)
+	requireSameAsEager(t, "sparse product", e.Eval(dst), want, dst)
+	if countSign(want, -1) == countSign(denseStatements(h, xs, y.data, -2), -1) {
+		t.Fatal("setup: the CSR and dense paths agree here; the case checks nothing")
+	}
+
+	// (b) Dense products whose difference is sparse, transposed and scaled
+	// on: the sum is the node that compacts (counted, not known beforehand).
+	full := genDense(rng, n, 1, fillPlain)
+	p := Outer(full, y)
+	e = Leaf(h).Add(p.Sub(p).Scale(-1))
+	pv := full.Mul(y)
+	want = h.Add(pv.Sub(pv).Scale(-1))
+	if pv.Sub(pv).Format() != CSR || want.Format() != Dense {
+		t.Fatalf("setup: V − V is %v, the sum %v", pv.Sub(pv).Format(), want.Format())
+	}
+	requireSameAsEager(t, "sparse difference", e.Eval(dst), want, dst)
+	if countSign(h, -1) == 0 || countSign(want, -1) != 0 {
+		t.Fatal("setup: expected the CSR path to turn every −0 of h into +0")
+	}
+
+	// (c) A sparse root leaves as CSR and the destination stays behind.
+	got := p.Sub(p).Eval(dst)
+	if got.Format() != CSR || got.NNZ() != 0 {
+		t.Fatalf("V − V = %v", got)
+	}
+}
+
+// denseStatements is what evaluating h + (x·y)·s without the format test
+// would give.
+func denseStatements(h *Matrix, x, y []float64, s float64) *Matrix {
+	out := NewDense(h.rows, h.cols)
+	for i, xv := range x {
+		for j, yv := range y {
+			p := 0.0
+			if xv != 0 {
+				p = 0 + xv*yv
+			}
+			out.data[i*h.cols+j] = h.data[i*h.cols+j] + p*s
+		}
+	}
+	return out
+}
+
+// countSign counts the zero cells of m with the given sign.
+func countSign(m *Matrix, sign float64) int {
+	n := 0
+	for _, v := range m.ToDense().data {
+		if v == 0 && math.Signbit(v) == (sign < 0) {
+			n++
+		}
+	}
+	return n
+}
+
+func TestDeferredConstructorsDecline(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	col, row := genDense(rng, 5, 1, fillPlain), genDense(rng, 1, 4, fillPlain)
+	e := Outer(col, row)
+	if e == nil || e.Rows() != 5 || e.Cols() != 4 {
+		t.Fatalf("Outer(5×1, 1×4) = %+v", e)
+	}
+	for what, got := range map[string]*Expr{
+		"matrix·vector (p = 1)": Outer(col, genDense(rng, 1, 1, fillPlain)),
+		"k = 2":                 Outer(genDense(rng, 5, 2, fillPlain), genDense(rng, 2, 4, fillPlain)),
+		"CSR column":            Outer(col.ToCSR(), row),
+		"CSR row":               Outer(col, row.ToCSR()),
+		"CSR leaf":              Leaf(RandSparse(rng, 5, 4, 0.2)),
+		"scale by 0":            e.Scale(0),
+		"scale by +Inf":         e.Scale(math.Inf(1)),
+		"scale by −Inf":         e.Scale(math.Inf(-1)),
+		"scale by NaN":          e.Scale(math.NaN()),
+		"transpose over a leaf": e.Add(Leaf(genDense(rng, 5, 4, fillPlain))).Transpose(),
+		"shape mismatch":        e.Add(Outer(row.Transpose(), col.Transpose())),
+		"nil operand":           e.Sub(nil),
+	} {
+		if got != nil {
+			t.Errorf("%s: deferred", what)
+		}
+	}
+	// Growth stops at maxExprNodes, whichever constructor is asked.
+	for e.Add(e) != nil {
+		e = e.Add(e)
+	}
+	if e.nodes >= maxExprNodes || 2*e.nodes+1 < maxExprNodes {
+		t.Fatalf("doubling stopped at %d nodes", e.nodes)
+	}
+	for e.Scale(2) != nil {
+		e = e.Scale(2)
+	}
+	if e.nodes != maxExprNodes || e.Transpose() != nil {
+		t.Fatalf("growth by one stopped at %d nodes (transpose declined: %v)", e.nodes, e.Transpose() == nil)
+	}
+	dst := dirty(20)
+	if got := e.Eval(dst); got.Format() != Dense || &got.data[0] != &dst[0] {
+		t.Fatal("the largest expression does not evaluate")
+	}
+}
+
+// TestDeferredOuterNNZ: the count taken from the vectors is the count of
+// the cells, or is not offered.
+func TestDeferredOuterNNZ(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	for _, c := range []struct {
+		name string
+		x, y []float64
+		ok   bool
+	}{
+		{"plain", []float64{1, 0, -2, 3}, []float64{0, 5, math.Copysign(0, -1), 7, 1}, true},
+		{"all zero x", []float64{0, 0}, []float64{1, 2, 3}, true},
+		{"underflow", []float64{1, tiny}, []float64{0.25, 3}, false},
+		{"subnormal, no underflow", []float64{4, tiny}, []float64{1, 3}, true},
+		{"inf", []float64{1, math.Inf(1)}, []float64{0, 3}, false},
+		{"nan", []float64{1, 2}, []float64{math.NaN(), 3}, false},
+		{"overflow", []float64{1e200, 2}, []float64{1e200, 3}, true},
+	} {
+		nnz, ok := outerNNZ(c.x, c.y)
+		if ok != c.ok {
+			t.Errorf("%s: known = %v, want %v", c.name, ok, c.ok)
+		}
+		x, y := NewDenseData(len(c.x), 1, c.x), NewDenseData(1, len(c.y), c.y)
+		if want, _, _ := scanCounts(refMulDenseDense(x, y)); ok && nnz != want {
+			t.Errorf("%s: %d nonzeros from the vectors, %d in the cells", c.name, nnz, want)
+		}
+	}
+}

@@ -160,6 +160,36 @@ func (m *Matrix) nnzCounts() *nnzCounts {
 	return c
 }
 
+// BlockNNZ cuts the matrix into a grid of at most grid×grid equal blocks
+// (fewer along a side shorter than grid) and returns the number of
+// structurally nonzero elements in each, row-major, with the number of blocks
+// across. The counts are computed on first call and carried by the matrix;
+// the caller must not write them.
+func (m *Matrix) BlockNNZ(grid int) (counts []int, across int) {
+	if b := m.blocks.Load(); b != nil && b.grid == grid {
+		return b.counts, b.cols
+	}
+	gr, gc := min(grid, m.rows), min(grid, m.cols)
+	cellRows := (m.rows + gr - 1) / gr
+	cellCols := (m.cols + gc - 1) / gc
+	counts = make([]int, gr*gc)
+	for i := 0; i < m.rows; i++ {
+		row := counts[(i/cellRows)*gc:][:gc]
+		if m.format == CSR {
+			for _, j := range m.colIdx[m.rowPtr[i]:m.rowPtr[i+1]] {
+				row[j/cellCols]++
+			}
+			continue
+		}
+		cells := m.data[i*m.cols : (i+1)*m.cols]
+		for b, lo := 0, 0; lo < m.cols; b, lo = b+1, lo+cellCols {
+			row[b] += countNonzero(cells[lo:min(lo+cellCols, m.cols)])
+		}
+	}
+	m.blocks.Store(&blockNNZ{grid: grid, cols: gc, counts: counts})
+	return counts, gc
+}
+
 // ForEachNonzero calls fn for every structurally nonzero element in row
 // order. For dense matrices, zero values are skipped.
 func (m *Matrix) ForEachNonzero(fn func(i, j int, v float64)) {

@@ -74,9 +74,17 @@ type Matrix struct {
 	// counts holds the per-row and per-column nonzero counts once asked
 	// for. The vectors are never written after publication.
 	counts atomic.Pointer[nnzCounts]
+	// blocks holds the nonzero counts of a block grid over the matrix once
+	// asked for (BlockNNZ); immutable after publication like counts.
+	blocks atomic.Pointer[blockNNZ]
 }
 
 type nnzCounts struct{ row, col []int }
+
+type blockNNZ struct {
+	grid, cols int // the grid asked for, and how many blocks across it came to
+	counts     []int
+}
 
 // setNNZ records the nonzero count of a dense matrix whose cells the caller
 // has just written.
@@ -91,6 +99,9 @@ func (m *Matrix) invalidate() {
 	}
 	if m.counts.Load() != nil {
 		m.counts.Store(nil)
+	}
+	if m.blocks.Load() != nil {
+		m.blocks.Store(nil)
 	}
 }
 
@@ -267,6 +278,7 @@ func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{rows: m.rows, cols: m.cols, format: m.format}
 	c.nnz.Store(m.nnz.Load())
 	c.counts.Store(m.counts.Load())
+	c.blocks.Store(m.blocks.Load())
 	if m.format == Dense {
 		c.data = append([]float64(nil), m.data...)
 		return c
