@@ -9,10 +9,10 @@
 // Usage:
 //
 //	remac-gateway -shards 3                          # 3 shards on :8357
-//	remac-gateway -shards 4 -spill 2 \
+//	remac-gateway -shards 4 \
 //	    -quota noisy=0.5:1:1 -quota batch=10:20:8    # per-tenant quotas
-//	remac-gateway -shards 4 -failover 2 \
-//	    -probe-interval 500ms -eject-after 2         # aggressive failover
+//	remac-gateway -shards 4 \
+//	    -probe-interval 500ms -eject-after 2         # aggressive ejection
 //	remac-gateway -shards 0 \
 //	    -shard http://10.0.0.2:8356 \
 //	    -shard http://10.0.0.3:8356                  # remote shard fleet
@@ -25,6 +25,10 @@
 // query whose response was lost replays the committed result instead of
 // executing twice. Mixed fleets (-shards N -shard URL...) put local and
 // remote instances behind the same ring and lifecycle monitor.
+//
+// How often a request may be tried is not a flag: every request carries one
+// attempt allowance (gateway.DefaultAllowance) that each shard try, wire
+// send and engine execution debits, wherever in the tier it happens.
 //
 // Endpoints:
 //
@@ -53,24 +57,18 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"remac/internal/engine"
 	"remac/internal/gateway"
 	"remac/internal/httpapi"
 	"remac/internal/resilience"
-	"remac/internal/serve"
 )
 
 // handler adapts the gateway API to HTTP.
@@ -82,26 +80,10 @@ type handler struct {
 	maxBody int64
 }
 
-func (h *handler) query(w http.ResponseWriter, r *http.Request) {
-	rid := httpapi.RequestID(r)
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	req, ok := httpapi.DecodeQuery(w, r, rid, h.maxBody)
+func (h *handler) query(w http.ResponseWriter, r *http.Request, rid string) {
+	req, q, ok := h.builder.DecodeAndBuild(w, r, rid, h.maxBody)
 	if !ok {
 		return
-	}
-	q, err := h.builder.Build(req)
-	if err != nil {
-		httpapi.WriteError(w, rid, &resilience.QueryError{Class: resilience.Compile, Stage: "request", Err: err})
-		return
-	}
-	// A client-pinned idempotency key survives client-side retries across
-	// gateway connections; without one, the gateway stamps the request id
-	// so its own spill-over/failover retries stay replay-safe.
-	if key := strings.TrimSpace(r.Header.Get(httpapi.IdempotencyKeyHeader)); key != "" {
-		q.IdempotencyKey = key
 	}
 	res, err := h.gw.Do(r.Context(), gateway.Request{
 		Tenant:    httpapi.Tenant(r, req),
@@ -120,26 +102,9 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, rid, resp)
 }
 
-func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
-	rid := httpapi.RequestID(r)
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	httpapi.WriteJSON(w, rid, h.gw.Stats())
-}
-
-func (h *handler) invalidate(w http.ResponseWriter, r *http.Request) {
-	rid := httpapi.RequestID(r)
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	ds := strings.TrimSpace(r.URL.Query().Get("dataset"))
-	if ds == "" {
-		httpapi.WriteError(w, rid, &resilience.QueryError{
-			Class: resilience.Compile, Stage: "request", Err: fmt.Errorf("dataset parameter required"),
-		})
+func (h *handler) invalidate(w http.ResponseWriter, r *http.Request, rid string) {
+	ds, ok := httpapi.DatasetParam(w, r, rid, true)
+	if !ok {
 		return
 	}
 	v := h.gw.InvalidateDataset(ds)
@@ -148,12 +113,7 @@ func (h *handler) invalidate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (h *handler) audit(w http.ResponseWriter, r *http.Request) {
-	rid := httpapi.RequestID(r)
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
+func (h *handler) audit(w http.ResponseWriter, r *http.Request, rid string) {
 	n := 0
 	if s := r.URL.Query().Get("n"); s != "" {
 		v, err := strconv.Atoi(s)
@@ -172,51 +132,26 @@ func (h *handler) audit(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, rid, map[string]any{"events": events})
 }
 
-// writeHealth renders a fleet probe payload: 200 while the live-shard
-// quorum holds, 503 with Retry-After once ejections have broken it.
-func writeHealth(w http.ResponseWriter, rid string, hz gateway.Health) {
-	if hz.OK {
-		httpapi.WriteJSON(w, rid, hz)
-		return
-	}
-	w.Header().Set("Retry-After", "1")
-	w.Header().Set(httpapi.RequestIDHeader, rid)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(hz); err != nil {
-		log.Printf("encode health: %v", err)
-	}
-}
-
-func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
-	rid := httpapi.RequestID(r)
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	writeHealth(w, rid, h.gw.Healthz())
-}
-
-func (h *handler) readyz(w http.ResponseWriter, r *http.Request) {
-	rid := httpapi.RequestID(r)
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	writeHealth(w, rid, h.gw.Readyz())
+// health renders a fleet probe: 200 while the live-shard quorum holds, 503
+// with Retry-After once ejections have broken it.
+func health(probe func() gateway.Health) http.HandlerFunc {
+	return httpapi.Endpoint(http.MethodGet, func(w http.ResponseWriter, _ *http.Request, rid string) {
+		hz := probe()
+		httpapi.WriteHealth(w, rid, hz.OK, time.Second, hz)
+	})
 }
 
 // newMux wires the handler's routes (shared with the tests).
 func newMux(h *handler) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", h.query)
-	mux.HandleFunc("/stats", h.stats)
-	mux.HandleFunc("/invalidate", h.invalidate)
-	mux.HandleFunc("/audit", h.audit)
-	mux.HandleFunc("/healthz", h.healthz)
-	mux.HandleFunc("/readyz", h.readyz)
+	mux.HandleFunc("/query", httpapi.Endpoint(http.MethodPost, h.query))
+	mux.HandleFunc("/stats", httpapi.Endpoint(http.MethodGet, func(w http.ResponseWriter, _ *http.Request, rid string) {
+		httpapi.WriteJSON(w, rid, h.gw.Stats())
+	}))
+	mux.HandleFunc("/invalidate", httpapi.Endpoint(http.MethodPost, h.invalidate))
+	mux.HandleFunc("/audit", httpapi.Endpoint(http.MethodGet, h.audit))
+	mux.HandleFunc("/healthz", health(h.gw.Healthz))
+	mux.HandleFunc("/readyz", health(h.gw.Readyz))
 	return mux
 }
 
@@ -249,159 +184,87 @@ func parseQuota(spec string) (string, gateway.TenantQuota, error) {
 	return name, q, nil
 }
 
-func main() {
-	addr := flag.String("addr", ":8357", "listen address")
-	shards := flag.Int("shards", 2, "number of in-process serving shards")
-	spill := flag.Int("spill", 1, "alternate shards to try when the home shard is overloaded (negative: none)")
-	failover := flag.Int("failover", 1, "alternate shards to try when a shard fails a query with an internal error (negative: none)")
-	probeInterval := flag.Duration("probe-interval", time.Second, "active health probe period (0: probing disabled)")
-	ejectAfter := flag.Int("eject-after", 3, "consecutive failed probes before a shard is ejected (negative: active detection off)")
-	passiveFailures := flag.Int("passive-failures", 3, "consecutive internal-class query failures before passive ejection (negative: off)")
-	rejoinProbes := flag.Int("rejoin-probes", 2, "consecutive caught-up probes before a rejoining shard is readmitted")
-	readyQuorum := flag.Int("ready-quorum", 1, "minimum live shards for /healthz and /readyz to report 200")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per shard on the consistent-hash ring")
-	seed := flag.Uint64("seed", 0, "ring placement seed")
-	workers := flag.Int("workers", 0, "worker pool size per shard (0: GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "admission queue depth per shard")
-	timeout := flag.Duration("timeout", 0, "default per-query deadline (0: none)")
-	planEntries := flag.Int("plan-cache", 128, "compiled-plan cache entries per shard (negative: disabled)")
-	interBudget := flag.Int64("inter-budget", 4<<30, "intermediate cache budget per shard in modelled bytes (negative: disabled)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "MQO batching window per shard (0: disabled)")
-	recoveryFlag := flag.String("recovery", "", "default recovery policy: lineage, checkpoint, coded or coded:k,n")
-	auditDepth := flag.Int("audit-depth", 1024, "audit queue depth (negative: audit plane disabled)")
-	auditTail := flag.Int("audit-tail", 256, "audit events kept for GET /audit")
-	quotas := map[string]gateway.TenantQuota{}
-	flag.Func("quota", "per-tenant quota tenant=qps[:burst[:concurrent]] (repeatable)", func(spec string) error {
+// options is everything the command line sets: the gateway configuration
+// the flags write into directly, and what needs parsing or wiring first.
+type options struct {
+	addr         string
+	maxBody      int64
+	recovery     string
+	defaultQuota string
+	cfg          gateway.Config
+	// remotes are the -shard URLs; remote is what every RemoteInstance
+	// shares apart from its URL.
+	remotes                  []string
+	remote                   gateway.RemoteConfig
+	retryBudget, retryRefill float64
+}
+
+// registerFlags declares the binary's whole flag surface on fs. It is the
+// only place a flag is defined: TestFlagSurfaceGolden pins the names, and
+// DESIGN.md §16 has a row per name saying who needs it.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{cfg: gateway.Config{Quotas: map[string]gateway.TenantQuota{}}}
+	c, sc := &o.cfg, &o.cfg.Serve
+	fs.StringVar(&o.addr, "addr", ":8357", "listen address")
+	fs.IntVar(&c.Shards, "shards", 2, "number of in-process serving shards")
+	fs.DurationVar(&c.ProbeInterval, "probe-interval", time.Second, "active health probe period (0: probing disabled)")
+	fs.IntVar(&c.EjectAfter, "eject-after", 3, "consecutive failed probes before a shard is ejected (negative: active detection off)")
+	fs.IntVar(&c.PassiveFailures, "passive-failures", 3, "consecutive internal-class query failures before passive ejection (negative: off)")
+	fs.IntVar(&c.RejoinProbes, "rejoin-probes", 2, "consecutive caught-up probes before a rejoining shard is readmitted")
+	fs.IntVar(&c.ReadyQuorum, "ready-quorum", 1, "minimum live shards for /healthz and /readyz to report 200")
+	fs.Uint64Var(&c.Seed, "seed", 0, "ring placement seed")
+	fs.IntVar(&sc.Workers, "workers", 0, "worker pool size per shard (0: GOMAXPROCS)")
+	fs.IntVar(&sc.QueueDepth, "queue", 64, "admission queue depth per shard")
+	fs.DurationVar(&c.DefaultTimeout, "timeout", 0, "default per-query deadline (0: none)")
+	fs.IntVar(&sc.PlanCacheEntries, "plan-cache", 128, "compiled-plan cache entries per shard (negative: disabled)")
+	fs.Int64Var(&sc.IntermediateBudgetBytes, "inter-budget", 4<<30, "intermediate cache budget per shard in modelled bytes (negative: disabled)")
+	fs.DurationVar(&sc.BatchWindow, "batch-window", 2*time.Millisecond, "MQO batching window per shard (0: disabled)")
+	fs.StringVar(&o.recovery, "recovery", "", "default recovery policy: lineage, checkpoint, coded or coded:k,n")
+	fs.IntVar(&c.AuditDepth, "audit-depth", 1024, "audit queue depth (negative: audit plane disabled)")
+	fs.Func("quota", "per-tenant quota tenant=qps[:burst[:concurrent]] (repeatable)", func(spec string) error {
 		name, q, err := parseQuota(spec)
-		if err != nil {
-			return err
+		if err == nil {
+			c.Quotas[name] = q
 		}
-		quotas[name] = q
-		return nil
+		return err
 	})
-	defaultQuota := flag.String("default-quota", "", "quota for tenants without a -quota entry: qps[:burst[:concurrent]] (empty: unlimited)")
-	var remotes []string
-	flag.Func("shard", "remote shard base URL, e.g. http://host:8356 (repeatable; joins the fleet alongside the -shards in-process instances)", func(u string) error {
+	fs.StringVar(&o.defaultQuota, "default-quota", "", "quota for tenants without a -quota entry: qps[:burst[:concurrent]] (empty: unlimited)")
+	fs.Func("shard", "remote shard base URL, e.g. http://host:8356 (repeatable; joins the fleet alongside the -shards in-process instances)", func(u string) error {
 		u = strings.TrimSpace(u)
 		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
 			return fmt.Errorf("shard %q: want an http(s) base URL", u)
 		}
-		remotes = append(remotes, u)
+		o.remotes = append(o.remotes, u)
 		return nil
 	})
-	maxBody := flag.Int64("max-body", 0, "max POST /query body bytes (0: 1 MiB default, negative: unbounded)")
-	retryBudget := flag.Float64("retry-budget", 64, "gateway-wide wire retry budget: token bucket capacity shared by all remote shards (<=0: default 64)")
-	retryRefill := flag.Float64("retry-refill", 0.1, "retry budget tokens restored per successful wire query")
-	attemptTimeout := flag.Duration("attempt-timeout", 10*time.Second, "per-attempt wire timeout for remote shards (carved from the query deadline)")
-	wireRetries := flag.Int("wire-retries", 2, "wire-level retries per query against a remote shard (negative: disabled)")
+	fs.Int64Var(&o.maxBody, "max-body", 0, "max POST /query body bytes (0: 1 MiB default, negative: unbounded)")
+	fs.Float64Var(&o.retryBudget, "retry-budget", 64, "gateway-wide wire retry budget: token bucket capacity shared by all remote shards (<=0: default 64)")
+	fs.Float64Var(&o.retryRefill, "retry-refill", 0.1, "retry budget tokens restored per successful wire query")
+	fs.DurationVar(&o.remote.AttemptTimeout, "attempt-timeout", 10*time.Second, "per-attempt wire timeout for remote shards (carved from the query deadline)")
+	return o
+}
+
+func main() {
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	recovery, err := engine.ParseRecovery(*recoveryFlag)
+	recovery, err := engine.ParseRecovery(o.recovery)
 	if err != nil {
 		log.Fatalf("-recovery: %v", err)
 	}
-	var def gateway.TenantQuota
-	if *defaultQuota != "" {
-		if _, def, err = parseQuota("default=" + *defaultQuota); err != nil {
+	if o.defaultQuota != "" {
+		if _, o.cfg.DefaultQuota, err = parseQuota("default=" + o.defaultQuota); err != nil {
 			log.Fatalf("-default-quota: %v", err)
 		}
 	}
-
-	gcfg := gateway.Config{
-		Shards:          *shards,
-		VirtualNodes:    *vnodes,
-		Seed:            *seed,
-		SpillOver:       *spill,
-		Failover:        *failover,
-		ProbeInterval:   *probeInterval,
-		EjectAfter:      *ejectAfter,
-		PassiveFailures: *passiveFailures,
-		RejoinProbes:    *rejoinProbes,
-		ReadyQuorum:     *readyQuorum,
-		DefaultTimeout:  *timeout,
-		Quotas:          quotas,
-		DefaultQuota:    def,
-		AuditDepth:      *auditDepth,
-		AuditTail:       *auditTail,
-		Serve: serve.Config{
-			Workers:                 *workers,
-			QueueDepth:              *queue,
-			PlanCacheEntries:        *planEntries,
-			IntermediateBudgetBytes: *interBudget,
-			BatchWindow:             *batchWindow,
-		},
+	// One RemoteConfig per -shard URL, all drawing on one retry budget.
+	o.remote.Budget = gateway.NewRetryBudget(o.retryBudget, o.retryRefill)
+	remotes := make([]gateway.RemoteConfig, len(o.remotes))
+	for i, u := range o.remotes {
+		remotes[i] = o.remote
+		remotes[i].BaseURL = u
 	}
-	var gw *gateway.Gateway
-	if len(remotes) == 0 {
-		gw = gateway.New(gcfg)
-	} else {
-		// Mixed fleet: -shards in-process instances plus one RemoteInstance
-		// per -shard URL, all behind the same ring, lifecycle monitor and
-		// wire retry budget. The deadline lift New() performs is replicated
-		// here: shard-level timeouts move up into the gateway's so every
-		// spill-over/failover attempt shares one budget.
-		if gcfg.DefaultTimeout == 0 {
-			gcfg.DefaultTimeout = gcfg.Serve.DefaultTimeout
-		}
-		gcfg.Serve.DefaultTimeout = 0
-		budget := gateway.NewRetryBudget(*retryBudget, *retryRefill)
-		spawnLocal := func(id string) gateway.Instance {
-			scfg := gcfg.Serve
-			scfg.ShardID = id
-			return serve.New(scfg)
-		}
-		spawnRemote := func(baseURL, id string) gateway.Instance {
-			return gateway.NewRemote(gateway.RemoteConfig{
-				BaseURL:        baseURL,
-				ShardID:        id,
-				AttemptTimeout: *attemptTimeout,
-				Retries:        *wireRetries,
-				Budget:         budget,
-			})
-		}
-		locals := *shards
-		if locals < 0 {
-			locals = 0
-		}
-		instances := make([]gateway.Instance, 0, locals+len(remotes))
-		for i := 0; i < locals; i++ {
-			instances = append(instances, spawnLocal(fmt.Sprintf("shard-%d", i)))
-		}
-		for _, u := range remotes {
-			instances = append(instances, spawnRemote(u, ""))
-		}
-		gcfg.Respawn = func(shard int, id string) gateway.Instance {
-			if shard < locals {
-				return spawnLocal(id)
-			}
-			// A remote respawn is a fresh client against the same URL —
-			// the process out there has its own supervisor.
-			return spawnRemote(remotes[shard-locals], id)
-		}
-		gw = gateway.NewWithInstances(gcfg, instances)
-	}
-	h := &handler{gw: gw, builder: httpapi.NewQueryBuilder(recovery), maxBody: *maxBody}
-	httpSrv := &http.Server{Addr: *addr, Handler: newMux(h)}
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("remac-gateway listening on %s (%d shards)", *addr, gw.Shards())
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		log.Printf("received %v; draining", sig)
-	case err := <-errc:
-		log.Fatalf("listen: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	if err := gw.Shutdown(ctx); err != nil {
-		log.Printf("gateway shutdown: %v", err)
-	}
-	log.Print("drained; exiting")
+	gw := gateway.New(o.cfg, remotes...)
+	h := &handler{gw: gw, builder: httpapi.NewQueryBuilder(recovery), maxBody: o.maxBody}
+	httpapi.ListenAndDrain("remac-gateway", o.addr, newMux(h), gw.Shutdown)
 }

@@ -20,15 +20,19 @@
 //	              "timeout_ms", "no_plan_cache", "no_intermediate_cache".
 //	              Bodies are capped (-max-body, default 1 MiB → 413); an
 //	              X-Idempotency-Key header makes retried submissions
-//	              replay the committed result instead of re-executing.
+//	              replay the committed result instead of re-executing. An
+//	              X-Attempts-Left header is the attempt allowance the
+//	              sender grants this query (a gateway's send carries 1);
+//	              it is clamped to -retries, and anything but a positive
+//	              integer is a 400.
 //	GET  /stats   aggregate metrics snapshot (QPS, latency percentiles,
 //	              cache hit rates, queue depth, resilience counters) as JSON.
 //	GET  /healthz liveness probe: 200 while the process and pool are up.
 //	GET  /readyz  readiness probe: 200 when admitting, 503 (+Retry-After)
 //	              while draining, breaker-open, or queue-saturated.
 //	POST /invalidate?dataset=cri2  bump a dataset version, dropping its
-//	              cached intermediates. Non-POST methods get 405; a missing
-//	              or blank dataset parameter gets 400.
+//	              cached intermediates. Non-POST methods get 405; a missing,
+//	              blank or unknown dataset gets 400.
 //	GET  /version?dataset=cri2  read the dataset's current version — the
 //	              acknowledgment a gateway's invalidation catch-up polls.
 //
@@ -49,80 +53,59 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"remac/internal/engine"
 	"remac/internal/httpapi"
-	"remac/internal/resilience"
 	"remac/internal/serve"
 )
 
+// options is everything the command line sets: the server configuration
+// the flags write into directly, and what needs parsing or wiring first.
+type options struct {
+	addr     string
+	maxBody  int64
+	recovery string
+	cfg      serve.Config
+}
+
+// registerFlags declares the binary's whole flag surface on fs. It is the
+// only place a flag is defined: TestFlagSurfaceGolden pins the names, and
+// DESIGN.md §16 has a row per name saying who needs it.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	c := &o.cfg
+	fs.StringVar(&o.addr, "addr", ":8356", "listen address")
+	fs.IntVar(&c.Workers, "workers", 0, "worker pool size (0: GOMAXPROCS)")
+	fs.IntVar(&c.QueueDepth, "queue", 64, "admission queue depth")
+	fs.DurationVar(&c.DefaultTimeout, "timeout", 0, "default per-query deadline (0: none)")
+	fs.IntVar(&c.PlanCacheEntries, "plan-cache", 128, "compiled-plan cache entries (negative: disabled)")
+	fs.Int64Var(&c.IntermediateBudgetBytes, "inter-budget", 4<<30, "intermediate cache budget in modelled bytes (negative: disabled)")
+	fs.DurationVar(&c.BatchWindow, "batch-window", 2*time.Millisecond, "MQO batching window: queries admitted within it share loop-constant producer executions (0: disabled)")
+	fs.IntVar(&c.Retry.MaxAttempts, "retries", 0, "attempt allowance of a query that arrives without one, hedges included (0: default 3, negative: one attempt, no retries)")
+	fs.BoolVar(&c.Hedge.Enabled, "hedge", false, "hedge straggler queries past the p95 latency")
+	fs.BoolVar(&c.NoBreaker, "no-breaker", false, "disable the admission circuit breaker / load shedder")
+	fs.StringVar(&o.recovery, "recovery", "", "default recovery policy for queries that do not set one: lineage, checkpoint, coded or coded:k,n")
+	fs.StringVar(&c.ShardID, "shard", "", "shard label for this instance in metrics snapshots (set by a gateway tier)")
+	fs.IntVar(&c.IdempotencyWindow, "idem-window", 0, "idempotent-replay window entries (0: default 1024, negative: disabled)")
+	fs.Int64Var(&o.maxBody, "max-body", 0, "max POST /query body bytes (0: 1 MiB default, negative: unbounded)")
+	return o
+}
+
 func main() {
-	addr := flag.String("addr", ":8356", "listen address")
-	workers := flag.Int("workers", 0, "worker pool size (0: GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "admission queue depth")
-	timeout := flag.Duration("timeout", 0, "default per-query deadline (0: none)")
-	planEntries := flag.Int("plan-cache", 128, "compiled-plan cache entries (negative: disabled)")
-	interBudget := flag.Int64("inter-budget", 4<<30, "intermediate cache budget in modelled bytes (negative: disabled)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "MQO batching window: queries admitted within it share loop-constant producer executions (0: disabled)")
-	retries := flag.Int("retries", 0, "max execution attempts per query (0: default 3, negative: no retries)")
-	hedge := flag.Bool("hedge", false, "hedge straggler queries past the p95 latency")
-	noBreaker := flag.Bool("no-breaker", false, "disable the admission circuit breaker / load shedder")
-	recoveryFlag := flag.String("recovery", "", "default recovery policy for queries that do not set one: lineage, checkpoint, coded or coded:k,n")
-	shard := flag.String("shard", "", "shard label for this instance in metrics snapshots (set by a gateway tier)")
-	idemEntries := flag.Int("idem-window", 0, "idempotent-replay window entries (0: default 1024, negative: disabled)")
-	maxBody := flag.Int64("max-body", 0, "max POST /query body bytes (0: 1 MiB default, negative: unbounded)")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	recovery, err := engine.ParseRecovery(*recoveryFlag)
+	recovery, err := engine.ParseRecovery(o.recovery)
 	if err != nil {
 		log.Fatalf("-recovery: %v", err)
 	}
 
-	srv := serve.New(serve.Config{
-		Workers:                 *workers,
-		QueueDepth:              *queue,
-		DefaultTimeout:          *timeout,
-		PlanCacheEntries:        *planEntries,
-		IntermediateBudgetBytes: *interBudget,
-		BatchWindow:             *batchWindow,
-		Retry:                   resilience.RetryPolicy{MaxAttempts: *retries},
-		Hedge:                   resilience.HedgePolicy{Enabled: *hedge},
-		NoBreaker:               *noBreaker,
-		ShardID:                 *shard,
-		IdempotencyWindow:       *idemEntries,
-	})
+	srv := serve.New(o.cfg)
 	mux := httpapi.NewServeMux(srv, httpapi.NewQueryBuilder(recovery), httpapi.ServeHandlerConfig{
-		MaxBodyBytes: *maxBody,
+		MaxBodyBytes: o.maxBody,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("remac-serve listening on %s", *addr)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		log.Printf("received %v; draining", sig)
-	case err := <-errc:
-		log.Fatalf("listen: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("server shutdown: %v", err)
-	}
-	log.Print("drained; exiting")
+	httpapi.ListenAndDrain("remac-serve", o.addr, mux, srv.Shutdown)
 }

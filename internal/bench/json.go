@@ -21,8 +21,8 @@ type jsonRow struct {
 	Text   map[string]string  `json:"text,omitempty"`
 }
 
-// WriteJSON serializes the tables as an indented JSON array, the format CI
-// archives (e.g. BENCH_serve.json).
+// WriteJSON serializes the tables as an indented JSON array (remac-bench
+// -json).
 func WriteJSON(w io.Writer, tables []*Table) error {
 	out := make([]jsonTable, 0, len(tables))
 	for _, t := range tables {

@@ -10,6 +10,7 @@ import (
 
 	"remac/internal/engine"
 	"remac/internal/gateway"
+	"remac/internal/gateway/chaostest"
 	"remac/internal/httpapi"
 	"remac/internal/resilience"
 	"remac/internal/serve"
@@ -32,7 +33,7 @@ func remoteBenchQuery(w serveCase) (serve.Query, error) {
 type remoteShard struct {
 	srv   *serve.Server
 	front *httptest.Server
-	fault *gateway.NetFault
+	fault *chaostest.NetFault
 }
 
 func startRemoteShard(id string, seed uint64) *remoteShard {
@@ -41,7 +42,7 @@ func startRemoteShard(id string, seed uint64) *remoteShard {
 		srv, httpapi.NewQueryBuilder(engine.RecoveryPolicy{}), httpapi.ServeHandlerConfig{}))
 	// Zero fault rates: the partition is the only disturbance in the
 	// availability arms, so the failover-vs-control delta is attributable.
-	fault := gateway.NewNetFault(nil, gateway.NetFaultConfig{Seed: seed})
+	fault := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: seed})
 	return &remoteShard{srv: srv, front: front, fault: fault}
 }
 
@@ -55,132 +56,31 @@ func (s *remoteShard) instance(id string, budget *gateway.RetryBudget) *gateway.
 		BaseURL:      s.front.URL,
 		ShardID:      id,
 		Client:       &http.Client{Transport: s.fault},
-		Retries:      2,
 		Budget:       budget,
 		ProbeTimeout: time.Second,
 	})
 }
 
-// remoteArm replays the workload through three HTTP shards, partitions
-// the cri1 home mid-stream, and measures availability. With failover on,
-// the gateway ejects the unreachable shard on wire evidence, the
-// partition later heals, and the victim is readmitted only after
-// invalidation catch-up; the control arm disables failover, probing and
-// passive detection, so every query routed at the partitioned shard
-// fails. Returns the stats, the availability fraction, and per-workload
-// server-computed result hashes of the successes.
+// remoteArm is the availability arm over three HTTP shards: the victim is
+// partitioned away, ejected on wire evidence, and readmitted — through a
+// fresh client at the same URL — once the partition heals. The dataset
+// invalidated meanwhile crosses the wire as POST /invalidate, which only
+// takes names the registry knows.
 func remoteArm(failover bool) (gateway.Stats, float64, map[int]uint64, error) {
-	const shards = 3
 	budget := gateway.NewRetryBudget(64, 0.5)
-	fleet := make([]*remoteShard, shards)
-	insts := make([]gateway.Instance, shards)
+	fleet := make([]*remoteShard, 3)
+	f := outageFleet{name: "remote", insts: make([]gateway.Instance, len(fleet)), query: remoteBenchQuery,
+		aux: "cri3", probeTimeout: time.Second}
 	for i := range fleet {
 		id := fmt.Sprintf("shard-%d", i)
 		fleet[i] = startRemoteShard(id, 0x5EED+uint64(i))
-		insts[i] = fleet[i].instance(id, budget)
+		defer fleet[i].close()
+		f.insts[i] = fleet[i].instance(id, budget)
 	}
-	defer func() {
-		for _, s := range fleet {
-			s.close()
-		}
-	}()
-
-	cfg := gateway.Config{Seed: 17, ProbeTimeout: time.Second}
-	if failover {
-		cfg.Failover = 2
-		cfg.EjectAfter = 2
-		cfg.PassiveFailures = 2
-		cfg.RejoinProbes = 1
-		cfg.Respawn = func(i int, id string) gateway.Instance {
-			// A remote respawn is a fresh client at the same URL, through
-			// the same (possibly still partitioned) network.
-			return fleet[i].instance(id, budget)
-		}
-	} else {
-		cfg.Failover = -1
-		cfg.EjectAfter = -1
-		cfg.PassiveFailures = -1
-	}
-	gw := gateway.NewWithInstances(cfg, insts)
-
-	fail := func(err error) (gateway.Stats, float64, map[int]uint64, error) {
-		gw.Shutdown(context.Background())
-		return gateway.Stats{}, 0, nil, err
-	}
-
-	const repeats = 8
-	total := repeats * len(shardWorkload)
-	partitionAt := len(shardWorkload) // one clean pass establishes the references
-	victim := -1
-	hashes := map[int]uint64{}
-	ok := 0
-	var auxVersion int64
-	for k := 0; k < total; k++ {
-		if k == partitionAt {
-			if victim < 0 {
-				return fail(fmt.Errorf("remote: no cri1 success in the clean pass"))
-			}
-			fleet[victim].fault.SetPartition(gateway.PartitionAll)
-			if failover {
-				// A broadcast the partitioned shard must miss: readmission
-				// has to replay it before the victim takes traffic again.
-				auxVersion = gw.InvalidateDataset("aux")
-			}
-		}
-		if failover && k > partitionAt && k%3 == 0 {
-			gw.ProbeNow()
-		}
-		wi := k % len(shardWorkload)
-		q, err := remoteBenchQuery(shardWorkload[wi])
-		if err != nil {
-			return fail(err)
-		}
-		res, err := gw.Do(context.Background(), gateway.Request{Tenant: shardTenant(k), Query: q})
-		if err != nil {
-			if k < partitionAt {
-				return fail(fmt.Errorf("remote: clean-pass query %d: %w", k, err))
-			}
-			if !resilience.IsClass(err, resilience.Internal) && !resilience.IsClass(err, resilience.Overloaded) {
-				return fail(fmt.Errorf("remote: query %d failed outside the expected classes: %w", k, err))
-			}
-			continue
-		}
-		ok++
-		if shardWorkload[wi].dataset == "cri1" && victim < 0 {
-			victim = res.Shard
-		}
-		hh := res.QueryResult.ResultHash
-		if hh == 0 {
-			return fail(fmt.Errorf("remote: query %d returned no server-computed result hash", k))
-		}
-		if !matchesRef(hashes, wi, hh) {
-			return fail(fmt.Errorf("remote: workload %d result differs bitwise across the partition", wi))
-		}
-	}
-
-	if failover {
-		// Heal the partition and drive the supervisor to readmission:
-		// rejoin stays gated until the victim's version reads stop failing
-		// and it has replayed the missed broadcast.
-		fleet[victim].fault.SetPartition(gateway.PartitionNone)
-		for r := 0; r < 8 && gw.ShardState(victim) != gateway.ShardHealthy; r++ {
-			gw.ProbeNow()
-		}
-		if got := gw.ShardState(victim); got != gateway.ShardHealthy {
-			return fail(fmt.Errorf("remote: victim %d state %v after the partition healed, want healthy", victim, got))
-		}
-		for i, sv := range gw.ShardVersions("aux") {
-			if sv != auxVersion {
-				return fail(fmt.Errorf("remote: shard %d at aux version %d after rejoin, want %d", i, sv, auxVersion))
-			}
-		}
-	}
-
-	st := gw.Stats()
-	if err := gw.Shutdown(context.Background()); err != nil {
-		return gateway.Stats{}, 0, nil, err
-	}
-	return st, float64(ok) / float64(total), hashes, nil
+	f.respawn = func(i int, id string) gateway.Instance { return fleet[i].instance(id, budget) }
+	f.down = func(victim int) { fleet[victim].fault.SetPartition(chaostest.PartitionAll) }
+	f.heal = func(victim int) { fleet[victim].fault.SetPartition(chaostest.PartitionNone) }
+	return availabilityArm(f, failover)
 }
 
 // remoteBudgetExhaustion drives a single RemoteInstance with a one-token,
@@ -195,7 +95,6 @@ func remoteBudgetExhaustion() error {
 		BaseURL: s.front.URL,
 		ShardID: "budget-shard",
 		Client:  &http.Client{Transport: s.fault},
-		Retries: 5,
 		Budget:  budget,
 	})
 	q, err := remoteBenchQuery(shardWorkload[0])

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"remac/internal/algorithms"
 	"remac/internal/gateway"
+	"remac/internal/gateway/chaostest"
 	"remac/internal/resilience"
 	"remac/internal/serve"
 )
@@ -150,81 +152,82 @@ func shardQuotaArm(noisy bool) (gateway.Stats, error) {
 	return st, nil
 }
 
-// shardFailoverArm replays the workload through three killable shards,
-// kills the cri1 home mid-stream, and measures availability. With
-// failover on, the gateway also probes (ejecting, respawning and
-// readmitting the victim after invalidation catch-up); the control arm
-// disables failover, probing and passive detection, so every query routed
-// at the corpse fails. Returns the stats, the availability fraction, and
-// the per-workload result hashes of the successes.
-func shardFailoverArm(failover bool) (gateway.Stats, float64, map[int]uint64, error) {
-	const shards = 3
-	mk := func(id string) *gateway.Killable {
-		return gateway.NewKillable(serve.New(serve.Config{Workers: 2, QueueDepth: 64, ShardID: id}))
-	}
-	slots := make([]*gateway.Killable, shards)
-	insts := make([]gateway.Instance, shards)
-	for i := range insts {
-		slots[i] = mk(fmt.Sprintf("shard-%d", i))
-		insts[i] = slots[i]
-	}
-	cfg := gateway.Config{Seed: 17}
-	if failover {
-		cfg.Failover = 2
-		cfg.EjectAfter = 2
-		cfg.PassiveFailures = 2
-		cfg.RejoinProbes = 1
-		cfg.Respawn = func(i int, id string) gateway.Instance {
-			k := mk(id)
-			slots[i] = k
-			return k
-		}
-	} else {
-		cfg.Failover = -1
-		cfg.EjectAfter = -1
-		cfg.PassiveFailures = -1
-	}
-	gw := gateway.NewWithInstances(cfg, insts)
+// outageFleet is a three-shard fleet and one way of taking a shard away
+// from it mid-stream: a killed process or a severed network.
+type outageFleet struct {
+	name  string // names the arm in errors
+	insts []gateway.Instance
+	// respawn is the supervisor's hook while failover is on.
+	respawn func(i int, id string) gateway.Instance
+	query   func(serveCase) (serve.Query, error)
+	// down takes the victim away; heal (optional) undoes it from outside —
+	// a killed shard is replaced by respawn instead.
+	down, heal func(victim int)
+	// aux is a dataset no workload reads, invalidated during the outage: the
+	// victim must miss the broadcast and replay it before it is readmitted.
+	aux          string
+	probeTimeout time.Duration
+}
 
-	fail := func(err error) (gateway.Stats, float64, map[int]uint64, error) {
+// noFailoverAllowance is the control arms' attempt allowance: one shard try
+// and the one execution (or wire send) under it — nothing left to retry or
+// fail over with.
+const noFailoverAllowance = 2
+
+// availabilityArm replays the workload through the fleet, takes the cri1
+// home away after one clean pass, and measures availability. With failover
+// on, the gateway also probes (ejecting the victim, then readmitting it —
+// respawned or healed — only after invalidation catch-up); the control arm
+// grants each query one try and one execution (no failover) and disables
+// probing and passive detection, so every query routed at the victim fails.
+// Returns the stats, the availability fraction, and the per-workload result
+// hashes of the successes.
+func availabilityArm(f outageFleet, failover bool) (gateway.Stats, float64, map[int]uint64, error) {
+	cfg := gateway.Config{Seed: 17, ProbeTimeout: f.probeTimeout, EjectAfter: -1, PassiveFailures: -1}
+	if failover {
+		cfg.EjectAfter, cfg.PassiveFailures, cfg.RejoinProbes, cfg.Respawn = 2, 2, 1, f.respawn
+	}
+	gw := gateway.NewWithInstances(cfg, f.insts)
+	fail := func(format string, args ...any) (gateway.Stats, float64, map[int]uint64, error) {
 		gw.Shutdown(context.Background())
-		return gateway.Stats{}, 0, nil, err
+		return gateway.Stats{}, 0, nil, fmt.Errorf(f.name+": "+format, args...)
 	}
 
 	const repeats = 8
 	total := repeats * len(shardWorkload)
-	killAt := len(shardWorkload) // one clean pass establishes the references
+	downAt := len(shardWorkload) // one clean pass establishes the references
 	victim := -1
 	hashes := map[int]uint64{}
 	ok := 0
 	var auxVersion int64
 	for k := 0; k < total; k++ {
-		if k == killAt {
+		if k == downAt {
 			if victim < 0 {
-				return fail(fmt.Errorf("shard failover: no cri1 success in the clean pass"))
+				return fail("no cri1 success in the clean pass")
 			}
-			slots[victim].Kill(gateway.KillErrors)
+			f.down(victim)
 			if failover {
-				// A broadcast the corpse must miss: readmission has to replay
-				// it before the victim takes traffic again.
-				auxVersion = gw.InvalidateDataset("aux")
+				auxVersion = gw.InvalidateDataset(f.aux)
 			}
 		}
-		if failover && k > killAt && k%3 == 0 {
+		if failover && k > downAt && k%3 == 0 {
 			gw.ProbeNow()
 		}
 		wi := k % len(shardWorkload)
-		q, err := serveQuery(shardWorkload[wi])
+		q, err := f.query(shardWorkload[wi])
 		if err != nil {
-			return fail(err)
+			return fail("%w", err)
+		}
+		if !failover {
+			q.Attempts = noFailoverAllowance
 		}
 		res, err := gw.Do(context.Background(), gateway.Request{Tenant: shardTenant(k), Query: q})
 		if err != nil {
-			if k < killAt {
-				return fail(fmt.Errorf("shard failover: clean-pass query %d: %w", k, err))
+			if k < downAt {
+				return fail("clean-pass query %d: %w", k, err)
 			}
 			if !resilience.IsClass(err, resilience.Internal) && !resilience.IsClass(err, resilience.Overloaded) {
-				return fail(fmt.Errorf("shard failover: query %d failed outside the expected classes: %w", k, err))
+				return fail("query %d failed outside the expected classes: %w", k, err)
 			}
 			continue
 		}
@@ -232,22 +235,30 @@ func shardFailoverArm(failover bool) (gateway.Stats, float64, map[int]uint64, er
 		if shardWorkload[wi].dataset == "cri1" && victim < 0 {
 			victim = res.Shard
 		}
+		if res.ResultHash == 0 {
+			return fail("query %d returned no result hash", k)
+		}
 		if !matchesRef(hashes, wi, res.ResultHash) {
-			return fail(fmt.Errorf("shard failover: workload %d result differs bitwise across the kill", wi))
+			return fail("workload %d result differs bitwise across the outage", wi)
 		}
 	}
 
 	if failover {
-		// Drive the supervisor to readmission and check the catch-up gate.
+		// Drive the supervisor to readmission and check the catch-up gate:
+		// rejoin stays shut until the victim answers version reads again and
+		// has replayed the broadcast it missed.
+		if f.heal != nil {
+			f.heal(victim)
+		}
 		for r := 0; r < 8 && gw.ShardState(victim) != gateway.ShardHealthy; r++ {
 			gw.ProbeNow()
 		}
 		if got := gw.ShardState(victim); got != gateway.ShardHealthy {
-			return fail(fmt.Errorf("shard failover: victim %d state %v after probe rounds, want healthy", victim, got))
+			return fail("victim %d state %v after probe rounds, want healthy", victim, got)
 		}
-		for i, sv := range gw.ShardVersions("aux") {
+		for i, sv := range gw.ShardVersions(f.aux) {
 			if sv != auxVersion {
-				return fail(fmt.Errorf("shard failover: shard %d at aux version %d after rejoin, want %d", i, sv, auxVersion))
+				return fail("shard %d at %s version %d after rejoin, want %d", i, f.aux, sv, auxVersion)
 			}
 		}
 	}
@@ -257,6 +268,26 @@ func shardFailoverArm(failover bool) (gateway.Stats, float64, map[int]uint64, er
 		return gateway.Stats{}, 0, nil, err
 	}
 	return st, float64(ok) / float64(total), hashes, nil
+}
+
+// shardFailoverArm is the availability arm over three killable in-process
+// shards: the victim's process dies, and the supervisor respawns it.
+func shardFailoverArm(failover bool) (gateway.Stats, float64, map[int]uint64, error) {
+	mk := func(id string) *chaostest.Killable {
+		return chaostest.NewKillable(serve.New(serve.Config{Workers: 2, QueueDepth: 64, ShardID: id}))
+	}
+	slots := make([]*chaostest.Killable, 3)
+	f := outageFleet{name: "shard failover", insts: make([]gateway.Instance, len(slots)), query: serveQuery, aux: "aux"}
+	for i := range slots {
+		slots[i] = mk(fmt.Sprintf("shard-%d", i))
+		f.insts[i] = slots[i]
+	}
+	f.respawn = func(i int, id string) gateway.Instance {
+		slots[i] = mk(id)
+		return slots[i]
+	}
+	f.down = func(victim int) { slots[victim].Kill(chaostest.KillErrors) }
+	return availabilityArm(f, failover)
 }
 
 // victimP95 is the worst victim tenant p95 in an arm.

@@ -90,12 +90,6 @@ type Sink interface {
 	Record(Event)
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Event)
-
-// Record implements Sink.
-func (f SinkFunc) Record(e Event) { f(e) }
-
 // auditor is the queued, non-blocking audit writer: Submit enqueues (or
 // drops, counting) and returns immediately; a single background goroutine
 // drains the queue into the in-memory tail and the optional sink. Drain
@@ -108,10 +102,8 @@ type auditor struct {
 	written atomic.Uint64
 
 	mu      sync.Mutex
-	tail    []Event // ring buffer of the most recent events
+	tail    []Event // the most recent events, oldest first, at most tailCap
 	tailCap int
-	tailPos int
-	wrapped bool
 
 	done chan struct{}
 }
@@ -122,7 +114,6 @@ func newAuditor(depth, tailCap int, sink Sink) *auditor {
 	a := &auditor{
 		ch:      make(chan Event, depth),
 		sink:    sink,
-		tail:    make([]Event, tailCap),
 		tailCap: tailCap,
 		done:    make(chan struct{}),
 	}
@@ -151,12 +142,12 @@ func (a *auditor) submit(e Event, now time.Time) {
 	// even across concurrent submitters.
 	a.mu.Lock()
 	e.Seq = a.seq.Add(1)
-	a.tail[a.tailPos] = e
-	a.tailPos++
-	if a.tailPos == a.tailCap {
-		a.tailPos = 0
-		a.wrapped = true
+	if len(a.tail) == 2*a.tailCap {
+		// Slide the window back to the front of the array every tailCap
+		// events, so memory stays at two tails however long the process runs.
+		a.tail = a.tail[:copy(a.tail, a.tail[a.tailCap:])]
 	}
+	a.tail = append(a.tail, e)
 	a.mu.Unlock()
 	select {
 	case a.ch <- e:
@@ -169,19 +160,11 @@ func (a *auditor) submit(e Event, now time.Time) {
 func (a *auditor) Tail(n int) []Event {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var ordered []Event
-	if a.wrapped {
-		ordered = append(ordered, a.tail[a.tailPos:]...)
-		ordered = append(ordered, a.tail[:a.tailPos]...)
-	} else {
-		ordered = append(ordered, a.tail[:a.tailPos]...)
+	keep := min(len(a.tail), a.tailCap)
+	if n > 0 && n < keep {
+		keep = n
 	}
-	if n > 0 && len(ordered) > n {
-		ordered = ordered[len(ordered)-n:]
-	}
-	out := make([]Event, len(ordered))
-	copy(out, ordered)
-	return out
+	return append([]Event{}, a.tail[len(a.tail)-keep:]...)
 }
 
 // Drain closes the queue and waits until the writer has flushed every

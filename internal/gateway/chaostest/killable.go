@@ -1,4 +1,10 @@
-package gateway
+// Package chaostest holds the fault-injecting fixtures the gateway's chaos
+// storms and the shard/remote bench experiments drive the tier with: a
+// kill switch around a shard (Killable) and a seeded fault-injecting HTTP
+// transport (NetFault). Nothing a serving binary links imports it, and it
+// does not import the gateway — whose own tests import it — so it wraps the
+// gateway's shard interface by declaring the same method set.
+package chaostest
 
 import (
 	"context"
@@ -10,9 +16,21 @@ import (
 	"remac/internal/serve"
 )
 
+// Instance is the method set of gateway.Instance; any gateway shard
+// satisfies it and a Killable satisfies gateway.Instance in turn.
+type Instance interface {
+	Do(ctx context.Context, q serve.Query) (*serve.QueryResult, error)
+	InvalidateDataset(id string)
+	DatasetVersion(id string) int64
+	Metrics() serve.Snapshot
+	Healthz() serve.Health
+	Readyz() serve.Health
+	Shutdown(ctx context.Context) error
+}
+
 // ErrShardDown is the root cause inside the Internal-class error a killed
 // Killable returns for every query.
-var ErrShardDown = errors.New("gateway: shard down")
+var ErrShardDown = errors.New("chaostest: shard down")
 
 // KillMode selects how a killed Killable misbehaves.
 type KillMode int
@@ -106,27 +124,27 @@ func (k *Killable) Do(ctx context.Context, q serve.Query) (*serve.QueryResult, e
 		return nil, &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: ErrShardDown}
 	case KillPartition:
 		return nil, &resilience.QueryError{Class: resilience.Internal, Stage: "wire",
-			Err: fmt.Errorf("gateway: %w", ErrNetPartition)}
+			Err: fmt.Errorf("chaostest: %w", ErrNetPartition)}
 	}
 	select {
 	case <-revive:
 		return k.Inner().Do(ctx, q)
 	case <-ctx.Done():
 		return nil, &resilience.QueryError{Class: resilience.Canceled, Stage: "shard",
-			Err: fmt.Errorf("gateway: hung shard: %w", ctx.Err())}
+			Err: fmt.Errorf("chaostest: hung shard: %w", ctx.Err())}
 	case <-k.closed:
 		return nil, &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: ErrShardDown}
 	}
 }
 
-// Healthz reports the inner probe while alive; dead shards report not-OK
-// (KillErrors) or block like a wedged process (KillHang) until revived or
-// shut down — the gateway's probe timeout converts the block into a
-// liveness failure.
-func (k *Killable) Healthz() serve.Health {
+// probe reports the inner probe while alive; dead shards report not-OK
+// (KillErrors, KillPartition) or block like a wedged process (KillHang)
+// until revived or shut down — the gateway's probe timeout converts the
+// block into a liveness failure.
+func (k *Killable) probe(inner func(Instance) serve.Health) serve.Health {
 	dead, mode, revive := k.state()
 	if !dead {
-		return k.Inner().Healthz()
+		return inner(k.Inner())
 	}
 	switch mode {
 	case KillErrors:
@@ -136,31 +154,17 @@ func (k *Killable) Healthz() serve.Health {
 	}
 	select {
 	case <-revive:
-		return k.Inner().Healthz()
+		return inner(k.Inner())
 	case <-k.closed:
 		return serve.Health{OK: false, Status: "dead"}
 	}
 }
 
-// Readyz mirrors Healthz's kill behavior.
-func (k *Killable) Readyz() serve.Health {
-	dead, mode, revive := k.state()
-	if !dead {
-		return k.Inner().Readyz()
-	}
-	switch mode {
-	case KillErrors:
-		return serve.Health{OK: false, Status: "dead"}
-	case KillPartition:
-		return serve.Health{OK: false, Status: "partitioned"}
-	}
-	select {
-	case <-revive:
-		return k.Inner().Readyz()
-	case <-k.closed:
-		return serve.Health{OK: false, Status: "dead"}
-	}
-}
+// Healthz is the inner liveness probe under the kill switch.
+func (k *Killable) Healthz() serve.Health { return k.probe(Instance.Healthz) }
+
+// Readyz is the inner readiness probe under the kill switch.
+func (k *Killable) Readyz() serve.Health { return k.probe(Instance.Readyz) }
 
 // InvalidateDataset is dropped while dead — a crashed process cannot
 // acknowledge a broadcast. The version gap this opens is what the rejoin

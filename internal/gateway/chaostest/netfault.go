@@ -1,4 +1,4 @@
-package gateway
+package chaostest
 
 import (
 	"bytes"

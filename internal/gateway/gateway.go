@@ -9,8 +9,8 @@
 // Shards are in-process serve.Server instances behind the Instance
 // interface, so tests and benches stay hermetic while cmd/remac-gateway
 // exposes the same tier over HTTP. Routing is deterministic: the ring's
-// seeded placement plus ordered spill-over means any two gateways with
-// the same configuration route a key identically.
+// seeded placement plus an ordered walk means any two gateways with the
+// same configuration route a key identically.
 package gateway
 
 import (
@@ -47,32 +47,20 @@ var _ Instance = (*serve.Server)(nil)
 // Config parameterizes a Gateway. The zero value of every optional field
 // picks a sensible default.
 type Config struct {
-	// Shards is the number of in-process serve.Server instances to run
-	// (ignored by NewWithInstances). Default 2.
+	// Shards is the number of in-process serve.Server instances New runs
+	// (ignored by NewWithInstances). Zero means 2, unless New is also given
+	// remote shards — then it means none.
 	Shards int
 	// Serve configures each spawned shard; ShardID is overwritten per
 	// shard ("shard-0", "shard-1", …).
 	Serve serve.Config
-	// VirtualNodes per shard on the consistent-hash ring. Default 64.
-	VirtualNodes int
 	// Seed perturbs ring placement (any fixed value is deterministic).
 	Seed uint64
-	// SpillOver bounds how many alternate shards a query may try after its
-	// home shard rejects it with an Overloaded-class error (breaker open
-	// or queue saturated). 0 disables spill-over; default 1. The ring's
-	// preference order makes the alternates deterministic.
-	SpillOver int
 	// RouteRandom replaces affinity routing with seeded pseudo-random
 	// shard choice. It exists for the shard bench's control arm — random
 	// routing destroys cache locality by construction — and for A/B
 	// measurements; production configurations want affinity.
 	RouteRandom bool
-	// Failover bounds how many alternate shards a query may try after a
-	// shard fails it with an Internal-class error (crash, panic, abandoned
-	// producer). Distinct from SpillOver: spill-over reacts to overload
-	// (the shard is alive but saturated), failover to failure (the shard is
-	// broken). Negative disables failover; default 1.
-	Failover int
 
 	// ProbeInterval is the active health monitor's period. Zero disables
 	// the background prober — ProbeNow still drives rounds manually (tests,
@@ -105,9 +93,9 @@ type Config struct {
 	Respawn func(shard int, id string) Instance
 
 	// DefaultTimeout is the per-query deadline bound once at the gateway:
-	// every spill-over and failover attempt shares the remaining budget
-	// (no fresh timeout per attempt). Query.Timeout overrides it per
-	// query. Zero means no gateway deadline.
+	// every shard try shares the remaining budget (no fresh timeout per
+	// try). Query.Timeout overrides it per query. Zero means no gateway
+	// deadline.
 	DefaultTimeout time.Duration
 
 	// Quotas maps tenant name to its admission quota; tenants not listed
@@ -120,9 +108,6 @@ type Config struct {
 	// events (counted) rather than blocking the serving path. Negative
 	// disables the audit plane entirely.
 	AuditDepth int
-	// AuditTail bounds the in-memory event tail served by Audit (default
-	// 256).
-	AuditTail int
 	// AuditSink, when non-nil, additionally receives every event from the
 	// single writer goroutine (a JSONL file, a test recorder, …).
 	AuditSink Sink
@@ -131,25 +116,21 @@ type Config struct {
 	Clock func() time.Time
 }
 
+// Constants, not configuration: no bench arm, storm or deployment has ever
+// needed another value (DESIGN.md §16, knob table).
+const (
+	// virtualNodes is each shard's point count on the consistent-hash ring.
+	virtualNodes = 64
+	// auditTail is how many events Audit (GET /audit) can look back on.
+	auditTail = 256
+	// DefaultAllowance is the attempt allowance Do mints for a request that
+	// does not bring its own (Query.Attempts): enough for a shard try and its
+	// execution on three shards, or for one remote shard's three wire sends
+	// followed by a try and a send on the next.
+	DefaultAllowance = 6
+)
+
 func (c Config) withDefaults() Config {
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
-	if c.VirtualNodes == 0 {
-		c.VirtualNodes = 64
-	}
-	if c.SpillOver == 0 {
-		c.SpillOver = 1
-	}
-	if c.SpillOver < 0 {
-		c.SpillOver = 0
-	}
-	if c.Failover == 0 {
-		c.Failover = 1
-	}
-	if c.Failover < 0 {
-		c.Failover = 0
-	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
 	}
@@ -167,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AuditDepth == 0 {
 		c.AuditDepth = 1024
-	}
-	if c.AuditTail <= 0 {
-		c.AuditTail = 256
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -241,40 +219,55 @@ type Gateway struct {
 	tenants  *lru.Cache[string, *tenantStats]
 }
 
-// New builds a gateway running cfg.Shards in-process serve.Server shards.
-// The per-query deadline moves up a layer: the shard's DefaultTimeout is
-// lifted into the gateway's, so spill-over and failover attempts share one
-// budget instead of each attempt getting a fresh shard-level timeout.
-func New(cfg Config) *Gateway {
-	cfg = cfg.withDefaults()
+// New builds a gateway over cfg.Shards in-process serve.Server shards
+// followed by one RemoteInstance per remote, all behind the same ring and
+// lifecycle monitor, and installs the supervisor's default Respawn for both
+// kinds (a remote respawn is a fresh client against the same URL — the
+// process out there has its own supervisor). The per-query deadline moves
+// up a layer: the shard's DefaultTimeout is lifted into the gateway's, so
+// every shard try shares one budget instead of each getting a fresh
+// shard-level timeout.
+func New(cfg Config, remotes ...RemoteConfig) *Gateway {
+	locals := max(cfg.Shards, 0)
+	if cfg.Shards == 0 && len(remotes) == 0 {
+		locals = 2
+	}
 	if cfg.DefaultTimeout == 0 {
 		cfg.DefaultTimeout = cfg.Serve.DefaultTimeout
 	}
 	cfg.Serve.DefaultTimeout = 0
-	spawn := func(id string) Instance {
+	spawn := func(shard int, id string) Instance {
+		if shard >= locals {
+			rc := remotes[shard-locals]
+			if id != "" {
+				rc.ShardID = id
+			}
+			return NewRemote(rc)
+		}
 		scfg := cfg.Serve
 		scfg.ShardID = id
 		return serve.New(scfg)
 	}
 	if cfg.Respawn == nil {
-		cfg.Respawn = func(_ int, id string) Instance { return spawn(id) }
+		cfg.Respawn = spawn
 	}
-	shards := make([]Instance, cfg.Shards)
-	ids := make([]string, cfg.Shards)
-	for i := range shards {
-		ids[i] = fmt.Sprintf("shard-%d", i)
-		shards[i] = spawn(ids[i])
+	instances := make([]Instance, locals+len(remotes))
+	for i := range instances {
+		id := ""
+		if i < locals {
+			id = fmt.Sprintf("shard-%d", i)
+		}
+		instances[i] = spawn(i, id)
 	}
-	return newGateway(cfg, shards, ids)
+	return NewWithInstances(cfg, instances)
 }
 
-// NewWithInstances builds a gateway over caller-provided shards (tests,
-// or a future remote-instance client). cfg.Shards is ignored.
+// NewWithInstances builds a gateway over caller-provided shards, labelled
+// by what each reports as its shard id. cfg.Shards is ignored.
 func NewWithInstances(cfg Config, instances []Instance) *Gateway {
 	if len(instances) == 0 {
 		panic("gateway: NewWithInstances requires at least one instance")
 	}
-	cfg.Shards = len(instances)
 	cfg = cfg.withDefaults()
 	ids := make([]string, len(instances))
 	for i := range instances {
@@ -284,21 +277,17 @@ func NewWithInstances(cfg Config, instances []Instance) *Gateway {
 			ids[i] = fmt.Sprintf("shard-%d", i)
 		}
 	}
-	return newGateway(cfg, instances, ids)
-}
-
-func newGateway(cfg Config, shards []Instance, ids []string) *Gateway {
 	g := &Gateway{
 		cfg:      cfg,
-		shards:   shards,
+		shards:   instances,
 		ids:      ids,
-		ring:     newRing(len(shards), cfg.VirtualNodes, cfg.Seed),
+		ring:     newRing(len(instances), virtualNodes, cfg.Seed),
 		quotas:   newQuotas(cfg.Quotas, cfg.DefaultQuota, cfg.Clock),
 		versions: map[string]int64{},
 		tenants:  lru.New[string, *tenantStats](tenantCap),
 	}
 	if cfg.AuditDepth > 0 {
-		g.audit = newAuditor(cfg.AuditDepth, cfg.AuditTail, cfg.AuditSink)
+		g.audit = newAuditor(cfg.AuditDepth, auditTail, cfg.AuditSink)
 	}
 	g.life = newLifecycle(g)
 	return g
@@ -339,9 +328,6 @@ func (g *Gateway) ProbeNow() { g.life.probeRound() }
 
 // ShardState returns shard i's current lifecycle state.
 func (g *Gateway) ShardState(i int) ShardState { return g.life.snapshotStates()[i] }
-
-// LifecycleStates returns every shard's lifecycle state, in shard order.
-func (g *Gateway) LifecycleStates() []ShardState { return g.life.snapshotStates() }
 
 // routeKey is the ring key for a query: dataset@version, so every query
 // touching one dataset version shares a home shard (and with it the plan
@@ -387,13 +373,15 @@ func (g *Gateway) order(q serve.Query) []int {
 	return out
 }
 
-// routable filters a preference order down to shards that take traffic
-// (healthy or suspect). Ejected and rejoining shards are skipped in place:
-// surviving shards keep their position, so only the dead shard's keys move
-// — each to the next shard in its own preference order, deterministically.
-func (g *Gateway) routable(order []int) []int {
+// routableOrder is the preference order Do actually walks: the policy's
+// order filtered down to shards that take traffic (healthy or suspect).
+// Ejected and rejoining shards are skipped in place: surviving shards keep
+// their position, so only the dead shard's keys move — each to the next
+// shard in its own preference order, deterministically.
+func (g *Gateway) routableOrder(q serve.Query) []int {
 	states := g.life.snapshotStates()
-	out := make([]int, 0, len(order))
+	order := g.order(q)
+	out := order[:0]
 	for _, s := range order {
 		if states[s].takesTraffic() {
 			out = append(out, s)
@@ -402,14 +390,9 @@ func (g *Gateway) routable(order []int) []int {
 	return out
 }
 
-// routableOrder is the preference order Do actually walks for a query.
-func (g *Gateway) routableOrder(q serve.Query) []int {
-	return g.routable(g.order(q))
-}
-
 // ErrFailoverExhausted is the root cause inside the Internal-class error
-// returned when every failover attempt also failed.
-var ErrFailoverExhausted = errors.New("gateway: failover budget exhausted")
+// returned when every shard the request failed over to failed it too.
+var ErrFailoverExhausted = errors.New("gateway: failover exhausted")
 
 // ErrDeadlineExhausted is the root cause inside the Canceled-class (504)
 // error returned when the query's deadline ran out across attempts.
@@ -419,42 +402,35 @@ var ErrDeadlineExhausted = errors.New("gateway: per-query deadline exhausted")
 // returned when ejections have left no routable shard for a query.
 var ErrNoShards = errors.New("gateway: no routable shards")
 
-// Do routes one request: tenant quota admission, then the home shard from
-// the ring's routable preference order, moving to the next shard when one
-// rejects or fails — spill-over (bounded by cfg.SpillOver) on
-// Overloaded-class rejections, failover (bounded by cfg.Failover) on
-// Internal-class failures. The per-query deadline is bound once here:
-// every attempt shares the remaining budget, and exhausting it yields a
-// typed Canceled-class (504) error. Every shard outcome feeds the passive
-// failure detector, and every request outcome — success, quota rejection,
-// overload, failover exhaustion — is recorded on the audit plane with the
-// tenant, canonical query key, shard, outcome class, charged FLOP and
-// latency.
+// Do serves one request in five stages — admit, route, attempt, classify,
+// record — after binding the two bounds every stage shares: the deadline
+// and the attempt allowance. Each stage below says what it may touch;
+// record is the only one that writes Stats, tenant stats, the audit Event
+// and the Result, and it runs exactly once whatever the outcome.
 func (g *Gateway) Do(ctx context.Context, req Request) (*Result, error) {
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "anonymous"
+	r := &request{tenant: req.Tenant, rid: req.RequestID, q: req.Query, start: g.cfg.Clock(), shard: -1}
+	if r.tenant == "" {
+		r.tenant = "anonymous"
 	}
-	rid := req.RequestID
-	if rid == "" {
-		rid = NewRequestID()
+	if r.rid == "" {
+		r.rid = httpapi.NewRequestID()
 	}
-	start := g.cfg.Clock()
-	ev := Event{
-		Tenant:       tenant,
-		RequestID:    rid,
-		CanonicalKey: canonicalKey(req.Query.Script),
-		Dataset:      req.Query.Dataset,
-		Shard:        -1,
+	// The idempotency key is stamped before the first try so every re-send,
+	// spill-over and failover of this request carries the same one: a shard
+	// that already executed it replays the committed result instead of
+	// executing twice. Callers may pin their own (client-side retries across
+	// gateway connections); otherwise the request id is exactly the scope.
+	if r.q.IdempotencyKey == "" {
+		r.q.IdempotencyKey = r.rid
 	}
 
-	// Bind the deadline once, before the first attempt: spill-over and
-	// failover attempts share the remaining budget rather than each
-	// getting a fresh shard-level timeout, so a query can never exceed its
-	// deadline by straggling across the fleet. The shard-level timeout is
-	// cleared so the shard cannot re-arm a fresh one per attempt.
-	q := req.Query
-	timeout := q.Timeout
+	// Both bounds are bound once, here, and cleared on the query so no shard
+	// can re-arm a fresh one per try. The deadline: every try shares the
+	// remaining time. The allowance: every shard try, wire send and engine
+	// execution this request causes anywhere in the tier takes one unit of
+	// it before starting, so the request never starts more than it was
+	// minted with.
+	timeout, attempts := r.q.Timeout, r.q.Attempts
 	if timeout == 0 {
 		timeout = g.cfg.DefaultTimeout
 	}
@@ -463,146 +439,173 @@ func (g *Gateway) Do(ctx context.Context, req Request) (*Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	q.Timeout = 0
+	if attempts <= 0 {
+		attempts = DefaultAllowance
+	}
+	r.allow = resilience.NewAllowance(attempts)
+	ctx = resilience.WithAllowance(ctx, r.allow)
+	r.q.Timeout, r.q.Attempts = 0, 0
 
-	// Stamp the idempotency key before the first attempt so every retry,
-	// spill-over and failover of this query carries the same key: a shard
-	// that already executed it replays the committed result instead of
-	// executing twice. Callers may pin their own key (client-side retries
-	// across gateway connections); otherwise the request id — unique per
-	// gateway attempt sequence — is exactly the right scope.
-	if q.IdempotencyKey == "" {
-		q.IdempotencyKey = rid
+	release, err := g.quotas.admit(r.tenant)
+	if err == nil {
+		defer release()
+		var order []int
+		if order, err = g.route(r.q); err == nil {
+			err = r.classify(ctx, g.attempt(ctx, r, order))
+		}
 	}
-
-	release, err := g.quotas.admit(tenant)
-	if err != nil {
-		g.count(func(st *Stats) { st.QuotaRejected++ })
-		g.tenantFinish(tenant, 0, 0, err)
-		g.auditFinish(ev, start, err)
-		return nil, err
-	}
-	defer release()
-
-	order := g.routableOrder(q)
-	if len(order) == 0 {
-		err := &resilience.QueryError{Class: resilience.Overloaded, Stage: "route",
-			Err: ErrNoShards, RetryAfter: time.Second}
-		g.count(func(st *Stats) { st.OverloadRejected++ })
-		g.tenantFinish(tenant, 0, 0, err)
-		g.auditFinish(ev, start, err)
-		return nil, err
-	}
-	var res *serve.QueryResult
-	var lastErr error
-	shard := -1
-	spills, failovers := 0, 0
-	spilled, failedOver := false, false
-	var retryAfterHint time.Duration
-	for i := 0; i < len(order); i++ {
-		shard = order[i]
-		res, lastErr = g.instance(shard).Do(ctx, q)
-		g.life.observe(shard, lastErr, rid)
-		if lastErr == nil {
-			break
-		}
-		if ctx.Err() != nil || i+1 >= len(order) {
-			break
-		}
-		if resilience.IsClass(lastErr, resilience.Quota) {
-			// 429 from a shard is tenant-level backpressure, not shard
-			// saturation: every replica enforces the same quota, so
-			// spilling over would just burn the fleet re-rejecting the
-			// same tenant. Terminal — the Retry-After travels back as-is.
-			break
-		}
-		if resilience.IsClass(lastErr, resilience.Overloaded) && spills < g.cfg.SpillOver {
-			// Saturated or breaker-open shard (503): bounded spill-over to
-			// the next shard in preference order. Remember the soonest
-			// Retry-After any shard advertised — if every replica turns us
-			// away, the final rejection tells the client when the
-			// least-loaded one expects capacity back.
-			if ra := retryAfterOf(lastErr); ra > 0 && (retryAfterHint == 0 || ra < retryAfterHint) {
-				retryAfterHint = ra
-			}
-			spills++
-			spilled = true
-			continue
-		}
-		if resilience.IsClass(lastErr, resilience.Internal) && failovers < g.cfg.Failover {
-			// Broken shard (crash, panic, abandoned producer, wire-retry
-			// exhaustion on a remote shard): bounded failover to the next
-			// shard in preference order.
-			failovers++
-			failedOver = true
-			continue
-		}
-		break
-	}
-	ev.Shard = shard
-	ev.Spilled = spilled
-	ev.Failover = failedOver
-	latency := g.cfg.Clock().Sub(start).Seconds()
-	if lastErr != nil {
-		switch {
-		case errors.Is(ctx.Err(), context.DeadlineExceeded):
-			g.count(func(st *Stats) { st.DeadlineExceeded++ })
-			lastErr = &resilience.QueryError{Class: resilience.Canceled, Stage: "deadline",
-				Err: fmt.Errorf("%w: %w", ErrDeadlineExhausted, lastErr)}
-		case resilience.IsClass(lastErr, resilience.Internal) && failedOver:
-			g.count(func(st *Stats) { st.FailoverExhausted++ })
-			lastErr = &resilience.QueryError{Class: resilience.Internal, Stage: "failover",
-				Err: fmt.Errorf("%w after %d attempt(s): %w", ErrFailoverExhausted, failovers+1, lastErr)}
-		case resilience.IsClass(lastErr, resilience.Overloaded):
-			g.count(func(st *Stats) { st.OverloadRejected++ })
-			// The last-tried shard's hint competes for the minimum too.
-			if ra := retryAfterOf(lastErr); ra > 0 && (retryAfterHint == 0 || ra < retryAfterHint) {
-				retryAfterHint = ra
-			}
-			if spilled && retryAfterHint > 0 && retryAfterOf(lastErr) != retryAfterHint {
-				// The fleet-wide rejection carries the soonest Retry-After
-				// seen while spilling, not whichever shard happened to be
-				// tried last.
-				lastErr = &resilience.QueryError{Class: resilience.Overloaded, Stage: "route",
-					Err:        fmt.Errorf("all %d spill target(s) overloaded: %w", spills+1, lastErr),
-					RetryAfter: retryAfterHint}
-			}
-		}
-		g.tenantFinish(tenant, latency, 0, lastErr)
-		g.auditFinish(ev, start, lastErr)
-		return nil, lastErr
-	}
-	g.count(func(st *Stats) {
-		st.Routed++
-		if spilled {
-			st.Spilled++
-		}
-		if failedOver {
-			st.FailedOver++
-		}
-	})
-	ev.FLOP = res.FLOP
-	g.tenantFinish(tenant, latency, res.FLOP, nil)
-	g.auditFinish(ev, start, nil)
-	return &Result{
-		QueryResult: res,
-		Shard:       shard,
-		ShardID:     g.ids[shard],
-		Spilled:     spilled,
-		Failover:    failedOver,
-		RequestID:   rid,
-	}, nil
+	return g.record(r, err)
 }
 
-// auditFinish stamps the outcome and latency and submits the event.
-func (g *Gateway) auditFinish(ev Event, start time.Time, err error) {
-	if g.audit == nil {
-		return
+// request is one Do call between its stages: what was asked, the allowance
+// it spends, and what the shard walk left behind for classify and record.
+type request struct {
+	tenant, rid string
+	q           serve.Query
+	start       time.Time
+	allow       *resilience.Allowance
+
+	shard               int // last shard tried; -1 when none was
+	tries               int
+	spilled, failedOver bool
+	// retryAfter is the soonest hint any overloaded shard advertised.
+	retryAfter time.Duration
+	res        *serve.QueryResult
+}
+
+// route is the second stage (admit, the first, is quotas.admit): the
+// query's preference order over the shards that take traffic. It reads the
+// ring and the lifecycle states and fails typed when ejections have left
+// nothing to route to.
+func (g *Gateway) route(q serve.Query) ([]int, error) {
+	order := g.routableOrder(q)
+	if len(order) == 0 {
+		return nil, &resilience.QueryError{Class: resilience.Overloaded, Stage: "route",
+			Err: ErrNoShards, RetryAfter: time.Second}
 	}
+	return order, nil
+}
+
+// attempt is the third stage: the walk down the preference order. Each try
+// takes one unit of the allowance, calls the shard, and feeds the outcome
+// to the passive failure detector; nothing else is touched. What moves the
+// walk on is only what the shard answered: Overloaded (saturated or
+// breaker-open: spill over) and Internal (crashed, panicked, wire retries
+// exhausted: fail over). Everything else is an answer — a 429 in
+// particular is tenant-level backpressure every replica would repeat. The
+// walk ends with the order, the deadline or the allowance, whichever runs
+// out first, and returns the last shard's error.
+func (g *Gateway) attempt(ctx context.Context, r *request, order []int) (err error) {
+	for i, shard := range order {
+		if !r.allow.Take() {
+			break
+		}
+		r.shard, r.tries = shard, r.tries+1
+		r.res, err = g.instance(shard).Do(ctx, r.q)
+		g.life.observe(shard, err, r.rid)
+		if err == nil {
+			return nil
+		}
+		overloaded := resilience.IsClass(err, resilience.Overloaded)
+		if ra := retryAfterOf(err); overloaded && ra > 0 && (r.retryAfter == 0 || ra < r.retryAfter) {
+			r.retryAfter = ra
+		}
+		if ctx.Err() != nil || i+1 == len(order) || r.allow.Left() == 0 {
+			break
+		}
+		switch {
+		case overloaded:
+			r.spilled = true
+		case resilience.IsClass(err, resilience.Internal):
+			r.failedOver = true
+		default:
+			return err
+		}
+	}
+	return err
+}
+
+// classify is the fourth stage, and pure: it turns the walk's last error
+// into the request's outcome. A deadline that ran out across tries is the
+// typed 504; an Internal failure after failing over says the tier, not the
+// query, is degraded; a fleet-wide overload carries the soonest
+// Retry-After any shard advertised, not whichever shard was tried last.
+// Running out of allowance is none of these: the last error already says
+// what went wrong.
+func (r *request) classify(ctx context.Context, err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		return &resilience.QueryError{Class: resilience.Canceled, Stage: "deadline",
+			Err: fmt.Errorf("%w: %w", ErrDeadlineExhausted, err)}
+	case resilience.IsClass(err, resilience.Internal) && r.failedOver:
+		return &resilience.QueryError{Class: resilience.Internal, Stage: "failover",
+			Err: fmt.Errorf("%w after %d shard(s): %w", ErrFailoverExhausted, r.tries, err)}
+	case resilience.IsClass(err, resilience.Overloaded) && r.spilled && r.retryAfter > 0 && retryAfterOf(err) != r.retryAfter:
+		return &resilience.QueryError{Class: resilience.Overloaded, Stage: "route",
+			Err:        fmt.Errorf("all %d shard(s) tried are overloaded: %w", r.tries, err),
+			RetryAfter: r.retryAfter}
+	}
+	return err
+}
+
+// record is the last stage and the only writer: one Stats delta, one
+// tenant-stats update, one audit event and the Result, all read off the
+// request and its typed outcome.
+func (g *Gateway) record(r *request, err error) (*Result, error) {
 	now := g.cfg.Clock()
-	ev.LatencySec = now.Sub(start).Seconds()
-	ev.Outcome = outcomeClass(err)
-	g.audit.submit(ev, now)
+	latency := now.Sub(r.start).Seconds()
+	var flop float64
+	if err == nil {
+		flop = r.res.FLOP
+	}
+	g.count(func(st *Stats) {
+		switch {
+		case err == nil:
+			st.Routed++
+			if r.spilled {
+				st.Spilled++
+			}
+			if r.failedOver {
+				st.FailedOver++
+			}
+		case errors.Is(err, ErrQuotaExceeded):
+			st.QuotaRejected++
+		case errors.Is(err, ErrDeadlineExhausted):
+			st.DeadlineExceeded++
+		case errors.Is(err, ErrFailoverExhausted):
+			st.FailoverExhausted++
+		case resilience.IsClass(err, resilience.Overloaded):
+			st.OverloadRejected++
+		}
+	})
+	g.tenantFinish(r.tenant, latency, flop, err)
+	if g.audit != nil {
+		g.audit.submit(Event{
+			Tenant:       r.tenant,
+			RequestID:    r.rid,
+			CanonicalKey: canonicalKey(r.q.Script),
+			Dataset:      r.q.Dataset,
+			Shard:        r.shard,
+			Outcome:      outcomeClass(err),
+			Spilled:      r.spilled,
+			Failover:     r.failedOver,
+			FLOP:         flop,
+			LatencySec:   latency,
+		}, now)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		QueryResult: r.res,
+		Shard:       r.shard,
+		ShardID:     g.ids[r.shard],
+		Spilled:     r.spilled,
+		Failover:    r.failedOver,
+		RequestID:   r.rid,
+	}, nil
 }
 
 // outcomeClass renders an error as its audit outcome string.
@@ -676,21 +679,13 @@ func (g *Gateway) bumpToVersion(inst Instance, id string, v int64) bool {
 func (g *Gateway) catchUp(i int, admit func() bool) bool {
 	g.invMu.Lock()
 	defer g.invMu.Unlock()
-	g.verMu.Lock()
-	versions := make(map[string]int64, len(g.versions))
-	for id, v := range g.versions {
-		versions[id] = v
-	}
-	g.verMu.Unlock()
 	inst := g.instance(i)
-	for id, v := range versions {
+	for id, v := range g.versions { // written only under invMu, which is held
 		if !g.bumpToVersion(inst, id, v) {
 			return false
 		}
 	}
-	if admit != nil {
-		admit()
-	}
+	admit()
 	return true
 }
 
@@ -739,32 +734,6 @@ type Health struct {
 	Shards []serve.Health `json:"shards"`
 }
 
-// safeProbe runs a shard probe with panic isolation so a broken instance
-// cannot take the gateway's own health endpoint down with it.
-func safeProbe(probe func() serve.Health) (h serve.Health) {
-	defer func() {
-		if r := recover(); r != nil {
-			h = serve.Health{OK: false, Status: "probe panicked"}
-		}
-	}()
-	return probe()
-}
-
-// timedProbe additionally bounds the probe by ProbeTimeout: a wedged
-// shard reports unhealthy instead of hanging the gateway's own endpoint.
-func (g *Gateway) timedProbe(probe func() serve.Health) serve.Health {
-	ch := make(chan serve.Health, 1)
-	go func() { ch <- safeProbe(probe) }()
-	t := time.NewTimer(g.cfg.ProbeTimeout)
-	defer t.Stop()
-	select {
-	case h := <-ch:
-		return h
-	case <-t.C:
-		return serve.Health{OK: false, Status: "probe timed out"}
-	}
-}
-
 // Healthz is the fleet liveness probe: OK while at least ReadyQuorum
 // shards are live (not ejected, passing their own liveness probe). Losing
 // quorum degrades the gateway itself to unhealthy, so orchestrators see a
@@ -787,7 +756,7 @@ func (g *Gateway) fleetHealth(probe func(Instance) serve.Health) Health {
 	h := Health{Quorum: g.cfg.ReadyQuorum}
 	for i := range g.ids {
 		inst := g.instance(i)
-		shh := g.timedProbe(func() serve.Health { return probe(inst) })
+		shh := g.life.guardedProbe(func() serve.Health { return probe(inst) })
 		h.Shards = append(h.Shards, shh)
 		h.Lifecycle = append(h.Lifecycle, states[i].String())
 		if states[i] == ShardEjected {
@@ -822,12 +791,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	}
 	return errors.Join(errs...)
 }
-
-// NewRequestID returns a process-unique request id (nanosecond timestamp
-// + counter, hex). The implementation lives in httpapi — which both HTTP
-// front-ends and the remote transport share — and is aliased here for the
-// gateway's in-process callers.
-func NewRequestID() string { return httpapi.NewRequestID() }
 
 // retryAfterOf extracts the Retry-After hint a typed rejection carries
 // (zero when absent).

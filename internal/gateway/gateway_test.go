@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"remac/internal/gateway/chaostest"
 	"remac/internal/resilience"
 	"remac/internal/serve"
 )
@@ -42,7 +43,7 @@ func (f *fakeShard) Do(ctx context.Context, q serve.Query) (*serve.QueryResult, 
 	f.deadlines = append(f.deadlines, dl)
 	f.timeouts = append(f.timeouts, q.Timeout)
 	if f.down {
-		return nil, &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: ErrShardDown}
+		return nil, &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: chaostest.ErrShardDown}
 	}
 	if f.overloaded {
 		return nil, &resilience.QueryError{Class: resilience.Overloaded, Stage: "admission", Err: serve.ErrOverloaded}
@@ -188,13 +189,14 @@ func TestGatewayAffinityRouting(t *testing.T) {
 
 // TestGatewaySpilloverBounded: an overloaded home shard spills to the
 // next shard in ring order (marked on the result and counted), and with
-// spill-over exhausted the typed Overloaded error surfaces.
+// the request's allowance spent the typed Overloaded error surfaces.
 func TestGatewaySpilloverBounded(t *testing.T) {
 	insts, fakes := fakeFleet(3)
-	g := NewWithInstances(Config{Seed: 2, SpillOver: 1}, insts)
+	g := NewWithInstances(Config{Seed: 2}, insts)
 	defer g.Shutdown(context.Background())
 
 	q := gatewayQuery("cri1")
+	q.Attempts = 2 // two shard tries: the home and one spill target
 	order := g.order(q)
 	fakes[order[0]].setOverloaded(true)
 
@@ -209,8 +211,8 @@ func TestGatewaySpilloverBounded(t *testing.T) {
 		t.Fatalf("Stats.Spilled = %d, want 1", st.Spilled)
 	}
 
-	// Saturate the alternate too: the bounded budget (1 spill) is spent,
-	// so the third shard is never tried and the rejection surfaces typed.
+	// Saturate the alternate too: both tries are spent on rejections, so
+	// the third shard is never tried and the rejection surfaces typed.
 	fakes[order[1]].setOverloaded(true)
 	_, err = g.Do(context.Background(), Request{Tenant: "t", Query: q})
 	if !resilience.IsClass(err, resilience.Overloaded) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"remac/internal/resilience"
+	"remac/internal/serve"
 )
 
 // ShardState is one shard's position in the gateway's membership state
@@ -231,42 +232,29 @@ func (lc *lifecycle) ejectLocked(shard int, reason, evidence, requestID string) 
 	lc.g.recordTransition(shard, from, ShardEjected, reason, evidence, requestID)
 }
 
-// probeResult is one shard probe's outcome.
-type probeResult struct {
-	live   bool
-	detail string
-}
-
-// probe runs one shard's liveness probe with a timeout and panic
-// isolation: a probe that hangs past ProbeTimeout or panics counts as a
-// liveness failure, exactly like Healthz reporting not-OK. Readiness
-// (Readyz) is deliberately not part of liveness — a shard with an open
-// breaker or full queue is overloaded, not dead, and spill-over already
-// handles that.
-func (lc *lifecycle) probe(inst Instance) probeResult {
-	ch := make(chan probeResult, 1)
+// guardedProbe runs one shard probe with panic isolation and the
+// ProbeTimeout bound, so a broken, wedged or hung instance reports
+// unhealthy instead of taking down or stalling whoever asked — the
+// gateway's own health endpoints and the lifecycle monitor alike.
+func (lc *lifecycle) guardedProbe(probe func() serve.Health) serve.Health {
+	ch := make(chan serve.Health, 1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- probeResult{live: false, detail: fmt.Sprintf("probe panicked: %v", r)}
+				ch <- serve.Health{Status: fmt.Sprintf("probe panicked: %v", r)}
 			}
 		}()
-		h := inst.Healthz()
-		if !h.OK {
-			ch <- probeResult{live: false, detail: "healthz not ok: " + h.Status}
-			return
-		}
-		ch <- probeResult{live: true}
+		ch <- probe()
 	}()
 	t := time.NewTimer(lc.g.cfg.ProbeTimeout)
 	defer t.Stop()
 	select {
-	case pr := <-ch:
-		return pr
+	case h := <-ch:
+		return h
 	case <-t.C:
-		return probeResult{live: false, detail: fmt.Sprintf("probe timed out after %s", lc.g.cfg.ProbeTimeout)}
+		return serve.Health{Status: fmt.Sprintf("probe timed out after %s", lc.g.cfg.ProbeTimeout)}
 	case <-lc.stop:
-		return probeResult{live: false, detail: "gateway shutting down"}
+		return serve.Health{Status: "gateway shutting down"}
 	}
 }
 
@@ -276,20 +264,22 @@ func (lc *lifecycle) probeRound() {
 	if lc.g.cfg.EjectAfter <= 0 {
 		return
 	}
+	// Readiness (Readyz) is deliberately not part of liveness — a shard with
+	// an open breaker or full queue is overloaded, not dead, and spill-over
+	// already handles that.
 	for i := range lc.g.ids {
-		pr := lc.probe(lc.g.instance(i))
-		lc.apply(i, pr)
+		lc.apply(i, lc.guardedProbe(lc.g.instance(i).Healthz))
 	}
 }
 
-// apply folds one probe outcome into shard i's state machine.
-func (lc *lifecycle) apply(i int, pr probeResult) {
+// apply folds one liveness probe's outcome into shard i's state machine.
+func (lc *lifecycle) apply(i int, pr serve.Health) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	s := lc.st[i]
 	switch s.state {
 	case ShardHealthy, ShardSuspect:
-		if pr.live {
+		if pr.OK {
 			if s.state == ShardSuspect {
 				s.state = ShardHealthy
 				lc.g.recordTransition(i, ShardSuspect, ShardHealthy, "probe", "probe passed", "")
@@ -300,15 +290,15 @@ func (lc *lifecycle) apply(i int, pr probeResult) {
 		s.probeFails++
 		if s.probeFails >= lc.g.cfg.EjectAfter {
 			lc.ejectLocked(i, "probe",
-				fmt.Sprintf("%d consecutive failed probes; last: %s", s.probeFails, pr.detail), "")
+				fmt.Sprintf("%d consecutive failed probes; last: %s", s.probeFails, pr.Status), "")
 			return
 		}
 		if s.state == ShardHealthy {
 			s.state = ShardSuspect
-			lc.g.recordTransition(i, ShardHealthy, ShardSuspect, "probe", pr.detail, "")
+			lc.g.recordTransition(i, ShardHealthy, ShardSuspect, "probe", pr.Status, "")
 		}
 	case ShardEjected:
-		if pr.live {
+		if pr.OK {
 			// The instance came back on its own (a hung shard unwedged, or an
 			// operator revived it): begin the probation-and-catch-up rejoin.
 			s.state = ShardRejoining
@@ -318,11 +308,11 @@ func (lc *lifecycle) apply(i int, pr probeResult) {
 		}
 		lc.respawnLocked(i, s)
 	case ShardRejoining:
-		if !pr.live {
+		if !pr.OK {
 			s.state = ShardEjected
 			s.probeOKs = 0
 			lc.g.recordTransition(i, ShardRejoining, ShardEjected, "probe",
-				"rejoining instance failed probe: "+pr.detail, "")
+				"rejoining instance failed probe: "+pr.Status, "")
 			return
 		}
 		// Catch-up gate: the shard must reach the gateway's broadcast

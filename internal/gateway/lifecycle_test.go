@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"remac/internal/gateway/chaostest"
 	"remac/internal/resilience"
 )
 
@@ -44,8 +45,8 @@ func TestLifecycleActiveDetection(t *testing.T) {
 	if got := g.ShardState(victim); got != ShardEjected {
 		t.Fatalf("after EjectAfter=3 failed probes: state %v, want ejected", got)
 	}
-	for i, st := range g.LifecycleStates() {
-		if i != victim && st != ShardHealthy {
+	for i := range fakes {
+		if st := g.ShardState(i); i != victim && st != ShardHealthy {
 			t.Fatalf("shard %d state %v, want healthy", i, st)
 		}
 	}
@@ -93,7 +94,7 @@ func TestLifecycleActiveDetection(t *testing.T) {
 // failures trip passive ejection carrying the triggering request id.
 func TestLifecyclePassiveEjectionAndFailover(t *testing.T) {
 	insts, fakes := fakeFleet(3)
-	g := NewWithInstances(Config{Seed: 1, Failover: 1, PassiveFailures: 2, EjectAfter: -1}, insts)
+	g := NewWithInstances(Config{Seed: 1, PassiveFailures: 2, EjectAfter: -1}, insts)
 	defer g.Shutdown(context.Background())
 
 	q := gatewayQuery("cri1")
@@ -154,17 +155,18 @@ func TestLifecyclePassiveEjectionAndFailover(t *testing.T) {
 	}
 }
 
-// TestLifecycleFailoverExhausted: when every shard in the failover budget
+// TestLifecycleFailoverExhausted: when every shard the allowance reaches
 // fails, the error is typed and wraps ErrFailoverExhausted.
 func TestLifecycleFailoverExhausted(t *testing.T) {
 	insts, fakes := fakeFleet(3)
-	g := NewWithInstances(Config{Seed: 1, Failover: 1, PassiveFailures: -1, EjectAfter: -1}, insts)
+	g := NewWithInstances(Config{Seed: 1, PassiveFailures: -1, EjectAfter: -1}, insts)
 	defer g.Shutdown(context.Background())
 
 	for _, f := range fakes {
 		f.setDown(true)
 	}
 	q := gatewayQuery("cri1")
+	q.Attempts = 2
 	_, err := g.Do(context.Background(), Request{Tenant: "t", Query: q})
 	if err == nil {
 		t.Fatal("want failure when every shard is down")
@@ -175,7 +177,7 @@ func TestLifecycleFailoverExhausted(t *testing.T) {
 	if !resilience.IsClass(err, resilience.Internal) {
 		t.Fatalf("failover exhaustion should stay Internal-class: %v", err)
 	}
-	// Budget 1: home plus one alternate, never the third shard.
+	// Allowance 2: home plus one alternate, never the third shard.
 	total := 0
 	for _, f := range fakes {
 		total += f.attemptCount()
@@ -188,18 +190,19 @@ func TestLifecycleFailoverExhausted(t *testing.T) {
 	}
 }
 
-// TestLifecycleFailoverDisabled: a negative budget turns Internal-class
-// failures back into immediate errors (PR-8 behavior).
+// TestLifecycleFailoverDisabled: an allowance of one try turns
+// Internal-class failures back into immediate errors.
 func TestLifecycleFailoverDisabled(t *testing.T) {
 	insts, fakes := fakeFleet(2)
-	g := NewWithInstances(Config{Seed: 1, Failover: -1, PassiveFailures: -1, EjectAfter: -1}, insts)
+	g := NewWithInstances(Config{Seed: 1, PassiveFailures: -1, EjectAfter: -1}, insts)
 	defer g.Shutdown(context.Background())
 
 	q := gatewayQuery("cri1")
+	q.Attempts = 1
 	home := g.routableOrder(q)[0]
 	fakes[home].setDown(true)
 	_, err := g.Do(context.Background(), Request{Tenant: "t", Query: q})
-	if !errors.Is(err, ErrShardDown) {
+	if !errors.Is(err, chaostest.ErrShardDown) {
 		t.Fatalf("want the shard's own error, got %v", err)
 	}
 	if errors.Is(err, ErrFailoverExhausted) {
@@ -216,7 +219,7 @@ func TestLifecycleFailoverDisabled(t *testing.T) {
 // timeout is cleared.
 func TestLifecycleDeadlineSharedAcrossAttempts(t *testing.T) {
 	insts, fakes := fakeFleet(2)
-	g := NewWithInstances(Config{Seed: 1, Failover: 1, PassiveFailures: -1, EjectAfter: -1}, insts)
+	g := NewWithInstances(Config{Seed: 1, PassiveFailures: -1, EjectAfter: -1}, insts)
 	defer g.Shutdown(context.Background())
 
 	q := gatewayQuery("cri1")
@@ -257,7 +260,7 @@ func TestLifecycleDeadlineSharedAcrossAttempts(t *testing.T) {
 // deadline on a hung shard fails with the typed Canceled-class (504)
 // ErrDeadlineExhausted error, and no further attempts run after expiry.
 func TestLifecycleDeadlineExhaustedTyped(t *testing.T) {
-	cfg := Config{Seed: 3, Failover: 1, PassiveFailures: -1, EjectAfter: -1}
+	cfg := Config{Seed: 3, PassiveFailures: -1, EjectAfter: -1}
 	q := gatewayQuery("cri1")
 	q.Timeout = 30 * time.Millisecond
 
@@ -268,14 +271,14 @@ func TestLifecycleDeadlineExhaustedTyped(t *testing.T) {
 	home := scout.routableOrder(q)[0]
 	scout.Shutdown(context.Background())
 
-	hung := NewKillable(newFakeShard("shard-hung"))
+	hung := chaostest.NewKillable(newFakeShard("shard-hung"))
 	healthy := newFakeShard("shard-ok")
 	insts := make([]Instance, 2)
 	insts[home] = hung
 	insts[1-home] = healthy
 	g := NewWithInstances(cfg, insts)
 	defer g.Shutdown(context.Background())
-	hung.Kill(KillHang)
+	hung.Kill(chaostest.KillHang)
 
 	start := time.Now()
 	_, err := g.Do(context.Background(), Request{Tenant: "t", Query: q})
@@ -405,7 +408,7 @@ func TestLifecycleRejoinBlockedUntilCatchUp(t *testing.T) {
 // path.
 func TestLifecycleHangDetection(t *testing.T) {
 	inner := newFakeShard("shard-0")
-	k := NewKillable(inner)
+	k := chaostest.NewKillable(inner)
 	healthy := newFakeShard("shard-1")
 	g := NewWithInstances(Config{
 		Seed: 1, EjectAfter: 2, RejoinProbes: 1, PassiveFailures: -1,
@@ -413,7 +416,7 @@ func TestLifecycleHangDetection(t *testing.T) {
 	}, []Instance{k, healthy})
 	defer g.Shutdown(context.Background())
 
-	k.Kill(KillHang)
+	k.Kill(chaostest.KillHang)
 	g.ProbeNow()
 	if got := g.ShardState(0); got != ShardSuspect {
 		t.Fatalf("hung probe: state %v, want suspect", got)

@@ -36,17 +36,34 @@ func (q TenantQuota) limited() bool { return q.QPS > 0 || q.MaxConcurrent > 0 }
 
 func (q TenantQuota) withDefaults() TenantQuota {
 	if q.QPS > 0 && q.Burst <= 0 {
-		q.Burst = int(math.Ceil(q.QPS))
-		if q.Burst < 1 {
-			q.Burst = 1
-		}
+		q.Burst = max(1, int(math.Ceil(q.QPS)))
 	}
 	return q
 }
 
-// tenantBucket is one tenant's live admission state.
+// bucket is the tier's one token bucket: take spends a whole token, add
+// refills up to the capacity. What calls add is the owner's policy — elapsed
+// time × QPS for a tenant quota, a fraction of a token per wire success for
+// the retry budget — and so is the locking.
+type bucket struct{ tokens, capacity float64 }
+
+// newBucket returns a full bucket.
+func newBucket(capacity float64) bucket { return bucket{tokens: capacity, capacity: capacity} }
+
+func (b *bucket) take() bool {
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
+func (b *bucket) add(n float64) { b.tokens = math.Min(b.capacity, b.tokens+n) }
+
+// tenantBucket is one tenant's live admission state: its rate bucket,
+// refilled by the clock, and its in-flight count.
 type tenantBucket struct {
-	tokens   float64
+	bucket
 	last     time.Time
 	inflight int
 }
@@ -67,9 +84,6 @@ type quotas struct {
 }
 
 func newQuotas(perTenant map[string]TenantQuota, def TenantQuota, now func() time.Time) *quotas {
-	if now == nil {
-		now = time.Now
-	}
 	cfg := make(map[string]TenantQuota, len(perTenant))
 	for t, q := range perTenant {
 		cfg[t] = q.withDefaults()
@@ -103,29 +117,20 @@ func (qs *quotas) admit(tenant string) (release func(), err error) {
 	b, ok := qs.st.Get(tenant)
 	now := qs.now()
 	if !ok {
-		b = &tenantBucket{tokens: float64(q.Burst), last: now}
+		b = &tenantBucket{bucket: newBucket(float64(q.Burst)), last: now}
 	}
-	if q.QPS > 0 {
-		elapsed := now.Sub(b.last).Seconds()
-		if elapsed > 0 {
-			b.tokens = math.Min(float64(q.Burst), b.tokens+elapsed*q.QPS)
-			b.last = now
-		}
+	if elapsed := now.Sub(b.last).Seconds(); q.QPS > 0 && elapsed > 0 {
+		b.add(elapsed * q.QPS)
+		b.last = now
 	}
 	if q.MaxConcurrent > 0 && b.inflight >= q.MaxConcurrent {
 		// The slot frees when some in-flight query settles; there is no
 		// schedule to read a precise hint off, so hint one typical query.
 		return nil, quotaErr(tenant, "concurrent-query quota reached", 100*time.Millisecond)
 	}
-	if q.QPS > 0 {
-		if b.tokens < 1 {
-			wait := time.Duration((1 - b.tokens) / q.QPS * float64(time.Second))
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
-			return nil, quotaErr(tenant, "rate quota exhausted", wait)
-		}
-		b.tokens--
+	if q.QPS > 0 && !b.take() {
+		wait := time.Duration((1 - b.tokens) / q.QPS * float64(time.Second))
+		return nil, quotaErr(tenant, "rate quota exhausted", max(wait, time.Millisecond))
 	}
 	b.inflight++
 	if !ok {

@@ -97,6 +97,56 @@ func TestQuotaDefaultUnlimitedAndIsolated(t *testing.T) {
 	mustAdmit(t, qs, "free")()
 }
 
+// TestBucketBothRefillModes drives the one token bucket the way its two
+// owners do: refilled by elapsed time × rate (a tenant quota) and by a
+// fraction of a token per success (the wire retry budget).
+func TestBucketBothRefillModes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		capacity float64
+		steps    string  // t: take (granted), T: take (refused), +: add refill
+		refill   float64 // what one + adds: seconds×QPS, or RefillPerSuccess
+		tokens   float64 // left at the end
+	}{
+		{"quota 2/s burst 2, half-second gaps", 2, "ttT+t+tT", 0.5 * 2, 0},
+		{"quota refill never exceeds the burst", 3, "t++++tttT", 10 * 1, 0},
+		{"retry budget, 0.5 back per success", 2, "ttT+T+tT", 0.5, 0},
+		{"retry budget, zero refill stays empty", 1, "tT+++T", 0, 0},
+		{"retry budget caps at capacity", 2, "+++tt", 0.7, 0},
+		{"fractions accumulate", 1, "tT+T+T+T+t", 0.25, 0},
+	} {
+		b := newBucket(tc.capacity)
+		for i, step := range tc.steps {
+			switch step {
+			case '+':
+				b.add(tc.refill)
+			case 't', 'T':
+				if got := b.take(); got != (step == 't') {
+					t.Fatalf("%s: step %d (%c of %q) take = %v with %.2f tokens", tc.name, i, step, tc.steps, got, b.tokens)
+				}
+			}
+			if b.tokens < 0 || b.tokens > tc.capacity {
+				t.Fatalf("%s: step %d left %.2f tokens outside [0, %.0f]", tc.name, i, b.tokens, tc.capacity)
+			}
+		}
+		if b.tokens != tc.tokens {
+			t.Errorf("%s: %.2f tokens left, want %.2f", tc.name, b.tokens, tc.tokens)
+		}
+	}
+	// The same sequence through the exported owner: counters on top.
+	rb := NewRetryBudget(2, 0.5)
+	for _, want := range []bool{true, true, false} {
+		if rb.Take() != want {
+			t.Fatalf("RetryBudget.Take sequence diverged from the bucket's")
+		}
+	}
+	rb.Success()
+	rb.Success()
+	if st := rb.Stats(); !rb.Take() || st.Taken != 2 || st.Exhausted != 1 || st.Tokens != 1 || st.Capacity != 2 {
+		t.Fatalf("RetryBudget after two successes: %+v", st)
+	}
+}
+
 // TestQuotaBurstDefault: an unset Burst defaults to ceil(QPS), never 0.
 func TestQuotaBurstDefault(t *testing.T) {
 	q := TenantQuota{QPS: 2.5}.withDefaults()

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"remac/internal/engine"
@@ -34,14 +33,13 @@ var ErrNotTransmittable = errors.New("gateway: query not transmittable to a remo
 
 // RetryBudget is a token bucket shared by every RemoteInstance behind one
 // gateway: each wire retry spends a token and each wire success refills
-// RefillPerSuccess (capped at the capacity), so sustained retries are
+// a fraction of one (capped at the capacity), so sustained retries are
 // bounded to a fraction of successful traffic. When the bucket is empty a
 // retry is refused with a typed Overloaded error instead of amplifying
 // load into a partition.
 type RetryBudget struct {
 	mu        sync.Mutex
-	tokens    float64
-	capacity  float64
+	b         bucket
 	refill    float64
 	taken     uint64
 	exhausted uint64
@@ -57,7 +55,7 @@ func NewRetryBudget(capacity, refillPerSuccess float64) *RetryBudget {
 	if refillPerSuccess < 0 {
 		refillPerSuccess = 0.1
 	}
-	return &RetryBudget{tokens: capacity, capacity: capacity, refill: refillPerSuccess}
+	return &RetryBudget{b: newBucket(capacity), refill: refillPerSuccess}
 }
 
 // Take spends one retry token; false means the budget is exhausted and
@@ -65,11 +63,10 @@ func NewRetryBudget(capacity, refillPerSuccess float64) *RetryBudget {
 func (b *RetryBudget) Take() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tokens < 1 {
+	if !b.b.take() {
 		b.exhausted++
 		return false
 	}
-	b.tokens--
 	b.taken++
 	return true
 }
@@ -77,10 +74,7 @@ func (b *RetryBudget) Take() bool {
 // Success refills the bucket by the per-success increment.
 func (b *RetryBudget) Success() {
 	b.mu.Lock()
-	b.tokens += b.refill
-	if b.tokens > b.capacity {
-		b.tokens = b.capacity
-	}
+	b.b.add(b.refill)
 	b.mu.Unlock()
 }
 
@@ -96,7 +90,7 @@ type RetryBudgetStats struct {
 func (b *RetryBudget) Stats() RetryBudgetStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return RetryBudgetStats{Tokens: b.tokens, Capacity: b.capacity, Taken: b.taken, Exhausted: b.exhausted}
+	return RetryBudgetStats{Tokens: b.b.tokens, Capacity: b.b.capacity, Taken: b.taken, Exhausted: b.exhausted}
 }
 
 // RemoteConfig parameterizes a RemoteInstance.
@@ -115,14 +109,9 @@ type RemoteConfig struct {
 	// remaining budget), so wire retries can never extend a query past
 	// the deadline the gateway bound before the first attempt. Default 10s.
 	AttemptTimeout time.Duration
-	// Retries bounds wire-level retries per query after the first attempt.
-	// Only transport-layer failures retry (resets, timeouts, torn or
-	// garbled bodies — all idempotent under the shard's replay window);
-	// an HTTP status is an authoritative answer and is never retried at
-	// this layer. Default 2; negative disables.
-	Retries int
 	// Budget, when non-nil, is the gateway-wide retry budget every
-	// RemoteInstance shares. Nil: retries bounded by Retries alone.
+	// RemoteInstance shares: a re-send must be funded by it as well as by
+	// the request's own allowance.
 	Budget *RetryBudget
 	// ProbeTimeout bounds health, stats, version and invalidation
 	// round-trips. Default 2s.
@@ -142,12 +131,6 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 10 * time.Second
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
@@ -175,18 +158,24 @@ type WireStats struct {
 
 // RemoteInstance implements Instance over HTTP against a cmd/remac-serve
 // shard: pooled connections, per-attempt timeouts carved from the
-// once-bound query deadline, budgeted idempotent retries, and wire errors
+// once-bound query deadline, idempotent re-sends debited from the request's
+// allowance and the shared budget, and wire errors
 // mapped into the resilience taxonomy so lifecycle ejection, failover and
 // rejoin fire on wire evidence exactly as they do in process.
 type RemoteInstance struct {
 	cfg  RemoteConfig
 	base string
 
-	wireAttempts    atomic.Uint64
-	wireRetries     atomic.Uint64
-	wireFailures    atomic.Uint64
-	replays         atomic.Uint64
-	budgetExhausted atomic.Uint64
+	// stat accumulates the transport counters in place (count).
+	statMu sync.Mutex
+	stat   WireStats
+}
+
+// count applies one counter update under the stats lock.
+func (ri *RemoteInstance) count(update func(ws *WireStats)) {
+	ri.statMu.Lock()
+	update(&ri.stat)
+	ri.statMu.Unlock()
 }
 
 // NewRemote builds a remote shard client. The instance is stateless
@@ -203,18 +192,11 @@ func NewRemote(cfg RemoteConfig) *RemoteInstance {
 
 var _ Instance = (*RemoteInstance)(nil)
 
-// ShardID returns the instance's stats label.
-func (ri *RemoteInstance) ShardID() string { return ri.cfg.ShardID }
-
 // WireStats snapshots the transport counters.
 func (ri *RemoteInstance) WireStats() WireStats {
-	ws := WireStats{
-		Attempts:        ri.wireAttempts.Load(),
-		Retries:         ri.wireRetries.Load(),
-		Failures:        ri.wireFailures.Load(),
-		Replays:         ri.replays.Load(),
-		BudgetExhausted: ri.budgetExhausted.Load(),
-	}
+	ri.statMu.Lock()
+	ws := ri.stat
+	ri.statMu.Unlock()
 	if ri.cfg.Budget != nil {
 		s := ri.cfg.Budget.Stats()
 		ws.Budget = &s
@@ -284,14 +266,20 @@ func wireRequest(q serve.Query) (httpapi.QueryRequest, error) {
 // synchronize. Constants, not configuration.
 var wireRetry = resilience.RetryPolicy{BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond}
 
-// Do submits the query over the wire. The attempt loop retries only
-// transport failures — each funded by the shared budget and re-sent under
-// the same idempotency key, so a response lost after the shard committed
-// replays the original result instead of re-executing. An HTTP error
-// status parses back into the typed error the shard wrote (Retry-After
-// included) and returns immediately: overload, quota and client errors
-// are answers for the gateway's spill-over/failover logic, not transport
-// noise.
+// wireSends caps how many times one Do puts its request on the wire (the
+// first send included), so that a shard that cannot be reached leaves the
+// request allowance enough to fail over with.
+const wireSends = 3
+
+// Do submits the query over the wire. Only transport failures (resets,
+// timeouts, torn or garbled bodies) are re-sent — under the same
+// idempotency key, so a response lost after the shard committed replays
+// the original result instead of re-executing. Every send takes one unit
+// of the request's allowance and grants the shard exactly that unit; a
+// re-send must also be funded by the shared budget. An HTTP error status
+// parses back into the typed error the shard wrote (Retry-After included)
+// and returns immediately: overload, quota and client errors are answers
+// for the gateway's walk, not transport noise.
 func (ri *RemoteInstance) Do(ctx context.Context, q serve.Query) (*serve.QueryResult, error) {
 	req, err := wireRequest(q)
 	if err != nil {
@@ -301,19 +289,25 @@ func (ri *RemoteInstance) Do(ctx context.Context, q serve.Query) (*serve.QueryRe
 	if err != nil {
 		return nil, &resilience.QueryError{Class: resilience.Internal, Stage: "wire", Err: err}
 	}
+	allow := resilience.AllowanceFrom(ctx)
+	if allow == nil {
+		// Called outside a gateway: the per-Do cap is the whole bound.
+		allow = resilience.NewAllowance(wireSends)
+	}
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
+	sends := 0
+	for ; sends < wireSends && allow.Take(); sends++ {
+		if sends > 0 {
 			if ri.cfg.Budget != nil && !ri.cfg.Budget.Take() {
-				ri.budgetExhausted.Add(1)
+				ri.count(func(ws *WireStats) { ws.BudgetExhausted++ })
 				return nil, &resilience.QueryError{
 					Class: resilience.Overloaded, Stage: "wire-retry",
 					Err:        fmt.Errorf("%w: %w", ErrRetryBudgetExhausted, lastErr),
 					RetryAfter: time.Second,
 				}
 			}
-			ri.wireRetries.Add(1)
-			t := time.NewTimer(wireRetry.Backoff(hashKey(0, q.IdempotencyKey), attempt))
+			ri.count(func(ws *WireStats) { ws.Retries++ })
+			t := time.NewTimer(wireRetry.Backoff(hashKey(0, q.IdempotencyKey), sends))
 			select {
 			case <-t.C:
 			case <-ctx.Done():
@@ -321,7 +315,7 @@ func (ri *RemoteInstance) Do(ctx context.Context, q serve.Query) (*serve.QueryRe
 				return nil, wireCanceled(ctx, lastErr)
 			}
 		}
-		res, err := ri.attempt(ctx, q.IdempotencyKey, payload, attempt)
+		res, err := ri.attempt(ctx, q.IdempotencyKey, payload, sends)
 		if err == nil {
 			if ri.cfg.Budget != nil {
 				ri.cfg.Budget.Success()
@@ -331,19 +325,22 @@ func (ri *RemoteInstance) Do(ctx context.Context, q serve.Query) (*serve.QueryRe
 		if !isWireRetryable(err) {
 			return nil, err
 		}
+		ri.count(func(ws *WireStats) { ws.Failures++ })
 		lastErr = err
 		if ctx.Err() != nil {
 			return nil, wireCanceled(ctx, lastErr)
 		}
-		if attempt >= ri.cfg.Retries {
-			// Wire retries exhausted: an Internal-class failure, so the
-			// gateway's failover and passive ejection fire on it exactly
-			// as they would on an in-process crash.
-			return nil, &resilience.QueryError{
-				Class: resilience.Internal, Stage: "wire",
-				Err: fmt.Errorf("%w (after %d attempt(s))", lastErr, attempt+1),
-			}
-		}
+	}
+	if sends == 0 {
+		return nil, &resilience.QueryError{Class: resilience.Overloaded, Stage: "wire",
+			Err: resilience.ErrAllowanceSpent, RetryAfter: time.Second}
+	}
+	// Out of sends: an Internal-class failure, so the gateway's failover
+	// and passive ejection fire on it exactly as they would on an
+	// in-process crash.
+	return nil, &resilience.QueryError{
+		Class: resilience.Internal, Stage: "wire",
+		Err: fmt.Errorf("%w (after %d send(s))", lastErr, sends),
 	}
 }
 
@@ -363,9 +360,11 @@ func wireCanceled(ctx context.Context, lastErr error) error {
 // maxWireBody bounds response bodies read off the wire.
 const maxWireBody = 8 << 20
 
-// attempt is one wire round-trip under a deadline carved from ctx.
+// attempt is one wire round-trip under a deadline carved from ctx. Every
+// transport failure comes back as a wireError; Do tells a failed wire from
+// an expired deadline.
 func (ri *RemoteInstance) attempt(ctx context.Context, key string, payload []byte, attempt int) (*serve.QueryResult, error) {
-	ri.wireAttempts.Add(1)
+	ri.count(func(ws *WireStats) { ws.Attempts++ })
 	timeout := ri.cfg.AttemptTimeout
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl)
@@ -387,21 +386,14 @@ func (ri *RemoteInstance) attempt(ctx context.Context, key string, payload []byt
 		hreq.Header.Set(httpapi.IdempotencyKeyHeader, key)
 	}
 	hreq.Header.Set(httpapi.AttemptHeader, strconv.Itoa(attempt))
+	hreq.Header.Set(httpapi.AttemptsLeftHeader, "1") // the unit this send took, and no more
 	resp, err := ri.cfg.Client.Do(hreq)
 	if err != nil {
-		ri.wireFailures.Add(1)
-		if ctx.Err() != nil {
-			return nil, wireCanceled(ctx, err)
-		}
 		return nil, &wireError{err}
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxWireBody))
 	if err != nil {
-		ri.wireFailures.Add(1)
-		if ctx.Err() != nil {
-			return nil, wireCanceled(ctx, err)
-		}
 		return nil, &wireError{fmt.Errorf("reading response: %w", err)}
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -409,12 +401,11 @@ func (ri *RemoteInstance) attempt(ctx context.Context, key string, payload []byt
 	}
 	var qr httpapi.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
-		ri.wireFailures.Add(1)
 		return nil, &wireError{fmt.Errorf("garbled response body: %w", err)}
 	}
 	res := resultFromResponse(qr)
 	if res.Replayed {
-		ri.replays.Add(1)
+		ri.count(func(ws *WireStats) { ws.Replays++ })
 	}
 	return res, nil
 }
@@ -457,30 +448,28 @@ func resultFromResponse(qr httpapi.QueryResponse) *serve.QueryResult {
 	return res
 }
 
-// get is one bounded GET against the shard.
-func (ri *RemoteInstance) get(path string) (int, http.Header, []byte, error) {
+// roundTrip is one bounded request against the shard outside the query
+// path: probes, stats, version reads and invalidations.
+func (ri *RemoteInstance) roundTrip(method, path string) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), ri.cfg.ProbeTimeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, ri.base+path, nil)
+	hreq, err := http.NewRequestWithContext(ctx, method, ri.base+path, nil)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	resp, err := ri.cfg.Client.Do(hreq)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxWireBody))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return resp.StatusCode, resp.Header, body, nil
+	return resp.StatusCode, body, err
 }
 
 // probe reads one health endpoint; any wire failure is an unhealthy
 // report — active detection fires on wire evidence.
 func (ri *RemoteInstance) probe(path string) serve.Health {
-	_, _, body, err := ri.get(path)
+	_, body, err := ri.roundTrip(http.MethodGet, path)
 	if err != nil {
 		return serve.Health{OK: false, Status: "wire: " + err.Error()}
 	}
@@ -500,7 +489,7 @@ func (ri *RemoteInstance) Readyz() serve.Health { return ri.probe("/readyz") }
 // Metrics reads the shard's /stats snapshot; a wire failure returns an
 // empty snapshot still labeled with the shard id.
 func (ri *RemoteInstance) Metrics() serve.Snapshot {
-	status, _, body, err := ri.get("/stats")
+	status, body, err := ri.roundTrip(http.MethodGet, "/stats")
 	if err != nil || status != http.StatusOK {
 		return serve.Snapshot{Shard: ri.cfg.ShardID}
 	}
@@ -519,26 +508,14 @@ func (ri *RemoteInstance) Metrics() serve.Snapshot {
 // DatasetVersion's lag report makes the gateway's acknowledged broadcast
 // count the shard as lagged until the rejoin catch-up replays it.
 func (ri *RemoteInstance) InvalidateDataset(id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), ri.cfg.ProbeTimeout)
-	defer cancel()
-	u := ri.base + "/invalidate?dataset=" + url.QueryEscape(id)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
-	if err != nil {
-		return
-	}
-	resp, err := ri.cfg.Client.Do(hreq)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	_, _, _ = ri.roundTrip(http.MethodPost, "/invalidate?dataset="+url.QueryEscape(id)) // DatasetVersion is the acknowledgment
 }
 
 // DatasetVersion reads the shard's acknowledged version over the wire;
 // -1 on any failure, which every catch-up loop treats as "behind and not
 // acknowledging" — the broadcast moves on and the rejoin gate retries.
 func (ri *RemoteInstance) DatasetVersion(id string) int64 {
-	status, _, body, err := ri.get("/version?dataset=" + url.QueryEscape(id))
+	status, body, err := ri.roundTrip(http.MethodGet, "/version?dataset="+url.QueryEscape(id))
 	if err != nil || status != http.StatusOK {
 		return -1
 	}

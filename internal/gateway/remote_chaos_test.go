@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"remac/internal/engine"
+	"remac/internal/gateway/chaostest"
 	"remac/internal/httpapi"
 	"remac/internal/resilience"
 	"remac/internal/serve"
@@ -22,7 +23,7 @@ const remoteStormSeed uint64 = 0xBAD_0C7E7
 
 // TestRemotePartitionChaosStorm drives the full remote transport through
 // a seeded network-partition storm (run under -race in CI): three real
-// remac-serve HTTP shards behind NetFault transports injecting resets,
+// remac-serve HTTP shards behind chaostest.NetFault transports injecting resets,
 // dropped-after-commit responses, garbled bodies and latency spikes,
 // while a controller repeatedly partitions a seeded victim, drives
 // ejection on wire evidence alone, broadcasts an invalidation the
@@ -87,7 +88,7 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 	const shards = 3
 	servers := make([]*serve.Server, shards)
 	fronts := make([]*httptest.Server, shards)
-	faults := make([]*NetFault, shards)
+	faults := make([]*chaostest.NetFault, shards)
 	budget := NewRetryBudget(256, 1)
 	insts := make([]Instance, shards)
 	for i := 0; i < shards; i++ {
@@ -97,7 +98,7 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 			servers[i], httpapi.NewQueryBuilder(engine.RecoveryPolicy{}),
 			httpapi.ServeHandlerConfig{OnQuery: countExecs(id)},
 		))
-		faults[i] = NewNetFault(nil, NetFaultConfig{
+		faults[i] = chaostest.NewNetFault(nil, chaostest.NetFaultConfig{
 			Seed:        remoteStormSeed + uint64(i),
 			ResetRate:   0.04,
 			DropRate:    0.04,
@@ -109,7 +110,6 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 			BaseURL:      fronts[i].URL,
 			ShardID:      id,
 			Client:       &http.Client{Transport: faults[i]},
-			Retries:      3,
 			Budget:       budget,
 			ProbeTimeout: time.Second,
 		})
@@ -129,8 +129,6 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 	}
 	cfg := Config{
 		Seed:            remoteStormSeed,
-		SpillOver:       1,
-		Failover:        2,
 		EjectAfter:      2,
 		PassiveFailures: 2,
 		RejoinProbes:    1,
@@ -142,7 +140,6 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 				BaseURL:      urls[i],
 				ShardID:      id,
 				Client:       &http.Client{Transport: faults[i]},
-				Retries:      3,
 				Budget:       budget,
 				ProbeTimeout: time.Second,
 			})
@@ -190,7 +187,7 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 	for cycle := 0; cycle < 2; cycle++ {
 		victim := int(chaosMix(remoteStormSeed+uint64(cycle)) % shards)
 		ejBefore := g.Stats().Ejections
-		faults[victim].SetPartition(PartitionAll)
+		faults[victim].SetPartition(chaostest.PartitionAll)
 
 		for r := 0; r < cfg.EjectAfter && g.Stats().Ejections == ejBefore; r++ {
 			g.ProbeNow()
@@ -217,7 +214,7 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 			t.Fatalf("cycle %d: shard %d readmitted while still partitioned", cycle, victim)
 		}
 
-		faults[victim].SetPartition(PartitionNone)
+		faults[victim].SetPartition(chaostest.PartitionNone)
 		for r := 0; r < 6 && g.ShardState(victim) != ShardHealthy; r++ {
 			g.ProbeNow()
 		}
@@ -297,27 +294,22 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 		t.Fatalf("epilogue: shard IdemReplays %d, want more than %d", got, idemBefore)
 	}
 
-	// Worst-case execution amplification of the four stacked retry layers
-	// (DESIGN.md §18): a request tries at most 1+SpillOver+Failover shards,
-	// each over at most 1+Retries wire attempts, each of which the shard
-	// may execute up to its retry policy's MaxAttempts times (hedging, off
-	// here, would double it). The idempotency window keeps the measured
-	// figure far below the bound; a single attempt allowance would lower
-	// the bound itself.
+	// Worst-case execution amplification (DESIGN.md §18): every engine
+	// execution is funded by a unit some wire send took from its request's
+	// allowance, so a request can cost at most the allowance it was minted
+	// with — the default here, and the direct epilogue's own mint is smaller
+	// still. The idempotency window keeps the measured figure near 1.
 	var executions uint64
 	for i := range servers {
 		executions += servers[i].Metrics().Executions
 	}
 	const requests = clients*perClient + 1 // the storm plus the epilogue
-	const wireRetries = 3                  // RemoteConfig.Retries above
-	bound := min(shards, 1+cfg.SpillOver+cfg.Failover) * (1 + wireRetries) *
-		resilience.RetryPolicy{}.WithDefaults().MaxAttempts
-	if executions > uint64(requests*bound) {
-		t.Fatalf("execution amplification: %d executions for %d requests exceeds the stacked bound %d per request",
-			executions, requests, bound)
+	if executions > requests*DefaultAllowance {
+		t.Fatalf("execution amplification: %d executions for %d requests exceeds the allowance of %d per request",
+			executions, requests, DefaultAllowance)
 	}
-	t.Logf("execution amplification: %d executions for %d requests (%.2fx; stacked worst case %dx)",
-		executions, requests, float64(executions)/requests, bound)
+	t.Logf("execution amplification: %d executions for %d requests (%.2fx; bound: the allowance, %dx)",
+		executions, requests, float64(executions)/requests, DefaultAllowance)
 
 	var drops, garbles uint64
 	for i := range faults {

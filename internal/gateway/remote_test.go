@@ -5,10 +5,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"remac/internal/engine"
+	"remac/internal/gateway/chaostest"
 	"remac/internal/httpapi"
 	"remac/internal/resilience"
 	"remac/internal/serve"
@@ -78,7 +81,7 @@ func TestRemoteDoEndToEnd(t *testing.T) {
 // the original result and the plan executes exactly once.
 func TestRemoteDroppedResponseReplays(t *testing.T) {
 	srv, hs := startShard(t, serve.Config{Workers: 2}, httpapi.ServeHandlerConfig{})
-	nf := NewNetFault(nil, NetFaultConfig{Seed: 1})
+	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1})
 	ri := NewRemote(RemoteConfig{
 		BaseURL: hs.URL,
 		Client:  &http.Client{Transport: nf},
@@ -114,13 +117,12 @@ func TestRemoteDroppedResponseReplays(t *testing.T) {
 // hammering the wire.
 func TestRemoteRetryBudgetExhaustion(t *testing.T) {
 	_, hs := startShard(t, serve.Config{Workers: 2}, httpapi.ServeHandlerConfig{})
-	nf := NewNetFault(nil, NetFaultConfig{Seed: 1})
+	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1})
 	budget := NewRetryBudget(1, 0)
 	ri := NewRemote(RemoteConfig{
 		BaseURL: hs.URL,
 		Client:  &http.Client{Transport: nf},
 		Budget:  budget,
-		Retries: 5,
 	})
 	defer ri.Shutdown(context.Background())
 
@@ -149,12 +151,84 @@ func TestRemoteRetryBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// TestRemoteSendsGrantTheUnitTheyTake: every send takes one unit of the
+// request's allowance before it starts (so what is left falls strictly from
+// send to send) and carries exactly that unit as X-Attempts-Left, beside a
+// rising X-Attempt; however many sends the wire forces, the shard executes
+// once. When the allowance runs out mid-retry the failure is the same
+// Internal-class wire exhaustion as ever, and an allowance that arrives
+// empty is refused before anything touches the wire.
+func TestRemoteSendsGrantTheUnitTheyTake(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 2})
+	defer srv.Shutdown(context.Background())
+	mux := httpapi.NewServeMux(srv, httpapi.NewQueryBuilder(engine.RecoveryPolicy{}), httpapi.ServeHandlerConfig{})
+	type send struct {
+		grant, attempt string
+		left           int
+	}
+	var mu sync.Mutex
+	var sends []send
+	var allow *resilience.Allowance
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/query" {
+			mu.Lock()
+			sends = append(sends, send{r.Header.Get(httpapi.AttemptsLeftHeader), r.Header.Get(httpapi.AttemptHeader), allow.Left()})
+			mu.Unlock()
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1})
+	ri := NewRemote(RemoteConfig{BaseURL: hs.URL, Client: &http.Client{Transport: nf}})
+	defer ri.Shutdown(context.Background())
+	do := func(n int, key string) (*serve.QueryResult, error) {
+		mu.Lock()
+		sends, allow = nil, resilience.NewAllowance(n)
+		mu.Unlock()
+		q := remoteQuery(t, "GD", "cri1", 2)
+		q.IdempotencyKey = key
+		res, err := ri.Do(resilience.WithAllowance(context.Background(), allow), q)
+		mu.Lock() // the handlers that appended have all returned
+		defer mu.Unlock()
+		return res, err
+	}
+
+	nf.ForceDropNext(2)
+	res, err := do(5, "grant-1")
+	if err != nil || !res.Replayed {
+		t.Fatalf("two dropped responses then a reply: result %+v, err %v", res, err)
+	}
+	want := []send{{"1", "0", 4}, {"1", "1", 3}, {"1", "2", 2}}
+	if len(sends) != len(want) {
+		t.Fatalf("saw %d sends %+v, want %d", len(sends), sends, len(want))
+	}
+	for i, w := range want {
+		if sends[i] != w {
+			t.Errorf("send %d = %+v, want %+v", i, sends[i], w)
+		}
+	}
+	if got := srv.Metrics().Executions; got != 1 {
+		t.Fatalf("three sends executed %d times, want 1", got)
+	}
+
+	nf.ForceDropNext(10)
+	_, err = do(2, "grant-2")
+	if !resilience.IsClass(err, resilience.Internal) || !errors.Is(err, chaostest.ErrNetDropped) || len(sends) != 2 || allow.Left() != 0 {
+		t.Fatalf("allowance of 2 against a dead wire: %d sends, %d left, err %v; want 2 sends and Internal wire exhaustion",
+			len(sends), allow.Left(), err)
+	}
+	_, err = do(0, "grant-3")
+	if !resilience.IsClass(err, resilience.Overloaded) || !errors.Is(err, resilience.ErrAllowanceSpent) || len(sends) != 0 {
+		t.Fatalf("empty allowance: %d sends, err %v; want none and Overloaded/ErrAllowanceSpent", len(sends), err)
+	}
+}
+
 // TestRemoteStatusErrorIsAuthoritative: an HTTP error status is an
 // answer, not transport noise — it parses back into the shard's typed
 // error and is never wire-retried.
 func TestRemoteStatusErrorIsAuthoritative(t *testing.T) {
 	_, hs := startShard(t, serve.Config{Workers: 2}, httpapi.ServeHandlerConfig{})
-	ri := NewRemote(RemoteConfig{BaseURL: hs.URL, Retries: 5, Budget: NewRetryBudget(8, 1)})
+	ri := NewRemote(RemoteConfig{BaseURL: hs.URL, Budget: NewRetryBudget(8, 1)})
 	defer ri.Shutdown(context.Background())
 
 	// An unknown-dataset build failure on the far side is a Compile-class
@@ -175,17 +249,16 @@ func TestRemoteStatusErrorIsAuthoritative(t *testing.T) {
 	}
 }
 
-// TestRemoteWireExhaustionIsInternal: resets past the retry limit
+// TestRemoteWireExhaustionIsInternal: resets past the per-try send cap
 // surface as an Internal-class wire failure — the signal failover and
 // passive ejection key on.
 func TestRemoteWireExhaustionIsInternal(t *testing.T) {
 	_, hs := startShard(t, serve.Config{Workers: 2}, httpapi.ServeHandlerConfig{})
-	nf := NewNetFault(nil, NetFaultConfig{Seed: 1})
-	nf.SetPartition(PartitionData)
+	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1})
+	nf.SetPartition(chaostest.PartitionData)
 	ri := NewRemote(RemoteConfig{
 		BaseURL: hs.URL,
 		Client:  &http.Client{Transport: nf},
-		Retries: 1,
 		Budget:  NewRetryBudget(8, 1),
 	})
 	defer ri.Shutdown(context.Background())
@@ -199,22 +272,22 @@ func TestRemoteWireExhaustionIsInternal(t *testing.T) {
 	if !resilience.IsClass(err, resilience.Internal) {
 		t.Fatalf("wire exhaustion class = %v, want Internal", err)
 	}
-	if !errors.Is(err, ErrNetPartition) {
+	if !errors.Is(err, chaostest.ErrNetPartition) {
 		t.Fatalf("root cause lost: %v", err)
 	}
 	// The probe path still works under an asymmetric data partition.
 	if hz := ri.Healthz(); !hz.OK {
-		t.Fatalf("probe path severed by PartitionData: %+v", hz)
+		t.Fatalf("probe path severed by chaostest.PartitionData: %+v", hz)
 	}
 	// Full partition severs probes too, and version reads fail to -1.
-	nf.SetPartition(PartitionAll)
+	nf.SetPartition(chaostest.PartitionAll)
 	if hz := ri.Healthz(); hz.OK {
-		t.Fatal("probe succeeded under PartitionAll")
+		t.Fatal("probe succeeded under chaostest.PartitionAll")
 	}
 	if v := ri.DatasetVersion("cri1"); v != -1 {
 		t.Fatalf("partitioned DatasetVersion = %d, want -1", v)
 	}
-	nf.SetPartition(PartitionNone)
+	nf.SetPartition(chaostest.PartitionNone)
 	if hz := ri.Healthz(); !hz.OK {
 		t.Fatalf("healed probe still failing: %+v", hz)
 	}
@@ -224,7 +297,7 @@ func TestRemoteWireExhaustionIsInternal(t *testing.T) {
 // timeout bounds the wire attempt; expiry surfaces as Canceled class.
 func TestRemoteDeadlineCarving(t *testing.T) {
 	_, hs := startShard(t, serve.Config{Workers: 1}, httpapi.ServeHandlerConfig{})
-	nf := NewNetFault(nil, NetFaultConfig{Seed: 1, LatencyRate: 1, Latency: 5 * time.Second})
+	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1, LatencyRate: 1, Latency: 5 * time.Second})
 	ri := NewRemote(RemoteConfig{
 		BaseURL:        hs.URL,
 		Client:         &http.Client{Transport: nf},
@@ -286,6 +359,48 @@ func TestRemoteInvalidationCatchUp(t *testing.T) {
 	}
 }
 
+// TestNewMixedFleet: New puts in-process and remote shards behind one ring
+// — locals first — lifts the shard-level deadline into the gateway's once
+// for both kinds, and its default Respawn rebuilds either kind in place.
+// With remotes, zero -shards means none (without, it means two).
+func TestNewMixedFleet(t *testing.T) {
+	_, hs := startShard(t, serve.Config{Workers: 1, ShardID: "far"}, httpapi.ServeHandlerConfig{})
+	remote := RemoteConfig{BaseURL: hs.URL}
+	g := New(Config{Shards: 1, EjectAfter: 1, RejoinProbes: 1, PassiveFailures: -1,
+		Serve: serve.Config{Workers: 1, DefaultTimeout: 7 * time.Second}}, remote)
+	defer g.Shutdown(context.Background())
+	if g.Shards() != 2 || g.ids[0] != "shard-0" || g.ids[1] != "far" {
+		t.Fatalf("fleet ids %v, want [shard-0 far]", g.ids)
+	}
+	if _, ok := g.instance(0).(*serve.Server); !ok {
+		t.Fatalf("shard 0 is %T, want an in-process server", g.instance(0))
+	}
+	if _, ok := g.instance(1).(*RemoteInstance); !ok {
+		t.Fatalf("shard 1 is %T, want a remote instance", g.instance(1))
+	}
+	if g.cfg.DefaultTimeout != 7*time.Second || g.cfg.Serve.DefaultTimeout != 0 {
+		t.Fatalf("deadline not lifted: gateway %v, shard %v", g.cfg.DefaultTimeout, g.cfg.Serve.DefaultTimeout)
+	}
+	for i := range g.ids {
+		fresh := g.cfg.Respawn(i, g.ids[i])
+		if reflect.TypeOf(fresh) != reflect.TypeOf(g.instance(i)) || fresh.Metrics().Shard != g.ids[i] {
+			t.Fatalf("respawn of shard %d gave %T labelled %q", i, fresh, fresh.Metrics().Shard)
+		}
+		fresh.Shutdown(context.Background())
+	}
+	for _, ds := range []string{"cri1", "cri2", "red1", "red2"} { // both shards home something
+		if _, err := g.Do(context.Background(), Request{Tenant: "t", Query: remoteQuery(t, "GD", ds, 1)}); err != nil {
+			t.Fatalf("query on %s: %v", ds, err)
+		}
+	}
+
+	only := New(Config{}, remote)
+	defer only.Shutdown(context.Background())
+	if only.Shards() != 1 {
+		t.Fatalf("-shards 0 with one remote built %d shards, want 1", only.Shards())
+	}
+}
+
 // TestGatewayRetryAfterAggregation: when every spill target is
 // overloaded, the final 503 carries the soonest Retry-After any shard
 // advertised — not whichever shard was tried last.
@@ -299,7 +414,7 @@ func TestGatewayRetryAfterAggregation(t *testing.T) {
 		}
 		fakes[i].mu.Unlock()
 	}
-	gw := NewWithInstances(Config{SpillOver: 2, ProbeInterval: -1}, insts)
+	gw := NewWithInstances(Config{ProbeInterval: -1}, insts)
 	defer gw.Shutdown(context.Background())
 
 	_, err := gw.Do(context.Background(), Request{Tenant: "t", Query: gatewayQuery("cri1")})
@@ -326,7 +441,7 @@ func TestGatewayQuotaIsTerminal(t *testing.T) {
 		}
 		f.mu.Unlock()
 	}
-	gw := NewWithInstances(Config{SpillOver: 2, Failover: 2, ProbeInterval: -1}, insts)
+	gw := NewWithInstances(Config{ProbeInterval: -1}, insts)
 	defer gw.Shutdown(context.Background())
 
 	_, err := gw.Do(context.Background(), Request{Tenant: "t", Query: gatewayQuery("cri1")})
@@ -367,7 +482,7 @@ func TestGatewayIdempotencyKeyStamping(t *testing.T) {
 	}
 	fakes[0].setDown(true)
 	fakes[1].setDown(true)
-	gw := NewWithInstances(Config{Failover: 1, ProbeInterval: -1}, wrapped)
+	gw := NewWithInstances(Config{ProbeInterval: -1}, wrapped)
 	defer gw.Shutdown(context.Background())
 
 	_, err := gw.Do(context.Background(), Request{Tenant: "t", RequestID: "rid-key", Query: gatewayQuery("cri1")})
@@ -403,22 +518,22 @@ func (i *instanceFunc) Healthz() serve.Health              { return i.inner.Heal
 func (i *instanceFunc) Readyz() serve.Health               { return i.inner.Readyz() }
 func (i *instanceFunc) Shutdown(ctx context.Context) error { return i.inner.Shutdown(ctx) }
 
-// TestKillablePartition: KillPartition fails queries with the wire
+// TestKillablePartition: chaostest.KillPartition fails queries with the wire
 // taxonomy, reports partitioned probes and -1 versions, and heals with
 // shard state intact on Revive.
 func TestKillablePartition(t *testing.T) {
 	inner := newFakeShard("shard-0")
-	k := NewKillable(inner)
+	k := chaostest.NewKillable(inner)
 	defer k.Shutdown(context.Background())
 
 	k.InvalidateDataset("cri1")
-	k.Kill(KillPartition)
+	k.Kill(chaostest.KillPartition)
 	_, err := k.Do(context.Background(), gatewayQuery("cri1"))
 	if err == nil {
 		t.Fatal("partitioned killable served")
 	}
-	if !resilience.IsClass(err, resilience.Internal) || !errors.Is(err, ErrNetPartition) {
-		t.Fatalf("want Internal/ErrNetPartition, got %v", err)
+	if !resilience.IsClass(err, resilience.Internal) || !errors.Is(err, chaostest.ErrNetPartition) {
+		t.Fatalf("want Internal/chaostest.ErrNetPartition, got %v", err)
 	}
 	if hz := k.Healthz(); hz.OK || hz.Status != "partitioned" {
 		t.Fatalf("partitioned Healthz = %+v", hz)

@@ -44,6 +44,14 @@ const IdempotencyKeyHeader = "X-Idempotency-Key"
 // off IdempotencyKeyHeader alone.
 const AttemptHeader = "X-Attempt"
 
+// AttemptsLeftHeader carries the attempt allowance a sender grants the
+// receiving shard for this request (resilience.Allowance on the wire). A
+// gateway's wire send debits one unit of the request's allowance and grants
+// exactly that unit: the response that would say what the shard spent can
+// be lost, so nothing the sender still holds ever crosses. A direct client
+// may send more; the shard clamps it to its own Retry.MaxAttempts.
+const AttemptsLeftHeader = "X-Attempts-Left"
+
 // MaxQueryBodyBytes is the default POST /query body cap for both
 // front-ends (DecodeQuery); oversize bodies fail with a typed 413.
 const MaxQueryBodyBytes = 1 << 20
@@ -361,12 +369,17 @@ func WriteError(w http.ResponseWriter, requestID string, err error) {
 		body.Class = resilience.MaxIterations.String()
 	}
 	if retryAfter > 0 {
-		secs := int(retryAfter.Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 		body.RetryAfterSec = retryAfter.Seconds()
+	}
+	writeStatusJSON(w, requestID, status, retryAfter, body)
+}
+
+// writeStatusJSON is the one place a JSON body goes out: request id echoed,
+// Retry-After (whole seconds, at least 1) when the caller has a hint,
+// status, indented body.
+func writeStatusJSON(w http.ResponseWriter, requestID string, status int, retryAfter time.Duration, v any) {
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(retryAfter.Seconds()))))
 	}
 	if requestID != "" {
 		w.Header().Set(RequestIDHeader, requestID)
@@ -375,9 +388,57 @@ func WriteError(w http.ResponseWriter, requestID string, err error) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(body); err != nil {
-		log.Printf("encode error response: %v", err)
+	if err := enc.Encode(v); err != nil {
+		log.Printf("encode response: %v", err)
 	}
+}
+
+// WriteHealth renders a probe payload: 200 while ok, else 503 with the
+// Retry-After hint.
+func WriteHealth(w http.ResponseWriter, requestID string, ok bool, retryAfter time.Duration, v any) {
+	if ok {
+		WriteJSON(w, requestID, v)
+		return
+	}
+	writeStatusJSON(w, requestID, http.StatusServiceUnavailable, retryAfter, v)
+}
+
+// badRequest is the Compile-class (400) error of a malformed request.
+func badRequest(format string, args ...any) error {
+	return &resilience.QueryError{Class: resilience.Compile, Stage: "request", Err: fmt.Errorf(format, args...)}
+}
+
+// AttemptsLeft reads the allowance a sender granted (AttemptsLeftHeader):
+// 0 when the header is absent, its positive count when present, and an
+// error (a 400 for the caller to write) for anything else.
+func AttemptsLeft(r *http.Request) (int, error) {
+	v := strings.TrimSpace(r.Header.Get(AttemptsLeftHeader))
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("%s must be a positive integer, got %q", AttemptsLeftHeader, v)
+	}
+	return n, nil
+}
+
+// DatasetParam reads the ?dataset= parameter of /invalidate and /version.
+// mustExist additionally rejects names the registry does not know, which is
+// what keeps the version maps behind /invalidate from growing an entry per
+// made-up string. ok is false once the 400 has been written.
+func DatasetParam(w http.ResponseWriter, r *http.Request, requestID string, mustExist bool) (ds string, ok bool) {
+	ds = strings.TrimSpace(r.URL.Query().Get("dataset"))
+	_, known := data.Specs[ds]
+	switch {
+	case ds == "":
+		WriteError(w, requestID, badRequest("dataset parameter required"))
+	case mustExist && !known:
+		WriteError(w, requestID, badRequest("unknown dataset %q", ds))
+	default:
+		return ds, true
+	}
+	return "", false
 }
 
 // DecodeQuery reads and decodes a POST /query body bounded by maxBytes
@@ -396,32 +457,18 @@ func DecodeQuery(w http.ResponseWriter, r *http.Request, requestID string, maxBy
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeErrorBody(w, http.StatusRequestEntityTooLarge, ErrorResponse{
+			writeStatusJSON(w, requestID, http.StatusRequestEntityTooLarge, 0, ErrorResponse{
 				Error:     fmt.Sprintf("request body exceeds %d-byte limit", mbe.Limit),
 				Class:     "payload-too-large",
 				Stage:     "request",
 				RequestID: requestID,
-			}, requestID)
+			})
 			return req, false
 		}
-		WriteError(w, requestID, &resilience.QueryError{Class: resilience.Compile, Stage: "request", Err: err})
+		WriteError(w, requestID, badRequest("%w", err))
 		return req, false
 	}
 	return req, true
-}
-
-// writeErrorBody renders one ErrorResponse at an explicit status.
-func writeErrorBody(w http.ResponseWriter, status int, body ErrorResponse, requestID string) {
-	if requestID != "" {
-		w.Header().Set(RequestIDHeader, requestID)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(body); err != nil {
-		log.Printf("encode error response: %v", err)
-	}
 }
 
 // classForStatus maps an HTTP status back to a taxonomy class — the
@@ -482,13 +529,5 @@ func ParseError(status int, header http.Header, body []byte) *resilience.QueryEr
 // WriteJSON writes v as indented JSON, echoing the request id header when
 // present.
 func WriteJSON(w http.ResponseWriter, requestID string, v any) {
-	if requestID != "" {
-		w.Header().Set(RequestIDHeader, requestID)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("encode response: %v", err)
-	}
+	writeStatusJSON(w, requestID, http.StatusOK, 0, v)
 }

@@ -1,10 +1,13 @@
 package resilience
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -139,11 +142,45 @@ func TestBackoffGolden(t *testing.T) {
 // one attempt.
 func TestRetryPolicyDefaults(t *testing.T) {
 	p := RetryPolicy{}.WithDefaults()
-	if p.MaxAttempts != 3 || p.BaseBackoff != 10*time.Millisecond || p.MaxBackoff != time.Second || p.Budget != 2*time.Second {
+	if p.MaxAttempts != 3 || p.BaseBackoff != 10*time.Millisecond || p.MaxBackoff != time.Second {
 		t.Errorf("unexpected defaults: %+v", p)
 	}
 	if got := (RetryPolicy{MaxAttempts: -1}).WithDefaults().MaxAttempts; got != 1 {
 		t.Errorf("negative MaxAttempts → %d, want 1", got)
+	}
+}
+
+// TestAllowance: an allowance grants exactly what it was minted with, to
+// however many takers race for it, and rides the context like a deadline.
+func TestAllowance(t *testing.T) {
+	if (*Allowance)(nil).Take() || (*Allowance)(nil).Left() != 0 {
+		t.Error("nil allowance granted an attempt")
+	}
+	if AllowanceFrom(context.Background()) != nil {
+		t.Error("bare context carries an allowance")
+	}
+	a := NewAllowance(5)
+	ctx, cancel := context.WithTimeout(WithAllowance(context.Background(), a), time.Minute)
+	defer cancel()
+	if AllowanceFrom(ctx) != a {
+		t.Fatal("allowance lost through a derived context")
+	}
+	var granted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if AllowanceFrom(ctx).Take() {
+					granted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if granted.Load() != 5 || a.Left() != 0 {
+		t.Errorf("32 takers were granted %d of 5 attempts, %d left", granted.Load(), a.Left())
 	}
 }
 

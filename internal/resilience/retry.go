@@ -1,27 +1,88 @@
 package resilience
 
 import (
+	"context"
+	"errors"
+	"sync/atomic"
 	"time"
 
 	"remac/internal/fault"
 )
 
-// RetryPolicy bounds server-side re-execution of transient failures:
-// capped exponential backoff with deterministic seeded jitter and a total
-// sleep budget per query. The zero value picks the defaults below; a
-// negative MaxAttempts disables retries entirely.
+// ErrAllowanceSpent is the cause inside the Overloaded-class error a layer
+// returns when it was handed an attempt allowance with nothing left in it:
+// the request has used every attempt it was granted before this layer could
+// start its first.
+var ErrAllowanceSpent = errors.New("resilience: attempt allowance spent")
+
+// Allowance is the one bound on how much work a request may cause: a count
+// of attempts, minted once where the request enters the tier and carried
+// with it — in the context in process, as a header on the wire. Every
+// gateway shard try, every wire send and every engine execution (a hedged
+// duplicate included) takes one unit before it starts, so whatever the
+// layers do between them, no request starts more attempts than it was
+// minted with. A nil *Allowance never grants anything.
+type Allowance struct{ left atomic.Int64 }
+
+// NewAllowance mints an allowance of n attempts.
+func NewAllowance(n int) *Allowance {
+	a := &Allowance{}
+	a.left.Store(int64(n))
+	return a
+}
+
+// Take debits one attempt; false means none is left and the attempt must
+// not start.
+func (a *Allowance) Take() bool {
+	for a != nil {
+		n := a.left.Load()
+		if n <= 0 {
+			break
+		}
+		if a.left.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+	return false
+}
+
+// Left reports the attempts not yet taken.
+func (a *Allowance) Left() int {
+	if a == nil {
+		return 0
+	}
+	return int(a.left.Load())
+}
+
+type allowanceKey struct{}
+
+// WithAllowance hands the allowance to everything that runs under ctx, the
+// way a deadline is handed down.
+func WithAllowance(ctx context.Context, a *Allowance) context.Context {
+	return context.WithValue(ctx, allowanceKey{}, a)
+}
+
+// AllowanceFrom returns the allowance ctx carries, or nil when no layer
+// above minted one — the callee then mints its own.
+func AllowanceFrom(ctx context.Context) *Allowance {
+	a, _ := ctx.Value(allowanceKey{}).(*Allowance)
+	return a
+}
+
+// RetryPolicy is the backoff schedule of server-side re-execution — capped
+// exponential with deterministic seeded jitter — plus the allowance a
+// server mints for a request nobody upstream bounded. How many attempts a
+// request gets is the Allowance's business, not the schedule's.
 type RetryPolicy struct {
-	// MaxAttempts is the total execution attempts per query, the first
-	// included. Default 3; negative means exactly one attempt (no retries).
+	// MaxAttempts is the allowance a standalone server mints per query, and
+	// the most executions one Do makes whoever minted. Default 3; negative
+	// means exactly one (no retries).
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry; the k-th retry
 	// waits BaseBackoff·2^(k-1), jittered. Default 10ms.
 	BaseBackoff time.Duration
 	// MaxBackoff caps a single delay. Default 1s.
 	MaxBackoff time.Duration
-	// Budget caps the summed backoff delays of one query; a retry whose
-	// delay would exceed the remainder is abandoned. Default 2s.
-	Budget time.Duration
 	// Seed drives the jitter. Equal seeds replay equal delay sequences for
 	// equal (query id, attempt) pairs, which is what keeps chaos runs
 	// reproducible.
@@ -41,9 +102,6 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = time.Second
-	}
-	if p.Budget <= 0 {
-		p.Budget = 2 * time.Second
 	}
 	return p
 }
@@ -69,21 +127,23 @@ func (p RetryPolicy) Backoff(queryID uint64, attempt int) time.Duration {
 	return time.Duration(float64(d) * frac)
 }
 
+// A straggler is an attempt still running past HedgeMultiplier times the
+// HedgeQuantile of recent completions.
+const (
+	HedgeQuantile   = 0.95
+	HedgeMultiplier = 2
+)
+
 // HedgePolicy re-submits a straggling query once its first attempt has run
 // past a latency quantile of recent completions, racing the two and taking
 // whichever settles first. Safe here because engine runs are deterministic
 // and side-effect-free apart from shared caches, which tolerate duplicate
-// fills.
+// fills. A hedge is an attempt like any other: it takes a unit of the
+// request's allowance or does not start.
 type HedgePolicy struct {
 	// Enabled turns hedging on (default off: hedges burn a worker's worth
 	// of duplicate compute).
 	Enabled bool
-	// Quantile of the recent-latency window that defines a straggler.
-	// Default 0.95.
-	Quantile float64
-	// Multiplier scales the quantile latency into the hedge trigger delay.
-	// Default 2.
-	Multiplier float64
 	// MinDelay floors the trigger delay so cold windows don't hedge
 	// instantly. Default 10ms.
 	MinDelay time.Duration
@@ -94,12 +154,6 @@ type HedgePolicy struct {
 
 // WithDefaults returns the policy with zero fields replaced by defaults.
 func (h HedgePolicy) WithDefaults() HedgePolicy {
-	if h.Quantile <= 0 || h.Quantile >= 1 {
-		h.Quantile = 0.95
-	}
-	if h.Multiplier <= 0 {
-		h.Multiplier = 2
-	}
 	if h.MinDelay <= 0 {
 		h.MinDelay = 10 * time.Millisecond
 	}
@@ -109,17 +163,13 @@ func (h HedgePolicy) WithDefaults() HedgePolicy {
 	return h
 }
 
-// Delay converts an observed quantile latency (seconds) into the hedge
-// trigger delay, or 0 when hedging should not fire (disabled or no
+// Delay converts the observed HedgeQuantile latency (seconds) into the
+// hedge trigger delay, or 0 when hedging should not fire (disabled or no
 // latency signal yet).
 func (h HedgePolicy) Delay(quantileSec float64) time.Duration {
 	if !h.Enabled || quantileSec <= 0 {
 		return 0
 	}
-	h = h.WithDefaults()
-	d := time.Duration(quantileSec * h.Multiplier * float64(time.Second))
-	if d < h.MinDelay {
-		d = h.MinDelay
-	}
-	return d
+	d := time.Duration(quantileSec * HedgeMultiplier * float64(time.Second))
+	return max(d, h.WithDefaults().MinDelay)
 }

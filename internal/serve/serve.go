@@ -97,9 +97,10 @@ type Config struct {
 	// before MQO existed. cmd/remac-serve defaults the flag to a few ms.
 	BatchWindow time.Duration
 
-	// Retry re-executes transient failures (capped seeded backoff). The
-	// zero value enables the resilience defaults; Retry.MaxAttempts < 0
-	// disables retries.
+	// Retry is the backoff schedule of transient-failure re-execution and
+	// the attempt allowance minted for a query that arrives without one
+	// (Retry.MaxAttempts; negative: one attempt, no retries). The zero
+	// value enables the resilience defaults.
 	Retry resilience.RetryPolicy
 	// Hedge re-submits straggler queries past a latency quantile. Off by
 	// default (Hedge.Enabled).
@@ -166,6 +167,12 @@ type Query struct {
 	Cluster cluster.Config
 	// Timeout overrides the server's DefaultTimeout when positive.
 	Timeout time.Duration
+	// Attempts overrides, when positive, the attempt allowance whoever
+	// admits the query mints for it (resilience.Allowance): a gateway mints
+	// exactly this many, a standalone server the smaller of this and its
+	// Retry.MaxAttempts. A query that reaches a server under a context
+	// already carrying an allowance spends that one instead.
+	Attempts int
 	// MaxIterations overrides the engine's runaway-loop cap when positive.
 	MaxIterations int
 	// Faults injects a deterministic fault schedule into this query's
@@ -639,10 +646,10 @@ func (s *Server) recordOutcome(err error) {
 	}
 }
 
-// run executes a job with the retry policy layered above the engine (and
-// the plan cache, so every retry reuses the compiled plan): transient
-// failures re-execute after a capped, seeded backoff until attempts or the
-// backoff budget run out.
+// run executes a job with retries layered above the engine (and the plan
+// cache, so every retry reuses the compiled plan): transient failures
+// re-execute after a capped, seeded backoff for as long as the request's
+// attempt allowance funds them.
 func (s *Server) run(j *job) (*QueryResult, error) {
 	// The per-query deadline is bound once, before the first attempt:
 	// retries, backoff sleeps and the hedged duplicate all share its
@@ -657,26 +664,32 @@ func (s *Server) run(j *job) (*QueryResult, error) {
 		defer cancel()
 		j.ctx = ctx
 	}
+	// The allowance is bound the same way: the one the context carries
+	// (minted by the gateway and already debited by everything that ran
+	// before this shard), or, for a query nobody upstream bounded, a fresh
+	// one of Retry.MaxAttempts that a smaller Query.Attempts lowers.
 	policy := s.cfg.Retry.WithDefaults()
-	var slept time.Duration
+	allow := resilience.AllowanceFrom(j.ctx)
+	if allow == nil {
+		n := policy.MaxAttempts
+		if j.q.Attempts > 0 && j.q.Attempts < n {
+			n = j.q.Attempts
+		}
+		allow = resilience.NewAllowance(n)
+	}
 	var lastErr error
-	for attempt := 0; attempt < policy.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < policy.MaxAttempts && allow.Take(); attempt++ {
 		if attempt > 0 {
-			delay := policy.Backoff(j.id, attempt)
-			if slept+delay > policy.Budget {
-				break
-			}
-			t := time.NewTimer(delay)
+			t := time.NewTimer(policy.Backoff(j.id, attempt))
 			select {
 			case <-t.C:
 			case <-j.ctx.Done():
 				t.Stop()
 				return nil, canceledErr(j.id, "backoff", j.ctx.Err())
 			}
-			slept += delay
 			s.metrics.add(func(c *Snapshot) { c.Retries++ })
 		}
-		res, err := s.attemptOnce(j, attempt)
+		res, err := s.attemptOnce(j, attempt, allow)
 		if err == nil {
 			res.Attempts = attempt + 1
 			return res, nil
@@ -686,15 +699,23 @@ func (s *Server) run(j *job) (*QueryResult, error) {
 		}
 		lastErr = err
 	}
+	if lastErr == nil {
+		// Handed an allowance with nothing left in it: not one execution.
+		lastErr = overloadedErr(j.id, time.Second, resilience.ErrAllowanceSpent)
+	}
 	return nil, lastErr
 }
 
 // attemptOnce runs a single panic-isolated execution attempt, hedged with
 // a duplicate execution if the primary straggles past the hedge delay
-// (derived from the recent latency quantile). The first settled outcome
-// wins; the loser's context is canceled so it unwinds promptly.
-func (s *Server) attemptOnce(j *job, attempt int) (*QueryResult, error) {
-	delay := s.hedgeDelay()
+// (derived from the recent latency quantile) and the allowance funds one
+// more attempt. The first settled outcome wins; the loser's context is
+// canceled so it unwinds promptly.
+func (s *Server) attemptOnce(j *job, attempt int, allow *resilience.Allowance) (*QueryResult, error) {
+	var delay time.Duration
+	if s.cfg.Hedge.Enabled { // reading the latency window is not free
+		delay = s.cfg.Hedge.Delay(s.metrics.latencyQuantile(resilience.HedgeQuantile))
+	}
 	if delay <= 0 {
 		return s.guarded(j.ctx, j, attempt)
 	}
@@ -717,9 +738,9 @@ func (s *Server) attemptOnce(j *job, attempt int) (*QueryResult, error) {
 		return o.res, o.err
 	case <-timer.C:
 	}
-	hp := s.cfg.Hedge.WithDefaults()
-	if int(s.hedgeOutstanding.Add(1)) > hp.MaxOutstanding {
-		// Over the server-wide hedge budget: wait out the primary.
+	if int(s.hedgeOutstanding.Add(1)) > s.cfg.Hedge.WithDefaults().MaxOutstanding || !allow.Take() {
+		// Over the server-wide hedge cap, or the request has no attempt left
+		// to spend on a duplicate: wait out the primary.
 		s.hedgeOutstanding.Add(-1)
 		o := <-ch
 		return o.res, o.err
@@ -743,16 +764,6 @@ func (s *Server) attemptOnce(j *job, attempt int) (*QueryResult, error) {
 		cancelHedge()
 	}
 	return o.res, o.err
-}
-
-// hedgeDelay derives the hedge trigger from the recent latency window; 0
-// disables hedging for this attempt (policy off or no signal yet).
-func (s *Server) hedgeDelay() time.Duration {
-	if !s.cfg.Hedge.Enabled {
-		return 0
-	}
-	hp := s.cfg.Hedge.WithDefaults()
-	return hp.Delay(s.metrics.latencyQuantile(hp.Quantile))
 }
 
 // guarded is one panic-isolated execution: a panic anywhere in the probe,

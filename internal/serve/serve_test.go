@@ -451,6 +451,55 @@ func TestRetryTransient(t *testing.T) {
 	}
 }
 
+// TestExecutionsDebitTheAllowance: every engine execution takes a unit of
+// the request's allowance before it starts. An allowance handed down in the
+// context is spent and never exceeded, whatever Retry.MaxAttempts says; one
+// that arrives empty buys no execution and fails typed; and without one the server mints Retry.MaxAttempts,
+// which Query.Attempts can lower but not raise.
+func TestExecutionsDebitTheAllowance(t *testing.T) {
+	s := New(Config{Workers: 1, Retry: resilience.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond}})
+	defer s.Shutdown(context.Background())
+	q := testQuery(t, algorithms.GD, "cri1", 2)
+	var execs int
+	q.Probe = func(int) error {
+		execs++
+		return resilience.MarkTransient(errors.New("induced transient failure"))
+	}
+	for _, tc := range []struct {
+		handed, attempts int // handed < 0: no allowance in the context
+		want             int
+	}{{handed: 2, want: 2}, {handed: 9, want: 4}, {handed: 2, attempts: 4, want: 2},
+		{handed: -1, want: 4}, {handed: -1, attempts: 3, want: 3}, {handed: -1, attempts: 50, want: 4}} {
+		execs = 0
+		ctx := context.Background()
+		var allow *resilience.Allowance
+		if tc.handed >= 0 {
+			allow = resilience.NewAllowance(tc.handed)
+			ctx = resilience.WithAllowance(ctx, allow)
+		}
+		tq := q
+		tq.Attempts = tc.attempts
+		_, err := s.Do(ctx, tq)
+		if !errors.Is(err, resilience.ErrExecution) || execs != tc.want {
+			t.Errorf("handed %d, Query.Attempts %d: %d executions (err %v), want %d ending in the execution error",
+				tc.handed, tc.attempts, execs, err, tc.want)
+		}
+		if allow != nil && allow.Left() != tc.handed-tc.want {
+			t.Errorf("handed %d: %d left after %d executions", tc.handed, allow.Left(), tc.want)
+		}
+	}
+
+	execs = 0
+	before := s.Metrics()
+	_, err := s.Do(resilience.WithAllowance(context.Background(), resilience.NewAllowance(0)), q)
+	if !errors.Is(err, resilience.ErrAllowanceSpent) || !resilience.IsClass(err, resilience.Overloaded) || execs != 0 {
+		t.Fatalf("empty allowance: %d executions, err %v; want none and Overloaded/ErrAllowanceSpent", execs, err)
+	}
+	if after := s.Metrics(); after.Executions != before.Executions {
+		t.Fatalf("empty allowance executed: %d → %d executions", before.Executions, after.Executions)
+	}
+}
+
 // TestNonTransientNotRetried: ordinary execution errors and panics fail
 // immediately without burning retry attempts.
 func TestNonTransientNotRetried(t *testing.T) {
@@ -491,7 +540,7 @@ func TestMaxIterationsClass(t *testing.T) {
 // duplicate's result (bitwise-identical by construction) wins.
 func TestHedgeStraggler(t *testing.T) {
 	s := New(Config{Workers: 2, Hedge: resilience.HedgePolicy{
-		Enabled: true, Quantile: 0.5, Multiplier: 1.5, MinDelay: time.Millisecond, MaxOutstanding: 2,
+		Enabled: true, MinDelay: time.Millisecond, MaxOutstanding: 2,
 	}})
 	defer s.Shutdown(context.Background())
 	q := testQuery(t, algorithms.GD, "cri1", 2)
@@ -519,6 +568,18 @@ func TestHedgeStraggler(t *testing.T) {
 	snap := s.Metrics()
 	if snap.Hedges != 1 || snap.HedgesWon != 1 {
 		t.Errorf("hedges=%d won=%d, want 1,1", snap.Hedges, snap.HedgesWon)
+	}
+
+	// A hedge is an attempt: with one unit of allowance the straggler runs
+	// alone, however long it takes.
+	invocations.Store(0)
+	allow := resilience.NewAllowance(1)
+	res, err = s.Do(resilience.WithAllowance(context.Background(), allow), straggler)
+	if err != nil || res.HedgeWon || invocations.Load() != 1 || allow.Left() != 0 {
+		t.Fatalf("straggler on an allowance of 1: err %v, hedge won %v, %d executions", err, res != nil && res.HedgeWon, invocations.Load())
+	}
+	if got := s.Metrics().Hedges; got != 1 {
+		t.Errorf("hedges=%d after an unfunded straggler, want still 1", got)
 	}
 }
 
@@ -683,7 +744,6 @@ func TestRetriesShareQueryDeadline(t *testing.T) {
 			MaxAttempts: 5,
 			BaseBackoff: 200 * time.Millisecond,
 			MaxBackoff:  200 * time.Millisecond,
-			Budget:      5 * time.Second,
 		},
 	})
 	defer s.Shutdown(context.Background())
