@@ -22,7 +22,7 @@ import (
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Experiments[id](); err != nil {
+		if _, err := bench.Run(id); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,13 +1,10 @@
-// remac-bench regenerates the paper's evaluation tables and figures on the
-// simulated cluster.
+// remac-bench regenerates the paper's evaluation tables and figures, and
+// the fault and integrity extensions, on the simulated cluster.
 //
 // Usage:
 //
 //	remac-bench                     # run every experiment
-//	remac-bench -experiment fig9    # run one (table2, fig3a, fig3b, fig8a,
-//	                                # fig8b, fig9, fig10a, fig10b, fig11,
-//	                                # fig12, fig13, options, opstats, faults,
-//	                                # serve, chaos, integrity)
+//	remac-bench -experiment fig9    # run one (-h lists the ids)
 //	remac-bench -trace out.json     # also dump every run's operator spans
 //	                                # as JSON lines
 //	remac-bench -json out.json      # also write the selected tables as a
@@ -18,33 +15,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"remac/internal/bench"
-	"remac/internal/engine"
 )
 
 func main() {
-	experiment := flag.String("experiment", "", "experiment ID to run (default: all)")
+	experiment := flag.String("experiment", "", "experiment to run, one of "+strings.Join(bench.IDs(), ", ")+" (default: all)")
 	traceFile := flag.String("trace", "", "write every run's operator spans to this file as JSON lines")
 	jsonFile := flag.String("json", "", "write the selected tables to this file as JSON")
-	faultSeed := flag.Int64("fault-seed", bench.FaultSeed, "fault schedule seed of the faults experiment")
-	recovery := flag.String("recovery", "", "recovery policy of the coded arm of the faults experiment (coded or coded:k,n)")
-	chaosSeed := flag.Int64("chaos-seed", bench.ChaosSeed, "storm schedule seed of the chaos experiment")
-	integritySeed := flag.Int64("integrity-seed", bench.IntegritySeed, "corruption schedule seed of the integrity experiment")
 	flag.Parse()
-
-	bench.FaultSeed = *faultSeed
-	bench.ChaosSeed = *chaosSeed
-	bench.IntegritySeed = *integritySeed
-	if *recovery != "" {
-		rp, err := engine.ParseRecovery(*recovery)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		bench.CodedRecovery = rp
-	}
 
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -56,18 +37,14 @@ func main() {
 		bench.TraceTo(f)
 	}
 
-	ids := bench.IDs
+	ids := bench.IDs()
 	if *experiment != "" {
-		if _, ok := bench.Experiments[*experiment]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %v\n", *experiment, bench.IDs)
-			os.Exit(2)
-		}
 		ids = []string{*experiment}
 	}
 	var tables []*bench.Table
 	for _, id := range ids {
 		start := time.Now()
-		table, err := bench.Experiments[id]()
+		table, err := bench.Run(id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)

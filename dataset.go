@@ -39,27 +39,15 @@ func (d *Dataset) VirtualDims() (int64, int64) { return d.ds.VRows, d.ds.VCols }
 
 // Inputs builds the input map for a workload over this dataset.
 func (d *Dataset) Inputs(workload string) (map[string]Input, error) {
-	switch algorithms.Name(workload) {
-	case algorithms.GNMF:
-		w, h := d.ds.GNMFFactors(10)
-		return map[string]Input{
-			"V":  {Data: wrap(d.ds.A), VirtualRows: d.ds.VRows, VirtualCols: d.ds.VCols},
-			"W0": {Data: wrap(w), VirtualRows: d.ds.VRows, VirtualCols: 10},
-			"H0": {Data: wrap(h), VirtualRows: 10, VirtualCols: d.ds.VCols},
-		}, nil
-	case algorithms.GD, algorithms.DFP, algorithms.BFGS, algorithms.PartialDFP:
-		in := map[string]Input{
-			"A":  {Data: wrap(d.ds.A), VirtualRows: d.ds.VRows, VirtualCols: d.ds.VCols},
-			"H0": {Data: wrap(d.ds.InitialH()), VirtualRows: d.ds.VCols, VirtualCols: d.ds.VCols},
-			"x0": {Data: wrap(d.ds.InitialX()), VirtualRows: d.ds.VCols, VirtualCols: 1},
-		}
-		if algorithms.Name(workload) != algorithms.PartialDFP {
-			in["b"] = Input{Data: wrap(d.ds.Label()), VirtualRows: d.ds.VRows, VirtualCols: 1}
-		}
-		return in, nil
-	default:
+	bound, err := d.ds.Inputs(algorithms.Name(workload))
+	if err != nil {
 		return nil, fmt.Errorf("remac: unknown workload %q", workload)
 	}
+	in := make(map[string]Input, len(bound))
+	for _, b := range bound {
+		in[b.Name] = Input{Data: wrap(b.Data), VirtualRows: b.VRows, VirtualCols: b.VCols}
+	}
+	return in, nil
 }
 
 // Workloads lists the built-in algorithm names.

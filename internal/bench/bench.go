@@ -27,21 +27,22 @@ import (
 )
 
 // Table is one experiment's output: labeled rows of named measurements.
+// The JSON tags are the remac-bench -json contract.
 type Table struct {
-	ID      string
-	Title   string
-	Columns []string
-	Rows    []Row
+	ID      string   `json:"id"`
+	Title   string   `json:"title"`
+	Columns []string `json:"columns"`
+	Rows    []Row    `json:"rows"`
 	// Notes document deviations or caps (e.g. tree-wise deadline).
-	Notes []string
+	Notes []string `json:"notes,omitempty"`
 }
 
 // Row is one labeled series point.
 type Row struct {
-	Label  string
-	Values map[string]float64
+	Label  string             `json:"label"`
+	Values map[string]float64 `json:"values,omitempty"`
 	// Text carries non-numeric cells (e.g. "timeout").
-	Text map[string]string
+	Text map[string]string `json:"text,omitempty"`
 }
 
 // String renders the table as aligned text.
@@ -141,9 +142,6 @@ type runOut struct {
 }
 
 var (
-	dsMu    sync.Mutex
-	dsCache = map[string]*data.Dataset{}
-
 	traceMu sync.Mutex
 	traceW  io.Writer
 )
@@ -163,39 +161,20 @@ func traceSink() io.Writer {
 	return traceW
 }
 
-func dataset(name string) *data.Dataset {
-	dsMu.Lock()
-	defer dsMu.Unlock()
-	if d, ok := dsCache[name]; ok {
-		return d
+// inputsFor builds the engine inputs and compile metas of a workload over
+// a dataset (an unknown dataset name panics: they are constants here).
+func inputsFor(alg algorithms.Name, dataset string) (map[string]engine.Input, map[string]sparsity.Meta, error) {
+	bound, err := data.MustLoad(dataset).Inputs(alg)
+	if err != nil {
+		return nil, nil, err
 	}
-	d := data.MustLoad(name)
-	dsCache[name] = d
-	return d
-}
-
-// inputsFor builds engine inputs and compile metas for a workload.
-func inputsFor(alg algorithms.Name, ds *data.Dataset) (map[string]engine.Input, map[string]sparsity.Meta) {
-	ins := map[string]engine.Input{}
-	metas := map[string]sparsity.Meta{}
-	add := func(name string, in engine.Input) {
-		ins[name] = in
-		metas[name] = sparsity.Virtualize(sparsity.MetaOf(in.Data), in.VRows, in.VCols)
+	ins := make(map[string]engine.Input, len(bound))
+	metas := make(map[string]sparsity.Meta, len(bound))
+	for _, in := range bound {
+		ins[in.Name] = engine.Input{Data: in.Data, VRows: in.VRows, VCols: in.VCols}
+		metas[in.Name] = sparsity.Virtualize(sparsity.MetaOf(in.Data), in.VRows, in.VCols)
 	}
-	if alg == algorithms.GNMF {
-		w, h := ds.GNMFFactors(10)
-		add("V", engine.Input{Data: ds.A, VRows: ds.VRows, VCols: ds.VCols})
-		add("W0", engine.Input{Data: w, VRows: ds.VRows, VCols: 10})
-		add("H0", engine.Input{Data: h, VRows: 10, VCols: ds.VCols})
-		return ins, metas
-	}
-	add("A", engine.Input{Data: ds.A, VRows: ds.VRows, VCols: ds.VCols})
-	add("H0", engine.Input{Data: ds.InitialH(), VRows: ds.VCols, VCols: ds.VCols})
-	add("x0", engine.Input{Data: ds.InitialX(), VRows: ds.VCols, VCols: 1})
-	if alg != algorithms.PartialDFP {
-		add("b", engine.Input{Data: ds.Label(), VRows: ds.VRows, VCols: 1})
-	}
-	return ins, metas
+	return ins, metas, nil
 }
 
 // runOne executes one measured configuration. When a trace sink is set
@@ -233,8 +212,10 @@ func runOneTraced(cfg runCfg, rec *trace.Recorder) (*runOut, error) {
 	if cfg.estimator == nil {
 		cfg.estimator = sparsity.MNC{}
 	}
-	ds := dataset(cfg.dataset)
-	ins, metas := inputsFor(cfg.alg, ds)
+	ins, metas, err := inputsFor(cfg.alg, cfg.dataset)
+	if err != nil {
+		return nil, err
+	}
 	prog := algorithms.MustProgram(cfg.alg, cfg.iterations)
 	compiled, err := opt.Compile(prog, metas, opt.Config{
 		Strategy:   cfg.strategy,
@@ -308,32 +289,47 @@ func envHash(env map[string]*distmat.DistMatrix) uint64 {
 	return integrity.DigestValues(values)
 }
 
-// Experiments maps experiment IDs to their runners.
-var Experiments = map[string]func() (*Table, error){
-	"table2":    Table2,
-	"fig3a":     func() (*Table, error) { return Fig3(false) },
-	"fig3b":     func() (*Table, error) { return Fig3(true) },
-	"fig8a":     Fig8a,
-	"fig8b":     Fig8b,
-	"fig9":      Fig9,
-	"fig10a":    Fig10a,
-	"fig10b":    Fig10b,
-	"fig11":     Fig11,
-	"fig12":     Fig12,
-	"fig13":     Fig13,
-	"options":   OptionCensus,
-	"opstats":   OpStats,
-	"faults":    Faults,
-	"serve":     ServeBench,
-	"mqo":       MQOBench,
-	"shard":     ShardBench,
-	"chaos":     Chaos,
-	"integrity": Integrity,
-	"remote":    RemoteBench,
+// experiments is the registry, in presentation order: the paper's tables
+// and figures, then the extensions on the same simulated clock.
+var experiments = []struct {
+	id  string
+	run func() (*Table, error)
+}{
+	{"table2", Table2},
+	{"fig3a", func() (*Table, error) { return Fig3(false) }},
+	{"fig3b", func() (*Table, error) { return Fig3(true) }},
+	{"fig8a", Fig8a},
+	{"fig8b", Fig8b},
+	{"fig9", Fig9},
+	{"fig10a", Fig10a},
+	{"fig10b", Fig10b},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"options", OptionCensus},
+	{"opstats", OpStats},
+	{"faults", Faults},
+	{"integrity", Integrity},
 }
 
-// IDs lists experiment IDs in presentation order.
-var IDs = []string{"table2", "fig3a", "fig3b", "fig8a", "fig8b", "fig9", "fig10a", "fig10b", "fig11", "fig12", "fig13", "options", "opstats", "faults", "serve", "mqo", "shard", "chaos", "integrity", "remote"}
+// IDs lists the experiment ids in presentation order.
+func IDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Run regenerates one experiment by id.
+func Run(id string) (*Table, error) {
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run()
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q; available: %v", id, IDs())
+}
 
 // OpStats records per-operator aggregates for a traced DFP run: how many
 // operators of each kind executed, and where the simulated time and bytes

@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -104,21 +108,75 @@ func TestFig13WorkBalance(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	for _, id := range IDs {
-		if Experiments[id] == nil {
-			t.Errorf("experiment %q not registered", id)
+	have := map[string]bool{}
+	for _, id := range IDs() {
+		if have[id] {
+			t.Errorf("experiment %q registered twice", id)
 		}
+		have[id] = true
 	}
 	// Every table and figure of the evaluation section must be covered.
 	want := []string{"table2", "fig3a", "fig3b", "fig8a", "fig8b", "fig9", "fig10a", "fig10b", "fig11", "fig12", "fig13"}
-	have := map[string]bool{}
-	for _, id := range IDs {
-		have[id] = true
-	}
 	for _, id := range want {
 		if !have[id] {
 			t.Errorf("missing experiment %q", id)
 		}
+	}
+	if _, err := Run("nope"); err == nil {
+		t.Error("unknown experiment id accepted")
+	}
+}
+
+// TestExtensionExperimentsHoldTheirGates runs the two seeded extensions for
+// their built-in gates (ABFT overhead within 10% of simulated time; under
+// verify=abft every injected corruption detected and none silent) and twice
+// over: they are on the simulated clock, so the tables must not move.
+func TestExtensionExperimentsHoldTheirGates(t *testing.T) {
+	for _, id := range []string{"faults", "integrity"} {
+		first, err := Run(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		again, err := Run(id)
+		if err != nil {
+			t.Fatalf("%s, second run: %v", id, err)
+		}
+		if first.String() != again.String() {
+			t.Errorf("%s differs between two runs:\n%s\n%s", id, first, again)
+		}
+	}
+}
+
+// TestTableJSONKeysGolden pins the remac-bench -json contract: an array of
+// tables under these keys.
+func TestTableJSONKeysGolden(t *testing.T) {
+	tbl := &Table{ID: "X", Title: "demo", Columns: []string{"a"}, Notes: []string{"n"},
+		Rows: []Row{{Label: "r", Values: map[string]float64{"a": 1}, Text: map[string]string{"a": "x"}}}}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, []*Table{tbl}); err != nil {
+		t.Fatal(err)
+	}
+	var out []map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil || len(out) != 1 {
+		t.Fatalf("output is not a one-table array: %v\n%s", err, buf.String())
+	}
+	var rows []map[string]json.RawMessage
+	if err := json.Unmarshal(out[0]["rows"], &rows); err != nil || len(rows) != 1 {
+		t.Fatalf("rows is not a one-row array: %v", err)
+	}
+	keys := func(m map[string]json.RawMessage) []string {
+		ks := make([]string, 0, len(m))
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	if got, want := keys(out[0]), []string{"columns", "id", "notes", "rows", "title"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("table keys = %q, want %q", got, want)
+	}
+	if got, want := keys(rows[0]), []string{"label", "text", "values"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("row keys = %q, want %q", got, want)
 	}
 }
 

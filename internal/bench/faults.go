@@ -11,17 +11,8 @@ import (
 	"remac/internal/trace"
 )
 
-// FaultSeed selects the fault schedule of the Faults experiment
-// (remac-bench -fault-seed).
-var FaultSeed int64 = 11
-
-// CodedRecovery is the policy of the coded arm of the Faults experiment
-// (remac-bench -recovery). The default widens the stock 4-of-6 code to
-// 4-of-7: under the default schedule's highest rate (480/h) some failure
-// windows erase three distinct workers, which two parity blocks cannot
-// cover — the third keeps every observed erasure pattern decodable, so
-// the coded arm recomputes nothing.
-var CodedRecovery = engine.RecoveryPolicy{Kind: engine.RecoverCoded, K: 4, N: 7}
+// faultSeed selects the fault schedule of the Faults experiment.
+const faultSeed = 11
 
 // Faults measures resilience of the recovery policies: DFP on cri2 under
 // increasing failure rates, comparing the no-elimination baseline against
@@ -42,7 +33,7 @@ func Faults() (*Table, error) {
 	cfg.DriverMemory = 512 << 20
 	const iters = 5
 
-	t := &Table{ID: "Faults", Title: fmt.Sprintf("DFP on cri2 under injected failures (seed %d)", FaultSeed),
+	t := &Table{ID: "Faults", Title: fmt.Sprintf("DFP on cri2 under injected failures (seed %d)", faultSeed),
 		Columns: []string{"exec(s)", "recovery(s)", "recompGFLOP", "decode(s)", "encGFLOP", "retries", "failures", "paritySpars", "maxRelErr"}}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d iterations, driver heap 512MB so LSE values are worker-resident", iters),
@@ -51,7 +42,12 @@ func Faults() (*Table, error) {
 		"coded k-of-n decodes lost blocks from surviving systematic + parity blocks instead of recomputing; encGFLOP is its up-front parity cost",
 	)
 
-	coded := CodedRecovery
+	// The coded arm widens the stock 4-of-6 code to 4-of-7: under the
+	// schedule's highest rate (480/h) some failure windows erase three
+	// distinct workers, which two parity blocks cannot cover — the third
+	// keeps every observed erasure pattern decodable, so the coded arm
+	// recomputes nothing.
+	coded := engine.RecoveryPolicy{Kind: engine.RecoverCoded, K: 4, N: 7}
 	rates := []float64{30, 120, 480}
 	variants := []struct {
 		label    string
@@ -70,7 +66,7 @@ func Faults() (*Table, error) {
 				strategy: v.strategy, iterations: iters, cluster: cfg,
 				recovery: v.recovery,
 				faults: fault.Config{
-					Seed:                  FaultSeed,
+					Seed:                  faultSeed,
 					WorkerFailuresPerHour: rate,
 					TransmitErrorsPerHour: 2 * rate,
 					StragglersPerHour:     rate,

@@ -67,8 +67,10 @@ func figID(base string, b bool) string {
 // searchCoords builds the inlined, normalized coordinates for a workload on
 // cri2, as the searches consume them.
 func searchCoords(alg algorithms.Name) (*chain.Coordinates, error) {
-	ds := dataset("cri2")
-	_, metas := inputsFor(alg, ds)
+	_, metas, err := inputsFor(alg, "cri2")
+	if err != nil {
+		return nil, err
+	}
 	prog := algorithms.MustProgram(alg, algorithms.DefaultIterations(alg))
 	// Reuse opt's resolver construction by compiling with NoElimination and
 	// re-deriving roots.

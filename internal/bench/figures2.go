@@ -95,8 +95,10 @@ func Fig11() (*Table, error) {
 			}
 			row.Values["ReMac"] = remac.ExecSec
 
-			ds := dataset(dsName)
-			ins, metas := inputsFor(alg, ds)
+			ins, metas, err := inputsFor(alg, dsName)
+			if err != nil {
+				return nil, err
+			}
 			iters := algorithms.DefaultIterations(alg)
 			prog := algorithms.MustProgram(alg, iters)
 			for _, kind := range []altengine.Kind{altengine.PbdR, altengine.SciDB} {

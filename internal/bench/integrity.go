@@ -11,9 +11,8 @@ import (
 	"remac/internal/opt"
 )
 
-// IntegritySeed selects the corruption schedule of the Integrity experiment
-// (remac-bench -integrity-seed).
-var IntegritySeed int64 = 23
+// integritySeed selects the corruption schedule of the Integrity experiment.
+const integritySeed = 23
 
 // isIntegrityErr reports whether a run failed on an unrepairable corruption.
 func isIntegrityErr(err error) bool { return errors.Is(err, integrity.ErrCorruption) }
@@ -35,7 +34,7 @@ func isIntegrityErr(err error) bool { return errors.Is(err, integrity.ErrCorrupt
 // silent wrong answers.
 func Integrity() (*Table, error) {
 	modes := []integrity.VerifyMode{integrity.VerifyOff, integrity.VerifyDigest, integrity.VerifyABFT}
-	t := &Table{ID: "Integrity", Title: fmt.Sprintf("Verification overhead and corruption sweep (seed %d)", IntegritySeed),
+	t := &Table{ID: "Integrity", Title: fmt.Sprintf("Verification overhead and corruption sweep (seed %d)", integritySeed),
 		Columns: []string{"exec(s)", "verify(s)", "overhead%", "injected", "detected", "repairs", "silent"}}
 	t.Notes = append(t.Notes,
 		"overhead rows: perfect cluster; overhead% is simulated execution time vs verify=off",
@@ -102,7 +101,7 @@ func Integrity() (*Table, error) {
 		for _, mode := range modes {
 			cfg := sweep
 			cfg.verify = mode
-			cfg.faults = fault.Config{Seed: IntegritySeed, CorruptionsPerHour: rate}
+			cfg.faults = fault.Config{Seed: integritySeed, CorruptionsPerHour: rate}
 			label := fmt.Sprintf("corrupt@%g/h verify=%v", rate, mode)
 			out, err := runOne(cfg)
 			if err != nil {

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"remac/internal/algorithms"
 	"remac/internal/matrix"
 )
 
@@ -98,13 +99,29 @@ var Names = []string{"cri1", "cri2", "cri3", "red1", "red2", "red3"}
 // ZipfNames lists the §6.5 datasets in presentation order.
 var ZipfNames = []string{"zipf-0.0", "zipf-0.7", "zipf-1.4", "zipf-2.1", "zipf-2.8"}
 
-// Load materializes a dataset deterministically (same name → same data).
+// loaded memoises Load per registered spec.
+var (
+	loadMu sync.Mutex
+	loaded = map[Spec]*Dataset{}
+)
+
+// Load returns the dataset registered under name, materialized
+// deterministically on first request (same name → same data) and shared by
+// every caller afterwards: a *Dataset is read-only, so a caller that wants
+// to change a matrix clones it.
 func Load(name string) (*Dataset, error) {
 	spec, ok := Specs[name]
 	if !ok {
 		return nil, fmt.Errorf("data: unknown dataset %q", name)
 	}
-	return Generate(spec), nil
+	loadMu.Lock()
+	defer loadMu.Unlock()
+	d, ok := loaded[spec]
+	if !ok {
+		d = Generate(spec)
+		loaded[spec] = d
+	}
+	return d, nil
 }
 
 // MustLoad is Load that panics on unknown names.
@@ -202,6 +219,44 @@ func (d *Dataset) GNMFFactors(k int) (*matrix.Matrix, *matrix.Matrix) {
 		d.gnmf[k] = f
 	}
 	return f[0], f[1]
+}
+
+// gnmfRank is the factor rank every front-end binds for GNMF.
+const gnmfRank = 10
+
+// Input is one symbol a workload reads over a dataset: the matrix bound to
+// it and the paper-scale dimensions it stands for.
+type Input struct {
+	Name         string
+	Data         *matrix.Matrix
+	VRows, VCols int64
+}
+
+// Inputs returns the symbols workload alg reads over the dataset: V, W0
+// and H0 for GNMF; A, H0, x0 and — except for PartialDFP, which has no
+// right-hand side — b for the least-squares solvers. Every front-end
+// (bench, HTTP, library) wraps these in its own input type.
+func (d *Dataset) Inputs(alg algorithms.Name) ([]Input, error) {
+	switch alg {
+	case algorithms.GNMF:
+		w, h := d.GNMFFactors(gnmfRank)
+		return []Input{
+			{"V", d.A, d.VRows, d.VCols},
+			{"W0", w, d.VRows, gnmfRank},
+			{"H0", h, gnmfRank, d.VCols},
+		}, nil
+	case algorithms.GD, algorithms.DFP, algorithms.BFGS, algorithms.PartialDFP:
+		ins := []Input{
+			{"A", d.A, d.VRows, d.VCols},
+			{"H0", d.InitialH(), d.VCols, d.VCols},
+			{"x0", d.InitialX(), d.VCols, 1},
+		}
+		if alg != algorithms.PartialDFP {
+			ins = append(ins, Input{"b", d.Label(), d.VRows, 1})
+		}
+		return ins, nil
+	}
+	return nil, fmt.Errorf("data: unknown workload %q", alg)
 }
 
 // absAll returns |m| built on the cells of m, a dense matrix nothing else

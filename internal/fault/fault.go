@@ -146,8 +146,8 @@ type Config struct {
 
 // Mix64 is the SplitMix64 finalizer, the one avalanche step behind every
 // seeded draw in the repository: fault sub-streams (DeriveSeed), retry
-// jitter (resilience.RetryPolicy.Backoff), consistent-hash ring placement,
-// RouteRandom shard choice and NetFault rolls all end in it. A stream
+// jitter (resilience.RetryPolicy.Backoff), consistent-hash ring placement
+// and NetFault rolls all end in it. A stream
 // position n of seed s is Mix64(s + n·0x9e3779b97f4a7c15).
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30

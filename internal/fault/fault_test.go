@@ -234,7 +234,7 @@ func TestDeriveEdgeCases(t *testing.T) {
 
 // TestDeriveSeedGolden pins DeriveSeed to the values it produced before the
 // SplitMix64 finalizer was factored into Mix64: chaos storms and the bench
-// gates replay fault schedules by (root seed, index), so these may never
+// experiments replay fault schedules by (root seed, index), so these may never
 // move.
 func TestDeriveSeedGolden(t *testing.T) {
 	golden := map[int64][4]int64{

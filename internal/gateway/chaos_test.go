@@ -79,7 +79,7 @@ func TestShardKillChaosStorm(t *testing.T) {
 	ref := make([]uint64, len(workloads))
 	direct := serve.New(serve.Config{Workers: 2, ShardID: "reference"})
 	for wi, w := range workloads {
-		res, err := direct.Do(context.Background(), serveTestQuery(t, w.alg, "cri1", w.iters))
+		res, err := direct.Do(context.Background(), remoteQuery(t, string(w.alg), "cri1", w.iters))
 		if err != nil {
 			t.Fatalf("reference %v: %v", w.alg, err)
 		}
@@ -144,7 +144,7 @@ func TestShardKillChaosStorm(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < perClient; k++ {
 				wi := (c + k) % len(workloads)
-				q := serveTestQuery(t, workloads[wi].alg, "cri1", workloads[wi].iters)
+				q := remoteQuery(t, string(workloads[wi].alg), "cri1", workloads[wi].iters)
 				res, err := g.Do(context.Background(), Request{
 					Tenant:    fmt.Sprintf("tenant-%d", c),
 					RequestID: fmt.Sprintf("storm-%d-%d", c, k),

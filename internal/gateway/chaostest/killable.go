@@ -1,7 +1,7 @@
 // Package chaostest holds the fault-injecting fixtures the gateway's chaos
-// storms and the shard/remote bench experiments drive the tier with: a
-// kill switch around a shard (Killable) and a seeded fault-injecting HTTP
-// transport (NetFault). Nothing a serving binary links imports it, and it
+// storms drive the tier with: a kill switch around a shard (Killable) and
+// a seeded fault-injecting HTTP transport (NetFault). Only tests import
+// it (CI checks that no ./cmd binary links it), and it
 // does not import the gateway — whose own tests import it — so it wraps the
 // gateway's shard interface by declaring the same method set.
 package chaostest

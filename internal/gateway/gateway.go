@@ -19,10 +19,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"remac/internal/fault"
 	"remac/internal/httpapi"
 	"remac/internal/lang"
 	"remac/internal/lru"
@@ -56,11 +54,6 @@ type Config struct {
 	Serve serve.Config
 	// Seed perturbs ring placement (any fixed value is deterministic).
 	Seed uint64
-	// RouteRandom replaces affinity routing with seeded pseudo-random
-	// shard choice. It exists for the shard bench's control arm — random
-	// routing destroys cache locality by construction — and for A/B
-	// measurements; production configurations want affinity.
-	RouteRandom bool
 
 	// ProbeInterval is the active health monitor's period. Zero disables
 	// the background prober — ProbeNow still drives rounds manually (tests,
@@ -203,8 +196,6 @@ type Gateway struct {
 	shards []Instance
 
 	life *lifecycle
-
-	routeSeq atomic.Uint64 // RouteRandom stream position
 
 	invMu    sync.Mutex // serializes invalidation broadcasts
 	verMu    sync.Mutex
@@ -356,24 +347,11 @@ func canonicalKey(script string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// order returns the shard preference order for a query under the
-// configured routing policy.
-func (g *Gateway) order(q serve.Query) []int {
-	if !g.cfg.RouteRandom {
-		return g.ring.order(g.routeKey(q))
-	}
-	// Seeded pseudo-random (SplitMix64 over a stream counter): uniform,
-	// deterministic for a given seed and call sequence, and cache-blind.
-	x := fault.Mix64(g.cfg.Seed + 0x9e3779b97f4a7c15*g.routeSeq.Add(1))
-	home := int(x % uint64(len(g.ids)))
-	out := make([]int, len(g.ids))
-	for i := range out {
-		out[i] = (home + i) % len(g.ids)
-	}
-	return out
-}
+// order returns the shard preference order for a query: its routing key's
+// walk of the ring.
+func (g *Gateway) order(q serve.Query) []int { return g.ring.order(g.routeKey(q)) }
 
-// routableOrder is the preference order Do actually walks: the policy's
+// routableOrder is the preference order Do actually walks: the ring's
 // order filtered down to shards that take traffic (healthy or suspect).
 // Ejected and rejoining shards are skipped in place: surviving shards keep
 // their position, so only the dead shard's keys move — each to the next

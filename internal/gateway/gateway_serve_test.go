@@ -5,39 +5,21 @@ import (
 	"math"
 	"testing"
 
-	"remac/internal/algorithms"
-	"remac/internal/data"
-	"remac/internal/engine"
 	"remac/internal/serve"
 )
 
-// serveTestQuery builds a real workload query (mirrors the serve package's
-// test helper, which is unexported).
-func serveTestQuery(t *testing.T, alg algorithms.Name, dsName string, iters int) serve.Query {
-	t.Helper()
-	src, err := algorithms.Script(alg, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := data.MustLoad(dsName)
-	ins := map[string]engine.Input{
-		"A":  {Data: ds.A, VRows: ds.VRows, VCols: ds.VCols},
-		"b":  {Data: ds.Label(), VRows: ds.VRows, VCols: 1},
-		"H0": {Data: ds.InitialH(), VRows: ds.VCols, VCols: ds.VCols},
-		"x0": {Data: ds.InitialX(), VRows: ds.VCols, VCols: 1},
-	}
-	q := serve.NewQuery(src, ins)
-	q.Dataset = dsName
-	q.Iterations = iters
-	return q
+// TestGatewayServesRealShardsBitwiseIdentical: a query routed through a
+// gateway of 1, 2 or 4 real shards returns bitwise the same values as a
+// direct single serve.Server run, the repeat hits the home shard's plan
+// cache, and invalidation fan-out reaches every real shard.
+func TestGatewayServesRealShardsBitwiseIdentical(t *testing.T) {
+	realShardsMatchDirect(t, "DFP", "cri1", 2)
+	realShardsMatchDirect(t, "GD", "cri1", 1)
+	realShardsMatchDirect(t, "GNMF", "red2", 4)
 }
 
-// TestGatewayServesRealShardsBitwiseIdentical: a query routed through a
-// 2-shard gateway returns bitwise the same values as a direct single
-// serve.Server run, the repeat hits the home shard's plan cache, and
-// invalidation fan-out reaches both real shards.
-func TestGatewayServesRealShardsBitwiseIdentical(t *testing.T) {
-	q := serveTestQuery(t, algorithms.DFP, "cri1", 3)
+func realShardsMatchDirect(t *testing.T, alg, dataset string, shards int) {
+	q := remoteQuery(t, alg, dataset, 3)
 
 	direct := serve.New(serve.Config{Workers: 2})
 	want, err := direct.Do(context.Background(), q)
@@ -48,7 +30,7 @@ func TestGatewayServesRealShardsBitwiseIdentical(t *testing.T) {
 		t.Fatalf("direct shutdown: %v", err)
 	}
 
-	g := New(Config{Shards: 2, Serve: serve.Config{Workers: 2}, Seed: 11})
+	g := New(Config{Shards: shards, Serve: serve.Config{Workers: 2}, Seed: 11})
 	res1, err := g.Do(context.Background(), Request{Tenant: "alice", Query: q})
 	if err != nil {
 		t.Fatalf("gateway Do: %v", err)
@@ -59,17 +41,17 @@ func TestGatewayServesRealShardsBitwiseIdentical(t *testing.T) {
 	}
 
 	for name, m := range want.Values {
-		gm, ok := res1.Values[name]
-		if !ok {
+		gm, rm := res1.Values[name], res2.Values[name] // rm: the repeat, served from the home shard's caches
+		if gm == nil || rm == nil {
 			t.Fatalf("gateway result missing variable %s", name)
 		}
-		if m.Rows() != gm.Rows() || m.Cols() != gm.Cols() {
+		if m.Rows() != gm.Rows() || m.Cols() != gm.Cols() || m.Rows() != rm.Rows() || m.Cols() != rm.Cols() {
 			t.Fatalf("variable %s shape differs", name)
 		}
 		for i := 0; i < m.Rows(); i++ {
 			for j := 0; j < m.Cols(); j++ {
-				if math.Float64bits(m.At(i, j)) != math.Float64bits(gm.At(i, j)) {
-					t.Fatalf("variable %s differs bitwise at (%d,%d)", name, i, j)
+				if w := math.Float64bits(m.At(i, j)); w != math.Float64bits(gm.At(i, j)) || w != math.Float64bits(rm.At(i, j)) {
+					t.Fatalf("%s/%s at %d shards: variable %s differs bitwise at (%d,%d)", alg, dataset, shards, name, i, j)
 				}
 			}
 		}
@@ -82,11 +64,11 @@ func TestGatewayServesRealShardsBitwiseIdentical(t *testing.T) {
 		t.Fatal("repeat on the home shard missed the plan cache")
 	}
 
-	v := g.InvalidateDataset("cri1")
+	v := g.InvalidateDataset(dataset)
 	if v != 1 {
 		t.Fatalf("invalidation version = %d, want 1", v)
 	}
-	for i, sv := range g.ShardVersions("cri1") {
+	for i, sv := range g.ShardVersions(dataset) {
 		if sv != v {
 			t.Fatalf("real shard %d at version %d after fan-out returned, want %d", i, sv, v)
 		}

@@ -401,28 +401,6 @@ func TestGatewayStatsMergesShards(t *testing.T) {
 	}
 }
 
-// TestGatewayRandomRoutingSpreads: the bench's control policy really does
-// scatter one dataset across shards (destroying affinity by design).
-func TestGatewayRandomRoutingSpreads(t *testing.T) {
-	insts, fakes := fakeFleet(4)
-	g := NewWithInstances(Config{Seed: 7, RouteRandom: true}, insts)
-	defer g.Shutdown(context.Background())
-	for i := 0; i < 40; i++ {
-		if _, err := g.Do(context.Background(), Request{Tenant: "t", Query: gatewayQuery("cri1")}); err != nil {
-			t.Fatalf("Do: %v", err)
-		}
-	}
-	busy := 0
-	for _, f := range fakes {
-		if f.servedCount() > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Fatalf("random routing kept one dataset on %d shard(s)", busy)
-	}
-}
-
 // TestGatewayReadyz: ready while at least one shard admits, not after all
 // are saturated.
 func TestGatewayReadyz(t *testing.T) {

@@ -5,14 +5,12 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"remac/internal/serve"
 )
 
 // The goldens below were recorded at the commit before the SplitMix64
-// finalizer moved into fault.Mix64. Ring placement, RouteRandom order and
-// chaostest.NetFault rolls are what the shard/remote bench gates and the chaos storms
-// replay by seed, so a refactor of the mixer may never move them.
+// finalizer moved into fault.Mix64. Ring placement and chaostest.NetFault
+// rolls are what the chaos storms replay by seed, so a refactor of the mixer
+// may never move them.
 
 func TestRingOrderGolden(t *testing.T) {
 	keys := []string{"cri1@0", "cri2@0", "red1@3", "zipf-1.4@1", "script:00deadbeef", "", "key-17"}
@@ -31,26 +29,6 @@ func TestRingOrderGolden(t *testing.T) {
 			if got := r.order(key); !reflect.DeepEqual(got, tc.want[i]) {
 				t.Errorf("ring(%d shards, %d vnodes, seed %#x).order(%q) = %v, want %v",
 					tc.shards, tc.vnodes, tc.seed, key, got, tc.want[i])
-			}
-		}
-	}
-}
-
-func TestRouteRandomOrderGolden(t *testing.T) {
-	insts := make([]Instance, 5)
-	for i := range insts {
-		insts[i] = newFakeShard(string(rune('a' + i)))
-	}
-	g := NewWithInstances(Config{RouteRandom: true, Seed: 7, AuditDepth: -1}, insts)
-	want := []int{2, 4, 1, 3, 4, 0, 3, 2, 0, 0, 3, 1, 0, 4, 0, 0}
-	for i, w := range want {
-		order := g.order(serve.Query{})
-		if order[0] != w {
-			t.Fatalf("RouteRandom draw %d homes on shard %d, want %d", i, order[0], w)
-		}
-		for k, s := range order {
-			if s != (w+k)%len(insts) {
-				t.Fatalf("draw %d order %v is not the rotation starting at its home", i, order)
 			}
 		}
 	}

@@ -31,7 +31,9 @@ func startShard(t *testing.T, cfg serve.Config, mcfg httpapi.ServeHandlerConfig)
 	return srv, hs
 }
 
-// remoteQuery is a builder-shaped query a RemoteInstance can transmit.
+// remoteQuery is the query the HTTP front-ends build for a workload: what
+// a shard runs, and (carrying its algorithm name) what a RemoteInstance can
+// transmit.
 func remoteQuery(t *testing.T, alg, dataset string, iters int) serve.Query {
 	t.Helper()
 	b := httpapi.NewQueryBuilder(engine.RecoveryPolicy{})

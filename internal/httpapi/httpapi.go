@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -202,34 +201,17 @@ func StrategyName(s opt.Strategy) string {
 	}
 }
 
-// QueryBuilder resolves QueryRequests into serve.Queries, loading each
-// dataset once and sharing it read-only across queries.
+// QueryBuilder resolves QueryRequests into serve.Queries over the
+// registered datasets (data.Load shares each read-only across queries).
 type QueryBuilder struct {
 	// Recovery is the server-wide default recovery policy, applied to
 	// queries that do not carry their own.
 	Recovery engine.RecoveryPolicy
-
-	mu   sync.Mutex
-	data map[string]*data.Dataset
 }
 
-// NewQueryBuilder returns a builder with an empty dataset cache.
+// NewQueryBuilder returns a builder with the given default recovery policy.
 func NewQueryBuilder(recovery engine.RecoveryPolicy) *QueryBuilder {
-	return &QueryBuilder{Recovery: recovery, data: map[string]*data.Dataset{}}
-}
-
-func (b *QueryBuilder) dataset(name string) (*data.Dataset, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if d, ok := b.data[name]; ok {
-		return d, nil
-	}
-	d, err := data.Load(name)
-	if err != nil {
-		return nil, err
-	}
-	b.data[name] = d
-	return d, nil
+	return &QueryBuilder{Recovery: recovery}
 }
 
 // Build resolves a request into a serve.Query with the dataset's standard
@@ -242,7 +224,7 @@ func (b *QueryBuilder) Build(req QueryRequest) (serve.Query, error) {
 	if req.Dataset == "" {
 		return q, errors.New("dataset is required")
 	}
-	ds, err := b.dataset(req.Dataset)
+	ds, err := data.Load(req.Dataset)
 	if err != nil {
 		return q, err
 	}
@@ -257,20 +239,21 @@ func (b *QueryBuilder) Build(req QueryRequest) (serve.Query, error) {
 		if err != nil {
 			return q, err
 		}
-	} else if iters == 0 {
-		iters = 15
-	}
-	ins := map[string]engine.Input{}
-	if alg == algorithms.GNMF {
-		w, wh := ds.GNMFFactors(10)
-		ins["V"] = engine.Input{Data: ds.A, VRows: ds.VRows, VCols: ds.VCols}
-		ins["W0"] = engine.Input{Data: w, VRows: ds.VRows, VCols: 10}
-		ins["H0"] = engine.Input{Data: wh, VRows: 10, VCols: ds.VCols}
 	} else {
-		ins["A"] = engine.Input{Data: ds.A, VRows: ds.VRows, VCols: ds.VCols}
-		ins["b"] = engine.Input{Data: ds.Label(), VRows: ds.VRows, VCols: 1}
-		ins["H0"] = engine.Input{Data: ds.InitialH(), VRows: ds.VCols, VCols: ds.VCols}
-		ins["x0"] = engine.Input{Data: ds.InitialX(), VRows: ds.VCols, VCols: 1}
+		// A raw script may read any least-squares symbol: it gets the full
+		// set, which is DFP's.
+		alg = algorithms.DFP
+		if iters == 0 {
+			iters = 15
+		}
+	}
+	bound, err := ds.Inputs(alg)
+	if err != nil {
+		return q, err
+	}
+	ins := make(map[string]engine.Input, len(bound))
+	for _, in := range bound {
+		ins[in.Name] = engine.Input{Data: in.Data, VRows: in.VRows, VCols: in.VCols}
 	}
 	q = serve.NewQuery(script, ins)
 	q.Algorithm = req.Algorithm

@@ -22,6 +22,7 @@ import (
 	"remac/internal/data"
 	"remac/internal/engine"
 	"remac/internal/fault"
+	"remac/internal/httpapi"
 	"remac/internal/integrity"
 	"remac/internal/matrix"
 	"remac/internal/resilience"
@@ -82,22 +83,15 @@ func variantOf(i int) variant {
 	return v
 }
 
-// chaosQuery builds the serve query for a variant over cri1.
+// chaosQuery builds the serve query for a variant over cri1, as the HTTP
+// front-ends do.
 func chaosQuery(t testing.TB, v variant) serve.Query {
 	t.Helper()
-	src, err := algorithms.Script(v.alg, v.iters)
+	q, err := httpapi.NewQueryBuilder(engine.RecoveryPolicy{}).Build(
+		httpapi.QueryRequest{Algorithm: string(v.alg), Dataset: "cri1", Iterations: v.iters})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := data.MustLoad("cri1")
-	q := serve.NewQuery(src, map[string]engine.Input{
-		"A":  {Data: ds.A, VRows: ds.VRows, VCols: ds.VCols},
-		"b":  {Data: ds.Label(), VRows: ds.VRows, VCols: 1},
-		"H0": {Data: ds.InitialH(), VRows: ds.VCols, VCols: ds.VCols},
-		"x0": {Data: ds.InitialX(), VRows: ds.VCols, VCols: 1},
-	})
-	q.Dataset = "cri1"
-	q.Iterations = v.iters
 	return q
 }
 

@@ -9,7 +9,7 @@
 // transient failure — must degrade into a structured error on that query
 // alone, never into a process crash or a wedged admission queue. It is
 // deliberately dependency-free (standard library only) so internal/serve,
-// cmd/remac-serve and the bench harness can all consume it; classification
+// internal/gateway and cmd/remac-serve can all consume it; classification
 // of engine errors into classes happens at the serving layer, which knows
 // the sentinels.
 //

@@ -205,6 +205,7 @@ func TestMQOBatchedMatchesSerialBitwise(t *testing.T) {
 	workloads := []Query{
 		testQuery(t, algorithms.DFP, "cri1", 2),
 		testQuery(t, algorithms.GD, "cri1", 2),
+		testQuery(t, algorithms.GNMF, "red2", 2), // shares nothing with the cri1 pair
 	}
 	serial := New(Config{Workers: 1, IntermediateBudgetBytes: -1})
 	refs := make([]*QueryResult, len(workloads))

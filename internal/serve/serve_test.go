@@ -28,18 +28,13 @@ func testQuery(t *testing.T, alg algorithms.Name, dsName string, iters int) Quer
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := data.MustLoad(dsName)
+	bound, err := data.MustLoad(dsName).Inputs(alg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ins := map[string]engine.Input{}
-	if alg == algorithms.GNMF {
-		w, h := ds.GNMFFactors(10)
-		ins["V"] = engine.Input{Data: ds.A, VRows: ds.VRows, VCols: ds.VCols}
-		ins["W0"] = engine.Input{Data: w, VRows: ds.VRows, VCols: 10}
-		ins["H0"] = engine.Input{Data: h, VRows: 10, VCols: ds.VCols}
-	} else {
-		ins["A"] = engine.Input{Data: ds.A, VRows: ds.VRows, VCols: ds.VCols}
-		ins["b"] = engine.Input{Data: ds.Label(), VRows: ds.VRows, VCols: 1}
-		ins["H0"] = engine.Input{Data: ds.InitialH(), VRows: ds.VCols, VCols: ds.VCols}
-		ins["x0"] = engine.Input{Data: ds.InitialX(), VRows: ds.VCols, VCols: 1}
+	for _, in := range bound {
+		ins[in.Name] = engine.Input{Data: in.Data, VRows: in.VRows, VCols: in.VCols}
 	}
 	q := NewQuery(src, ins)
 	q.Dataset = dsName
@@ -666,6 +661,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		testQuery(t, algorithms.GD, "cri1", 3),
 		testQuery(t, algorithms.DFP, "cri1", 4),
 		testQuery(t, algorithms.DFP, "cri2", 3),
+		testQuery(t, algorithms.GNMF, "red2", 3),
 	}
 	// Sequential cache-free references.
 	refs := make([]map[string]*matrix.Matrix, len(queries))
@@ -701,8 +697,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		bitwiseEqualValues(t, refs[o.i], o.res.Values)
 	}
 	snap := s.Metrics()
-	if snap.Completed != rounds*3+3 {
-		t.Errorf("completed = %d, want %d", snap.Completed, rounds*3+3)
+	if want := uint64((rounds + 1) * len(queries)); snap.Completed != want {
+		t.Errorf("completed = %d, want %d", snap.Completed, want)
 	}
 	if snap.PlanHits == 0 {
 		t.Error("no plan-cache hits across repeated identical queries")

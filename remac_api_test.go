@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"remac"
+	"remac/internal/engine"
+	"remac/internal/httpapi"
 )
 
 const apiScript = `
@@ -152,6 +154,50 @@ func TestBuiltinDatasetsAndWorkloads(t *testing.T) {
 	}
 	if _, err := ds.Inputs("nope"); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestFrontEndsBindTheSameInputs: the library and the HTTP query builder
+// bind the same symbols, shapes and virtual dimensions for every workload.
+func TestFrontEndsBindTheSameInputs(t *testing.T) {
+	ds, err := remac.LoadDataset("cri1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	builder := httpapi.NewQueryBuilder(engine.RecoveryPolicy{})
+	for _, w := range remac.Workloads() {
+		lib, err := ds.Inputs(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := builder.Build(httpapi.QueryRequest{Algorithm: w, Dataset: "cri1", Iterations: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(q.Inputs) != len(lib) {
+			t.Errorf("%s: builder binds %d symbols, library %d", w, len(q.Inputs), len(lib))
+		}
+		for name, in := range lib {
+			got, ok := q.Inputs[name]
+			if !ok {
+				t.Errorf("%s: builder does not bind %s", w, name)
+				continue
+			}
+			if got.VRows != in.VirtualRows || got.VCols != in.VirtualCols ||
+				got.Data.Rows() != in.Data.Rows() || got.Data.Cols() != in.Data.Cols() {
+				t.Errorf("%s: %s bound with different dimensions", w, name)
+			}
+		}
+	}
+	// A raw script may read any least-squares symbol, so it gets all four.
+	q, err := builder.Build(httpapi.QueryRequest{Script: `x = read("x0")`, Dataset: "cri1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"A", "b", "H0", "x0"} {
+		if _, ok := q.Inputs[name]; !ok || len(q.Inputs) != 4 {
+			t.Errorf("raw script: %s bound = %v among %d symbols, want the four least-squares symbols", name, ok, len(q.Inputs))
+		}
 	}
 }
 
