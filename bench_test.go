@@ -159,8 +159,9 @@ func BenchmarkAblationEstimators(b *testing.B) {
 	for i := range colCounts {
 		colCounts[i] = 9 + i%5
 	}
-	a := sparsity.Meta{Rows: 58_400_000, Cols: 8_700, Sparsity: 4.5e-3, RowCounts: rowCounts, ColCounts: colCounts}
-	at := sparsity.Meta{Rows: 8_700, Cols: 58_400_000, Sparsity: 4.5e-3, RowCounts: colCounts, ColCounts: rowCounts}
+	rows, cols := sparsity.NewCounts(rowCounts), sparsity.NewCounts(colCounts)
+	a := sparsity.Meta{Rows: 58_400_000, Cols: 8_700, Sparsity: 4.5e-3, RowCounts: rows, ColCounts: cols}
+	at := sparsity.Meta{Rows: 8_700, Cols: 58_400_000, Sparsity: 4.5e-3, RowCounts: cols, ColCounts: rows}
 	b.Run("MD", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sparsity.Metadata{}.Mul(at, a)

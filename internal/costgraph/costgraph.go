@@ -26,10 +26,9 @@ import (
 
 // Config parameterizes adaptive elimination.
 type Config struct {
-	// Model prices operators on the target cluster.
+	// Model prices operators on the target cluster; its estimator also
+	// propagates sparsity through intermediate results.
 	Model *cost.Model
-	// Est propagates sparsity through intermediate results.
-	Est sparsity.Estimator
 	// Iterations is the loop trip count used to amortize LSE producer
 	// costs (c_O divided by the number of iterations, §4.3.1).
 	Iterations int
@@ -38,9 +37,6 @@ type Config struct {
 func (c Config) validate() error {
 	if c.Model == nil {
 		return fmt.Errorf("costgraph: nil cost model")
-	}
-	if c.Est == nil {
-		return fmt.Errorf("costgraph: nil estimator")
 	}
 	if c.Iterations < 1 {
 		return fmt.Errorf("costgraph: Iterations = %d", c.Iterations)
@@ -261,11 +257,16 @@ func (p *Planner) EvaluateCost(sel []bool) (float64, error) {
 		if !sel[i] {
 			continue
 		}
-		var key string
-		if len(o.Occs) > 0 {
-			key = fmt.Sprintf("%d|%s", o.ID, p.fingerprint(o.Occs[0].Block, sel, o.ID))
-		} else {
-			key = fmt.Sprintf("%d|", o.ID)
+		// The charge depends on the selection inside every block the
+		// producer contracts: the first occurrence's, and for a grouped sum
+		// the second member's too (groupProducer).
+		contracted := 1
+		if o.Kind == search.CSEGroup {
+			contracted = 2
+		}
+		key := fmt.Sprintf("%d|", o.ID)
+		for _, occ := range o.Occs[:min(contracted, len(o.Occs))] {
+			key += p.fingerprint(occ.Block, sel, o.ID)
 		}
 		if c, ok := p.prodCache[key]; ok {
 			total += c
@@ -381,7 +382,7 @@ func (p *Planner) contract(b *chain.Block, sel []bool) ([]item, error) {
 			}
 		}
 		if best >= 0 {
-			m, err := p.coords.SpanMeta(b, i, best, p.cfg.Est)
+			m, err := p.coords.SpanMeta(b, i, best, p.cfg.Model.Estimator())
 			if err != nil {
 				return nil, err
 			}
@@ -395,7 +396,7 @@ func (p *Planner) contract(b *chain.Block, sel []bool) ([]item, error) {
 			i = best + 1
 			continue
 		}
-		m, err := p.coords.AtomMeta(b.Atoms[i], p.cfg.Est)
+		m, err := p.coords.AtomMeta(b.Atoms[i], p.cfg.Model.Estimator())
 		if err != nil {
 			return nil, err
 		}
@@ -519,7 +520,7 @@ func (p *Planner) contractRange(b *chain.Block, lo, hi int, sel []bool, self *se
 			}
 		}
 		if best >= 0 {
-			m, err := p.coords.SpanMeta(b, i, best, p.cfg.Est)
+			m, err := p.coords.SpanMeta(b, i, best, p.cfg.Model.Estimator())
 			if err != nil {
 				return nil, err
 			}
@@ -532,7 +533,7 @@ func (p *Planner) contractRange(b *chain.Block, lo, hi int, sel []bool, self *se
 			i = best + 1
 			continue
 		}
-		m, err := p.coords.AtomMeta(b.Atoms[i], p.cfg.Est)
+		m, err := p.coords.AtomMeta(b.Atoms[i], p.cfg.Model.Estimator())
 		if err != nil {
 			return nil, err
 		}
@@ -561,7 +562,7 @@ func (p *Planner) groupProducer(o *search.Option, sel []bool) (*ProducerPlan, er
 			return nil, err
 		}
 		total += c
-		m, err := p.coords.SpanMeta(b, occ.Lo, occ.Hi, p.cfg.Est)
+		m, err := p.coords.SpanMeta(b, occ.Lo, occ.Hi, p.cfg.Model.Estimator())
 		if err != nil {
 			return nil, err
 		}

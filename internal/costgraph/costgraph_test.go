@@ -66,7 +66,12 @@ func fatResolver() res {
 
 func searchedDFP(t *testing.T, r res) *search.Result {
 	t.Helper()
-	plans, err := plan.Build(lang.MustParse(dfpSrc))
+	return searched(t, dfpSrc, r)
+}
+
+func searched(t testing.TB, src string, r res) *search.Result {
+	t.Helper()
+	plans, err := plan.Build(lang.MustParse(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +91,6 @@ func plannerFor(t *testing.T, r res) *Planner {
 	t.Helper()
 	cfg := Config{
 		Model:      cost.NewModel(cluster.DefaultConfig(), sparsity.Metadata{}),
-		Est:        sparsity.Metadata{},
 		Iterations: 15,
 	}
 	p, err := NewPlanner(cfg, searchedDFP(t, r))
@@ -98,9 +102,8 @@ func plannerFor(t *testing.T, r res) *Planner {
 
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
-		{Model: nil, Est: sparsity.Metadata{}, Iterations: 10},
-		{Model: cost.NewModel(cluster.DefaultConfig(), nil), Est: nil, Iterations: 10},
-		{Model: cost.NewModel(cluster.DefaultConfig(), nil), Est: sparsity.Metadata{}, Iterations: 0},
+		{Model: nil, Iterations: 10},
+		{Model: cost.NewModel(cluster.DefaultConfig(), nil), Iterations: 0},
 	}
 	for i, cfg := range cases {
 		if _, err := NewPlanner(cfg, &search.Result{Coords: &chain.Coordinates{}}); err == nil {

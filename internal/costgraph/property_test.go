@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"remac/internal/cluster"
+	"remac/internal/cost"
 	"remac/internal/search"
+	"remac/internal/sparsity"
 )
 
 // Property tests of the planner invariants the probing correctness rests
@@ -129,5 +132,59 @@ func TestPropBlockPlansTileTheChains(t *testing.T) {
 				t.Fatalf("block %d: atom %d not covered", bp.Block.ID, i)
 			}
 		}
+	}
+}
+
+// TestGroupProducerCostTracksBothMembers: a grouped sum's producer contracts
+// selected spans inside both of its member blocks, so its memoized charge
+// must not survive a selection change in the second member.
+func TestGroupProducerCostTracksBothMembers(t *testing.T) {
+	src := `
+P = read("P")
+Q = read("Q")
+V = read("V")
+W = read("W")
+X = read("X")
+Y = read("Y")
+Z = read("Z")
+R1 = P %*% X %*% Y %*% W + P %*% Y %*% Z %*% V
+R2 = X %*% Y %*% W %*% Q + Y %*% Z %*% V %*% Q
+`
+	sq := sparsity.MetaDims(2000, 2000, 1)
+	p, err := NewPlanner(Config{
+		Model:      cost.NewModel(cluster.DefaultConfig(), sparsity.Metadata{}),
+		Iterations: 1,
+	}, searched(t, src, res{"P": sq, "Q": sq, "V": sq, "W": sq, "X": sq, "Y": sq, "Z": sq}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, nested := -1, -1
+	for i, o := range p.Options() {
+		switch {
+		case o.Kind == search.CSEGroup && o.Key == "(X·Y·W + Y·Z·V)":
+			group = i
+		case o.Key == "Y·Z":
+			nested = i
+		}
+	}
+	if group < 0 || nested < 0 {
+		t.Fatalf("options not found (group %d, nested %d)", group, nested)
+	}
+	sel := make([]bool, len(p.Options()))
+	sel[group] = true
+	if _, err := p.EvaluateCost(sel); err != nil { // fills the producer memo
+		t.Fatal(err)
+	}
+	sel[nested] = true
+	fast, err := p.EvaluateCost(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, _, _, err := p.Evaluate(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast != full {
+		t.Fatalf("EvaluateCost %g != Evaluate %g after selecting a span of the second member", fast, full)
 	}
 }

@@ -241,10 +241,21 @@ func Compile(prog *lang.Program, inputs map[string]sparsity.Meta, cfg Config) (*
 // window sweeps, so a cancelled or expired query stops compiling promptly
 // and returns an error wrapping ErrCanceled.
 func CompileCtx(ctx context.Context, prog *lang.Program, inputs map[string]sparsity.Meta, cfg Config) (*Compiled, error) {
-	start := time.Now()
 	if cfg.Estimator == nil {
 		cfg.Estimator = sparsity.Metadata{}
 	}
+	// One memoizing view of the estimator serves the whole compilation —
+	// resolver, search and cost graph — so a product estimated while
+	// inferring statement metas is not estimated again while pricing chains,
+	// however often the chain DP re-derives it. The table lives for this
+	// call only: Compiled records cfg.Estimator and holds plain metas.
+	return compile(ctx, prog, inputs, cfg, sparsity.NewMemo(cfg.Estimator))
+}
+
+// compile runs the pipeline with est doing all estimation; cfg.Estimator is
+// what the result reports.
+func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity.Meta, cfg Config, est sparsity.Estimator) (*Compiled, error) {
+	start := time.Now()
 	if cfg.Iterations < 1 {
 		cfg.Iterations = 1
 	}
@@ -259,7 +270,7 @@ func CompileCtx(ctx context.Context, prog *lang.Program, inputs map[string]spars
 	if err != nil {
 		return nil, err
 	}
-	res, err := buildResolver(plans, inputs, cfg.Estimator)
+	res, err := buildResolver(plans, inputs, est)
 	if err != nil {
 		return nil, err
 	}
@@ -294,8 +305,7 @@ func CompileCtx(ctx context.Context, prog *lang.Program, inputs map[string]spars
 		}
 		c.Coords = coords
 		planner, err := costgraph.NewPlanner(costgraph.Config{
-			Model:      cost.NewModel(cfg.Cluster, cfg.Estimator),
-			Est:        cfg.Estimator,
+			Model:      cost.NewModel(cfg.Cluster, est),
 			Iterations: cfg.Iterations,
 		}, &search.Result{Coords: coords})
 		if err != nil {
@@ -322,7 +332,7 @@ func CompileCtx(ctx context.Context, prog *lang.Program, inputs map[string]spars
 	if cfg.Strategy == SPORESLike {
 		c.Search = search.SPORES(coords, search.DefaultSPORESConfig())
 	} else {
-		c.Search, err = search.BlockWiseCtx(ctx, coords, cfg.Estimator)
+		c.Search, err = search.BlockWiseCtx(ctx, coords, est)
 		if err != nil {
 			return nil, Canceled("opt: search", err)
 		}
@@ -334,8 +344,7 @@ func CompileCtx(ctx context.Context, prog *lang.Program, inputs map[string]spars
 	}
 	planStart := time.Now()
 	planner, err := costgraph.NewPlanner(costgraph.Config{
-		Model:      cost.NewModel(cfg.Cluster, cfg.Estimator),
-		Est:        cfg.Estimator,
+		Model:      cost.NewModel(cfg.Cluster, est),
 		Iterations: cfg.Iterations,
 	}, c.Search)
 	if err != nil {

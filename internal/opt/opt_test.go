@@ -6,19 +6,9 @@ import (
 	"remac/internal/algorithms"
 	"remac/internal/cluster"
 	"remac/internal/costgraph"
-	"remac/internal/data"
 	"remac/internal/search"
 	"remac/internal/sparsity"
 )
-
-func metasFor(ds *data.Dataset) map[string]sparsity.Meta {
-	return map[string]sparsity.Meta{
-		"A":  sparsity.Virtualize(sparsity.MetaOf(ds.A), ds.VRows, ds.VCols),
-		"b":  sparsity.Virtualize(sparsity.MetaOf(ds.Label()), ds.VRows, 1),
-		"H0": sparsity.Virtualize(sparsity.MetaOf(ds.InitialH()), ds.VCols, ds.VCols),
-		"x0": sparsity.Virtualize(sparsity.MetaOf(ds.InitialX()), ds.VCols, 1),
-	}
-}
 
 func compileDFP(t *testing.T, dsName string, cfg Config) *Compiled {
 	t.Helper()
@@ -29,7 +19,7 @@ func compileDFP(t *testing.T, dsName string, cfg Config) *Compiled {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 5
 	}
-	c, err := Compile(prog, metasFor(data.MustLoad(dsName)), cfg)
+	c, err := Compile(prog, inputMetas(t, algorithms.DFP, dsName), cfg)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -144,7 +134,7 @@ func TestCompileValidation(t *testing.T) {
 		t.Fatal("missing inputs accepted")
 	}
 	// Invalid cluster.
-	_, err = Compile(prog, metasFor(data.MustLoad("cri2")), Config{Strategy: Adaptive, Cluster: cluster.Config{}})
+	_, err = Compile(prog, inputMetas(t, algorithms.DFP, "cri2"), Config{Strategy: Adaptive, Cluster: cluster.Config{}})
 	if err == nil {
 		t.Fatal("invalid cluster accepted")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,6 +73,48 @@ func TestBlockWiseRepeatable(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("option %d differs across identical runs:\n %s\n %s", i, a[i], b[i])
+		}
+	}
+}
+
+// TestGroupOptionsDeterministic: grouped-sum options are numbered, and their
+// occurrences ordered, by the program — not by map iteration. Option IDs
+// index the planner's selection vector and Occs[0], Occs[1] are the pair
+// whose production is priced, so a listing that varied between identical
+// compilations would vary the plan.
+func TestGroupOptionsDeterministic(t *testing.T) {
+	src := `
+P = read("P")
+Q = read("Q")
+X = read("X")
+Y = read("Y")
+Z = read("Z")
+R1 = P %*% X %*% Y + P %*% Y %*% Z
+R2 = X %*% Y %*% Q + Y %*% Z %*% Q
+R3 = Q %*% X %*% P + Q %*% Z %*% P
+R4 = X %*% P %*% Y + Z %*% P %*% Y
+R5 = Y %*% X %*% P + Y %*% Z %*% P
+`
+	sq := sparsity.MetaDims(10, 10, 1)
+	c := coordsFor(t, src, res{"P": sq, "Q": sq, "X": sq, "Y": sq, "Z": sq})
+	listing := func() string {
+		var lines []string
+		groups := 0
+		for _, o := range BlockWise(c, sparsity.Metadata{}).Options {
+			if o.Kind == CSEGroup {
+				groups++
+			}
+			lines = append(lines, fmt.Sprintf("%d|%s|%v|%v", o.ID, o.Key, o.Kind, o.Occs))
+		}
+		if groups < 2 {
+			t.Fatalf("program should yield two grouped sums, found %d", groups)
+		}
+		return strings.Join(lines, "\n")
+	}
+	want := listing()
+	for run := 1; run < 200; run++ {
+		if got := listing(); got != want {
+			t.Fatalf("run %d lists the options differently:\n%s\n--- first run ---\n%s", run, got, want)
 		}
 	}
 }

@@ -256,11 +256,18 @@ func canonicalAtoms(hits []hit) []chain.Atom {
 // extracting common prefix/suffix factors within each additive group, and
 // detect grouped sums (e.g. XY+YZ) that occur in two or more groups.
 func groupExtension(c *chain.Coordinates, base *Result) []*Option {
-	// Group blocks.
+	// Group blocks, visiting groups in ascending id: the visiting order
+	// numbers the options and orders each option's occurrences, both of
+	// which the planner reads.
 	groups := map[int][]*chain.Block{}
+	var groupIDs []int
 	for _, b := range c.Blocks {
+		if _, seen := groups[b.Group]; !seen {
+			groupIDs = append(groupIDs, b.Group)
+		}
 		groups[b.Group] = append(groups[b.Group], b)
 	}
+	sort.Ints(groupIDs)
 	type occRef struct {
 		blocks [2]int
 		lo     [2]int
@@ -268,7 +275,8 @@ func groupExtension(c *chain.Coordinates, base *Result) []*Option {
 	}
 	sums := map[string][]occRef{}
 	var order []string
-	for _, blocks := range groups {
+	for _, id := range groupIDs {
+		blocks := groups[id]
 		if len(blocks) < 2 {
 			continue
 		}

@@ -1,9 +1,6 @@
 package sparsity
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // MNC is a structure-exploiting estimator in the spirit of Sommer et al.'s
 // matrix-nonzero-count sketches (the paper's footnote selects the MNC
@@ -40,33 +37,36 @@ func (MNC) Mul(a, b Meta) Meta {
 	nnzA, nnzB := a.NNZ(), b.NNZ()
 	if nnzA == 0 || nnzB == 0 {
 		out := MetaDims(a.Rows, b.Cols, 0)
-		out.RowCounts = make([]int, len(a.RowCounts))
-		out.ColCounts = make([]int, len(b.ColCounts))
+		out.RowCounts = NewCounts(make([]int, a.RowCounts.Len()))
+		out.ColCounts = NewCounts(make([]int, b.ColCounts.Len()))
 		return out
 	}
-	innerRep := float64(a.Cols) / float64(len(a.ColCounts))
+	inner, innerB := a.ColCounts.v, b.RowCounts.v
+	innerRep := float64(a.Cols) / float64(len(inner))
 	t := 0.0
-	for k := range a.ColCounts {
-		t += float64(a.ColCounts[k]) * float64(b.RowCounts[k])
+	for k, c := range inner {
+		t += float64(c) * float64(innerB[k])
 	}
 	t *= innerRep
 	coupling := t / (nnzA * nnzB)
 
-	bucketsA := bucketCounts(a.RowCounts)
-	bucketsB := bucketCounts(b.ColCounts)
-	rowRep := float64(a.Rows) / float64(len(a.RowCounts))
-	colRep := float64(b.Cols) / float64(len(b.ColCounts))
+	// The outer vectors are read through their summaries only, which outlive
+	// this call: a vector multiplied again (the planner prices the same
+	// operand in many products) is not classified or bucketed again.
+	sumA, sumB := a.RowCounts.summary(), b.ColCounts.summary()
+	rowRep := float64(a.Rows) / float64(len(sumA.class))
+	colRep := float64(b.Cols) / float64(len(sumB.class))
 	expNNZ := 0.0
-	for _, ba := range bucketsA {
-		for _, bb := range bucketsB {
+	for _, ba := range sumA.buckets {
+		for _, bb := range sumB.buckets {
 			lambda := ba.value * bb.value * coupling
 			expNNZ += ba.n * rowRep * bb.n * colRep * -math.Expm1(-lambda)
 		}
 	}
 	cells := float64(a.Rows) * float64(b.Cols)
 	out := MetaDims(a.Rows, b.Cols, expNNZ/cells)
-	out.RowCounts = propagateMulRows(a.RowCounts, bucketsB, colRep, coupling, int(b.Cols))
-	out.ColCounts = propagateMulRows(b.ColCounts, bucketsA, rowRep, coupling, int(a.Rows))
+	out.RowCounts = propagateMulRows(sumA, sumB.buckets, colRep, coupling, int(b.Cols))
+	out.ColCounts = propagateMulRows(sumB, sumA.buckets, rowRep, coupling, int(a.Rows))
 	return out
 }
 
@@ -91,71 +91,25 @@ func Virtualize(m Meta, vRows, vCols int64) Meta {
 	return out
 }
 
-func scaleVals(counts []int, f float64) []int {
+func scaleVals(counts *Counts, f float64) *Counts {
 	if counts == nil || f == 1 {
 		return counts
 	}
-	out := make([]int, len(counts))
-	for i, c := range counts {
+	out := make([]int, len(counts.v))
+	for i, c := range counts.v {
 		out[i] = int(math.Round(float64(c) * f))
 	}
-	return out
-}
-
-func sumCounts(counts []int) float64 {
-	s := 0.0
-	for _, c := range counts {
-		s += float64(c)
-	}
-	return s
-}
-
-// bucket groups count-vector entries with similar values: n entries whose
-// geometric-bucket representative is value.
-type bucket struct {
-	value float64
-	n     float64
-}
-
-// bucketCounts quantizes a count vector into geometric buckets (ratio ~1.1)
-// so the double sum in Mul is O(buckets²) instead of O(rows·cols).
-func bucketCounts(counts []int) []bucket {
-	byKey := map[int]*bucket{}
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		key := int(math.Round(math.Log(float64(c)) / math.Log(1.1)))
-		if b, ok := byKey[key]; ok {
-			// Running mean keeps the representative centred in the bucket.
-			b.value = (b.value*b.n + float64(c)) / (b.n + 1)
-			b.n++
-		} else {
-			byKey[key] = &bucket{value: float64(c), n: 1}
-		}
-	}
-	// Emit in key order: map iteration order would otherwise vary the
-	// float-summation order downstream, producing run-to-run ULP drift in
-	// the estimates (the fault tests require byte-identical replays).
-	keys := make([]int, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]bucket, 0, len(byKey))
-	for _, k := range keys {
-		out = append(out, *byKey[k])
-	}
-	return out
+	return NewCounts(out)
 }
 
 // propagateMulRows estimates the per-row (or, transposed, per-column) count
 // vector of a product: row i of the output has expected count
 // Σ_j (1 - exp(-hr[i]·hcB[j]·coupling)), evaluated over the bucketed
-// opposite-side counts with their replication factor.
-func propagateMulRows(rowCounts []int, opposite []bucket, oppositeRep, coupling float64, dimCap int) []int {
-	counts := make([]int, len(rowCounts))
-	for i, rc := range rowCounts {
+// opposite-side counts with their replication factor — once per distinct
+// value of hr, then scattered through the class index.
+func propagateMulRows(rows *summary, opposite []bucket, oppositeRep, coupling float64, dimCap int) *Counts {
+	perClass := make([]int, len(rows.vals))
+	for ci, rc := range rows.vals {
 		if rc == 0 {
 			continue
 		}
@@ -166,9 +120,13 @@ func propagateMulRows(rowCounts []int, opposite []bucket, oppositeRep, coupling 
 		if exp > float64(dimCap) {
 			exp = float64(dimCap)
 		}
-		counts[i] = int(math.Round(exp))
+		perClass[ci] = int(math.Round(exp))
 	}
-	return counts
+	counts := make([]int, len(rows.class))
+	for i, ci := range rows.class {
+		counts[i] = perClass[ci]
+	}
+	return NewCounts(counts)
 }
 
 func transposeMeta(a Meta) Meta {
@@ -186,20 +144,21 @@ func (MNC) Add(a, b Meta) Meta {
 	// If counts are available, derive the sparsity from them; they reflect
 	// structure the independence assumption misses. The vectors may be
 	// samples, so normalize by their own footprint.
-	if len(out.RowCounts) > 0 {
+	if out.RowCounts.Len() > 0 {
 		total := 0
-		for _, c := range out.RowCounts {
+		for _, c := range out.RowCounts.v {
 			total += c
 		}
-		out.Sparsity = clamp01(float64(total) / (float64(len(out.RowCounts)) * float64(a.Cols)))
+		out.Sparsity = clamp01(float64(total) / (float64(len(out.RowCounts.v)) * float64(a.Cols)))
 	}
 	return out
 }
 
-func unionCounts(a, b []int, cap int) []int {
-	if a == nil || b == nil || len(a) != len(b) {
+func unionCounts(ca, cb *Counts, cap int) *Counts {
+	if ca == nil || cb == nil || len(ca.v) != len(cb.v) {
 		return nil
 	}
+	a, b := ca.v, cb.v
 	out := make([]int, len(a))
 	for i := range a {
 		// Union bound assuming the two patterns overlap proportionally.
@@ -209,22 +168,23 @@ func unionCounts(a, b []int, cap int) []int {
 		}
 		out[i] = int(math.Round(u))
 	}
-	return out
+	return NewCounts(out)
 }
 
 // ElemMul implements Estimator: per-row intersection estimate.
 func (MNC) ElemMul(a, b Meta) Meta {
 	checkSameDims(a, b, "ElemMul")
 	out := MetaDims(a.Rows, a.Cols, a.Sparsity*b.Sparsity)
-	if a.RowCounts != nil && b.RowCounts != nil && len(a.RowCounts) == len(b.RowCounts) {
-		counts := make([]int, len(a.RowCounts))
+	if a.RowCounts != nil && b.RowCounts != nil && len(a.RowCounts.v) == len(b.RowCounts.v) {
+		ra, rb := a.RowCounts.v, b.RowCounts.v
+		counts := make([]int, len(ra))
 		total := 0
 		for i := range counts {
-			c := int(math.Round(float64(a.RowCounts[i]) * float64(b.RowCounts[i]) / float64(a.Cols)))
+			c := int(math.Round(float64(ra[i]) * float64(rb[i]) / float64(a.Cols)))
 			counts[i] = c
 			total += c
 		}
-		out.RowCounts = counts
+		out.RowCounts = NewCounts(counts)
 		out.Sparsity = clamp01(float64(total) / (float64(len(counts)) * float64(a.Cols)))
 	}
 	return out

@@ -28,10 +28,11 @@ func (s Sampling) thin(m Meta) Meta {
 // sampleCounts keeps every k-th count and rescales so totals are preserved
 // in expectation. Deterministic (systematic sampling) so estimates are
 // reproducible.
-func sampleCounts(counts []int, frac float64) []int {
-	if counts == nil {
+func sampleCounts(c *Counts, frac float64) *Counts {
+	if c == nil {
 		return nil
 	}
+	counts := c.v
 	step := int(1 / frac)
 	if step < 1 {
 		step = 1
@@ -44,7 +45,7 @@ func sampleCounts(counts []int, frac float64) []int {
 			out[j] = v
 		}
 	}
-	return out
+	return NewCounts(out)
 }
 
 // Mul implements Estimator.

@@ -19,13 +19,15 @@ import (
 
 // Meta describes a matrix for estimation purposes. Count vectors are at the
 // granularity of the materialized (possibly scaled-down) matrix; Sparsity is
-// scale-free and is what the cost model consumes.
+// scale-free and is what the cost model consumes. A Meta is a comparable
+// value: two descriptors are == when their scalars agree and they point at
+// the same (immutable) vectors.
 type Meta struct {
 	Rows, Cols int64
 	Sparsity   float64
-	// RowCounts[i] and ColCounts[j] are nonzero counts per row/column of the
+	// RowCounts and ColCounts hold the nonzero counts per row/column of the
 	// materialized matrix. Nil when unavailable (metadata-only estimation).
-	RowCounts, ColCounts []int
+	RowCounts, ColCounts *Counts
 }
 
 // NNZ returns the estimated number of nonzeros.
@@ -50,8 +52,8 @@ func MetaOf(m *matrix.Matrix) Meta {
 		Rows:      int64(m.Rows()),
 		Cols:      int64(m.Cols()),
 		Sparsity:  m.Sparsity(),
-		RowCounts: m.RowNNZCounts(),
-		ColCounts: m.ColNNZCounts(),
+		RowCounts: NewCounts(m.RowNNZCounts()),
+		ColCounts: NewCounts(m.ColNNZCounts()),
 	}
 }
 

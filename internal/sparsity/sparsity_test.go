@@ -19,7 +19,7 @@ func TestMetaOf(t *testing.T) {
 	if math.Abs(meta.Sparsity-m.Sparsity()) > 1e-12 {
 		t.Fatal("sparsity mismatch")
 	}
-	if len(meta.RowCounts) != 40 || len(meta.ColCounts) != 30 {
+	if meta.RowCounts.Len() != 40 || meta.ColCounts.Len() != 30 {
 		t.Fatal("count vectors missing")
 	}
 	if int(meta.NNZ()) != m.NNZ() {
@@ -163,8 +163,8 @@ func TestMNCPropagatesCounts(t *testing.T) {
 	if out.RowCounts == nil || out.ColCounts == nil {
 		t.Fatal("MNC must propagate count vectors for chained estimation")
 	}
-	if len(out.RowCounts) != 50 || len(out.ColCounts) != 30 {
-		t.Fatalf("propagated vector lengths %d/%d", len(out.RowCounts), len(out.ColCounts))
+	if out.RowCounts.Len() != 50 || out.ColCounts.Len() != 30 {
+		t.Fatalf("propagated vector lengths %d/%d", out.RowCounts.Len(), out.ColCounts.Len())
 	}
 }
 
