@@ -32,7 +32,11 @@ import (
 //     buffers are leaves now: they reach the free list when the expression
 //     has been evaluated, and not at all once a value that is not a
 //     temporary (a retained one) has lent its expression to another, which
-//     may be evaluated at any later time.
+//     may be evaluated at any later time. An operand that lives on — a bound
+//     value read as a leaf — is a loan: the lender counts it, the evaluation
+//     returns it, and a lender is not retired (ownership.go) while it has one
+//     out. A borrower that is dropped unevaluated never returns its loans,
+//     and those lenders are simply left to the collector.
 
 // unobserved reports whether settle leaves alone the payload of an operator
 // charged bd: it ran in driver memory with nothing in flight (a corruption
@@ -71,27 +75,45 @@ func (ctx *Context) deferOp(kind, label string, e *matrix.Expr, bd cost.Breakdow
 	nd := operands[0].derive(nil, outMeta, true, bd)
 	nd.expr = e
 	for _, x := range operands {
-		if !x.temp {
+		switch {
+		case x.data == nil && x.expr == nil: // emptied: the same temporary on both sides
+		case !x.temp && x.expr == nil:
+			// x lives on and e reads its cells.
+			nd.borrow(x)
+		case !x.temp:
 			// x lives on and so does its expression, inside e: whichever of
-			// the two is evaluated first must leave the leaves to the other.
+			// the two is evaluated first must leave the leaves to the other,
+			// and each returns a loan of its own on what they both read.
 			x.owned = nil
-			continue
+			for _, l := range x.lenders {
+				nd.borrow(l)
+			}
+		default:
+			// The buffers and the loans move with the expression; x is
+			// emptied, so its lists may be built on.
+			nd.owned = append(x.owned, nd.owned...)
+			if x.data != nil && x.data.Buffer() != nil {
+				nd.owned = append(nd.owned, x.data.Buffer())
+			}
+			nd.lenders = append(x.lenders, nd.lenders...)
+			x.data, x.expr, x.owned, x.lenders = nil, nil, nil, nil
 		}
-		if x.data == nil && x.expr == nil { // emptied: the same value on both sides
-			continue
-		}
-		nd.owned = append(nd.owned, x.owned...)
-		if x.data != nil && x.data.Buffer() != nil {
-			nd.owned = append(nd.owned, x.data.Buffer())
-		}
-		x.data, x.expr, x.owned = nil, nil, nil
 	}
 	return nd
 }
 
+// borrow records that d's expression reads the cells of l, which lives on.
+func (d *DistMatrix) borrow(l *DistMatrix) {
+	l.loans++
+	if d.lenders == nil {
+		d.lenders = make([]*DistMatrix, 0, 8) // an update tail borrows 5 or 6 times: one allocation
+	}
+	d.lenders = append(d.lenders, l)
+}
+
 // force materialises a deferred value in place and returns the matrix: one
 // evaluation into a recycled or fresh buffer, after which the buffers the
-// expression owned are free.
+// expression owned are free and its loans returned.
 func (d *DistMatrix) force() *matrix.Matrix {
 	d.live()
 	if e := d.expr; e != nil {
@@ -101,7 +123,10 @@ func (d *DistMatrix) force() *matrix.Matrix {
 		for _, buf := range d.owned {
 			d.ctx.release(d.data, buf)
 		}
-		d.owned = nil
+		for _, l := range d.lenders {
+			l.loans--
+		}
+		d.owned, d.lenders = nil, nil
 	}
 	return d.data
 }

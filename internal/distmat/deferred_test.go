@@ -169,6 +169,77 @@ func TestDeferredSharedValueLendsItsLeaves(t *testing.T) {
 	}
 }
 
+// TestDeferredLoansKeepALenderFromRetiring: a named value read as a leaf by an
+// expression still to be evaluated is on loan. The evaluation returns the
+// loan; a temporary borrower that is consumed passes its loans on; a retained
+// borrower that lends its expression has them copied, one to return for each
+// expression; and a borrower nobody evaluates keeps its lender for good.
+func TestDeferredLoansKeepALenderFromRetiring(t *testing.T) {
+	c := ctx()
+	const n = 32
+	o := newUpdateOperands(c, 57, n)
+	named := func() (*DistMatrix, []float64) {
+		h := o.h.Scale(2).Temp().Pin()
+		return h, cellsOf(h.Data())
+	}
+	kept := func(what string, h *DistMatrix, cells []float64, loans int) {
+		t.Helper()
+		if h.loans != loans {
+			t.Fatalf("%s: %d loans out, want %d", what, h.loans, loans)
+		}
+		if h.Retire() != nil {
+			t.Fatalf("%s: a lender was retired", what)
+		}
+		requireCells(t, what, h.Data(), cells)
+	}
+	retires := func(what string, h *DistMatrix) {
+		t.Helper()
+		if h.loans != 0 || h.Retire() == nil {
+			t.Fatalf("%s: %d loans out, or not retired", what, h.loans)
+		}
+		poisonIdle(c)
+	}
+	hm := o.hm.Scale(2)
+	pm := o.um.Mul(o.vm)
+
+	// Returned by the evaluation.
+	h, cells := named()
+	upd := h.Sub(o.u.Mul(o.vT).Temp()).Temp()
+	kept("read by a deferred difference", h, cells, 1)
+	want := cellsOf(hm.Sub(pm))
+	requireCells(t, "the difference", upd.Data(), want)
+	retires("after the evaluation", h)
+	requireCells(t, "the difference, its lender retired", upd.Data(), want)
+
+	// Moved with a consumed temporary.
+	h, cells = named()
+	scaled := h.Sub(o.u.Mul(o.vT).Temp()).Temp().Scale(3).Temp()
+	kept("read by a scale of a difference", h, cells, 1)
+	requireCells(t, "the scaled difference", scaled.Data(), cellsOf(hm.Sub(pm).Scale(3)))
+	retires("after the evaluation of the consumer", h)
+
+	// Copied when a retained value lends its expression; the vectors of a
+	// product are loans like a matrix leaf.
+	h, cells = named()
+	uNamed := o.u.Scale(1).Temp().Pin()
+	uCells := cellsOf(uNamed.Data())
+	shared := h.Add(uNamed.Mul(o.vT).Temp()).Temp().Retain()
+	kept("read by a cached sum", h, cells, 1)
+	twice := shared.Scale(2).Temp()
+	kept("read by a cached sum and by its consumer", h, cells, 2)
+	kept("a product's vector, likewise", uNamed, uCells, 2)
+	requireCells(t, "the consumer", twice.Data(), cellsOf(hm.Add(pm).Scale(2)))
+	kept("the cached sum is still to be evaluated", h, cells, 1)
+	requireCells(t, "the cached sum", shared.Data(), cellsOf(hm.Add(pm)))
+	retires("both evaluated", h)
+	retires("both evaluated: the vector", uNamed)
+
+	// Never returned by a borrower nobody evaluates.
+	h, cells = named()
+	h.Add(o.u.Mul(o.vT).Temp()) // dropped
+	kept("read by an expression that was dropped", h, cells, 1)
+}
+
 // TestDeferredSameTemporaryOnBothSides: V + V over a deferred temporary takes
 // it over once.
 func TestDeferredSameTemporaryOnBothSides(t *testing.T) {

@@ -67,9 +67,10 @@ type Context struct {
 	// (IntegrityErr exposes it to the engine).
 	intErr error
 	// free holds, by length, the dense buffers of consumed temporaries that
-	// no result was built on, until a later operator of the run takes one as
-	// its destination (ownership.go). It lives and dies with the context:
-	// never more than the temporaries that were dead at once.
+	// no result was built on and of retired values, until a later operator of
+	// the run takes one as its destination (ownership.go): never more than the
+	// values that were dead at once. What is left when the run ends is handed
+	// over to later runs (HandOver).
 	free map[int][][]float64
 }
 
@@ -164,11 +165,19 @@ type DistMatrix struct {
 	// under evaluation holds, which the operator that consumes it may
 	// overwrite or recycle. Values are not temporaries unless Temp said so.
 	temp bool
+	// named marks a temporary that was given a name (Pin) and that nothing but
+	// names retains: Retire recycles it once the last name is rebound.
+	named bool
 	// expr is the payload of a deferred value (deferred.go): data stays nil
 	// until force evaluates it. owned lists the buffers of the temporaries the
-	// expression took over, which go to the free list once it is evaluated.
-	expr  *matrix.Expr
-	owned [][]float64
+	// expression took over, which go to the free list once it is evaluated;
+	// lenders lists the values that live on and whose cells the expression
+	// reads, each of which counts the loan (loans) until the evaluation returns
+	// it and is not retired while it has one out.
+	expr    *matrix.Expr
+	owned   [][]float64
+	lenders []*DistMatrix
+	loans   int
 }
 
 // New wraps a materialized matrix with virtual dimensions and places it

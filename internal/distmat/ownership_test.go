@@ -207,3 +207,139 @@ func TestOwnershipConsumedTemporaryPanics(t *testing.T) {
 	}
 	requireCells(t, "the value that consumed it", live.Data(), cellsOf(a.Data().Scale(2).AddScalar(1)))
 }
+
+// TestOwnershipRetireRecyclesOnlyWhatTheRunMadeAndOnlyNamesHeld: a temporary
+// that was given a name comes back when the name lets go; an input, a cache
+// hit, and anything a cache retained before or after it was named, never do.
+func TestOwnershipRetireRecyclesOnlyWhatTheRunMadeAndOnlyNamesHeld(t *testing.T) {
+	c := ctx()
+	rng := rand.New(rand.NewSource(45))
+	am := matrix.RandDense(rng, 30, 30)
+	a := New(c, am, 0, 0)
+
+	made := a.Scale(2).Temp().Pin()
+	buf := first(made)
+	next := made.Scale(3) // a named value is not a temporary: not overwritten
+	if first(next) == buf {
+		t.Fatal("a named value was overwritten in place")
+	}
+	if got := made.Retire(); len(got) == 0 || &got[0] != buf {
+		t.Fatal("a named temporary was not retired")
+	}
+	if idle := c.Idle(); len(idle) != 1 || &idle[0][0] != buf {
+		t.Fatalf("%d idle buffers after a retirement, want the value's one", len(idle))
+	}
+	requireConsumed(t, "a retired value", func() { made.Data() })
+	if made.Retire() != nil || len(c.Idle()) != 1 {
+		t.Fatal("a value retired twice")
+	}
+
+	for what, v := range map[string]*DistMatrix{
+		"an input or cache hit":            New(c, matrix.RandDense(rng, 30, 30), 0, 0).Pin(),
+		"a value nobody declared":          a.Scale(2).Pin(),
+		"a cached value, named later":      a.Scale(2).Temp().Retain().Pin(),
+		"a named value, cached later":      a.Scale(2).Temp().Pin().Retain(),
+		"a temporary that was never named": a.Scale(2).Temp(),
+	} {
+		cells := cellsOf(v.Data())
+		idle := len(c.Idle())
+		if v.Retire() != nil || len(c.Idle()) != idle {
+			t.Errorf("%s was retired", what)
+		}
+		poisonIdle(c)
+		requireCells(t, what, v.Data(), cells)
+	}
+
+	// A CSR value has no buffer to give, but is as dead.
+	sp := New(c, matrix.RandSparse(rng, 30, 30, 0.1), 0, 0).Scale(2).Temp().Pin()
+	idle := len(c.Idle())
+	if sp.Retire() != nil || len(c.Idle()) != idle {
+		t.Fatal("a CSR value changed the free list")
+	}
+	requireConsumed(t, "a retired CSR value", func() { sp.Sum() })
+}
+
+// TestOwnershipRetireIgnoresRecoveryState: a checkpoint and coded parity say
+// how a value's lost blocks are rebuilt when it is next used. Nothing uses a
+// retired value, and neither holds its buffer: it is retired like any other,
+// and the parity blocks are not what goes to the free list.
+func TestOwnershipRetireIgnoresRecoveryState(t *testing.T) {
+	c := codedCtx(4, 6)
+	rng := rand.New(rand.NewSource(46))
+	a := New(c, matrix.RandDense(rng, 64, 50), 50_000_000, 8000) // distributed
+	v := a.Scale(2).Temp()
+	if v.parity == nil {
+		t.Fatal("setup: the value carries no parity")
+	}
+	v.Checkpoint()
+	v.Pin()
+	buf := first(v)
+	if !v.Checkpointed() {
+		t.Fatal("setup: not checkpointed")
+	}
+	if got := v.Retire(); len(got) == 0 || &got[0] != buf {
+		t.Fatal("a checkpointed, parity-carrying named temporary was not retired")
+	}
+	for _, idle := range c.Idle() {
+		for _, block := range v.parity.blocks {
+			if sameBuffer(idle, block.Buffer()) {
+				t.Fatal("a parity block is on the free list")
+			}
+		}
+	}
+	if len(c.Idle()) != 1 {
+		t.Fatalf("%d idle buffers, want the value's one", len(c.Idle()))
+	}
+}
+
+// TestOwnershipHandOverServesLaterRunsAndEmptiesTheFreeList: what is idle
+// when a run ends is what a later context's first destination of that size
+// is, once; small buffers are not kept, and the ended context keeps nothing.
+func TestOwnershipHandOverServesLaterRunsAndEmptiesTheFreeList(t *testing.T) {
+	const n = 160 // n² ≥ handOverCells > n
+	rng := rand.New(rand.NewSource(47))
+	am := matrix.RandDense(rng, n, n)
+	var got []float64
+	// sync.Pool may drop what it is given (under -race it does, one time in
+	// four), so a miss proves nothing and is tried again with a new buffer.
+	for attempt := 0; attempt < 50 && got == nil; attempt++ {
+		c := ctx()
+		New(c, am, 0, 0).Scale(2).Temp().Sum() // consumed: its buffer is idle
+		New(c, matrix.RandVector(rng, n), 0, 0).Scale(2).Temp().Sum()
+		if len(c.Idle()) != 2 {
+			t.Fatalf("setup: %d idle buffers, want an n×n one and a vector", len(c.Idle()))
+		}
+		c.HandOver()
+		if len(c.Idle()) != 0 {
+			t.Fatal("the free list outlived the run")
+		}
+		later := ctx()
+		if got = later.dest(n * n); got == nil {
+			continue
+		}
+		if len(got) != n*n {
+			t.Fatalf("asked for %d cells, received %d", n*n, len(got))
+		}
+		if sameBuffer(later.dest(n*n), got) {
+			t.Fatal("a buffer was handed over twice")
+		}
+		if later.dest(n) != nil {
+			t.Fatal("a vector-sized buffer was kept past its run")
+		}
+	}
+	if got == nil {
+		t.Fatal("no later context ever received a handed-over buffer")
+	}
+	// The receiving run copes with whatever the buffer holds.
+	for i := range got {
+		got[i] = math.NaN()
+	}
+	later := ctx()
+	later.free = map[int][][]float64{n * n: {got}}
+	b := New(later, am, 0, 0)
+	prod := b.Mul(b)
+	if first(prod) != &got[0] {
+		t.Fatal("the product was not built on the received buffer")
+	}
+	requireCells(t, "a product on a received buffer", prod.Data(), cellsOf(am.Mul(am)))
+}

@@ -296,6 +296,9 @@ func (e *executor) run() (*Result, error) {
 	if err := ctx.IntegrityErr(); err != nil {
 		return nil, err
 	}
+	// What the run returns is reachable from Env; what is idle is not, and the
+	// next run's first n×n result goes where this run's last dead one was.
+	ctx.HandOver()
 	return &Result{
 		Env:               e.env,
 		Stats:             ctx.Cluster.Stats(),
@@ -344,8 +347,10 @@ type executor struct {
 	guard   integrity.GuardMode
 
 	// afterIteration, when set (by the ownership tests), runs after every
-	// completed iteration.
+	// completed iteration, and afterRetire on every buffer a rebound name's
+	// previous value gave up.
 	afterIteration func()
+	afterRetire    func(buf []float64)
 }
 
 // cachedSubtree is an explicit-CSE cache entry: the value plus the
@@ -460,15 +465,19 @@ func (e *executor) guardIteration() {
 
 // bind binds name to v. A bound value is retained — by the environment, and
 // by Result.Env after the run — so it stops being a temporary here, and a
-// deferred one (distmat: deferred.go) is materialised: Pin does both. The
-// value the name held before stays as it is, never recycled: inlined
-// references and cached spans may still resolve to it. Only its fused
-// transpose goes, once no name holds the value any more, since transCache is
-// reached through bound values alone.
+// deferred one (distmat: deferred.go) is materialised: Pin does both, and v
+// was the last expression that could read the value the name held before.
+// That value is dead once no name holds it (versioned and base names may hold
+// the same one: the H#1 bind ends nothing, the promotion does): its fused
+// transpose goes, since transCache is reached through bound values alone, and
+// the value itself is retired — recycled if the run made it and nothing but
+// names ever retained it, left alone if it is an input, a cache hit, a cached
+// or published value, or still read by an unevaluated expression in one of
+// the reuse caches (distmat: Retire).
 func (e *executor) bind(name string, v *distmat.DistMatrix) {
 	old := e.env[name]
 	e.env[name] = v.Pin()
-	if old == v || e.transCache[old] == nil {
+	if old == nil || old == v {
 		return
 	}
 	for _, held := range e.env {
@@ -477,6 +486,9 @@ func (e *executor) bind(name string, v *distmat.DistMatrix) {
 		}
 	}
 	delete(e.transCache, old)
+	if buf := old.Retire(); buf != nil && e.afterRetire != nil {
+		e.afterRetire(buf)
+	}
 }
 
 // invalidate drops cached values that referenced the reassigned variable.

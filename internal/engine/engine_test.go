@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,14 +38,20 @@ func compileFor(t *testing.T, alg algorithms.Name, dsName string, strategy opt.S
 // runtime's own cost propagation.
 func compileOn(t testing.TB, alg algorithms.Name, ds *data.Dataset, strategy opt.Strategy, iters int) *opt.Compiled {
 	t.Helper()
-	c, err := opt.Compile(algorithms.MustProgram(alg, iters), inputMetas(alg, ds), opt.Config{
+	return compileProgram(t, fmt.Sprintf("%v/%s", alg, ds.Name), algorithms.MustProgram(alg, iters), inputMetas(alg, ds), strategy, iters)
+}
+
+// compileProgram is compileOn for a program of the test's own.
+func compileProgram(t testing.TB, what string, prog *lang.Program, metas map[string]sparsity.Meta, strategy opt.Strategy, iters int) *opt.Compiled {
+	t.Helper()
+	c, err := opt.Compile(prog, metas, opt.Config{
 		Strategy:   strategy,
 		Estimator:  sparsity.MNC{},
 		Cluster:    cluster.DefaultConfig(),
 		Iterations: iters,
 	})
 	if err != nil {
-		t.Fatalf("%v/%s/%v: compile: %v", alg, ds.Name, strategy, err)
+		t.Fatalf("%s/%v: compile: %v", what, strategy, err)
 	}
 	return c
 }

@@ -155,7 +155,10 @@ func BenchmarkMetaOf(b *testing.B) {
 // sequence and as one deferred expression. fresh allocates every n×n value
 // (the expression: its one result); recycled is what a run reaches once its
 // free list is warm: the eager temporaries overwritten in place over two
-// spare buffers, the expression evaluated into one.
+// spare buffers, the expression evaluated into one. shape/… are the operand
+// shapes a ± computes as it goes instead of reading them from a pass of their
+// own, one at a time, into a recycled destination: a product on both sides,
+// a product under two scales, a transposed product.
 func BenchmarkDeferredUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{870, 1500} {
@@ -210,6 +213,18 @@ func BenchmarkDeferredUpdate(b *testing.B) {
 					e := matrix.Leaf(h).Add(matrix.Outer(d, dT).Scale(1.5).Scale(0.25)).Sub(s.Add(s.Transpose()).Scale(0.5))
 					return e.Eval(spare(0))
 				})
+			})
+		}
+		for _, shape := range []struct {
+			name  string
+			build func() *matrix.Expr
+		}{
+			{"both", func() *matrix.Expr { return matrix.Leaf(h).Sub(matrix.Outer(u, v).Add(matrix.Outer(hy, dT))) }},
+			{"twoscales", func() *matrix.Expr { return matrix.Leaf(h).Add(matrix.Outer(d, dT).Scale(1.5).Scale(0.25)) }},
+			{"transposed", func() *matrix.Expr { return matrix.Leaf(h).Sub(matrix.Outer(hy, dT).Transpose().Scale(0.5)) }},
+		} {
+			b.Run(fmt.Sprintf("shape/%d/%s", n, shape.name), func(b *testing.B) {
+				benchOp(b, func() *matrix.Matrix { return shape.build().Eval(bufs[0]) })
 			})
 		}
 	}

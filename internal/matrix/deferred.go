@@ -16,8 +16,10 @@ import (
 // the evaluator applies the scalar statement the eager kernel applies to a
 // cell (0 + x[i]·y[j] with the rows of a zero x[i] written as +0, v·s, a+b,
 // a−b), in the order the operators were called, so every cell goes through
-// the same roundings. What the eager operators do besides arithmetic is pick
-// a format: a product, a sum or a difference at or under DenseThreshold
+// the same roundings. A statement is not always a pass: a + or − applies the
+// scales directly under it, and a product under those, to each cell as it reads
+// the operand (operand). What the eager operators do besides arithmetic is
+// pick a format: a product, a sum or a difference at or under DenseThreshold
 // leaves as CSR, and CSR operands take other kernels, whose results differ
 // from the dense ones in the sign of zero cells. Eval therefore counts the
 // nonzeros of every such node and, if one of them would have compacted,
@@ -118,6 +120,23 @@ func (e *Expr) zip(op exprOp, o *Expr) *Expr {
 	return &Expr{op: op, rows: e.rows, cols: e.cols, a: e, b: o, nodes: e.nodes + o.nodes + 1, leafy: e.leafy || o.leafy}
 }
 
+// Leaves calls visit on every matrix e reads: its matrix leaves and the two
+// vectors of each product (a shared one once per use).
+func (e *Expr) Leaves(visit func(*Matrix)) {
+	switch e.op {
+	case exLeaf:
+		visit(e.m)
+	case exOuter:
+		visit(e.m)
+		visit(e.y)
+	default:
+		e.a.Leaves(visit)
+		if e.b != nil {
+			e.b.Leaves(visit)
+		}
+	}
+}
+
 // eager computes e with the operators it defers, one materialised value per
 // node, the last of them into dst: the reference the striped evaluation
 // equals bit for bit, and what Eval falls back on when a node compacts.
@@ -189,8 +208,9 @@ type evalNode struct {
 	op    exprOp
 	cells []float64 // exLeaf
 	x, y  []float64 // exOuter, exOuterT
-	s     float64
-	a, b  *evalNode
+	s     float64   // exScale
+	a     *evalNode // exScale
+	l, r  operand   // exAdd, exSub
 	id    int
 	// check: the eager operator ends in Compact, so the node's nonzero count
 	// nnz decides a format. count: nnz is summed while evaluating; otherwise
@@ -198,6 +218,19 @@ type evalNode struct {
 	// root, not needed).
 	check, count bool
 	nnz          int
+}
+
+// operand is one side of a + or −: the cells of n times up to two scale
+// factors that stood between n and the ±. The ± applies them to each cell as
+// it reads it — v·s₁, then ·s₂: the statements of the scale passes, in their
+// order — so those scales are neither passes nor nodes. term: n is a product
+// whose nonzero count is known from its vectors; nothing about it is left to
+// count, so it is no pass either: the ± computes 0 + x[i]·y[j] where it would
+// have read the cell.
+type operand struct {
+	n      *evalNode
+	s1, s2 float64 // 1 where there was no scale: v·1 is v, bit for bit, for every v
+	term   bool
 }
 
 func (p *program) compile(e *Expr, transposed bool) (n *evalNode, depth int) {
@@ -222,13 +255,40 @@ func (p *program) compile(e *Expr, transposed bool) (n *evalNode, depth int) {
 		n.s = e.s
 		n.a, depth = p.compile(e.a, transposed)
 	default:
-		var right int
-		n.a, depth = p.compile(e.a, transposed)
-		n.b, right = p.compile(e.b, transposed)
-		depth = max(depth, right+1)
+		var left, right int
+		n.l, left = p.operand(e.a, transposed)
+		n.r, right = p.operand(e.b, transposed)
+		// The left operand is built where the result goes and the right one a
+		// scratch row further down; a term is built nowhere, and next to one
+		// the other operand has the result's row to itself.
+		switch {
+		case n.l.term:
+			depth = right
+		case n.r.term:
+			depth = left
+		default:
+			depth = max(left, right+1)
+		}
 		n.check, n.count = true, true
 	}
 	return n, depth
+}
+
+// operand compiles e as one side of a ±. Scales beyond the two outermost stay
+// nodes, under n.
+func (p *program) operand(e *Expr, transposed bool) (o operand, depth int) {
+	o.s1, o.s2 = 1, 1
+	for scales := 0; (e.op == exScale && scales < 2) || e.op == exTranspose; e = e.a {
+		if e.op == exTranspose {
+			transposed = !transposed
+			continue
+		}
+		o.s1, o.s2 = e.s, o.s1 // met outermost first
+		scales++
+	}
+	o.n, depth = p.compile(e, transposed)
+	o.term = (o.n.op == exOuter || o.n.op == exOuterT) && !o.n.count
+	return o, depth
 }
 
 // outerNNZ returns the nonzero count of x·yᵀ without forming it, when it can
@@ -323,31 +383,102 @@ func (n *evalNode) eval(i, c0, cols int, out, scratch []float64, counts []int) [
 			out[j] = v * s
 		}
 	default: // zipDense's statements, counting included: a sum always decides a format
-		a := n.a.eval(i, c0, cols, out, scratch, counts)[:w]
-		b := n.b.eval(i, c0, cols, scratch[:w], scratch[w:], counts)[:w]
-		nnz := 0
-		if n.op == exAdd {
-			for j := range out {
-				v := a[j] + b[j]
-				out[j] = v
-				if v != 0 {
-					nnz++
-				}
-			}
+		a := n.l.side(i, c0, cols, out, scratch, counts)
+		var b side
+		if n.l.term || n.r.term { // a term takes no room: out is still free, or not asked for
+			b = n.r.side(i, c0, cols, out, scratch, counts)
 		} else {
-			for j := range out {
-				v := a[j] - b[j]
-				out[j] = v
-				if v != 0 {
-					nnz++
-				}
-			}
+			b = n.r.side(i, c0, cols, scratch[:w], scratch[w:], counts)
 		}
-		counts[n.id] += nnz
+		counts[n.id] += zipSides(n.op == exSub, out, a, b)
 		return out
 	}
 	if n.count {
 		counts[n.id] += countNonzero(out)
 	}
 	return out
+}
+
+// side is an operand on one row: cell j is v[j]·s1·s2 or, for a term, v the
+// vector that runs along the row and c the other vector's entry for the row,
+// (0 + c·v[j])·s1·s2 (cell).
+type side struct {
+	v      []float64
+	c      float64
+	term   bool
+	s1, s2 float64
+}
+
+// side evaluates the operand for cells (i, c0) … (i, c0+len(out)−1), into out
+// unless it is a term, which needs no room.
+func (o *operand) side(i, c0, cols int, out, scratch []float64, counts []int) side {
+	switch {
+	case !o.term:
+		return side{v: o.n.eval(i, c0, cols, out, scratch, counts), s1: o.s1, s2: o.s2}
+	case o.n.op == exOuter:
+		return side{v: o.n.y[c0:], c: o.n.x[i], term: true, s1: o.s1, s2: o.s2}
+	default:
+		return side{v: o.n.x[c0:], c: o.n.y[i], term: true, s1: o.s1, s2: o.s2}
+	}
+}
+
+// cell is cell j of an operand on one row (side, unpacked: the loops keep
+// arguments in registers, fields they reload). A term's vectors are finite —
+// its count was known — so the row or column of a zero entry is no case of its
+// own: 0 + 0·y is the +0 mulOuter writes there, and x·y is y·x. The
+// conversions keep a compiler that fuses multiply-adds from skipping a
+// rounding the passes made. Small enough to be inlined.
+func cell(v []float64, j int, term bool, c, s1, s2 float64) float64 {
+	x := v[j]
+	if term {
+		x = 0 + c*x
+	}
+	return float64(float64(x*s1) * s2)
+}
+
+// zipSides writes a ± b over out, which may be where either operand's cells
+// are, and returns the nonzero count. The accumulator of an update tail — a
+// left operand that is cells and nothing else — has loops of its own: every
+// cell of every ± but the first goes through them, and two multiplications by
+// 1 per cell are a fifth of their time.
+func zipSides(sub bool, out []float64, a, b side) (nnz int) {
+	av, bv := a.v[:len(out)], b.v[:len(out)]
+	aTerm, aC, aS1, aS2 := a.term, a.c, a.s1, a.s2
+	bTerm, bC, bS1, bS2 := b.term, b.c, b.s1, b.s2
+	plain := !aTerm && aS1 == 1 && aS2 == 1
+	switch {
+	case plain && sub:
+		for j := range out {
+			v := av[j] - cell(bv, j, bTerm, bC, bS1, bS2)
+			out[j] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	case plain:
+		for j := range out {
+			v := av[j] + cell(bv, j, bTerm, bC, bS1, bS2)
+			out[j] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	case sub:
+		for j := range out {
+			v := cell(av, j, aTerm, aC, aS1, aS2) - cell(bv, j, bTerm, bC, bS1, bS2)
+			out[j] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	default:
+		for j := range out {
+			v := cell(av, j, aTerm, aC, aS1, aS2) + cell(bv, j, bTerm, bC, bS1, bS2)
+			out[j] = v
+			if v != 0 {
+				nnz++
+			}
+		}
+	}
+	return nnz
 }

@@ -23,6 +23,9 @@ type exprGen struct {
 	// sparseX: the column vector of every product keeps this share of zeros,
 	// so that products at or under DenseThreshold occur.
 	sparseX float64
+	// nonFinite: some products get an infinite vector entry, so their count
+	// cannot be told from the vectors.
+	nonFinite bool
 	// csr: some node's eager value was CSR, so Eval takes the eager path too
 	// and a dense result may come from a CSR kernel, in a buffer of its own.
 	csr bool
@@ -47,6 +50,9 @@ func (g *exprGen) vector(n int, zeros float64) []float64 {
 func (g *exprGen) outer(rows, cols int) (*Expr, *Matrix) {
 	x := NewDenseData(rows, 1, g.vector(rows, g.sparseX))
 	y := NewDenseData(1, cols, g.vector(cols, 0.1))
+	if g.nonFinite && g.rng.Intn(3) == 0 {
+		y.data[g.rng.Intn(cols)] = math.Inf(1 - 2*g.rng.Intn(2))
+	}
 	return Outer(x, y), g.saw(x.Mul(y))
 }
 
@@ -144,6 +150,163 @@ func TestDeferredMatchesEagerOperators(t *testing.T) {
 	}
 	if fellBack < trees/5 || trees-fellBack < trees/5 {
 		t.Fatalf("%d of %d trees had a CSR node: both paths must be well covered", fellBack, trees)
+	}
+}
+
+// term returns a rank-one product under the given number of scales, now and
+// then a transposed one, with transposes between the scales: what a ± takes
+// as an operand without evaluating it, when its count is known.
+func (g *exprGen) term(rows, cols, scales int) (*Expr, *Matrix) {
+	var e *Expr
+	var v *Matrix
+	if rows > 1 && g.rng.Intn(3) == 0 {
+		e, v = g.outer(cols, rows)
+		e, v = e.Transpose(), g.saw(v.Transpose())
+	} else {
+		e, v = g.outer(rows, cols)
+	}
+	for ; scales > 0; scales-- {
+		s := deferredFactors[g.rng.Intn(len(deferredFactors))]
+		e, v = e.Scale(s), g.saw(v.Scale(s))
+		if rows == cols && g.rng.Intn(4) == 0 {
+			e, v = e.Transpose(), g.saw(v.Transpose())
+		}
+	}
+	return e, v
+}
+
+// tail grows an update tail to about the given number of nodes: an
+// accumulator that takes, on its left or on its right, by + or −, a term
+// under 0–3 scales, a matrix leaf, the operand it took last once more, or a
+// scaled tail of its own.
+func (g *exprGen) tail(rows, cols, nodes int) (*Expr, *Matrix) {
+	acc, accV := g.term(rows, cols, g.rng.Intn(4))
+	var last *Expr
+	var lastV *Matrix
+	for acc.nodes < nodes {
+		var o *Expr
+		var ov *Matrix
+		switch pick := g.rng.Intn(8); {
+		case pick == 0:
+			ov = genDense(g.rng, rows, cols, g.kind)
+			o = Leaf(ov)
+		case pick == 1 && last != nil:
+			o, ov = last, lastV
+		case pick == 2 && nodes-acc.nodes > 8:
+			o, ov = g.tail(rows, cols, 2+g.rng.Intn(5))
+			for k := g.rng.Intn(4); k > 0 && o != nil; k-- {
+				s := deferredFactors[g.rng.Intn(len(deferredFactors))]
+				if scaled := o.Scale(s); scaled != nil {
+					o, ov = scaled, g.saw(ov.Scale(s))
+				}
+			}
+		default:
+			o, ov = g.term(rows, cols, g.rng.Intn(4))
+		}
+		var next *Expr
+		var nextV func() *Matrix
+		switch g.rng.Intn(4) {
+		case 0:
+			next, nextV = acc.Add(o), func() *Matrix { return accV.Add(ov) }
+		case 1:
+			next, nextV = o.Add(acc), func() *Matrix { return ov.Add(accV) }
+		case 2:
+			next, nextV = acc.Sub(o), func() *Matrix { return accV.Sub(ov) }
+		default:
+			next, nextV = o.Sub(acc), func() *Matrix { return ov.Sub(accV) }
+		}
+		if next == nil { // maxExprNodes
+			break
+		}
+		acc, accV = next, g.saw(nextV())
+		last, lastV = o, ov
+	}
+	return acc, accV
+}
+
+// fusedShapes counts, over the ± nodes of e as Eval compiles it, the operands
+// by what the ± does with them.
+type fusedShapes struct {
+	leftTerms, rightTerms, transposedTerms, twoScaleTerms int
+	scaledCells, countedProducts                          int
+}
+
+func (f *fusedShapes) add(e *Expr) {
+	p := &program{rows: e.rows, cols: e.cols}
+	p.root, p.depth = p.compile(e, false)
+	for _, n := range p.nodes {
+		if n.op != exAdd && n.op != exSub {
+			continue
+		}
+		for side, o := range []operand{n.l, n.r} {
+			product := o.n.op == exOuter || o.n.op == exOuterT
+			switch {
+			case o.term && side == 0:
+				f.leftTerms++
+			case o.term:
+				f.rightTerms++
+			case product:
+				f.countedProducts++
+			case o.s1 != 1:
+				f.scaledCells++
+			}
+			if o.term && o.n.op == exOuterT {
+				f.transposedTerms++
+			}
+			if o.term && o.s2 != 1 {
+				f.twoScaleTerms++
+			}
+		}
+	}
+}
+
+// TestDeferredFusedTermsMatchEager: random update tails, up to maxExprNodes
+// long, of the shapes a ± computes without a pass per node — terms on either
+// side and on both, under up to three scales (negative, subnormal-producing),
+// transposed, used twice, with zero rows and zero columns — and of the shapes
+// it must leave alone: a non-finite vector entry (count unknown) and results
+// on both sides of DenseThreshold. Cells, format and count are those of the
+// eager operators, into clean, NaN-filled and recycled destinations.
+func TestDeferredFusedTermsMatchEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var shapes fusedShapes
+	fellBack, trees, longest := 0, 0, 0
+	for _, sh := range [][2]int{{1, 9}, {7, 7}, {40, 40}, {66, 70}, {70, 33}, {3, 1100}} {
+		cells := sh[0] * sh[1]
+		recycled := make([]float64, cells)
+		for _, kind := range []int{fillPlain, fillZeros} {
+			for _, sparseX := range []float64{0, 0.4, 0.7} {
+				for trial := 0; trial < 8; trial++ {
+					trees++
+					g := &exprGen{rng: rng, kind: kind, sparseX: sparseX, nonFinite: trial%4 == 3}
+					nodes := 3 + rng.Intn(12)
+					if trial == 0 {
+						nodes = maxExprNodes
+					}
+					e, want := g.tail(sh[0], sh[1], nodes)
+					longest = max(longest, e.nodes)
+					shapes.add(e)
+					if g.csr {
+						fellBack++
+					}
+					ctx := fmt.Sprintf("%dx%d kind %d zeros %.1f trial %d (%d nodes)", sh[0], sh[1], kind, sparseX, trial, e.nodes)
+					for name, dst := range map[string][]float64{"clean": make([]float64, cells), "NaN-filled": dirty(cells), "recycled": recycled} {
+						on := dst
+						if g.csr {
+							on = nil
+						}
+						requireSameAsEager(t, ctx+" into a "+name+" destination", e.Eval(dst), want, on)
+					}
+				}
+			}
+		}
+	}
+	if shapes.leftTerms == 0 || shapes.rightTerms == 0 || shapes.transposedTerms == 0 || shapes.twoScaleTerms == 0 ||
+		shapes.scaledCells == 0 || shapes.countedProducts == 0 {
+		t.Fatalf("operand shapes %+v: every one must occur", shapes)
+	}
+	if fellBack < trees/5 || trees-fellBack < trees/5 || longest < maxExprNodes-8 {
+		t.Fatalf("%d of %d trees had a CSR node, the longest had %d nodes: both paths and the bound must be covered", fellBack, trees, longest)
 	}
 }
 

@@ -176,10 +176,22 @@ func Compile(script string, inputs map[string]Input, cfg Config) (*Program, erro
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
 	}
+	strategy, err := strategyInternal(cfg.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	estimator, err := estimatorInternal(cfg.Estimator)
+	if err != nil {
+		return nil, err
+	}
+	combiner, err := combinerInternal(cfg.Combiner)
+	if err != nil {
+		return nil, err
+	}
 	icfg := opt.Config{
-		Strategy:   strategyInternal(cfg.Strategy),
-		Estimator:  estimatorInternal(cfg.Estimator),
-		Combiner:   combinerInternal(cfg.Combiner),
+		Strategy:   strategy,
+		Estimator:  estimator,
+		Combiner:   combiner,
 		Cluster:    cfg.Cluster.internal(),
 		Iterations: cfg.Iterations,
 	}
@@ -198,43 +210,50 @@ func Compile(script string, inputs map[string]Input, cfg Config) (*Program, erro
 	return &Program{compiled: compiled, inputs: inputs}, nil
 }
 
-func strategyInternal(s Strategy) opt.Strategy {
+// strategyInternal, estimatorInternal and combinerInternal map the public
+// names to the planner's; the empty string is the default, and anything else
+// that is not a known name is an error naming the accepted ones.
+func strategyInternal(s Strategy) (opt.Strategy, error) {
 	switch s {
 	case NoElimination:
-		return opt.NoElimination
+		return opt.NoElimination, nil
 	case Explicit:
-		return opt.Explicit
+		return opt.Explicit, nil
 	case Conservative:
-		return opt.Conservative
+		return opt.Conservative, nil
 	case Aggressive:
-		return opt.Aggressive
+		return opt.Aggressive, nil
 	case Automatic:
-		return opt.Automatic
-	default:
-		return opt.Adaptive
+		return opt.Automatic, nil
+	case "", Adaptive:
+		return opt.Adaptive, nil
 	}
+	return 0, fmt.Errorf("remac: unknown strategy %q (want %s, %s, %s, %s, %s or %s)", s,
+		NoElimination, Explicit, Conservative, Aggressive, Automatic, Adaptive)
 }
 
-func estimatorInternal(e Estimator) sparsity.Estimator {
+func estimatorInternal(e Estimator) (sparsity.Estimator, error) {
 	switch e {
 	case MD:
-		return sparsity.Metadata{}
+		return sparsity.Metadata{}, nil
 	case Sample:
-		return sparsity.Sampling{Fraction: 0.1}
-	default:
-		return sparsity.MNC{}
+		return sparsity.Sampling{Fraction: 0.1}, nil
+	case "", MNC:
+		return sparsity.MNC{}, nil
 	}
+	return nil, fmt.Errorf("remac: unknown estimator %q (want %s, %s or %s)", e, MD, MNC, Sample)
 }
 
-func combinerInternal(c Combiner) opt.Combiner {
+func combinerInternal(c Combiner) (opt.Combiner, error) {
 	switch c {
 	case EnumDFS:
-		return opt.EnumDFS
+		return opt.EnumDFS, nil
 	case EnumBFS:
-		return opt.EnumBFS
-	default:
-		return opt.DP
+		return opt.EnumBFS, nil
+	case "", DP:
+		return opt.DP, nil
 	}
+	return 0, fmt.Errorf("remac: unknown combiner %q (want %s, %s or %s)", c, DP, EnumDFS, EnumBFS)
 }
 
 // OptionInfo describes one discovered elimination option.

@@ -120,6 +120,43 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsUnknownNames: a mistyped strategy, estimator or combiner
+// is an error naming the accepted values, not a run under the default; the
+// empty string stays the default.
+func TestCompileRejectsUnknownNames(t *testing.T) {
+	inputs := map[string]remac.Input{"A": {Data: remac.RandDense(1, 4, 4)}}
+	for _, tc := range []struct {
+		name string
+		cfg  remac.Config
+		want []string // substrings of the error; nil: compiles
+	}{
+		{"defaults", remac.Config{}, nil},
+		{"named defaults", remac.Config{Strategy: remac.Adaptive, Estimator: remac.MNC, Combiner: remac.DP}, nil},
+		{"every other name", remac.Config{Strategy: remac.NoElimination, Estimator: remac.Sample, Combiner: remac.EnumBFS}, nil},
+		{"mistyped strategy", remac.Config{Strategy: "agressive"}, []string{`strategy "agressive"`, "aggressive", "adaptive", "none"}},
+		{"case matters", remac.Config{Strategy: "Adaptive"}, []string{`strategy "Adaptive"`}},
+		{"mistyped estimator", remac.Config{Estimator: "mnc"}, []string{`estimator "mnc"`, "MD", "MNC", "Sample"}},
+		{"mistyped combiner", remac.Config{Combiner: "Enum"}, []string{`combiner "Enum"`, "DP", "Enum-DFS", "Enum-BFS"}},
+	} {
+		_, err := remac.Compile("A = read(\"A\")\nx = A %*% A", inputs, tc.cfg)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: compiled", tc.name)
+			continue
+		}
+		for _, sub := range tc.want {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, sub)
+			}
+		}
+	}
+}
+
 func TestBuiltinDatasetsAndWorkloads(t *testing.T) {
 	if len(remac.Datasets()) != 6 || len(remac.ZipfDatasets()) != 5 {
 		t.Fatal("built-in dataset lists wrong")
