@@ -100,6 +100,7 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request, rid string) {
 	resp.Spilled = res.Spilled
 	resp.Failover = res.Failover
 	httpapi.WriteJSON(w, rid, resp)
+	res.Release() // an in-process shard's result holds cells; the reply is written
 }
 
 func (h *handler) invalidate(w http.ResponseWriter, r *http.Request, rid string) {

@@ -108,7 +108,7 @@ func (ctx *Context) dest(n int, inPlace ...*DistMatrix) []float64 {
 // handOverCells is the least length of a buffer worth keeping past its run:
 // the cells below which matrix runs a pass on one goroutine, where a fresh
 // allocation costs next to nothing.
-const handOverCells = 1 << 14
+const handOverCells = matrix.MinStripeCells
 
 // handedOver holds, by length, the buffers that were idle when a run ended: a
 // *sync.Pool of *[]float64 each, so any number of runs may give and take at

@@ -50,10 +50,28 @@ type Result struct {
 	CompileSec float64
 	// Trace is the span recorder the run was given (nil for untraced runs).
 	Trace *trace.Recorder
+
+	// ctx is the run's context, whose free list Release fills.
+	ctx *distmat.Context
 }
 
 // TotalSec returns the simulated execution time plus compilation.
 func (r *Result) TotalSec() float64 { return r.Stats.TotalTime() + r.CompileSec }
+
+// Release ends the result: the caller vouches that nobody will read a cell of
+// Env again, through the values or through a matrix one of them gave out.
+// The names are all that held the values the run made and bound, so each of
+// those is retired like a rebound name's previous value, and the buffers go
+// to later runs (distmat: Retire, HandOver). What something else holds — an
+// input, an intermediate-cache entry, a value published to sibling runs or
+// checkpointed, a lender — Retire leaves as it is. Env keeps the names; the
+// retired values are empty and panic on use. Call it once, from one goroutine.
+func (r *Result) Release() {
+	for _, v := range r.Env {
+		v.Retire()
+	}
+	r.ctx.HandOver()
+}
 
 // MaxIterations caps runaway loops (misconfigured conditions).
 const MaxIterations = 100000
@@ -306,6 +324,7 @@ func (e *executor) run() (*Result, error) {
 		InputPartitionSec: ctx.PartitionSec,
 		CompileSec:        c.TotalTime.Seconds(),
 		Trace:             rec,
+		ctx:               ctx,
 	}, nil
 }
 

@@ -122,7 +122,9 @@ type QueryResponse struct {
 	Failover  bool   `json:"failover,omitempty"`
 }
 
-// BuildResponse summarizes a query result for the wire.
+// BuildResponse renders a query result for the wire. The values go as the
+// summaries the result carries, so no cell is read here and a result that
+// has been released renders exactly as before.
 func BuildResponse(res *serve.QueryResult) QueryResponse {
 	resp := QueryResponse{
 		Values:           map[string]ValueSummary{},
@@ -148,14 +150,8 @@ func BuildResponse(res *serve.QueryResult) QueryResponse {
 	if res.ResultHash != 0 {
 		resp.ResultHash = fmt.Sprintf("%016x", res.ResultHash)
 	}
-	for name, m := range res.Values {
-		resp.Values[name] = ValueSummary{Rows: m.Rows(), Cols: m.Cols(), Frobenius: m.FrobeniusNorm()}
-	}
-	if len(res.Values) == 0 {
-		// A relayed remote result has no cells, only summaries.
-		for name, vs := range res.Summaries {
-			resp.Values[name] = vs
-		}
+	for name, vs := range res.Summaries {
+		resp.Values[name] = vs
 	}
 	return resp
 }

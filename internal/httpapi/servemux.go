@@ -113,6 +113,9 @@ func (h *serveHandler) query(w http.ResponseWriter, r *http.Request, rid string)
 	resp := BuildResponse(res)
 	resp.RequestID = rid
 	WriteJSON(w, rid, resp)
+	// The reply is all this caller wanted of the result, and all a replay
+	// from the idempotency window will want.
+	res.Release()
 }
 
 // version reports the shard's current version for one dataset — the

@@ -133,44 +133,168 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// fnv1a is the running FNV-1a state both digests below fold into.
+// fold takes one 64-bit word into an FNV-style state in a single
+// xor-multiply step (the byte-at-a-time fold cost eight dependent multiplies
+// per word). A multiply only carries differences upward, so the xor-ed state
+// is first rotated by half a word: a difference in the top bits — the sign
+// and exponent bits corruption flips — lands in the low half and the multiply
+// spreads it. Xor, rotate and multiply by an odd constant are each a
+// bijection of the state, and for a given state the step is a bijection of
+// the word too, so two payloads that differ in one word can never fold to the
+// same state.
+func fold(h, x uint64) uint64 { return bits.RotateLeft64(h^x, 32) * fnvPrime }
+
+// fnv1a is the running state the folds below keep.
 type fnv1a uint64
 
 func (h *fnv1a) byte(b byte) { *h = (*h ^ fnv1a(b)) * fnvPrime }
 
-// word folds a whole 64-bit word in one xor-multiply step (Digest spends
-// its whole time here; the byte-at-a-time fold cost eight dependent
-// multiplies per word). A multiply only carries differences upward, so the
-// xor-ed state is first rotated by half a word: a difference in the top
-// bits — the sign and exponent bits corruption flips — lands in the low half
-// and the multiply spreads it. Xor, rotate and multiply by an odd constant
-// are each a bijection of the state, so two payloads that differ in one
-// word can never fold to the same state.
-func (h *fnv1a) word(x uint64) {
-	*h = fnv1a(bits.RotateLeft64(uint64(*h)^x, 32)) * fnvPrime
+func (h *fnv1a) word(x uint64) { *h = fnv1a(fold(uint64(*h), x)) }
+
+// summaryBlockRows is the height of the row blocks a summary is made of. It
+// is part of the digest's definition, not a tuning knob: block boundaries
+// decide which hashes fold into which.
+const summaryBlockRows = 64
+
+// summarised, when a test of this package sets it, sees every matrix a
+// summary pass is made over — a memo hit makes none.
+var summarised func(m *matrix.Matrix)
+
+// Summarise returns the digest and Σx² of m, from the matrix if it carries
+// them and from one pass over the cells if not; the pass is the one place in
+// the repository that walks matrix cells to hash them.
+//
+// The digest is a function of the logical payload alone — rows, cols and the
+// set of (i, j, bits) with a numerically nonzero value — whatever the storage
+// format (a dense block and a CSR block holding the same values hash
+// identically, explicit CSR zeros included, so a format switch in transit is
+// not a false corruption), however many goroutines made the pass, and whether
+// it was made now or remembered. Every row is a lane of its own: from the
+// offset basis it folds (column, bits) for each nonzero value in column
+// order. Row hashes fold, in row order, into the hash of their 64-row block,
+// and block hashes fold, in block order, after the dimensions, into the
+// digest. Lanes do not depend on one another, so four rows are hashed at a
+// time with their multiply chains overlapped, and blocks are striped over the
+// caller's share of the processors. Each fold being a bijection both of the
+// state and of the word, a single differing word changes its row's hash, hence
+// its block's, hence the digest.
+//
+// Σx² is summed the same way — along a row in column order, row sums in row
+// order within a block, block sums in block order — so it too repeats bit for
+// bit across formats (x + 0 = x for a sum of squares), stripe counts and
+// machines. It is not the association order of Matrix.FrobeniusNorm.
+func Summarise(m *matrix.Matrix) matrix.Summary {
+	if s, ok := m.Summary(); ok {
+		return s
+	}
+	if summarised != nil {
+		summarised(m)
+	}
+	rows, cols := m.Rows(), m.Cols()
+	stored := rows * cols
+	if m.Format() == matrix.CSR {
+		stored = m.NNZ()
+	}
+	blocks := make([]matrix.Summary, (rows+summaryBlockRows-1)/summaryBlockRows)
+	// Striped once the matrix stores what a flat kernel pass stripes at.
+	matrix.StripeParallel(len(blocks), len(blocks)*matrix.MinStripeCells/(stored+1)+1, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			blocks[b] = summariseRows(m, b*summaryBlockRows, min(rows, (b+1)*summaryBlockRows))
+		}
+	})
+	h := fnv1a(fnvOffset)
+	h.word(uint64(rows))
+	h.word(uint64(cols))
+	sumSq := 0.0
+	for _, b := range blocks {
+		h.word(b.Digest)
+		sumSq += b.SumSq
+	}
+	s := matrix.Summary{Digest: uint64(h), SumSq: sumSq}
+	m.SetSummary(s)
+	return s
 }
 
-// Digest folds a matrix's logical payload — dimensions, then (linear cell
-// index, bits) for every stored value that is numerically nonzero — into a
-// 64-bit FNV-style hash. It is the one function in the repository that walks
-// matrix cells to hash them. Skipping explicit zeros makes the digest
-// representation independent: a dense block and a CSR block holding the
-// same values hash identically, so a format switch in transit is not a
-// false corruption.
-func Digest(m *matrix.Matrix) uint64 {
-	h := fnv1a(fnvOffset)
-	h.word(uint64(m.Rows()))
-	h.word(uint64(m.Cols()))
-	cols := m.Cols()
-	m.ForEachNonzero(func(i, j int, v float64) {
-		if v == 0 {
-			return // CSR may store explicit zeros; hash values, not storage
+// summariseRows is the summary of one block, rows [lo, hi) of m.
+func summariseRows(m *matrix.Matrix, lo, hi int) matrix.Summary {
+	b := blockSummary{hash: fnvOffset}
+	i := lo
+	if m.Format() == matrix.Dense {
+		for ; i+4 <= hi; i += 4 {
+			_, r0 := m.StoredRow(i)
+			_, r1 := m.StoredRow(i + 1)
+			_, r2 := m.StoredRow(i + 2)
+			_, r3 := m.StoredRow(i + 3)
+			b.denseRows(r0, r1, r2, r3)
 		}
-		h.word(uint64(i*cols + j))
-		h.word(math.Float64bits(v))
-	})
-	return uint64(h)
+	}
+	for ; i < hi; i++ {
+		b.row(m.StoredRow(i))
+	}
+	return matrix.Summary{Digest: b.hash, SumSq: b.sumSq}
 }
+
+// blockSummary is a block's running hash and Σx²; rows enter in row order.
+type blockSummary struct {
+	hash  uint64
+	sumSq float64
+}
+
+func (b *blockSummary) add(rowHash uint64, rowSumSq float64) {
+	b.hash = fold(b.hash, rowHash)
+	b.sumSq += rowSumSq
+}
+
+// row takes one row in, as stored (matrix.StoredRow).
+func (b *blockSummary) row(cols []int, vals []float64) {
+	h, s := uint64(fnvOffset), 0.0
+	for p, v := range vals {
+		if v == 0 {
+			continue // CSR may store explicit zeros; hash values, not storage
+		}
+		j := p
+		if cols != nil {
+			j = cols[p]
+		}
+		h = fold(fold(h, uint64(j)), math.Float64bits(v))
+		s += v * v
+	}
+	b.add(h, s)
+}
+
+// denseRows takes four dense rows in, each exactly as row would: the lanes
+// only share the loop, which keeps four multiply chains in flight.
+func (b *blockSummary) denseRows(r0, r1, r2, r3 []float64) {
+	h0, h1, h2, h3 := uint64(fnvOffset), uint64(fnvOffset), uint64(fnvOffset), uint64(fnvOffset)
+	var s0, s1, s2, s3 float64
+	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+	for j, v := range r0 {
+		if v != 0 {
+			h0 = fold(fold(h0, uint64(j)), math.Float64bits(v))
+			s0 += v * v
+		}
+		if v := r1[j]; v != 0 {
+			h1 = fold(fold(h1, uint64(j)), math.Float64bits(v))
+			s1 += v * v
+		}
+		if v := r2[j]; v != 0 {
+			h2 = fold(fold(h2, uint64(j)), math.Float64bits(v))
+			s2 += v * v
+		}
+		if v := r3[j]; v != 0 {
+			h3 = fold(fold(h3, uint64(j)), math.Float64bits(v))
+			s3 += v * v
+		}
+	}
+	b.add(h0, s0)
+	b.add(h1, s1)
+	b.add(h2, s2)
+	b.add(h3, s3)
+}
+
+// Digest is Summarise's digest: the identity of a block on the wire and of a
+// result variable.
+func Digest(m *matrix.Matrix) uint64 { return Summarise(m).Digest }
 
 // DigestValues folds a set of named matrices into one result identity:
 // names sorted, each name's bytes followed by its matrix's Digest. Two

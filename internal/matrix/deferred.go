@@ -335,7 +335,7 @@ func (p *program) run(od []float64) []int {
 	width := (cols + chunks - 1) / chunks
 	total := make([]int, len(p.nodes))
 	var mu sync.Mutex
-	stripeParallel(rows, minStripeCells/cols+1, func(lo, hi int) {
+	StripeParallel(rows, MinStripeCells/cols+1, func(lo, hi int) {
 		counts := make([]int, len(p.nodes))
 		scratch := make([]float64, p.depth*width)
 		for i := lo; i < hi; i++ {

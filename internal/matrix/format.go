@@ -100,6 +100,17 @@ func (m *Matrix) DenseRow(i int) []float64 {
 	return row
 }
 
+// StoredRow returns row i as it is stored, views the caller must not write:
+// every cell of a dense row (cols nil: the index is the column), or the
+// column indices and values a CSR row holds, explicit zeros included.
+func (m *Matrix) StoredRow(i int) (cols []int, vals []float64) {
+	if m.format == Dense {
+		return nil, m.data[i*m.cols : (i+1)*m.cols]
+	}
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	return m.colIdx[lo:hi], m.vals[lo:hi]
+}
+
 // RowNNZ returns the number of stored nonzeros in row i.
 func (m *Matrix) RowNNZ(i int) int {
 	if m.format == CSR {

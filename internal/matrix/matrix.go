@@ -77,7 +77,31 @@ type Matrix struct {
 	// blocks holds the nonzero counts of a block grid over the matrix once
 	// asked for (BlockNNZ); immutable after publication like counts.
 	blocks atomic.Pointer[blockNNZ]
+	// summary holds what the cells come to for whoever identifies or reports
+	// the matrix without them (Summary), once somebody has made the pass.
+	summary atomic.Pointer[Summary]
 }
+
+// Summary is a matrix reduced to what crosses a wire in its place: Digest
+// identifies the shape and the nonzero cells bit for bit, SumSq is Σx². Both
+// come from one pass over the cells, which integrity.Summarise makes and
+// defines; the matrix only carries the outcome, like its nonzero counts.
+type Summary struct {
+	Digest uint64
+	SumSq  float64
+}
+
+// Summary returns the summary the matrix carries, if a pass has been made
+// since its cells last changed.
+func (m *Matrix) Summary() (s Summary, ok bool) {
+	if p := m.summary.Load(); p != nil {
+		return *p, true
+	}
+	return Summary{}, false
+}
+
+// SetSummary records the summary of the cells as they are now.
+func (m *Matrix) SetSummary(s Summary) { m.summary.Store(&s) }
 
 type nnzCounts struct{ row, col []int }
 
@@ -102,6 +126,9 @@ func (m *Matrix) invalidate() {
 	}
 	if m.blocks.Load() != nil {
 		m.blocks.Store(nil)
+	}
+	if m.summary.Load() != nil {
+		m.summary.Store(nil)
 	}
 }
 
@@ -279,6 +306,7 @@ func (m *Matrix) Clone() *Matrix {
 	c.nnz.Store(m.nnz.Load())
 	c.counts.Store(m.counts.Load())
 	c.blocks.Store(m.blocks.Load())
+	c.summary.Store(m.summary.Load())
 	if m.format == Dense {
 		c.data = append([]float64(nil), m.data...)
 		return c

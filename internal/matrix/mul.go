@@ -46,11 +46,11 @@ func MulFLOP(rowsU, colsU, colsV int, sU, sV float64) float64 {
 }
 
 // minStripeRows is the row count below which a kernel runs on the calling
-// goroutine; minStripeCells is the same bound for kernels that stripe a flat
+// goroutine; MinStripeCells is the same bound for kernels that stripe a flat
 // cell range (a goroutine hand-off costs about as much as a pass over it).
 const (
 	minStripeRows  = 64
-	minStripeCells = 1 << 14
+	MinStripeCells = 1 << 14
 )
 
 // callers is how many goroutines run whole computations side by side.
@@ -63,10 +63,10 @@ var callers atomic.Int32
 // all of them; helpers beyond that would queue behind the other callers.
 func AddCallers(n int) { callers.Add(int32(n)) }
 
-// stripeParallel splits [0, n) into one contiguous range per processor of the
+// StripeParallel splits [0, n) into one contiguous range per processor of the
 // caller's share and runs body on each concurrently, the first on the calling
 // goroutine; below min it calls body(0, n) directly.
-func stripeParallel(n, min int, body func(lo, hi int)) {
+func StripeParallel(n, min int, body func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if c := int(callers.Load()); c > 1 {
 		workers /= c
@@ -95,11 +95,11 @@ func stripeParallel(n, min int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// stripeCount is stripeParallel for kernels that count the nonzeros they
+// stripeCount is StripeParallel for kernels that count the nonzeros they
 // produce: it returns the sum of what the stripes return.
 func stripeCount(n, min int, body func(lo, hi int) int) int {
 	var total atomic.Int64
-	stripeParallel(n, min, func(lo, hi int) { total.Add(int64(body(lo, hi))) })
+	StripeParallel(n, min, func(lo, hi int) { total.Add(int64(body(lo, hi))) })
 	return int(total.Load())
 }
 
@@ -131,7 +131,7 @@ func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
 		// Too few rows to stripe: stripe the columns instead (when there is
 		// a pass worth of work), each worker streaming its own column range
 		// of b.
-		nnz = stripeCount(p, minStripeCells/(n*k)+1, func(lo, hi int) int {
+		nnz = stripeCount(p, MinStripeCells/(n*k)+1, func(lo, hi int) int {
 			c := 0
 			for i := 0; i < n; i++ {
 				o := od[i*p+lo : i*p+hi]
@@ -332,7 +332,7 @@ func mulCSRCSR(a, b *Matrix) *Matrix {
 		vals []float64
 	}
 	results := make([]rowResult, a.rows)
-	stripeParallel(a.rows, minStripeRows, func(lo, hi int) {
+	StripeParallel(a.rows, minStripeRows, func(lo, hi int) {
 		acc := make([]float64, p)
 		marked := make([]int, 0, 64)
 		for i := lo; i < hi; i++ {

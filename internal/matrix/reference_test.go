@@ -283,7 +283,7 @@ func TestTransposeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStripesCoverTheRangeOnceAtEveryShare runs stripeParallel with no
+// TestStripesCoverTheRangeOnceAtEveryShare runs StripeParallel with no
 // declared callers, with two and with one per processor, and checks that the
 // ranges tile [0, n) exactly and that there are as many as the share allows:
 // one, run by the caller, once every processor has a caller of its own.
@@ -295,7 +295,7 @@ func TestStripesCoverTheRangeOnceAtEveryShare(t *testing.T) {
 		var mu sync.Mutex
 		covered := make([]int, n)
 		ranges := 0
-		stripeParallel(n, 1, func(lo, hi int) {
+		StripeParallel(n, 1, func(lo, hi int) {
 			mu.Lock()
 			defer mu.Unlock()
 			ranges++

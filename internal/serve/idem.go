@@ -100,9 +100,12 @@ func (w *idemWindow) entries() int {
 // Replayed: the stored QueryResult is shared by every future replay, so
 // callers must never receive (and possibly mutate) the canonical pointer.
 // Values and ResultHash are shared with the original — that sharing is the
-// bitwise-identity guarantee.
+// bitwise-identity guarantee. The copy is taken under the lock a Release of
+// the original or of an earlier replay empties Values under.
 func replayOf(e *idemEntry) *QueryResult {
+	e.res.cells.mu.Lock()
 	out := *e.res
+	e.res.cells.mu.Unlock()
 	out.Replayed = true
 	return &out
 }

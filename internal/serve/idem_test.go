@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -233,4 +234,61 @@ func TestIdemWaiterCancellation(t *testing.T) {
 	if err := <-leaderDone; err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("leader: %v", err)
 	}
+}
+
+// TestReleaseEmptiesTheResultAndItsReplays: Release is called by whoever is
+// done with the cells — any holder, any number of times — and from then on
+// the result, the copy the window keeps and every later replay have no
+// Values; what the wire ships of a result (Summaries, ResultHash, Replayed)
+// is untouched. A result nobody releases keeps its cells, as it always did.
+func TestReleaseEmptiesTheResultAndItsReplays(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+	q := testQuery(t, algorithms.DFP, "red2", 3)
+	unkeyed, err := s.Do(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.IdempotencyKey = "released"
+	first, err := s.Do(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := s.Do(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Values) == 0 || len(first.Summaries) != len(first.Values) {
+		t.Fatalf("%d values, %d summaries", len(first.Values), len(first.Summaries))
+	}
+	bitwiseEqualValues(t, unkeyed.Values, replay.Values)
+	hash, summaries := first.ResultHash, first.Summaries
+
+	replay.Release()
+	replay.Release()
+	first.Release()
+	later, err := s.Do(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, r := range map[string]*QueryResult{"the original": first, "the replay that released": replay, "a later replay": later} {
+		if len(r.Values) != 0 {
+			t.Errorf("%s still holds %d values", what, len(r.Values))
+		}
+		if r.ResultHash != hash || !reflect.DeepEqual(r.Summaries, summaries) || r.Replayed != (r != first) {
+			t.Errorf("%s: hash %016x, %d summaries, replayed %v after the release", what, r.ResultHash, len(r.Summaries), r.Replayed)
+		}
+	}
+	if hash != unkeyed.ResultHash || hash != HashValues(unkeyed.Values) {
+		t.Error("a result nobody released lost its cells to the release of another")
+	}
+	// The released buffers are where the next run writes: it must still
+	// compute the same thing, into them.
+	again, err := s.Do(context.Background(), testQuery(t, algorithms.DFP, "red2", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwiseEqualValues(t, unkeyed.Values, again.Values)
+	again.Release()
+	again.Release()
 }

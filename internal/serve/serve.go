@@ -230,7 +230,8 @@ func NewQuery(script string, inputs map[string]engine.Input) Query {
 type QueryResult struct {
 	// QueryID is the server-assigned id (also carried by QueryErrors).
 	QueryID uint64
-	// Values holds the final variable bindings' materialized matrices.
+	// Values holds the final variable bindings' materialized matrices, until
+	// Release: empty afterwards, here and in every later replay.
 	Values map[string]*matrix.Matrix
 	// Iterations executed.
 	Iterations int
@@ -281,16 +282,50 @@ type QueryResult struct {
 	// same shape with the same nonzero cells bit for bit, whatever their
 	// storage format; the sign of a zero is not part of it. A replayed
 	// result carries the original's hash; a remote result carries the hash
-	// computed by the shard that executed the plan.
+	// computed by the shard that executed the plan. It outlives Release.
 	ResultHash uint64
 	// Replayed marks a result served from the idempotency window (or a
 	// coalesced duplicate of an in-flight leader) rather than a fresh
 	// execution.
 	Replayed bool
-	// Summaries describes the result variables when Values could not ship
-	// — a remote shard returns shapes and norms over the wire, not cells.
-	// Local executions leave it nil (Values carries everything).
+	// Summaries describes every result variable without its cells — shape
+	// and norm, what the wire ships in place of Values. An execution fills it
+	// from the summary each matrix carries (integrity.Summarise), a remote
+	// result has nothing else; it outlives Release.
 	Summaries map[string]ValueSummary
+
+	// cells is what Release gives back; the result shares it with its replays.
+	cells *resultCells
+}
+
+// resultCells is the hold a result and every replay of it have on the cells
+// behind Values: the run that made them, until the first Release.
+type resultCells struct {
+	mu    sync.Mutex
+	run   *engine.Result // nil once released
+	first *QueryResult   // the result the execution returned, which the replay window keeps
+}
+
+// Release says the holder is done with the cells: nothing will read Values
+// again, through this result or through a replay handed out earlier (what
+// the wire ships is Summaries and ResultHash, which stay). The buffers of the
+// values the run made go back to later runs (engine.Result.Release), Values
+// empties, and a replay made from now on has none either. Idempotent, and
+// safe to call from every holder of the same result at once. The HTTP
+// handlers call it once the reply is written; an in-process caller that
+// wants Values simply never does.
+func (r *QueryResult) Release() {
+	c := r.cells
+	if c == nil {
+		return // a relayed remote result: summaries only
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r.Values, c.first.Values = nil, nil
+	if c.run != nil {
+		c.run.Release()
+		c.run = nil
+	}
 }
 
 // ValueSummary reports a result variable without shipping its cells.
@@ -916,6 +951,7 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	}
 	out = &QueryResult{
 		Values:       map[string]*matrix.Matrix{},
+		Summaries:    map[string]ValueSummary{},
 		Iterations:   res.Iterations,
 		SimulatedSec: res.Stats.TotalTime(),
 		ComputeSec:   res.Stats.ComputeTime,
@@ -925,8 +961,11 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 		PlanCacheHit: planHit,
 		Trace:        rec,
 	}
+	out.cells = &resultCells{run: res, first: out}
 	for name, v := range res.Env {
-		out.Values[name] = v.Data()
+		m := v.Data()
+		out.Values[name] = m
+		out.Summaries[name] = ValueSummary{Rows: m.Rows(), Cols: m.Cols(), Frobenius: math.Sqrt(integrity.Summarise(m).SumSq)}
 	}
 	out.ResultHash = HashValues(out.Values)
 	if compiled.Decision != nil {
