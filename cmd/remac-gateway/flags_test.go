@@ -22,7 +22,7 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{"addr", "attempt-timeout", "audit-depth", "batch-window", "default-quota", "eject-after",
 		"inter-budget", "max-body", "passive-failures", "plan-cache", "probe-interval", "queue", "quota",
-		"ready-quorum", "recovery", "rejoin-probes", "retry-budget", "retry-refill", "seed", "shard", "shards",
+		"ready-quorum", "recovery", "rejoin-probes", "seed", "shard", "shards",
 		"timeout", "workers"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flag surface changed:\n got %q\nwant %q", got, want)

@@ -2,7 +2,7 @@
 // in-process serve.Server shards behind a consistent-hash router with
 // per-tenant admission quotas, acknowledged cross-shard invalidation, an
 // audit plane, and a shard lifecycle monitor that detects dead shards
-// (active probes plus passive failure windows), fails queries over to the
+// (active probes plus consecutive query failures), fails queries over to the
 // next ring shard, ejects and respawns the dead instance, and readmits it
 // only after its dataset versions catch back up.
 //
@@ -20,8 +20,8 @@
 // Remote shards (-shard URLs, repeatable) are remac-serve processes the
 // gateway reaches over HTTP: queries, health probes, invalidation fan-out
 // and version catch-up all travel the wire, with per-attempt timeouts
-// carved from the query deadline, a gateway-wide retry budget
-// (-retry-budget / -retry-refill), and idempotency keys so a retried
+// carved from the query deadline, a gateway-wide retry budget (64 tokens,
+// a tenth of one back per success), and idempotency keys so a retried
 // query whose response was lost replays the committed result instead of
 // executing twice. Mixed fleets (-shards N -shard URL...) put local and
 // remote instances behind the same ring and lifecycle monitor.
@@ -185,6 +185,11 @@ func parseQuota(spec string) (string, gateway.TenantQuota, error) {
 	return name, q, nil
 }
 
+// The wire retry budget every remote shard draws on: 64 tokens, a tenth of
+// one restored per successful wire query. Constants — no deployment or bench
+// arm has needed another value (DESIGN.md §16).
+const retryBudget, retryRefill = 64, 0.1
+
 // options is everything the command line sets: the gateway configuration
 // the flags write into directly, and what needs parsing or wiring first.
 type options struct {
@@ -195,9 +200,8 @@ type options struct {
 	cfg          gateway.Config
 	// remotes are the -shard URLs; remote is what every RemoteInstance
 	// shares apart from its URL.
-	remotes                  []string
-	remote                   gateway.RemoteConfig
-	retryBudget, retryRefill float64
+	remotes []string
+	remote  gateway.RemoteConfig
 }
 
 // registerFlags declares the binary's whole flag surface on fs. It is the
@@ -239,8 +243,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 		return nil
 	})
 	fs.Int64Var(&o.maxBody, "max-body", 0, "max POST /query body bytes (0: 1 MiB default, negative: unbounded)")
-	fs.Float64Var(&o.retryBudget, "retry-budget", 64, "gateway-wide wire retry budget: token bucket capacity shared by all remote shards (<=0: default 64)")
-	fs.Float64Var(&o.retryRefill, "retry-refill", 0.1, "retry budget tokens restored per successful wire query")
 	fs.DurationVar(&o.remote.AttemptTimeout, "attempt-timeout", 10*time.Second, "per-attempt wire timeout for remote shards (carved from the query deadline)")
 	return o
 }
@@ -259,7 +261,7 @@ func main() {
 		}
 	}
 	// One RemoteConfig per -shard URL, all drawing on one retry budget.
-	o.remote.Budget = gateway.NewRetryBudget(o.retryBudget, o.retryRefill)
+	o.remote.Budget = gateway.NewRetryBudget(retryBudget, retryRefill)
 	remotes := make([]gateway.RemoteConfig, len(o.remotes))
 	for i, u := range o.remotes {
 		remotes[i] = o.remote

@@ -15,16 +15,16 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	o := registerFlags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := []string{"addr", "batch-window", "hedge", "idem-window", "inter-budget", "max-body", "no-breaker",
-		"plan-cache", "queue", "recovery", "retries", "shard", "timeout", "workers"}
+	want := []string{"addr", "batch-window", "inter-budget", "max-body", "plan-cache", "queue", "recovery",
+		"retries", "shard", "timeout", "workers"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flag surface changed:\n got %q\nwant %q", got, want)
 	}
 	// Flags write straight into the configuration the server is built from.
-	if err := fs.Parse([]string{"-retries", "-1", "-hedge", "-shard", "shard-7", "-workers", "3"}); err != nil {
+	if err := fs.Parse([]string{"-retries", "-1", "-shard", "shard-7", "-workers", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if c := o.cfg; c.Retry.MaxAttempts != -1 || !c.Hedge.Enabled || c.ShardID != "shard-7" || c.Workers != 3 || c.QueueDepth != 64 {
+	if c := o.cfg; c.Retry.MaxAttempts != -1 || c.ShardID != "shard-7" || c.Workers != 3 || c.QueueDepth != 64 {
 		t.Fatalf("parsed config %+v", c)
 	}
 }

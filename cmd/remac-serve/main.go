@@ -20,7 +20,8 @@
 //	              "timeout_ms", "no_plan_cache", "no_intermediate_cache".
 //	              Bodies are capped (-max-body, default 1 MiB → 413); an
 //	              X-Idempotency-Key header makes retried submissions
-//	              replay the committed result instead of re-executing. An
+//	              replay the committed result instead of re-executing
+//	              (for the last 1024 keys). An
 //	              X-Attempts-Left header is the attempt allowance the
 //	              sender grants this query (a gateway's send carries 1);
 //	              it is clamped to -retries, and anything but a positive
@@ -28,8 +29,9 @@
 //	GET  /stats   aggregate metrics snapshot (QPS, latency percentiles,
 //	              cache hit rates, queue depth, resilience counters) as JSON.
 //	GET  /healthz liveness probe: 200 while the process and pool are up.
-//	GET  /readyz  readiness probe: 200 when admitting, 503 (+Retry-After)
-//	              while draining, breaker-open, or queue-saturated.
+//	GET  /readyz  readiness probe: 200 when admitting, 503 while draining,
+//	              with the queue full, or with the breaker open (then
+//	              +Retry-After: the cooldown left).
 //	POST /invalidate?dataset=cri2  bump a dataset version, dropping its
 //	              cached intermediates. Non-POST methods get 405; a missing,
 //	              blank or unknown dataset gets 400.
@@ -43,7 +45,7 @@
 //
 // Query failures map to distinct statuses by resilience class: 400 for
 // compile errors, 413 for oversized bodies, 422 for divergent loops (max
-// iterations), 503 with a Retry-After header for overload/shed/draining,
+// iterations), 503 with a Retry-After header for overload/draining,
 // 504 for canceled or timed-out queries, and 500 only for execution
 // failures and recovered panics. Error bodies are structured JSON
 // ({"error", "class", "query_id", "stage", "retry_after_sec",
@@ -84,12 +86,9 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&c.PlanCacheEntries, "plan-cache", 128, "compiled-plan cache entries (negative: disabled)")
 	fs.Int64Var(&c.IntermediateBudgetBytes, "inter-budget", 4<<30, "intermediate cache budget in modelled bytes (negative: disabled)")
 	fs.DurationVar(&c.BatchWindow, "batch-window", 2*time.Millisecond, "MQO batching window: queries admitted within it share loop-constant producer executions (0: disabled)")
-	fs.IntVar(&c.Retry.MaxAttempts, "retries", 0, "attempt allowance of a query that arrives without one, hedges included (0: default 3, negative: one attempt, no retries)")
-	fs.BoolVar(&c.Hedge.Enabled, "hedge", false, "hedge straggler queries past the p95 latency")
-	fs.BoolVar(&c.NoBreaker, "no-breaker", false, "disable the admission circuit breaker / load shedder")
+	fs.IntVar(&c.Retry.MaxAttempts, "retries", 0, "attempt allowance of a query that arrives without one (0: default 3, negative: one attempt, no retries)")
 	fs.StringVar(&o.recovery, "recovery", "", "default recovery policy for queries that do not set one: lineage, checkpoint, coded or coded:k,n")
 	fs.StringVar(&c.ShardID, "shard", "", "shard label for this instance in metrics snapshots (set by a gateway tier)")
-	fs.IntVar(&c.IdempotencyWindow, "idem-window", 0, "idempotent-replay window entries (0: default 1024, negative: disabled)")
 	fs.Int64Var(&o.maxBody, "max-body", 0, "max POST /query body bytes (0: 1 MiB default, negative: unbounded)")
 	return o
 }

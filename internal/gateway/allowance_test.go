@@ -67,7 +67,7 @@ func (s *scriptedShard) Do(ctx context.Context, q serve.Query) (*serve.QueryResu
 		<-ctx.Done()
 		return nil, &resilience.QueryError{Class: resilience.Canceled, Stage: "shard", Err: ctx.Err()}
 	}
-	return &serve.QueryResult{FLOP: 100}, nil
+	return &serve.QueryResult{Record: serve.Record{FLOP: 100}}, nil
 }
 
 // outcomeCounters sums the Stats counters a query outcome can land in.

@@ -68,9 +68,8 @@ type Config struct {
 	// Negative disables active detection; default 3.
 	EjectAfter int
 	// PassiveFailures is how many consecutive Internal-class query
-	// outcomes on one shard trip passive ejection (a breaker window one
-	// layer above the shard's own). Negative disables passive detection;
-	// default 3.
+	// outcomes on one shard, with no success between them, trip passive
+	// ejection. Negative disables passive detection; default 3.
 	PassiveFailures int
 	// RejoinProbes is how many consecutive passed probes — each with
 	// dataset versions fully caught up to the gateway's broadcast versions
@@ -586,22 +585,16 @@ func (g *Gateway) record(r *request, err error) (*Result, error) {
 	}, nil
 }
 
-// outcomeClass renders an error as its audit outcome string.
+// outcomeClass renders an error as its audit outcome string: the class the
+// HTTP front-ends would write (httpapi.Classify), "error" when it has none.
 func outcomeClass(err error) string {
 	if err == nil {
 		return "ok"
 	}
-	if class, ok := resilience.ClassOf(err); ok {
-		return class.String()
+	if class, _, _ := httpapi.Classify(err); class != "" {
+		return class
 	}
-	switch {
-	case errors.Is(err, serve.ErrClosed):
-		return "closed"
-	case errors.Is(err, serve.ErrOverloaded):
-		return resilience.Overloaded.String()
-	default:
-		return "error"
-	}
+	return "error"
 }
 
 // InvalidateDataset bumps the dataset version and broadcasts the bump to

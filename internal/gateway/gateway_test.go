@@ -53,7 +53,7 @@ func (f *fakeShard) Do(ctx context.Context, q serve.Query) (*serve.QueryResult, 
 	}
 	f.served++
 	f.datasets = append(f.datasets, q.Dataset)
-	return &serve.QueryResult{FLOP: 100}, nil
+	return &serve.QueryResult{Record: serve.Record{FLOP: 100}}, nil
 }
 
 func (f *fakeShard) InvalidateDataset(id string) {

@@ -2,9 +2,15 @@ package gateway
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"net/http/httptest"
 	"reflect"
 	"sort"
 	"testing"
+
+	"remac/internal/httpapi"
+	"remac/internal/serve"
 )
 
 // The goldens below were recorded at the commit before the SplitMix64
@@ -73,5 +79,96 @@ func TestStatsKeysGolden(t *testing.T) {
 		if got := jsonKeys(t, tc.v); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s JSON keys = %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// fillDistinct sets every field of the struct v — embedded structs, and the
+// elements of maps and slices, included — to a non-zero value, a different
+// one per field where the kind has more than one. A kind it has no value
+// for fails the test, so a new field cannot slip past it unfilled.
+func fillDistinct(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		*n++
+		switch f.Kind() {
+		case reflect.Struct:
+			fillDistinct(t, f, n)
+		case reflect.Int:
+			f.SetInt(int64(*n))
+		case reflect.Float64:
+			f.SetFloat(float64(*n) + 0.25)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString(fmt.Sprintf("s%d", *n))
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+			fillElem(t, f.Index(0), n)
+		case reflect.Map:
+			f.Set(reflect.MakeMap(f.Type()))
+			elem := reflect.New(f.Type().Elem()).Elem()
+			fillElem(t, elem, n)
+			f.SetMapIndex(reflect.ValueOf(fmt.Sprintf("k%d", *n)), elem)
+		default:
+			t.Fatalf("fillDistinct: no value for field %s of kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+func fillElem(t *testing.T, e reflect.Value, n *int) {
+	t.Helper()
+	switch e.Kind() {
+	case reflect.Struct:
+		fillDistinct(t, e, n)
+	case reflect.String:
+		e.SetString(fmt.Sprintf("e%d", *n))
+	default:
+		t.Fatalf("fillDistinct: no value for an element of kind %s", e.Kind())
+	}
+}
+
+// TestQueryResponseKeysGolden pins the POST /query reply's key set, recorded
+// before serve.Record carried the wire fields: a fully populated response
+// has exactly these keys.
+func TestQueryResponseKeysGolden(t *testing.T) {
+	var resp httpapi.QueryResponse
+	n := 0
+	fillDistinct(t, reflect.ValueOf(&resp).Elem(), &n)
+	want := []string{"attempts", "coded_recoveries", "compile_sec", "compute_sec", "decode_sec", "encode_flop",
+		"failover", "flop", "intermediate_hits", "intermediate_misses", "iterations", "plan_cache_hit", "replayed",
+		"request_id", "result_hash", "selected_keys", "shard", "shared_hits", "shared_produced", "simulated_sec",
+		"spilled", "transmit_sec", "values", "wall_sec"}
+	if got := jsonKeys(t, resp); !reflect.DeepEqual(got, want) {
+		t.Fatalf("QueryResponse JSON keys = %q, want %q", got, want)
+	}
+}
+
+// TestWireRecordRoundTrip: every field of serve.Record, each set to its own
+// value, comes back from BuildResponse → WriteJSON → resultFromResponse as it
+// went in, with the hash and the summaries (a non-finite norm among them). A
+// field added to the record crosses the wire or fails here.
+func TestWireRecordRoundTrip(t *testing.T) {
+	in := &serve.QueryResult{
+		ResultHash: 0x0123456789abcdef,
+		Summaries: map[string]serve.ValueSummary{
+			"H": {Rows: 3, Cols: 3, Frobenius: 1.5},
+			"x": {Rows: 3, Cols: 1, Frobenius: math.Inf(1)},
+		},
+	}
+	n := 0
+	fillDistinct(t, reflect.ValueOf(&in.Record).Elem(), &n)
+	rec := httptest.NewRecorder()
+	httpapi.WriteJSON(rec, "rid", httpapi.BuildResponse(in))
+	var qr httpapi.QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+		t.Fatal(err)
+	}
+	out := resultFromResponse(qr)
+	if !reflect.DeepEqual(out.Record, in.Record) {
+		t.Errorf("record crossed the wire as\n%+v\nwant\n%+v", out.Record, in.Record)
+	}
+	if out.ResultHash != in.ResultHash || !reflect.DeepEqual(out.Summaries, in.Summaries) {
+		t.Errorf("hash %016x, summaries %+v; want %016x, %+v", out.ResultHash, out.Summaries, in.ResultHash, in.Summaries)
 	}
 }

@@ -74,16 +74,10 @@ type ShardLifecycle struct {
 // shardLife is one shard's mutable lifecycle record, guarded by
 // lifecycle.mu.
 type shardLife struct {
-	state      ShardState
-	probeFails int // consecutive failed probes
-	probeOKs   int // consecutive passed probes while rejoining
-	// passive is the consecutive-Internal-failure window: a breaker
-	// configured so Window == MinSamples == PassiveFailures and
-	// FailureThreshold == 1.0 opens exactly when that many consecutive
-	// server-attributable failures are observed with no success between
-	// them — the same mechanics the shard's own breaker uses, reused one
-	// layer up as the gateway's passive failure detector.
-	passive *resilience.Breaker
+	state        ShardState
+	probeFails   int // consecutive failed probes
+	probeOKs     int // consecutive passed probes while rejoining
+	passiveFails int // consecutive Internal-class query outcomes
 
 	ejections uint64
 	respawns  uint64
@@ -112,31 +106,13 @@ func newLifecycle(g *Gateway) *lifecycle {
 		stop: make(chan struct{}),
 	}
 	for i := range lc.st {
-		lc.st[i] = &shardLife{state: ShardHealthy, passive: lc.newPassiveWindow()}
+		lc.st[i] = &shardLife{state: ShardHealthy}
 	}
 	if g.cfg.ProbeInterval > 0 {
 		lc.wg.Add(1)
 		go lc.prober()
 	}
 	return lc
-}
-
-// newPassiveWindow builds the consecutive-failure breaker for one shard
-// (nil when passive detection is disabled).
-func (lc *lifecycle) newPassiveWindow() *resilience.Breaker {
-	n := lc.g.cfg.PassiveFailures
-	if n <= 0 {
-		return nil
-	}
-	return resilience.NewBreaker(resilience.BreakerConfig{
-		Window:           n,
-		MinSamples:       n,
-		FailureThreshold: 1.0,
-		// The breaker must never half-open on its own: ejection is a
-		// lifecycle transition, and only a probed catch-up readmits.
-		Cooldown: 24 * time.Hour,
-		Now:      lc.g.cfg.Clock,
-	})
 }
 
 // prober is the background probe loop (started only when ProbeInterval is
@@ -190,10 +166,10 @@ func (lc *lifecycle) view(i int) ShardLifecycle {
 
 // observe is the passive detector: Do reports every shard attempt's
 // outcome here. Only Internal-class failures (shard crashes, panics,
-// abandoned shared producers) count against the window — overload,
-// cancellation and client-caused errors never eject a shard. A success
-// resets the window. When the window fills with consecutive failures the
-// shard is ejected, with the triggering request id as evidence.
+// abandoned shared producers) count — overload, cancellation and
+// client-caused errors neither count nor reset. A success resets the count.
+// PassiveFailures of them in a row eject the shard, with the triggering
+// request id as evidence.
 func (lc *lifecycle) observe(shard int, err error, requestID string) {
 	if lc.g.cfg.PassiveFailures <= 0 {
 		return
@@ -206,10 +182,10 @@ func (lc *lifecycle) observe(shard int, err error, requestID string) {
 	}
 	switch {
 	case err == nil:
-		s.passive.Record(true)
+		s.passiveFails = 0
 	case resilience.IsClass(err, resilience.Internal):
-		s.passive.Record(false)
-		if s.passive.State() == resilience.BreakerOpen {
+		s.passiveFails++
+		if s.passiveFails >= lc.g.cfg.PassiveFailures {
 			lc.ejectLocked(shard, "passive",
 				fmt.Sprintf("%d consecutive internal-class failures", lc.g.cfg.PassiveFailures),
 				requestID)
@@ -218,16 +194,16 @@ func (lc *lifecycle) observe(shard int, err error, requestID string) {
 }
 
 // ejectLocked moves a shard to ejected (from healthy or suspect), records
-// the transition on the audit plane, and arms a fresh passive window for
-// the eventual rejoin. Caller holds lc.mu.
+// the transition on the audit plane, and clears the passive count for the
+// eventual rejoin. Caller holds lc.mu.
 func (lc *lifecycle) ejectLocked(shard int, reason, evidence, requestID string) {
 	s := lc.st[shard]
 	from := s.state
 	s.state = ShardEjected
 	s.probeFails = 0
 	s.probeOKs = 0
+	s.passiveFails = 0
 	s.ejections++
-	s.passive = lc.newPassiveWindow()
 	lc.g.count(func(st *Stats) { st.Ejections++ })
 	lc.g.recordTransition(shard, from, ShardEjected, reason, evidence, requestID)
 }
@@ -329,7 +305,7 @@ func (lc *lifecycle) apply(i int, pr serve.Health) {
 			s.state = ShardHealthy
 			s.probeFails = 0
 			s.rejoins++
-			s.passive = lc.newPassiveWindow()
+			s.passiveFails = 0
 			lc.g.count(func(st *Stats) { st.Rejoins++ })
 			lc.g.recordTransition(i, ShardRejoining, ShardHealthy, "rejoin",
 				"dataset versions caught up to broadcast", "")

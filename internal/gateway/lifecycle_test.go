@@ -3,6 +3,8 @@ package gateway
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -152,6 +154,63 @@ func TestLifecyclePassiveEjectionAndFailover(t *testing.T) {
 	}
 	if st.PerShard[home].Lifecycle.State != "ejected" {
 		t.Fatalf("per-shard lifecycle state %q, want ejected", st.PerShard[home].Lifecycle.State)
+	}
+}
+
+// TestPassiveDetectorCountsConsecutiveInternalOnly pins the passive
+// detector at PassiveFailures 2: only Internal-class outcomes count, a
+// success resets the count, overload and cancellation neither count nor
+// reset it, a rejoined shard starts from zero, and the ejection carries the
+// request id of the failure that completed the run.
+func TestPassiveDetectorCountsConsecutiveInternalOnly(t *testing.T) {
+	insts, fakes := fakeFleet(3)
+	g := NewWithInstances(Config{Seed: 1, PassiveFailures: 2, RejoinProbes: 1}, insts)
+	defer g.Shutdown(context.Background())
+	q := gatewayQuery("cri1")
+	q.Attempts = 1 // the home shard only: no failover or spill-over
+	home := g.routableOrder(q)[0]
+
+	internal := &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: chaostest.ErrShardDown}
+	overloaded := &resilience.QueryError{Class: resilience.Overloaded, Stage: "admission", Err: errors.New("busy")}
+	canceled := &resilience.QueryError{Class: resilience.Canceled, Stage: "wait", Err: context.Canceled}
+	sent := 0
+	send := func(outcomes ...error) {
+		t.Helper()
+		for _, out := range outcomes {
+			sent++
+			fakes[home].fail = out
+			g.Do(context.Background(), Request{Tenant: "t", RequestID: fmt.Sprintf("req-%d", sent), Query: q})
+		}
+		fakes[home].fail = nil
+	}
+	expect := func(step string, want ShardState) {
+		t.Helper()
+		if got := g.ShardState(home); got != want {
+			t.Fatalf("%s: shard state %v, want %v", step, got, want)
+		}
+	}
+
+	send(internal, nil, internal)
+	expect("internal, success, internal", ShardHealthy)
+	send(overloaded, canceled, internal)
+	expect("then overloaded, canceled, internal", ShardEjected)
+
+	g.ProbeNow() // live again: rejoining
+	g.ProbeNow() // caught up: readmitted
+	expect("after rejoin", ShardHealthy)
+	send(internal)
+	expect("one internal failure after the rejoin", ShardHealthy)
+	send(internal)
+	expect("two internal failures after the rejoin", ShardEjected)
+
+	var ejections []string
+	for _, e := range lifecycleEvents(g.Audit(0)) {
+		if e.Shard == home && e.To == "ejected" {
+			ejections = append(ejections, e.RequestID)
+		}
+	}
+	if want := []string{"req-6", "req-8"}; !reflect.DeepEqual(ejections, want) {
+		t.Fatalf("ejection events %v, want %v", ejections, want)
 	}
 }
 

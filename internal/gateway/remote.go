@@ -410,30 +410,11 @@ func (ri *RemoteInstance) attempt(ctx context.Context, key string, payload []byt
 	return res, nil
 }
 
-// resultFromResponse rebuilds a serve.QueryResult from the wire shape:
-// summaries and the executing shard's bitwise result hash stand in for
-// the cells, which never travel.
+// resultFromResponse rebuilds a serve.QueryResult from the wire shape: the
+// record as sent, and the summaries and the executing shard's bitwise result
+// hash in place of the cells, which never travel.
 func resultFromResponse(qr httpapi.QueryResponse) *serve.QueryResult {
-	res := &serve.QueryResult{
-		Iterations:         qr.Iterations,
-		SimulatedSec:       qr.SimulatedSec,
-		ComputeSec:         qr.ComputeSec,
-		TransmitSec:        qr.TransmitSec,
-		CompileSec:         qr.CompileSec,
-		WallSec:            qr.WallSec,
-		PlanCacheHit:       qr.PlanCacheHit,
-		IntermediateHits:   qr.IntermediateHits,
-		IntermediateMisses: qr.IntermediateMiss,
-		SharedHits:         qr.SharedHits,
-		SharedProduced:     qr.SharedProduced,
-		CodedRecoveries:    qr.CodedRecoveries,
-		DecodeSec:          qr.DecodeSec,
-		EncodeFLOP:         qr.EncodeFLOP,
-		SelectedKeys:       qr.SelectedKeys,
-		FLOP:               qr.FLOP,
-		Attempts:           qr.Attempts,
-		Replayed:           qr.Replayed,
-	}
+	res := &serve.QueryResult{Record: qr.Record}
 	if len(qr.Values) > 0 {
 		res.Summaries = make(map[string]serve.ValueSummary, len(qr.Values))
 		for name, vs := range qr.Values {

@@ -82,36 +82,17 @@ type QueryRequest struct {
 // summaries straight onto a QueryResult.
 type ValueSummary = serve.ValueSummary
 
-// QueryResponse is the POST /query reply.
+// QueryResponse is the POST /query reply: the result's serve.Record as is,
+// and in place of its cells the summaries and the hash.
 type QueryResponse struct {
-	Values           map[string]ValueSummary `json:"values"`
-	Iterations       int                     `json:"iterations"`
-	SimulatedSec     float64                 `json:"simulated_sec"`
-	ComputeSec       float64                 `json:"compute_sec"`
-	TransmitSec      float64                 `json:"transmit_sec"`
-	CompileSec       float64                 `json:"compile_sec"`
-	WallSec          float64                 `json:"wall_sec"`
-	PlanCacheHit     bool                    `json:"plan_cache_hit"`
-	IntermediateHits int                     `json:"intermediate_hits"`
-	IntermediateMiss int                     `json:"intermediate_misses"`
-	SharedHits       int                     `json:"shared_hits,omitempty"`
-	SharedProduced   int                     `json:"shared_produced,omitempty"`
-	CodedRecoveries  int                     `json:"coded_recoveries,omitempty"`
-	DecodeSec        float64                 `json:"decode_sec,omitempty"`
-	EncodeFLOP       float64                 `json:"encode_flop,omitempty"`
-	SelectedKeys     []string                `json:"selected_keys,omitempty"`
-	FLOP             float64                 `json:"flop,omitempty"`
-	Attempts         int                     `json:"attempts,omitempty"`
+	Values map[string]ValueSummary `json:"values"`
+	serve.Record
 
 	// ResultHash is the identity of the result's materialized values (hex;
 	// integrity.DigestValues): same names, shapes and nonzero cells bit for
 	// bit, independent of storage format and of the sign of a zero — what a
 	// remote caller can assert without the cells ever crossing the wire.
 	ResultHash string `json:"result_hash,omitempty"`
-	// Replayed marks a response served from the shard's idempotency
-	// window — a retry after a lost response, answered without
-	// re-executing the plan.
-	Replayed bool `json:"replayed,omitempty"`
 
 	// RequestID echoes the request correlation id; the gateway also
 	// reports which shard served the query and whether it spilled
@@ -126,27 +107,7 @@ type QueryResponse struct {
 // summaries the result carries, so no cell is read here and a result that
 // has been released renders exactly as before.
 func BuildResponse(res *serve.QueryResult) QueryResponse {
-	resp := QueryResponse{
-		Values:           map[string]ValueSummary{},
-		Iterations:       res.Iterations,
-		SimulatedSec:     res.SimulatedSec,
-		ComputeSec:       res.ComputeSec,
-		TransmitSec:      res.TransmitSec,
-		CompileSec:       res.CompileSec,
-		WallSec:          res.WallSec,
-		PlanCacheHit:     res.PlanCacheHit,
-		IntermediateHits: res.IntermediateHits,
-		IntermediateMiss: res.IntermediateMisses,
-		SharedHits:       res.SharedHits,
-		SharedProduced:   res.SharedProduced,
-		CodedRecoveries:  res.CodedRecoveries,
-		DecodeSec:        res.DecodeSec,
-		EncodeFLOP:       res.EncodeFLOP,
-		SelectedKeys:     res.SelectedKeys,
-		FLOP:             res.FLOP,
-		Attempts:         res.Attempts,
-		Replayed:         res.Replayed,
-	}
+	resp := QueryResponse{Values: make(map[string]ValueSummary, len(res.Summaries)), Record: res.Record}
 	if res.ResultHash != 0 {
 		resp.ResultHash = fmt.Sprintf("%016x", res.ResultHash)
 	}
@@ -311,41 +272,39 @@ type ErrorResponse struct {
 	RequestID     string  `json:"request_id,omitempty"`
 }
 
-// WriteError maps a serving failure to its HTTP status via the resilience
-// taxonomy — 400 compile, 422 max-iterations, 429 tenant quota, 503
-// overload/shed/draining (with Retry-After), 504 canceled, 500
-// execution/internal — and echoes the request id in both the header and
-// the JSON body.
-func WriteError(w http.ResponseWriter, requestID string, err error) {
-	status := http.StatusInternalServerError
-	body := ErrorResponse{Error: err.Error(), RequestID: requestID}
-	retryAfter := time.Duration(0)
+// Classify names a failed request the way both front-ends report it: error
+// class, HTTP status, Retry-After hint. A QueryError gives its class's name
+// and status (resilience's one class table), and an overload or quota
+// rejection without a hint gets one second. Of the errors without a class,
+// the one a server returns is serve.ErrClosed — admission after Shutdown
+// began — reported as the "closed" drain marker: 503, retry in a second.
+// Anything else is an untyped fault: no class, 500. serve.ErrOverloaded,
+// engine.ErrCanceled and engine.ErrMaxIterations never arrive bare: every
+// producer wraps them in a QueryError.
+func Classify(err error) (class string, status int, retryAfter time.Duration) {
 	var qe *resilience.QueryError
 	switch {
 	case errors.As(err, &qe):
-		status = qe.Class.HTTPStatus()
-		body.Class = qe.Class.String()
-		body.QueryID = qe.QueryID
-		body.Stage = qe.Stage
 		retryAfter = qe.RetryAfter
 		if (qe.Class == resilience.Overloaded || qe.Class == resilience.Quota) && retryAfter <= 0 {
 			retryAfter = time.Second
 		}
+		return qe.Class.String(), qe.Class.HTTPStatus(), retryAfter
 	case errors.Is(err, serve.ErrClosed):
-		// Draining: tell clients to find another instance shortly.
-		status = http.StatusServiceUnavailable
-		body.Class = "closed"
-		retryAfter = time.Second
-	case errors.Is(err, serve.ErrOverloaded):
-		status = http.StatusServiceUnavailable
-		body.Class = resilience.Overloaded.String()
-		retryAfter = time.Second
-	case errors.Is(err, engine.ErrCanceled):
-		status = http.StatusGatewayTimeout
-		body.Class = resilience.Canceled.String()
-	case errors.Is(err, engine.ErrMaxIterations):
-		status = http.StatusUnprocessableEntity
-		body.Class = resilience.MaxIterations.String()
+		return "closed", http.StatusServiceUnavailable, time.Second
+	}
+	return "", http.StatusInternalServerError, 0
+}
+
+// WriteError renders a serving failure as Classify names it, and echoes the
+// request id in both the header and the JSON body.
+func WriteError(w http.ResponseWriter, requestID string, err error) {
+	body := ErrorResponse{Error: err.Error(), RequestID: requestID}
+	class, status, retryAfter := Classify(err)
+	body.Class = class
+	var qe *resilience.QueryError
+	if errors.As(err, &qe) {
+		body.QueryID, body.Stage = qe.QueryID, qe.Stage
 	}
 	if retryAfter > 0 {
 		body.RetryAfterSec = retryAfter.Seconds()
@@ -450,33 +409,14 @@ func DecodeQuery(w http.ResponseWriter, r *http.Request, requestID string, maxBy
 	return req, true
 }
 
-// classForStatus maps an HTTP status back to a taxonomy class — the
-// fallback when an error body carries no parseable class.
-func classForStatus(status int) resilience.Class {
-	switch status {
-	case http.StatusTooManyRequests:
-		return resilience.Quota
-	case http.StatusServiceUnavailable:
-		return resilience.Overloaded
-	case http.StatusGatewayTimeout:
-		return resilience.Canceled
-	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-		return resilience.Compile
-	case http.StatusUnprocessableEntity:
-		return resilience.MaxIterations
-	default:
-		return resilience.Internal
-	}
-}
-
 // ParseError is the inverse of WriteError: it reconstructs the typed
 // QueryError a front-end rendered into an HTTP error response, so a
 // remote caller handles wire failures through exactly the taxonomy an
 // in-process caller would see. The class comes from the JSON body when it
-// parses (status-code fallback otherwise), and the Retry-After header —
+// parses (resilience.ClassForStatus otherwise), and the Retry-After header —
 // or the body's retry_after_sec — restores the backoff hint on 429/503.
 func ParseError(status int, header http.Header, body []byte) *resilience.QueryError {
-	qe := &resilience.QueryError{Class: classForStatus(status), Stage: "wire"}
+	qe := &resilience.QueryError{Class: resilience.ClassForStatus(status), Stage: "wire"}
 	var er ErrorResponse
 	if err := json.Unmarshal(body, &er); err == nil && er.Error != "" {
 		if c, ok := resilience.ClassFromString(er.Class); ok {

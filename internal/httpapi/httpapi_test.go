@@ -13,6 +13,7 @@ import (
 
 	"remac/internal/opt"
 	"remac/internal/resilience"
+	"remac/internal/serve"
 )
 
 // allClasses is every resilience taxonomy class with a wire name.
@@ -224,17 +225,33 @@ func TestValueSummaryNonFiniteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteErrorUntypedDrainMarkers: the non-QueryError sentinels keep
-// their historical statuses (503 draining, 503 overloaded) and ParseError
-// maps them back by status.
+// TestWriteErrorUntypedDrainMarkers: of the errors that carry no class, the
+// drain marker keeps its status — serve.ErrClosed is a 503 with Retry-After 1
+// and class "closed", which ParseError reads back by status as Overloaded —
+// and anything else is a classless 500, read back as Internal.
 func TestWriteErrorUntypedDrainMarkers(t *testing.T) {
-	rec := httptest.NewRecorder()
-	WriteError(rec, "rid-d", fmt.Errorf("wrapped: %w", errors.New("plain failure")))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("plain error = %d, want 500", rec.Code)
-	}
-	qe := ParseError(rec.Code, rec.Header(), rec.Body.Bytes())
-	if qe.Class != resilience.Internal {
-		t.Fatalf("plain error parsed as %s, want internal", qe.Class)
+	for _, tc := range []struct {
+		err        error
+		status     int
+		retryAfter string
+		class      string
+		parsed     resilience.Class
+	}{
+		{fmt.Errorf("wrapped: %w", serve.ErrClosed), http.StatusServiceUnavailable, "1", "closed", resilience.Overloaded},
+		{fmt.Errorf("wrapped: %w", errors.New("plain failure")), http.StatusInternalServerError, "", "", resilience.Internal},
+	} {
+		rec := httptest.NewRecorder()
+		WriteError(rec, "rid-d", tc.err)
+		var body ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%v: error body is not JSON: %v", tc.err, err)
+		}
+		if rec.Code != tc.status || rec.Header().Get("Retry-After") != tc.retryAfter || body.Class != tc.class {
+			t.Errorf("%v = %d, Retry-After %q, class %q; want %d, %q, %q",
+				tc.err, rec.Code, rec.Header().Get("Retry-After"), body.Class, tc.status, tc.retryAfter, tc.class)
+		}
+		if qe := ParseError(rec.Code, rec.Header(), rec.Body.Bytes()); qe.Class != tc.parsed {
+			t.Errorf("%v parsed as %s, want %s", tc.err, qe.Class, tc.parsed)
+		}
 	}
 }

@@ -19,30 +19,23 @@ import (
 
 // TestAttemptsLeftHeaderBoundsTheShard: X-Attempts-Left is the allowance
 // the sender grants. A gateway's send carries 1, and then the plan executes
-// at most once — no retry, and no hedge even on a server started with
-// hedging on. A direct client may ask for more and is clamped to the
-// server's own Retry.MaxAttempts. Anything but a positive integer is a
+// at most once — no retry. A direct client may ask for more and is clamped to
+// the server's own Retry.MaxAttempts. Anything but a positive integer is a
 // typed 400 that never reaches the engine.
 func TestAttemptsLeftHeaderBoundsTheShard(t *testing.T) {
-	hedge := resilience.HedgePolicy{Enabled: true, MinDelay: time.Millisecond}
 	srv := serve.New(serve.Config{
 		Workers: 2,
 		Retry:   resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
-		Hedge:   hedge,
 	})
 	defer srv.Shutdown(context.Background())
 	var execs atomic.Int32
-	var straggle atomic.Int64 // how long the first execution of a "straggle" request sleeps
 	mux := NewServeMux(srv, NewQueryBuilder(engine.RecoveryPolicy{}), ServeHandlerConfig{
 		OnQuery: func(q *serve.Query, r *http.Request) {
-			mode := r.Header.Get("X-Test-Mode")
+			flaky := r.Header.Get("X-Test-Mode") == "flaky"
 			q.Probe = func(int) error {
-				n := execs.Add(1)
-				switch {
-				case mode == "flaky":
+				execs.Add(1)
+				if flaky {
 					return resilience.MarkTransient(errors.New("induced transient failure"))
-				case mode == "straggle" && n == 1:
-					time.Sleep(time.Duration(straggle.Load()))
 				}
 				return nil
 			}
@@ -60,28 +53,6 @@ func TestAttemptsLeftHeaderBoundsTheShard(t *testing.T) {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, req)
 		return rec
-	}
-
-	// Warm the latency window the hedge trigger reads; a straggler then
-	// outlasts the current trigger several times over.
-	if rec := post("", ""); rec.Code != http.StatusOK {
-		t.Fatalf("warm-up = %d: %s", rec.Code, rec.Body)
-	}
-	outlastTrigger := func() {
-		straggle.Store(int64(4*hedge.Delay(srv.Metrics().LatencyP95Sec) + 50*time.Millisecond))
-	}
-
-	outlastTrigger()
-	if rec := post("straggle", ""); rec.Code != http.StatusOK || execs.Load() != 2 {
-		t.Fatalf("unbounded straggler = %d with %d executions, want a hedge (2): %s", rec.Code, execs.Load(), rec.Body)
-	}
-	hedges := srv.Metrics().Hedges
-	outlastTrigger()
-	if rec := post("straggle", "1"); rec.Code != http.StatusOK || execs.Load() != 1 {
-		t.Fatalf("gateway-originated straggler = %d with %d executions, want exactly 1: %s", rec.Code, execs.Load(), rec.Body)
-	}
-	if got := srv.Metrics().Hedges; got != hedges {
-		t.Fatalf("a send granting one attempt was hedged (%d → %d)", hedges, got)
 	}
 
 	for _, tc := range []struct {

@@ -9,8 +9,7 @@ import (
 type BreakerState int
 
 const (
-	// BreakerClosed admits traffic normally (with adaptive shedding as the
-	// observed failure rate climbs).
+	// BreakerClosed admits traffic normally.
 	BreakerClosed BreakerState = iota
 	// BreakerOpen rejects everything until the cooldown elapses.
 	BreakerOpen
@@ -40,7 +39,7 @@ type BreakerConfig struct {
 	// over. Default 64.
 	Window int
 	// MinSamples gates the failure rate: with fewer recorded outcomes the
-	// breaker stays closed and sheds nothing. Default 16.
+	// breaker stays closed. Default 16.
 	MinSamples int
 	// FailureThreshold opens the breaker when the windowed failure rate
 	// reaches it. Default 0.5.
@@ -77,8 +76,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-// BreakerCounters are cumulative state-transition counts, exposed through
-// the serving metrics snapshot.
+// BreakerCounters are cumulative state-transition counts and rejections
+// (Shed: admissions refused while open or half-open), exposed through the
+// serving metrics snapshot.
 type BreakerCounters struct {
 	Opened     uint64 `json:"opened"`
 	HalfOpened uint64 `json:"half_opened"`
@@ -86,12 +86,11 @@ type BreakerCounters struct {
 	Shed       uint64 `json:"shed"`
 }
 
-// Breaker is a circuit breaker fused with a queue-depth-aware load
-// shedder: the same rolling failure rate that trips the breaker also
-// shrinks the effective admission queue while still closed, so overload
-// pressure is relieved gradually before the hard trip. All methods are
-// nil-safe (a nil breaker admits everything), letting callers disable it
-// without branching.
+// Breaker is a closed/open/half-open circuit breaker over a rolling window
+// of outcomes: it opens when the windowed failure rate reaches the
+// threshold, rejects everything for a cooldown, then admits a few probes
+// whose outcomes close or re-open it. All methods are nil-safe (a nil
+// breaker admits everything).
 type Breaker struct {
 	mu  sync.Mutex
 	cfg BreakerConfig
@@ -164,11 +163,11 @@ func (b *Breaker) maybeHalfOpenLocked() {
 	}
 }
 
-// Admit decides whether a query may join the admission queue given its
-// current depth and capacity. On rejection it returns a Retry-After hint:
-// the remaining cooldown when open, a fraction of it when shedding.
+// Admit decides whether a query may join the admission queue. On rejection
+// it returns a Retry-After hint: the cooldown remainder (RetryAfter) when
+// open, a quarter cooldown when every half-open probe slot is taken.
 // Nil-safe: a nil breaker admits everything.
-func (b *Breaker) Admit(depth, capacity int) (ok bool, retryAfter time.Duration) {
+func (b *Breaker) Admit() (ok bool, retryAfter time.Duration) {
 	if b == nil {
 		return true, 0
 	}
@@ -178,31 +177,35 @@ func (b *Breaker) Admit(depth, capacity int) (ok bool, retryAfter time.Duration)
 	switch b.state {
 	case BreakerOpen:
 		b.counters.Shed++
-		return false, b.cfg.Cooldown - b.cfg.Now().Sub(b.openedAt)
+		return false, b.retryAfterLocked()
 	case BreakerHalfOpen:
 		if b.probesInFlight >= b.cfg.HalfOpenProbes {
 			b.counters.Shed++
 			return false, b.cfg.Cooldown / 4
 		}
 		b.probesInFlight++
-		return true, 0
-	}
-	// Closed: shed adaptively. The effective queue shrinks in proportion
-	// to the observed failure rate, so a degrading backend sees pressure
-	// relief before the breaker trips outright.
-	if capacity > 0 {
-		limit := capacity - int(b.failureRateLocked()*float64(capacity))
-		if limit < 1 {
-			limit = 1
-		}
-		if depth >= limit && depth < capacity {
-			// Only count adaptive sheds here; a full queue is the caller's
-			// hard ErrOverloaded path.
-			b.counters.Shed++
-			return false, b.cfg.Cooldown / 8
-		}
 	}
 	return true, 0
+}
+
+// RetryAfter is the cooldown remainder while the breaker is open and 0
+// otherwise: what an open-state rejection and a readiness probe both report
+// as the time worth waiting. Nil-safe.
+func (b *Breaker) RetryAfter() time.Duration {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.maybeHalfOpenLocked()
+	return b.retryAfterLocked()
+}
+
+func (b *Breaker) retryAfterLocked() time.Duration {
+	if b.state != BreakerOpen {
+		return 0
+	}
+	return b.cfg.Cooldown - b.cfg.Now().Sub(b.openedAt)
 }
 
 // Record feeds one settled query outcome back. Failures here are

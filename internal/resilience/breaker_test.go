@@ -46,7 +46,7 @@ func TestBreakerTripRecoverCycle(t *testing.T) {
 	}
 
 	// Open: everything rejected, Retry-After counts down with the clock.
-	ok, ra := b.Admit(0, 16)
+	ok, ra := b.Admit()
 	if ok {
 		t.Fatal("open breaker admitted a query")
 	}
@@ -54,8 +54,8 @@ func TestBreakerTripRecoverCycle(t *testing.T) {
 		t.Fatalf("Retry-After = %v, want full cooldown", ra)
 	}
 	clk.advance(600 * time.Millisecond)
-	if _, ra = b.Admit(0, 16); ra != 400*time.Millisecond {
-		t.Fatalf("Retry-After after 600ms = %v, want 400ms", ra)
+	if _, ra = b.Admit(); ra != 400*time.Millisecond || b.RetryAfter() != ra {
+		t.Fatalf("Retry-After after 600ms = %v (RetryAfter %v), want 400ms", ra, b.RetryAfter())
 	}
 
 	// Cooldown elapses: half-open, with a probe budget of 2.
@@ -67,11 +67,11 @@ func TestBreakerTripRecoverCycle(t *testing.T) {
 		t.Fatalf("HalfOpened = %d, want 1", c.HalfOpened)
 	}
 	for i := 0; i < 2; i++ {
-		if ok, _ := b.Admit(0, 16); !ok {
+		if ok, _ := b.Admit(); !ok {
 			t.Fatalf("half-open rejected probe %d", i)
 		}
 	}
-	if ok, _ := b.Admit(0, 16); ok {
+	if ok, _ := b.Admit(); ok {
 		t.Fatal("half-open admitted past probe budget")
 	}
 
@@ -103,7 +103,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", b.State())
 	}
-	b.Admit(0, 16)
+	b.Admit()
 	b.Record(false)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", b.State())
@@ -112,7 +112,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		t.Fatalf("Opened = %d, want 2", c.Opened)
 	}
 	// The re-open restarts the cooldown from the failure's timestamp.
-	if ok, _ := b.Admit(0, 16); ok {
+	if ok, _ := b.Admit(); ok {
 		t.Fatal("re-opened breaker admitted a query")
 	}
 }
@@ -128,66 +128,18 @@ func TestBreakerForgiveReleasesProbeSlot(t *testing.T) {
 	b.Record(false)
 	b.Record(false)
 	clk.advance(time.Second)
-	if ok, _ := b.Admit(0, 16); !ok {
+	if ok, _ := b.Admit(); !ok {
 		t.Fatal("half-open rejected the only probe")
 	}
-	if ok, _ := b.Admit(0, 16); ok {
+	if ok, _ := b.Admit(); ok {
 		t.Fatal("probe budget of 1 admitted twice")
 	}
 	b.Forgive()
-	if ok, _ := b.Admit(0, 16); !ok {
+	if ok, _ := b.Admit(); !ok {
 		t.Fatal("Forgive did not release the probe slot")
 	}
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open (Forgive is not an outcome)", b.State())
-	}
-}
-
-// TestBreakerAdaptiveShedding: while still closed, a rising failure rate
-// shrinks the effective queue; a clean window restores full capacity.
-func TestBreakerAdaptiveShedding(t *testing.T) {
-	clk := newFakeClock()
-	b := testBreaker(clk, BreakerConfig{
-		Window: 16, MinSamples: 8, FailureThreshold: 0.9,
-		Cooldown: time.Second, HalfOpenProbes: 1,
-	})
-	// 4 failures in 16 → rate 0.25 → effective limit 16-4 = 12 of 16.
-	for i := 0; i < 4; i++ {
-		b.Record(false)
-	}
-	for i := 0; i < 12; i++ {
-		b.Record(true)
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v, want closed (rate under threshold)", b.State())
-	}
-	if ok, _ := b.Admit(11, 16); !ok {
-		t.Fatal("shed below the effective limit")
-	}
-	ok, ra := b.Admit(12, 16)
-	if ok {
-		t.Fatal("admitted at the shrunken limit")
-	}
-	if ra <= 0 {
-		t.Fatal("shed rejection carried no Retry-After hint")
-	}
-	if c := b.Counters(); c.Shed == 0 {
-		t.Fatal("Shed counter not incremented")
-	}
-	// A full queue is the caller's hard-overload path, not a breaker shed.
-	shedBefore := b.Counters().Shed
-	if ok, _ := b.Admit(16, 16); !ok {
-		t.Fatal("breaker claimed a full queue (caller's path)")
-	}
-	if b.Counters().Shed != shedBefore {
-		t.Fatal("full queue wrongly counted as a breaker shed")
-	}
-	// Wash the failures out of the window: full capacity again.
-	for i := 0; i < 16; i++ {
-		b.Record(true)
-	}
-	if ok, _ := b.Admit(15, 16); !ok {
-		t.Fatal("clean window still shedding")
 	}
 }
 
@@ -215,10 +167,10 @@ func TestBreakerStaleOutcomeWhileOpen(t *testing.T) {
 }
 
 // TestNilBreaker: every method on a nil breaker is a safe no-op that admits
-// everything — this is how serve disables the breaker.
+// everything.
 func TestNilBreaker(t *testing.T) {
 	var b *Breaker
-	if ok, ra := b.Admit(100, 1); !ok || ra != 0 {
+	if ok, ra := b.Admit(); !ok || ra != 0 || b.RetryAfter() != 0 {
 		t.Fatal("nil breaker rejected")
 	}
 	b.Record(false)

@@ -167,8 +167,8 @@ func bitwiseEqualValues(a, b map[string]*matrix.Matrix) error {
 
 // TestChaosSoak is the acceptance harness: a seeded storm of concurrent
 // queries — healthy ones carrying derived fault sub-streams, plus flaky,
-// panicking, canceled and divergent ones — against a server with retry,
-// hedging and the circuit breaker all enabled. It asserts the process
+// panicking, canceled and divergent ones — against a server with retry and
+// the circuit breaker enabled. It asserts the process
 // survives, every Do returns (shedding, never deadlock), successes are
 // bitwise identical to fault-free serial references, failures carry the
 // right taxonomy class, the server still serves after the storm, and
@@ -183,10 +183,11 @@ func TestChaosSoak(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
 	// Fault-free serial references, one per healthy variant, computed on a
-	// plain single-worker server with every resilience feature off.
+	// plain single-worker server without retries (none of its queries fails,
+	// so its breaker never trips).
 	ref := serve.New(serve.Config{
-		Workers: 1, NoBreaker: true,
-		Retry: resilience.RetryPolicy{MaxAttempts: -1},
+		Workers: 1,
+		Retry:   resilience.RetryPolicy{MaxAttempts: -1},
 	})
 	refs := map[variant]map[string]*matrix.Matrix{}
 	for _, alg := range []algorithms.Name{algorithms.GD, algorithms.DFP} {
@@ -232,7 +233,6 @@ func TestChaosSoak(t *testing.T) {
 		Workers:    4,
 		QueueDepth: 16,
 		Retry:      resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Seed: chaosSeed},
-		Hedge:      resilience.HedgePolicy{Enabled: true, MinDelay: 5 * time.Millisecond, MaxOutstanding: 4},
 		Breaker: resilience.BreakerConfig{
 			Window: 64, MinSamples: 16, FailureThreshold: 0.5, Cooldown: 100 * time.Millisecond,
 		},

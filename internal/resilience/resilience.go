@@ -1,8 +1,8 @@
 // Package resilience is the serving layer's fault-handling toolkit: a typed
-// query-error taxonomy with errors.Is/As support, capped-backoff retry and
-// hedged-execution policies with deterministic seeded jitter, a
-// closed/open/half-open circuit breaker with queue-depth-aware load
-// shedding, and panic capture with stack redaction.
+// query-error taxonomy with errors.Is/As support, one attempt allowance per
+// request, a capped-backoff retry schedule with deterministic seeded jitter,
+// a closed/open/half-open circuit breaker, and panic capture with stack
+// redaction.
 //
 // The package mirrors what SystemDS inherits from Spark's driver/executor
 // recovery: a single misbehaving query — a panic, a runaway loop, a
@@ -32,7 +32,7 @@ const (
 	// Internal is a server-side defect: a recovered panic or an invariant
 	// violation. Not retryable by policy (the bug is deterministic).
 	Internal Class = iota
-	// Overloaded is an admission rejection: breaker open or queue shed.
+	// Overloaded is an admission rejection: breaker open or queue full.
 	// Retryable by the client after the error's RetryAfter hint.
 	Overloaded
 	// Canceled is a query abandoned by its own context (client gone or
@@ -63,61 +63,6 @@ const (
 	Quota
 )
 
-// String names the class as it appears in error text and JSON bodies.
-func (c Class) String() string {
-	switch c {
-	case Internal:
-		return "internal"
-	case Overloaded:
-		return "overloaded"
-	case Canceled:
-		return "canceled"
-	case Compile:
-		return "compile"
-	case Execution:
-		return "execution"
-	case MaxIterations:
-		return "max-iterations"
-	case Integrity:
-		return "integrity"
-	case Numeric:
-		return "numeric"
-	case Quota:
-		return "quota"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
-
-// ClassFromString is the inverse of Class.String: it parses the wire name
-// an HTTP front-end wrote into a JSON error body back into the class. ok
-// is false for names that are not a taxonomy class (e.g. the "closed"
-// drain marker), letting callers fall back to status-code mapping.
-func ClassFromString(s string) (Class, bool) {
-	switch s {
-	case "internal":
-		return Internal, true
-	case "overloaded":
-		return Overloaded, true
-	case "canceled":
-		return Canceled, true
-	case "compile":
-		return Compile, true
-	case "execution":
-		return Execution, true
-	case "max-iterations":
-		return MaxIterations, true
-	case "integrity":
-		return Integrity, true
-	case "numeric":
-		return Numeric, true
-	case "quota":
-		return Quota, true
-	default:
-		return Internal, false
-	}
-}
-
 // Class sentinels: errors.Is(err, resilience.ErrOverloaded) matches any
 // QueryError of that class, regardless of the wrapped cause.
 var (
@@ -132,51 +77,78 @@ var (
 	ErrQuota         = errors.New("resilience: tenant quota exceeded")
 )
 
-// Sentinel returns the class's matchable sentinel error.
-func (c Class) Sentinel() error {
-	switch c {
-	case Overloaded:
-		return ErrOverloaded
-	case Canceled:
-		return ErrCanceled
-	case Compile:
-		return ErrCompile
-	case Execution:
-		return ErrExecution
-	case MaxIterations:
-		return ErrMaxIterations
-	case Integrity:
-		return ErrIntegrity
-	case Numeric:
-		return ErrNumeric
-	case Quota:
-		return ErrQuota
-	default:
-		return ErrInternal
-	}
+// classRow is everything a class is known by outside this package.
+type classRow struct {
+	name     string // in error text and JSON bodies
+	sentinel error
+	status   int // what an HTTP front-end returns
 }
 
-// HTTPStatus maps the class to the status an HTTP front-end should return.
-// Only Internal and non-transient Execution collapse to 500; client-caused
-// failures get distinct 4xx codes and overload gets 503 so clients can key
-// backoff off the status alone.
-func (c Class) HTTPStatus() int {
-	switch c {
-	case Quota:
-		return http.StatusTooManyRequests // 429 + Retry-After
-	case Overloaded:
-		return http.StatusServiceUnavailable // 503 + Retry-After
-	case Canceled:
-		return http.StatusGatewayTimeout // 504
-	case Compile:
-		return http.StatusBadRequest // 400
-	case MaxIterations, Numeric:
-		return http.StatusUnprocessableEntity // 422: valid program, divergent
-	default:
-		// Internal, unrepaired Integrity and non-transient Execution are
-		// server-side faults: 500.
-		return http.StatusInternalServerError
+// classes is the one table of the taxonomy, indexed by Class: String,
+// ClassFromString, Sentinel, HTTPStatus and ClassForStatus all read it. Only
+// Internal, unrepaired Integrity and non-transient Execution are 500;
+// client-caused failures get distinct 4xx codes and overload gets 503 (429
+// for one tenant), so clients can key backoff off the status alone. Mapping a
+// status back takes the first row with it, so 500 reads Internal and 422
+// MaxIterations, with two statuses no row has: 413 (a body over the cap)
+// reads Compile, and any other unknown status reads Internal.
+var classes = [...]classRow{
+	Internal:      {"internal", ErrInternal, http.StatusInternalServerError},
+	Overloaded:    {"overloaded", ErrOverloaded, http.StatusServiceUnavailable}, // + Retry-After
+	Canceled:      {"canceled", ErrCanceled, http.StatusGatewayTimeout},
+	Compile:       {"compile", ErrCompile, http.StatusBadRequest},
+	Execution:     {"execution", ErrExecution, http.StatusInternalServerError},
+	MaxIterations: {"max-iterations", ErrMaxIterations, http.StatusUnprocessableEntity}, // valid program, divergent
+	Integrity:     {"integrity", ErrIntegrity, http.StatusInternalServerError},
+	Numeric:       {"numeric", ErrNumeric, http.StatusUnprocessableEntity},
+	Quota:         {"quota", ErrQuota, http.StatusTooManyRequests}, // + Retry-After
+}
+
+// row is c's table row; a value outside the taxonomy reads as Internal under
+// its own number.
+func (c Class) row() classRow {
+	if c >= 0 && int(c) < len(classes) {
+		return classes[c]
 	}
+	r := classes[Internal]
+	r.name = fmt.Sprintf("Class(%d)", int(c))
+	return r
+}
+
+// String names the class as it appears in error text and JSON bodies.
+func (c Class) String() string { return c.row().name }
+
+// Sentinel returns the class's matchable sentinel error.
+func (c Class) Sentinel() error { return c.row().sentinel }
+
+// HTTPStatus maps the class to the status an HTTP front-end should return.
+func (c Class) HTTPStatus() int { return c.row().status }
+
+// ClassFromString is the inverse of Class.String: it parses the wire name
+// an HTTP front-end wrote into a JSON error body back into the class. ok
+// is false for names that are not a taxonomy class (e.g. the "closed"
+// drain marker), letting callers fall back to ClassForStatus.
+func ClassFromString(s string) (Class, bool) {
+	for c, r := range classes {
+		if r.name == s {
+			return Class(c), true
+		}
+	}
+	return Internal, false
+}
+
+// ClassForStatus maps an HTTP status back to a class — the fallback when an
+// error body carries no parseable class (the exceptions are beside classes).
+func ClassForStatus(status int) Class {
+	if status == http.StatusRequestEntityTooLarge {
+		return Compile
+	}
+	for c, r := range classes {
+		if r.status == status {
+			return Class(c)
+		}
+	}
+	return Internal
 }
 
 // QueryError is the structured failure of one served query: the taxonomy

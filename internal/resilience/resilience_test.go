@@ -184,24 +184,6 @@ func TestAllowance(t *testing.T) {
 	}
 }
 
-// TestHedgeDelay: disabled or signal-less policies never hedge; enabled
-// ones scale the quantile and respect the floor.
-func TestHedgeDelay(t *testing.T) {
-	if d := (HedgePolicy{}).Delay(0.5); d != 0 {
-		t.Errorf("disabled hedge produced delay %v", d)
-	}
-	h := HedgePolicy{Enabled: true}
-	if d := h.Delay(0); d != 0 {
-		t.Errorf("no latency signal produced delay %v", d)
-	}
-	if d := h.Delay(0.1); d != 200*time.Millisecond {
-		t.Errorf("Delay(0.1) = %v, want 200ms (2x multiplier)", d)
-	}
-	if d := h.Delay(1e-6); d != h.WithDefaults().MinDelay {
-		t.Errorf("tiny quantile delay = %v, want floor %v", d, h.WithDefaults().MinDelay)
-	}
-}
-
 // TestRedactStack: headers gone, addresses scrubbed, frames capped.
 func TestRedactStack(t *testing.T) {
 	var b strings.Builder

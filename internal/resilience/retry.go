@@ -18,10 +18,10 @@ var ErrAllowanceSpent = errors.New("resilience: attempt allowance spent")
 // Allowance is the one bound on how much work a request may cause: a count
 // of attempts, minted once where the request enters the tier and carried
 // with it — in the context in process, as a header on the wire. Every
-// gateway shard try, every wire send and every engine execution (a hedged
-// duplicate included) takes one unit before it starts, so whatever the
-// layers do between them, no request starts more attempts than it was
-// minted with. A nil *Allowance never grants anything.
+// gateway shard try, every wire send and every engine execution takes one
+// unit before it starts, so whatever the layers do between them, no request
+// starts more attempts than it was minted with. A nil *Allowance never
+// grants anything.
 type Allowance struct{ left atomic.Int64 }
 
 // NewAllowance mints an allowance of n attempts.
@@ -125,51 +125,4 @@ func (p RetryPolicy) Backoff(queryID uint64, attempt int) time.Duration {
 	u := fault.Mix64Key(uint64(p.Seed), queryID, uint64(attempt))
 	frac := 0.5 + 0.5*float64(u>>11)/(1<<53)
 	return time.Duration(float64(d) * frac)
-}
-
-// A straggler is an attempt still running past HedgeMultiplier times the
-// HedgeQuantile of recent completions.
-const (
-	HedgeQuantile   = 0.95
-	HedgeMultiplier = 2
-)
-
-// HedgePolicy re-submits a straggling query once its first attempt has run
-// past a latency quantile of recent completions, racing the two and taking
-// whichever settles first. Safe here because engine runs are deterministic
-// and side-effect-free apart from shared caches, which tolerate duplicate
-// fills. A hedge is an attempt like any other: it takes a unit of the
-// request's allowance or does not start.
-type HedgePolicy struct {
-	// Enabled turns hedging on (default off: hedges burn a worker's worth
-	// of duplicate compute).
-	Enabled bool
-	// MinDelay floors the trigger delay so cold windows don't hedge
-	// instantly. Default 10ms.
-	MinDelay time.Duration
-	// MaxOutstanding caps concurrent hedge executions server-wide.
-	// Default 2.
-	MaxOutstanding int
-}
-
-// WithDefaults returns the policy with zero fields replaced by defaults.
-func (h HedgePolicy) WithDefaults() HedgePolicy {
-	if h.MinDelay <= 0 {
-		h.MinDelay = 10 * time.Millisecond
-	}
-	if h.MaxOutstanding <= 0 {
-		h.MaxOutstanding = 2
-	}
-	return h
-}
-
-// Delay converts the observed HedgeQuantile latency (seconds) into the
-// hedge trigger delay, or 0 when hedging should not fire (disabled or no
-// latency signal yet).
-func (h HedgePolicy) Delay(quantileSec float64) time.Duration {
-	if !h.Enabled || quantileSec <= 0 {
-		return 0
-	}
-	d := time.Duration(quantileSec * HedgeMultiplier * float64(time.Second))
-	return max(d, h.WithDefaults().MinDelay)
 }

@@ -54,18 +54,16 @@ func (s *Server) Healthz() Health {
 
 // Readyz is the readiness probe: the server is ready to take traffic when
 // admission is open, the breaker is not open, and the queue has room. Load
-// balancers use it to steer traffic away from a shedding or draining
-// instance without killing it.
+// balancers use it to steer traffic away from a tripped, saturated or
+// draining instance without killing it. While the breaker is open the hint
+// is the cooldown remainder, the same value a rejected Do carries.
 func (s *Server) Readyz() Health {
 	h := s.health()
 	h.OK = h.Status == "serving" &&
 		h.Breaker != resilience.BreakerOpen.String() &&
 		h.QueueDepth < h.QueueCapacity
-	if !h.OK && h.Breaker == resilience.BreakerOpen.String() {
-		h.RetryAfterSec = s.cfg.Breaker.Cooldown.Seconds()
-		if h.RetryAfterSec <= 0 {
-			h.RetryAfterSec = 1
-		}
+	if h.Breaker == resilience.BreakerOpen.String() {
+		h.RetryAfterSec = s.breaker.RetryAfter().Seconds()
 	}
 	return h
 }

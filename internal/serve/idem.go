@@ -6,9 +6,9 @@ import (
 	"remac/internal/lru"
 )
 
-// defaultIdemEntries bounds the completed-result replay window when
-// Config.IdempotencyWindow is zero.
-const defaultIdemEntries = 1024
+// idemEntries bounds the completed-result replay window: a constant, since
+// nothing but a test ever asked for another size (DESIGN.md §16).
+const idemEntries = 1024
 
 // idemRole is what begin decided for a keyed submission.
 type idemRole int

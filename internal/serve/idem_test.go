@@ -141,10 +141,12 @@ func TestIdemFailureReleasesKey(t *testing.T) {
 }
 
 // TestIdemWindowEvictsLRU: the completed-entry window is bounded; the
-// oldest key falls out first and re-executes on resubmission.
+// oldest key falls out first and re-executes on resubmission. The window is
+// shrunk to two entries in place of the 1024 a server gets.
 func TestIdemWindowEvictsLRU(t *testing.T) {
-	s := New(Config{Workers: 2, IdempotencyWindow: 2})
+	s := New(Config{Workers: 2})
 	defer s.Shutdown(context.Background())
+	s.idem = newIdemWindow(2)
 
 	q := testQuery(t, algorithms.GD, "cri1", 2)
 	for i := 0; i < 3; i++ {
@@ -177,28 +179,6 @@ func TestIdemWindowEvictsLRU(t *testing.T) {
 	}
 	if !res.Replayed {
 		t.Fatal("resident key did not replay")
-	}
-}
-
-// TestIdemDisabledWindow: a negative IdempotencyWindow turns the feature
-// off — the same key executes every time.
-func TestIdemDisabledWindow(t *testing.T) {
-	s := New(Config{Workers: 2, IdempotencyWindow: -1})
-	defer s.Shutdown(context.Background())
-
-	q := testQuery(t, algorithms.GD, "cri1", 2)
-	q.IdempotencyKey = "key-x"
-	for i := 0; i < 2; i++ {
-		res, err := s.Do(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Replayed {
-			t.Fatal("disabled window replayed")
-		}
-	}
-	if got := s.Metrics().Executions; got != 2 {
-		t.Fatalf("executions = %d, want 2", got)
 	}
 }
 

@@ -17,7 +17,7 @@ const latencyWindow = 1024
 
 // LatencyRing is a fixed-size sliding window of latency samples with
 // nearest-rank percentiles: the one ring behind the server-wide
-// percentiles, the hedge trigger and the gateway's per-tenant percentiles.
+// percentiles and the gateway's per-tenant percentiles.
 // Not safe for concurrent use; each owner guards it with its own mutex.
 type LatencyRing struct {
 	n    int
@@ -100,14 +100,6 @@ func (m *metrics) finished(latencySec float64, err error) {
 	})
 }
 
-// latencyQuantile reads one percentile of the current window (the hedge
-// trigger calls it per query).
-func (m *metrics) latencyQuantile(p float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lat.Percentiles(p)[0]
-}
-
 // Snapshot is a point-in-time view of the server's aggregate metrics,
 // JSON-serializable for cmd/remac-serve's /stats endpoint. Its counter
 // fields are also the live accumulators (metrics.c): adding a counter is
@@ -150,15 +142,13 @@ type Snapshot struct {
 	PanicsRecovered uint64                     `json:"panics_recovered"`
 	WorkerRespawns  uint64                     `json:"worker_respawns"`
 	Retries         uint64                     `json:"retries"`
-	Hedges          uint64                     `json:"hedges"`
-	HedgesWon       uint64                     `json:"hedges_won"`
 	BreakerState    string                     `json:"breaker_state"`
 	Breaker         resilience.BreakerCounters `json:"breaker"`
 
-	// Idempotency counters: engine plan executions (retries and hedges
-	// included), keyed resubmissions replayed from the completed window,
-	// duplicates coalesced onto an in-flight leader, and the window's
-	// current occupancy. Executions - Completed is the re-execution
+	// Idempotency counters: engine plan executions (retries included),
+	// keyed resubmissions replayed from the completed window, duplicates
+	// coalesced onto an in-flight leader, and the window's current
+	// occupancy. Executions - Completed is the re-execution
 	// overhead; replays and coalesces are executions that never happened.
 	Executions    uint64 `json:"executions"`
 	IdemReplays   uint64 `json:"idem_replays"`

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,7 +41,7 @@ func TestMetricsQuantileConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				if q := m.latencyQuantile(0.95); q != 0 && (q < loVal || q > hiVal) {
+				if q := m.snapshot().LatencyP95Sec; q != 0 && (q < loVal || q > hiVal) {
 					t.Errorf("mid-run p95 %g outside fed range [%g, %g]", q, loVal, hiVal)
 					return
 				}
@@ -124,7 +126,7 @@ func TestMetricsWindowWraparound(t *testing.T) {
 		m.dequeued()
 		m.finished(1.0, nil)
 	}
-	if p99 := m.latencyQuantile(0.99); p99 != 1.0 {
+	if p99 := m.snapshot().LatencyP99Sec; p99 != 1.0 {
 		t.Fatalf("p99 = %g: outliers survived a full window wraparound", p99)
 	}
 }
@@ -263,6 +265,39 @@ func TestHealthProbes(t *testing.T) {
 	}
 }
 
+// TestReadyzHintIsTheCooldownRemainder: while the breaker is open the
+// /readyz payload and a rejected Do give the same hint — what is left of the
+// cooldown, 0.4 s of 1 s at 600 ms after the trip — not the whole cooldown.
+func TestReadyzHintIsTheCooldownRemainder(t *testing.T) {
+	var nowNS atomic.Int64
+	nowNS.Store(time.Unix(1700000000, 0).UnixNano())
+	s := New(Config{
+		Workers: 1,
+		Retry:   resilience.RetryPolicy{MaxAttempts: -1},
+		Breaker: resilience.BreakerConfig{
+			Window: 8, MinSamples: 2, FailureThreshold: 0.5, Cooldown: time.Second,
+			Now: func() time.Time { return time.Unix(0, nowNS.Load()) },
+		},
+	})
+	defer s.Shutdown(context.Background())
+	fail := testQuery(t, algorithms.GD, "cri1", 2)
+	fail.Probe = func(int) error { return errors.New("probe: down") }
+	for i := 0; i < 2; i++ {
+		s.Do(context.Background(), fail)
+	}
+	nowNS.Add(int64(600 * time.Millisecond))
+
+	const want = 0.4
+	if r := s.Readyz(); r.OK || r.Breaker != "open" || math.Abs(r.RetryAfterSec-want) > 1e-9 {
+		t.Errorf("readyz 600 ms into a 1 s cooldown = %+v, want retry_after_sec %g", r, want)
+	}
+	_, err := s.Do(context.Background(), testQuery(t, algorithms.GD, "cri1", 2))
+	var qe *resilience.QueryError
+	if !errors.As(err, &qe) || qe.Class != resilience.Overloaded || math.Abs(qe.RetryAfter.Seconds()-want) > 1e-9 {
+		t.Errorf("Do 600 ms into a 1 s cooldown: %v, want an Overloaded rejection with RetryAfter %gs", err, want)
+	}
+}
+
 // TestMergeSnapshots: counters sum, rates recompute from the sums, uptime
 // is the longest shard's, latency percentiles are completed-weighted, and
 // the worst breaker state wins.
@@ -363,7 +398,7 @@ func TestMergeSnapshotsEmptyAndSingle(t *testing.T) {
 func TestSnapshotKeysGolden(t *testing.T) {
 	want := []string{"breaker", "breaker_state", "canceled", "coded_recoveries", "completed",
 		"corruptions_detected_abft", "corruptions_detected_digest", "corruptions_injected", "decode_sec",
-		"encode_flop", "executions", "failed", "hedges", "hedges_won", "idem_coalesced", "idem_entries",
+		"encode_flop", "executions", "failed", "idem_coalesced", "idem_entries",
 		"idem_replays", "in_flight", "integrity_repairs", "intermediate_cache_bytes",
 		"intermediate_cache_entries", "intermediate_cache_hit_rate", "intermediate_cache_hits",
 		"intermediate_cache_misses", "latency_p50_sec", "latency_p95_sec", "latency_p99_sec",

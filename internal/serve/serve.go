@@ -16,11 +16,10 @@
 // panic-isolated (a panicking query degrades into a structured
 // Internal-class QueryError, and a worker that somehow dies respawns),
 // transient execution failures retry with capped seeded backoff above the
-// plan cache, stragglers can be hedged with a duplicate execution, and
-// admission runs through a circuit breaker with queue-depth-aware load
-// shedding instead of a bare fixed-size queue. Liveness and readiness are
-// exposed via Healthz/Readyz and the resilience counters fold into the
-// Metrics snapshot.
+// plan cache, and admission runs through a circuit breaker in front of the
+// bounded queue. A keyed submission executes at most once within the
+// idempotency window. Liveness and readiness are exposed via Healthz/Readyz
+// and the resilience counters fold into the Metrics snapshot.
 //
 // Every query still executes on its own isolated simulated cluster and
 // trace recorder; only immutable compiled plans and materialized
@@ -56,10 +55,10 @@ import (
 
 // Errors returned by Do.
 var (
-	// ErrOverloaded reports an admission rejection — queue full, breaker
-	// open, or adaptive shed; callers should back off and retry. Returned
-	// errors wrap it inside an Overloaded-class resilience.QueryError whose
-	// RetryAfter field hints when.
+	// ErrOverloaded reports an admission rejection — queue full or breaker
+	// open; callers should back off and retry. Returned errors wrap it
+	// inside an Overloaded-class resilience.QueryError whose RetryAfter
+	// field hints when.
 	ErrOverloaded = errors.New("serve: admission queue full")
 	// ErrClosed reports a query submitted after Shutdown began.
 	ErrClosed = errors.New("serve: server closed")
@@ -102,23 +101,9 @@ type Config struct {
 	// (Retry.MaxAttempts; negative: one attempt, no retries). The zero
 	// value enables the resilience defaults.
 	Retry resilience.RetryPolicy
-	// Hedge re-submits straggler queries past a latency quantile. Off by
-	// default (Hedge.Enabled).
-	Hedge resilience.HedgePolicy
-	// Breaker configures the admission circuit breaker / load shedder.
-	// The zero value enables the resilience defaults; NoBreaker disables
-	// it (admission falls back to the bare bounded queue).
-	Breaker   resilience.BreakerConfig
-	NoBreaker bool
-
-	// IdempotencyWindow bounds the completed-result replay window behind
-	// Query.IdempotencyKey: a keyed resubmission whose original completed
-	// within the window replays the stored result bitwise-identically
-	// instead of re-executing the plan, and a keyed submission racing its
-	// own in-flight duplicate coalesces onto it. Zero enables the default
-	// (1024 entries); negative disables replay suppression entirely.
-	// Queries without a key are never deduplicated.
-	IdempotencyWindow int
+	// Breaker configures the admission circuit breaker. The zero value
+	// enables the resilience defaults.
+	Breaker resilience.BreakerConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -138,10 +123,10 @@ func (c Config) withDefaults() Config {
 }
 
 // Probe is a chaos hook invoked at the start of every execution attempt of
-// a query (the hedged duplicate included). Returning an error fails the
-// attempt as an execution error — wrap it with resilience.MarkTransient to
-// make the server retry — and a panic exercises the panic-isolation path.
-// The argument is the zero-based retry attempt number.
+// a query. Returning an error fails the attempt as an execution error —
+// wrap it with resilience.MarkTransient to make the server retry — and a
+// panic exercises the panic-isolation path. The argument is the zero-based
+// retry attempt number.
 type Probe func(attempt int) error
 
 // Query is one DML program submission.
@@ -198,19 +183,21 @@ type Query struct {
 	// Trace attaches a span recorder to the run (returned on the result).
 	Trace bool
 	// NoPlanCache / NoIntermediateCache opt this query out of the shared
-	// caches (used by the cache-off arms of the serve benchmark).
+	// caches: the cold reference the cache-correctness tests compare warm
+	// runs against, and the no_plan_cache / no_intermediate_cache fields of
+	// POST /query, which a remote shard receives as sent.
 	NoPlanCache         bool
 	NoIntermediateCache bool
 	// Probe, when non-nil, runs at the start of every execution attempt
 	// (chaos/fault testing; see Probe).
 	Probe Probe
 	// IdempotencyKey deduplicates retried submissions: two Do calls with
-	// the same non-empty key within the server's idempotency window
-	// execute the plan at most once — the second replays the first's
-	// result (or coalesces onto it while in flight). The gateway tier
-	// stamps its request id here so a wire retry after a lost response
-	// cannot re-execute (and re-charge) the plan. Empty disables
-	// deduplication for this query.
+	// the same non-empty key within the server's idempotency window (the
+	// last 1024 completed keys) execute the plan at most once — the second
+	// replays the first's result bitwise-identically (or coalesces onto it
+	// while in flight). The gateway tier stamps its request id here so a
+	// wire retry after a lost response cannot re-execute (and re-charge) the
+	// plan. Empty disables deduplication for this query.
 	IdempotencyKey string
 	// Algorithm is wire metadata: the workload name the query was built
 	// from (empty for raw-script submissions). The serving path ignores it
@@ -226,55 +213,69 @@ func NewQuery(script string, inputs map[string]engine.Input) Query {
 	return Query{Script: script, Inputs: inputs, Strategy: opt.Adaptive, Iterations: 15}
 }
 
-// QueryResult is the outcome of one served query.
+// Record is what a query's outcome says about its run, and what the wire
+// carries of it field for field: QueryResult and httpapi.QueryResponse both
+// embed it, so a field added here travels without a line of copying. The
+// JSON names are the wire's.
+type Record struct {
+	// Iterations executed.
+	Iterations int `json:"iterations"`
+	// SimulatedSec is the modelled execution time on the query's isolated
+	// simulated cluster; ComputeSec/TransmitSec split it.
+	SimulatedSec float64 `json:"simulated_sec"`
+	ComputeSec   float64 `json:"compute_sec"`
+	TransmitSec  float64 `json:"transmit_sec"`
+	// CompileSec is the real time this query spent obtaining its plan: a
+	// full compilation on a plan-cache miss, a lookup on a hit.
+	CompileSec float64 `json:"compile_sec"`
+	// WallSec is the real end-to-end execution time of the query body
+	// (compile + run), excluding queueing.
+	WallSec float64 `json:"wall_sec"`
+	// PlanCacheHit marks a compiled-plan reuse.
+	PlanCacheHit bool `json:"plan_cache_hit"`
+	// IntermediateHits/Misses count cross-query LSE cache consultations.
+	IntermediateHits   int `json:"intermediate_hits"`
+	IntermediateMisses int `json:"intermediate_misses"`
+	// SharedHits / SharedProduced count this run's MQO coordinator traffic:
+	// loop-constant producers adopted from sibling queries in the batch,
+	// and producers this run executed once on the whole batch's behalf.
+	SharedHits     int `json:"shared_hits,omitempty"`
+	SharedProduced int `json:"shared_produced,omitempty"`
+	// CodedRecoveries / DecodeSec / EncodeFLOP report the coded-recovery
+	// accounting of the run: k-of-n decodes performed (no recomputation),
+	// their simulated decode time, and the parity-encoding work charged.
+	CodedRecoveries int     `json:"coded_recoveries,omitempty"`
+	DecodeSec       float64 `json:"decode_sec,omitempty"`
+	EncodeFLOP      float64 `json:"encode_flop,omitempty"`
+	// SelectedKeys are the applied elimination option keys (sorted).
+	SelectedKeys []string `json:"selected_keys,omitempty"`
+	// FLOP is the total floating-point work charged to this query's
+	// simulated cluster. Adopting a shared producer charges nothing, so
+	// batched arms of a workload sum to less than unbatched ones.
+	FLOP float64 `json:"flop,omitempty"`
+	// Attempts is the number of execution attempts this result took
+	// (1 + retries).
+	Attempts int `json:"attempts,omitempty"`
+	// Replayed marks a result served from the idempotency window (or a
+	// coalesced duplicate of an in-flight leader) rather than a fresh
+	// execution.
+	Replayed bool `json:"replayed,omitempty"`
+}
+
+// QueryResult is the outcome of one served query: its Record, and what
+// stays on this side of the wire or crosses it converted.
 type QueryResult struct {
+	Record
 	// QueryID is the server-assigned id (also carried by QueryErrors).
 	QueryID uint64
 	// Values holds the final variable bindings' materialized matrices, until
 	// Release: empty afterwards, here and in every later replay.
 	Values map[string]*matrix.Matrix
-	// Iterations executed.
-	Iterations int
-	// SimulatedSec is the modelled execution time on the query's isolated
-	// simulated cluster; ComputeSec/TransmitSec split it.
-	SimulatedSec, ComputeSec, TransmitSec float64
-	// CompileSec is the real time this query spent obtaining its plan: a
-	// full compilation on a plan-cache miss, a lookup on a hit.
-	CompileSec float64
-	// WallSec is the real end-to-end execution time of the query body
-	// (compile + run), excluding queueing.
-	WallSec float64
-	// PlanCacheHit marks a compiled-plan reuse.
-	PlanCacheHit bool
-	// IntermediateHits/Misses count cross-query LSE cache consultations.
-	IntermediateHits, IntermediateMisses int
-	// Attempts is the number of execution attempts this result took
-	// (1 + retries).
-	Attempts int
-	// HedgeWon marks a result produced by a hedged duplicate execution
-	// that beat the straggling primary.
-	HedgeWon bool
 	// CorruptionsInjected / CorruptionsDetected / IntegrityRepairs report
 	// the run's integrity accounting: payload corruptions that landed, how
 	// many the enabled verification mode caught (digest + ABFT), and the
 	// lineage repair attempts they cost.
 	CorruptionsInjected, CorruptionsDetected, IntegrityRepairs int
-	// CodedRecoveries / DecodeSec / EncodeFLOP report the coded-recovery
-	// accounting of the run: k-of-n decodes performed (no recomputation),
-	// their simulated decode time, and the parity-encoding work charged.
-	CodedRecoveries int
-	DecodeSec       float64
-	EncodeFLOP      float64
-	// FLOP is the total floating-point work charged to this query's
-	// simulated cluster. Adopting a shared producer charges nothing, so
-	// batched arms of a workload sum to less than unbatched ones.
-	FLOP float64
-	// SharedHits / SharedProduced count this run's MQO coordinator traffic:
-	// loop-constant producers adopted from sibling queries in the batch,
-	// and producers this run executed once on the whole batch's behalf.
-	SharedHits, SharedProduced int
-	// SelectedKeys are the applied elimination option keys (sorted).
-	SelectedKeys []string
 	// Trace is the query's span recorder (nil unless Query.Trace).
 	Trace *trace.Recorder
 	// ResultHash is the identity of Values (integrity.DigestValues): two
@@ -284,10 +285,6 @@ type QueryResult struct {
 	// result carries the original's hash; a remote result carries the hash
 	// computed by the shard that executed the plan. It outlives Release.
 	ResultHash uint64
-	// Replayed marks a result served from the idempotency window (or a
-	// coalesced duplicate of an in-flight leader) rather than a fresh
-	// execution.
-	Replayed bool
 	// Summaries describes every result variable without its cells — shape
 	// and norm, what the wire ships in place of Values. An execution fills it
 	// from the summary each matrix carries (integrity.Summarise), a remote
@@ -415,8 +412,7 @@ type Server struct {
 	metrics *metrics
 	breaker *resilience.Breaker
 
-	nextID           atomic.Uint64
-	hedgeOutstanding atomic.Int32
+	nextID atomic.Uint64
 
 	mu       sync.Mutex
 	closed   bool
@@ -435,10 +431,9 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		queue:    make(chan *job, cfg.QueueDepth),
 		metrics:  newMetrics(),
+		breaker:  resilience.NewBreaker(cfg.Breaker),
 		versions: map[string]int64{},
-	}
-	if !cfg.NoBreaker {
-		s.breaker = resilience.NewBreaker(cfg.Breaker)
+		idem:     newIdemWindow(idemEntries),
 	}
 	if cfg.PlanCacheEntries > 0 {
 		s.plans = newPlanCache(cfg.PlanCacheEntries)
@@ -448,12 +443,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.BatchWindow > 0 {
 		s.batches = newBatcher(cfg.BatchWindow)
-	}
-	if idemCap := cfg.IdempotencyWindow; idemCap >= 0 {
-		if idemCap == 0 {
-			idemCap = defaultIdemEntries
-		}
-		s.idem = newIdemWindow(idemCap)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -486,11 +475,11 @@ func overloadedErr(id uint64, retryAfter time.Duration, cause error) error {
 }
 
 // Do submits a query and blocks until it completes, fails, or ctx ends.
-// Admission is non-blocking: the circuit breaker / load shedder may reject
-// first, and a full queue fails fast — both as Overloaded-class errors
-// wrapping ErrOverloaded. When ctx ends first, Do returns a Canceled-class
-// error wrapping engine.ErrCanceled and the in-flight work stops promptly
-// on its own (the worker shares ctx).
+// Admission is non-blocking: the circuit breaker may reject first, and a
+// full queue fails fast — both as Overloaded-class errors wrapping
+// ErrOverloaded. When ctx ends first, Do returns a Canceled-class error
+// wrapping engine.ErrCanceled and the in-flight work stops promptly on its
+// own (the worker shares ctx).
 //
 // A query carrying an IdempotencyKey first consults the replay window:
 // a completed duplicate replays the stored result without executing (or
@@ -502,7 +491,7 @@ func (s *Server) Do(ctx context.Context, q Query) (*QueryResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.idem == nil || q.IdempotencyKey == "" {
+	if q.IdempotencyKey == "" {
 		return s.submit(ctx, q)
 	}
 	e, role := s.idem.begin(q.IdempotencyKey)
@@ -537,7 +526,7 @@ func (s *Server) submit(ctx context.Context, q Query) (*QueryResult, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if ok, retryAfter := s.breaker.Admit(len(s.queue), cap(s.queue)); !ok {
+	if ok, retryAfter := s.breaker.Admit(); !ok {
 		s.mu.Unlock()
 		s.metrics.add(func(c *Snapshot) { c.Shed++ })
 		return nil, overloadedErr(id, retryAfter, ErrOverloaded)
@@ -625,7 +614,7 @@ func (s *Server) DatasetVersion(id string) int64 {
 }
 
 // worker drains the admission queue. It is panic-isolated twice over: each
-// query attempt runs under its own recover (attemptOnce), and a panic that
+// query attempt runs under its own recover (guarded), and a panic that
 // somehow escapes that — a bug in the pool itself — is caught here, counted,
 // and the worker respawned so capacity never silently decays. The
 // wg.Add-before-Done ordering keeps Shutdown's WaitGroup balanced across a
@@ -687,9 +676,9 @@ func (s *Server) recordOutcome(err error) {
 // attempt allowance funds them.
 func (s *Server) run(j *job) (*QueryResult, error) {
 	// The per-query deadline is bound once, before the first attempt:
-	// retries, backoff sleeps and the hedged duplicate all share its
-	// remaining budget (their contexts derive from j.ctx), so a query can
-	// never exceed its deadline by straggling through the retry loop.
+	// retries and backoff sleeps share its remaining budget (they run under
+	// j.ctx), so a query can never exceed its deadline by straggling
+	// through the retry loop.
 	timeout := j.q.Timeout
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -724,7 +713,7 @@ func (s *Server) run(j *job) (*QueryResult, error) {
 			}
 			s.metrics.add(func(c *Snapshot) { c.Retries++ })
 		}
-		res, err := s.attemptOnce(j, attempt, allow)
+		res, err := s.guarded(j, attempt)
 		if err == nil {
 			res.Attempts = attempt + 1
 			return res, nil
@@ -741,70 +730,10 @@ func (s *Server) run(j *job) (*QueryResult, error) {
 	return nil, lastErr
 }
 
-// attemptOnce runs a single panic-isolated execution attempt, hedged with
-// a duplicate execution if the primary straggles past the hedge delay
-// (derived from the recent latency quantile) and the allowance funds one
-// more attempt. The first settled outcome wins; the loser's context is
-// canceled so it unwinds promptly.
-func (s *Server) attemptOnce(j *job, attempt int, allow *resilience.Allowance) (*QueryResult, error) {
-	var delay time.Duration
-	if s.cfg.Hedge.Enabled { // reading the latency window is not free
-		delay = s.cfg.Hedge.Delay(s.metrics.latencyQuantile(resilience.HedgeQuantile))
-	}
-	if delay <= 0 {
-		return s.guarded(j.ctx, j, attempt)
-	}
-	type outcome struct {
-		res   *QueryResult
-		err   error
-		hedge bool
-	}
-	ch := make(chan outcome, 2)
-	primCtx, cancelPrim := context.WithCancel(j.ctx)
-	defer cancelPrim()
-	go func() {
-		r, e := s.guarded(primCtx, j, attempt)
-		ch <- outcome{r, e, false}
-	}()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-timer.C:
-	}
-	if int(s.hedgeOutstanding.Add(1)) > s.cfg.Hedge.WithDefaults().MaxOutstanding || !allow.Take() {
-		// Over the server-wide hedge cap, or the request has no attempt left
-		// to spend on a duplicate: wait out the primary.
-		s.hedgeOutstanding.Add(-1)
-		o := <-ch
-		return o.res, o.err
-	}
-	s.metrics.add(func(c *Snapshot) { c.Hedges++ })
-	hedgeCtx, cancelHedge := context.WithCancel(j.ctx)
-	defer cancelHedge()
-	go func() {
-		defer s.hedgeOutstanding.Add(-1)
-		r, e := s.guarded(hedgeCtx, j, attempt)
-		ch <- outcome{r, e, true}
-	}()
-	o := <-ch
-	if o.hedge {
-		cancelPrim()
-		s.metrics.add(func(c *Snapshot) { c.HedgesWon++ })
-		if o.res != nil {
-			o.res.HedgeWon = true
-		}
-	} else {
-		cancelHedge()
-	}
-	return o.res, o.err
-}
-
 // guarded is one panic-isolated execution: a panic anywhere in the probe,
 // compiler or engine becomes an Internal-class QueryError with a redacted
-// stack, and the worker (or hedge goroutine) survives.
-func (s *Server) guarded(ctx context.Context, j *job, attempt int) (res *QueryResult, err error) {
+// stack, and the worker survives.
+func (s *Server) guarded(j *job, attempt int) (res *QueryResult, err error) {
 	defer affinity.Claim()()
 	defer func() {
 		if r := recover(); r != nil {
@@ -817,7 +746,7 @@ func (s *Server) guarded(ctx context.Context, j *job, attempt int) (res *QueryRe
 			return nil, s.classify(j.id, "execute", perr)
 		}
 	}
-	r, e := s.execute(ctx, j)
+	r, e := s.execute(j.ctx, j)
 	if e != nil {
 		var qe *resilience.QueryError
 		if errors.As(e, &qe) && qe.QueryID == 0 {
@@ -933,9 +862,8 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 			s.metrics.add(func(c *Snapshot) { c.MQOOverlapKeys += uint64(n) })
 		}
 	}
-	// Every engine run counts, retries and hedged duplicates included: the
-	// counter the remote chaos harness asserts "zero duplicate executions"
-	// against.
+	// Every engine run counts, retries included: the counter the remote
+	// chaos harness asserts "zero duplicate executions" against.
 	s.metrics.add(func(c *Snapshot) { c.Executions++ })
 	res, err := engine.RunWithOptions(ctx, compiled, q.Inputs, rec, engine.RunOptions{
 		MaxIter:       q.MaxIterations,
@@ -950,16 +878,18 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 		return nil, s.classify(0, "execute", err)
 	}
 	out = &QueryResult{
-		Values:       map[string]*matrix.Matrix{},
-		Summaries:    map[string]ValueSummary{},
-		Iterations:   res.Iterations,
-		SimulatedSec: res.Stats.TotalTime(),
-		ComputeSec:   res.Stats.ComputeTime,
-		TransmitSec:  res.Stats.TransmitTime,
-		CompileSec:   compileSec,
-		WallSec:      time.Since(start).Seconds(),
-		PlanCacheHit: planHit,
-		Trace:        rec,
+		Record: Record{
+			Iterations:   res.Iterations,
+			SimulatedSec: res.Stats.TotalTime(),
+			ComputeSec:   res.Stats.ComputeTime,
+			TransmitSec:  res.Stats.TransmitTime,
+			CompileSec:   compileSec,
+			WallSec:      time.Since(start).Seconds(),
+			PlanCacheHit: planHit,
+		},
+		Values:    map[string]*matrix.Matrix{},
+		Summaries: map[string]ValueSummary{},
+		Trace:     rec,
 	}
 	out.cells = &resultCells{run: res, first: out}
 	for name, v := range res.Env {
@@ -1075,9 +1005,7 @@ func HashValues(values map[string]*matrix.Matrix) uint64 {
 func (s *Server) Metrics() Snapshot {
 	snap := s.metrics.snapshot()
 	snap.Shard = s.cfg.ShardID
-	if s.idem != nil {
-		snap.IdemEntries = s.idem.entries()
-	}
+	snap.IdemEntries = s.idem.entries()
 	if s.plans != nil {
 		snap.PlanEntries = s.plans.len()
 	}

@@ -7,7 +7,6 @@ import (
 	"regexp"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,6 +231,7 @@ func TestOverloadAndCancel(t *testing.T) {
 		queue:    make(chan *job, 1),
 		metrics:  newMetrics(),
 		versions: map[string]int64{},
+		idem:     newIdemWindow(idemEntries),
 	}
 	q := testQuery(t, algorithms.GD, "cri1", 2)
 
@@ -296,6 +296,7 @@ func TestCanceledWhileQueued(t *testing.T) {
 		queue:    make(chan *job, 2),
 		metrics:  newMetrics(),
 		versions: map[string]int64{},
+		idem:     newIdemWindow(idemEntries),
 	}
 	executed := false
 	q := testQuery(t, algorithms.GD, "cri1", 2)
@@ -384,6 +385,7 @@ func TestWorkerRespawn(t *testing.T) {
 		queue:    make(chan *job, 2),
 		metrics:  newMetrics(),
 		versions: map[string]int64{},
+		idem:     newIdemWindow(idemEntries),
 	}
 	q := testQuery(t, algorithms.GD, "cri1", 2)
 	poisoned := &job{id: 1, ctx: context.Background(), q: q, out: make(chan jobOut, 1)}
@@ -527,54 +529,6 @@ func TestMaxIterationsClass(t *testing.T) {
 	}
 	if !errors.Is(err, resilience.ErrMaxIterations) {
 		t.Errorf("error not classified MaxIterations: %v", err)
-	}
-}
-
-// TestHedgeStraggler: with hedging enabled and a warm latency window, a
-// query whose first execution straggles is raced by a duplicate, and the
-// duplicate's result (bitwise-identical by construction) wins.
-func TestHedgeStraggler(t *testing.T) {
-	s := New(Config{Workers: 2, Hedge: resilience.HedgePolicy{
-		Enabled: true, MinDelay: time.Millisecond, MaxOutstanding: 2,
-	}})
-	defer s.Shutdown(context.Background())
-	q := testQuery(t, algorithms.GD, "cri1", 2)
-	// Warm the latency window and caches.
-	ref, err := s.Do(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	straggler := q
-	var invocations atomic.Int32
-	straggler.Probe = func(int) error {
-		if invocations.Add(1) == 1 {
-			time.Sleep(400 * time.Millisecond) // only the primary straggles
-		}
-		return nil
-	}
-	res, err := s.Do(context.Background(), straggler)
-	if err != nil {
-		t.Fatalf("straggler query: %v", err)
-	}
-	if !res.HedgeWon {
-		t.Error("hedge did not win against a 400ms straggler")
-	}
-	bitwiseEqualValues(t, ref.Values, res.Values)
-	snap := s.Metrics()
-	if snap.Hedges != 1 || snap.HedgesWon != 1 {
-		t.Errorf("hedges=%d won=%d, want 1,1", snap.Hedges, snap.HedgesWon)
-	}
-
-	// A hedge is an attempt: with one unit of allowance the straggler runs
-	// alone, however long it takes.
-	invocations.Store(0)
-	allow := resilience.NewAllowance(1)
-	res, err = s.Do(resilience.WithAllowance(context.Background(), allow), straggler)
-	if err != nil || res.HedgeWon || invocations.Load() != 1 || allow.Left() != 0 {
-		t.Fatalf("straggler on an allowance of 1: err %v, hedge won %v, %d executions", err, res != nil && res.HedgeWon, invocations.Load())
-	}
-	if got := s.Metrics().Hedges; got != 1 {
-		t.Errorf("hedges=%d after an unfunded straggler, want still 1", got)
 	}
 }
 
