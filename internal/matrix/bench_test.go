@@ -2,6 +2,7 @@ package matrix_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -42,6 +43,11 @@ func BenchmarkMulDenseDense(b *testing.B) {
 		b.Run(fmt.Sprintf("outer/%d", n), func(b *testing.B) { benchMul(b, col, row) })
 		b.Run(fmt.Sprintf("matvec/%d", n), func(b *testing.B) { benchMul(b, h, col) })
 		b.Run(fmt.Sprintf("vecmat/%d", n), func(b *testing.B) { benchMul(b, row, h) })
+		if n == 1500 { // one Inf in the vector: the mat-vec keeps its zero skip
+			bad := col.Clone()
+			bad.Set(n/2, 0, math.Inf(1))
+			b.Run("matvec/1500/nonfinite", func(b *testing.B) { benchMul(b, h, bad) })
+		}
 	}
 	w := matrix.RandDense(rng, 4000, 47)
 	hh := matrix.RandDense(rng, 47, 10)
@@ -151,7 +157,7 @@ func BenchmarkMetaOf(b *testing.B) {
 
 // BenchmarkDeferredUpdate times the tail of one quasi-Newton iteration — the
 // 6 n×n operators of DFP's H − (u·vᵀ)·c + (d·dᵀ)·c' and the 9 of BFGS's
-// H + (s·sᵀ)·c·c' − (S + Sᵀ)·c”, S = (H·y)·sᵀ — as the eager operator
+// H + (s·sᵀ)·c·c' − (S + Sᵀ)·c″, S = (H·y)·sᵀ — as the eager operator
 // sequence and as one deferred expression. fresh allocates every n×n value
 // (the expression: its one result); recycled is what a run reaches once its
 // free list is warm: the eager temporaries overwritten in place over two

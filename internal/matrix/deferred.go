@@ -18,13 +18,15 @@ import (
 // a−b), in the order the operators were called, so every cell goes through
 // the same roundings. A statement is not always a pass: a + or − applies the
 // scales directly under it, and a product under those, to each cell as it reads
-// the operand (operand). What the eager operators do besides arithmetic is
-// pick a format: a product, a sum or a difference at or under DenseThreshold
-// leaves as CSR, and CSR operands take other kernels, whose results differ
-// from the dense ones in the sign of zero cells. Eval therefore counts the
-// nonzeros of every such node and, if one of them would have compacted,
-// discards what it wrote and runs the operators themselves (eager). Nothing
-// is ever written over a leaf, so the leaves are intact for that second run.
+// the operand (operand), and the ± shapes the update tails end in run loops
+// written for them, chosen when the expression is compiled (kernels). What
+// the eager operators do besides arithmetic is pick a format: a product, a
+// sum or a difference at or under DenseThreshold leaves as CSR, and CSR
+// operands take other kernels, whose results differ from the dense ones in
+// the sign of zero cells. Eval therefore counts the nonzeros of every such
+// node and, if one of them would have compacted, discards what it wrote and
+// runs the operators themselves (eager). Nothing is ever written over a
+// leaf, so the leaves are intact for that second run.
 
 type exprOp uint8
 
@@ -211,6 +213,9 @@ type evalNode struct {
 	s     float64   // exScale
 	a     *evalNode // exScale
 	l, r  operand   // exAdd, exSub
+	// zip or fused: the loop written for the ± (kernels); neither: zipSides.
+	zip   func(out []float64, a, b side) int
+	fused fusedKernel
 	id    int
 	// check: the eager operator ends in Compact, so the node's nonzero count
 	// nnz decides a format. count: nnz is summed while evaluating; otherwise
@@ -270,6 +275,7 @@ func (p *program) compile(e *Expr, transposed bool) (n *evalNode, depth int) {
 			depth = max(left, right+1)
 		}
 		n.check, n.count = true, true
+		n.zip, n.fused = kernels(n)
 	}
 	return n, depth
 }
@@ -383,14 +389,27 @@ func (n *evalNode) eval(i, c0, cols int, out, scratch []float64, counts []int) [
 			out[j] = v * s
 		}
 	default: // zipDense's statements, counting included: a sum always decides a format
-		a := n.l.side(i, c0, cols, out, scratch, counts)
+		l := &n.l
+		if n.fused != nil { // the left ± is not built, its right operand is: where it would have gone
+			l = &n.l.n.r
+		}
+		a := l.side(i, c0, cols, out, scratch, counts)
 		var b side
 		if n.l.term || n.r.term { // a term takes no room: out is still free, or not asked for
 			b = n.r.side(i, c0, cols, out, scratch, counts)
 		} else {
 			b = n.r.side(i, c0, cols, scratch[:w], scratch[w:], counts)
 		}
-		counts[n.id] += zipSides(n.op == exSub, out, a, b)
+		switch m := n.l.n; {
+		case n.fused != nil:
+			inner, nnz := n.fused(out, m.l.n.cells[i*cols+c0:][:w], a, b)
+			counts[m.id] += inner
+			counts[n.id] += nnz
+		case n.zip != nil:
+			counts[n.id] += n.zip(out, a, b)
+		default:
+			counts[n.id] += zipSides(n.op == exSub, out, a, b)
+		}
 		return out
 	}
 	if n.count {
@@ -437,33 +456,13 @@ func cell(v []float64, j int, term bool, c, s1, s2 float64) float64 {
 }
 
 // zipSides writes a ± b over out, which may be where either operand's cells
-// are, and returns the nonzero count. The accumulator of an update tail — a
-// left operand that is cells and nothing else — has loops of its own: every
-// cell of every ± but the first goes through them, and two multiplications by
-// 1 per cell are a fifth of their time.
+// are, and returns the nonzero count: the loop of every ± shape that has none
+// of its own (kernels).
 func zipSides(sub bool, out []float64, a, b side) (nnz int) {
 	av, bv := a.v[:len(out)], b.v[:len(out)]
 	aTerm, aC, aS1, aS2 := a.term, a.c, a.s1, a.s2
 	bTerm, bC, bS1, bS2 := b.term, b.c, b.s1, b.s2
-	plain := !aTerm && aS1 == 1 && aS2 == 1
-	switch {
-	case plain && sub:
-		for j := range out {
-			v := av[j] - cell(bv, j, bTerm, bC, bS1, bS2)
-			out[j] = v
-			if v != 0 {
-				nnz++
-			}
-		}
-	case plain:
-		for j := range out {
-			v := av[j] + cell(bv, j, bTerm, bC, bS1, bS2)
-			out[j] = v
-			if v != 0 {
-				nnz++
-			}
-		}
-	case sub:
+	if sub {
 		for j := range out {
 			v := cell(av, j, aTerm, aC, aS1, aS2) - cell(bv, j, bTerm, bC, bS1, bS2)
 			out[j] = v
@@ -471,14 +470,118 @@ func zipSides(sub bool, out []float64, a, b side) (nnz int) {
 				nnz++
 			}
 		}
-	default:
-		for j := range out {
-			v := cell(av, j, aTerm, aC, aS1, aS2) + cell(bv, j, bTerm, bC, bS1, bS2)
-			out[j] = v
-			if v != 0 {
-				nnz++
-			}
+		return nnz
+	}
+	for j := range out {
+		v := cell(av, j, aTerm, aC, aS1, aS2) + cell(bv, j, bTerm, bC, bS1, bS2)
+		out[j] = v
+		if v != 0 {
+			nnz++
 		}
 	}
 	return nnz
+}
+
+// class is what a ± takes from an operand for a cell: its cells, or a term's
+// 0 + c·v[j], under no, one or two scales (a factor of 1 is no scale).
+type class uint8
+
+const (
+	cells0 class = iota
+	cells1
+	cells2
+	term0
+	term1
+	term2
+)
+
+func (o *operand) class() class {
+	c := cells0
+	if o.term {
+		c = term0
+	}
+	switch {
+	case o.s2 != 1:
+		return c + 2
+	case o.s1 != 1:
+		return c + 1
+	}
+	return c
+}
+
+// fusedKernel applies a ± whose left operand is a plain ± over a leaf, (h ± x)
+// ± y, to a row's cells at once: h holds the leaf's, out may hold x's. It
+// writes the outer ± over out and returns the inner one's nonzero count and
+// its own — each decides a format.
+type fusedKernel func(out, h []float64, x, y side) (inner, nnz int)
+
+// kernels returns the loops written for the ± shapes the update tails end in —
+// DFP's (H − t·c) + t′·c′ and BFGS's (H + t·c·c′) − (S + Sᵀ)·c″, one fused
+// loop each, and the S + Sᵀ (S + S′ where nothing was shared) under the
+// latter — or neither, for zipSides. They run its statements in its order,
+// rounding points included, without the branches on operand classes and the
+// multiplications by 1 that cost it as much as the arithmetic.
+func kernels(n *evalNode) (zip func(out []float64, a, b side) int, fused fusedKernel) {
+	l, r := n.l.class(), n.r.class()
+	if m := n.l.n; l == cells0 && (m.op == exAdd || m.op == exSub) && m.l.class() == cells0 && m.l.n.op == exLeaf {
+		switch x := m.r.class(); {
+		case m.op == exSub && x == term1 && n.op == exAdd && r == term1:
+			return nil, dfpTail
+		case m.op == exAdd && x == term2 && n.op == exSub && r == cells1:
+			return nil, bfgsTail
+		}
+	}
+	if n.op == exAdd && l == term0 && r == term0 {
+		return addTerms, nil
+	}
+	return nil, nil
+}
+
+// addTerms is a + b for two terms under no scale.
+func addTerms(out []float64, a, b side) (nnz int) {
+	av, bv, ac, bc := a.v[:len(out)], b.v[:len(out)], a.c, b.c
+	for j := range out {
+		v := (0 + ac*av[j]) + (0 + bc*bv[j])
+		out[j] = v
+		if v != 0 {
+			nnz++
+		}
+	}
+	return nnz
+}
+
+// dfpTail is (h − x·c) + y·c′ for two terms x and y.
+func dfpTail(out, h []float64, x, y side) (inner, nnz int) {
+	h, xv, yv := h[:len(out)], x.v[:len(out)], y.v[:len(out)]
+	xc, xs, yc, ys := x.c, x.s1, y.c, y.s1
+	for j := range out {
+		v := h[j] - float64((0+xc*xv[j])*xs)
+		w := v + float64((0+yc*yv[j])*ys)
+		out[j] = w
+		if v != 0 {
+			inner++
+		}
+		if w != 0 {
+			nnz++
+		}
+	}
+	return inner, nnz
+}
+
+// bfgsTail is (h + x·c·c′) − y·c″ for a term x and the cells y.
+func bfgsTail(out, h []float64, x, y side) (inner, nnz int) {
+	h, xv, yv := h[:len(out)], x.v[:len(out)], y.v[:len(out)]
+	xc, xs1, xs2, ys := x.c, x.s1, x.s2, y.s1
+	for j := range out {
+		v := h[j] + float64(float64((0+xc*xv[j])*xs1)*xs2)
+		w := v - float64(yv[j]*ys)
+		out[j] = w
+		if v != 0 {
+			inner++
+		}
+		if w != 0 {
+			nnz++
+		}
+	}
+	return inner, nnz
 }

@@ -224,11 +224,42 @@ func (g *exprGen) tail(rows, cols, nodes int) (*Expr, *Matrix) {
 	return acc, accV
 }
 
+// update returns the tail of a quasi-Newton iteration as the engine builds
+// it, over the generator's vectors and factors: DFP's H − (u·vᵀ)·c + (d·dᵀ)·c′
+// or BFGS's H + (s·sᵀ)·c·c′ − (S + Sᵀ)·c″ — off the square S + S′, the form it
+// takes where the planner shared no product. Now and then H is mostly ±0, so
+// that H ± t·c compacts where the whole does not.
+func (g *exprGen) update(rows, cols int, bfgs bool) (*Expr, *Matrix) {
+	factor := func() float64 { return deferredFactors[g.rng.Intn(len(deferredFactors))] }
+	h := genDense(g.rng, rows, cols, g.kind)
+	if g.rng.Intn(3) == 0 {
+		for i := range h.data {
+			if g.rng.Intn(5) != 0 {
+				h.data[i] = specials[g.rng.Intn(2)]
+			}
+		}
+	}
+	t, tv := g.outer(rows, cols)
+	c, c2 := factor(), factor()
+	if !bfgs {
+		t2, t2v := g.outer(rows, cols)
+		return Leaf(h).Sub(t.Scale(c)).Add(t2.Scale(c2)), g.saw(g.saw(h.Sub(g.saw(tv.Scale(c)))).Add(g.saw(t2v.Scale(c2))))
+	}
+	acc, accV := Leaf(h).Add(t.Scale(c).Scale(c2)), g.saw(h.Add(g.saw(g.saw(tv.Scale(c)).Scale(c2))))
+	s, sv := g.outer(rows, cols)
+	s2, s2v := g.outer(rows, cols)
+	if rows == cols {
+		s2, s2v = s.Transpose(), g.saw(sv.Transpose())
+	}
+	c3 := factor()
+	return acc.Sub(s.Add(s2).Scale(c3)), g.saw(accV.Sub(g.saw(g.saw(sv.Add(s2v)).Scale(c3))))
+}
+
 // fusedShapes counts, over the ± nodes of e as Eval compiles it, the operands
-// by what the ± does with them.
+// by what the ± does with them, and the ± that run a fused loop.
 type fusedShapes struct {
 	leftTerms, rightTerms, transposedTerms, twoScaleTerms int
-	scaledCells, countedProducts                          int
+	scaledCells, countedProducts, fused                   int
 }
 
 func (f *fusedShapes) add(e *Expr) {
@@ -237,6 +268,9 @@ func (f *fusedShapes) add(e *Expr) {
 	for _, n := range p.nodes {
 		if n.op != exAdd && n.op != exSub {
 			continue
+		}
+		if n.fused != nil {
+			f.fused++
 		}
 		for side, o := range []operand{n.l, n.r} {
 			product := o.n.op == exOuter || o.n.op == exOuterT
@@ -263,27 +297,35 @@ func (f *fusedShapes) add(e *Expr) {
 // TestDeferredFusedTermsMatchEager: random update tails, up to maxExprNodes
 // long, of the shapes a ± computes without a pass per node — terms on either
 // side and on both, under up to three scales (negative, subnormal-producing),
-// transposed, used twice, with zero rows and zero columns — and of the shapes
-// it must leave alone: a non-finite vector entry (count unknown) and results
-// on both sides of DenseThreshold. Cells, format and count are those of the
-// eager operators, into clean, NaN-filled and recycled destinations.
+// transposed, used twice, with zero rows and zero columns, and DFP's and
+// BFGS's own, which run fused loops — and of the shapes it must leave alone:
+// a non-finite vector entry (count unknown) and results on both sides of
+// DenseThreshold. Cells, format and count are those of the eager operators,
+// into clean, NaN-filled and recycled destinations, on rows one and two
+// chunks wide.
 func TestDeferredFusedTermsMatchEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	var shapes fusedShapes
 	fellBack, trees, longest := 0, 0, 0
-	for _, sh := range [][2]int{{1, 9}, {7, 7}, {40, 40}, {66, 70}, {70, 33}, {3, 1100}} {
+	for _, sh := range [][2]int{{1, 9}, {7, 7}, {40, 40}, {66, 70}, {70, 33}, {3, 1100}, {5, 2100}} {
 		cells := sh[0] * sh[1]
 		recycled := make([]float64, cells)
 		for _, kind := range []int{fillPlain, fillZeros} {
 			for _, sparseX := range []float64{0, 0.4, 0.7} {
-				for trial := 0; trial < 8; trial++ {
+				for trial := 0; trial < 10; trial++ {
 					trees++
 					g := &exprGen{rng: rng, kind: kind, sparseX: sparseX, nonFinite: trial%4 == 3}
 					nodes := 3 + rng.Intn(12)
 					if trial == 0 {
 						nodes = maxExprNodes
 					}
-					e, want := g.tail(sh[0], sh[1], nodes)
+					var e *Expr
+					var want *Matrix
+					if trial >= 8 {
+						e, want = g.update(sh[0], sh[1], trial == 9)
+					} else {
+						e, want = g.tail(sh[0], sh[1], nodes)
+					}
 					longest = max(longest, e.nodes)
 					shapes.add(e)
 					if g.csr {
@@ -302,12 +344,71 @@ func TestDeferredFusedTermsMatchEager(t *testing.T) {
 		}
 	}
 	if shapes.leftTerms == 0 || shapes.rightTerms == 0 || shapes.transposedTerms == 0 || shapes.twoScaleTerms == 0 ||
-		shapes.scaledCells == 0 || shapes.countedProducts == 0 {
+		shapes.scaledCells == 0 || shapes.countedProducts == 0 || shapes.fused == 0 {
 		t.Fatalf("operand shapes %+v: every one must occur", shapes)
 	}
 	if fellBack < trees/5 || trees-fellBack < trees/5 || longest < maxExprNodes-8 {
 		t.Fatalf("%d of %d trees had a CSR node, the longest had %d nodes: both paths and the bound must be covered", fellBack, trees, longest)
 	}
+}
+
+// TestUpdateTailsTakeFusedKernels: the DFP and BFGS tails, built as
+// BenchmarkDeferredUpdate builds them, compile to the loops written for them
+// — the top ± fused with the accumulator under it, every other ± a loop of
+// its own — so that no cell of theirs goes through zipSides, with its
+// per-cell operand tests and multiplications by 1.
+func TestUpdateTailsTakeFusedKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	const n = 40
+	h := genDense(rng, n, n, fillPlain)
+	vector := func() *Matrix { return genDense(rng, n, 1, fillPlain) }
+	u, d, hy := vector(), vector(), vector()
+	v, dT := vector().Transpose(), d.Transpose()
+	s := Outer(hy, dT)
+	for name, e := range map[string]*Expr{
+		"dfp":  Leaf(h).Sub(Outer(u, v).Scale(0.5)).Add(Outer(d, dT).Scale(0.25)),
+		"bfgs": Leaf(h).Add(Outer(d, dT).Scale(1.5).Scale(0.25)).Sub(s.Add(s.Transpose()).Scale(0.5)),
+	} {
+		p := &program{rows: n, cols: n}
+		p.root, p.depth = p.compile(e, false)
+		if p.root.fused == nil {
+			t.Fatalf("%s: the top ± does not run a fused loop", name)
+		}
+		for _, nd := range p.nodes {
+			sum := nd.op == exAdd || nd.op == exSub
+			if nd.op == exScale || (sum && nd != p.root.l.n && nd.zip == nil && nd.fused == nil) {
+				t.Errorf("%s: node %d (op %d) is a pass of its own or runs zipSides", name, nd.id, nd.op)
+			}
+		}
+		dst := dirty(n * n)
+		requireSameAsEager(t, name, e.Eval(dst), e.eager(nil), dst)
+	}
+}
+
+// FuzzDeferredTail: an update tail of any shape the generator grows, or
+// DFP's or BFGS's (form 1, 2), over any fill, share of zero vector entries and
+// non-finite entry, evaluates to what the eager operators give: cells bit for
+// bit, format and count.
+func FuzzDeferredTail(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, rows uint8, cols uint16, kind, zeros uint8, nonFinite bool, form uint8) {
+		r, c := 1+int(rows)%70, 2+int(cols)%2199 // one column would be a mat-vec, which Outer declines
+		r = min(r, max(1, 1<<14/c))
+		g := &exprGen{rng: rand.New(rand.NewSource(seed)), kind: int(kind) % 3, sparseX: float64(zeros%8) / 8, nonFinite: nonFinite}
+		var e *Expr
+		var want *Matrix
+		switch form % 8 {
+		case 1, 2:
+			e, want = g.update(r, c, form%8 == 2)
+		default:
+			e, want = g.tail(r, c, 2+int(form)%maxExprNodes)
+		}
+		dst := dirty(r * c)
+		on := dst
+		if g.csr {
+			on = nil
+		}
+		requireSameAsEager(t, fmt.Sprintf("%dx%d (%d nodes)", r, c, e.nodes), e.Eval(dst), want, on)
+	})
 }
 
 // TestDeferredFallsBackWhereEagerCompacts: an interior node at or under
@@ -360,6 +461,56 @@ func TestDeferredFallsBackWhereEagerCompacts(t *testing.T) {
 	got := p.Sub(p).Eval(dst)
 	if got.Format() != CSR || got.NNZ() != 0 {
 		t.Fatalf("V − V = %v", got)
+	}
+}
+
+// TestFusedTailsFallBackWhereTheAccumulatorCompacts: a fused loop counts the
+// accumulator H ± t·c under it as well as the whole, and that count decides a
+// format too. Here H cancels t·c cell for cell, holding −0 where t·c is zero,
+// so H ± t·c is nothing but zeros, −0 among them, and CSR on the eager path,
+// where the −0 the dense statements would pass on to the whole is +0.
+func TestFusedTailsFallBackWhereTheAccumulatorCompacts(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	const n = 96
+	column := func() *Matrix { // a zero every fourth row: dense products with zero rows
+		x := genDense(rng, n, 1, fillPlain)
+		for i := 0; i < n; i += 4 {
+			x.data[i] = 0
+		}
+		return x
+	}
+	minusZeros := func(m *Matrix) *Matrix {
+		for i, v := range m.data {
+			if v == 0 {
+				m.data[i] = math.Copysign(0, -1)
+			}
+		}
+		return m
+	}
+	x, x2, x3, y := column(), column(), column(), genDense(rng, 1, n, fillPlain)
+	dfpH := minusZeros(x.Mul(y).Scale(2))
+	bfgsH := minusZeros(x.Mul(y).Scale(-2).Scale(0.5).Scale(-1))
+	for name, c := range map[string]struct {
+		e           *Expr
+		inner, want *Matrix
+	}{
+		"dfp": {
+			Leaf(dfpH).Sub(Outer(x, y).Scale(2)).Add(Outer(x2, y).Scale(-1)),
+			dfpH.Sub(x.Mul(y).Scale(2)),
+			dfpH.Sub(x.Mul(y).Scale(2)).Add(x2.Mul(y).Scale(-1)),
+		},
+		"bfgs": {
+			Leaf(bfgsH).Add(Outer(x, y).Scale(-2).Scale(0.5)).Sub(Outer(x2, y).Add(Outer(x3, y)).Scale(0.5)),
+			bfgsH.Add(x.Mul(y).Scale(-2).Scale(0.5)),
+			bfgsH.Add(x.Mul(y).Scale(-2).Scale(0.5)).Sub(x2.Mul(y).Add(x3.Mul(y)).Scale(0.5)),
+		},
+	} {
+		p := &program{rows: n, cols: n}
+		if p.root, _ = p.compile(c.e, false); p.root.fused == nil || c.inner.Format() != CSR || c.want.Format() != Dense {
+			t.Fatalf("%s setup: fused %v, accumulator %v, whole %v", name, p.root.fused != nil, c.inner.Format(), c.want.Format())
+		}
+		dst := dirty(n * n)
+		requireSameAsEager(t, name, c.e.Eval(dst), c.want, dst)
 	}
 }
 

@@ -185,28 +185,42 @@ func mulOuter(o, x, y []float64, dirty bool) int {
 
 // mulMatVec computes o = a·x for len(o) rows of a, four rows at a time so
 // four independent accumulation chains are in flight (one chain per output
-// cell is fixed by the accumulation order).
+// cell is fixed by the accumulation order). The zero skip is there for a
+// non-finite x[k] alone: against a finite one the step it skips adds a ±0
+// product, and ±0 added to a sum that started at +0 — which no addition
+// turns into −0 — leaves the sum's bits as they were. So when x is finite
+// the four rows run without the test.
 func mulMatVec(o, a, x []float64) int {
 	k := len(x)
+	_, _, finite := nonzeroStats(x)
 	i := 0
 	for ; i+4 <= len(o); i += 4 {
-		r0 := a[i*k : (i+1)*k]
-		r1 := a[(i+1)*k : (i+2)*k]
-		r2 := a[(i+2)*k : (i+3)*k]
-		r3 := a[(i+3)*k : (i+4)*k]
+		r0 := a[i*k:][:k]
+		r1 := a[(i+1)*k:][:k]
+		r2 := a[(i+2)*k:][:k]
+		r3 := a[(i+3)*k:][:k]
 		var s0, s1, s2, s3 float64
-		for kk, xv := range x {
-			if av := r0[kk]; av != 0 {
-				s0 += av * xv
+		if finite {
+			for kk, xv := range x {
+				s0 += r0[kk] * xv
+				s1 += r1[kk] * xv
+				s2 += r2[kk] * xv
+				s3 += r3[kk] * xv
 			}
-			if av := r1[kk]; av != 0 {
-				s1 += av * xv
-			}
-			if av := r2[kk]; av != 0 {
-				s2 += av * xv
-			}
-			if av := r3[kk]; av != 0 {
-				s3 += av * xv
+		} else {
+			for kk, xv := range x {
+				if av := r0[kk]; av != 0 {
+					s0 += av * xv
+				}
+				if av := r1[kk]; av != 0 {
+					s1 += av * xv
+				}
+				if av := r2[kk]; av != 0 {
+					s2 += av * xv
+				}
+				if av := r3[kk]; av != 0 {
+					s3 += av * xv
+				}
 			}
 		}
 		o[i], o[i+1], o[i+2], o[i+3] = s0, s1, s2, s3

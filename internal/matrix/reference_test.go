@@ -227,6 +227,43 @@ func TestMulZeroSkipAndSignedZero(t *testing.T) {
 	}
 }
 
+// TestMatVecFinitePathMatchesReference: a mat-vec over a finite x runs
+// without the zero skip, one over an x with a NaN or ±Inf keeps it; both are
+// the reference bit for bit, at row counts around the four-row groups and the
+// striping threshold. Against a non-finite x[c] the rows of a with a zero in
+// column c must skip it, not turn NaN.
+func TestMatVecFinitePathMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{1, 3, 4, 5, 63, 64, 65, 130} {
+		for _, k := range []int{1, 2, 7, 64} {
+			for _, kind := range []int{fillPlain, fillSpecial} {
+				a := genDense(rng, n, k, kind) // fillSpecial: ±0, subnormals, ±MaxFloat64, NaN, ±Inf
+				for kk := 0; kk < k; kk++ {
+					a.data[kk] = specials[kk%2] // a row of ±0: its cell stays +0
+				}
+				x := genDense(rng, k, 1, fillZeros)
+				for kk := range x.data {
+					if rng.Intn(4) == 0 {
+						x.data[kk] = specials[rng.Intn(9)] // finite extremes: ±0, subnormals, ±MaxFloat64
+					}
+				}
+				ctx := fmt.Sprintf("%dx%d kind %d", n, k, kind)
+				requireSameResult(t, ctx+", finite x", a.Mul(x), refMulDenseDense(a, x))
+
+				c := rng.Intn(k)
+				for i := 0; i < n; i += 2 {
+					a.data[i*k+c] = []float64{0, negZero}[i/2%2]
+				}
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					x.data[c] = bad
+					requireSameResult(t, fmt.Sprintf("%s, x[%d] = %v", ctx, c, bad), a.Mul(x), refMulDenseDense(a, x))
+				}
+			}
+		}
+	}
+}
+
 func TestElementwiseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	ops := []struct {
