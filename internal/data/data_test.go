@@ -75,7 +75,10 @@ func TestZipfSeriesIncreasinglySkewed(t *testing.T) {
 	prevTop := 0.0
 	for _, name := range ZipfNames {
 		ds := MustLoad(name)
-		counts := ds.A.RowNNZCounts()
+		counts := *matrix.NNZCounts(ds.A, func(row, _ []int) *[]int {
+			return &row
+		})
+		counts = append([]int(nil), counts...)
 		// Fraction of nonzeros in the top 5% of rows.
 		sortDesc(counts)
 		top := 0

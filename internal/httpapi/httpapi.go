@@ -273,25 +273,25 @@ type ErrorResponse struct {
 }
 
 // Classify names a failed request the way both front-ends report it: error
-// class, HTTP status, Retry-After hint. A QueryError gives its class's name
-// and status (resilience's one class table), and an overload or quota
-// rejection without a hint gets one second. Of the errors without a class,
-// the one a server returns is serve.ErrClosed — admission after Shutdown
-// began — reported as the "closed" drain marker: 503, retry in a second.
+// class, HTTP status, Retry-After hint. serve.ErrClosed — admission after
+// Shutdown began, which a server wraps in an Overloaded-class QueryError —
+// is reported as the "closed" drain marker: 503, retry in a second. Any
+// other QueryError gives its class's name and status (resilience's one class
+// table), and an overload or quota rejection without a hint gets one second.
 // Anything else is an untyped fault: no class, 500. serve.ErrOverloaded,
 // engine.ErrCanceled and engine.ErrMaxIterations never arrive bare: every
 // producer wraps them in a QueryError.
 func Classify(err error) (class string, status int, retryAfter time.Duration) {
 	var qe *resilience.QueryError
 	switch {
+	case errors.Is(err, serve.ErrClosed):
+		return "closed", http.StatusServiceUnavailable, time.Second
 	case errors.As(err, &qe):
 		retryAfter = qe.RetryAfter
 		if (qe.Class == resilience.Overloaded || qe.Class == resilience.Quota) && retryAfter <= 0 {
 			retryAfter = time.Second
 		}
 		return qe.Class.String(), qe.Class.HTTPStatus(), retryAfter
-	case errors.Is(err, serve.ErrClosed):
-		return "closed", http.StatusServiceUnavailable, time.Second
 	}
 	return "", http.StatusInternalServerError, 0
 }

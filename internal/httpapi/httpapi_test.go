@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -225,11 +226,17 @@ func TestValueSummaryNonFiniteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteErrorUntypedDrainMarkers: of the errors that carry no class, the
-// drain marker keeps its status — serve.ErrClosed is a 503 with Retry-After 1
-// and class "closed", which ParseError reads back by status as Overloaded —
-// and anything else is a classless 500, read back as Internal.
+// TestWriteErrorUntypedDrainMarkers: the drain marker keeps its status
+// however it arrives — bare, or as the Overloaded-class error a shut-down
+// server returns, serve.ErrClosed is a 503 with Retry-After 1 and class
+// "closed", which ParseError reads back by status as Overloaded — and an
+// error without a class is a classless 500, read back as Internal.
 func TestWriteErrorUntypedDrainMarkers(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 1})
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, closed := srv.Do(context.Background(), serve.Query{})
 	for _, tc := range []struct {
 		err        error
 		status     int
@@ -238,6 +245,7 @@ func TestWriteErrorUntypedDrainMarkers(t *testing.T) {
 		parsed     resilience.Class
 	}{
 		{fmt.Errorf("wrapped: %w", serve.ErrClosed), http.StatusServiceUnavailable, "1", "closed", resilience.Overloaded},
+		{closed, http.StatusServiceUnavailable, "1", "closed", resilience.Overloaded},
 		{fmt.Errorf("wrapped: %w", errors.New("plain failure")), http.StatusInternalServerError, "", "", resilience.Internal},
 	} {
 		rec := httptest.NewRecorder()

@@ -125,16 +125,23 @@ func (m *Matrix) RowNNZ(i int) int {
 	return n
 }
 
-// ColNNZCounts returns a vector of per-column nonzero counts (used by the
-// MNC sparsity estimator). The caller owns the returned slice.
-func (m *Matrix) ColNNZCounts() []int {
-	return append([]int(nil), m.nnzCounts().col...)
-}
-
-// RowNNZCounts returns a vector of per-row nonzero counts. The caller owns
-// the returned slice.
-func (m *Matrix) RowNNZCounts() []int {
-	return append([]int(nil), m.nnzCounts().row...)
+// NNZCounts returns what form makes of the matrix's per-row and per-column
+// nonzero counts (the MNC sparsity estimator's sketch). form is handed the
+// vectors the matrix carries, which nothing may write, and its result is
+// carried beside them: built by the first call after the counts are taken
+// and returned to every later call asking for the same type, until a cell
+// changes and both are dropped.
+func NNZCounts[T any](m *Matrix, form func(row, col []int) *T) *T {
+	c := m.nnzCounts()
+	if p := c.form.Load(); p != nil {
+		if f, ok := (*p).(*T); ok {
+			return f
+		}
+	}
+	f := form(c.row, c.col)
+	var carried any = f
+	c.form.Store(&carried)
+	return f
 }
 
 // nnzCounts returns the carried count vectors, computing them — in one pass

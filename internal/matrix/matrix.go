@@ -103,7 +103,10 @@ func (m *Matrix) Summary() (s Summary, ok bool) {
 // SetSummary records the summary of the cells as they are now.
 func (m *Matrix) SetSummary(s Summary) { m.summary.Store(&s) }
 
-type nnzCounts struct{ row, col []int }
+type nnzCounts struct {
+	row, col []int
+	form     atomic.Pointer[any] // what NNZCounts built of row and col
+}
 
 type blockNNZ struct {
 	grid, cols int // the grid asked for, and how many blocks across it came to

@@ -291,24 +291,23 @@ func TestIsSymmetric(t *testing.T) {
 
 func TestRowColNNZCounts(t *testing.T) {
 	m := NewDenseData(2, 3, []float64{1, 0, 2, 0, 0, 3})
-	rows := m.RowNNZCounts()
-	cols := m.ColNNZCounts()
+	rows, cols := countsOf(m)
 	if rows[0] != 2 || rows[1] != 1 {
-		t.Errorf("RowNNZCounts = %v", rows)
+		t.Errorf("row counts = %v", rows)
 	}
 	if cols[0] != 1 || cols[1] != 0 || cols[2] != 2 {
-		t.Errorf("ColNNZCounts = %v", cols)
+		t.Errorf("column counts = %v", cols)
 	}
 	s := m.ToCSR()
-	rows2, cols2 := s.RowNNZCounts(), s.ColNNZCounts()
+	rows2, cols2 := countsOf(s)
 	for i := range rows {
 		if rows[i] != rows2[i] {
-			t.Error("CSR RowNNZCounts disagree")
+			t.Error("CSR row counts disagree")
 		}
 	}
 	for j := range cols {
 		if cols[j] != cols2[j] {
-			t.Error("CSR ColNNZCounts disagree")
+			t.Error("CSR column counts disagree")
 		}
 	}
 }
@@ -350,7 +349,8 @@ func TestZipfSparseSkew(t *testing.T) {
 	// (paper says >95% for rows AND columns jointly at 2.8; per-axis we
 	// assert a looser bound, and per-row quotas are capped at cols/10 so
 	// heavy rows stay dense-but-not-full).
-	counts := m.RowNNZCounts()
+	counts, _ := countsOf(m)
+	counts = append([]int(nil), counts...)
 	sortDescInts(counts)
 	top := 0
 	for i := 0; i < rows/20; i++ {
@@ -365,7 +365,8 @@ func TestZipfSparseSkew(t *testing.T) {
 	}
 	// Exponent 0 must be uniform-ish: top 5% of rows near 5% of nnz.
 	u := ZipfSparse(rng, rows, cols, 0.005, 0)
-	ucounts := u.RowNNZCounts()
+	ucounts, _ := countsOf(u)
+	ucounts = append([]int(nil), ucounts...)
 	sortDescInts(ucounts)
 	utop := 0
 	for i := 0; i < rows/20; i++ {

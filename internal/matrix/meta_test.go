@@ -26,29 +26,35 @@ func scanCounts(m *Matrix) (nnz int, row, col []int) {
 	return nnz, row, col
 }
 
+// countsOf returns the count vectors NNZCounts hands a form.
+func countsOf(m *Matrix) (row, col []int) {
+	c := NNZCounts(m, func(row, col []int) *[2][]int { return &[2][]int{row, col} })
+	return c[0], c[1]
+}
+
 func requireFreshCounts(t *testing.T, ctx string, m *Matrix) {
 	t.Helper()
 	nnz, row, col := scanCounts(m)
 	if m.NNZ() != nnz {
 		t.Fatalf("%s: NNZ() = %d, cells hold %d", ctx, m.NNZ(), nnz)
 	}
-	gotRow, gotCol := m.RowNNZCounts(), m.ColNNZCounts()
+	gotRow, gotCol := countsOf(m)
 	for i := range row {
 		if gotRow[i] != row[i] {
-			t.Fatalf("%s: RowNNZCounts()[%d] = %d, cells hold %d", ctx, i, gotRow[i], row[i])
+			t.Fatalf("%s: row count %d = %d, cells hold %d", ctx, i, gotRow[i], row[i])
 		}
 	}
 	for j := range col {
 		if gotCol[j] != col[j] {
-			t.Fatalf("%s: ColNNZCounts()[%d] = %d, cells hold %d", ctx, j, gotCol[j], col[j])
+			t.Fatalf("%s: column count %d = %d, cells hold %d", ctx, j, gotCol[j], col[j])
 		}
 	}
 }
 
 func TestSetAfterNNZLeavesNoStaleCount(t *testing.T) {
 	m := NewDenseData(2, 3, []float64{1, 0, 2, 0, 0, 3})
-	if m.NNZ() != 3 || m.RowNNZCounts()[1] != 1 {
-		t.Fatalf("NNZ %d, row counts %v", m.NNZ(), m.RowNNZCounts())
+	if row, _ := countsOf(m); m.NNZ() != 3 || row[1] != 1 {
+		t.Fatalf("NNZ %d, row counts %v", m.NNZ(), row)
 	}
 	m.Set(1, 0, 7)
 	requireFreshCounts(t, "Set nonzero", m)
@@ -75,7 +81,7 @@ func TestFlipToZeroLeavesNoStaleCount(t *testing.T) {
 		if m.NNZ() != 3 {
 			t.Fatalf("%v: NNZ %d", format, m.NNZ())
 		}
-		m.RowNNZCounts() // counted before the flip, so a copied count would be stale
+		countsOf(m) // counted before the flip, so a copied count would be stale
 		flipped, ok := m.FlipValueBit(0, 62)
 		if !ok || flipped.At(0, 0) != 0 {
 			t.Fatalf("%v: flip ok=%v, cell %g", format, ok, flipped.At(0, 0))
@@ -119,15 +125,33 @@ func TestConstructorsAndKernelsCarryCounts(t *testing.T) {
 	}
 	// The count vectors transpose with the matrix, whether or not they were
 	// taken first.
-	holes.RowNNZCounts()
+	countsOf(holes)
 	requireFreshCounts(t, "Transpose after counts", holes.Transpose())
 }
 
-func TestCountVectorsAreTheCallers(t *testing.T) {
+// TestCountFormDroppedWithTheCounts: what NNZCounts built of the counts is
+// carried for as long as they are — one build per counting, whatever asks —
+// and goes when a cell changes. A form of another type takes its place: the
+// next ask for the first type builds it again, and gets it right.
+func TestCountFormDroppedWithTheCounts(t *testing.T) {
 	m := NewDenseData(2, 2, []float64{1, 1, 0, 1})
-	rows := m.RowNNZCounts()
-	rows[0], rows[1] = 99, 99 // callers sort these in place
-	requireFreshCounts(t, "after caller overwrote its copy", m)
+	builds := 0
+	form := func(row, col []int) *[2]int {
+		builds++
+		return &[2]int{row[0], col[0]}
+	}
+	first := NNZCounts(m, form)
+	if again := NNZCounts(m.Clone(), form); again != first || builds != 1 {
+		t.Fatalf("second ask (on a clone) built %d forms, same=%v", builds, again == first)
+	}
+	countsOf(m) // another type
+	if NNZCounts(m, form) == first || builds != 2 {
+		t.Fatalf("after a form of another type: %d builds", builds)
+	}
+	m.Set(0, 0, 0)
+	if got := NNZCounts(m, form); builds != 3 || *got != [2]int{1, 0} {
+		t.Fatalf("after Set: %d builds, form %v, want a fresh [1 0]", builds, *got)
+	}
 }
 
 func TestConcurrentMetadataReads(t *testing.T) {
@@ -146,11 +170,11 @@ func TestConcurrentMetadataReads(t *testing.T) {
 					if got := m.NNZ(); got != nnz {
 						t.Errorf("NNZ() = %d, want %d", got, nnz)
 					}
-					if got := m.RowNNZCounts(); got[3] != row[3] {
-						t.Errorf("RowNNZCounts()[3] = %d, want %d", got[3], row[3])
+					if got, _ := countsOf(m); got[3] != row[3] {
+						t.Errorf("row count 3 = %d, want %d", got[3], row[3])
 					}
-					if got := m.ColNNZCounts(); got[5] != col[5] {
-						t.Errorf("ColNNZCounts()[5] = %d, want %d", got[5], col[5])
+					if _, got := countsOf(m); got[5] != col[5] {
+						t.Errorf("column count 5 = %d, want %d", got[5], col[5])
 					}
 					if got := m.Transpose().NNZ(); got != nnz {
 						t.Errorf("Transpose().NNZ() = %d, want %d", got, nnz)

@@ -60,7 +60,9 @@ var (
 	// inside an Overloaded-class resilience.QueryError whose RetryAfter
 	// field hints when.
 	ErrOverloaded = errors.New("serve: admission queue full")
-	// ErrClosed reports a query submitted after Shutdown began.
+	// ErrClosed reports a query submitted after Shutdown began. Returned
+	// errors wrap it inside an Overloaded-class resilience.QueryError: the
+	// instance takes no more work, another one may.
 	ErrClosed = errors.New("serve: server closed")
 )
 
@@ -524,7 +526,7 @@ func (s *Server) submit(ctx context.Context, q Query) (*QueryResult, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return nil, overloadedErr(id, 0, ErrClosed)
 	}
 	if ok, retryAfter := s.breaker.Admit(); !ok {
 		s.mu.Unlock()
@@ -569,7 +571,8 @@ func (s *Server) submit(ctx context.Context, q Query) (*QueryResult, error) {
 // Shutdown stops admission immediately, drains queued and in-flight
 // queries, and returns when every worker has exited or ctx ends (returning
 // ctx's error, with workers still draining in the background). Safe to
-// call once; later Do calls fail with ErrClosed.
+// call once; later Do calls fail with an Overloaded-class error wrapping
+// ErrClosed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.closed {

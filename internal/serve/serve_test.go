@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"regexp"
 	"runtime"
@@ -266,6 +267,54 @@ func TestOverloadAndCancel(t *testing.T) {
 	s.mu.Unlock()
 	if _, err := s.Do(context.Background(), q); !errors.Is(err, ErrClosed) {
 		t.Errorf("closed server: got %v, want ErrClosed", err)
+	}
+}
+
+// TestDoRacingShutdownFailsTyped: a query that meets a server shutting down
+// fails like every other Do failure, as a QueryError — Overloaded-class and
+// still matching ErrClosed, so a gateway spills it to another shard — whether
+// it raced Shutdown (with or without an idempotency key) or came after it.
+func TestDoRacingShutdownFailsTyped(t *testing.T) {
+	q := testQuery(t, algorithms.GD, "cri1", 1)
+	closedErr := func(what string, err error) {
+		var qe *resilience.QueryError
+		if !errors.As(err, &qe) {
+			t.Errorf("%s: untyped error %v", what, err)
+		} else if errors.Is(err, ErrClosed) && qe.Class != resilience.Overloaded {
+			t.Errorf("%s: closed server failed as %s, want overloaded: %v", what, qe.Class, err)
+		}
+	}
+	s := New(Config{Workers: 1})
+	start := make(chan struct{})
+	errc := make(chan error, 8)
+	for i := 0; i < cap(errc); i++ {
+		kq := q
+		if i%2 == 1 {
+			kq.IdempotencyKey = fmt.Sprintf("race-%d", i)
+		}
+		go func() {
+			<-start
+			_, err := s.Do(context.Background(), kq)
+			errc <- err
+		}()
+	}
+	close(start)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cap(errc); i++ {
+		if err := <-errc; err != nil {
+			closedErr("raced Shutdown", err)
+		}
+	}
+	for _, key := range []string{"", "after"} {
+		late := q
+		late.IdempotencyKey = key
+		_, err := s.Do(context.Background(), late)
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("after Shutdown (key %q): got %v, want ErrClosed", key, err)
+		}
+		closedErr("after Shutdown", err)
 	}
 }
 

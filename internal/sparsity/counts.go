@@ -2,68 +2,173 @@ package sparsity
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
+
+	"remac/internal/fault"
 )
 
-// Counts is a per-row or per-column nonzero-count vector. It is immutable
-// once built — nothing writes an entry afterwards — so one vector can sit in
-// any number of descriptors, be shared by concurrent compilations, and carry
-// what MNC.Mul derives from it (its summary) and what Memo keys it by (its
-// content hash), each computed at most once per vector and published
-// atomically. A nil *Counts is "no sketch" (metadata-only estimation).
+// Counts is a per-row or per-column nonzero-count vector in class form: a
+// class index assigning every entry a class, and one value per class — entry
+// i is vals[idx.class[i]]. Values may repeat across classes. The index is
+// immutable and shared: a vector an estimator derives from another (a
+// product's, a rescaled one, a sum over a shared index) keeps its operand's
+// index and computes only its own values, one per class, so it costs
+// O(classes) however long the vector is.
+//
+// A Counts is immutable once built — nothing writes an entry afterwards — so
+// one vector can sit in any number of descriptors, be shared by concurrent
+// compilations, and carry what MNC.Mul derives from it (its buckets) and what
+// Memo keys it by (its content hash), each computed at most once per vector
+// and published atomically. A nil *Counts is "no sketch" (metadata-only
+// estimation).
 type Counts struct {
-	v    []int
-	sum  atomic.Pointer[summary]
+	// idx and vals are set when the vector is built in class form. A
+	// measured vector (NewCounts) has neither: src holds its entries until
+	// first use classifies them into form, the vector every read goes to.
+	idx  *classIndex
+	vals []int
+	src  []int
+	form atomic.Pointer[Counts]
+	sum  atomic.Pointer[[]bucket]
 	hash atomic.Uint64 // content hash + 1 once computed; 0 = not yet
 }
 
-// NewCounts wraps a count vector. The slice is owned by the result from here
-// on: the caller must not write to it again. A nil slice yields nil.
+// classIndex is the class of every entry of a vector, built once by
+// classifying a measured vector and shared read-only by every vector derived
+// from it.
+type classIndex struct {
+	class []int32
+	size  []int // size[ci] is the number of entries in class ci
+	// weight[ci] is the sum of the hash weights of class ci's positions (see
+	// contentHash), computed on the first hash over the index.
+	weight atomic.Pointer[[]uint64]
+}
+
+// weights returns the per-class hash weights. Racing first uses compute the
+// same content and either may win.
+func (x *classIndex) weights() []uint64 {
+	if w := x.weight.Load(); w != nil {
+		return *w
+	}
+	w := make([]uint64, len(x.size))
+	for i, ci := range x.class {
+		w[ci] += positionWeight(i)
+	}
+	x.weight.Store(&w)
+	return w
+}
+
+// NewCounts wraps a measured count vector, classified on first use. The
+// slice is owned by the result from here on: the caller must not write to it
+// again. A nil slice yields nil.
 func NewCounts(v []int) *Counts {
 	if v == nil {
 		return nil
 	}
-	return &Counts{v: v}
+	return &Counts{src: v}
 }
+
+// derive builds the vector over c's class index with one value per class.
+func (c *Counts) derive(vals []int) *Counts { return &Counts{idx: c.idx, vals: vals} }
 
 // Len returns the number of entries (0 for nil).
 func (c *Counts) Len() int {
 	if c == nil {
 		return 0
 	}
-	return len(c.v)
+	if c.idx == nil {
+		return len(c.src)
+	}
+	return len(c.idx.class)
 }
 
 // At returns entry i.
-func (c *Counts) At(i int) int { return c.v[i] }
+func (c *Counts) At(i int) int {
+	c = c.classified()
+	return c.vals[c.idx.class[i]]
+}
 
-// contentHash hashes the entries (and the length). Equal vectors hash equal;
-// the converse is checked entry by entry wherever it matters.
+// classified returns c in class form: c itself, or the vector a measured c
+// was classified into on its first use. Racing first uses agree on one
+// result, so vectors derived from either share its index.
+func (c *Counts) classified() *Counts {
+	if c.idx != nil {
+		return c
+	}
+	if f := c.form.Load(); f != nil {
+		return f
+	}
+	c.form.CompareAndSwap(nil, classify(c.src))
+	return c.form.Load()
+}
+
+// classify assigns each entry the class of its value among the distinct
+// values, numbered in order of first appearance.
+func classify(v []int) *Counts {
+	class := make([]int32, len(v))
+	var vals, size []int
+	// The largest entry, read unsigned so that a negative one is too large.
+	hi := uint(0)
+	for _, x := range v {
+		hi = max(hi, uint(x))
+	}
+	if hi <= uint(4*len(v)+256) {
+		// A measured count is bounded by a dimension near the vector's
+		// length: a table indexed by value (class+1, 0 for unseen) finds
+		// the class without hashing.
+		seen := make([]int32, hi+1)
+		for i, x := range v {
+			ci := seen[x] - 1
+			if ci < 0 {
+				ci = int32(len(vals))
+				seen[x] = ci + 1
+				vals, size = append(vals, x), append(size, 0)
+			}
+			class[i] = ci
+			size[ci]++
+		}
+	} else {
+		index := map[int]int32{}
+		prev, prevClass := 0, int32(-1)
+		for i, x := range v {
+			// Runs of one value (a dense intermediate is a single run) skip
+			// the probe.
+			if prevClass < 0 || x != prev {
+				ci, ok := index[x]
+				if !ok {
+					ci = int32(len(vals))
+					index[x] = ci
+					vals, size = append(vals, x), append(size, 0)
+				}
+				prev, prevClass = x, ci
+			}
+			class[i] = prevClass
+			size[prevClass]++
+		}
+	}
+	return &Counts{idx: &classIndex{class: class, size: size}, vals: vals}
+}
+
+// positionWeight is the hash weight of entry i: position i of the seeded
+// stream fault.Mix64 draws from.
+func positionWeight(i int) uint64 { return fault.Mix64(uint64(i+1) * 0x9e3779b97f4a7c15) }
+
+// contentHash hashes the entries (and the length): Σᵢ entryᵢ·weightᵢ mod
+// 2⁶⁴, which a vector evaluates per class as Σ vals[ci]·weight[ci] — equal
+// for equal contents whatever index they are held over, without reading the
+// entries. The converse is checked by sameContent wherever it matters.
 func (c *Counts) contentHash() uint64 {
 	if h := c.hash.Load(); h != 0 {
 		return h - 1
 	}
-	// Four independent multiply-xor lanes: a single FNV-style chain is bound
-	// by the multiplier's latency, and this runs once over every vector a
-	// compilation produces.
-	const prime = 0x100000001b3
-	h0, h1, h2, h3 := uint64(0xcbf29ce484222325), uint64(0x84222325cbf29ce4), uint64(0x9e3779b97f4a7c15), uint64(len(c.v))
-	v := c.v
-	for len(v) >= 4 {
-		h0 = (h0 ^ uint64(v[0])) * prime
-		h1 = (h1 ^ uint64(v[1])) * prime
-		h2 = (h2 ^ uint64(v[2])) * prime
-		h3 = (h3 ^ uint64(v[3])) * prime
-		v = v[4:]
+	f := c.classified()
+	h := uint64(len(f.idx.class)) * 0x9e3779b97f4a7c15
+	for ci, w := range f.idx.weights() {
+		h += uint64(f.vals[ci]) * w
 	}
-	for _, x := range v {
-		h0 = (h0 ^ uint64(x)) * prime
-	}
-	h := h0
-	for _, l := range [...]uint64{h1, h2, h3} {
-		h = (h ^ l ^ l>>29) * prime
-	}
+	h = fault.Mix64(h)
 	if h == math.MaxUint64 {
 		h = 0 // keep h+1 != 0
 	}
@@ -71,19 +176,58 @@ func (c *Counts) contentHash() uint64 {
 	return h
 }
 
-// summary is everything MNC.Mul needs of an outer count vector beyond its
-// entries: the distinct values with a per-entry class index, so per-entry
-// work (a bucket key, a propagated count) is done once per distinct value
-// and scattered; and the geometric buckets of the nonzero entries.
-type summary struct {
-	// vals lists the distinct entry values in order of first appearance;
-	// class[i] is the index into vals of entry i.
-	vals  []int
-	class []int32
-	// buckets quantizes the nonzero entries into geometric buckets (ratio
-	// ~1.1, in key order) so the double sum in Mul is O(buckets²) instead of
-	// O(rows·cols).
-	buckets []bucket
+// sameContent reports whether c and d hold equal entries: by their values
+// alone over one index (or two single-class ones of one length, a dense
+// operand's, which group the entries alike), otherwise entry by entry
+// through both indexes.
+func (c *Counts) sameContent(d *Counts) bool {
+	c, d = c.classified(), d.classified()
+	if c.idx == d.idx || len(c.vals) == 1 && len(d.vals) == 1 && c.Len() == d.Len() {
+		return slices.Equal(c.vals, d.vals)
+	}
+	if len(c.idx.class) != len(d.idx.class) {
+		return false
+	}
+	for i, ci := range c.idx.class {
+		if c.vals[ci] != d.vals[d.idx.class[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// zipCounts applies f to the entries of two equally long vectors pairwise
+// and returns the result with the sum of its entries. Over a shared index,
+// or with one operand a single class (a dense one), f runs once per class
+// and the result keeps the index; otherwise it runs entry by entry into a
+// measured vector, classified on first use.
+func zipCounts(ca, cb *Counts, f func(x, y int) int) (*Counts, int) {
+	a, b := ca.classified(), cb.classified()
+	total := 0
+	if over := a; a.idx == b.idx || len(a.vals) == 1 || len(b.vals) == 1 {
+		if len(a.vals) == 1 && a.idx != b.idx {
+			over = b
+		}
+		vals := make([]int, len(over.vals))
+		for ci := range vals {
+			x, y := a.vals[0], b.vals[0]
+			if len(a.vals) > 1 {
+				x = a.vals[ci]
+			}
+			if len(b.vals) > 1 {
+				y = b.vals[ci]
+			}
+			vals[ci] = f(x, y)
+			total += vals[ci] * over.idx.size[ci]
+		}
+		return over.derive(vals), total
+	}
+	out := make([]int, len(a.idx.class))
+	for i, ci := range a.idx.class {
+		out[i] = f(a.vals[ci], b.vals[b.idx.class[i]])
+		total += out[i]
+	}
+	return NewCounts(out), total
 }
 
 // bucket groups count-vector entries with similar values: n entries whose
@@ -93,75 +237,74 @@ type bucket struct {
 	n     float64
 }
 
-// summary returns the vector's summary, computing it on first use. Racing
-// first uses each compute the same content and either pointer may win.
-func (c *Counts) summary() *summary {
+// summary returns the geometric buckets of the nonzero entries of a vector
+// in class form (ratio ~1.1, in key order), computing them on first use, so
+// the double sum in Mul is O(buckets²) instead of O(rows·cols). Racing first
+// uses compute the same content and either may win.
+func (c *Counts) summary() []bucket {
 	if s := c.sum.Load(); s != nil {
-		return s
+		return *s
 	}
-	s := &summary{}
-	s.vals, s.class = classify(c.v)
-	s.buckets = bucketClasses(s.vals, s.class)
-	c.sum.Store(s)
-	return s
+	b := bucketClasses(c.idx, c.vals)
+	c.sum.Store(&b)
+	return b
 }
 
-// classify assigns each entry the index of its value among the distinct
-// values, numbered in order of first appearance.
-func classify(v []int) (vals []int, class []int32) {
-	class = make([]int32, len(v))
-	index := map[int]int32{}
-	prev, prevClass := 0, int32(-1)
-	for i, x := range v {
-		// Runs of one value (a dense intermediate is a single run) skip the
-		// probe.
-		if prevClass < 0 || x != prev {
-			ci, ok := index[x]
-			if !ok {
-				ci = int32(len(vals))
-				index[x] = ci
-				vals = append(vals, x)
-			}
-			prev, prevClass = x, ci
-		}
-		class[i] = prevClass
-	}
-	return vals, class
-}
-
-// bucketClasses builds the geometric buckets of a classified vector. The
-// bucket key is computed once per distinct value; the running mean that
-// centres each bucket's representative is still accumulated entry by entry
-// in positional order, because it is a float recurrence whose result depends
-// on that order.
-func bucketClasses(vals []int, class []int32) []bucket {
+// bucketClasses builds the geometric buckets of a vector in class form. The
+// bucket key is computed once per class. Each bucket's representative is a
+// running mean over its entries in positional order, value = (value·n + c) /
+// (n + 1), a float recurrence whose result depends on that order — unless
+// all of a bucket's entries hold one value c: then every step yields exactly
+// c (c·n, c·n + c and c·(n+1)/(n+1) are exact while c·(n+1) < 2⁵³), so the
+// bucket is {c, n} in closed form. Only buckets that mix values walk the
+// entries.
+func bucketClasses(idx *classIndex, vals []int) []bucket {
 	// slot[ci] is the position in acc of class ci's bucket, -1 for zero.
 	slot := make([]int, len(vals))
-	fvals := make([]float64, len(vals))
 	byKey := map[int]int{}
 	var keys []int
+	var acc []bucket
+	var mixed []bool
 	for ci, c := range vals {
 		slot[ci] = -1
 		if c == 0 {
 			continue
 		}
-		fvals[ci] = float64(c)
-		key := int(math.Round(math.Log(fvals[ci]) / math.Log(1.1)))
+		v := float64(c)
+		key := int(math.Round(math.Log(v) / math.Log(1.1)))
 		j, ok := byKey[key]
 		if !ok {
 			j = len(keys)
 			byKey[key] = j
 			keys = append(keys, key)
+			acc = append(acc, bucket{value: v})
+			mixed = append(mixed, false)
+		} else if acc[j].value != v {
+			mixed[j] = true
 		}
+		acc[j].n += float64(idx.size[ci])
 		slot[ci] = j
 	}
-	acc := make([]bucket, len(keys))
-	for _, ci := range class {
-		if j := slot[ci]; j >= 0 {
-			// From the zero bucket this yields {c, 1} exactly.
-			b := &acc[j]
-			b.value = (b.value*b.n + fvals[ci]) / (b.n + 1)
-			b.n++
+	walk := false
+	for j, b := range acc {
+		mixed[j] = mixed[j] || b.value*(b.n+1) >= 1<<53
+		if mixed[j] {
+			acc[j], walk = bucket{}, true
+		}
+	}
+	if walk {
+		for ci, j := range slot {
+			if j >= 0 && !mixed[j] {
+				slot[ci] = -1
+			}
+		}
+		for _, ci := range idx.class {
+			if j := slot[ci]; j >= 0 {
+				// From the zero bucket this yields {c, 1} exactly.
+				b := &acc[j]
+				b.value = (b.value*b.n + float64(vals[ci])) / (b.n + 1)
+				b.n++
+			}
 		}
 	}
 	// Emit in key order: it fixes the float-summation order downstream (the

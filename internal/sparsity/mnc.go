@@ -35,39 +35,53 @@ func (MNC) Mul(a, b Meta) Meta {
 	// sampled sums to the full matrix; totals come from the scale-free
 	// sparsity so sampled and full sketches agree.
 	nnzA, nnzB := a.NNZ(), b.NNZ()
+	rowsA, colsB := a.RowCounts.classified(), b.ColCounts.classified()
 	if nnzA == 0 || nnzB == 0 {
 		out := MetaDims(a.Rows, b.Cols, 0)
-		out.RowCounts = NewCounts(make([]int, a.RowCounts.Len()))
-		out.ColCounts = NewCounts(make([]int, b.ColCounts.Len()))
+		out.RowCounts = rowsA.derive(make([]int, len(rowsA.vals)))
+		out.ColCounts = colsB.derive(make([]int, len(colsB.vals)))
 		return out
 	}
-	inner, innerB := a.ColCounts.v, b.RowCounts.v
-	innerRep := float64(a.Cols) / float64(len(inner))
+	inner, innerB := a.ColCounts.classified(), b.RowCounts.classified()
+	innerRep := float64(a.Cols) / float64(inner.Len())
+	// The sum runs entry by entry, a chain of dependent additions; its
+	// terms' conversions are made once per class, off that chain.
+	var bufA, bufB [64]float64
+	fa, fb := floatsOf(inner.vals, bufA[:0]), floatsOf(innerB.vals, bufB[:0])
+	classB := innerB.idx.class[:len(inner.idx.class)]
 	t := 0.0
-	for k, c := range inner {
-		t += float64(c) * float64(innerB[k])
+	for k, ci := range inner.idx.class {
+		t += fa[ci] * fb[classB[k]]
 	}
 	t *= innerRep
 	coupling := t / (nnzA * nnzB)
 
-	// The outer vectors are read through their summaries only, which outlive
-	// this call: a vector multiplied again (the planner prices the same
-	// operand in many products) is not classified or bucketed again.
-	sumA, sumB := a.RowCounts.summary(), b.ColCounts.summary()
-	rowRep := float64(a.Rows) / float64(len(sumA.class))
-	colRep := float64(b.Cols) / float64(len(sumB.class))
+	// The outer vectors' buckets outlive this call: a vector multiplied
+	// again (the planner prices the same operand in many products) is not
+	// bucketed again.
+	bucketsA, bucketsB := rowsA.summary(), colsB.summary()
+	rowRep := float64(a.Rows) / float64(rowsA.Len())
+	colRep := float64(b.Cols) / float64(colsB.Len())
 	expNNZ := 0.0
-	for _, ba := range sumA.buckets {
-		for _, bb := range sumB.buckets {
+	for _, ba := range bucketsA {
+		for _, bb := range bucketsB {
 			lambda := ba.value * bb.value * coupling
 			expNNZ += ba.n * rowRep * bb.n * colRep * -math.Expm1(-lambda)
 		}
 	}
 	cells := float64(a.Rows) * float64(b.Cols)
 	out := MetaDims(a.Rows, b.Cols, expNNZ/cells)
-	out.RowCounts = propagateMulRows(sumA, sumB.buckets, colRep, coupling, int(b.Cols))
-	out.ColCounts = propagateMulRows(sumB, sumA.buckets, rowRep, coupling, int(a.Rows))
+	out.RowCounts = propagateMulRows(rowsA, bucketsB, colRep, coupling, int(b.Cols))
+	out.ColCounts = propagateMulRows(colsB, bucketsA, rowRep, coupling, int(a.Rows))
 	return out
+}
+
+// floatsOf appends the values, converted, to dst.
+func floatsOf(vals []int, dst []float64) []float64 {
+	for _, v := range vals {
+		dst = append(dst, float64(v))
+	}
+	return dst
 }
 
 // Virtualize re-dimensions a materialized matrix's metadata to virtual
@@ -95,19 +109,20 @@ func scaleVals(counts *Counts, f float64) *Counts {
 	if counts == nil || f == 1 {
 		return counts
 	}
-	out := make([]int, len(counts.v))
-	for i, c := range counts.v {
-		out[i] = int(math.Round(float64(c) * f))
+	c := counts.classified()
+	out := make([]int, len(c.vals))
+	for ci, v := range c.vals {
+		out[ci] = int(math.Round(float64(v) * f))
 	}
-	return NewCounts(out)
+	return c.derive(out)
 }
 
 // propagateMulRows estimates the per-row (or, transposed, per-column) count
 // vector of a product: row i of the output has expected count
 // Σ_j (1 - exp(-hr[i]·hcB[j]·coupling)), evaluated over the bucketed
-// opposite-side counts with their replication factor — once per distinct
-// value of hr, then scattered through the class index.
-func propagateMulRows(rows *summary, opposite []bucket, oppositeRep, coupling float64, dimCap int) *Counts {
+// opposite-side counts with their replication factor — once per class of
+// hr, over whose index the result is built.
+func propagateMulRows(rows *Counts, opposite []bucket, oppositeRep, coupling float64, dimCap int) *Counts {
 	perClass := make([]int, len(rows.vals))
 	for ci, rc := range rows.vals {
 		if rc == 0 {
@@ -122,11 +137,7 @@ func propagateMulRows(rows *summary, opposite []bucket, oppositeRep, coupling fl
 		}
 		perClass[ci] = int(math.Round(exp))
 	}
-	counts := make([]int, len(rows.class))
-	for i, ci := range rows.class {
-		counts[i] = perClass[ci]
-	}
-	return NewCounts(counts)
+	return rows.derive(perClass)
 }
 
 func transposeMeta(a Meta) Meta {
@@ -139,53 +150,44 @@ func (MNC) Add(a, b Meta) Meta {
 	checkSameDims(a, b, "Add")
 	s := a.Sparsity + b.Sparsity - a.Sparsity*b.Sparsity
 	out := MetaDims(a.Rows, a.Cols, s)
-	out.RowCounts = unionCounts(a.RowCounts, b.RowCounts, int(a.Cols))
-	out.ColCounts = unionCounts(a.ColCounts, b.ColCounts, int(a.Rows))
+	var total int
+	out.RowCounts, total = unionCounts(a.RowCounts, b.RowCounts, int(a.Cols))
+	out.ColCounts, _ = unionCounts(a.ColCounts, b.ColCounts, int(a.Rows))
 	// If counts are available, derive the sparsity from them; they reflect
 	// structure the independence assumption misses. The vectors may be
 	// samples, so normalize by their own footprint.
-	if out.RowCounts.Len() > 0 {
-		total := 0
-		for _, c := range out.RowCounts.v {
-			total += c
-		}
-		out.Sparsity = clamp01(float64(total) / (float64(len(out.RowCounts.v)) * float64(a.Cols)))
+	if n := out.RowCounts.Len(); n > 0 {
+		out.Sparsity = clamp01(float64(total) / (float64(n) * float64(a.Cols)))
 	}
 	return out
 }
 
-func unionCounts(ca, cb *Counts, cap int) *Counts {
-	if ca == nil || cb == nil || len(ca.v) != len(cb.v) {
-		return nil
+// unionCounts returns the union bound of two count vectors and the sum of
+// its entries.
+func unionCounts(ca, cb *Counts, cap int) (*Counts, int) {
+	if ca == nil || cb == nil || ca.Len() != cb.Len() {
+		return nil, 0
 	}
-	a, b := ca.v, cb.v
-	out := make([]int, len(a))
-	for i := range a {
+	return zipCounts(ca, cb, func(x, y int) int {
 		// Union bound assuming the two patterns overlap proportionally.
-		u := float64(a[i]) + float64(b[i]) - float64(a[i])*float64(b[i])/float64(cap)
+		u := float64(x) + float64(y) - float64(x)*float64(y)/float64(cap)
 		if u > float64(cap) {
 			u = float64(cap)
 		}
-		out[i] = int(math.Round(u))
-	}
-	return NewCounts(out)
+		return int(math.Round(u))
+	})
 }
 
 // ElemMul implements Estimator: per-row intersection estimate.
 func (MNC) ElemMul(a, b Meta) Meta {
 	checkSameDims(a, b, "ElemMul")
 	out := MetaDims(a.Rows, a.Cols, a.Sparsity*b.Sparsity)
-	if a.RowCounts != nil && b.RowCounts != nil && len(a.RowCounts.v) == len(b.RowCounts.v) {
-		ra, rb := a.RowCounts.v, b.RowCounts.v
-		counts := make([]int, len(ra))
-		total := 0
-		for i := range counts {
-			c := int(math.Round(float64(ra[i]) * float64(rb[i]) / float64(a.Cols)))
-			counts[i] = c
-			total += c
-		}
-		out.RowCounts = NewCounts(counts)
-		out.Sparsity = clamp01(float64(total) / (float64(len(counts)) * float64(a.Cols)))
+	if a.RowCounts != nil && b.RowCounts != nil && a.RowCounts.Len() == b.RowCounts.Len() {
+		var total int
+		out.RowCounts, total = zipCounts(a.RowCounts, b.RowCounts, func(x, y int) int {
+			return int(math.Round(float64(x) * float64(y) / float64(a.Cols)))
+		})
+		out.Sparsity = clamp01(float64(total) / (float64(out.RowCounts.Len()) * float64(a.Cols)))
 	}
 	return out
 }

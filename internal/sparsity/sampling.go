@@ -32,16 +32,16 @@ func sampleCounts(c *Counts, frac float64) *Counts {
 	if c == nil {
 		return nil
 	}
-	counts := c.v
+	c = c.classified()
 	step := int(1 / frac)
 	if step < 1 {
 		step = 1
 	}
-	out := make([]int, len(counts))
-	for i := 0; i < len(counts); i += step {
-		v := counts[i]
+	out := make([]int, c.Len())
+	for i := 0; i < len(out); i += step {
+		v := c.vals[c.idx.class[i]]
 		// Smear the sampled value over the skipped stride.
-		for j := i; j < i+step && j < len(counts); j++ {
+		for j := i; j < i+step && j < len(out); j++ {
 			out[j] = v
 		}
 	}

@@ -45,15 +45,20 @@ func (m Meta) Valid() error {
 }
 
 // MetaOf extracts a full descriptor (including count vectors) from a
-// materialized matrix. The matrix carries its counts once taken, so only
-// the first call on a matrix scans it (once, not once per field).
+// materialized matrix. The matrix carries its counts once taken, and the
+// two vectors wrapping them, so only the first call on a matrix scans it
+// (once, not once per field) and each vector is classified at most once
+// however many compilations read it.
 func MetaOf(m *matrix.Matrix) Meta {
+	counts := matrix.NNZCounts(m, func(row, col []int) *[2]*Counts {
+		return &[2]*Counts{NewCounts(row), NewCounts(col)}
+	})
 	return Meta{
 		Rows:      int64(m.Rows()),
 		Cols:      int64(m.Cols()),
 		Sparsity:  m.Sparsity(),
-		RowCounts: NewCounts(m.RowNNZCounts()),
-		ColCounts: NewCounts(m.ColNNZCounts()),
+		RowCounts: counts[0],
+		ColCounts: counts[1],
 	}
 }
 
