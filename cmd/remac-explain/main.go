@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -48,12 +49,12 @@ func main() {
 	fatal(err)
 	fmt.Print(prog.Explain())
 
-	_, tr, err := prog.RunTraced()
+	report, err := prog.RunContext(context.Background(), remac.RunOptions{Trace: true})
 	fatal(err)
 	fmt.Printf("\nsimulated cost by statement (%d iterations):\n", iterations)
 	fmt.Printf("%-24s %6s %8s %12s %12s %12s\n",
 		"statement", "execs", "ops", "compute(s)", "transmit(s)", "total(s)")
-	for _, sc := range tr.StatementCosts() {
+	for _, sc := range report.Trace.StatementCosts() {
 		fmt.Printf("%-24s %6d %8d %12.3f %12.3f %12.3f\n",
 			sc.Statement, sc.Executions, sc.Ops, sc.ComputeSeconds, sc.TransmitSeconds,
 			sc.ComputeSeconds+sc.TransmitSeconds)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +62,7 @@ func main() {
 	})
 	fatal(err)
 
-	opts := remac.RunOptions{Recovery: *recovery, Verify: *verify, NaNGuard: *nanGuard}
+	opts := remac.RunOptions{Recovery: *recovery, Verify: *verify, NaNGuard: *nanGuard, Trace: *traceFile != ""}
 	if *faults > 0 || *corruptRate > 0 {
 		opts.Faults = &remac.FaultConfig{
 			Seed:                  *faultSeed,
@@ -72,18 +73,13 @@ func main() {
 		}
 	}
 
-	var report *remac.Report
-	if *traceFile != "" {
-		var tr *remac.RunTrace
-		report, tr, err = prog.RunTracedWithOptions(opts)
-		fatal(err)
+	report, err := prog.RunContext(context.Background(), opts)
+	fatal(err)
+	if report.Trace != nil {
 		f, err := os.Create(*traceFile)
 		fatal(err)
-		fatal(tr.WriteJSONL(f))
+		fatal(report.Trace.WriteJSONL(f))
 		fatal(f.Close())
-	} else {
-		report, err = prog.RunWithOptions(opts)
-		fatal(err)
 	}
 
 	fmt.Printf("%s on %s, strategy %s, %d iterations\n", *workload, *dsName, *strategy, report.Iterations)

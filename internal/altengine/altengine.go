@@ -8,6 +8,7 @@
 package altengine
 
 import (
+	"context"
 	"fmt"
 
 	"remac/internal/cluster"
@@ -62,7 +63,7 @@ func Run(kind Kind, prog *lang.Program, metas map[string]sparsity.Meta, inputs m
 	if err != nil {
 		return nil, fmt.Errorf("altengine: %w", err)
 	}
-	res, err := engine.Run(compiled, inputs)
+	res, err := engine.RunWithOptions(context.Background(), compiled, inputs, nil, engine.RunOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("altengine: %w", err)
 	}

@@ -26,7 +26,7 @@ func BenchmarkQuasiNewtonRun(b *testing.B) {
 			b.Run(fmt.Sprintf("%v/%d", alg, iters), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Run(c, ins); err != nil {
+					if _, err := runPlain(c, ins); err != nil {
 						b.Fatal(err)
 					}
 				}

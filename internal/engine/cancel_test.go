@@ -64,8 +64,8 @@ func TestRunDeadline(t *testing.T) {
 	}
 }
 
-// TestNilContextRunsToCompletion: RunTraced and friends pass a background
-// context; a full run must be unaffected by the ctx plumbing.
+// TestNilContextRunsToCompletion: a background context must leave a full run
+// unaffected by the ctx plumbing.
 func TestNilContextRunsToCompletion(t *testing.T) {
 	c := compileFor(t, algorithms.GD, "cri1", opt.Adaptive)
 	res, err := RunWithOptions(context.Background(), c, inputsFor(t, algorithms.GD, "cri1"), nil, RunOptions{})

@@ -99,32 +99,25 @@ func (e *MaxIterationsError) Unwrap() error { return ErrMaxIterations }
 // errors.Is(err, engine.ErrCanceled) check.
 var ErrCanceled = opt.ErrCanceled
 
-// Intermediate is a loop-constant value exchanged with a cross-run
-// IntermediateCache: the materialized matrix plus the virtual dimensions
-// the cost model accounts it at.
-type Intermediate struct {
-	Data         *matrix.Matrix
-	VRows, VCols int64
-}
-
-// IntermediateCache is a cross-run store for loop-constant (LSE) values.
-// The engine consults it before computing an LSE producer and offers the
-// computed value back; keys are the option's canonical expression key plus
-// the producer plan's shape signature, so a hit is guaranteed to stand for
-// the bitwise-identical sequence of kernel executions. Callers that share
-// one cache across runs must namespace keys by dataset version and cluster
-// configuration (see internal/serve) and may need to synchronize: the
-// engine calls Get/Put from the run's own goroutine.
+// IntermediateCache is a cross-run store for loop-constant (LSE) values,
+// each an Input: the materialized matrix plus the virtual dimensions the
+// cost model accounts it at. The engine consults it before computing an LSE
+// producer and offers the computed value back; keys are the option's
+// canonical expression key plus the producer plan's shape signature, so a
+// hit is guaranteed to stand for the bitwise-identical sequence of kernel
+// executions. Callers that share one cache across runs must namespace keys
+// by dataset version and cluster configuration (see internal/serve) and may
+// need to synchronize: the engine calls Get/Put from the run's own goroutine.
 type IntermediateCache interface {
-	Get(key string) (Intermediate, bool)
-	Put(key string, v Intermediate)
+	Get(key string) (Input, bool)
+	Put(key string, v Input)
 }
 
 // SharedRole is the outcome of a SharedProducers.Acquire call.
 type SharedRole int
 
 const (
-	// SharedHit: the returned Intermediate is valid; the caller adopts it
+	// SharedHit: the returned Input is valid; the caller adopts it
 	// instead of computing.
 	SharedHit SharedRole = iota
 	// SharedLead: the caller must compute the value and settle its claim
@@ -148,8 +141,8 @@ const (
 // producer-plan signature), so an adopted value is guaranteed to stand for
 // the bitwise-identical kernel sequence this run would have executed.
 type SharedProducers interface {
-	Acquire(ctx context.Context, key string) (Intermediate, SharedRole, error)
-	Publish(key string, v Intermediate, flop float64)
+	Acquire(ctx context.Context, key string) (Input, SharedRole, error)
+	Publish(key string, v Input, flop float64)
 	Fail(key string, err error)
 }
 
@@ -188,24 +181,14 @@ type RunOptions struct {
 	NaNGuard integrity.GuardMode
 }
 
-// Run executes a compiled program over the given inputs on a fresh
-// simulated cluster.
-func Run(c *opt.Compiled, inputs map[string]Input) (*Result, error) {
-	return RunTraced(c, inputs, nil)
-}
-
-// RunTraced is Run with a trace recorder attached: every charged operator
-// emits a span, and statement/iteration boundaries enclose them as group
-// spans. A nil recorder disables tracing (Run's behavior).
-func RunTraced(c *opt.Compiled, inputs map[string]Input, rec *trace.Recorder) (*Result, error) {
-	return RunWithOptions(context.Background(), c, inputs, rec, RunOptions{})
-}
-
-// RunWithOptions is RunTraced with a cancellation context, fault injection,
-// recovery policy and integrity verification attached. Injected fail-stop
-// faults only ever affect cost accounting — kernels execute for real, so the
-// result matrices are numerically identical to a fault-free run. Injected
-// corruptions are the exception: a flipped bit that escapes the enabled
+// RunWithOptions executes a compiled program over the given inputs on a fresh
+// simulated cluster; the zero RunOptions is a perfect cluster. With a trace
+// recorder attached every charged operator emits a span, and
+// statement/iteration boundaries enclose them as group spans; a nil recorder
+// disables tracing. Injected fail-stop faults only ever affect cost
+// accounting — kernels execute for real, so the result matrices are
+// numerically identical to a fault-free run. Injected corruptions are the
+// exception: a flipped bit that escapes the enabled
 // verification mode really damages the affected value, while a detected one
 // is repaired (at a charged lineage cost) back to the bitwise-identical
 // clean payload, or fails the run with an error wrapping
@@ -1005,12 +988,12 @@ func (e *executor) optionValue(o *search.Option) (*distmat.DistMatrix, error) {
 	}
 	if lead {
 		vr, vc := v.VirtualDims()
-		e.shared.Publish(interKey, Intermediate{Data: v.Data(), VRows: vr, VCols: vc},
+		e.shared.Publish(interKey, Input{Data: v.Data(), VRows: vr, VCols: vc},
 			e.ctx.Cluster.Stats().FLOP-flopBefore)
 	}
 	if interKey != "" && e.inter != nil {
 		vr, vc := v.VirtualDims()
-		e.inter.Put(interKey, Intermediate{Data: v.Data(), VRows: vr, VCols: vc})
+		e.inter.Put(interKey, Input{Data: v.Data(), VRows: vr, VCols: vc})
 	}
 	cache[o.Key] = v
 	return v, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,12 +17,17 @@ import (
 	"remac/internal/sparsity"
 )
 
+// runPlain is the one entry point with no context, recorder or options.
+func runPlain(c *opt.Compiled, inputs map[string]Input) (*Result, error) {
+	return RunWithOptions(context.Background(), c, inputs, nil, RunOptions{})
+}
+
 // compileAndRun compiles a workload for one dataset and strategy and runs
 // it end to end.
 func compileAndRun(t *testing.T, alg algorithms.Name, dsName string, strategy opt.Strategy) *Result {
 	t.Helper()
 	c := compileFor(t, alg, dsName, strategy)
-	res, err := Run(c, inputsFor(t, alg, dsName))
+	res, err := runPlain(c, inputsFor(t, alg, dsName))
 	if err != nil {
 		t.Fatalf("%v/%s/%v: run: %v", alg, dsName, strategy, err)
 	}
@@ -189,7 +195,7 @@ func TestLSEHoistedOnceAcrossIterations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(c, inputsFor(t, algorithms.GD, "cri1"))
+		res, err := runPlain(c, inputsFor(t, algorithms.GD, "cri1"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +210,7 @@ func TestLSEHoistedOnceAcrossIterations(t *testing.T) {
 
 func TestRunErrorsOnMissingInput(t *testing.T) {
 	c := compileFor(t, algorithms.GD, "cri2", opt.NoElimination)
-	_, err := Run(c, map[string]Input{})
+	_, err := runPlain(c, map[string]Input{})
 	if err == nil {
 		t.Fatal("missing inputs accepted")
 	}
@@ -221,7 +227,7 @@ while (i < 1) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(c, nil); err == nil {
+	if _, err := runPlain(c, nil); err == nil {
 		t.Fatal("infinite loop not caught")
 	}
 }
@@ -238,7 +244,7 @@ while (i + 1 <= n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, nil)
+	res, err := runPlain(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +298,7 @@ func TestPartialDFPRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, map[string]Input{
+	res, err := runPlain(c, map[string]Input{
 		"A":  {Data: ds.A, VRows: ds.VRows, VCols: ds.VCols},
 		"H0": {Data: ds.InitialH(), VRows: ds.VCols, VCols: ds.VCols},
 		"x0": {Data: ds.InitialX(), VRows: ds.VCols, VCols: 1},
@@ -333,7 +339,7 @@ r = n / m
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, map[string]Input{"A": {Data: ds.A, VRows: ds.VRows, VCols: ds.VCols}})
+	res, err := runPlain(c, map[string]Input{"A": {Data: ds.A, VRows: ds.VRows, VCols: ds.VCols}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +385,7 @@ func TestManualStrategyAppliesNamedOptions(t *testing.T) {
 		t.Fatalf("manual selection = %v", keys)
 	}
 	// And the run still produces correct values.
-	res, err := Run(c, inputsFor(t, algorithms.DFP, "cri2"))
+	res, err := runPlain(c, inputsFor(t, algorithms.DFP, "cri2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +428,7 @@ y = A %*% x
 		// engine is allowed to surface it as a panic for programmer error.
 		recover()
 	}()
-	_, err = Run(c, map[string]Input{
+	_, err = runPlain(c, map[string]Input{
 		"A": {Data: matrix.RandDense(rand10(), 10, 5)},
 		"x": {Data: matrix.RandDense(rand10(), 7, 1)}, // wrong rows
 	})

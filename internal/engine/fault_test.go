@@ -45,7 +45,7 @@ func runFaulted(t *testing.T, alg algorithms.Name, dsName string, s opt.Strategy
 // of a plain Run.
 func TestZeroOptionsMatchPlainRun(t *testing.T) {
 	c := compileFor(t, algorithms.GD, "cri1", opt.Conservative)
-	plain, err := Run(c, inputsFor(t, algorithms.GD, "cri1"))
+	plain, err := runPlain(c, inputsFor(t, algorithms.GD, "cri1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ while (i < 1) {
 	}
 
 	// The default path (plain Run, full cap) returns the same sentinel.
-	_, err = Run(c, nil)
+	_, err = runPlain(c, nil)
 	if !errors.Is(err, ErrMaxIterations) {
 		t.Fatalf("Run: errors.Is false for %v", err)
 	}

@@ -45,11 +45,11 @@ func smallDataset(name string, rows, cols int) *data.Dataset {
 // out; one that stores serves a later run what an earlier one put.
 type recordingCaches struct {
 	given  []*matrix.Matrix
-	stored map[string]Intermediate
+	stored map[string]Input
 	hits   int
 }
 
-func (r *recordingCaches) Get(key string) (Intermediate, bool) {
+func (r *recordingCaches) Get(key string) (Input, bool) {
 	v, ok := r.stored[key]
 	if ok {
 		r.hits++
@@ -57,16 +57,16 @@ func (r *recordingCaches) Get(key string) (Intermediate, bool) {
 	return v, ok
 }
 
-func (r *recordingCaches) Put(key string, v Intermediate) {
+func (r *recordingCaches) Put(key string, v Input) {
 	r.given = append(r.given, v.Data)
 	if r.stored != nil {
 		r.stored[key] = v
 	}
 }
-func (r *recordingCaches) Acquire(context.Context, string) (Intermediate, SharedRole, error) {
-	return Intermediate{}, SharedLead, nil
+func (r *recordingCaches) Acquire(context.Context, string) (Input, SharedRole, error) {
+	return Input{}, SharedLead, nil
 }
-func (r *recordingCaches) Publish(_ string, v Intermediate, _ float64) {
+func (r *recordingCaches) Publish(_ string, v Input, _ float64) {
 	r.given = append(r.given, v.Data)
 }
 func (r *recordingCaches) Fail(string, error) {}
@@ -221,14 +221,14 @@ func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
 			for _, strategy := range ownershipStrategies {
 				ctx := fmt.Sprintf("%v/%s/%v", alg, ds.Name, strategy)
 				c := compileOn(t, alg, ds, strategy, 4)
-				plain, err := Run(c, inputsOn(alg, ds))
+				plain, err := runPlain(c, inputsOn(alg, ds))
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 				// Every recovery policy with caches that never hit, and once
 				// more with a cache that serves what the first run put: values
 				// that enter the run as cache hits.
-				serving := &recordingCaches{stored: map[string]Intermediate{}}
+				serving := &recordingCaches{stored: map[string]Input{}}
 				for _, arm := range []struct {
 					recovery RecoveryKind
 					rec      *recordingCaches
@@ -298,7 +298,7 @@ func TestDeferredRunsEqualEagerRuns(t *testing.T) {
 			for _, strategy := range ownershipStrategies {
 				ctx := fmt.Sprintf("%v/%s/%v", alg, ds.Name, strategy)
 				c := compileOn(t, alg, ds, strategy, 4)
-				plain, err := Run(c, inputsOn(alg, ds))
+				plain, err := runPlain(c, inputsOn(alg, ds))
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
@@ -504,7 +504,7 @@ func TestOwnershipHandOverIsolatesConcurrentRuns(t *testing.T) {
 	for _, alg := range []algorithms.Name{algorithms.DFP, algorithms.BFGS} {
 		c := compileOn(t, alg, ds, opt.Adaptive, 3)
 		ins := inputsOn(alg, ds)
-		solo, err := Run(c, ins)
+		solo, err := runPlain(c, ins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,7 +517,7 @@ func TestOwnershipHandOverIsolatesConcurrentRuns(t *testing.T) {
 				defer wg.Done()
 				for r := 0; r < rounds && errs[g] == nil; r++ {
 					var res *Result
-					res, errs[g] = Run(c, ins)
+					res, errs[g] = runPlain(c, ins)
 					results[g] = append(results[g], res)
 				}
 			}(g)
@@ -553,17 +553,17 @@ func TestOwnershipHandOverIsolatesConcurrentRuns(t *testing.T) {
 // lockedCache is a cross-run IntermediateCache safe for concurrent runs.
 type lockedCache struct {
 	mu sync.Mutex
-	m  map[string]Intermediate
+	m  map[string]Input
 }
 
-func (c *lockedCache) Get(key string) (Intermediate, bool) {
+func (c *lockedCache) Get(key string) (Input, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.m[key]
 	return v, ok
 }
 
-func (c *lockedCache) Put(key string, v Intermediate) {
+func (c *lockedCache) Put(key string, v Input) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[key] = v
@@ -579,11 +579,11 @@ func TestOwnershipConcurrentRunsShareInputsAndIntermediates(t *testing.T) {
 	for _, alg := range ownershipAlgs {
 		c := compileOn(t, alg, ds, opt.Adaptive, 3)
 		ins := inputsOn(alg, ds)
-		solo, err := Run(c, ins)
+		solo, err := runPlain(c, ins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache := &lockedCache{m: map[string]Intermediate{}}
+		cache := &lockedCache{m: map[string]Input{}}
 		for round := 0; round < 3; round++ { // round 0 fills the cache, later rounds hit it
 			results := make([]*Result, 2)
 			errs := make([]error, 2)
@@ -637,14 +637,14 @@ func TestExecAllocBudget(t *testing.T) {
 			for _, strategy := range []opt.Strategy{opt.NoElimination, opt.Adaptive} {
 				c := compileOn(t, alg, ds, strategy, tc.iters)
 				ins := inputsOn(alg, ds)
-				if _, err := Run(c, ins); err != nil { // settle lazily counted input metadata
+				if _, err := runPlain(c, ins); err != nil { // settle lazily counted input metadata
 					t.Fatal(err)
 				}
 				runtime.GC()
 				runtime.GC()
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				if _, err := Run(c, ins); err != nil {
+				if _, err := runPlain(c, ins); err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)

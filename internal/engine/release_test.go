@@ -40,7 +40,7 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 	for name, prog := range programs {
 		for _, strategy := range ownershipStrategies {
 			c := compileProgram(t, name, prog, metas, strategy, 4)
-			serving := &recordingCaches{stored: map[string]Intermediate{}}
+			serving := &recordingCaches{stored: map[string]Input{}}
 			for arm, rec := range []*recordingCaches{{}, serving, serving} {
 				ctx := fmt.Sprintf("%s/%v/arm %d", name, strategy, arm)
 				opts := RunOptions{Intermediates: rec, Shared: rec}

@@ -12,22 +12,22 @@ import (
 // leads every key and publishes; replays of the same plan adopt the
 // published values.
 type fakeShared struct {
-	published   map[string]Intermediate
+	published   map[string]Input
 	flops       map[string]float64
 	leads, hits int
 	fails       int
 }
 
-func (f *fakeShared) Acquire(_ context.Context, key string) (Intermediate, SharedRole, error) {
+func (f *fakeShared) Acquire(_ context.Context, key string) (Input, SharedRole, error) {
 	if v, ok := f.published[key]; ok {
 		f.hits++
 		return v, SharedHit, nil
 	}
 	f.leads++
-	return Intermediate{}, SharedLead, nil
+	return Input{}, SharedLead, nil
 }
 
-func (f *fakeShared) Publish(key string, v Intermediate, flop float64) {
+func (f *fakeShared) Publish(key string, v Input, flop float64) {
 	f.published[key] = v
 	f.flops[key] = flop
 }
@@ -35,7 +35,7 @@ func (f *fakeShared) Publish(key string, v Intermediate, flop float64) {
 func (f *fakeShared) Fail(string, error) { f.fails++ }
 
 func newFakeShared() *fakeShared {
-	return &fakeShared{published: map[string]Intermediate{}, flops: map[string]float64{}}
+	return &fakeShared{published: map[string]Input{}, flops: map[string]float64{}}
 }
 
 // TestSharedProducerAdoptionBitwiseAndCheaper drives the executor's
@@ -46,7 +46,7 @@ func newFakeShared() *fakeShared {
 func TestSharedProducerAdoptionBitwiseAndCheaper(t *testing.T) {
 	c := compileFor(t, algorithms.DFP, "cri1", opt.Adaptive)
 	ins := inputsFor(t, algorithms.DFP, "cri1")
-	base, err := Run(c, ins)
+	base, err := runPlain(c, ins)
 	if err != nil {
 		t.Fatal(err)
 	}

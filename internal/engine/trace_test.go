@@ -3,6 +3,7 @@ package engine
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
@@ -18,7 +19,7 @@ func runTraced(t *testing.T, alg algorithms.Name, dsName string, strategy opt.St
 	t.Helper()
 	c := compileFor(t, alg, dsName, strategy)
 	rec := trace.New()
-	res, err := RunTraced(c, inputsFor(t, alg, dsName), rec)
+	res, err := RunWithOptions(context.Background(), c, inputsFor(t, alg, dsName), rec, RunOptions{})
 	if err != nil {
 		t.Fatalf("%v/%s/%v: run: %v", alg, dsName, strategy, err)
 	}

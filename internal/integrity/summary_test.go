@@ -88,30 +88,26 @@ func checkFormats(t *testing.T, what string, dense *matrix.Matrix, rng *rand.Ran
 // TestDigestIndependentOfFormatStripesAndMemo: the digest and Σx² are a
 // function of rows, cols and the nonzero cells alone — not of the storage
 // format or of zeros it stores, not of how many stripes made the pass
-// (GOMAXPROCS and the callers declared to matrix decide that), not of whether
-// the answer was remembered. Row counts sit on both sides of the 64-row block
-// and of the four-row group; the wide ones are past the striping bound.
+// (GOMAXPROCS decides that), not of whether the answer was remembered. Row
+// counts sit on both sides of the 64-row block and of the four-row group; the
+// wide ones are past the striping bound.
 func TestDigestIndependentOfFormatStripesAndMemo(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(23))
 	shapes := [][2]int{{1, 1}, {1, 300}, {2, 5}, {3, 300}, {63, 7}, {64, 300}, {65, 300}, {259, 1}, {259, 130}, {300, 300}}
 	for _, procs := range []int{1, 2, 3} {
 		runtime.GOMAXPROCS(procs)
-		for _, callers := range []int{0, 1, 3} {
-			matrix.AddCallers(callers)
-			for _, shape := range shapes {
-				for _, fill := range []float64{0, 0.02, 0.5, 1} {
-					what := fmt.Sprintf("GOMAXPROCS %d, %d callers, %dx%d filled %g", procs, callers, shape[0], shape[1], fill)
-					m := matrix.NewDense(shape[0], shape[1])
-					for i := range m.Buffer() {
-						if rng.Float64() < fill {
-							m.Buffer()[i] = rng.NormFloat64()
-						}
+		for _, shape := range shapes {
+			for _, fill := range []float64{0, 0.02, 0.5, 1} {
+				what := fmt.Sprintf("GOMAXPROCS %d, %dx%d filled %g", procs, shape[0], shape[1], fill)
+				m := matrix.NewDense(shape[0], shape[1])
+				for i := range m.Buffer() {
+					if rng.Float64() < fill {
+						m.Buffer()[i] = rng.NormFloat64()
 					}
-					checkFormats(t, what, m, rng)
 				}
+				checkFormats(t, what, m, rng)
 			}
-			matrix.AddCallers(-callers)
 		}
 	}
 	// What is not a finite number is a nonzero cell like any other.

@@ -53,24 +53,12 @@ const (
 	MinStripeCells = 1 << 14
 )
 
-// callers is how many goroutines run whole computations side by side.
-var callers atomic.Int32
-
-// AddCallers declares n more (n < 0: n fewer) goroutines that each run
-// computations of their own for as long as they are declared: a server's
-// workers. The parallelism is then already there, one level up, and a kernel
-// stripes over its share of the processors, GOMAXPROCS/callers, rather than
-// all of them; helpers beyond that would queue behind the other callers.
-func AddCallers(n int) { callers.Add(int32(n)) }
-
-// StripeParallel splits [0, n) into one contiguous range per processor of the
-// caller's share and runs body on each concurrently, the first on the calling
-// goroutine; below min it calls body(0, n) directly.
+// StripeParallel splits [0, n) into one contiguous range per processor
+// (GOMAXPROCS) and runs body on each concurrently, the first on the calling
+// goroutine; below min it calls body(0, n) directly. Whoever calls it, the Go
+// scheduler places the stripes.
 func StripeParallel(n, min int, body func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
-	if c := int(callers.Load()); c > 1 {
-		workers /= c
-	}
 	if workers > n {
 		workers = n
 	}

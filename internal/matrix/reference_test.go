@@ -320,15 +320,14 @@ func TestTransposeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStripesCoverTheRangeOnceAtEveryShare runs StripeParallel with no
-// declared callers, with two and with one per processor, and checks that the
-// ranges tile [0, n) exactly and that there are as many as the share allows:
-// one, run by the caller, once every processor has a caller of its own.
+// TestStripesCoverTheRangeOnceAtEveryShare runs StripeParallel at GOMAXPROCS
+// 1, 2 and 3 and checks that the ranges tile [0, n) exactly and that there is
+// one per processor: at one, a single range run by the caller.
 func TestStripesCoverTheRangeOnceAtEveryShare(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const n = 1000
-	for _, declared := range []int{0, 2, procs} {
-		AddCallers(declared)
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
 		var mu sync.Mutex
 		covered := make([]int, n)
 		ranges := 0
@@ -340,17 +339,12 @@ func TestStripesCoverTheRangeOnceAtEveryShare(t *testing.T) {
 				covered[i]++
 			}
 		})
-		AddCallers(-declared)
-		want := procs
-		if declared > 1 {
-			want = max(1, procs/declared)
-		}
-		if ranges != want {
-			t.Errorf("%d callers declared on %d processors: %d ranges, want %d", declared, procs, ranges, want)
+		if ranges != procs {
+			t.Errorf("GOMAXPROCS %d: %d ranges, want %d", procs, ranges, procs)
 		}
 		for i, c := range covered {
 			if c != 1 {
-				t.Fatalf("%d callers declared: cell %d covered %d times", declared, i, c)
+				t.Fatalf("GOMAXPROCS %d: cell %d covered %d times", procs, i, c)
 			}
 		}
 	}

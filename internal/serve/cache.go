@@ -144,14 +144,14 @@ func (p *planCache) len() int {
 // same units the simulated cluster's cost model uses.
 type interCache struct {
 	mu sync.Mutex
-	c  *lru.Cache[string, engine.Intermediate]
+	c  *lru.Cache[string, engine.Input]
 }
 
 func newInterCache(budget int64) *interCache {
-	return &interCache{c: lru.New[string, engine.Intermediate](budget)}
+	return &interCache{c: lru.New[string, engine.Input](budget)}
 }
 
-func (c *interCache) get(key string) (engine.Intermediate, bool) {
+func (c *interCache) get(key string) (engine.Input, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.c.Get(key)
@@ -160,7 +160,7 @@ func (c *interCache) get(key string) (engine.Intermediate, bool) {
 // put offers a value at its modelled size. A re-offer refreshes the value
 // and its byte charge (the producer's sparsity may have settled
 // differently); a value larger than the whole budget is not cacheable.
-func (c *interCache) put(key string, v engine.Intermediate) {
+func (c *interCache) put(key string, v engine.Input) {
 	if v.Data == nil {
 		return
 	}
@@ -175,7 +175,7 @@ func (c *interCache) put(key string, v engine.Intermediate) {
 func (c *interCache) dropNamespace(prefix string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.c.Each(func(key string, _ engine.Intermediate) bool { return strings.HasPrefix(key, prefix) })
+	c.c.Each(func(key string, _ engine.Input) bool { return strings.HasPrefix(key, prefix) })
 }
 
 func (c *interCache) usage() (entries int, bytes int64) {
@@ -198,7 +198,7 @@ type interView struct {
 	hits, misses int
 }
 
-func (v *interView) Get(key string) (engine.Intermediate, bool) {
+func (v *interView) Get(key string) (engine.Input, bool) {
 	iv, ok := v.c.get(v.ns + "|" + key)
 	if ok {
 		v.hits++
@@ -208,6 +208,6 @@ func (v *interView) Get(key string) (engine.Intermediate, bool) {
 	return iv, ok
 }
 
-func (v *interView) Put(key string, iv engine.Intermediate) {
+func (v *interView) Put(key string, iv engine.Input) {
 	v.c.put(v.ns+"|"+key, iv)
 }

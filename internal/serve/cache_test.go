@@ -13,14 +13,14 @@ import (
 	"remac/internal/opt"
 )
 
-func denseIntermediate(rows, cols int) engine.Intermediate {
+func denseIntermediate(rows, cols int) engine.Input {
 	m := matrix.NewDense(rows, cols)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			m.Set(i, j, float64(i*cols+j+1))
 		}
 	}
-	return engine.Intermediate{Data: m, VRows: int64(rows), VCols: int64(cols)}
+	return engine.Input{Data: m, VRows: int64(rows), VCols: int64(cols)}
 }
 
 func TestInterCacheBudgetEviction(t *testing.T) {

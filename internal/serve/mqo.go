@@ -79,7 +79,7 @@ type mqoBatch struct {
 // re-elect.
 type sharedEntry struct {
 	ready chan struct{}
-	v     engine.Intermediate
+	v     engine.Input
 	flop  float64
 	err   error
 }
@@ -134,7 +134,7 @@ func (s *mqoSession) announce(manifest []opt.SharedSubplan) int {
 // promoting the first waiter back through the lock, mirroring the plan
 // cache's failure path; any other leader error propagates typed to every
 // waiter.
-func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Intermediate, engine.SharedRole, error) {
+func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Input, engine.SharedRole, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -147,7 +147,7 @@ func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Intermedia
 			s.b.entries[k] = e
 			s.leading[k] = e
 			s.b.mu.Unlock()
-			return engine.Intermediate{}, engine.SharedLead, nil
+			return engine.Input{}, engine.SharedLead, nil
 		}
 		holding := len(s.leading) > 0
 		s.b.mu.Unlock()
@@ -155,12 +155,12 @@ func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Intermedia
 		case <-e.ready:
 		default:
 			if holding {
-				return engine.Intermediate{}, engine.SharedSolo, nil
+				return engine.Input{}, engine.SharedSolo, nil
 			}
 			select {
 			case <-e.ready:
 			case <-ctx.Done():
-				return engine.Intermediate{}, 0, fmt.Errorf("serve: shared-producer wait: %w (%v)", engine.ErrCanceled, ctx.Err())
+				return engine.Input{}, 0, fmt.Errorf("serve: shared-producer wait: %w (%v)", engine.ErrCanceled, ctx.Err())
 			}
 		}
 		switch {
@@ -174,7 +174,7 @@ func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Intermedia
 			// promotes itself to the new leader.
 			continue
 		default:
-			return engine.Intermediate{}, 0, fmt.Errorf("serve: shared producer %q: %w", key, e.err)
+			return engine.Input{}, 0, fmt.Errorf("serve: shared producer %q: %w", key, e.err)
 		}
 	}
 }
@@ -182,7 +182,7 @@ func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Intermedia
 // Publish implements engine.SharedProducers: the leader settles its claim
 // with the materialized value and the charged FLOP one production cost
 // (adopters account it as savings).
-func (s *mqoSession) Publish(key string, v engine.Intermediate, flop float64) {
+func (s *mqoSession) Publish(key string, v engine.Input, flop float64) {
 	k := s.ns + "|" + key
 	s.b.mu.Lock()
 	e := s.leading[k]

@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"remac/internal/affinity"
 	"remac/internal/cluster"
 	"remac/internal/engine"
 	"remac/internal/fault"
@@ -621,11 +620,8 @@ func (s *Server) DatasetVersion(id string) int64 {
 // somehow escapes that — a bug in the pool itself — is caught here, counted,
 // and the worker respawned so capacity never silently decays. The
 // wg.Add-before-Done ordering keeps Shutdown's WaitGroup balanced across a
-// respawn. While it lives the worker is declared to the kernels, which stripe
-// over a worker's share of the processors only: the pool is the parallelism.
+// respawn.
 func (s *Server) worker() {
-	matrix.AddCallers(1)
-	defer matrix.AddCallers(-1)
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.add(func(c *Snapshot) { c.WorkerRespawns++ })
@@ -737,7 +733,6 @@ func (s *Server) run(j *job) (*QueryResult, error) {
 // compiler or engine becomes an Internal-class QueryError with a redacted
 // stack, and the worker survives.
 func (s *Server) guarded(j *job, attempt int) (res *QueryResult, err error) {
-	defer affinity.Claim()()
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.add(func(c *Snapshot) { c.PanicsRecovered++ })

@@ -82,16 +82,20 @@ type ClusterConfig struct {
 }
 
 // DefaultCluster returns the paper's seven-node testbed.
-func DefaultCluster() ClusterConfig {
-	return ClusterConfig{Nodes: 7, CoresPerNode: 12, NetBandwidthMBps: 125, DriverMemoryGB: 20, BlockSize: 1000}
-}
+func DefaultCluster() ClusterConfig { return publicCluster(cluster.DefaultConfig()) }
 
-// SingleNodeCluster returns the single-node comparison setup of Fig 3(b).
-func SingleNodeCluster() ClusterConfig {
-	c := DefaultCluster()
-	c.Nodes = 1
-	c.DriverMemoryGB = 256
-	return c
+// SingleNodeCluster returns the single-node comparison setup of Fig 3(b): one
+// node whose memory holds the run but not the dataset plus its intermediates.
+func SingleNodeCluster() ClusterConfig { return publicCluster(cluster.SingleNodeConfig()) }
+
+func publicCluster(c cluster.Config) ClusterConfig {
+	return ClusterConfig{
+		Nodes:            c.Nodes,
+		CoresPerNode:     c.CoresPerNode,
+		NetBandwidthMBps: c.NetBandwidth / 1e6,
+		DriverMemoryGB:   float64(c.DriverMemory) / (1 << 30),
+		BlockSize:        c.BlockSize,
+	}
 }
 
 func (c ClusterConfig) internal() cluster.Config {
@@ -113,9 +117,6 @@ func (c ClusterConfig) internal() cluster.Config {
 	}
 	if c.BlockSize != 0 {
 		base.BlockSize = c.BlockSize
-	}
-	if c.Nodes == 1 {
-		base.DriverMemory = 256 << 30
 	}
 	return base
 }
@@ -380,6 +381,10 @@ type RunOptions struct {
 	// loop variables each iteration) or "op" (scan every operator output).
 	// A caught NaN/Inf fails the run with integrity.NumericError.
 	NaNGuard string
+	// Trace collects a structured trace into Report.Trace: one span per
+	// charged operator, grouped under statement and iteration boundary spans;
+	// retries and recoveries appear as fault spans.
+	Trace bool
 }
 
 func (f *FaultConfig) internal(workers int) (*fault.Plan, error) {
@@ -420,7 +425,11 @@ type Report struct {
 	// (the Fig 13 measurement).
 	WorkerShares []float64
 
-	// Fault-injection accounting (all zero unless RunWithOptions attached a
+	// Trace is the span record of the run when RunOptions.Trace asked for
+	// one, nil otherwise.
+	Trace *RunTrace
+
+	// Fault-injection accounting (all zero unless RunOptions attached a
 	// FaultConfig).
 	//
 	// Retries counts transmission-error retry attempts.
@@ -462,53 +471,14 @@ type Report struct {
 
 // Run executes the compiled program on a fresh simulated cluster.
 func (p *Program) Run() (*Report, error) {
-	return p.run(context.Background(), nil, RunOptions{})
+	return p.RunContext(context.Background(), RunOptions{})
 }
 
-// RunWithOptions executes the program like Run, with fault injection and
-// recovery policy attached.
-func (p *Program) RunWithOptions(opts RunOptions) (*Report, error) {
-	return p.run(context.Background(), nil, opts)
-}
-
-// RunContext executes the program like RunWithOptions under a cancellation
-// context: when ctx is cancelled or its deadline passes, the run stops
-// promptly (within one kernel execution) and the returned error satisfies
-// errors.Is(err, ErrCanceled).
+// RunContext executes the program like Run, with the run-time behavior opts
+// selects, under a cancellation context: when ctx is cancelled or its
+// deadline passes, the run stops promptly (within one kernel execution) and
+// the returned error satisfies errors.Is(err, ErrCanceled).
 func (p *Program) RunContext(ctx context.Context, opts RunOptions) (*Report, error) {
-	return p.run(ctx, nil, opts)
-}
-
-// ErrCanceled is returned (wrapped) by RunContext when the context ends
-// before the run completes.
-var ErrCanceled = engine.ErrCanceled
-
-// ErrCorruption matches (via errors.Is) a run that failed because a detected
-// corruption could not be repaired within the bounded lineage budget.
-var ErrCorruption = integrity.ErrCorruption
-
-// ErrNonFinite matches (via errors.Is) a run stopped by the NaNGuard scan.
-var ErrNonFinite = integrity.ErrNonFinite
-
-// RunTraced executes the program like Run and additionally collects a
-// structured trace: one span per charged operator, grouped under
-// statement and iteration boundary spans.
-func (p *Program) RunTraced() (*Report, *RunTrace, error) {
-	return p.RunTracedWithOptions(RunOptions{})
-}
-
-// RunTracedWithOptions is RunTraced with fault injection and recovery
-// policy attached; retries and recoveries appear as fault spans.
-func (p *Program) RunTracedWithOptions(opts RunOptions) (*Report, *RunTrace, error) {
-	rec := trace.New()
-	rep, err := p.run(context.Background(), rec, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, &RunTrace{rec: rec}, nil
-}
-
-func (p *Program) run(ctx context.Context, rec *trace.Recorder, opts RunOptions) (*Report, error) {
 	ins := map[string]engine.Input{}
 	for name, in := range p.inputs {
 		ins[name] = engine.Input{Data: in.Data.m, VRows: in.VirtualRows, VCols: in.VirtualCols}
@@ -528,6 +498,10 @@ func (p *Program) run(ctx context.Context, rec *trace.Recorder, opts RunOptions)
 	plan, err := opts.Faults.internal(p.compiled.Config.Cluster.Workers())
 	if err != nil {
 		return nil, err
+	}
+	var rec *trace.Recorder
+	if opts.Trace {
+		rec = trace.New()
 	}
 	res, err := engine.RunWithOptions(ctx, p.compiled, ins, rec, engine.RunOptions{
 		Faults:   plan,
@@ -578,13 +552,27 @@ func (p *Program) run(ctx context.Context, rec *trace.Recorder, opts RunOptions)
 			rep.WorkerShares = append(rep.WorkerShares, b/total)
 		}
 	}
+	if rec != nil {
+		rep.Trace = &RunTrace{rec: rec}
+	}
 	return rep, nil
 }
+
+// ErrCanceled is returned (wrapped) by RunContext when the context ends
+// before the run completes.
+var ErrCanceled = engine.ErrCanceled
+
+// ErrCorruption matches (via errors.Is) a run that failed because a detected
+// corruption could not be repaired within the bounded lineage budget.
+var ErrCorruption = integrity.ErrCorruption
+
+// ErrNonFinite matches (via errors.Is) a run stopped by the NaNGuard scan.
+var ErrNonFinite = integrity.ErrNonFinite
 
 // TotalSeconds returns simulated execution plus compilation time.
 func (r *Report) TotalSeconds() float64 { return r.SimulatedSeconds + r.CompileSeconds }
 
-// RunTrace is the span record of one traced run (see RunTraced).
+// RunTrace is the span record of one traced run (see RunOptions.Trace).
 type RunTrace struct {
 	rec *trace.Recorder
 }

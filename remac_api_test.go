@@ -1,6 +1,7 @@
 package remac_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -52,6 +53,16 @@ func TestCompileRunRoundTrip(t *testing.T) {
 	}
 	if rep.TotalSeconds() < rep.SimulatedSeconds {
 		t.Fatal("TotalSeconds must include compilation")
+	}
+	if rep.Trace != nil {
+		t.Fatal("an untraced run carries a trace")
+	}
+	traced, err := prog.RunContext(context.Background(), remac.RunOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.Trace == nil || len(traced.Trace.StatementCosts()) == 0 || traced.SimulatedSeconds != rep.SimulatedSeconds {
+		t.Fatalf("traced run: trace %v, simulated %v s, want a trace with statements and %v s", traced.Trace, traced.SimulatedSeconds, rep.SimulatedSeconds)
 	}
 }
 
