@@ -1,9 +1,12 @@
 package cost
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"remac/internal/cluster"
+	"remac/internal/matrix"
 	"remac/internal/sparsity"
 )
 
@@ -355,5 +358,62 @@ func TestDenseOnlyAndNoLocalMode(t *testing.T) {
 	bdSparse := md.DFSRead(sparse)
 	if bdDense.Bytes[cluster.DFS] <= bdSparse.Bytes[cluster.DFS] {
 		t.Error("dense-only engines must read the full dense footprint")
+	}
+}
+
+// TestMulLowerBoundBelowCharge: MulLowerBound is what the chain DP prunes
+// with, so it must never exceed the charge MulHinted computes — compared as
+// floats, bit for bit, on generated operands that reach every branch.
+func TestMulLowerBoundBelowCharge(t *testing.T) {
+	dims := []int64{1, 2, 7, 32, 33, 47, 1000, 1001, 8700, 100_000, 5_000_000, 58_400_000}
+	spars := []float64{1, 0.9, 0.41, 0.4, 0.05, 4.5e-3, 1e-6, 0}
+	denseOnly := cluster.DefaultConfig()
+	denseOnly.DenseOnly = true
+	configs := []struct {
+		name string
+		cfg  cluster.Config
+	}{{"default", cluster.DefaultConfig()}, {"single-node", cluster.SingleNodeConfig()}, {"dense-only", denseOnly}}
+	seen := map[string]bool{}
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range configs {
+		m := NewModel(c.cfg, nil)
+		for trial := 0; trial < 20000; trial++ {
+			r, k, n := dims[rng.Intn(len(dims))], dims[rng.Intn(len(dims))], dims[rng.Intn(len(dims))]
+			a := sparsity.MetaDims(r, k, spars[rng.Intn(len(spars))])
+			b := sparsity.MetaDims(k, n, spars[rng.Intn(len(spars))])
+			aLocal, bLocal, tsmm := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(4) == 0
+			if tsmm {
+				// A transpose-self pair: b is aᵀ.
+				b = sparsity.MetaDims(k, r, a.Sparsity)
+			}
+			_, bd, _ := m.MulHinted(a, b, aLocal, bLocal, tsmm)
+			lb := m.MulLowerBound(a, b, aLocal, bLocal)
+			if !(lb <= bd.Total()) {
+				t.Fatalf("%s: %dx%d·%dx%d local=%t/%t tsmm=%t: bound %x above charge %x (%v)", c.name,
+					a.Rows, a.Cols, b.Rows, b.Cols, aLocal, bLocal, tsmm, math.Float64bits(lb), math.Float64bits(bd.Total()), bd.Method)
+			}
+			branch := bd.Method.String()
+			switch {
+			case bd.Method == LocalOp && bd.Bytes[cluster.DFS] > 0:
+				branch = "local-spill"
+			case bd.Method == ZipMM && skinny(a, true) && !skinny(b, false):
+				branch = "zipmm-left"
+			case bd.Method == BMM && aLocal:
+				branch = "bmm-left"
+			case bd.Method == CPMM && float64(matrix.SizeBytesFor(int(r), int(n), 1))*float64(c.cfg.CoresPerNode) > float64(c.cfg.DriverMemory)/6:
+				branch = "cpmm-pressure"
+			}
+			seen[branch] = true
+			if bd.Method != LocalOp && bd.Bytes[cluster.DFS] > 0 {
+				seen[c.name+"/disk-backed"] = true
+			}
+			seen[c.name] = true
+		}
+	}
+	for _, want := range []string{"local", "local-spill", "TSMM", "zipmm", "zipmm-left", "BMM", "bmm-left", "CPMM",
+		"cpmm-pressure", "single-node/disk-backed", "dense-only"} {
+		if !seen[want] {
+			t.Errorf("no generated operands reached %s", want)
+		}
 	}
 }

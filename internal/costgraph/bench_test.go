@@ -28,12 +28,28 @@ func cri2Resolver() res {
 	}
 }
 
+// countingMNC is the MNC estimator counting the products that reach it.
+type countingMNC struct {
+	sparsity.MNC
+	muls int
+}
+
+func (c *countingMNC) Mul(a, b sparsity.Meta) sparsity.Meta {
+	c.muls++
+	return c.MNC.Mul(a, b)
+}
+
+// reportProducts reports the estimator products one op evaluated.
+func (c *countingMNC) reportProducts(b *testing.B) {
+	b.ReportMetric(float64(c.muls)/float64(b.N), "products/op")
+}
+
 // mncPlanner builds a planner the way opt.CompileCtx does: one memoizing
 // view of the estimator behind the cost model.
-func mncPlanner(b *testing.B, sr *search.Result) *Planner {
+func mncPlanner(b *testing.B, sr *search.Result, est *countingMNC) *Planner {
 	b.Helper()
 	p, err := NewPlanner(Config{
-		Model:      cost.NewModel(cluster.DefaultConfig(), sparsity.NewMemo(sparsity.MNC{})),
+		Model:      cost.NewModel(cluster.DefaultConfig(), sparsity.NewMemo(est)),
 		Iterations: 3,
 	}, sr)
 	if err != nil {
@@ -45,7 +61,8 @@ func mncPlanner(b *testing.B, sr *search.Result) *Planner {
 // BenchmarkChainDP orders the longest DFP block (no option selected) over
 // cri2 metas: cold, a new planner — and an empty estimate table — per
 // iteration; warm, the same planner again, every product a table hit, which
-// leaves the DP's own probing and pricing.
+// leaves the DP's own probing and pricing. Both report the estimator
+// products per op.
 func BenchmarkChainDP(b *testing.B) {
 	sr := searched(b, dfpSrc, cri2Resolver())
 	var longest *chain.Block
@@ -65,19 +82,24 @@ func BenchmarkChainDP(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
+		est := &countingMNC{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			run(b, mncPlanner(b, sr))
+			run(b, mncPlanner(b, sr, est))
 		}
+		est.reportProducts(b)
 	})
 	b.Run("warm", func(b *testing.B) {
-		p := mncPlanner(b, sr)
+		est := &countingMNC{}
+		p := mncPlanner(b, sr, est)
 		run(b, p)
+		est.muls = 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			run(b, p)
 		}
+		est.reportProducts(b)
 	})
 }
 
@@ -85,10 +107,12 @@ func BenchmarkChainDP(b *testing.B) {
 // new planner per iteration as in a compilation.
 func BenchmarkProbe(b *testing.B) {
 	sr := searched(b, dfpSrc, cri2Resolver())
+	est := &countingMNC{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := mncPlanner(b, sr).Probe(); err != nil {
+		if _, err := mncPlanner(b, sr, est).Probe(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	est.reportProducts(b)
 }

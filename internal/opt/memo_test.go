@@ -140,13 +140,14 @@ func (c *countingEstimator) Mul(a, b sparsity.Meta) sparsity.Meta {
 
 // TestCompileEstimateBudget pins the number of products one adaptive MNC
 // compilation evaluates — a count, not a time, so it holds on any machine.
-// Without the memo DFP on cri2 asks for 785 products and BFGS for 103; by
-// content only 68 and 19 of them are distinct.
+// The memo evaluates each distinct product once, and the chain DP asks only
+// for the products of splits that can still win: DFP on cri2 evaluates 39
+// and BFGS 18 (68 and 19 when every split was priced).
 func TestCompileEstimateBudget(t *testing.T) {
 	for _, tc := range []struct {
 		alg    algorithms.Name
 		budget int
-	}{{algorithms.DFP, 80}, {algorithms.BFGS, 25}} {
+	}{{algorithms.DFP, 45}, {algorithms.BFGS, 20}} {
 		counter := &countingEstimator{Estimator: sparsity.MNC{}}
 		_, err := Compile(algorithms.MustProgram(tc.alg, 3), inputMetas(t, tc.alg, "cri2"),
 			Config{Strategy: Adaptive, Estimator: counter, Cluster: cluster.DefaultConfig(), Iterations: 3})
