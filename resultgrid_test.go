@@ -34,6 +34,7 @@ import (
 	"remac/internal/data"
 	"remac/internal/engine"
 	"remac/internal/fault"
+	"remac/internal/integrity"
 	"remac/internal/opt"
 	"remac/internal/sparsity"
 	"remac/internal/trace"
@@ -62,20 +63,28 @@ type gridRun struct {
 	alg      algorithms.Name
 	dataset  string
 	strategy opt.Strategy
-	faulty   bool
+	arm      string // "" for a perfect cluster, else one of gridArms
 }
+
+// gridArms are the DFP/cri2 Adaptive runs under a seeded fault plan: fail-stop
+// faults under each recovery policy, and bit flips under each verification
+// mode (which puts the digest pass, integrity.Summarise, on the grid).
+var gridArms = []string{"faults-lineage", "faults-checkpoint", "faults-coded", "verify-digest", "verify-abft"}
+
+// gridSliceArms are the arms tier-1 runs beside the slice.
+var gridSliceArms = []string{"faults-lineage", "verify-digest"}
 
 func (r gridRun) key() string {
 	k := fmt.Sprintf("%s/%s/%v", r.alg, r.dataset, r.strategy)
-	if r.faulty {
-		k += "/faults-lineage"
+	if r.arm != "" {
+		k += "/" + r.arm
 	}
 	return k
 }
 
 // gridRuns lists the runs in golden-file order: every algorithm × dataset ×
-// strategy, then the fault arm.
-func gridRuns(strategies []opt.Strategy) []gridRun {
+// strategy, then the arms.
+func gridRuns(strategies []opt.Strategy, arms []string) []gridRun {
 	var runs []gridRun
 	for _, alg := range algorithms.All {
 		for _, ds := range gridDatasets {
@@ -84,17 +93,20 @@ func gridRuns(strategies []opt.Strategy) []gridRun {
 			}
 		}
 	}
-	return append(runs, gridRun{alg: algorithms.DFP, dataset: "cri2", strategy: opt.Adaptive, faulty: true})
+	for _, arm := range arms {
+		runs = append(runs, gridRun{alg: algorithms.DFP, dataset: "cri2", strategy: opt.Adaptive, arm: arm})
+	}
+	return runs
 }
 
 func TestResultGrid(t *testing.T) {
-	strategies := gridSlice
+	strategies, arms := gridSlice, gridSliceArms
 	if *fullGrid {
-		strategies = gridStrategies
+		strategies, arms = gridStrategies, gridArms
 	}
 	golden := readGrid(t)
 	got := map[string]string{}
-	for _, r := range gridRuns(strategies) {
+	for _, r := range gridRuns(strategies, arms) {
 		line := runGridLine(t, r)
 		got[r.key()] = line
 		if *updateGrid {
@@ -145,7 +157,7 @@ func writeGrid(t *testing.T, golden, got map[string]string) {
 		golden[k] = v
 	}
 	var b strings.Builder
-	for _, r := range gridRuns(gridStrategies) {
+	for _, r := range gridRuns(gridStrategies, gridArms) {
 		if line, ok := golden[r.key()]; ok {
 			fmt.Fprintf(&b, "%s %s\n", r.key(), line)
 		}
@@ -174,11 +186,24 @@ func runGridLine(t *testing.T, r gridRun) string {
 	}
 	cl := cluster.DefaultConfig()
 	var opts engine.RunOptions
-	if r.faulty {
+	if r.arm != "" {
 		// LSE values worker-resident, so lost blocks have lineage to replay.
 		cl.DriverMemory = 512 << 20
-		opts.Faults = fault.NewPlan(fault.Config{Seed: 17, WorkerFailuresPerHour: 480,
-			TransmitErrorsPerHour: 960, StragglersPerHour: 480, Workers: cl.Workers()})
+	}
+	failStop := fault.Config{Seed: 17, WorkerFailuresPerHour: 480,
+		TransmitErrorsPerHour: 960, StragglersPerHour: 480, Workers: cl.Workers()}
+	bitFlips := fault.Config{Seed: 23, CorruptionsPerHour: 480, Workers: cl.Workers()}
+	switch r.arm {
+	case "faults-lineage":
+		opts.Faults = fault.NewPlan(failStop)
+	case "faults-checkpoint":
+		opts.Faults, opts.Recovery = fault.NewPlan(failStop), engine.RecoveryPolicy{Kind: engine.RecoverCheckpoint}
+	case "faults-coded":
+		opts.Faults, opts.Recovery = fault.NewPlan(failStop), engine.RecoveryPolicy{Kind: engine.RecoverCoded}
+	case "verify-digest":
+		opts.Faults, opts.Verify = fault.NewPlan(bitFlips), integrity.VerifyDigest
+	case "verify-abft":
+		opts.Faults, opts.Verify = fault.NewPlan(bitFlips), integrity.VerifyABFT
 	}
 	compiled, err := opt.Compile(algorithms.MustProgram(r.alg, gridIterations), metas, opt.Config{
 		Strategy:   r.strategy,
