@@ -106,8 +106,8 @@ func (ctx *Context) dest(n int, inPlace ...*DistMatrix) []float64 {
 }
 
 // handOverCells is the least length of a buffer worth keeping past its run:
-// the cells below which matrix runs a pass on one goroutine, where a fresh
-// allocation costs next to nothing.
+// the least work matrix gives a stripe of its own, below which a pass runs on
+// one goroutine and a fresh allocation costs next to nothing.
 const handOverCells = matrix.MinStripeCells
 
 // handedOver holds, by length, the buffers that were idle when a run ended: a

@@ -174,8 +174,8 @@ var summarised func(m *matrix.Matrix)
 // order. Row hashes fold, in row order, into the hash of their 64-row block,
 // and block hashes fold, in block order, after the dimensions, into the
 // digest. Lanes do not depend on one another, so four rows are hashed at a
-// time with their multiply chains overlapped, and blocks are striped over the
-// caller's share of the processors. Each fold being a bijection both of the
+// time with their multiply chains overlapped, and blocks are striped by the
+// cells they store (matrix.Stripes). Each fold being a bijection both of the
 // state and of the word, a single differing word changes its row's hash, hence
 // its block's, hence the digest.
 //
@@ -191,16 +191,14 @@ func Summarise(m *matrix.Matrix) matrix.Summary {
 		summarised(m)
 	}
 	rows, cols := m.Rows(), m.Cols()
-	stored := rows * cols
-	if m.Format() == matrix.CSR {
-		stored = m.NNZ()
-	}
 	blocks := make([]matrix.Summary, (rows+summaryBlockRows-1)/summaryBlockRows)
-	// Striped once the matrix stores what a flat kernel pass stripes at.
-	matrix.StripeParallel(len(blocks), len(blocks)*matrix.MinStripeCells/(stored+1)+1, func(lo, hi int) {
+	// A block's work is the cells it stores.
+	work := func(b int) int { return m.StoredBefore(min(rows, b*summaryBlockRows)) }
+	matrix.Stripes(len(blocks), work, func(lo, hi int) int {
 		for b := lo; b < hi; b++ {
 			blocks[b] = summariseRows(m, b*summaryBlockRows, min(rows, (b+1)*summaryBlockRows))
 		}
+		return 0
 	})
 	h := fnv1a(fnvOffset)
 	h.word(uint64(rows))

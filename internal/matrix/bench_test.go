@@ -13,8 +13,8 @@ import (
 // Microbenchmarks of the local kernels at the operand shapes the workloads
 // run: the 870- and 1500-column quasi-Newton updates (outer product,
 // mat-vec, vec-mat, scale, add), GNMF's tall-narrow product, the 2000×870
-// CSR data matrices (uniform and zipf-skewed), and the metadata reads that
-// follow every kernel. Run with
+// CSR data matrices (uniform and zipf-skewed, and cri2's sparser one times a
+// vector), and the metadata reads that follow every kernel. Run with
 //
 //	go test -run '^$' -bench . -benchmem ./internal/matrix
 
@@ -63,9 +63,11 @@ func BenchmarkMulSparse(b *testing.B) {
 	dense := matrix.RandDense(rng, 870, 870)
 	fat := matrix.RandDense(rng, 870, 2000)
 	vec := matrix.RandVector(rng, 870)
+	cri2 := matrix.RandSparse(rng, 2000, 870, 4.5e-3) // cri2's shape: the CSR·vector the workloads run
 	b.Run("csr_dense/uniform", func(b *testing.B) { benchMul(b, uniform, dense) })
 	b.Run("csr_dense/zipf", func(b *testing.B) { benchMul(b, zipf, dense) })
 	b.Run("csr_vec", func(b *testing.B) { benchMul(b, uniform, vec) })
+	b.Run("csr_vec/cri2", func(b *testing.B) { benchMul(b, cri2, vec) })
 	b.Run("dense_csr", func(b *testing.B) { benchMul(b, fat, uniform) })
 	b.Run("csr_csr", func(b *testing.B) { benchMul(b, uniform.Transpose(), uniform) })
 }

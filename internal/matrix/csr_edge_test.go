@@ -47,8 +47,8 @@ func TestCSRAllEmptyRows(t *testing.T) {
 		t.Fatalf("Sparsity = %g, want 0", got)
 	}
 	for i := 0; i < 3; i++ {
-		if got := m.RowNNZ(i); got != 0 {
-			t.Fatalf("RowNNZ(%d) = %d, want 0", i, got)
+		if got := m.StoredBefore(i + 1); got != 0 {
+			t.Fatalf("StoredBefore(%d) = %d, want 0", i+1, got)
 		}
 		for j := 0; j < 4; j++ {
 			if m.At(i, j) != 0 {

@@ -341,7 +341,7 @@ func (p *program) run(od []float64) []int {
 	width := (cols + chunks - 1) / chunks
 	total := make([]int, len(p.nodes))
 	var mu sync.Mutex
-	StripeParallel(rows, MinStripeCells/cols+1, func(lo, hi int) {
+	Stripes(rows, func(i int) int { return i * cols }, func(lo, hi int) int {
 		counts := make([]int, len(p.nodes))
 		scratch := make([]float64, p.depth*width)
 		for i := lo; i < hi; i++ {
@@ -355,6 +355,7 @@ func (p *program) run(od []float64) []int {
 			total[id] += c
 		}
 		mu.Unlock()
+		return 0
 	})
 	return total
 }

@@ -111,18 +111,13 @@ func (m *Matrix) StoredRow(i int) (cols []int, vals []float64) {
 	return m.colIdx[lo:hi], m.vals[lo:hi]
 }
 
-// RowNNZ returns the number of stored nonzeros in row i.
-func (m *Matrix) RowNNZ(i int) int {
-	if m.format == CSR {
-		return m.rowPtr[i+1] - m.rowPtr[i]
+// StoredBefore returns how many cells rows [0, i) store: i·cols for a dense
+// matrix, the row pointer for a CSR one (explicit zeros included).
+func (m *Matrix) StoredBefore(i int) int {
+	if m.format == Dense {
+		return i * m.cols
 	}
-	n := 0
-	for j := 0; j < m.cols; j++ {
-		if m.data[i*m.cols+j] != 0 {
-			n++
-		}
-	}
-	return n
+	return m.rowPtr[i]
 }
 
 // NNZCounts returns what form makes of the matrix's per-row and per-column

@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -45,50 +46,44 @@ func MulFLOP(rowsU, colsU, colsV int, sU, sV float64) float64 {
 	return 3 * float64(rowsU) * float64(colsU) * float64(colsV) * sU * sV
 }
 
-// minStripeRows is the row count below which a kernel runs on the calling
-// goroutine; MinStripeCells is the same bound for kernels that stripe a flat
-// cell range (a goroutine hand-off costs about as much as a pass over it).
-const (
-	minStripeRows  = 64
-	MinStripeCells = 1 << 14
-)
+// MinStripeCells is the least work worth a stripe of its own: a goroutine
+// hand-off costs about as much as a pass over this many cells. Work is
+// counted in cells a kernel touches — multiply-adds for a product, stored
+// cells for a pass over a matrix.
+const MinStripeCells = 1 << 14
 
-// StripeParallel splits [0, n) into one contiguous range per processor
-// (GOMAXPROCS) and runs body on each concurrently, the first on the calling
-// goroutine; below min it calls body(0, n) directly. Whoever calls it, the Go
-// scheduler places the stripes.
-func StripeParallel(n, min int, body func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// Stripes cuts [0, n) into contiguous ranges of equal work and runs body on
+// each concurrently, the first on the calling goroutine, and returns the sum
+// of what the bodies return. work(i) is the work of items [0, i): zero at 0,
+// nondecreasing. There are min(GOMAXPROCS, n, work(n)/MinStripeCells)
+// ranges; below two, body(0, n) runs on the caller alone. A range ends at the
+// first item whose prefix reaches its share of the total, so it carries at
+// most that share plus one item. The Go scheduler places the stripes.
+func Stripes(n int, work func(i int) int, body func(lo, hi int) int) int {
+	total := work(n)
+	ranges := min(runtime.GOMAXPROCS(0), n, total/MinStripeCells)
+	if ranges < 2 {
+		return body(0, n)
 	}
-	if workers <= 1 || n < min {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	// start(r) is where range r begins; the last ends at start(ranges) = n.
+	start := func(r int) int {
+		if r == ranges {
+			return n
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+		return sort.Search(n, func(i int) bool { return work(i) >= total*r/ranges })
 	}
-	body(0, chunk)
+	var sum atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(ranges - 1)
+	for r := 1; r < ranges; r++ {
+		go func() {
+			defer wg.Done()
+			sum.Add(int64(body(start(r), start(r+1))))
+		}()
+	}
+	sum.Add(int64(body(0, start(1))))
 	wg.Wait()
-}
-
-// stripeCount is StripeParallel for kernels that count the nonzeros they
-// produce: it returns the sum of what the stripes return.
-func stripeCount(n, min int, body func(lo, hi int) int) int {
-	var total atomic.Int64
-	StripeParallel(n, min, func(lo, hi int) { total.Add(int64(body(lo, hi))) })
-	return int(total.Load())
+	return int(sum.Load())
 }
 
 // mulDenseDense computes a·b for dense operands. Every path below builds
@@ -108,18 +103,18 @@ func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
 	var nnz int
 	switch {
 	case p == 1:
-		nnz = stripeCount(n, minStripeRows, func(lo, hi int) int {
+		nnz = Stripes(n, func(i int) int { return i * k }, func(lo, hi int) int {
 			return mulMatVec(od[lo:hi], ad[lo*k:hi*k], bd)
 		})
 	case k == 1:
-		nnz = stripeCount(n, minStripeRows, func(lo, hi int) int {
+		nnz = Stripes(n, func(i int) int { return i * p }, func(lo, hi int) int {
 			return mulOuter(od[lo*p:hi*p], ad[lo:hi], bd, dirty)
 		})
-	case n < minStripeRows:
-		// Too few rows to stripe: stripe the columns instead (when there is
-		// a pass worth of work), each worker streaming its own column range
-		// of b.
-		nnz = stripeCount(p, MinStripeCells/(n*k)+1, func(lo, hi int) int {
+	case n < 64:
+		// A shape test, not a stripe size: a few rows (a vector·matrix, most
+		// often) share out worse than their columns, so stripe the columns,
+		// each worker streaming its own column range of b.
+		nnz = Stripes(p, func(j int) int { return j * n * k }, func(lo, hi int) int {
 			c := 0
 			for i := 0; i < n; i++ {
 				o := od[i*p+lo : i*p+hi]
@@ -131,7 +126,7 @@ func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
 			return c
 		})
 	default:
-		nnz = stripeCount(n, minStripeRows, func(lo, hi int) int {
+		nnz = Stripes(n, func(i int) int { return i * k * p }, func(lo, hi int) int {
 			c := 0
 			for i := lo; i < hi; i++ {
 				o := od[i*p : (i+1)*p]
@@ -274,7 +269,8 @@ func axpy(o []float64, av float64, brow []float64) {
 func mulCSRDense(dst []float64, a, b *Matrix) *Matrix {
 	out, dirty := denseOver(dst, a.rows, b.cols)
 	p := b.cols
-	out.setNNZ(stripeCount(a.rows, minStripeRows, func(lo, hi int) int {
+	// A row costs p per stored entry, and p to clear and count.
+	out.setNNZ(Stripes(a.rows, func(i int) int { return (a.rowPtr[i] + i) * p }, func(lo, hi int) int {
 		nnz := 0
 		for i := lo; i < hi; i++ {
 			orow := out.data[i*p : (i+1)*p]
@@ -301,7 +297,8 @@ func mulCSRDense(dst []float64, a, b *Matrix) *Matrix {
 func mulDenseCSR(dst []float64, a, b *Matrix) *Matrix {
 	out, dirty := denseOver(dst, a.rows, b.cols)
 	k, p := a.cols, b.cols
-	out.setNNZ(stripeCount(a.rows, minStripeRows, func(lo, hi int) int {
+	// A row costs at most every stored entry of b, and p to clear and count.
+	out.setNNZ(Stripes(a.rows, func(i int) int { return i * (p + len(b.vals)) }, func(lo, hi int) int {
 		nnz := 0
 		for i := lo; i < hi; i++ {
 			arow := a.data[i*k : (i+1)*k]
@@ -334,8 +331,9 @@ func mulCSRCSR(a, b *Matrix) *Matrix {
 		vals []float64
 	}
 	results := make([]rowResult, a.rows)
-	StripeParallel(a.rows, minStripeRows, func(lo, hi int) {
+	total := Stripes(a.rows, func(i int) int { return a.rowPtr[i] + i }, func(lo, hi int) int {
 		acc := make([]float64, p)
+		stored := 0
 		marked := make([]int, 0, 64)
 		for i := lo; i < hi; i++ {
 			marked = marked[:0]
@@ -366,19 +364,17 @@ func mulCSRCSR(a, b *Matrix) *Matrix {
 				acc[j] = 0
 			}
 			results[i] = rowResult{cols, vals}
+			stored += len(vals)
 		}
+		return stored
 	})
 	rowPtr := make([]int, a.rows+1)
-	total := 0
-	for i := range results {
-		total += len(results[i].vals)
-		rowPtr[i+1] = total
-	}
 	colIdx := make([]int, 0, total)
 	vals := make([]float64, 0, total)
-	for i := range results {
-		colIdx = append(colIdx, results[i].cols...)
-		vals = append(vals, results[i].vals...)
+	for i, r := range results {
+		colIdx = append(colIdx, r.cols...)
+		vals = append(vals, r.vals...)
+		rowPtr[i+1] = len(vals)
 	}
 	return NewCSR(a.rows, b.cols, rowPtr, colIdx, vals)
 }

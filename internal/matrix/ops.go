@@ -61,7 +61,7 @@ func transposeDense(dst []float64, m *Matrix) *Matrix {
 	}
 	rows, cols := m.rows, m.cols
 	tiles := (cols + transposeTile - 1) / transposeTile
-	StripeParallel(tiles, MinStripeCells/(rows*transposeTile)+1, func(lo, hi int) {
+	Stripes(tiles, func(i int) int { return i * rows * transposeTile }, func(lo, hi int) int {
 		for jj := lo * transposeTile; jj < min(hi*transposeTile, cols); jj += transposeTile {
 			jEnd := min(jj+transposeTile, cols)
 			for ii := 0; ii < rows; ii += transposeTile {
@@ -75,6 +75,7 @@ func transposeDense(dst []float64, m *Matrix) *Matrix {
 				}
 			}
 		}
+		return 0
 	})
 	return t
 }
@@ -102,7 +103,7 @@ const (
 func zipDense(dst []float64, a, b *Matrix, op ewise) *Matrix {
 	out, _ := denseOver(dst, a.rows, a.cols)
 	ad, bd, od := a.ToDense().data, b.ToDense().data, out.data
-	out.setNNZ(stripeCount(len(od), MinStripeCells, func(lo, hi int) int {
+	out.setNNZ(Stripes(len(od), func(i int) int { return i }, func(lo, hi int) int {
 		x, y, o := ad[lo:hi], bd[lo:hi], od[lo:hi]
 		nnz := 0
 		switch op {
@@ -253,7 +254,7 @@ func (m *Matrix) ScaleInto(dst []float64, s float64) *Matrix {
 	}
 	if m.format == Dense {
 		out, _ := denseOver(dst, m.rows, m.cols)
-		out.setNNZ(stripeCount(len(out.data), MinStripeCells, func(lo, hi int) int {
+		out.setNNZ(Stripes(len(out.data), func(i int) int { return i }, func(lo, hi int) int {
 			x, o := m.data[lo:hi], out.data[lo:hi]
 			nnz := 0
 			for i := range o {
@@ -285,7 +286,7 @@ func (m *Matrix) AddScalarInto(dst []float64, s float64) *Matrix {
 		dst = d.data // a CSR receiver's dense form is ours to overwrite
 	}
 	out, _ := denseOver(dst, m.rows, m.cols)
-	out.setNNZ(stripeCount(len(out.data), MinStripeCells, func(lo, hi int) int {
+	out.setNNZ(Stripes(len(out.data), func(i int) int { return i }, func(lo, hi int) int {
 		x, o := d.data[lo:hi], out.data[lo:hi]
 		nnz := 0
 		for i := range o {

@@ -320,31 +320,63 @@ func TestTransposeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStripesCoverTheRangeOnceAtEveryShare runs StripeParallel at GOMAXPROCS
-// 1, 2 and 3 and checks that the ranges tile [0, n) exactly and that there is
-// one per processor: at one, a single range run by the caller.
+// TestStripesCoverTheRangeOnceAtEveryShare runs Stripes at GOMAXPROCS 1, 2,
+// 3 and 8 over four work prefixes — a uniform one, one whose tail carries no
+// work (empty CSR rows), one below a stripe's worth (a single range, the
+// caller's) and a zipf-skewed CSR's row pointer — and checks that the ranges
+// tile [0, n) exactly, that there are min(GOMAXPROCS, n,
+// total/MinStripeCells) of them, that no range carries more than its share
+// plus the heaviest item, and that the bodies' counts sum.
 func TestStripesCoverTheRangeOnceAtEveryShare(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	const n = 1000
-	for _, procs := range []int{1, 2, 3} {
-		runtime.GOMAXPROCS(procs)
-		var mu sync.Mutex
-		covered := make([]int, n)
-		ranges := 0
-		StripeParallel(n, 1, func(lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			ranges++
-			for i := lo; i < hi; i++ {
-				covered[i]++
-			}
-		})
-		if ranges != procs {
-			t.Errorf("GOMAXPROCS %d: %d ranges, want %d", procs, ranges, procs)
+	zipf := ZipfSparse(rand.New(rand.NewSource(7)), 2000, 870, 0.02, 2.8)
+	prefixes := []struct {
+		name string
+		n    int
+		work func(i int) int
+	}{
+		{"uniform", 1000, func(i int) int { return i * MinStripeCells / 10 }},
+		{"uniform, then a tail of no work", 1000, func(i int) int { return min(i, 500) * MinStripeCells / 10 }},
+		{"below one unit", 1000, func(i int) int { return i * (MinStripeCells - 1) / 1000 }},
+		{"zipf-2.8 rowPtr", zipf.rows, func(i int) int { return (zipf.rowPtr[i] + i) * 8 }},
+	}
+	for _, pr := range prefixes {
+		total, heaviest := pr.work(pr.n), 0
+		for i := 0; i < pr.n; i++ {
+			heaviest = max(heaviest, pr.work(i+1)-pr.work(i))
 		}
-		for i, c := range covered {
-			if c != 1 {
-				t.Fatalf("GOMAXPROCS %d: cell %d covered %d times", procs, i, c)
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			ctx := fmt.Sprintf("%s at GOMAXPROCS %d", pr.name, procs)
+			var mu sync.Mutex
+			covered := make([]int, pr.n)
+			var spans [][2]int
+			sum := Stripes(pr.n, pr.work, func(lo, hi int) int {
+				mu.Lock()
+				defer mu.Unlock()
+				spans = append(spans, [2]int{lo, hi})
+				for i := lo; i < hi; i++ {
+					covered[i]++
+				}
+				return hi - lo
+			})
+			want := max(1, min(procs, pr.n, total/MinStripeCells))
+			if len(spans) != want {
+				t.Errorf("%s: %d ranges, want %d", ctx, len(spans), want)
+			}
+			if sum != pr.n {
+				t.Errorf("%s: bodies' counts sum to %d, want %d", ctx, sum, pr.n)
+			}
+			for i, c := range covered {
+				if c != 1 {
+					t.Fatalf("%s: item %d covered %d times", ctx, i, c)
+				}
+			}
+			for _, sp := range spans {
+				if w := pr.work(sp[1]) - pr.work(sp[0]); w > total/len(spans)+heaviest {
+					t.Errorf("%s: range [%d, %d) carries %d, over its share %d plus the heaviest item %d",
+						ctx, sp[0], sp[1], w, total/len(spans), heaviest)
+				}
 			}
 		}
 	}

@@ -11,25 +11,28 @@ import (
 // TestKernelsIndependentOfStripeCount: every kernel that stripes builds each
 // output cell the same way whatever the number of stripes, so a result — cell
 // bits (a NaN's payload aside, see requireSameBits), format, nonzero count —
-// is the same at GOMAXPROCS 1, 2, 3 and 8. The shapes are past
-// minStripeRows·8 rows or MinStripeCells cells, so that each kernel really
-// splits at every count above one.
+// is the same at GOMAXPROCS 1, 2, 3 and 8. Every case is sized from
+// MinStripeCells to carry at least eight stripes' worth of its kernel's work
+// prefix, and the test checks that it does, so that each kernel really splits
+// at every count above one.
 func TestKernelsIndependentOfStripeCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(41))
-	const rows = 8*minStripeRows + 8
+	const least = 8 * MinStripeCells
+	const rows = 520
+	const wide = least/rows + 1 // a row of this many cells, rows of them carry least
 
-	matVec := genDense(rng, rows, 20, fillSpecial)
-	finiteX := genDense(rng, 20, 1, fillZeros)
-	nonFiniteX := genDense(rng, 20, 1, fillZeros)
+	matVec := genDense(rng, rows, wide, fillSpecial)
+	finiteX := genDense(rng, wide, 1, fillZeros)
+	nonFiniteX := genDense(rng, wide, 1, fillZeros)
 	nonFiniteX.data[3], nonFiniteX.data[11] = math.Inf(1), math.NaN()
-	outerX, outerY := genDense(rng, rows, 1, fillZeros), genDense(rng, 1, 50, fillPlain)
-	fewRows, wide := genDense(rng, 2, 20, fillZeros), genDense(rng, 20, 1000, fillPlain)
+	outerX, outerY := genDense(rng, rows, 1, fillZeros), genDense(rng, 1, wide, fillPlain)
+	fewRows, fewWide := genDense(rng, 2, 20, fillZeros), genDense(rng, 20, least/40+1, fillPlain)
 	tall, narrow := genDense(rng, rows, 13, fillZeros), genDense(rng, 13, 40, fillSpecial)
-	sparseA, sparseB := RandSparse(rng, rows, 80, 0.05), RandSparse(rng, 80, 60, 0.05)
-	denseB, denseA := genDense(rng, 80, 30, fillPlain), genDense(rng, rows, 80, fillZeros)
-	cellsA, cellsB := genDense(rng, rows, 40, fillSpecial), genDense(rng, rows, 40, fillZeros)
-	toTranspose := genDense(rng, 300, rows, fillSpecial)
+	sparseA, sparseB := RandSparse(rng, rows, 4*wide, 0.3), RandSparse(rng, 4*wide, 60, 0.05)
+	denseB, denseA := genDense(rng, 4*wide, 30, fillPlain), genDense(rng, rows, 4*wide, fillZeros)
+	cellsA, cellsB := genDense(rng, rows, wide, fillSpecial), genDense(rng, rows, wide, fillZeros)
+	toTranspose := genDense(rng, wide, rows, fillSpecial)
 
 	// The quasi-Newton tails as the engine defers them, which compile to the
 	// fused DFP and BFGS loops.
@@ -42,28 +45,38 @@ func TestKernelsIndependentOfStripeCount(t *testing.T) {
 	dfp := Leaf(h).Sub(Outer(u, v).Scale(0.5)).Add(Outer(d, dT).Scale(0.25))
 	bfgs := Leaf(h).Add(Outer(d, dT).Scale(1.5).Scale(0.25)).Sub(s.Add(s.Transpose()).Scale(0.5))
 
+	// Each case's work is its kernel's prefix at the end of the range.
+	nnzA, nnzB := sparseA.rowPtr[rows], len(sparseB.vals)
+	cells := rows * wide
+	tiles := (toTranspose.cols + transposeTile - 1) / transposeTile
 	cases := []struct {
 		name string
+		work int
 		run  func() *Matrix
 	}{
-		{"mat-vec, finite x", func() *Matrix { return matVec.Mul(finiteX) }},
-		{"mat-vec, non-finite x", func() *Matrix { return matVec.Mul(nonFiniteX) }},
-		{"outer product", func() *Matrix { return outerX.Mul(outerY) }},
-		{"column-striped, few rows", func() *Matrix { return fewRows.Mul(wide) }},
-		{"k-unrolled", func() *Matrix { return tall.Mul(narrow) }},
-		{"k-unrolled into a dirty destination", func() *Matrix { return tall.MulInto(dirty(rows*40), narrow) }},
-		{"csr·dense", func() *Matrix { return sparseA.Mul(denseB) }},
-		{"dense·csr", func() *Matrix { return denseA.Mul(sparseB) }},
-		{"csr·csr", func() *Matrix { return sparseA.Mul(sparseB) }},
-		{"transpose", func() *Matrix { return toTranspose.Transpose() }},
-		{"add", func() *Matrix { return cellsA.Add(cellsB) }},
-		{"sub", func() *Matrix { return cellsA.Sub(cellsB) }},
-		{"elem-mul", func() *Matrix { return cellsA.ElemMul(cellsB) }},
-		{"elem-div", func() *Matrix { return cellsA.ElemDiv(cellsB) }},
-		{"scale", func() *Matrix { return cellsA.Scale(-0.5) }},
-		{"add-scalar", func() *Matrix { return cellsB.AddScalar(1e-300) }},
-		{"DFP tail", func() *Matrix { return dfp.Eval(nil) }},
-		{"BFGS tail", func() *Matrix { return bfgs.Eval(dirty(n * n)) }},
+		{"mat-vec, finite x", rows * wide, func() *Matrix { return matVec.Mul(finiteX) }},
+		{"mat-vec, non-finite x", rows * wide, func() *Matrix { return matVec.Mul(nonFiniteX) }},
+		{"outer product", rows * wide, func() *Matrix { return outerX.Mul(outerY) }},
+		{"column-striped, few rows", fewWide.cols * 2 * 20, func() *Matrix { return fewRows.Mul(fewWide) }},
+		{"k-unrolled", rows * 13 * 40, func() *Matrix { return tall.Mul(narrow) }},
+		{"k-unrolled into a dirty destination", rows * 13 * 40, func() *Matrix { return tall.MulInto(dirty(rows*40), narrow) }},
+		{"csr·dense", (nnzA + rows) * 30, func() *Matrix { return sparseA.Mul(denseB) }},
+		{"dense·csr", rows * (60 + nnzB), func() *Matrix { return denseA.Mul(sparseB) }},
+		{"csr·csr", nnzA + rows, func() *Matrix { return sparseA.Mul(sparseB) }},
+		{"transpose", tiles * toTranspose.rows * transposeTile, func() *Matrix { return toTranspose.Transpose() }},
+		{"add", cells, func() *Matrix { return cellsA.Add(cellsB) }},
+		{"sub", cells, func() *Matrix { return cellsA.Sub(cellsB) }},
+		{"elem-mul", cells, func() *Matrix { return cellsA.ElemMul(cellsB) }},
+		{"elem-div", cells, func() *Matrix { return cellsA.ElemDiv(cellsB) }},
+		{"scale", cells, func() *Matrix { return cellsA.Scale(-0.5) }},
+		{"add-scalar", cells, func() *Matrix { return cellsB.AddScalar(1e-300) }},
+		{"DFP tail", n * n, func() *Matrix { return dfp.Eval(nil) }},
+		{"BFGS tail", n * n, func() *Matrix { return bfgs.Eval(dirty(n * n)) }},
+	}
+	for _, c := range cases {
+		if c.work < least {
+			t.Fatalf("%s carries %d work, under the %d that eight stripes need", c.name, c.work, least)
+		}
 	}
 	var want []*Matrix
 	for _, procs := range []int{1, 2, 3, 8} {
