@@ -12,9 +12,10 @@ import (
 
 // Microbenchmarks of the local kernels at the operand shapes the workloads
 // run: the 870- and 1500-column quasi-Newton updates (outer product,
-// mat-vec, vec-mat, scale, add), GNMF's tall-narrow product, the 2000×870
-// CSR data matrices (uniform and zipf-skewed, and cri2's sparser one times a
-// vector), and the metadata reads that follow every kernel. Run with
+// mat-vec, vec-mat, scale, add), GNMF's and GD's skinny products over
+// half-zero data, the 2000×870 CSR data matrices (uniform and zipf-skewed,
+// and cri2's sparser one times a vector), and the metadata reads that
+// follow every kernel. Run with
 //
 //	go test -run '^$' -bench . -benchmem ./internal/matrix
 
@@ -54,6 +55,29 @@ func BenchmarkMulDenseDense(b *testing.B) {
 	b.Run("tall/4000x47x10", func(b *testing.B) { benchMul(b, w, hh) })
 	sq := matrix.RandDense(rng, 870, 870)
 	b.Run("square/870", func(b *testing.B) { benchMul(b, sq, sq) })
+	// GD's AᵀA and GNMF's Wᵀ·V, Wᵀ·W and V·Hᵀ, over data matrices stored
+	// dense but filled as cri1 (60 %) and red1 (51 %) are: the zero skip's
+	// shapes, which a fully filled operand never takes.
+	red1, cri1 := filledDense(rng, 4000, 34, 0.51), filledDense(rng, 4000, 47, 0.6)
+	red1T, wT4000 := red1.Transpose(), matrix.RandDense(rng, 10, 4000)
+	w2000 := matrix.RandDense(rng, 2000, 10)
+	wT2000 := w2000.Transpose()
+	b.Run("AtA/red1", func(b *testing.B) { benchMul(b, red1T, red1) })
+	b.Run("WtV/cri1", func(b *testing.B) { benchMul(b, wT4000, cri1) })
+	b.Run("WtW", func(b *testing.B) { benchMul(b, wT2000, w2000) })
+	b.Run("VHt/cri1", func(b *testing.B) { benchMul(b, cri1, hh) })
+}
+
+// filledDense returns a rows×cols dense matrix with about fill of its cells
+// nonzero, drawn as the data generators draw cri1 and red1.
+func filledDense(rng *rand.Rand, rows, cols int, fill float64) *matrix.Matrix {
+	cells := make([]float64, rows*cols)
+	for i := range cells {
+		if rng.Float64() < fill {
+			cells[i] = 2*rng.Float64() - 1
+		}
+	}
+	return matrix.NewDenseData(rows, cols, cells)
 }
 
 func BenchmarkMulSparse(b *testing.B) {

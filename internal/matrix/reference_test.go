@@ -157,6 +157,40 @@ func genDense(rng *rand.Rand, rows, cols, kind int) *Matrix {
 	return NewDenseData(rows, cols, data)
 }
 
+// genHalf returns a rows×cols operand about half ±0 — in runs of up to
+// eight cells and alone, as a dense-stored data matrix like cri1 or red1 is
+// — the rest uniform in [-1, 1).
+func genHalf(rng *rand.Rand, rows, cols int) *Matrix {
+	m := genDense(rng, rows, cols, fillPlain)
+	for i := 0; i < len(m.data); i++ {
+		switch r := rng.Intn(10); {
+		case r == 0:
+			for run := 1 + rng.Intn(8); run > 0 && i < len(m.data); run-- {
+				m.data[i] = specials[rng.Intn(2)]
+				i++
+			}
+		case r < 3:
+			m.data[i] = specials[rng.Intn(2)]
+		}
+	}
+	return m
+}
+
+// poisonSkipped writes ±Inf and NaN over three rows of b, and ±0 into
+// every other row of a at those k: only the zero skip keeps those rows'
+// cells finite.
+func poisonSkipped(rng *rand.Rand, a, b *Matrix) {
+	for c := 0; c < 3; c++ {
+		kk := rng.Intn(a.cols)
+		for j := 0; j < b.cols; j++ {
+			b.data[kk*b.cols+j] = specials[9+(c+j)%3]
+		}
+		for i := 0; i < a.rows; i += 2 {
+			a.data[i*a.cols+kk] = specials[i/2%2]
+		}
+	}
+}
+
 func TestMulDenseDenseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	ks := []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 64}
@@ -178,6 +212,31 @@ func TestMulDenseDenseMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// Long k: k just below, at and above one index list's block, and 4000,
+	// over a about half zero and over a with no zero at all (every k in
+	// order), on the few-row path and, at 63 rows, near its edge; into a
+	// fresh destination and a NaN-poisoned one.
+	for _, k := range []int{kBlock - 1, kBlock, kBlock + 1, 4000} {
+		for _, n := range []int{1, 2, 10, 34, 63} {
+			for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 47} {
+				for _, zeroFree := range []bool{false, true} {
+					if zeroFree && k != kBlock && k != 4000 {
+						continue
+					}
+					a, b := genHalf(rng, n, k), genDense(rng, k, p, fillPlain)
+					if zeroFree {
+						a = genDense(rng, n, k, fillPlain)
+					} else {
+						poisonSkipped(rng, a, b)
+					}
+					ref := refMulDenseDense(a, b)
+					ctx := fmt.Sprintf("%dx%d·%dx%d zero-free %v", n, k, k, p, zeroFree)
+					requireSameResult(t, ctx, a.Mul(b), ref)
+					requireSameResult(t, ctx+", dirty destination", a.MulInto(dirty(n*p), b), ref)
+				}
+			}
+		}
+	}
 	// A seeded sweep of odd shapes on top of the fixed ones.
 	for trial := 0; trial < 60; trial++ {
 		n, k, p := 1+rng.Intn(140), 1+rng.Intn(40), 1+rng.Intn(90)
@@ -186,6 +245,36 @@ func TestMulDenseDenseMatchesReference(t *testing.T) {
 		requireSameResult(t, fmt.Sprintf("trial %d: %dx%d·%dx%d kind %d", trial, n, k, k, p, kind),
 			a.Mul(b), refMulDenseDense(a, b))
 	}
+}
+
+// FuzzMulDenseDense: a dense product of any shape the input names — the
+// mat-vec, outer-product, few-row and row paths, across blocks of k and
+// chunks of columns — over a with any share of ±0 (none included), and b
+// with ±Inf and NaN where the input asks, matches the reference into a
+// fresh or a NaN-poisoned destination: cells bit for bit, format and count.
+func FuzzMulDenseDense(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, rows, inner, cols uint16, zeros, nonFinite uint8, dirtyDst bool) {
+		n, k, p := 1+int(rows)%80, 1+int(inner)%600, 1+int(cols)%80
+		rng := rand.New(rand.NewSource(seed))
+		a, b := genDense(rng, n, k, fillPlain), genDense(rng, k, p, fillPlain)
+		if zeros%2 == 1 { // ±0 in runs and alone
+			a = genHalf(rng, n, k)
+		} else { // each cell ±0 with probability (zeros mod 9)/8, 0 to 1
+			for i := range a.data {
+				if rng.Float64() < float64(zeros%9)/8 {
+					a.data[i] = specials[rng.Intn(2)]
+				}
+			}
+		}
+		for c := 0; c < int(nonFinite%8); c++ {
+			b.data[rng.Intn(len(b.data))] = specials[9+rng.Intn(3)]
+		}
+		var dst []float64
+		if dirtyDst {
+			dst = dirty(n * p)
+		}
+		requireSameResult(t, fmt.Sprintf("%dx%d·%dx%d", n, k, k, p), a.MulInto(dst, b), refMulDenseDense(a, b))
+	})
 }
 
 func TestMulZeroSkipAndSignedZero(t *testing.T) {
@@ -203,6 +292,32 @@ func TestMulZeroSkipAndSignedZero(t *testing.T) {
 		got := a.Mul(b)
 		if got.At(0, 0) != float64(k) || got.At(0, 1) != 1.5*float64(k) {
 			t.Fatalf("k=%d: got %v, want [%d %g]", k, got, k, 1.5*float64(k))
+		}
+	}
+	// Four nonzero k with a zero between each run as one group, beside rows
+	// of b that are ±Inf or NaN where a is ±0: on the few-row and the row
+	// path, at a narrow and a wide p, over more than one block of k.
+	for _, n := range []int{1, 70} {
+		for _, p := range []int{3, 40} {
+			for _, k := range []int{13, kBlock + 13} {
+				a, b := NewDense(n, k), NewDense(k, p)
+				want := 0.0
+				for kk := 0; kk < k; kk++ {
+					for i := 0; i < n; i++ {
+						a.data[i*k+kk] = []float64{float64(kk%7 + 1), 0, float64(-kk%5 - 1), negZero}[kk%4]
+					}
+					for j := 0; j < p; j++ {
+						b.data[kk*p+j] = []float64{1, inf, 0.5, math.NaN()}[kk%4]
+					}
+					want += []float64{float64(kk%7 + 1), 0, float64(-kk%5-1) * 0.5, 0}[kk%4]
+				}
+				got := a.Mul(b).ToDense()
+				for c, v := range got.data {
+					if v != want {
+						t.Fatalf("%dx%d·%dx%d: cell (%d,%d) = %v, want %v", n, k, k, p, c/p, c%p, v, want)
+					}
+				}
+			}
 		}
 	}
 	// 0·Inf skipped in the mat-vec path too.

@@ -29,6 +29,15 @@ func TestKernelsIndependentOfStripeCount(t *testing.T) {
 	outerX, outerY := genDense(rng, rows, 1, fillZeros), genDense(rng, 1, wide, fillPlain)
 	fewRows, fewWide := genDense(rng, 2, 20, fillZeros), genDense(rng, 20, least/40+1, fillPlain)
 	tall, narrow := genDense(rng, rows, 13, fillZeros), genDense(rng, 13, 40, fillSpecial)
+	// The few-row path over long k (k-blocks, each stripe in a private
+	// tile), with and without zeros to skip, and with more columns than one
+	// tile holds; the row path at a narrow p over a half-zero operand.
+	longA, longB := genHalf(rng, 10, 4000), genDense(rng, 4000, 10, fillPlain)
+	poisonSkipped(rng, longA, longB)
+	fullA := genDense(rng, 10, 4000, fillPlain)
+	chunkA, chunkB := genHalf(rng, 34, 300), genDense(rng, 300, 2*tileCells/34+5, fillZeros)
+	halfTall, narrowB := genHalf(rng, rows, 47), genDense(rng, 47, 10, fillPlain)
+	fullTall := genDense(rng, rows+1, 13, fillPlain)
 	sparseA, sparseB := RandSparse(rng, rows, 4*wide, 0.3), RandSparse(rng, 4*wide, 60, 0.05)
 	denseB, denseA := genDense(rng, 4*wide, 30, fillPlain), genDense(rng, rows, 4*wide, fillZeros)
 	cellsA, cellsB := genDense(rng, rows, wide, fillSpecial), genDense(rng, rows, wide, fillZeros)
@@ -58,7 +67,12 @@ func TestKernelsIndependentOfStripeCount(t *testing.T) {
 		{"mat-vec, non-finite x", rows * wide, func() *Matrix { return matVec.Mul(nonFiniteX) }},
 		{"outer product", rows * wide, func() *Matrix { return outerX.Mul(outerY) }},
 		{"column-striped, few rows", fewWide.cols * 2 * 20, func() *Matrix { return fewRows.Mul(fewWide) }},
+		{"few rows, long k, half zero", 10 * 10 * 4000, func() *Matrix { return longA.Mul(longB) }},
+		{"few rows, long k, no zero", 10 * 10 * 4000, func() *Matrix { return fullA.MulInto(dirty(100), longB) }},
+		{"few rows, columns in chunks", chunkB.cols * 34 * 300, func() *Matrix { return chunkA.Mul(chunkB) }},
 		{"k-unrolled", rows * 13 * 40, func() *Matrix { return tall.Mul(narrow) }},
+		{"k-unrolled, narrow, half zero", rows * 47 * 10, func() *Matrix { return halfTall.Mul(narrowB) }},
+		{"k-unrolled, rows in pairs", (rows + 1) * 13 * 40, func() *Matrix { return fullTall.MulInto(dirty((rows+1)*40), narrow) }},
 		{"k-unrolled into a dirty destination", rows * 13 * 40, func() *Matrix { return tall.MulInto(dirty(rows*40), narrow) }},
 		{"csr·dense", (nnzA + rows) * 30, func() *Matrix { return sparseA.Mul(denseB) }},
 		{"dense·csr", rows * (60 + nnzB), func() *Matrix { return denseA.Mul(sparseB) }},
