@@ -164,10 +164,9 @@ type DistMatrix struct {
 	// temp marks a temporary (ownership.go): a value only the expression
 	// under evaluation holds, which the operator that consumes it may
 	// overwrite or recycle. Values are not temporaries unless Temp said so.
-	temp bool
-	// named marks a temporary that was given a name (Pin) and that nothing but
-	// names retains: Retire recycles it once the last name is rebound.
-	named bool
+	temp  bool
+	holds int         // holders of a value the run made (ownership.go)
+	fused *DistMatrix // the transpose TransposeFused keeps with d
 	// expr is the payload of a deferred value (deferred.go): data stays nil
 	// until force evaluates it. owned lists the buffers of the temporaries the
 	// expression took over, which go to the free list once it is evaluated;
@@ -408,12 +407,19 @@ func (d *DistMatrix) Transpose() *DistMatrix {
 // inside multiplication chains are fused into the multiply operators
 // (SystemDS rewrites t(A) %*% x into a transpose-fused matrix multiply
 // rather than materializing t(A)), and the cost model prices the fused
-// multiply on the transposed metadata.
+// multiply on the transposed metadata. The transpose is kept, and retired,
+// with d: the kernel runs once per value.
 func (d *DistMatrix) TransposeFused() *DistMatrix {
-	d.repair()
-	out := d.force().Transpose()
-	// Uncharged: the fused view inherits its parent's lineage.
-	return d.derive(out, sparsity.MNC{}.Transpose(d.vMeta), d.local, d.prod)
+	if d.fused == nil {
+		d.repair()
+		m := d.force()
+		dst := d.ctx.dest(m.Rows() * m.Cols())
+		// Uncharged: the fused view inherits its parent's lineage; d holds it.
+		d.fused = d.derive(m.TransposeInto(dst), sparsity.MNC{}.Transpose(d.vMeta), d.local, d.prod)
+		d.ctx.release(d.fused.data, dst)
+		d.fused.holds = 1
+	}
+	return d.fused
 }
 
 // Scale returns s · d.

@@ -16,13 +16,10 @@ import (
 // context's free list for a later operator to use as its destination. A
 // consumed temporary is emptied: using it again panics. Everything else —
 // inputs, cache hits, anything bound, cached, published or returned — is not
-// a temporary, is never written and never recycled; Pin and Retain withdraw
-// the declaration when a temporary comes to be retained after all.
-//
-// One retained value does come back: a temporary that was given a name (Pin)
-// is dead again once the name is rebound, if no other name holds it and no
-// expression still to be evaluated reads it. Retire recycles it then. The
-// buffers that are idle when the run ends serve the next run (HandOver).
+// a temporary and is never written: Pin and Retain withdraw the declaration.
+// What the run made comes back once its last holder (a name, a reuse slot)
+// has let go, if no unevaluated expression reads it (Retire); the buffers idle
+// when the run ends serve the next run (HandOver).
 
 // Temp declares d a temporary and returns it. The caller vouches that it
 // holds the only reference to d and to d's matrix.
@@ -31,44 +28,37 @@ func (d *DistMatrix) Temp() *DistMatrix {
 	return d
 }
 
-// Pin withdraws Temp — d is about to be bound, or to outlive the run — and
-// returns d, materialised: what a name, a result or another goroutine holds
-// is cells (deferred.go).
-//
-// A value that was a temporary here is one the run made and only names hold:
-// Retire may recycle it when the last of them lets go.
+// Pin is Retain for a holder that reads cells, and returns d materialised.
 func (d *DistMatrix) Pin() *DistMatrix {
 	d.force()
-	if d.temp {
-		d.temp, d.named = false, true
+	return d.Retain()
+}
+
+// Retain withdraws Temp for a holder and returns d as it is, deferred or not;
+// holds counts the holders of a value the run made (a temporary till then).
+func (d *DistMatrix) Retain() *DistMatrix {
+	if d.temp || d.holds > 0 {
+		d.temp, d.holds = false, d.holds+1
 	}
 	return d
 }
 
-// Retain withdraws Temp for a holder that lives and dies with the run (the
-// executor's reuse caches) and returns d as it is: a deferred value stays
-// deferred.
-// What a cache holds is never retired, named or not.
-func (d *DistMatrix) Retain() *DistMatrix {
-	d.temp, d.named = false, false
-	return d
-}
-
-// Retire ends a named value: the caller vouches that no name holds d any
-// more. If the run made d (Pin), nothing else retains it (Retain) and no
-// unevaluated expression reads it (deferred.go: loans), d is emptied like a
-// consumed temporary and its dense buffer, which Retire returns, goes to the
-// free list. Anything else — an input, a cache hit, a cached or published
-// value, a lender — is left as it is, and Retire returns nil. Recovery state
-// does not enter into it: a checkpoint and coded parity say how the lost
-// blocks of a value are rebuilt when it is next used, parity blocks are
-// allocations of their own, and nothing uses a retired value.
+// Retire lets one holder of d go. When the last holder of a value the run made
+// lets go and no unevaluated expression reads it (deferred.go: loans), d and
+// its fused transpose are emptied like consumed temporaries and their buffers
+// go to the free list; Retire returns d's. Anything else — nil, an input, a
+// cache hit, a value held or lent still, one still deferred — is left as it
+// is; so is recovery state, since nothing uses a retired value.
 func (d *DistMatrix) Retire() []float64 {
-	if !d.named || d.loans > 0 || d.data == nil {
+	if d == nil || d.holds == 0 || d.holds == 1 && d.loans > 0 {
 		return nil
 	}
+	if d.holds--; d.holds > 0 || d.data == nil {
+		return nil
+	}
+	d.fused.Retire()
 	buf := d.data.Buffer()
-	d.data = nil
+	d.data, d.fused = nil, nil
 	d.ctx.release(nil, buf)
 	return buf
 }
@@ -177,6 +167,9 @@ func (d *DistMatrix) Reads() [][]float64 {
 	}
 	return bufs
 }
+
+// Fused returns the transpose TransposeFused keeps with d, for the tests.
+func (d *DistMatrix) Fused() *DistMatrix { return d.fused }
 
 // Idle returns the buffers on the free list: what the ownership tests check
 // no retained value shares.

@@ -1,8 +1,8 @@
 // Package engine executes compiled programs on the simulated distributed
-// runtime: it drives the loop, evaluates statement plans over distmat
-// values, hoists loop-constant producers out of the loop (LSE), reuses
-// common-subexpression results within an iteration (CSE), and accounts the
-// phase breakdown (input partition / compilation / computation /
+// runtime: it lowers the statement plans into a schedule over distmat values
+// once per run, drives the loop, hoists loop-constant producers out of it
+// (LSE), reuses common-subexpression results within an iteration (CSE), and
+// accounts the phase breakdown (input partition / compilation / computation /
 // transmission) the paper's Fig 12 reports.
 package engine
 
@@ -12,10 +12,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
-	"remac/internal/chain"
 	"remac/internal/cluster"
-	"remac/internal/costgraph"
 	"remac/internal/distmat"
 	"remac/internal/fault"
 	"remac/internal/integrity"
@@ -23,7 +22,6 @@ import (
 	"remac/internal/matrix"
 	"remac/internal/opt"
 	"remac/internal/plan"
-	"remac/internal/search"
 	"remac/internal/trace"
 )
 
@@ -225,9 +223,8 @@ func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input
 		goCtx:      goCtx,
 		ctx:        ctx,
 		rec:        rec,
-		env:        map[string]*distmat.DistMatrix{},
 		inputs:     inputs,
-		lseCache:   map[string]*distmat.DistMatrix{},
+		names:      map[string]int{},
 		checkpoint: rp.Kind == RecoverCheckpoint,
 		inter:      opts.Intermediates,
 		shared:     opts.Shared,
@@ -237,7 +234,7 @@ func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input
 	if opts.MaxIter > 0 {
 		e.maxIter = opts.MaxIter
 	}
-	if err := e.prepare(); err != nil {
+	if err := e.lower(); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -245,52 +242,45 @@ func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input
 
 func (e *executor) run() (*Result, error) {
 	c, ctx, rec, maxIter := e.c, e.ctx, e.rec, e.maxIter
-
-	// Pre-loop statements.
-	for _, sp := range c.Plans.Pre {
-		if err := e.execStmtTraced(sp); err != nil {
-			return nil, err
-		}
+	if err := e.exec(e.code[:e.ends[0]]); err != nil {
+		return nil, err
 	}
-
 	iterations := 0
-	if c.Plans.Loop != nil {
-		for iterations < maxIter {
-			if err := e.canceled(); err != nil {
-				return nil, err
-			}
-			ok, err := e.cond(c.Plans.Loop.Cond)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			id := rec.Begin("iteration", fmt.Sprintf("iteration %d", iterations+1))
-			err = e.iteration()
-			if err == nil && e.guard == integrity.GuardPerIteration {
-				e.guardIteration()
-			}
-			rec.End(id)
-			if err != nil {
-				return nil, err
-			}
-			if err := ctx.IntegrityErr(); err != nil {
-				return nil, err
-			}
-			iterations++
-			if e.afterIteration != nil {
-				e.afterIteration()
-			}
-		}
+	for loop := c.Plans.Loop; loop != nil; iterations++ {
 		if iterations >= maxIter {
 			return nil, &MaxIterationsError{Iterations: maxIter}
 		}
-	}
-	for _, sp := range c.Plans.Post {
-		if err := e.execStmtTraced(sp); err != nil {
+		if err := e.canceled(); err != nil {
 			return nil, err
 		}
+		v, err := e.condValue(loop.Cond)
+		if err != nil {
+			return nil, err
+		}
+		if v == 0 {
+			break
+		}
+		var id int64
+		if rec != nil {
+			id = rec.Begin("iteration", fmt.Sprintf("iteration %d", iterations+1))
+		}
+		err = e.exec(e.code[e.ends[0]:e.ends[1]])
+		if err == nil && e.guard == integrity.GuardPerIteration {
+			e.guardIteration()
+		}
+		rec.End(id)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.IntegrityErr(); err != nil {
+			return nil, err
+		}
+		if e.afterIteration != nil {
+			e.afterIteration()
+		}
+	}
+	if err := e.exec(e.code[e.ends[1]:]); err != nil {
+		return nil, err
 	}
 	// A corruption or NaN surfaced by the final operator has no later
 	// evaluation to fail — a poisoned run must never return success.
@@ -301,7 +291,7 @@ func (e *executor) run() (*Result, error) {
 	// next run's first n×n result goes where this run's last dead one was.
 	ctx.HandOver()
 	return &Result{
-		Env:               e.env,
+		Env:               e.env(),
 		Stats:             ctx.Cluster.Stats(),
 		Iterations:        iterations,
 		InputPartitionSec: ctx.PartitionSec,
@@ -316,7 +306,6 @@ type executor struct {
 	goCtx  context.Context
 	ctx    *distmat.Context
 	rec    *trace.Recorder
-	env    map[string]*distmat.DistMatrix
 	inputs map[string]Input
 
 	// inter is the optional cross-run LSE value cache (RunOptions).
@@ -324,22 +313,23 @@ type executor struct {
 	// shared is the optional mid-batch producer coordinator (RunOptions).
 	shared SharedProducers
 
-	// explicitKeys marks subtree keys stock SystemDS would reuse
-	// (Explicit strategy only).
-	explicitKeys map[string]bool
-
-	// blockByOrigin finds the resolved plan for a chain region during
-	// normalized-tree evaluation.
-	blockByOrigin map[*plan.Node]*costgraph.BlockPlan
-	// producers maps option keys to their producer plans.
-	producers map[string]*costgraph.ProducerPlan
-
-	// lseCache persists across iterations; cseCache and subtreeCache are
-	// per-iteration; transCache memoizes fused transposes per value.
-	lseCache     map[string]*distmat.DistMatrix
-	cseCache     map[string]*distmat.DistMatrix
-	subtreeCache map[string]cachedSubtree
-	transCache   map[*distmat.DistMatrix]*distmat.DistMatrix
+	// code is the schedule (schedule.go): the pre-loop statements, the loop
+	// body and the post-loop statements, ending at ends.
+	code []instr
+	ends [3]int
+	// slots is the slot table, with each slot's kind and label (a name's is
+	// the name); names finds a name's slot.
+	slots  []*distmat.DistMatrix
+	kinds  []slotKind
+	labels []string
+	names  map[string]int
+	// stack is the value stack; stmt and span are the statement running and
+	// its span; leads lists the LSE productions this run leads for sibling
+	// runs, innermost last.
+	stack []*distmat.DistMatrix
+	stmt  string
+	span  int64
+	leads []lead
 
 	// checkpoint persists LSE values to DFS on first computation
 	// (RecoverCheckpoint).
@@ -349,103 +339,130 @@ type executor struct {
 	guard   integrity.GuardMode
 
 	// afterIteration, when set (by the ownership tests), runs after every
-	// completed iteration, and afterRetire on every buffer a rebound name's
-	// previous value gave up.
+	// completed iteration, and afterRetire on every buffer a holder that let
+	// go of a value gave up.
 	afterIteration func()
 	afterRetire    func(buf []float64)
 }
 
-// cachedSubtree is an explicit-CSE cache entry: the value plus the
-// variables it depends on, so reassignments invalidate it.
-type cachedSubtree struct {
-	v    *distmat.DistMatrix
-	refs map[string]bool
+// lead is an LSE production this run settles for its siblings: the slot, the
+// sharing key and the FLOP charged before it started.
+type lead struct {
+	slot int
+	key  string
+	flop float64
 }
 
-func (e *executor) prepare() error {
-	c := e.c
-	// Explicit applies stock SystemDS's identical-subtree CSE; the
-	// conservative strategy subsumes it ("applies CSE after all
-	// optimizations improving the operator order", §6.3.1), so both enable
-	// the as-written span cache.
-	if c.Config.Strategy == opt.Explicit || c.Config.Strategy == opt.Conservative {
-		e.explicitKeys = map[string]bool{}
-		var roots []*plan.Node
-		for _, sp := range c.Plans.Body {
-			roots = append(roots, sp.Raw)
-		}
-		for key := range plan.ExplicitCSEKeys(roots) {
-			e.explicitKeys[key] = true
-		}
+// slotOf returns the slot of key in m, made on first use.
+func (e *executor) slotOf(m map[string]int, kind slotKind, key string) int {
+	k, ok := m[key]
+	if !ok {
+		k = len(e.slots)
+		e.slots, e.kinds, e.labels = append(e.slots, nil), append(e.kinds, kind), append(e.labels, key)
+		m[key] = k
 	}
-	if c.Decision != nil {
-		e.blockByOrigin = map[*plan.Node]*costgraph.BlockPlan{}
-		for _, bp := range c.Decision.BlockPlans {
-			e.blockByOrigin[bp.Block.Origin] = bp
-		}
-		e.producers = map[string]*costgraph.ProducerPlan{}
-		for _, pp := range c.Decision.Producers {
-			e.producers[pp.Option.Key] = pp
-		}
-	}
-	return nil
+	return k
 }
 
-// iteration runs one loop-body pass.
-func (e *executor) iteration() error {
-	e.cseCache = map[string]*distmat.DistMatrix{}
-	e.subtreeCache = map[string]cachedSubtree{}
+// slot returns the slot of a name.
+func (e *executor) slot(name string) int { return e.slotOf(e.names, nameSlot, name) }
 
-	if e.c.UsesRawBody {
-		// SystemDS-style: every statement executes its raw tree through
-		// cost-ordered chain plans; assignments invalidate cached values.
-		for i, sp := range e.c.Plans.Body {
-			id := e.rec.Begin("stmt", sp.Target)
-			v, err := e.eval(e.c.NormalizedBody[i])
-			e.rec.End(id)
-			if err != nil {
-				return fmt.Errorf("engine: %s: %w", sp.Target, err)
-			}
-			e.bind(sp.Target, v)
-			e.invalidate(sp.Target)
-		}
-		return nil
-	}
-
-	norm := 0
-	for _, sp := range e.c.Plans.Body {
-		if sp.Inlined {
-			continue // absorbed into downstream normalized trees
-		}
-		tree := e.c.NormalizedBody[norm]
-		norm++
-		id := e.rec.Begin("stmt", sp.Target)
-		v, err := e.eval(tree)
-		e.rec.End(id)
+// exec runs a stretch of the schedule: the one run loop, for the pre-loop
+// statements, an iteration of the body and the post-loop statements alike.
+func (e *executor) exec(code []instr) error {
+	for pc := 0; pc < len(code); pc++ {
+		skip, err := e.step(&code[pc])
 		if err != nil {
-			return fmt.Errorf("engine: %s: %w", sp.Target, err)
+			// Settle what this run leads, so waiting siblings fail typed (or,
+			// for a cancellation specific to this run, promote a new leader)
+			// instead of blocking on an abandoned production.
+			for i := len(e.leads) - 1; i >= 0; i-- {
+				e.shared.Fail(e.leads[i].key, err)
+			}
+			e.leads, e.stack = e.leads[:0], e.stack[:0]
+			e.rec.End(e.span)
+			return fmt.Errorf("engine: %s: %w", e.stmt, err)
 		}
-		// Bind the versioned symbol: inlined references to the pre-update
-		// value keep resolving to the old binding until the end-of-
-		// iteration promotion below.
-		e.bind(sp.TargetSym, v)
-		if sp.TargetSym == sp.Target {
-			// Unversioned rebinds (e.g. the per-iteration gradient)
-			// invalidate cached spans that referenced the old value.
-			e.invalidate(sp.Target)
-		}
-	}
-	// Promote versioned bindings so the next iteration (and the loop
-	// condition) sees the updated values.
-	for _, sp := range e.c.Plans.Body {
-		if sp.Inlined || sp.TargetSym == sp.Target {
-			continue
-		}
-		if v, ok := e.env[sp.TargetSym]; ok {
-			e.bind(sp.Target, v)
+		if skip {
+			pc += code[pc].n
 		}
 	}
 	return nil
+}
+
+// step runs one instruction, after the checks an evaluation starts with; skip
+// reports a full reuse slot, whose producing instructions the run skips.
+func (e *executor) step(in *instr) (skip bool, err error) {
+	if in.entry {
+		if err = e.canceled(); err == nil {
+			err = e.ctx.IntegrityErr()
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+	top := len(e.stack) - 1
+	switch in.op {
+	case opStmt:
+		e.stmt, e.span = in.label, e.rec.Begin("stmt", in.label)
+	case opBind:
+		e.bind(in.a, e.stack[top])
+		e.stack = e.stack[:top]
+		e.rec.End(e.span)
+		e.span = 0
+		for _, k := range in.clears {
+			v := e.slots[k]
+			e.slots[k] = nil
+			e.drop(v)
+		}
+	case opLoad:
+		v, err := e.load(in.a, in.b)
+		e.stack = append(e.stack, v)
+		return false, err
+	case opConst:
+		e.stack = append(e.stack, e.scalar(in.val))
+	case opEnter:
+		v := e.slots[in.a]
+		if v == nil && in.label != "" {
+			v, err = e.share(in.a, in.label)
+			e.slots[in.a] = v
+		}
+		if v != nil {
+			e.stack = append(e.stack, v)
+			return true, nil
+		}
+	case opFill:
+		if in.a >= 0 {
+			e.fill(in.a, in.label, e.stack[top])
+		}
+	case opFusedT:
+		e.stack[top] = e.stack[top].TransposeFused()
+	case opT:
+		e.stack[top] = e.stack[top].Transpose().Temp()
+	case opUnary:
+		e.stack[top], err = e.unary(in.kind, e.stack[top])
+	default:
+		l, r := e.stack[top-1], e.stack[top]
+		e.stack = e.stack[:top]
+		var v *distmat.DistMatrix
+		switch in.op {
+		case opBinary:
+			v, err = e.applyBin(in.kind, l, r)
+		case opMul:
+			if in.swap {
+				l, r = r, l
+			}
+			v = l.MulHinted(r, in.tsmm)
+		case opScale:
+			v = l.Scale(r.Data().ScalarValue())
+		case opAdd:
+			v = l.Add(r)
+		}
+		if err == nil {
+			e.stack[top-1] = v.Temp()
+		}
+	}
+	return false, err
 }
 
 // guardIteration runs the per-iteration non-finite scan over the bound
@@ -453,81 +470,100 @@ func (e *executor) iteration() error {
 // base names resolve to). The scan charges the pass and records the first
 // poison found as the context's typed numeric error.
 func (e *executor) guardIteration() {
-	names := make([]string, 0, len(e.env))
-	for name := range e.env {
+	env := e.env()
+	names := make([]string, 0, len(env))
+	for name := range env {
 		if baseSym(name) == name {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		e.env[name].GuardValue(name)
+		env[name].GuardValue(name)
 	}
 }
 
-// bind binds name to v. A bound value is retained — by the environment, and
-// by Result.Env after the run — so it stops being a temporary here, and a
-// deferred one (distmat: deferred.go) is materialised: Pin does both, and v
-// was the last expression that could read the value the name held before.
-// That value is dead once no name holds it (versioned and base names may hold
-// the same one: the H#1 bind ends nothing, the promotion does): its fused
-// transpose goes, since transCache is reached through bound values alone, and
-// the value itself is retired — recycled if the run made it and nothing but
-// names ever retained it, left alone if it is an input, a cache hit, a cached
-// or published value, or still read by an unevaluated expression in one of
-// the reuse caches (distmat: Retire).
-func (e *executor) bind(name string, v *distmat.DistMatrix) {
-	old := e.env[name]
-	e.env[name] = v.Pin()
-	if old == nil || old == v {
-		return
-	}
-	for _, held := range e.env {
-		if held == old {
-			return
+// env maps the bound names to their values.
+func (e *executor) env() map[string]*distmat.DistMatrix {
+	env := make(map[string]*distmat.DistMatrix, len(e.names))
+	for name, k := range e.names {
+		if v := e.slots[k]; v != nil {
+			env[name] = v
 		}
 	}
-	delete(e.transCache, old)
-	if buf := old.Retire(); buf != nil && e.afterRetire != nil {
+	return env
+}
+
+// bind binds name slot k to v: retained by the name, and by Result.Env after
+// the run, v stops being a temporary and, if deferred, is materialised (Pin);
+// the value the name held before loses a holder.
+func (e *executor) bind(k int, v *distmat.DistMatrix) {
+	old := e.slots[k]
+	e.slots[k] = v.Pin()
+	e.drop(old)
+}
+
+// drop lets one holder of v (if any) — a name, a reuse slot — go. A value the
+// run made is recycled when its last holder lets go and no unevaluated
+// expression reads it; an input, a cache hit or an LSE value never is
+// (distmat: Retire).
+func (e *executor) drop(v *distmat.DistMatrix) {
+	if buf := v.Retire(); buf != nil && e.afterRetire != nil {
 		e.afterRetire(buf)
 	}
 }
 
-// invalidate drops cached values that referenced the reassigned variable.
-func (e *executor) invalidate(name string) {
-	for key, entry := range e.subtreeCache {
-		if entry.refs[name] {
-			delete(e.subtreeCache, key)
+// fill retains v in reuse slot k, which is the run's own: a deferred value
+// stays deferred in it. An LSE value then goes to DFS, to sibling runs and to
+// later ones, materialised on the way out (Checkpoint, Data).
+func (e *executor) fill(k int, key string, v *distmat.DistMatrix) {
+	e.slots[k] = v.Retain()
+	if e.kinds[k] != lseSlot {
+		return
+	}
+	if e.checkpoint {
+		// Loop-hoisted values live for the whole run: paying one DFS write
+		// here converts every later failure's recompute into a DFS read.
+		v.Checkpoint()
+	}
+	vr, vc := v.VirtualDims()
+	if n := len(e.leads) - 1; n >= 0 && e.leads[n].slot == k {
+		e.shared.Publish(key, Input{Data: v.Data(), VRows: vr, VCols: vc}, e.ctx.Cluster.Stats().FLOP-e.leads[n].flop)
+		e.leads = e.leads[:n]
+	}
+	if key != "" && e.inter != nil {
+		e.inter.Put(key, Input{Data: v.Data(), VRows: vr, VCols: vc})
+	}
+}
+
+// share looks an LSE value up before the run computes it: in the cross-run
+// intermediate cache, then with the sibling runs of the batch, whose value it
+// adopts, whose production it leads, or which tell it to compute solo. A
+// value made elsewhere costs nothing on this run's simulated cluster: it is
+// resident already.
+func (e *executor) share(k int, key string) (*distmat.DistMatrix, error) {
+	if e.inter != nil {
+		if iv, ok := e.inter.Get(key); ok {
+			return distmat.New(e.ctx, iv.Data, iv.VRows, iv.VCols), nil
 		}
 	}
-}
-
-// execStmtTraced runs execStmtOriginal inside a statement group span.
-func (e *executor) execStmtTraced(sp plan.StmtPlan) error {
-	id := e.rec.Begin("stmt", sp.Target)
-	err := e.execStmtOriginal(sp)
-	e.rec.End(id)
-	return err
-}
-
-// execStmtOriginal evaluates a statement's as-written (uninlined) tree —
-// SystemDS-style statement-by-statement execution, optionally with the
-// explicit-CSE subtree cache.
-func (e *executor) execStmtOriginal(sp plan.StmtPlan) error {
-	v, err := e.eval(sp.Raw)
-	if err != nil {
-		return fmt.Errorf("engine: %s: %w", sp.Target, err)
+	if e.shared == nil {
+		return nil, nil
 	}
-	e.bind(sp.Target, v)
-	// An assignment invalidates cached subtrees that referenced the
-	// variable's previous value (SystemDS's CSE never unifies values from
-	// different program points).
-	e.invalidate(sp.Target)
-	return nil
+	iv, role, err := e.shared.Acquire(e.goCtx, key)
+	switch {
+	case err != nil:
+		return nil, err
+	case role == SharedHit:
+		return distmat.New(e.ctx, iv.Data, iv.VRows, iv.VCols), nil
+	case role == SharedLead:
+		e.leads = append(e.leads, lead{k, key, e.ctx.Cluster.Stats().FLOP})
+	}
+	return nil, nil
 }
 
 // canceled returns the wrapped ErrCanceled when the run's context is done.
-// It is checked at every plan-node evaluation, bounding the latency of a
+// It is checked wherever an evaluation starts, bounding the latency of a
 // cancellation to one kernel execution.
 func (e *executor) canceled() error {
 	if e.goCtx == nil {
@@ -539,161 +575,80 @@ func (e *executor) canceled() error {
 	return nil
 }
 
-// eval evaluates a plan tree over the runtime environment. Chain regions
-// with resolved block plans evaluate through them (reuse caches included);
-// everything else evaluates structurally.
-func (e *executor) eval(n *plan.Node) (*distmat.DistMatrix, error) {
-	if err := e.canceled(); err != nil {
-		return nil, err
-	}
-	if err := e.ctx.IntegrityErr(); err != nil {
-		return nil, err
-	}
-	if bp, ok := e.blockByOrigin[n]; ok {
-		return e.evalBlock(bp)
-	}
-	if e.explicitKeys != nil && len(n.Kids) > 0 {
-		if entry, ok := e.subtreeCache[n.Key()]; ok {
-			return entry.v, nil
-		}
-	}
-	v, err := e.evalStructural(n)
-	if err != nil {
-		return nil, err
-	}
-	if e.explicitKeys != nil && e.explicitKeys[n.Key()] {
-		refs := map[string]bool{}
-		n.Walk(func(c *plan.Node) {
-			if c.Kind == plan.Leaf {
-				refs[baseSym(c.Sym)] = true
-			}
-		})
-		e.subtreeCache[n.Key()] = cachedSubtree{v: v.Retain(), refs: refs}
-	}
-	return v, nil
-}
-
-func (e *executor) evalStructural(n *plan.Node) (*distmat.DistMatrix, error) {
-	switch n.Kind {
-	case plan.Leaf:
-		return e.lookup(n.Sym)
-	case plan.Const:
-		return e.scalar(n.Val), nil
-	case plan.Trans:
-		x, err := e.eval(n.L())
-		if err != nil {
-			return nil, err
-		}
-		if n.L().Kind == plan.Leaf {
-			// Leaf transposes are fused into consumers, like chain atoms.
-			return e.fusedTranspose(x), nil
-		}
-		return x.Transpose().Temp(), nil
+// unary applies a one-operand plan operator.
+func (e *executor) unary(k plan.Kind, x *distmat.DistMatrix) (*distmat.DistMatrix, error) {
+	switch k {
 	case plan.Neg:
-		x, err := e.eval(n.L())
-		if err != nil {
-			return nil, err
-		}
 		return x.Scale(-1).Temp(), nil
 	case plan.SumAll:
-		x, err := e.eval(n.L())
-		if err != nil {
-			return nil, err
-		}
 		return e.scalar(x.Sum()), nil
 	case plan.AsScalar:
-		x, err := e.eval(n.L())
-		if err != nil {
-			return nil, err
-		}
 		if !x.IsScalar() {
 			rows, cols := x.Dims()
 			return nil, fmt.Errorf("as.scalar of %dx%d matrix", rows, cols)
 		}
 		return x, nil
-	case plan.NRows, plan.NCols:
-		// Dimension queries resolve against the bound value; a leaf operand
-		// is the common case and costs nothing.
-		x, err := e.eval(n.L())
-		if err != nil {
-			return nil, err
-		}
-		rows, cols := x.Dims()
-		if n.Kind == plan.NRows {
-			return e.scalar(float64(rows)), nil
-		}
+	case plan.NRows: // of the bound value; a leaf operand costs nothing
+		rows, _ := x.Dims()
+		return e.scalar(float64(rows)), nil
+	case plan.NCols:
+		_, cols := x.Dims()
 		return e.scalar(float64(cols)), nil
 	case plan.Sqrt, plan.Abs:
-		x, err := e.eval(n.L())
-		if err != nil {
-			return nil, err
-		}
 		if !x.IsScalar() {
-			return nil, fmt.Errorf("%v of non-scalar", n.Kind)
+			return nil, fmt.Errorf("%v of non-scalar", k)
 		}
-		v := x.Data().ScalarValue()
-		if n.Kind == plan.Sqrt {
-			v = math.Sqrt(v)
-		} else {
-			v = math.Abs(v)
+		f := math.Abs
+		if k == plan.Sqrt {
+			f = math.Sqrt
 		}
-		return e.scalar(v), nil
+		return e.scalar(f(x.Data().ScalarValue())), nil
 	}
-	l, err := e.eval(n.L())
-	if err != nil {
-		return nil, err
-	}
-	r, err := e.eval(n.R())
-	if err != nil {
-		return nil, err
-	}
-	v, err := e.applyBin(n.Kind, l, r)
-	if err != nil {
-		return nil, err
-	}
-	return v.Temp(), nil
+	return nil, fmt.Errorf("engine: not a unary op: %v", k)
 }
 
 // applyBin applies a binary operator. The value it returns is always one it
-// has just made, never an operand, which is why evalStructural may declare
-// it a temporary. Shapes are asked of the values, not of their matrices:
-// Data would materialise a deferred operand the operator may well defer over.
+// has just made, never an operand, which is why the run may declare it a
+// temporary. Shapes are asked of the values, not of their matrices: Data
+// would materialise a deferred operand the operator may well defer over.
 func (e *executor) applyBin(k plan.Kind, l, r *distmat.DistMatrix) (*distmat.DistMatrix, error) {
 	ls, rs := l.IsScalar(), r.IsScalar()
 	switch k {
-	case plan.MMul:
-		if ls {
+	case plan.MMul, plan.EMul:
+		switch {
+		case ls:
 			return r.Scale(l.Data().ScalarValue()), nil
-		}
-		if rs {
+		case rs:
 			return l.Scale(r.Data().ScalarValue()), nil
+		case k == plan.MMul:
+			return l.MulHinted(r, false), nil
 		}
-		return e.mulWithHint(l, r, false), nil
+		return l.ElemMul(r), nil
 	case plan.Add, plan.Sub:
-		if ls != rs {
-			// Scalar broadcast against a matrix.
-			m, err := e.broadcastScalarOp(k, l, r, ls)
-			return m, err
-		}
-		if ls && rs {
+		switch {
+		case ls && rs:
 			a, b := l.Data().ScalarValue(), r.Data().ScalarValue()
 			if k == plan.Add {
 				return e.scalar(a + b), nil
 			}
 			return e.scalar(a - b), nil
-		}
-		if k == plan.Add {
+		case ls:
+			// Scalar broadcast against a matrix.
+			s := l.Data().ScalarValue()
+			if k == plan.Sub {
+				r = r.Scale(-1).Temp()
+			}
+			return r.AddScalar(s), nil
+		case rs:
+			s := r.Data().ScalarValue()
+			if k == plan.Sub {
+				s = -s
+			}
+			return l.AddScalar(s), nil
+		case k == plan.Add:
 			return l.Add(r), nil
 		}
 		return l.Sub(r), nil
-	case plan.EMul:
-		if ls {
-			return r.Scale(l.Data().ScalarValue()), nil
-		}
-		if rs {
-			return l.Scale(r.Data().ScalarValue()), nil
-		}
-		return l.ElemMul(r), nil
 	case plan.EDiv:
 		if rs {
 			return l.Scale(1 / r.Data().ScalarValue()), nil
@@ -706,354 +661,41 @@ func (e *executor) applyBin(k plan.Kind, l, r *distmat.DistMatrix) (*distmat.Dis
 	return nil, fmt.Errorf("engine: not a binary op: %v", k)
 }
 
-func (e *executor) broadcastScalarOp(k plan.Kind, l, r *distmat.DistMatrix, leftScalar bool) (*distmat.DistMatrix, error) {
-	if leftScalar {
-		s := l.Data().ScalarValue()
-		if k == plan.Add {
-			return e.addScalar(r, s), nil
-		}
-		return e.addScalar(r.Scale(-1).Temp(), s), nil
-	}
-	s := r.Data().ScalarValue()
-	if k == plan.Sub {
-		s = -s
-	}
-	return e.addScalar(l, s), nil
-}
-
-func (e *executor) addScalar(m *distmat.DistMatrix, s float64) *distmat.DistMatrix {
-	return m.AddScalar(s)
-}
-
 func (e *executor) scalar(v float64) *distmat.DistMatrix {
 	return distmat.New(e.ctx, matrix.Scalar(v), 1, 1)
 }
 
-func (e *executor) lookup(sym string) (*distmat.DistMatrix, error) {
-	// Exact (possibly versioned) binding first; base name and then inputs
-	// as fallbacks.
-	if v, ok := e.env[sym]; ok {
+// load resolves a symbol: its own (possibly versioned) binding in slot sym,
+// else its base name's in slot base, else the input of that name, read and
+// bound to it on first use.
+func (e *executor) load(sym, base int) (*distmat.DistMatrix, error) {
+	if v := e.slots[sym]; v != nil {
 		return v, nil
 	}
-	name := baseSym(sym)
-	if v, ok := e.env[name]; ok {
+	if v := e.slots[base]; v != nil {
 		return v, nil
 	}
-	if in, ok := e.inputs[name]; ok {
+	if in, ok := e.inputs[e.labels[base]]; ok {
 		v := distmat.Read(e.ctx, in.Data, in.VRows, in.VCols)
-		e.env[name] = v
+		e.slots[base] = v
 		return v, nil
 	}
-	return nil, fmt.Errorf("unbound symbol %q", sym)
+	return nil, fmt.Errorf("unbound symbol %q", e.labels[sym])
 }
 
+// baseSym strips the "#n" version suffix.
 func baseSym(sym string) string {
-	for i := 0; i < len(sym); i++ {
-		if sym[i] == '#' {
-			return sym[:i]
-		}
-	}
-	return sym
+	base, _, _ := strings.Cut(sym, "#")
+	return base
 }
 
-// evalBlock evaluates a chain block through its resolved plan tree,
-// applying the block's scalar factors (interior spans are memoized in
-// evalOpNode under the Explicit strategy).
-func (e *executor) evalBlock(bp *costgraph.BlockPlan) (*distmat.DistMatrix, error) {
-	v, err := e.evalOpNode(bp.Block, bp.Root)
-	if err != nil {
-		return nil, err
-	}
-	for _, dep := range bp.Block.ScalarDeps {
-		s, err := e.eval(dep)
-		if err != nil {
-			return nil, err
-		}
-		v = v.Scale(s.Data().ScalarValue()).Temp()
-	}
-	return v, nil
-}
-
-// evalOpNode evaluates one node of a block plan: a reuse leaf consults the
-// caches, an atom leaf resolves the symbol, interior nodes multiply. Under
-// the Explicit strategy, interior spans are memoized by their as-written
-// key — SystemDS's identical-subtree CSE over the operator DAG the order
-// optimizer produced.
-func (e *executor) evalOpNode(b *chain.Block, n *costgraph.OpNode) (*distmat.DistMatrix, error) {
-	if err := e.canceled(); err != nil {
-		return nil, err
-	}
-	if err := e.ctx.IntegrityErr(); err != nil {
-		return nil, err
-	}
-	if n.ReuseOf != nil {
-		v, err := e.optionValue(n.ReuseOf)
-		if err != nil {
-			return nil, err
-		}
-		if n.Flipped {
-			v = v.Transpose().Temp()
-		}
-		return v, nil
-	}
-	if n.Lo == n.Hi {
-		return e.atomValue(b.Atoms[n.Lo])
-	}
-	var cacheKey string
-	if e.explicitKeys != nil {
-		cacheKey = chain.SpanKey(b.Atoms[n.Lo : n.Hi+1])
-		if entry, ok := e.subtreeCache[cacheKey]; ok {
-			return entry.v, nil
-		}
-	}
-	l, err := e.evalOpNode(b, n.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := e.evalOpNode(b, n.R)
-	if err != nil {
-		return nil, err
-	}
-	tsmm := n.L.Lo == n.L.Hi && n.R.Lo == n.R.Hi && n.L.ReuseOf == nil && n.R.ReuseOf == nil &&
-		isTSMMAtoms(b.Atoms[n.L.Lo], b.Atoms[n.R.Lo])
-	v := e.mulWithHint(l, r, tsmm)
-	if cacheKey != "" {
-		e.subtreeCache[cacheKey] = cachedSubtree{v: v.Retain(), refs: spanRefs(b.Atoms[n.Lo : n.Hi+1])}
-	}
-	return v, nil
-}
-
-func spanRefs(atoms []chain.Atom) map[string]bool {
-	refs := map[string]bool{}
-	for _, a := range atoms {
-		if a.Opaque {
-			a.Node.Walk(func(n *plan.Node) {
-				if n.Kind == plan.Leaf {
-					refs[baseSym(n.Sym)] = true
-				}
-			})
-			continue
-		}
-		refs[baseSym(a.Sym)] = true
-	}
-	return refs
-}
-
-func isTSMMAtoms(l, r chain.Atom) bool {
-	return l.Sym == r.Sym && l.T != r.T
-}
-
-func (e *executor) mulWithHint(l, r *distmat.DistMatrix, tsmm bool) *distmat.DistMatrix {
-	return l.MulHinted(r, tsmm).Temp()
-}
-
-func (e *executor) atomValue(a chain.Atom) (*distmat.DistMatrix, error) {
-	if a.Opaque {
-		v, err := e.eval(a.Node)
-		if err != nil {
-			return nil, err
-		}
-		if a.T {
-			return v.Transpose().Temp(), nil
-		}
-		return v, nil
-	}
-	v, err := e.lookup(a.Sym)
-	if err != nil {
-		return nil, err
-	}
-	if a.T {
-		// Fused: chain atoms never materialize a distributed transpose.
-		return e.fusedTranspose(v), nil
-	}
-	return v, nil
-}
-
-// fusedTranspose returns the transpose of a bound value, memoized per value
-// so the (real) transpose kernel runs once per binding; bind drops the entry
-// with the value's last binding. The transpose is retained here, so it is
-// not a temporary.
-func (e *executor) fusedTranspose(v *distmat.DistMatrix) *distmat.DistMatrix {
-	if e.transCache == nil {
-		e.transCache = map[*distmat.DistMatrix]*distmat.DistMatrix{}
-	}
-	if tv, ok := e.transCache[v]; ok {
-		return tv
-	}
-	tv := v.TransposeFused()
-	e.transCache[v] = tv
-	return tv
-}
-
-// optionValue returns the cached value of a selected option, computing its
-// producer on first use. LSE values persist across iterations; CSE values
-// live for one iteration. When a cross-run intermediate cache is attached,
-// loop-constant values are looked up there first and offered back after
-// computation, so concurrent queries against the same dataset reuse each
-// other's hoisted intermediates instead of recomputing them. When a
-// shared-producer coordinator is attached (MQO), a missed loop-constant
-// value is additionally negotiated with sibling runs mid-batch: adopt a
-// sibling's production, or produce once for the whole batch.
-func (e *executor) optionValue(o *search.Option) (*distmat.DistMatrix, error) {
-	cache := e.cseCache
-	if o.Kind == search.LSE {
-		cache = e.lseCache
-	}
-	if v, ok := cache[o.Key]; ok {
-		return v, nil
-	}
-	pp, ok := e.producers[o.Key]
-	if !ok {
-		return nil, fmt.Errorf("no producer for option %q", o.Key)
-	}
-	interKey := ""
-	if o.Kind == search.LSE && (e.inter != nil || e.shared != nil) {
-		if sig := costgraph.ProducerSig(pp.Root); sig != "" {
-			if o.Occs[0].Flipped {
-				// A flipped producer computes the transposed chain and then
-				// transposes back: a distinct kernel sequence, so a distinct
-				// key (the cached value must be bitwise-reproducible).
-				sig += "|f"
-			}
-			interKey = o.Key + "|" + sig
-			if e.inter != nil {
-				if iv, ok := e.inter.Get(interKey); ok {
-					// Reuse costs nothing on the simulated cluster: the value is
-					// already resident from the producing query (the serving
-					// layer charges its memory against the cache byte budget).
-					v := distmat.New(e.ctx, iv.Data, iv.VRows, iv.VCols)
-					cache[o.Key] = v
-					return v, nil
-				}
-			}
-		}
-	}
-	lead := false
-	if interKey != "" && e.shared != nil {
-		iv, role, err := e.shared.Acquire(e.goCtx, interKey)
-		if err != nil {
-			return nil, err
-		}
-		switch role {
-		case SharedHit:
-			// A sibling query in the batch produced this value (under the
-			// same key, hence through the identical kernel sequence);
-			// adopting it costs nothing on this run's simulated cluster,
-			// exactly like a cross-run intermediate hit.
-			v := distmat.New(e.ctx, iv.Data, iv.VRows, iv.VCols)
-			cache[o.Key] = v
-			return v, nil
-		case SharedLead:
-			lead = true
-		}
-	}
-	flopBefore := 0.0
-	if lead {
-		flopBefore = e.ctx.Cluster.Stats().FLOP
-	}
-	var v *distmat.DistMatrix
-	var err error
-	switch {
-	case o.Kind == search.CSEGroup:
-		v, err = e.groupValue(o)
-	default:
-		occ := o.Occs[0]
-		b := e.c.Coords.Blocks[occ.Block]
-		v, err = e.evalOpNode(b, pp.Root)
-		if err == nil && occ.Flipped {
-			// The producer computed the first occurrence's orientation;
-			// normalize the cache to canonical form.
-			v = v.Transpose()
-		}
-	}
-	if err != nil {
-		if lead {
-			// Settle the claim so waiting siblings fail typed (or, for a
-			// cancellation specific to this run, promote a new leader)
-			// instead of blocking on an abandoned production.
-			e.shared.Fail(interKey, err)
-		}
-		return nil, err
-	}
-	// The value is about to be cached here and, below, written to DFS and
-	// handed to sibling runs and later ones on other goroutines: from this
-	// point nobody may write it again. The cache is the run's own, so a
-	// deferred value stays deferred in it; Checkpoint and Data, on the way
-	// out of the run, materialise.
-	v.Retain()
-	if o.Kind == search.LSE && e.checkpoint {
-		// Loop-hoisted values live for the whole run: paying one DFS write
-		// here converts every later failure's recompute into a DFS read.
-		v.Checkpoint()
-	}
-	if lead {
-		vr, vc := v.VirtualDims()
-		e.shared.Publish(interKey, Input{Data: v.Data(), VRows: vr, VCols: vc},
-			e.ctx.Cluster.Stats().FLOP-flopBefore)
-	}
-	if interKey != "" && e.inter != nil {
-		vr, vc := v.VirtualDims()
-		e.inter.Put(interKey, Input{Data: v.Data(), VRows: vr, VCols: vc})
-	}
-	cache[o.Key] = v
-	return v, nil
-}
-
-// groupValue computes a cross-block grouped sum (the first pair of
-// occurrences added together).
-func (e *executor) groupValue(o *search.Option) (*distmat.DistMatrix, error) {
-	if len(o.Occs) < 2 {
-		return nil, fmt.Errorf("group option %q has %d occurrences", o.Key, len(o.Occs))
-	}
-	var total *distmat.DistMatrix
-	for i := 0; i < 2; i++ {
-		occ := o.Occs[i]
-		b := e.c.Coords.Blocks[occ.Block]
-		v, err := e.evalSpan(b, occ.Lo, occ.Hi)
-		if err != nil {
-			return nil, err
-		}
-		if total == nil {
-			total = v
-		} else {
-			total = total.Add(v).Temp()
-		}
-	}
-	return total, nil
-}
-
-// evalSpan evaluates a chain span right-associatively (used for group
-// members, whose internal order is not resolved by a block plan).
-func (e *executor) evalSpan(b *chain.Block, lo, hi int) (*distmat.DistMatrix, error) {
-	v, err := e.atomValue(b.Atoms[hi])
-	if err != nil {
-		return nil, err
-	}
-	for i := hi - 1; i >= lo; i-- {
-		l, err := e.atomValue(b.Atoms[i])
-		if err != nil {
-			return nil, err
-		}
-		v = l.Mul(v).Temp()
-	}
-	return v, nil
-}
-
-// cond evaluates a loop condition over the scalar environment.
-func (e *executor) cond(expr lang.Expr) (bool, error) {
-	v, err := e.condValue(expr)
-	if err != nil {
-		return false, err
-	}
-	return v != 0, nil
-}
-
+// condValue evaluates a loop condition over the scalar bindings.
 func (e *executor) condValue(expr lang.Expr) (float64, error) {
 	switch expr := expr.(type) {
 	case *lang.Num:
 		return expr.V, nil
 	case *lang.Ref:
-		v, err := e.lookup(expr.Name)
+		v, err := e.load(e.slot(expr.Name), e.slot(baseSym(expr.Name)))
 		if err != nil {
 			return 0, err
 		}
@@ -1073,43 +715,34 @@ func (e *executor) condValue(expr lang.Expr) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch expr.Op {
-		case "+":
-			return l + r, nil
-		case "-":
-			return l - r, nil
-		case "*":
-			return l * r, nil
-		case "/":
-			return l / r, nil
-		case "<":
-			return b2f(l < r), nil
-		case ">":
-			return b2f(l > r), nil
-		case "<=":
-			return b2f(l <= r), nil
-		case ">=":
-			return b2f(l >= r), nil
-		case "==":
-			return b2f(l == r), nil
-		case "!=":
-			return b2f(l != r), nil
+		if op, ok := condOps[expr.Op]; ok {
+			return op(l, r), nil
 		}
 		return 0, fmt.Errorf("bad condition operator %q", expr.Op)
 	case *lang.Call:
-		if expr.Fn == "abs" || expr.Fn == "sqrt" {
-			v, err := e.condValue(expr.Args[0])
-			if err != nil {
-				return 0, err
-			}
-			if expr.Fn == "abs" {
-				return math.Abs(v), nil
-			}
-			return math.Sqrt(v), nil
+		if expr.Fn != "abs" && expr.Fn != "sqrt" {
+			return 0, fmt.Errorf("function %q not allowed in conditions", expr.Fn)
 		}
-		return 0, fmt.Errorf("function %q not allowed in conditions", expr.Fn)
+		v, err := e.condValue(expr.Args[0])
+		if expr.Fn == "abs" {
+			return math.Abs(v), err
+		}
+		return math.Sqrt(v), err
 	}
 	return 0, fmt.Errorf("unsupported condition expression %T", expr)
+}
+
+var condOps = map[string]func(l, r float64) float64{
+	"+":  func(l, r float64) float64 { return l + r },
+	"-":  func(l, r float64) float64 { return l - r },
+	"*":  func(l, r float64) float64 { return l * r },
+	"/":  func(l, r float64) float64 { return l / r },
+	"<":  func(l, r float64) float64 { return b2f(l < r) },
+	">":  func(l, r float64) float64 { return b2f(l > r) },
+	"<=": func(l, r float64) float64 { return b2f(l <= r) },
+	">=": func(l, r float64) float64 { return b2f(l >= r) },
+	"==": func(l, r float64) float64 { return b2f(l == r) },
+	"!=": func(l, r float64) float64 { return b2f(l != r) },
 }
 
 func b2f(b bool) float64 {

@@ -20,7 +20,7 @@ import (
 )
 
 // The ownership rule, made executable: whatever the executor retains — in
-// the environment, its reuse caches, or through a cross-run cache or a
+// its slot table, names and reuse slots, or through a cross-run cache or a
 // shared-producer publication — is never a buffer a later operator may be
 // handed as its destination, and never the buffer of another retained value.
 
@@ -72,9 +72,10 @@ func (r *recordingCaches) Publish(_ string, v Input, _ float64) {
 func (r *recordingCaches) Fail(string, error) {}
 
 // retained lists the matrix of every value the executor holds on to, by
-// where it holds it, and the places that hold a value still deferred — which
-// has no matrix yet, and which only the run-local caches may do — with the
-// buffers those will read when they are evaluated.
+// where it holds it — a slot of the slot table, or the fused transpose a
+// slot's value keeps — and the places that hold a value still deferred —
+// which has no matrix yet, and which only the run-local reuse slots may do —
+// with the buffers those will read when they are evaluated.
 func (e *executor) retained() (held map[string]*matrix.Matrix, deferred []string, leaves map[string][]float64) {
 	out := map[string]*matrix.Matrix{}
 	leaves = map[string][]float64{}
@@ -88,26 +89,23 @@ func (e *executor) retained() (held map[string]*matrix.Matrix, deferred []string
 		}
 		out[where] = v.Data()
 	}
-	for name, v := range e.env {
-		add("env["+name+"]", v)
-	}
-	for key, v := range e.lseCache {
-		if e.checkpoint || e.inter != nil || e.shared != nil {
-			// Checkpointed, or handed to a cache or to sibling runs: cells.
-			add("env[lseCache["+key+"]]", v)
+	for k, v := range e.slots {
+		if v == nil {
 			continue
 		}
-		add("lseCache["+key+"]", v)
-	}
-	for key, v := range e.cseCache {
-		add("cseCache["+key+"]", v)
-	}
-	for key, entry := range e.subtreeCache {
-		add("subtreeCache["+key+"]", entry.v)
-	}
-	for src, tv := range e.transCache {
-		add(fmt.Sprintf("env[transCache key %p]", src), src)
-		add(fmt.Sprintf("env[transCache[%p]]", src), tv)
+		label := e.labels[k]
+		switch {
+		case e.kinds[k] == nameSlot:
+			add("env["+label+"]", v)
+		case e.kinds[k] == lseSlot && (e.checkpoint || e.inter != nil || e.shared != nil):
+			// Checkpointed, or handed to a cache or to sibling runs: cells.
+			add("env[lse slot "+label+"]", v)
+		default:
+			add([...]string{"name", "lse", "cse", "subtree"}[e.kinds[k]]+" slot "+label, v)
+		}
+		if tv := v.Fused(); tv != nil {
+			add("env[fused "+label+"]", tv)
+		}
 	}
 	return out, deferred, leaves
 }
@@ -155,11 +153,10 @@ func poisonRetired(t *testing.T, ctx string, e *executor, rec *recordingCaches) 
 
 // checkOwnership fails if a retained dense payload or a leaf of a value still
 // deferred is on the free list, if a payload is shared between two distinct
-// retained matrices, if transCache keeps the transpose of a value no name is
-// bound to, or if anything but a run-local reuse cache holds a value still
-// deferred. It returns how many of those there were, and leaves every free
-// buffer full of NaN: a deferred value whose leaves are on the free list will
-// not evaluate to what the plain run computed.
+// retained matrices, or if anything but a run-local reuse slot holds a value
+// still deferred. It returns how many of those there were, and leaves every
+// free buffer full of NaN: a deferred value whose leaves are on the free list
+// will not evaluate to what the plain run computed.
 func checkOwnership(t *testing.T, ctx string, e *executor, rec *recordingCaches) (deferred int) {
 	t.Helper()
 	idle := map[*float64]bool{}
@@ -196,15 +193,6 @@ func checkOwnership(t *testing.T, ctx string, e *executor, rec *recordingCaches)
 		}
 		owner[cell], where[cell] = m, at
 	}
-	bound := map[*distmat.DistMatrix]bool{}
-	for _, v := range e.env {
-		bound[v] = true
-	}
-	for src := range e.transCache {
-		if !bound[src] {
-			t.Fatalf("%s: transCache keeps the transpose of a value with no binding left", ctx)
-		}
-	}
 	for _, buf := range e.ctx.Idle() {
 		for i := range buf {
 			buf[i] = math.NaN()
@@ -216,12 +204,25 @@ func checkOwnership(t *testing.T, ctx string, e *executor, rec *recordingCaches)
 func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
 	deferred, retired, hits := 0, 0, 0
 	dense, sparse := smallDataset("cri1", 300, 40), smallDataset("cri2", 300, 120)
+	type program struct {
+		name     string
+		prog     *lang.Program
+		alg      algorithms.Name // whose inputs it reads
+		rebindsH bool
+	}
+	programs := []program{{"bound twice", lang.MustParse(twiceBoundScript), algorithms.DFP, true}}
+	for _, alg := range ownershipAlgs {
+		programs = append(programs, program{fmt.Sprint(alg), algorithms.MustProgram(alg, 4), alg,
+			alg == algorithms.DFP || alg == algorithms.BFGS})
+	}
 	for _, ds := range []*data.Dataset{dense, sparse} {
-		for _, alg := range ownershipAlgs {
+		// A value an algorithm keeps in a reuse slot is cells by the time a
+		// statement ends; the twice-bound script's T is still an expression.
+		for _, p := range programs {
 			for _, strategy := range ownershipStrategies {
-				ctx := fmt.Sprintf("%v/%s/%v", alg, ds.Name, strategy)
-				c := compileOn(t, alg, ds, strategy, 4)
-				plain, err := runPlain(c, inputsOn(alg, ds))
+				ctx := fmt.Sprintf("%s/%s/%v", p.name, ds.Name, strategy)
+				c := compileProgram(t, ctx, p.prog, inputMetas(p.alg, ds), strategy, 4)
+				plain, err := runPlain(c, inputsOn(p.alg, ds))
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
@@ -241,7 +242,7 @@ func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
 					if rec == serving {
 						opts.Shared = nil // a leader would compute what the cache is there to serve
 					}
-					e, err := newExecutor(context.Background(), c, inputsOn(alg, ds), nil, opts)
+					e, err := newExecutor(context.Background(), c, inputsOn(p.alg, ds), nil, opts)
 					if err != nil {
 						t.Fatalf("%s: %v", ctx, err)
 					}
@@ -251,6 +252,13 @@ func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
 						deferred += checkOwnership(t, fmt.Sprintf("%s after iteration %d", ctx, iteration), e, rec)
 					}
 					gone := poisonRetired(t, ctx, e, rec)
+					// Reuse slots live within an iteration: look whenever a
+					// holder lets go of a value, too.
+					poison := e.afterRetire
+					e.afterRetire = func(buf []float64) {
+						poison(buf)
+						deferred += checkOwnership(t, ctx+" on a retirement", e, rec)
+					}
 					res, err := e.run()
 					if err != nil {
 						t.Fatalf("%s: %v", ctx, err)
@@ -260,7 +268,7 @@ func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
 					}
 					retired += *gone
 					hits += rec.hits
-					if (alg == algorithms.DFP || alg == algorithms.BFGS) && *gone < 2 {
+					if p.rebindsH && *gone < 2 {
 						// H is rebound four times; the first lets go of an input.
 						t.Fatalf("%s: %d values retired, want the H of every iteration but the first and the last", ctx, *gone)
 					}
@@ -278,7 +286,7 @@ func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
 		}
 	}
 	if deferred == 0 {
-		t.Fatal("no reuse cache ever held a deferred value: the walk never saw one to tell from a bound one")
+		t.Fatal("no reuse slot ever held a deferred value: the walk never saw one to tell from a bound one")
 	}
 	if retired == 0 || hits == 0 {
 		t.Fatalf("%d values retired, %d cache hits served: the walk checked neither", retired, hits)
@@ -345,9 +353,9 @@ func sameBits(a, b *matrix.Matrix) bool {
 }
 
 // TestOwnershipTransCacheIsBoundedByLiveBindings: the fused transposes of
-// loop-variant values (t(d) in DFP, t(s) and t(y) in BFGS) are dropped with
-// the binding they were taken from, so the cache does not grow with the
-// trip count.
+// loop-variant values (t(d) in DFP, t(s) and t(y) in BFGS) are kept with the
+// value they were taken from and go with it, so what the slot table reaches
+// does not grow with the trip count.
 func TestOwnershipTransCacheIsBoundedByLiveBindings(t *testing.T) {
 	ds := smallDataset("cri2", 200, 60)
 	for _, alg := range []algorithms.Name{algorithms.DFP, algorithms.BFGS} {
@@ -360,10 +368,16 @@ func TestOwnershipTransCacheIsBoundedByLiveBindings(t *testing.T) {
 			}
 			peak, used := 0, false
 			e.afterIteration = func() {
-				used = used || len(e.transCache) > 0
-				peak = max(peak, len(e.transCache))
-				if len(e.transCache) > len(e.env) {
-					t.Fatalf("%v/%v: %d fused transposes kept for %d bindings", alg, strategy, len(e.transCache), len(e.env))
+				fused := map[*distmat.DistMatrix]bool{}
+				for _, v := range e.slots {
+					if v != nil && v.Fused() != nil {
+						fused[v.Fused()] = true
+					}
+				}
+				used = used || len(fused) > 0
+				peak = max(peak, len(fused))
+				if bindings := len(e.env()); len(fused) > bindings {
+					t.Fatalf("%v/%v: %d fused transposes kept for %d bindings", alg, strategy, len(fused), bindings)
 				}
 			}
 			if _, err := e.run(); err != nil {
@@ -373,7 +387,7 @@ func TestOwnershipTransCacheIsBoundedByLiveBindings(t *testing.T) {
 				t.Fatalf("%v/%v: the plan fused no leaf transpose; the test checks nothing", alg, strategy)
 			}
 			if peak >= iters {
-				t.Fatalf("%v/%v: transCache peaked at %d entries over %d iterations", alg, strategy, peak, iters)
+				t.Fatalf("%v/%v: the slot table reached %d fused transposes over %d iterations", alg, strategy, peak, iters)
 			}
 		}
 	}
@@ -447,25 +461,26 @@ func TestOwnershipRebindingKeepsWhatCanStillBeRead(t *testing.T) {
 			// every time a name is about to let go of a value.
 			poison := e.afterRetire
 			e.afterRetire = func(buf []float64) {
-				if e.env["B"] != nil && e.env["B"] == e.env["H"] {
+				env := e.env()
+				if env["B"] != nil && env["B"] == env["H"] {
 					aliased++
 				}
 				poison(buf)
-			}
-			iteration := 0
-			e.afterIteration = func() {
-				iteration++
-				checkOwnership(t, fmt.Sprintf("%s after iteration %d", ctx, iteration), e, rec)
-				// A cache still holding an unevaluated reader of a bound value:
+				// A slot still holding an unevaluated reader of a bound value:
 				// the loan is what keeps that value when its name is rebound.
 				_, _, leaves := e.retained()
 				for _, buf := range leaves {
-					for _, v := range e.env {
+					for _, v := range env {
 						if b := v.Data().Buffer(); len(b) > 0 && len(buf) == len(b) && &b[0] == &buf[0] {
 							lent++
 						}
 					}
 				}
+			}
+			iteration := 0
+			e.afterIteration = func() {
+				iteration++
+				checkOwnership(t, fmt.Sprintf("%s after iteration %d", ctx, iteration), e, rec)
 			}
 			res, err := e.run()
 			if err != nil {

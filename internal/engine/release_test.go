@@ -20,11 +20,29 @@ func consumed(v *distmat.DistMatrix) (gone bool) {
 	return false
 }
 
+// hoistedOuterScript hoists a rank-one product of a value the run made out of
+// the loop (an LSE option under the strategies that apply one): a value only
+// the loop-constant slot holds, read by no operator that needs its cells, so
+// at the end of the run it is still an expression, and u is on loan to it.
+const hoistedOuterScript = `
+A = read("A")
+b = read("b")
+H = read("H0")
+x = read("x0")
+u = x * 2
+i = 0
+while (i < 4) {
+    H = H * 0.5 + u %*% t(u)
+    x = x - 0.0001 * (H %*% (t(A) %*% (A %*% x - b)))
+    i = i + 1
+}
+`
+
 // TestReleaseLeavesSharedValuesAlone: Release retires what the run made and
 // only the result's names hold, and nothing else. Whatever anybody else can
 // reach — the inputs, what the run handed to the intermediate cache or
 // published to sibling runs, what it took from the cache, what its own reuse
-// caches retained, and a value an expression nobody evaluated still reads (a
+// slots retained, and a value an expression nobody evaluated still reads (a
 // lender with its loan out) — is still there bit for bit after every buffer
 // Release gave up has been filled with NaN.
 func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
@@ -35,17 +53,21 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 		"BFGS":        algorithms.MustProgram(algorithms.BFGS, 4),
 		"bound twice": lang.MustParse(twiceBoundScript),
 		"alias":       lang.MustParse(aliasScript),
+		"hoisted":     lang.MustParse(hoistedOuterScript),
 	}
 	retired, hits, handedOut, lent := 0, 0, 0, 0
 	for name, prog := range programs {
 		for _, strategy := range ownershipStrategies {
 			c := compileProgram(t, name, prog, metas, strategy, 4)
 			serving := &recordingCaches{stored: map[string]Input{}}
-			for arm, rec := range []*recordingCaches{{}, serving, serving} {
+			for arm, rec := range []*recordingCaches{{}, serving, serving, {}} {
 				ctx := fmt.Sprintf("%s/%v/arm %d", name, strategy, arm)
 				opts := RunOptions{Intermediates: rec, Shared: rec}
-				if rec == serving {
+				switch {
+				case rec == serving:
 					opts.Shared = nil // a leader would compute what the cache is there to serve
+				case arm == 3:
+					opts = RunOptions{} // nothing handed out: a hoisted value may stay an expression
 				}
 				e, err := newExecutor(context.Background(), c, ins, nil, opts)
 				if err != nil {
@@ -69,9 +91,10 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 				}
 				held, _, leaves := e.retained()
 				for at, m := range held {
-					// The run's own reuse caches — retained, never named — under
-					// the labels retained gives them; the rest is the names'.
-					if !strings.HasPrefix(at, "env[") || strings.HasPrefix(at, "env[lseCache[") || strings.HasPrefix(at, "env[transCache[") {
+					// The run's own reuse slots, under the labels retained
+					// gives them; the rest is the names', and the fused
+					// transposes their values keep go with them.
+					if !strings.HasPrefix(at, "env[") || strings.HasPrefix(at, "env[lse slot ") {
 						others[at] = m
 					}
 				}

@@ -74,6 +74,10 @@ var gridArms = []string{"faults-lineage", "faults-checkpoint", "faults-coded", "
 // gridSliceArms are the arms tier-1 runs beside the slice.
 var gridSliceArms = []string{"faults-lineage", "verify-digest"}
 
+// gridSliceReuse are the strategies tier-1 runs on cri1 beside the slice: the
+// identical-subtree reuse slots of Explicit and Conservative.
+var gridSliceReuse = []opt.Strategy{opt.Explicit, opt.Conservative}
+
 func (r gridRun) key() string {
 	k := fmt.Sprintf("%s/%s/%v", r.alg, r.dataset, r.strategy)
 	if r.arm != "" {
@@ -83,13 +87,18 @@ func (r gridRun) key() string {
 }
 
 // gridRuns lists the runs in golden-file order: every algorithm × dataset ×
-// strategy, then the arms.
-func gridRuns(strategies []opt.Strategy, arms []string) []gridRun {
+// strategy, then the arms. The slice adds the cri1 runs of reuse.
+func gridRuns(strategies []opt.Strategy, arms []string, reuse []opt.Strategy) []gridRun {
 	var runs []gridRun
 	for _, alg := range algorithms.All {
 		for _, ds := range gridDatasets {
 			for _, s := range strategies {
 				runs = append(runs, gridRun{alg: alg, dataset: ds, strategy: s})
+			}
+			for _, s := range reuse {
+				if ds == "cri1" {
+					runs = append(runs, gridRun{alg: alg, dataset: ds, strategy: s})
+				}
 			}
 		}
 	}
@@ -100,13 +109,13 @@ func gridRuns(strategies []opt.Strategy, arms []string) []gridRun {
 }
 
 func TestResultGrid(t *testing.T) {
-	strategies, arms := gridSlice, gridSliceArms
+	strategies, arms, reuse := gridSlice, gridSliceArms, gridSliceReuse
 	if *fullGrid {
-		strategies, arms = gridStrategies, gridArms
+		strategies, arms, reuse = gridStrategies, gridArms, nil
 	}
 	golden := readGrid(t)
 	got := map[string]string{}
-	for _, r := range gridRuns(strategies, arms) {
+	for _, r := range gridRuns(strategies, arms, reuse) {
 		line := runGridLine(t, r)
 		got[r.key()] = line
 		if *updateGrid {
@@ -157,7 +166,7 @@ func writeGrid(t *testing.T, golden, got map[string]string) {
 		golden[k] = v
 	}
 	var b strings.Builder
-	for _, r := range gridRuns(gridStrategies, gridArms) {
+	for _, r := range gridRuns(gridStrategies, gridArms, nil) {
 		if line, ok := golden[r.key()]; ok {
 			fmt.Fprintf(&b, "%s %s\n", r.key(), line)
 		}
