@@ -113,7 +113,7 @@ func TestDeferredChainIsOnePassAndRecyclesItsLeavesOnce(t *testing.T) {
 }
 
 // TestDeferredSharedValueLendsItsLeaves is BFGS's shape: S = (H·y)·sᵀ sits in
-// the CSE cache (retained, still deferred) and is read by two consumers, one
+// a CSE reuse slot (retained, still deferred) and is read by two consumers, one
 // of them its own transpose. Whichever expression is evaluated first, the
 // other must still find the leaves, so the temporary S took over is never
 // recycled — and certainly not twice.

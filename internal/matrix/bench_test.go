@@ -232,7 +232,7 @@ func BenchmarkDeferredUpdate(b *testing.B) {
 					t = t.ScaleInto(on(t), 1.5)
 					t = t.ScaleInto(on(t), 0.25)
 					t = h.AddInto(on(t), t)
-					s := hy.MulInto(spare(1), dT) // retained by the CSE cache: not overwritten
+					s := hy.MulInto(spare(1), dT) // retained by a CSE reuse slot: not overwritten
 					w := s.Transpose()
 					w = s.AddInto(on(w), w)
 					w = w.ScaleInto(on(w), 0.5)

@@ -538,9 +538,22 @@ func kernels(n *evalNode) (zip func(out []float64, a, b side) int, fused fusedKe
 	return nil, nil
 }
 
-// addTerms is a + b for two terms under no scale.
+// addTerms is a + b for two terms under no scale. Its cells, like those of
+// the two tails below, do not depend on one another: where the AVX2 loops run
+// (vectorLoops) they take the longest prefix of a multiple of 4 cells, lane by
+// lane through the same statements, and the Go loop takes the rest.
 func addTerms(out []float64, a, b side) (nnz int) {
 	av, bv, ac, bc := a.v[:len(out)], b.v[:len(out)], a.c, b.c
+	j := 0
+	if vectorLoops {
+		j = len(out) &^ 3
+		nnz = addTermsAVX2(out[:j], av[:j], bv[:j], ac, bc)
+	}
+	return nnz + addTermsGo(out[j:], av[j:], bv[j:], ac, bc)
+}
+
+func addTermsGo(out, av, bv []float64, ac, bc float64) (nnz int) {
+	av, bv = av[:len(out)], bv[:len(out)]
 	for j := range out {
 		v := (0 + ac*av[j]) + (0 + bc*bv[j])
 		out[j] = v
@@ -555,6 +568,17 @@ func addTerms(out []float64, a, b side) (nnz int) {
 func dfpTail(out, h []float64, x, y side) (inner, nnz int) {
 	h, xv, yv := h[:len(out)], x.v[:len(out)], y.v[:len(out)]
 	xc, xs, yc, ys := x.c, x.s1, y.c, y.s1
+	j := 0
+	if vectorLoops {
+		j = len(out) &^ 3
+		inner, nnz = dfpTailAVX2(out[:j], h[:j], xv[:j], yv[:j], xc, xs, yc, ys)
+	}
+	i, n := dfpTailGo(out[j:], h[j:], xv[j:], yv[j:], xc, xs, yc, ys)
+	return inner + i, nnz + n
+}
+
+func dfpTailGo(out, h, xv, yv []float64, xc, xs, yc, ys float64) (inner, nnz int) {
+	h, xv, yv = h[:len(out)], xv[:len(out)], yv[:len(out)]
 	for j := range out {
 		v := h[j] - float64((0+xc*xv[j])*xs)
 		w := v + float64((0+yc*yv[j])*ys)
@@ -573,6 +597,17 @@ func dfpTail(out, h []float64, x, y side) (inner, nnz int) {
 func bfgsTail(out, h []float64, x, y side) (inner, nnz int) {
 	h, xv, yv := h[:len(out)], x.v[:len(out)], y.v[:len(out)]
 	xc, xs1, xs2, ys := x.c, x.s1, x.s2, y.s1
+	j := 0
+	if vectorLoops {
+		j = len(out) &^ 3
+		inner, nnz = bfgsTailAVX2(out[:j], h[:j], xv[:j], yv[:j], xc, xs1, xs2, ys)
+	}
+	i, n := bfgsTailGo(out[j:], h[j:], xv[j:], yv[j:], xc, xs1, xs2, ys)
+	return inner + i, nnz + n
+}
+
+func bfgsTailGo(out, h, xv, yv []float64, xc, xs1, xs2, ys float64) (inner, nnz int) {
+	h, xv, yv = h[:len(out)], xv[:len(out)], yv[:len(out)]
 	for j := range out {
 		v := h[j] + float64(float64((0+xc*xv[j])*xs1)*xs2)
 		w := v - float64(yv[j]*ys)
