@@ -97,55 +97,31 @@ func (e *MaxIterationsError) Unwrap() error { return ErrMaxIterations }
 // errors.Is(err, engine.ErrCanceled) check.
 var ErrCanceled = opt.ErrCanceled
 
-// IntermediateCache is a cross-run store for loop-constant (LSE) values,
-// each an Input: the materialized matrix plus the virtual dimensions the
-// cost model accounts it at. The engine consults it before computing an LSE
-// producer and offers the computed value back; keys are the option's
-// canonical expression key plus the producer plan's shape signature, so a
-// hit is guaranteed to stand for the bitwise-identical sequence of kernel
-// executions. Callers that share one cache across runs must namespace keys
-// by dataset version and cluster configuration (see internal/serve) and may
-// need to synchronize: the engine calls Get/Put from the run's own goroutine.
-type IntermediateCache interface {
-	Get(key string) (Input, bool)
-	Put(key string, v Input)
-}
-
-// SharedRole is the outcome of a SharedProducers.Acquire call.
-type SharedRole int
-
-const (
-	// SharedHit: the returned Input is valid; the caller adopts it
-	// instead of computing.
-	SharedHit SharedRole = iota
-	// SharedLead: the caller must compute the value and settle its claim
-	// with Publish (success) or Fail (error).
-	SharedLead
-	// SharedSolo: no sharing for this key — compute locally and do not
-	// publish. Coordinators return it to break potential wait cycles.
-	SharedSolo
-)
-
-// SharedProducers coordinates loop-constant (LSE) producer executions
-// across concurrently running sibling queries — multi-query optimization,
-// the mid-batch counterpart of the cross-run IntermediateCache. Before
-// computing an LSE producer the engine Acquires its key: it either adopts
-// a value a sibling produced (possibly blocking until that production
-// settles), becomes the leader that produces it for the whole batch, or is
-// told to compute solo. A leader settles with Publish — the value plus the
-// FLOP the production charged, which adopters report as savings — or Fail,
-// whose error the coordinator propagates typed to every waiting consumer.
-// Keys are exactly the IntermediateCache keys (canonical expression key +
-// producer-plan signature), so an adopted value is guaranteed to stand for
-// the bitwise-identical kernel sequence this run would have executed.
-type SharedProducers interface {
-	Acquire(ctx context.Context, key string) (Input, SharedRole, error)
+// LSESource fills loop-constant (LSE) values from outside the run: a
+// cross-run cache, sibling runs of a batch, or both. Before computing an LSE
+// producer the engine Acquires its key: ok means the returned Input is the
+// value, and the run adopts it at no charge (it may block until a sibling's
+// production settles); a miss means the run computes it. Every miss is
+// settled once: Publish hands over the value with the FLOP its production
+// charged, and Fail the error that ended the run before the value was made.
+// A source ignores what it has no use for — a Publish of a key it keeps no
+// claim on, a Fail of a key nobody waits for.
+//
+// Keys are the option's canonical expression key plus the producer plan's
+// shape signature (opt.SharedKey), so a value under one key stands for the
+// bitwise-identical sequence of kernel executions. A source shared across
+// runs must namespace keys by dataset version and cluster configuration (see
+// internal/serve) and synchronize: the engine calls it from the run's own
+// goroutine.
+type LSESource interface {
+	Acquire(ctx context.Context, key string) (v Input, ok bool, err error)
 	Publish(key string, v Input, flop float64)
 	Fail(key string, err error)
 }
 
 // RunOptions configures the run-time (as opposed to compile-time) behavior
-// of an execution: fault injection and the recovery policy. The zero value
+// of an execution: fault injection, the recovery policy, the iteration cap,
+// the source of loop-constant values and the integrity checks. The zero value
 // reproduces a perfect cluster — no faults, no checkpointing — with zero
 // accounting overhead.
 type RunOptions struct {
@@ -159,14 +135,10 @@ type RunOptions struct {
 	Recovery RecoveryPolicy
 	// MaxIter overrides MaxIterations when positive.
 	MaxIter int
-	// Intermediates, when non-nil, is a cross-run cache consulted for
-	// loop-constant (LSE) values before computing them; newly computed
-	// values are offered back. See IntermediateCache.
-	Intermediates IntermediateCache
-	// Shared, when non-nil, coordinates LSE producer executions with
-	// concurrently running sibling queries (multi-query optimization). It
-	// is consulted after Intermediates misses. See SharedProducers.
-	Shared SharedProducers
+	// LSE, when non-nil, is consulted for every shareable loop-constant
+	// value before the run computes it, and given what the run computed. See
+	// LSESource.
+	LSE LSESource
 	// Verify selects the integrity verification mode: off, block digests on
 	// every charged transmission and DFS read, or digests plus ABFT checksum
 	// validation of distributed multiplies. Verification work is charged to
@@ -226,8 +198,7 @@ func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input
 		inputs:     inputs,
 		names:      map[string]int{},
 		checkpoint: rp.Kind == RecoverCheckpoint,
-		inter:      opts.Intermediates,
-		shared:     opts.Shared,
+		lse:        opts.LSE,
 		maxIter:    MaxIterations,
 		guard:      opts.NaNGuard,
 	}
@@ -308,10 +279,8 @@ type executor struct {
 	rec    *trace.Recorder
 	inputs map[string]Input
 
-	// inter is the optional cross-run LSE value cache (RunOptions).
-	inter IntermediateCache
-	// shared is the optional mid-batch producer coordinator (RunOptions).
-	shared SharedProducers
+	// lse is the optional source of LSE values (RunOptions).
+	lse LSESource
 
 	// code is the schedule (schedule.go): the pre-loop statements, the loop
 	// body and the post-loop statements, ending at ends.
@@ -324,12 +293,12 @@ type executor struct {
 	labels []string
 	names  map[string]int
 	// stack is the value stack; stmt and span are the statement running and
-	// its span; leads lists the LSE productions this run leads for sibling
-	// runs, innermost last.
-	stack []*distmat.DistMatrix
-	stmt  string
-	span  int64
-	leads []lead
+	// its span; misses lists the LSE values the source missed that the run
+	// has yet to settle, innermost last.
+	stack  []*distmat.DistMatrix
+	stmt   string
+	span   int64
+	misses []miss
 
 	// checkpoint persists LSE values to DFS on first computation
 	// (RecoverCheckpoint).
@@ -345,9 +314,9 @@ type executor struct {
 	afterRetire    func(buf []float64)
 }
 
-// lead is an LSE production this run settles for its siblings: the slot, the
+// miss is an LSE production the run settles with its source: the slot, the
 // sharing key and the FLOP charged before it started.
-type lead struct {
+type miss struct {
 	slot int
 	key  string
 	flop float64
@@ -373,13 +342,13 @@ func (e *executor) exec(code []instr) error {
 	for pc := 0; pc < len(code); pc++ {
 		skip, err := e.step(&code[pc])
 		if err != nil {
-			// Settle what this run leads, so waiting siblings fail typed (or,
-			// for a cancellation specific to this run, promote a new leader)
-			// instead of blocking on an abandoned production.
-			for i := len(e.leads) - 1; i >= 0; i-- {
-				e.shared.Fail(e.leads[i].key, err)
+			// Settle every production under way, so a sibling waiting on one
+			// fails typed (or, for a cancellation specific to this run,
+			// promotes a new producer) instead of blocking on it.
+			for i := len(e.misses) - 1; i >= 0; i-- {
+				e.lse.Fail(e.misses[i].key, err)
 			}
-			e.leads, e.stack = e.leads[:0], e.stack[:0]
+			e.misses, e.stack = e.misses[:0], e.stack[:0]
 			e.rec.End(e.span)
 			return fmt.Errorf("engine: %s: %w", e.stmt, err)
 		}
@@ -526,39 +495,26 @@ func (e *executor) fill(k int, key string, v *distmat.DistMatrix) {
 		// here converts every later failure's recompute into a DFS read.
 		v.Checkpoint()
 	}
-	vr, vc := v.VirtualDims()
-	if n := len(e.leads) - 1; n >= 0 && e.leads[n].slot == k {
-		e.shared.Publish(key, Input{Data: v.Data(), VRows: vr, VCols: vc}, e.ctx.Cluster.Stats().FLOP-e.leads[n].flop)
-		e.leads = e.leads[:n]
-	}
-	if key != "" && e.inter != nil {
-		e.inter.Put(key, Input{Data: v.Data(), VRows: vr, VCols: vc})
+	if n := len(e.misses) - 1; n >= 0 && e.misses[n].slot == k {
+		vr, vc := v.VirtualDims()
+		e.lse.Publish(key, Input{Data: v.Data(), VRows: vr, VCols: vc}, e.ctx.Cluster.Stats().FLOP-e.misses[n].flop)
+		e.misses = e.misses[:n]
 	}
 }
 
-// share looks an LSE value up before the run computes it: in the cross-run
-// intermediate cache, then with the sibling runs of the batch, whose value it
-// adopts, whose production it leads, or which tell it to compute solo. A
+// share looks an LSE value up in the source before the run computes it. A
 // value made elsewhere costs nothing on this run's simulated cluster: it is
-// resident already.
+// resident already. A miss is settled when the slot fills, or when the run
+// fails first.
 func (e *executor) share(k int, key string) (*distmat.DistMatrix, error) {
-	if e.inter != nil {
-		if iv, ok := e.inter.Get(key); ok {
-			return distmat.New(e.ctx, iv.Data, iv.VRows, iv.VCols), nil
-		}
-	}
-	if e.shared == nil {
-		return nil, nil
-	}
-	iv, role, err := e.shared.Acquire(e.goCtx, key)
+	iv, ok, err := e.lse.Acquire(e.goCtx, key)
 	switch {
 	case err != nil:
 		return nil, err
-	case role == SharedHit:
+	case ok:
 		return distmat.New(e.ctx, iv.Data, iv.VRows, iv.VCols), nil
-	case role == SharedLead:
-		e.leads = append(e.leads, lead{k, key, e.ctx.Cluster.Stats().FLOP})
 	}
+	e.misses = append(e.misses, miss{k, key, e.ctx.Cluster.Stats().FLOP})
 	return nil, nil
 }
 

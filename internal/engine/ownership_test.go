@@ -39,38 +39,6 @@ func smallDataset(name string, rows, cols int) *data.Dataset {
 	return data.Generate(spec)
 }
 
-// recordingCaches is an IntermediateCache and a SharedProducers that makes
-// every run the leader; both record what they were given. A cache that never
-// hits (stored nil) has every loop-constant value computed here and handed
-// out; one that stores serves a later run what an earlier one put.
-type recordingCaches struct {
-	given  []*matrix.Matrix
-	stored map[string]Input
-	hits   int
-}
-
-func (r *recordingCaches) Get(key string) (Input, bool) {
-	v, ok := r.stored[key]
-	if ok {
-		r.hits++
-	}
-	return v, ok
-}
-
-func (r *recordingCaches) Put(key string, v Input) {
-	r.given = append(r.given, v.Data)
-	if r.stored != nil {
-		r.stored[key] = v
-	}
-}
-func (r *recordingCaches) Acquire(context.Context, string) (Input, SharedRole, error) {
-	return Input{}, SharedLead, nil
-}
-func (r *recordingCaches) Publish(_ string, v Input, _ float64) {
-	r.given = append(r.given, v.Data)
-}
-func (r *recordingCaches) Fail(string, error) {}
-
 // retained lists the matrix of every value the executor holds on to, by
 // where it holds it — a slot of the slot table, or the fused transpose a
 // slot's value keeps — and the places that hold a value still deferred —
@@ -97,8 +65,8 @@ func (e *executor) retained() (held map[string]*matrix.Matrix, deferred []string
 		switch {
 		case e.kinds[k] == nameSlot:
 			add("env["+label+"]", v)
-		case e.kinds[k] == lseSlot && (e.checkpoint || e.inter != nil || e.shared != nil):
-			// Checkpointed, or handed to a cache or to sibling runs: cells.
+		case e.kinds[k] == lseSlot && (e.checkpoint || e.lse != nil):
+			// Checkpointed, or handed to the source: cells.
 			add("env[lse slot "+label+"]", v)
 		default:
 			add([...]string{"name", "lse", "cse", "subtree"}[e.kinds[k]]+" slot "+label, v)
@@ -110,9 +78,9 @@ func (e *executor) retained() (held map[string]*matrix.Matrix, deferred []string
 	return out, deferred, leaves
 }
 
-// reachable is retained plus what was handed to the caches and the inputs:
+// reachable is retained plus what was handed to the source and the inputs:
 // every buffer something other than the free list can still reach.
-func (e *executor) reachable(rec *recordingCaches) (held map[string]*matrix.Matrix, deferred []string, leaves map[string][]float64) {
+func (e *executor) reachable(rec *fakeSource) (held map[string]*matrix.Matrix, deferred []string, leaves map[string][]float64) {
 	held, deferred, leaves = e.retained()
 	for i, m := range rec.given {
 		held[fmt.Sprintf("handed out #%d", i)] = m
@@ -129,7 +97,7 @@ func (e *executor) reachable(rec *recordingCaches) (held map[string]*matrix.Matr
 // buffer with NaN there and then, so that a reader the walk does not know of
 // would not arrive at the cells of an undisturbed run. It returns the count
 // of retirements.
-func poisonRetired(t *testing.T, ctx string, e *executor, rec *recordingCaches) *int {
+func poisonRetired(t *testing.T, ctx string, e *executor, rec *fakeSource) *int {
 	retired := new(int)
 	e.afterRetire = func(buf []float64) {
 		*retired++
@@ -157,7 +125,7 @@ func poisonRetired(t *testing.T, ctx string, e *executor, rec *recordingCaches) 
 // still deferred. It returns how many of those there were, and leaves every
 // free buffer full of NaN: a deferred value whose leaves are on the free list
 // will not evaluate to what the plain run computed.
-func checkOwnership(t *testing.T, ctx string, e *executor, rec *recordingCaches) (deferred int) {
+func checkOwnership(t *testing.T, ctx string, e *executor, rec *fakeSource) (deferred int) {
 	t.Helper()
 	idle := map[*float64]bool{}
 	for _, buf := range e.ctx.Idle() {
@@ -226,22 +194,19 @@ func TestOwnershipRetainedValuesAreNeverRecycled(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
-				// Every recovery policy with caches that never hit, and once
-				// more with a cache that serves what the first run put: values
+				// Every recovery policy with a source that never hits, and once
+				// more with one that serves what the first run put: values
 				// that enter the run as cache hits.
-				serving := &recordingCaches{stored: map[string]Input{}}
+				serving := newFakeSource()
 				for _, arm := range []struct {
 					recovery RecoveryKind
-					rec      *recordingCaches
+					rec      *fakeSource
 				}{
-					{RecoverLineage, &recordingCaches{}}, {RecoverCheckpoint, &recordingCaches{}}, {RecoverCoded, &recordingCaches{}},
+					{RecoverLineage, &fakeSource{}}, {RecoverCheckpoint, &fakeSource{}}, {RecoverCoded, &fakeSource{}},
 					{RecoverLineage, serving}, {RecoverLineage, serving},
 				} {
 					rec := arm.rec
-					opts := RunOptions{Intermediates: rec, Shared: rec, Recovery: RecoveryPolicy{Kind: arm.recovery}}
-					if rec == serving {
-						opts.Shared = nil // a leader would compute what the cache is there to serve
-					}
+					opts := RunOptions{LSE: rec, Recovery: RecoveryPolicy{Kind: arm.recovery}}
 					e, err := newExecutor(context.Background(), c, inputsOn(p.alg, ds), nil, opts)
 					if err != nil {
 						t.Fatalf("%s: %v", ctx, err)
@@ -451,8 +416,8 @@ func TestOwnershipRebindingKeepsWhatCanStillBeRead(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s under a per-operator guard: %v", ctx, err)
 			}
-			rec := &recordingCaches{}
-			e, err := newExecutor(context.Background(), c, ins, nil, RunOptions{Intermediates: rec, Shared: rec})
+			rec := &fakeSource{}
+			e, err := newExecutor(context.Background(), c, ins, nil, RunOptions{LSE: rec})
 			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
@@ -565,25 +530,6 @@ func TestOwnershipHandOverIsolatesConcurrentRuns(t *testing.T) {
 	}
 }
 
-// lockedCache is a cross-run IntermediateCache safe for concurrent runs.
-type lockedCache struct {
-	mu sync.Mutex
-	m  map[string]Input
-}
-
-func (c *lockedCache) Get(key string) (Input, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	return v, ok
-}
-
-func (c *lockedCache) Put(key string, v Input) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = v
-}
-
 // TestOwnershipConcurrentRunsShareInputsAndIntermediates runs pairs of
 // queries side by side over the same input matrices and one intermediate
 // cache. Under -race, a run writing into anything another run can read — an
@@ -598,7 +544,7 @@ func TestOwnershipConcurrentRunsShareInputsAndIntermediates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache := &lockedCache{m: map[string]Input{}}
+		cache := newFakeSource()
 		for round := 0; round < 3; round++ { // round 0 fills the cache, later rounds hit it
 			results := make([]*Result, 2)
 			errs := make([]error, 2)
@@ -607,7 +553,7 @@ func TestOwnershipConcurrentRunsShareInputsAndIntermediates(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					results[g], errs[g] = RunWithOptions(context.Background(), c, ins, nil, RunOptions{Intermediates: cache})
+					results[g], errs[g] = RunWithOptions(context.Background(), c, ins, nil, RunOptions{LSE: cache})
 				}(g)
 			}
 			wg.Wait()
@@ -622,7 +568,7 @@ func TestOwnershipConcurrentRunsShareInputsAndIntermediates(t *testing.T) {
 				}
 			}
 		}
-		if alg != algorithms.GNMF && len(cache.m) == 0 {
+		if alg != algorithms.GNMF && len(cache.stored) == 0 {
 			t.Fatalf("%v: nothing was shared through the intermediate cache", alg)
 		}
 	}

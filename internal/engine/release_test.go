@@ -59,14 +59,11 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 	for name, prog := range programs {
 		for _, strategy := range ownershipStrategies {
 			c := compileProgram(t, name, prog, metas, strategy, 4)
-			serving := &recordingCaches{stored: map[string]Input{}}
-			for arm, rec := range []*recordingCaches{{}, serving, serving, {}} {
+			serving := newFakeSource()
+			for arm, rec := range []*fakeSource{{}, serving, serving, {}} {
 				ctx := fmt.Sprintf("%s/%v/arm %d", name, strategy, arm)
-				opts := RunOptions{Intermediates: rec, Shared: rec}
-				switch {
-				case rec == serving:
-					opts.Shared = nil // a leader would compute what the cache is there to serve
-				case arm == 3:
+				opts := RunOptions{LSE: rec}
+				if arm == 3 {
 					opts = RunOptions{} // nothing handed out: a hoisted value may stay an expression
 				}
 				e, err := newExecutor(context.Background(), c, ins, nil, opts)

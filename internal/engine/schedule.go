@@ -312,9 +312,8 @@ func (l *lowering) atom(a chain.Atom) {
 // option lowers a read of a selected option's slot, whose producer runs on
 // the first read: a cross-block group sums its first two occurrences, any
 // other option runs its producer plan over the first occurrence, normalized
-// to the canonical orientation. An LSE value is shared across runs under a
-// key of its canonical expression and producer shape, so a value another run
-// made stands for the bitwise-identical kernel sequence.
+// to the canonical orientation. With a source (RunOptions.LSE), an LSE value
+// is shared with other runs under its opt.SharedKey.
 func (l *lowering) option(o *search.Option) {
 	pp, ok := l.producers[o.Key]
 	if !ok {
@@ -327,13 +326,8 @@ func (l *lowering) option(o *search.Option) {
 	}
 	k := l.e.slotOf(l.options, kind, o.Key)
 	share := ""
-	if o.Kind == search.LSE && (l.e.inter != nil || l.e.shared != nil) {
-		if sig := costgraph.ProducerSig(pp.Root); sig != "" {
-			if o.Occs[0].Flipped {
-				sig += "|f" // transposes back: a distinct kernel sequence
-			}
-			share = o.Key + "|" + sig
-		}
+	if l.e.lse != nil {
+		share = opt.SharedKey(pp)
 	}
 	l.read(k, share, func() {
 		blocks := l.e.c.Coords.Blocks

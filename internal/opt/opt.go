@@ -162,56 +162,45 @@ type Compiled struct {
 	TotalTime  time.Duration
 }
 
-// SharedSubplan describes one loop-constant (LSE) producer of a compiled
-// plan in cross-query shareable form — the per-plan canonical subexpression
-// manifest a serving layer's MQO coordinator indexes batches by.
-type SharedSubplan struct {
-	// Key is the option's transpose-normalized canonical expression key
-	// (chain.CanonicalKey form, e.g. "A'·A").
-	Key string
-	// ProducerSig is the producer plan's shape signature
-	// (costgraph.ProducerSig); it pins the exact kernel sequence.
-	ProducerSig string
-	// Flipped marks a producer that computes the transposed chain and
-	// transposes back (consumers matched via chain.Transposed).
-	Flipped bool
-	// SharedKey is the sharing-index key: Key + "|" + ProducerSig, with a
-	// "|f" suffix when Flipped — byte-identical to the engine's
-	// intermediate-cache key, so manifest entries and runtime
-	// acquisitions meet in one namespace.
-	SharedKey string
-	// CostSec is the modelled cost of one full producer execution (what a
-	// consumer saves by adopting instead of recomputing).
-	CostSec float64
+// SharedKey is the key a run shares a loop-constant (LSE) producer's value
+// under, with later runs and with the sibling runs of an MQO batch: the
+// option's transpose-normalized canonical key (chain.CanonicalKey form, e.g.
+// "A'·A") and the producer plan's shape signature (costgraph.ProducerSig),
+// with "|f" when the producer computes the transposed chain and transposes
+// back — a distinct kernel sequence. So two values under one key come from
+// the bitwise-identical sequence of kernel executions. "" when the value
+// cannot be shared: it is not loop-constant, or its producer reads other
+// options' run-local values.
+func SharedKey(pp *costgraph.ProducerPlan) string {
+	if pp == nil || pp.Option == nil || pp.Option.Kind != search.LSE {
+		return ""
+	}
+	sig := costgraph.ProducerSig(pp.Root)
+	if sig == "" {
+		return ""
+	}
+	if len(pp.Option.Occs) > 0 && pp.Option.Occs[0].Flipped {
+		sig += "|f"
+	}
+	return pp.Option.Key + "|" + sig
 }
 
-// SharedManifest lists the compiled plan's shareable loop-constant
-// subexpressions, sorted by SharedKey. Nil when the decision selected no
-// shareable LSE producers (including all non-adaptive strategies without
-// producer plans).
-func (c *Compiled) SharedManifest() []SharedSubplan {
+// SharedManifest lists the SharedKey of each of the compiled plan's
+// shareable loop-constant producers, sorted: what a serving layer's MQO
+// batch indexes a plan by. Nil when the decision selected none (including
+// every non-adaptive strategy without producer plans).
+func (c *Compiled) SharedManifest() []string {
 	if c == nil || c.Decision == nil {
 		return nil
 	}
-	var out []SharedSubplan
+	var keys []string
 	for _, pp := range c.Decision.Producers {
-		if pp == nil || pp.Option == nil || pp.Option.Kind != search.LSE {
-			continue
+		if k := SharedKey(pp); k != "" {
+			keys = append(keys, k)
 		}
-		sig := costgraph.ProducerSig(pp.Root)
-		if sig == "" {
-			continue
-		}
-		sp := SharedSubplan{Key: pp.Option.Key, ProducerSig: sig, CostSec: pp.Cost}
-		if len(pp.Option.Occs) > 0 && pp.Option.Occs[0].Flipped {
-			sp.Flipped = true
-			sig += "|f"
-		}
-		sp.SharedKey = sp.Key + "|" + sig
-		out = append(out, sp)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SharedKey < out[j].SharedKey })
-	return out
+	sort.Strings(keys)
+	return keys
 }
 
 // ErrCanceled reports a compilation or execution abandoned because its

@@ -184,9 +184,11 @@ func (c *interCache) usage() (entries int, bytes int64) {
 	return c.c.Len(), c.c.Cost()
 }
 
-// view scopes the cache to one (dataset version, cluster) namespace and
-// counts this query's hits and misses. A view is used by a single engine
-// run (one goroutine); the underlying cache handles cross-query
+// view is one run's engine.LSESource, scoped to its (dataset version,
+// cluster) namespace: the intermediate cache first, then the batch session
+// the run joins, if any. c may be nil (intermediate caching off). A view is
+// used by a single engine run (one goroutine), and counts that run's cache
+// hits and misses; the cache and the batch handle cross-query
 // synchronization.
 func (c *interCache) view(namespace string) *interView {
 	return &interView{ns: namespace, c: c}
@@ -195,19 +197,41 @@ func (c *interCache) view(namespace string) *interView {
 type interView struct {
 	ns           string
 	c            *interCache
+	sess         *mqoSession
 	hits, misses int
 }
 
-func (v *interView) Get(key string) (engine.Input, bool) {
-	iv, ok := v.c.get(v.ns + "|" + key)
-	if ok {
-		v.hits++
-	} else {
+// Acquire adopts the cached value, else the batch's: a sibling's published
+// value, or a miss — this run produces the value, for the batch or alone.
+func (v *interView) Acquire(ctx context.Context, key string) (engine.Input, bool, error) {
+	if v.c != nil {
+		if iv, ok := v.c.get(v.ns + "|" + key); ok {
+			v.hits++
+			return iv, true, nil
+		}
 		v.misses++
 	}
-	return iv, ok
+	if v.sess == nil {
+		return engine.Input{}, false, nil
+	}
+	iv, role, err := v.sess.Acquire(ctx, key)
+	return iv, err == nil && role == shareHit, err
 }
 
-func (v *interView) Put(key string, iv engine.Input) {
-	v.c.put(v.ns+"|"+key, iv)
+// Publish settles the batch claim the run holds on key, if any, and then
+// offers the value to the cache.
+func (v *interView) Publish(key string, iv engine.Input, flop float64) {
+	if v.sess != nil {
+		v.sess.Publish(key, iv, flop)
+	}
+	if v.c != nil {
+		v.c.put(v.ns+"|"+key, iv)
+	}
+}
+
+// Fail settles the batch claim the run holds on key, if any.
+func (v *interView) Fail(key string, err error) {
+	if v.sess != nil {
+		v.sess.Fail(key, err)
+	}
 }

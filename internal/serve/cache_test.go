@@ -79,11 +79,11 @@ func TestInterViewCountsAndPrefixes(t *testing.T) {
 	a := c.view("nsA")
 	b := c.view("nsB")
 	v := denseIntermediate(2, 2)
-	a.Put("k", v)
-	if _, ok := a.Get("k"); !ok {
+	a.Publish("k", v, 0)
+	if _, ok, _ := a.Acquire(context.Background(), "k"); !ok {
 		t.Fatal("nsA lost its own entry")
 	}
-	if _, ok := b.Get("k"); ok {
+	if _, ok, _ := b.Acquire(context.Background(), "k"); ok {
 		t.Error("nsB read nsA's entry")
 	}
 	if a.hits != 1 || a.misses != 0 || b.hits != 0 || b.misses != 1 {

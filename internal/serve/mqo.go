@@ -1,16 +1,17 @@
 // Multi-query optimization (MQO): cross-query redundancy elimination for
 // the serving layer. Queries admitted within one batching window form an
-// MQO batch; their engine runs attach a per-batch shared-producer
-// coordinator, so a loop-constant subexpression appearing in several member
-// plans — keyed by the same transpose-normalized canonical key + producer
-// signature the intermediate cache uses, namespaced by dataset version and
-// cluster signature — executes once and its materialized value feeds every
-// consumer. Values stay bitwise identical to unbatched execution because
-// the sharing key pins the exact kernel sequence, and failure semantics
-// stay typed: a producer that fails propagates its error to every waiting
-// consumer, a canceled leader is replaced by promoting a waiter, and a
-// leader that panics mid-production fails its waiters with a structured
-// Internal-class "abandoned" error via mqoSession.close.
+// MQO batch. A member run's LSE source (interView) consults the batch after
+// the intermediate cache, so a loop-constant subexpression appearing in
+// several member plans — under its opt.SharedKey, the key the intermediate
+// cache uses too, namespaced by dataset version and cluster signature —
+// executes once and its materialized value feeds every consumer. Values
+// stay bitwise identical to unbatched execution because the sharing key pins
+// the exact kernel sequence, and failure semantics stay typed: a producer
+// that fails propagates its error to every waiting consumer, a canceled
+// leader is replaced by promoting a waiter, and a leader that panics
+// mid-production fails its waiters with a structured Internal-class
+// "abandoned" error via mqoSession.close. Which queries take part is
+// reuseEligible's decision (serve.go).
 
 package serve
 
@@ -22,8 +23,6 @@ import (
 	"time"
 
 	"remac/internal/engine"
-	"remac/internal/integrity"
-	"remac/internal/opt"
 )
 
 // errSharedAbandoned marks a shared-producer wait settled by the producing
@@ -91,9 +90,9 @@ func (b *mqoBatch) session(namespace string) *mqoSession {
 	return &mqoSession{b: b, ns: namespace, leading: map[string]*sharedEntry{}}
 }
 
-// mqoSession implements engine.SharedProducers for a single run. It is
-// used by that run's goroutine only; the batch mutex covers the shared
-// registry.
+// mqoSession is a single run's view of the batch, behind the run's
+// interView. It is used by that run's goroutine only; the batch mutex covers
+// the shared registry.
 type mqoSession struct {
 	b       *mqoBatch
 	ns      string
@@ -108,14 +107,14 @@ type mqoSession struct {
 // batch's cross-query index and returns how many keys thereby became
 // overlapping (announced by a second session) — the observable size of the
 // redundancy MQO is about to eliminate.
-func (s *mqoSession) announce(manifest []opt.SharedSubplan) int {
+func (s *mqoSession) announce(manifest []string) int {
 	if len(manifest) == 0 {
 		return 0
 	}
 	overlapped := 0
 	s.b.mu.Lock()
-	for _, sp := range manifest {
-		k := s.ns + "|" + sp.SharedKey
+	for _, key := range manifest {
+		k := s.ns + "|" + key
 		s.b.index[k]++
 		if s.b.index[k] == 2 {
 			overlapped++
@@ -125,16 +124,28 @@ func (s *mqoSession) announce(manifest []opt.SharedSubplan) int {
 	return overlapped
 }
 
-// Acquire implements engine.SharedProducers. It returns the published
-// value when a sibling already produced key, leadership when this run
-// should produce it, or SharedSolo when waiting could deadlock (this run
-// already leads an unsettled key, so it computes locally instead of
-// blocking — a session that never blocks while leading cannot take part in
-// a wait cycle). A leader that failed with cancellation is replaced by
-// promoting the first waiter back through the lock, mirroring the plan
-// cache's failure path; any other leader error propagates typed to every
-// waiter.
-func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Input, engine.SharedRole, error) {
+// shareRole is the outcome of mqoSession.Acquire.
+type shareRole int
+
+const (
+	// shareHit: the returned Input is a sibling's published value.
+	shareHit shareRole = iota
+	// shareLead: the run computes the value for the batch and settles its
+	// claim with Publish (success) or Fail (error).
+	shareLead
+	// shareSolo: the run computes the value for itself; nothing to settle.
+	shareSolo
+)
+
+// Acquire returns the published value when a sibling already produced key,
+// leadership when this run should produce it, or shareSolo when waiting
+// could deadlock (this run already leads an unsettled key, so it computes
+// locally instead of blocking — a session that never blocks while leading
+// cannot take part in a wait cycle). A leader that failed with cancellation
+// is replaced by promoting the first waiter back through the lock, mirroring
+// the plan cache's failure path; any other leader error propagates typed to
+// every waiter.
+func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Input, shareRole, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -147,7 +158,7 @@ func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Input, eng
 			s.b.entries[k] = e
 			s.leading[k] = e
 			s.b.mu.Unlock()
-			return engine.Input{}, engine.SharedLead, nil
+			return engine.Input{}, shareLead, nil
 		}
 		holding := len(s.leading) > 0
 		s.b.mu.Unlock()
@@ -155,7 +166,7 @@ func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Input, eng
 		case <-e.ready:
 		default:
 			if holding {
-				return engine.Input{}, engine.SharedSolo, nil
+				return engine.Input{}, shareSolo, nil
 			}
 			select {
 			case <-e.ready:
@@ -167,7 +178,7 @@ func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Input, eng
 		case e.err == nil:
 			s.hits++
 			s.flopSaved += e.flop
-			return e.v, engine.SharedHit, nil
+			return e.v, shareHit, nil
 		case errors.Is(e.err, engine.ErrCanceled):
 			// The leader's own context ended — not this consumer's problem.
 			// Loop: the failed entry was removed, so the first waiter back
@@ -179,9 +190,9 @@ func (s *mqoSession) Acquire(ctx context.Context, key string) (engine.Input, eng
 	}
 }
 
-// Publish implements engine.SharedProducers: the leader settles its claim
-// with the materialized value and the charged FLOP one production cost
-// (adopters account it as savings).
+// Publish settles the leader's claim with the materialized value and the
+// charged FLOP one production cost (adopters account it as savings); it
+// ignores a key this run does not lead.
 func (s *mqoSession) Publish(key string, v engine.Input, flop float64) {
 	k := s.ns + "|" + key
 	s.b.mu.Lock()
@@ -197,8 +208,8 @@ func (s *mqoSession) Publish(key string, v engine.Input, flop float64) {
 	}
 }
 
-// Fail implements engine.SharedProducers: the leader settles its claim
-// with the production error. The entry is removed from the registry so a
+// Fail settles the leader's claim with the production error; it ignores a
+// key this run does not lead. The entry is removed from the registry so a
 // later acquirer re-elects rather than inheriting a stale failure.
 func (s *mqoSession) Fail(key string, err error) {
 	s.fail(s.ns+"|"+key, err)
@@ -241,21 +252,4 @@ func (s *mqoSession) close(runErr error) int {
 		s.fail(k, err)
 	}
 	return len(keys)
-}
-
-// shareEligible gates a query into its batch's shared-producer
-// coordinator. Sharing needs the same reuse identity the intermediate
-// cache demands — a dataset id, with NoIntermediateCache opting out of
-// both reuse layers — and a query that injects payload corruption may only
-// share when a verification mode is attached: a verified value is either
-// repaired to the bitwise-clean result or fails typed, whereas an
-// unverified corrupted producer could silently poison every sibling.
-func (s *Server) shareEligible(q Query) bool {
-	if q.Dataset == "" || q.NoIntermediateCache {
-		return false
-	}
-	if q.Faults.SchedulesCorruption() && q.Verify == integrity.VerifyOff {
-		return false
-	}
-	return true
 }

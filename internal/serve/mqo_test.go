@@ -53,13 +53,13 @@ func TestBatcherWindows(t *testing.T) {
 func TestMQOPublishAdoptAccounting(t *testing.T) {
 	b := testBatch(t)
 	s1, s2 := b.session("ns"), b.session("ns")
-	if _, role, err := s1.Acquire(context.Background(), "k"); err != nil || role != engine.SharedLead {
+	if _, role, err := s1.Acquire(context.Background(), "k"); err != nil || role != shareLead {
 		t.Fatalf("first acquire: role=%v err=%v, want lead", role, err)
 	}
 	v := denseIntermediate(3, 3)
 	s1.Publish("k", v, 42)
 	got, role, err := s2.Acquire(context.Background(), "k")
-	if err != nil || role != engine.SharedHit {
+	if err != nil || role != shareHit {
 		t.Fatalf("acquire after publish: role=%v err=%v, want hit", role, err)
 	}
 	if got.Data != v.Data || got.VRows != v.VRows || got.VCols != v.VCols {
@@ -74,12 +74,12 @@ func TestMQOPublishAdoptAccounting(t *testing.T) {
 func TestMQONamespaceIsolation(t *testing.T) {
 	b := testBatch(t)
 	s1, s2 := b.session("ds1@0|c1"), b.session("ds2@0|c1")
-	if _, role, _ := s1.Acquire(context.Background(), "k"); role != engine.SharedLead {
+	if _, role, _ := s1.Acquire(context.Background(), "k"); role != shareLead {
 		t.Fatalf("role=%v, want lead", role)
 	}
 	s1.Publish("k", denseIntermediate(2, 2), 1)
 	// The same raw key in a different namespace is a different producer.
-	if _, role, err := s2.Acquire(context.Background(), "k"); err != nil || role != engine.SharedLead {
+	if _, role, err := s2.Acquire(context.Background(), "k"); err != nil || role != shareLead {
 		t.Fatalf("cross-namespace acquire: role=%v err=%v, want an independent lead", role, err)
 	}
 }
@@ -90,22 +90,22 @@ func TestMQONamespaceIsolation(t *testing.T) {
 func TestMQOSoloWhileLeading(t *testing.T) {
 	b := testBatch(t)
 	s1, s2 := b.session("ns"), b.session("ns")
-	if _, role, _ := s1.Acquire(context.Background(), "k1"); role != engine.SharedLead {
+	if _, role, _ := s1.Acquire(context.Background(), "k1"); role != shareLead {
 		t.Fatalf("s1 on k1: role=%v, want lead", role)
 	}
-	if _, role, _ := s2.Acquire(context.Background(), "k2"); role != engine.SharedLead {
+	if _, role, _ := s2.Acquire(context.Background(), "k2"); role != shareLead {
 		t.Fatalf("s2 on k2: role=%v, want lead", role)
 	}
 	// Both hold unsettled claims; acquiring each other's key must not block.
-	if _, role, err := s1.Acquire(context.Background(), "k2"); err != nil || role != engine.SharedSolo {
+	if _, role, err := s1.Acquire(context.Background(), "k2"); err != nil || role != shareSolo {
 		t.Errorf("s1 on unsettled k2 while leading k1: role=%v err=%v, want solo", role, err)
 	}
-	if _, role, err := s2.Acquire(context.Background(), "k1"); err != nil || role != engine.SharedSolo {
+	if _, role, err := s2.Acquire(context.Background(), "k1"); err != nil || role != shareSolo {
 		t.Errorf("s2 on unsettled k1 while leading k2: role=%v err=%v, want solo", role, err)
 	}
 	// A settled entry is adoptable even while leading (no wait involved).
 	s2.Publish("k2", denseIntermediate(2, 2), 1)
-	if _, role, err := s1.Acquire(context.Background(), "k2"); err != nil || role != engine.SharedHit {
+	if _, role, err := s1.Acquire(context.Background(), "k2"); err != nil || role != shareHit {
 		t.Errorf("s1 on settled k2 while leading k1: role=%v err=%v, want hit", role, err)
 	}
 }
@@ -116,7 +116,7 @@ func TestMQOSoloWhileLeading(t *testing.T) {
 func TestMQOFailurePropagatesTyped(t *testing.T) {
 	b := testBatch(t)
 	s1, s2 := b.session("ns"), b.session("ns")
-	if _, role, _ := s1.Acquire(context.Background(), "k"); role != engine.SharedLead {
+	if _, role, _ := s1.Acquire(context.Background(), "k"); role != shareLead {
 		t.Fatalf("role=%v, want lead", role)
 	}
 	got := make(chan error, 1)
@@ -129,7 +129,7 @@ func TestMQOFailurePropagatesTyped(t *testing.T) {
 	if err := <-got; !errors.Is(err, integrity.ErrCorruption) {
 		t.Fatalf("waiter error = %v, want it to wrap integrity.ErrCorruption", err)
 	}
-	if _, role, err := b.session("ns").Acquire(context.Background(), "k"); err != nil || role != engine.SharedLead {
+	if _, role, err := b.session("ns").Acquire(context.Background(), "k"); err != nil || role != shareLead {
 		t.Fatalf("acquire after failure: role=%v err=%v, want a re-elected lead", role, err)
 	}
 }
@@ -140,11 +140,11 @@ func TestMQOFailurePropagatesTyped(t *testing.T) {
 func TestMQOCanceledLeaderPromotesWaiter(t *testing.T) {
 	b := testBatch(t)
 	s1, s2, s3 := b.session("ns"), b.session("ns"), b.session("ns")
-	if _, role, _ := s1.Acquire(context.Background(), "k"); role != engine.SharedLead {
+	if _, role, _ := s1.Acquire(context.Background(), "k"); role != shareLead {
 		t.Fatalf("role=%v, want lead", role)
 	}
 	type outcome struct {
-		role engine.SharedRole
+		role shareRole
 		err  error
 	}
 	got := make(chan outcome, 1)
@@ -154,12 +154,12 @@ func TestMQOCanceledLeaderPromotesWaiter(t *testing.T) {
 	}()
 	time.Sleep(sleepToPark)
 	s1.Fail("k", fmt.Errorf("leader timed out: %w", engine.ErrCanceled))
-	if o := <-got; o.err != nil || o.role != engine.SharedLead {
+	if o := <-got; o.err != nil || o.role != shareLead {
 		t.Fatalf("waiter after canceled leader: role=%v err=%v, want promotion to lead", o.role, o.err)
 	}
 	// The promoted leader settles the claim and a third session adopts it.
 	s2.Publish("k", denseIntermediate(2, 2), 5)
-	if _, role, err := s3.Acquire(context.Background(), "k"); err != nil || role != engine.SharedHit {
+	if _, role, err := s3.Acquire(context.Background(), "k"); err != nil || role != shareHit {
 		t.Fatalf("acquire after promotion settled: role=%v err=%v, want hit", role, err)
 	}
 }
@@ -170,7 +170,7 @@ func TestMQOCanceledLeaderPromotesWaiter(t *testing.T) {
 func TestMQOCloseAbandonsWaiters(t *testing.T) {
 	b := testBatch(t)
 	s1, s2 := b.session("ns"), b.session("ns")
-	if _, role, _ := s1.Acquire(context.Background(), "k"); role != engine.SharedLead {
+	if _, role, _ := s1.Acquire(context.Background(), "k"); role != shareLead {
 		t.Fatalf("role=%v, want lead", role)
 	}
 	got := make(chan error, 1)

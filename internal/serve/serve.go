@@ -175,7 +175,9 @@ type Query struct {
 	Recovery engine.RecoveryPolicy
 	// Verify selects the integrity verification mode for this query's run
 	// (see engine.RunOptions.Verify): detected corruptions repair through
-	// lineage, unrepairable ones fail with an Integrity-class error.
+	// lineage, unrepairable ones fail with an Integrity-class error. A
+	// query whose Faults schedule corruption with Verify off takes no part
+	// in reuse (reuseEligible).
 	Verify integrity.VerifyMode
 	// NaNGuard selects the non-finite scan cadence (see
 	// engine.RunOptions.NaNGuard); caught poison fails with a Numeric-class
@@ -793,10 +795,10 @@ func (s *Server) classify(id uint64, stage string, err error) error {
 }
 
 // execute runs one query end to end: plan (cached or compiled), then
-// execute on a fresh simulated cluster with the cross-query intermediate
-// cache — and, when the query was admitted into an MQO batch, the batch's
-// shared-producer coordinator — attached. Returned errors are classified
-// (compile vs execution vs canceled vs max-iterations).
+// execute on a fresh simulated cluster. A run reuseEligible admits gets one
+// source of loop-constant values: the cross-query intermediate cache and,
+// when the query was admitted into an MQO batch, the batch. Returned errors
+// are classified (compile vs execution vs canceled vs max-iterations).
 func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err error) {
 	q := j.q
 	if q.Iterations == 0 {
@@ -826,21 +828,15 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	if q.Trace {
 		rec = trace.New()
 	}
-	// A coded-recovery query under fault injection may hold values rebuilt
-	// through the tolerance-bounded parity-decode path; keep them out of
-	// the cross-query caches, whose contract is bitwise reproducibility.
-	codedFaults := q.Recovery.Kind == engine.RecoverCoded && q.Faults.Enabled()
+	var lse engine.LSESource
 	var view *interView
-	var inter engine.IntermediateCache
-	if s.inter != nil && !q.NoIntermediateCache && q.Dataset != "" && !codedFaults {
+	if reuseEligible(q) && (s.inter != nil || j.batch != nil) {
 		view = s.inter.view(s.namespaceFor(q))
-		inter = view
+		lse = view
 	}
-	var sess *mqoSession
-	var shared engine.SharedProducers
-	if j.batch != nil && s.shareEligible(q) && !codedFaults {
-		sess = j.batch.session(s.namespaceFor(q))
-		shared = sess
+	if view != nil && j.batch != nil {
+		sess := j.batch.session(view.ns)
+		view.sess = sess
 		// The deferred close settles any leadership this run still holds
 		// when it unwinds — including a panic unwind, where err is nil and
 		// every waiting sibling gets the typed "abandoned" error instead of
@@ -864,13 +860,12 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	// chaos harness asserts "zero duplicate executions" against.
 	s.metrics.add(func(c *Snapshot) { c.Executions++ })
 	res, err := engine.RunWithOptions(ctx, compiled, q.Inputs, rec, engine.RunOptions{
-		MaxIter:       q.MaxIterations,
-		Faults:        q.Faults,
-		Recovery:      q.Recovery,
-		Intermediates: inter,
-		Shared:        shared,
-		Verify:        q.Verify,
-		NaNGuard:      q.NaNGuard,
+		MaxIter:  q.MaxIterations,
+		Faults:   q.Faults,
+		Recovery: q.Recovery,
+		LSE:      lse,
+		Verify:   q.Verify,
+		NaNGuard: q.NaNGuard,
 	})
 	if err != nil {
 		return nil, s.classify(0, "execute", err)
@@ -901,9 +896,9 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	}
 	if view != nil {
 		out.IntermediateHits, out.IntermediateMisses = view.hits, view.misses
-	}
-	if sess != nil {
-		out.SharedHits, out.SharedProduced = sess.hits, sess.led
+		if view.sess != nil {
+			out.SharedHits, out.SharedProduced = view.sess.hits, view.sess.led
+		}
 	}
 	st := res.Stats
 	out.FLOP = st.FLOP
@@ -968,6 +963,20 @@ func (s *Server) plan(ctx context.Context, q Query, ocfg opt.Config) (*opt.Compi
 		}
 	})
 	return c, time.Since(start).Seconds(), hit, nil
+}
+
+// reuseEligible decides whether a query's run takes part in reuse at all —
+// the intermediate cache and the MQO batch alike. Reuse needs a dataset id to
+// namespace values by, and a query may opt out (NoIntermediateCache). A run
+// whose values may differ from a clean run's bits keeps them to itself: one
+// injecting payload corruption with verification off — a verified value is
+// repaired to the bitwise-clean result or fails typed, an unverified one may
+// be silently damaged — and a coded-recovery run under fault injection, whose
+// values may come through the tolerance-bounded parity decode.
+func reuseEligible(q Query) bool {
+	return q.Dataset != "" && !q.NoIntermediateCache &&
+		!(q.Faults.SchedulesCorruption() && q.Verify == integrity.VerifyOff) &&
+		!(q.Recovery.Kind == engine.RecoverCoded && q.Faults.Enabled())
 }
 
 // namespaceFor scopes intermediate-cache keys: dataset id + version +

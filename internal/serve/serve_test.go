@@ -118,6 +118,43 @@ func TestServeCachedResultsBitwiseIdentical(t *testing.T) {
 	bitwiseEqualValues(t, refRes.Values, warm2.Values)
 }
 
+// TestUnverifiedCorruptionPoisonsNoCache: a query that schedules payload
+// corruption with verification off may compute damaged values, so it must not
+// take part in reuse. A clean query after it on the same dataset is then
+// bitwise the cache-free reference, not served a corrupted intermediate.
+func TestUnverifiedCorruptionPoisonsNoCache(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	q := testQuery(t, algorithms.DFP, "cri1", 3)
+
+	ref := q
+	ref.NoIntermediateCache = true
+	refRes, err := s.Do(context.Background(), ref)
+	if err != nil {
+		t.Fatalf("cache-off run: %v", err)
+	}
+	bad := q
+	bad.Faults = fault.NewPlan(fault.Config{Seed: 1, CorruptionsPerHour: 1e3})
+	badRes, err := s.Do(context.Background(), bad)
+	if err != nil {
+		t.Fatalf("corrupting run: %v", err)
+	}
+	if badRes.CorruptionsInjected == 0 {
+		t.Fatal("the corrupting run injected nothing: the test would prove nothing")
+	}
+	clean, err := s.Do(context.Background(), q)
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	if clean.IntermediateHits != 0 {
+		t.Errorf("clean run got %d intermediate hits after a run that may not share", clean.IntermediateHits)
+	}
+	if clean.ResultHash != refRes.ResultHash {
+		t.Errorf("clean run hash %016x, cache-free reference %016x", clean.ResultHash, refRes.ResultHash)
+	}
+	bitwiseEqualValues(t, refRes.Values, clean.Values)
+}
+
 // TestPlanCacheWarmCompileFaster checks the acceptance criterion that a
 // plan-cache hit costs at least 10x less than a cold compilation.
 func TestPlanCacheWarmCompileFaster(t *testing.T) {
