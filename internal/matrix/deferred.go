@@ -372,7 +372,7 @@ func (n *evalNode) eval(i, c0, cols int, out, scratch []float64, counts []int) [
 			clear(out)
 		} else {
 			for j, yv := range n.y[c0:][:w] {
-				out[j] = 0 + xv*yv
+				out[j] = 0 + float64(xv*yv)
 			}
 		}
 	case exOuterT: // the same cells read by columns: (i, j) is x[j]·y[i]
@@ -381,7 +381,7 @@ func (n *evalNode) eval(i, c0, cols int, out, scratch []float64, counts []int) [
 			if xv == 0 {
 				out[j] = 0
 			} else {
-				out[j] = 0 + xv*yv
+				out[j] = 0 + float64(xv*yv)
 			}
 		}
 	case exScale:
@@ -447,11 +447,14 @@ func (o *operand) side(i, c0, cols int, out, scratch []float64, counts []int) si
 // its count was known — so the row or column of a zero entry is no case of its
 // own: 0 + 0·y is the +0 mulOuter writes there, and x·y is y·x. The
 // conversions keep a compiler that fuses multiply-adds from skipping a
-// rounding the passes made. Small enough to be inlined.
+// rounding the passes made: the language makes an explicit conversion a
+// rounding point, and the Go compiler fuses on arm64 (not on amd64), where
+// 0 + c·x would otherwise keep a −0 on underflow. Every product this package
+// adds is wrapped so. Small enough to be inlined.
 func cell(v []float64, j int, term bool, c, s1, s2 float64) float64 {
 	x := v[j]
 	if term {
-		x = 0 + c*x
+		x = 0 + float64(c*x)
 	}
 	return float64(float64(x*s1) * s2)
 }
@@ -555,7 +558,7 @@ func addTerms(out []float64, a, b side) (nnz int) {
 func addTermsGo(out, av, bv []float64, ac, bc float64) (nnz int) {
 	av, bv = av[:len(out)], bv[:len(out)]
 	for j := range out {
-		v := (0 + ac*av[j]) + (0 + bc*bv[j])
+		v := (0 + float64(ac*av[j])) + (0 + float64(bc*bv[j]))
 		out[j] = v
 		if v != 0 {
 			nnz++
@@ -580,8 +583,8 @@ func dfpTail(out, h []float64, x, y side) (inner, nnz int) {
 func dfpTailGo(out, h, xv, yv []float64, xc, xs, yc, ys float64) (inner, nnz int) {
 	h, xv, yv = h[:len(out)], xv[:len(out)], yv[:len(out)]
 	for j := range out {
-		v := h[j] - float64((0+xc*xv[j])*xs)
-		w := v + float64((0+yc*yv[j])*ys)
+		v := h[j] - float64((0+float64(xc*xv[j]))*xs)
+		w := v + float64((0+float64(yc*yv[j]))*ys)
 		out[j] = w
 		if v != 0 {
 			inner++
@@ -609,7 +612,7 @@ func bfgsTail(out, h []float64, x, y side) (inner, nnz int) {
 func bfgsTailGo(out, h, xv, yv []float64, xc, xs1, xs2, ys float64) (inner, nnz int) {
 	h, xv, yv = h[:len(out)], xv[:len(out)], yv[:len(out)]
 	for j := range out {
-		v := h[j] + float64(float64((0+xc*xv[j])*xs1)*xs2)
+		v := h[j] + float64(float64((0+float64(xc*xv[j]))*xs1)*xs2)
 		w := v - float64(yv[j]*ys)
 		out[j] = w
 		if v != 0 {

@@ -82,8 +82,8 @@ func SizeBytesFor(rows, cols int, sparsity float64) int64 {
 		return int64(cells*bytesPerValue) + headerBytes
 	}
 	nnz := cells * sparsity
-	alpha := nnz * (bytesPerValue + bytesPerColIdx)
-	beta := float64(rows)*bytesPerRowPtr + headerBytes
+	alpha := float64(nnz * (bytesPerValue + bytesPerColIdx))
+	beta := float64(float64(rows)*bytesPerRowPtr) + headerBytes
 	return int64(alpha + beta)
 }
 

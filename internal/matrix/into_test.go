@@ -127,6 +127,17 @@ func TestMulIntoSparseOperands(t *testing.T) {
 			}
 		}
 	}
+	// A CSR·vector at cri2's fill, with empty rows, against an x holding
+	// ±Inf: the one-column path into a dirty destination.
+	sa := withoutFirstRow(RandSparse(rng, 2000, 870, 4.5e-3))
+	x := genDense(rng, 870, 1, fillPlain)
+	for c := 0; c < 6; c++ {
+		x.data[rng.Intn(870)] = specials[10+c%2]
+	}
+	dst := dirty(2000)
+	got := sa.MulInto(dst, x)
+	requireSameAsAllocating(t, "csr·vector at cri2's fill", got, sa.Mul(x), dst)
+	requireSameResult(t, "csr·vector at cri2's fill", got, refMulDenseDense(sa.ToDense(), x))
 }
 
 func TestElementwiseIntoMatchesReference(t *testing.T) {

@@ -106,7 +106,7 @@ func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
 	switch {
 	case p == 1:
 		nnz = Stripes(n, func(i int) int { return i * k }, func(lo, hi int) int {
-			return mulMatVec(od[lo:hi], ad[lo*k:hi*k], bd)
+			return mulMatVec(od[lo:hi], ad[lo*k:hi*k], bd, vectorLoops)
 		})
 	case k == 1:
 		nnz = Stripes(n, func(i int) int { return i * p }, func(lo, hi int) int {
@@ -193,7 +193,7 @@ func mulOuter(o, x, y []float64, dirty bool) int {
 		}
 		orow := o[i*p : (i+1)*p]
 		for j, yv := range y {
-			v := 0 + xv*yv // a −0 product lands as +0, as it would accumulating
+			v := 0 + float64(xv*yv) // a −0 product lands as +0, as it would accumulating
 			orow[j] = v
 			if v != 0 {
 				nnz++
@@ -203,17 +203,30 @@ func mulOuter(o, x, y []float64, dirty bool) int {
 	return nnz
 }
 
-// mulMatVec computes o = a·x for len(o) rows of a, four rows at a time so
-// four independent accumulation chains are in flight (one chain per output
-// cell is fixed by the accumulation order). The zero skip is there for a
-// non-finite x[k] alone: against a finite one the step it skips adds a ±0
-// product, and ±0 added to a sum that started at +0 — which no addition
-// turns into −0 — leaves the sum's bits as they were. So when x is finite
-// the four rows run without the test.
-func mulMatVec(o, a, x []float64) int {
+// mulMatVec computes o = a·x for len(o) rows of a. Each cell is the
+// reference's one chain: from +0, for k ascending, add a[i,k]·x[k] unless
+// a[i,k] == 0. The zero skip matters only against a non-finite x[k]: against
+// a finite one the step it skips adds a ±0 product, and ±0 added to a sum
+// that started at +0 — which no addition turns into −0 — leaves the sum's
+// bits as they were.
+//
+// vector (vectorLoops, but for the test that holds the two paths equal):
+// mulMatVecAVX2 runs the rows in groups of eight, one row to a lane, and the
+// Go loop runs the last len(o)%8. The vector loop skips a step by masking its
+// product to +0, which by the same argument serves finite and non-finite x
+// alike. The Go loop runs four rows at a time, so four chains are in flight,
+// and drops the test when x is finite.
+func mulMatVec(o, a, x []float64, vector bool) int {
 	k := len(x)
-	_, _, finite := nonzeroStats(x)
 	i := 0
+	if vector {
+		i = len(o) &^ 7
+		mulMatVecAVX2(o[:i], a[:i*k], x)
+	}
+	if i == len(o) {
+		return countNonzero(o)
+	}
+	_, _, finite := nonzeroStats(x)
 	for ; i+4 <= len(o); i += 4 {
 		r0 := a[i*k:][:k]
 		r1 := a[(i+1)*k:][:k]
@@ -222,24 +235,24 @@ func mulMatVec(o, a, x []float64) int {
 		var s0, s1, s2, s3 float64
 		if finite {
 			for kk, xv := range x {
-				s0 += r0[kk] * xv
-				s1 += r1[kk] * xv
-				s2 += r2[kk] * xv
-				s3 += r3[kk] * xv
+				s0 += float64(r0[kk] * xv)
+				s1 += float64(r1[kk] * xv)
+				s2 += float64(r2[kk] * xv)
+				s3 += float64(r3[kk] * xv)
 			}
 		} else {
 			for kk, xv := range x {
 				if av := r0[kk]; av != 0 {
-					s0 += av * xv
+					s0 += float64(av * xv)
 				}
 				if av := r1[kk]; av != 0 {
-					s1 += av * xv
+					s1 += float64(av * xv)
 				}
 				if av := r2[kk]; av != 0 {
-					s2 += av * xv
+					s2 += float64(av * xv)
 				}
 				if av := r3[kk]; av != 0 {
-					s3 += av * xv
+					s3 += float64(av * xv)
 				}
 			}
 		}
@@ -249,7 +262,7 @@ func mulMatVec(o, a, x []float64) int {
 		var s float64
 		for kk, av := range a[i*k : (i+1)*k] {
 			if av != 0 {
-				s += av * x[kk]
+				s += float64(av * x[kk])
 			}
 		}
 		o[i] = s
@@ -321,17 +334,17 @@ func mulRow(o, a []float64, nz []int32, b []float64, stride int, vector bool) {
 		b3 := b[k3*stride+j0:][:len(r)]
 		for j := range r {
 			v := r[j]
-			v += a0 * b0[j]
-			v += a1 * b1[j]
-			v += a2 * b2[j]
-			v += a3 * b3[j]
+			v += float64(a0 * b0[j])
+			v += float64(a1 * b1[j])
+			v += float64(a2 * b2[j])
+			v += float64(a3 * b3[j])
 			r[j] = v
 		}
 	}
 	for _, kk := range nz {
 		av, brow := a[kk], b[int(kk)*stride:][:len(o)]
 		for j := range o {
-			o[j] += av * brow[j]
+			o[j] += float64(av * brow[j])
 		}
 	}
 }
@@ -360,22 +373,22 @@ func mulRowPair(o0, o1, a0, a1, b []float64, stride int, vector bool) {
 		for j := range r0 {
 			c0, c1, c2, c3 := b0[j], b1[j], b2[j], b3[j]
 			v, u := r0[j], r1[j]
-			v += x0 * c0
-			u += y0 * c0
-			v += x1 * c1
-			u += y1 * c1
-			v += x2 * c2
-			u += y2 * c2
-			v += x3 * c3
-			u += y3 * c3
+			v += float64(x0 * c0)
+			u += float64(y0 * c0)
+			v += float64(x1 * c1)
+			u += float64(y1 * c1)
+			v += float64(x2 * c2)
+			u += float64(y2 * c2)
+			v += float64(x3 * c3)
+			u += float64(y3 * c3)
 			r0[j], r1[j] = v, u
 		}
 	}
 	for ; kk < len(a0); kk++ {
 		x, y, brow := a0[kk], a1[kk], b[kk*stride:][:len(o0)]
 		for j, c := range brow {
-			o0[j] += x * c
-			o1[j] += y * c
+			o0[j] += float64(x * c)
+			o1[j] += float64(y * c)
 		}
 	}
 }
@@ -384,7 +397,28 @@ func mulCSRDense(dst []float64, a, b *Matrix) *Matrix {
 	out, dirty := denseOver(dst, a.rows, b.cols)
 	p := b.cols
 	// A row costs p per stored entry, and p to clear and count.
-	out.setNNZ(Stripes(a.rows, func(i int) int { return (a.rowPtr[i] + i) * p }, func(lo, hi int) int {
+	work := func(i int) int { return (a.rowPtr[i] + i) * p }
+	if p == 1 {
+		// One column: each row is one chain held in a register and written
+		// once, dirty destination or not — the cell the loop below builds.
+		x := b.data
+		out.setNNZ(Stripes(a.rows, work, func(lo, hi int) int {
+			nnz := 0
+			for i := lo; i < hi; i++ {
+				var s float64
+				for q := a.rowPtr[i]; q < a.rowPtr[i+1]; q++ {
+					s += float64(a.vals[q] * x[a.colIdx[q]])
+				}
+				out.data[i] = s
+				if s != 0 {
+					nnz++
+				}
+			}
+			return nnz
+		}))
+		return out
+	}
+	out.setNNZ(Stripes(a.rows, work, func(lo, hi int) int {
 		nnz := 0
 		for i := lo; i < hi; i++ {
 			orow := out.data[i*p : (i+1)*p]
@@ -398,7 +432,7 @@ func mulCSRDense(dst []float64, a, b *Matrix) *Matrix {
 				av := a.vals[q]
 				brow := b.data[a.colIdx[q]*p : (a.colIdx[q]+1)*p]
 				for j := 0; j < p; j++ {
-					orow[j] += av * brow[j]
+					orow[j] += float64(av * brow[j])
 				}
 			}
 			nnz += countNonzero(orow)
@@ -426,7 +460,7 @@ func mulDenseCSR(dst []float64, a, b *Matrix) *Matrix {
 					continue
 				}
 				for q := b.rowPtr[kk]; q < b.rowPtr[kk+1]; q++ {
-					orow[b.colIdx[q]] += av * b.vals[q]
+					orow[b.colIdx[q]] += float64(av * b.vals[q])
 				}
 			}
 			nnz += countNonzero(orow)
@@ -459,7 +493,7 @@ func mulCSRCSR(a, b *Matrix) *Matrix {
 					if acc[j] == 0 {
 						marked = append(marked, j)
 					}
-					acc[j] += av * b.vals[r]
+					acc[j] += float64(av * b.vals[r])
 				}
 			}
 			if len(marked) == 0 {

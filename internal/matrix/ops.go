@@ -190,7 +190,7 @@ func addCSR(a, b *Matrix, sign float64) *Matrix {
 				vals = append(vals, sign*b.vals[pb])
 				pb++
 			default:
-				v := a.vals[pa] + sign*b.vals[pb]
+				v := a.vals[pa] + float64(sign*b.vals[pb])
 				if v != 0 {
 					colIdx = append(colIdx, a.colIdx[pa])
 					vals = append(vals, v)
@@ -321,11 +321,11 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	total := 0.0
 	if m.format == Dense {
 		for _, v := range m.data {
-			total += v * v
+			total += float64(v * v)
 		}
 	} else {
 		for _, v := range m.vals {
-			total += v * v
+			total += float64(v * v)
 		}
 	}
 	return math.Sqrt(total)

@@ -15,7 +15,9 @@ func RandDense(rng *rand.Rand, rows, cols int) *Matrix {
 	m := NewDense(rows, cols)
 	nnz := 0
 	for i := range m.data {
-		v := 2*rng.Float64() - 1
+		// float64(…) keeps an arm64 compiler from fusing the inlined
+		// Float64's scaling into the doubling (exact either way).
+		v := 2*float64(rng.Float64()) - 1
 		m.data[i] = v
 		if v != 0 { // Float64 can return exactly 0.5
 			nnz++
@@ -36,7 +38,7 @@ func RandSparse(rng *rand.Rand, rows, cols int, sparsity float64) *Matrix {
 		j := nextHit(rng, sparsity, -1)
 		for j < cols {
 			colIdx = append(colIdx, j)
-			vals = append(vals, 2*rng.Float64()-1)
+			vals = append(vals, 2*float64(rng.Float64())-1)
 			j = nextHit(rng, sparsity, j)
 		}
 		rowPtr[i+1] = len(vals)
@@ -141,7 +143,7 @@ func ZipfSparse(rng *rand.Rand, rows, cols int, sparsity, exponent float64) *Mat
 	for i := 0; i < rows; i++ {
 		for _, j := range perRow[i] {
 			colIdx = append(colIdx, j)
-			vals = append(vals, 2*rng.Float64()-1)
+			vals = append(vals, 2*float64(rng.Float64())-1)
 		}
 		rowPtr[i+1] = len(vals)
 	}

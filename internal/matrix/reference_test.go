@@ -253,6 +253,15 @@ func TestMulDenseDenseMatchesReference(t *testing.T) {
 // with ±Inf and NaN where the input asks, matches the reference into a
 // fresh or a NaN-poisoned destination: cells bit for bit, format and count.
 func FuzzMulDenseDense(f *testing.F) {
+	// Mat-vecs (p = 1) around the vector loop's eight rows and four k, with
+	// a non-finite x, into a fresh and a dirty destination.
+	for _, n := range []int{8, 9, 16, 17, 79} {
+		for _, k := range []int{1, 3, 5, 599} {
+			for _, dirtyDst := range []bool{false, true} {
+				f.Add(int64(n*k), uint16(n-1), uint16(k-1), uint16(0), uint8(n%3), uint8(1+k%7), dirtyDst)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, rows, inner, cols uint16, zeros, nonFinite uint8, dirtyDst bool) {
 		n, k, p := 1+int(rows)%80, 1+int(inner)%600, 1+int(cols)%80
 		rng := rand.New(rand.NewSource(seed))
@@ -320,9 +329,14 @@ func TestMulZeroSkipAndSignedZero(t *testing.T) {
 			}
 		}
 	}
-	// 0·Inf skipped in the mat-vec path too.
-	mv := NewDenseData(5, 2, []float64{0, 1, 0, 2, 0, 3, 0, 4, 0, 5}).Mul(NewDenseData(2, 1, []float64{inf, 1}))
-	for i := 0; i < 5; i++ {
+	// 0·Inf skipped in the mat-vec path too: in a group of eight rows and in
+	// the rows left over.
+	rows := make([]float64, 0, 22)
+	for i := 0; i < 11; i++ {
+		rows = append(rows, 0, float64(i+1))
+	}
+	mv := NewDenseData(11, 2, rows).Mul(NewDenseData(2, 1, []float64{inf, 1}))
+	for i := 0; i < 11; i++ {
 		if mv.At(i, 0) != float64(i+1) {
 			t.Fatalf("mat-vec row %d = %v", i, mv.At(i, 0))
 		}

@@ -1,9 +1,10 @@
 package matrix
 
-// The AVX2 loops of simd_amd64.s: the update tails' (deferred.go) and the
-// groups of four k of the row accumulates (mul.go). Each runs the first
-// len(out)&^3 cells of its output row; the caller runs the rest with the Go
-// loop, which stays the reference, and slices every operand to what the
+// The AVX2 loops of simd_amd64.s: the update tails' (deferred.go), the
+// groups of four k of the row accumulates and the mat-vec (mul.go). Each
+// tail and accumulate runs the first len(out)&^3 cells of its output row,
+// the mat-vec the first len(o)&^7 rows; the caller runs the rest with the
+// Go loop, which stays the reference, and slices every operand to what the
 // loop reads, so that an index out of range panics in Go before it is read.
 
 // vectorLoops is whether the AVX2 loops may run: decided once, from CPUID —
@@ -48,3 +49,6 @@ func mulRowAVX2(o, a []float64, nz []int32, b []float64, stride int)
 
 //go:noescape
 func mulRowPairAVX2(o0, o1, a0, a1, b []float64, stride int)
+
+//go:noescape
+func mulMatVecAVX2(o, a, x []float64)

@@ -1,9 +1,10 @@
 #include "textflag.h"
 
 // AVX2 forms of the loops whose cells are independent along a row (see
-// simd_amd64.go). Each runs the first len(out)&^3 cells, four to a YMM
-// register, and applies to every lane the statements of its Go loop in their
-// order: VMULPD, VADDPD and VSUBPD round a lane as MULSD, ADDSD and SUBSD
+// simd_amd64.go), and of the mat-vec, whose rows are. Each runs the first
+// len(out)&^3 cells, four to a YMM register (the mat-vec: len(o)&^7 rows,
+// one to a lane), and applies to every lane the statements of its Go loop in
+// their order: VMULPD, VADDPD and VSUBPD round a lane as MULSD, ADDSD and SUBSD
 // round a scalar, no multiply-add is fused, and 0 + x·y keeps its addition
 // of +0. A nonzero count adds the lanes VCMPPD marks NEQ_UQ against +0 —
 // true for NaN and false for ±0, as Go's v != 0 — by subtracting the
@@ -289,5 +290,123 @@ pairloop:
 	JNZ  pairgroup
 
 pairdone:
+	VZEROUPPER
+	RET
+
+// STEP adds the column C, times the broadcast X, into ACC where C's lane is
+// not ±0, and adds +0 where it is: VCMPPD NEQ_UQ marks the lanes to keep
+// (NaN among them, as Go's av != 0) and VANDPD clears the product's others.
+// C and Y15 are clobbered; Y2 holds +0.
+#define STEP(C, X, ACC) \
+	VCMPPD $4, Y2, C, Y15 \
+	VMULPD X, C, C        \
+	VANDPD Y15, C, C      \
+	VADDPD C, ACC, ACC
+
+// QUAD adds four k of four rows into ACC, one row to a lane: it loads the
+// four cells of each row (R0…R3), transposes the 4×4 block into columns, and
+// steps through the columns in k order against the broadcasts Y3…Y6.
+// Y7…Y15 are clobbered.
+#define QUAD(R0, R1, R2, R3, ACC) \
+	VMOVUPD    R0, Y7               \
+	VMOVUPD    R1, Y8               \
+	VMOVUPD    R2, Y9               \
+	VMOVUPD    R3, Y10              \
+	VUNPCKLPD  Y8, Y7, Y11          \
+	VUNPCKHPD  Y8, Y7, Y12          \
+	VUNPCKLPD  Y10, Y9, Y13         \
+	VUNPCKHPD  Y10, Y9, Y14         \
+	VPERM2F128 $0x20, Y13, Y11, Y7  \
+	VPERM2F128 $0x20, Y14, Y12, Y8  \
+	VPERM2F128 $0x31, Y13, Y11, Y9  \
+	VPERM2F128 $0x31, Y14, Y12, Y10 \
+	STEP(Y7, Y3, ACC)               \
+	STEP(Y8, Y4, ACC)               \
+	STEP(Y9, Y5, ACC)               \
+	STEP(Y10, Y6, ACC)
+
+// GATHER loads one k of four rows (R0…R3) into the lanes of Y7, using X8.
+#define GATHER(R0, R1, R2, R3) \
+	VMOVSD      R0, X7         \
+	VMOVHPD     R1, X7, X7     \
+	VMOVSD      R2, X8         \
+	VMOVHPD     R3, X8, X8     \
+	VINSERTF128 $1, X8, Y7, Y7
+
+// func mulMatVecAVX2(o, a, x []float64)
+//
+// For each group of eight rows (len(o)/8 groups): o[i] = the sum, from +0 and
+// for k ascending, of a[i·len(x)+k]·x[k] over the k where that cell of a is
+// not ±0. Rows 0–3 of a group accumulate in Y0 and rows 4–7 in Y1, both
+// chains in flight at once. R10, R11 and R12 walk rows 0, 3 and 6 along k;
+// the others are those plus one, two or four rows (R9 bytes each).
+TEXT ·mulMatVecAVX2(SB), NOSPLIT, $0-72
+	MOVQ   o_base+0(FP), DI
+	MOVQ   o_len+8(FP), R8
+	SHRQ   $3, R8             // groups of eight rows
+	JZ     mvdone
+	MOVQ   a_base+24(FP), SI
+	MOVQ   x_base+48(FP), AX
+	MOVQ   x_len+56(FP), BX
+	LEAQ   (BX*8), R9         // bytes per row of a
+	MOVQ   BX, R13
+	ANDQ   $3, R13            // k past the last group of four
+	SHRQ   $2, BX             // groups of four k
+	VXORPD Y2, Y2, Y2
+
+mvrows:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   SI, R10
+	LEAQ   (SI)(R9*2), R11
+	ADDQ   R9, R11            // row 3
+	LEAQ   (R11)(R9*2), R12
+	ADDQ   R9, R12            // row 6
+	MOVQ   AX, DX
+	MOVQ   BX, CX
+	TESTQ  CX, CX
+	JZ     mvtail
+
+mvgroup:
+	VBROADCASTSD 0(DX), Y3
+	VBROADCASTSD 8(DX), Y4
+	VBROADCASTSD 16(DX), Y5
+	VBROADCASTSD 24(DX), Y6
+	QUAD((R10), (R10)(R9*1), (R10)(R9*2), (R11), Y0)
+	QUAD((R10)(R9*4), (R11)(R9*2), (R12), (R11)(R9*4), Y1)
+	ADDQ         $32, R10
+	ADDQ         $32, R11
+	ADDQ         $32, R12
+	ADDQ         $32, DX
+	DECQ         CX
+	JNZ          mvgroup
+
+mvtail:
+	MOVQ  R13, CX
+	TESTQ CX, CX
+	JZ    mvstore
+
+mvcol:
+	VBROADCASTSD (DX), Y3
+	GATHER((R10), (R10)(R9*1), (R10)(R9*2), (R11))
+	STEP(Y7, Y3, Y0)
+	GATHER((R10)(R9*4), (R11)(R9*2), (R12), (R11)(R9*4))
+	STEP(Y7, Y3, Y1)
+	ADDQ         $8, R10
+	ADDQ         $8, R11
+	ADDQ         $8, R12
+	ADDQ         $8, DX
+	DECQ         CX
+	JNZ          mvcol
+
+mvstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, DI
+	LEAQ    (SI)(R9*8), SI    // the next group's first row
+	DECQ    R8
+	JNZ     mvrows
+
+mvdone:
 	VZEROUPPER
 	RET

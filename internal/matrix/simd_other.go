@@ -26,3 +26,7 @@ func mulRowAVX2(o, a []float64, nz []int32, b []float64, stride int) {
 func mulRowPairAVX2(o0, o1, a0, a1, b []float64, stride int) {
 	panic("matrix: no vector loops")
 }
+
+func mulMatVecAVX2(o, a, x []float64) {
+	panic("matrix: no vector loops")
+}

@@ -33,10 +33,13 @@ func simdWidths() []int {
 
 // simdSlice returns n cells that start off cells into their allocation (so
 // the vector loads meet every alignment), about a third of them simdValues.
-func simdSlice(rng *rand.Rand, n, off int) []float64 {
+func simdSlice(rng *rand.Rand, n, off int) []float64 { return simdMix(rng, n, off, 3) }
+
+// simdMix is simdSlice with about one cell in every a simdValue.
+func simdMix(rng *rand.Rand, n, off, every int) []float64 {
 	v := make([]float64, off+n)[off:]
 	for i := range v {
-		if rng.Intn(3) == 0 {
+		if rng.Intn(every) == 0 {
 			v[i] = simdValues[rng.Intn(len(simdValues))]
 		} else {
 			v[i] = 4*rng.Float64() - 2
@@ -65,7 +68,8 @@ func requireSameCells(t *testing.T, ctx string, got, want []float64) {
 // multiple of 4 cells and its Go loop over the rest, and its Go loop alone
 // over every cell: the cells must agree bit for bit and the nonzero counts
 // exactly, at every width, alignment and extreme value. The accumulates run
-// inside mulRow and mulRowPair, with and without vector.
+// inside mulRow and mulRowPair, and the mat-vec inside mulMatVec (groups of
+// eight rows, the Go loop for the rest), with and without vector.
 func TestSIMDMatchesScalar(t *testing.T) {
 	if !vectorLoops {
 		t.Skip("no AVX2 on this processor (or not amd64): the Go loops are the only path")
@@ -127,6 +131,27 @@ func TestSIMDMatchesScalar(t *testing.T) {
 				mulRowPair(want, want1, a0, a1, bm, stride, false)
 				requireSameCells(t, "mulRowPair first row "+ctx, got, want)
 				requireSameCells(t, "mulRowPair second row "+ctx, got1, want1)
+			}
+		}
+	}
+
+	// The mat-vec: every row count's remainder against 8, and a stripe's
+	// rows, over every k's remainder against 4 and long k. The offset turns
+	// with the number of whole groups of eight, so each remainder meets each
+	// alignment at each k. Both operands mix in simdValues about twice a row,
+	// so that most rows stay short of NaN and a skipped 0·Inf, a kept NaN of
+	// a and a rounding each show.
+	for _, n := range append(simdWidths()[:68], 870) {
+		for _, k := range simdWidths() {
+			off := (n/8 + k) % 4
+			ctx := fmt.Sprintf("mat-vec %d rows, k %d, offset %d", n, k, off)
+			every := 3 + k/2
+			a, x := simdMix(rng, n*k, off, every), simdMix(rng, k, off, every)
+			got, want := simdSlice(rng, n, off), simdSlice(rng, n, off)
+			nnz, wantNNZ := mulMatVec(got, a, x, true), mulMatVec(want, a, x, false)
+			requireSameCells(t, ctx, got, want)
+			if nnz != wantNNZ {
+				t.Fatalf("%s: count %d, want %d", ctx, nnz, wantNNZ)
 			}
 		}
 	}
