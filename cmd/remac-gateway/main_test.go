@@ -11,6 +11,7 @@ import (
 	"remac/internal/engine"
 	"remac/internal/gateway"
 	"remac/internal/httpapi"
+	"remac/internal/resilience"
 	"remac/internal/serve"
 )
 
@@ -68,6 +69,26 @@ func TestGatewayQueryEndToEnd(t *testing.T) {
 	e := audit.Events[0]
 	if e.Tenant != "alice" || e.RequestID != "e2e-1" || e.Outcome != "ok" {
 		t.Fatalf("audit event = %+v", e)
+	}
+}
+
+// TestGatewayRejectsUnplaceableRecovery: a coded policy with more parity
+// than data groups fails the gateway's own parse, and one with more data
+// groups than the shard's cluster has workers fails in the shard's engine;
+// both reach the client as the same compile-class 400.
+func TestGatewayRejectsUnplaceableRecovery(t *testing.T) {
+	_, mux := testHandler(t, gateway.Config{})
+	for _, recovery := range []string{"coded:2,100000", "coded:7,9"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(
+			`{"algorithm":"GD","dataset":"cri1","iterations":2,"recovery":"`+recovery+`"}`)))
+		var body httpapi.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: error body is not JSON: %v", recovery, err)
+		}
+		if rec.Code != http.StatusBadRequest || body.Class != resilience.Compile.String() {
+			t.Errorf("%s = %d class %q, want a compile-class 400", recovery, rec.Code, body.Class)
+		}
 	}
 }
 

@@ -453,7 +453,7 @@ func (c *Cluster) injectLocked(from, to float64, prof profile) []FaultCharge {
 			if exp > maxBackoffDoublings {
 				exp = maxBackoffDoublings
 			}
-			delay := c.backoffBase * math.Pow(2, float64(exp))
+			delay := float64(c.backoffBase * math.Pow(2, float64(exp)))
 			retries++
 			// One in-flight task fails, so one worker's share of the
 			// operator re-runs — stages retry tasks, not themselves.

@@ -210,7 +210,7 @@ func (m *Model) localSpill(workingSet float64) Breakdown {
 // pass over a 30-40 GB input streams from one disk.
 func (m *Model) diskBacked(inputBytes float64) Breakdown {
 	share := inputBytes / float64(m.cfg.Workers())
-	budget := float64(m.cfg.DriverMemory) / 2
+	budget := float64(float64(m.cfg.DriverMemory) / 2)
 	overflow := share - budget
 	if overflow <= 0 {
 		return Breakdown{}
@@ -395,7 +395,7 @@ func (m *Model) cpmm(a, b, out sparsity.Meta, flop float64) Breakdown {
 	bd := m.compute(flop+accFlop, false)
 	shuffle := 2 * (m.bytesOf(a) + m.bytesOf(b))
 	replication := math.Min(bK, float64(m.cfg.Workers()))
-	shuffle += m.bytesOf(out) * replication
+	shuffle += float64(m.bytesOf(out) * replication)
 	bd = bd.Plus(m.transmit(cluster.Shuffle, shuffle))
 
 	// Accumulator memory pressure: every concurrent task holds a dense
@@ -405,7 +405,7 @@ func (m *Model) cpmm(a, b, out sparsity.Meta, flop float64) Breakdown {
 	// prohibitive on cri2/cri3/red3 (8.7K-20K columns) — the column-count
 	// correlation §6.2.2 reports.
 	denseOut := float64(matrix.SizeBytesFor(int(out.Rows), int(out.Cols), 1))
-	pressure := denseOut * float64(m.cfg.CoresPerNode)
+	pressure := float64(denseOut * float64(m.cfg.CoresPerNode))
 	budget := float64(m.cfg.DriverMemory) / 6
 	if pressure > budget {
 		factor := math.Min(8, 1+2*pressure/budget/3)

@@ -13,6 +13,7 @@
 package costgraph
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -163,6 +164,9 @@ type Planner struct {
 	prodCache  map[string]float64
 
 	buildTime time.Duration
+	// ctx is checked once per span of the chain DP and once per probe
+	// evaluation; its error ends the planning.
+	ctx context.Context
 }
 
 type occRef struct {
@@ -174,11 +178,19 @@ type occRef struct {
 // phase of Algorithm 1 (per-option plan evaluation happens lazily and
 // memoized inside Evaluate, which keeps the graph sparse).
 func NewPlanner(cfg Config, res *search.Result) (*Planner, error) {
+	return NewPlannerCtx(context.Background(), cfg, res)
+}
+
+// NewPlannerCtx is NewPlanner with cancellation: once ctx is done, the
+// planner's evaluations stop within one span of a chain DP, and its
+// decisions return ctx's error.
+func NewPlannerCtx(ctx context.Context, cfg Config, res *search.Result) (*Planner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	p := &Planner{
+		ctx:        ctx,
 		cfg:        cfg,
 		coords:     res.Coords,
 		options:    res.Options,
@@ -449,6 +461,9 @@ func (p *Planner) chainDP(items []item) (*OpNode, float64, error) {
 	}
 	var scratch [16]split
 	for span := 2; span <= n; span++ {
+		if err := p.ctx.Err(); err != nil {
+			return nil, 0, err
+		}
 		for i := 0; i+span-1 < n; i++ {
 			j := i + span - 1
 			// Bound every split, kept in ascending bound order (then k) by

@@ -1,6 +1,7 @@
 package costgraph
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -200,7 +201,7 @@ func checkChainDPExact(t *testing.T, seed int64, n int, mode uint8) {
 	model := cost.NewModel(cfg, sparsity.NewMemo(est))
 	g := &chainGen{rng: rand.New(rand.NewSource(seed)), model: model}
 	items := g.chain(n, mode&4 != 0)
-	p := &Planner{cfg: Config{Model: model, Iterations: 1}}
+	p := &Planner{ctx: context.Background(), cfg: Config{Model: model, Iterations: 1}}
 	wantRoot, wantCost, wantErr := referenceChainDP(p, items)
 	gotRoot, gotCost, gotErr := p.chainDP(items)
 	if (wantErr == nil) != (gotErr == nil) {
@@ -234,7 +235,7 @@ func TestChainDPTieKeepsFirstSplit(t *testing.T) {
 	for i := range items {
 		items[i] = item{lo: i, hi: i, meta: m, local: true}
 	}
-	root, _, err := (&Planner{cfg: Config{Model: model, Iterations: 1}}).chainDP(items)
+	root, _, err := (&Planner{ctx: context.Background(), cfg: Config{Model: model, Iterations: 1}}).chainDP(items)
 	if err != nil {
 		t.Fatal(err)
 	}

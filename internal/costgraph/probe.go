@@ -61,7 +61,7 @@ func (p *Planner) Probe() (*Decision, error) {
 				continue
 			}
 			sel[i] = true
-			c, err := p.EvaluateCost(sel)
+			c, err := p.probeCost(sel)
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +81,7 @@ func (p *Planner) Probe() (*Decision, error) {
 				continue
 			}
 			sel[i] = false
-			c, err := p.EvaluateCost(sel)
+			c, err := p.probeCost(sel)
 			if err != nil {
 				return nil, err
 			}
@@ -116,6 +116,15 @@ func (p *Planner) Probe() (*Decision, error) {
 		}
 	}
 	return d, nil
+}
+
+// probeCost is one evaluation of the pick or withdraw phase: memoized, so
+// most cost nothing, and the planner's context is checked before each.
+func (p *Planner) probeCost(sel []bool) (float64, error) {
+	if err := p.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return p.EvaluateCost(sel)
 }
 
 func (p *Planner) compatibleWith(sel []bool, i int) bool {

@@ -166,7 +166,7 @@ func denseWithSparsity(rng *rand.Rand, rows, cols int, s float64) *matrix.Matrix
 	cells := make([]float64, rows*cols)
 	for i := range cells {
 		if rng.Float64() < s {
-			cells[i] = 2*rng.Float64() - 1
+			cells[i] = 2*float64(rng.Float64()) - 1
 		}
 	}
 	return matrix.NewDenseData(rows, cols, cells)

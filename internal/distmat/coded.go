@@ -193,6 +193,9 @@ func (ctx *Context) encodeParity(d *DistMatrix) {
 	start := time.Now()
 	bufs := make([][]float64, p)
 	for j := range bufs {
+		if ctx.abandoned() {
+			return // uncoded: lost blocks would recover by lineage
+		}
 		bufs[j] = make([]float64, gr*cols)
 	}
 	d.data.ForEachNonzero(func(i, j int, v float64) {
@@ -200,13 +203,16 @@ func (ctx *Context) encodeParity(d *DistMatrix) {
 		lr := i - g*gr
 		for pj := 0; pj < p; pj++ {
 			if c := cp.coeffOf(pj, g); c != 0 {
-				bufs[pj][lr*cols+j] += c * v
+				bufs[pj][lr*cols+j] += float64(c * v)
 			}
 		}
 	})
 	nnz := 0
 	cp.blocks = make([]*matrix.Matrix, p)
 	for j := range bufs {
+		if ctx.abandoned() {
+			return
+		}
 		b := matrix.NewDenseData(gr, cols, bufs[j]).Compact()
 		nnz += b.NNZ()
 		cp.blocks[j] = b
@@ -231,6 +237,16 @@ func (ctx *Context) encodeParity(d *DistMatrix) {
 	ctx.apply("encode", "encode/parity", bd, []sparsity.Meta{d.vMeta}, &cp.meta, wall)
 	ctx.Cluster.AddEncodeFLOP(flop)
 	d.parity = cp
+}
+
+// abandoned reports whether the run's Done channel is closed.
+func (ctx *Context) abandoned() bool {
+	select {
+	case <-ctx.Done:
+		return true
+	default:
+		return false
+	}
 }
 
 // repairCoded settles a coded value against the worker failures since it
@@ -329,7 +345,7 @@ func (ctx *Context) decodeGroups(d *DistMatrix, erased []int) bool {
 				return
 			}
 			if c := cp.coeffOf(pj, g); c != 0 {
-				buf[(i-g*gr)*cols+j] -= c * v
+				buf[(i-g*gr)*cols+j] -= float64(c * v)
 			}
 		})
 		rhs[r] = buf
@@ -352,7 +368,7 @@ func (ctx *Context) decodeGroups(d *DistMatrix, erased []int) bool {
 			for j := 0; j < cols; j++ {
 				var x float64
 				for r := range choice {
-					x += inv[c][r] * rhs[r][lr*cols+j]
+					x += float64(inv[c][r] * rhs[r][lr*cols+j])
 				}
 				orig := d.data.At(i, j)
 				if diff := math.Abs(x - orig); diff > maxDiff {
@@ -384,8 +400,8 @@ func (ctx *Context) decodeGroups(d *DistMatrix, erased []int) bool {
 	parityBytes := fe * cost.SizeBytes(cp.meta)
 	reconBytes := fe / float64(cp.k) * cost.SizeBytes(d.vMeta)
 	sec := flop/cfg.ClusterFlops() +
-		cfg.TransmitWeight(cluster.DFS)*parityBytes +
-		cfg.TransmitWeight(cluster.Shuffle)*reconBytes
+		float64(cfg.TransmitWeight(cluster.DFS)*parityBytes) +
+		float64(cfg.TransmitWeight(cluster.Shuffle)*reconBytes)
 	var bytes [4]float64
 	bytes[cluster.DFS] = parityBytes
 	bytes[cluster.Shuffle] = reconBytes
@@ -467,7 +483,7 @@ func invertSmall(a [][]float64) [][]float64 {
 			}
 			f := m[r][col]
 			for j := col; j < 2*n; j++ {
-				m[r][j] -= f * m[col][j]
+				m[r][j] -= float64(f * m[col][j])
 			}
 		}
 	}

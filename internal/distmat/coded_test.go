@@ -101,6 +101,23 @@ func TestCodedEncodeChargedHonestly(t *testing.T) {
 	}
 }
 
+// TestCodedEncodeStopsOnceAbandoned: a run that is abandoned encodes no
+// more parity. The value it was producing stays uncoded and nothing is
+// charged for an encode that did not happen.
+func TestCodedEncodeStopsOnceAbandoned(t *testing.T) {
+	c := codedCtx(4, 6)
+	done := make(chan struct{})
+	close(done)
+	c.Done = done
+	a := scaledDataset(c, rand.New(rand.NewSource(40)))
+	if a.parity != nil {
+		t.Fatal("an abandoned run encoded parity")
+	}
+	if s := c.Cluster.Stats(); s.EncodeFLOP != 0 {
+		t.Fatalf("EncodeFLOP = %g for an encode that stopped", s.EncodeFLOP)
+	}
+}
+
 // TestCodedDecodeRecoversWithoutRecompute: erasing one data group of a
 // derived value decodes it from parity — zero RecomputeFLOP, DecodeSec
 // charged, a recovery/coded-decode span with FLOP 0 and a bounded RelErr —

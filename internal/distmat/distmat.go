@@ -43,6 +43,10 @@ type Context struct {
 	// NaNGuard selects the non-finite scan cadence (off, per iteration via
 	// GuardValue, or per charged operator).
 	NaNGuard integrity.GuardMode
+	// Done, when non-nil, is closed once the run is abandoned: work that
+	// holds no operator's result (a parity encode) stops there, and the
+	// caller returns its cancellation at its next check.
+	Done <-chan struct{}
 
 	// failEpoch counts worker-failure events observed so far. Every
 	// DistMatrix remembers the epoch at which it was last fully resident;
@@ -167,6 +171,9 @@ type DistMatrix struct {
 	temp  bool
 	holds int         // holders of a value the run made (ownership.go)
 	fused *DistMatrix // the transpose TransposeFused keeps with d
+	// input marks a value Read wrapped: its matrix outlives the run, and so
+	// does the transpose the matrix carries (TransposeFused).
+	input bool
 	// expr is the payload of a deferred value (deferred.go): data stays nil
 	// until force evaluates it. owned lists the buffers of the temporaries the
 	// expression took over, which go to the free list once it is evaluated;
@@ -194,6 +201,7 @@ func New(ctx *Context, m *matrix.Matrix, vRows, vCols int64) *DistMatrix {
 // the per-worker block assignment for work-balance accounting (Fig 12/13).
 func Read(ctx *Context, m *matrix.Matrix, vRows, vCols int64) *DistMatrix {
 	d := New(ctx, m, vRows, vCols)
+	d.input = true
 	if !d.local {
 		meta := d.Meta()
 		bd := ctx.Model.DFSRead(meta)
@@ -408,16 +416,23 @@ func (d *DistMatrix) Transpose() *DistMatrix {
 // (SystemDS rewrites t(A) %*% x into a transpose-fused matrix multiply
 // rather than materializing t(A)), and the cost model prices the fused
 // multiply on the transposed metadata. The transpose is kept, and retired,
-// with d: the kernel runs once per value.
+// with d: the kernel runs once per value. An input's transpose rides on its
+// matrix (matrix.Transposed), so the kernel runs once per input across runs;
+// it has no holder here, and no free list ever gets its buffer.
 func (d *DistMatrix) TransposeFused() *DistMatrix {
 	if d.fused == nil {
 		d.repair()
 		m := d.force()
+		// Uncharged: the fused view inherits its parent's lineage.
+		meta := sparsity.MNC{}.Transpose(d.vMeta)
+		if d.input {
+			d.fused = d.derive(m.Transposed(), meta, d.local, d.prod)
+			return d.fused
+		}
 		dst := d.ctx.dest(m.Rows() * m.Cols())
-		// Uncharged: the fused view inherits its parent's lineage; d holds it.
-		d.fused = d.derive(m.TransposeInto(dst), sparsity.MNC{}.Transpose(d.vMeta), d.local, d.prod)
+		d.fused = d.derive(m.TransposeInto(dst), meta, d.local, d.prod)
 		d.ctx.release(d.fused.data, dst)
-		d.fused.holds = 1
+		d.fused.holds = 1 // d holds it
 	}
 	return d.fused
 }

@@ -175,12 +175,15 @@ func RunWithOptions(goCtx context.Context, c *opt.Compiled, inputs map[string]In
 }
 
 func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input, rec *trace.Recorder, opts RunOptions) (*executor, error) {
-	rp, err := opts.Recovery.Normalize()
+	rp, err := opts.Recovery.On(c.Config.Cluster)
 	if err != nil {
 		return nil, err
 	}
 	cl := cluster.New(c.Config.Cluster)
 	ctx := distmat.NewContext(cl)
+	if goCtx != nil {
+		ctx.Done = goCtx.Done()
+	}
 	ctx.Recorder = rec
 	ctx.Verify = opts.Verify
 	ctx.NaNGuard = opts.NaNGuard

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"remac/internal/cluster"
 	"remac/internal/distmat"
 )
 
@@ -54,7 +55,9 @@ func (e *RecoveryPolicyError) Error() string { return "engine: recovery policy: 
 
 // Normalize validates the policy and fills coded defaults. Non-coded
 // policies must not carry code parameters; coded policies require
-// n > k >= 2.
+// n > k >= 2 and at most k parity blocks (n <= 2k): a decode reads one parity
+// block per erased data group, and a value has only k groups to erase, so
+// parity beyond k would be encoded and stored but never read.
 func (p RecoveryPolicy) Normalize() (RecoveryPolicy, error) {
 	if p.Kind != RecoverCoded {
 		if p.K != 0 || p.N != 0 {
@@ -65,10 +68,22 @@ func (p RecoveryPolicy) Normalize() (RecoveryPolicy, error) {
 	if p.K == 0 && p.N == 0 {
 		p.K, p.N = distmat.DefaultCodedK, distmat.DefaultCodedN
 	}
-	if p.K < 2 || p.N <= p.K {
-		return p, &RecoveryPolicyError{Msg: fmt.Sprintf("coded requires n > k >= 2, got k=%d n=%d", p.K, p.N)}
+	if p.K < 2 || p.N <= p.K || p.N-p.K > p.K {
+		return p, &RecoveryPolicyError{Msg: fmt.Sprintf("coded requires n > k >= 2 and n <= 2k, got k=%d n=%d", p.K, p.N)}
 	}
 	return p, nil
+}
+
+// On normalizes the policy for a run on cluster c: besides Normalize's
+// rules, a coded policy may split a value into no more data groups than c has
+// workers, since the placement homes each group on a worker of its own. With
+// both bounds, a value's parity is never larger than the value.
+func (p RecoveryPolicy) On(c cluster.Config) (RecoveryPolicy, error) {
+	p, err := p.Normalize()
+	if err == nil && p.Kind == RecoverCoded && p.K > c.Workers() {
+		err = &RecoveryPolicyError{Msg: fmt.Sprintf("coded k=%d exceeds the cluster's %d workers", p.K, c.Workers())}
+	}
+	return p, err
 }
 
 // String renders the policy in the -recovery flag syntax.

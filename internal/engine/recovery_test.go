@@ -37,7 +37,8 @@ func TestParseRecovery(t *testing.T) {
 }
 
 func TestParseRecoveryErrors(t *testing.T) {
-	for _, in := range []string{"none", "coded:", "coded:4", "coded:4;6", "coded:x,y", "coded:1,2", "coded:4,4", "coded:6,4"} {
+	for _, in := range []string{"none", "coded:", "coded:4", "coded:4;6", "coded:x,y", "coded:1,2", "coded:4,4", "coded:6,4",
+		"coded:2,5", "coded:2,100000"} {
 		_, err := ParseRecovery(in)
 		var pe *RecoveryPolicyError
 		if !errors.As(err, &pe) {
@@ -72,14 +73,23 @@ func TestPolicyString(t *testing.T) {
 }
 
 // TestRunRejectsInvalidPolicy: RunWithOptions validates the policy before
-// doing any work and surfaces the typed error.
+// doing any work and surfaces the typed error — for a code of more data
+// groups than the compiled plan's cluster has workers too.
 func TestRunRejectsInvalidPolicy(t *testing.T) {
 	c := compileFor(t, algorithms.GD, "cri1", opt.Aggressive)
-	_, err := RunWithOptions(context.Background(), c, inputsFor(t, algorithms.GD, "cri1"), nil,
-		RunOptions{Recovery: RecoveryPolicy{Kind: RecoverCoded, K: 6, N: 4}})
-	var pe *RecoveryPolicyError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *RecoveryPolicyError", err)
+	workers := c.Config.Cluster.Workers()
+	for _, p := range []RecoveryPolicy{
+		{Kind: RecoverCoded, K: 6, N: 4},
+		{Kind: RecoverCoded, K: workers + 1, N: workers + 2},
+	} {
+		_, err := RunWithOptions(context.Background(), c, inputsFor(t, algorithms.GD, "cri1"), nil, RunOptions{Recovery: p})
+		var pe *RecoveryPolicyError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%v: err = %v, want *RecoveryPolicyError", p, err)
+		}
+	}
+	if _, err := (RecoveryPolicy{Kind: RecoverCoded, K: workers, N: 2 * workers}).On(c.Config.Cluster); err != nil {
+		t.Fatalf("a code of one data group per worker and as much parity: %v", err)
 	}
 }
 

@@ -120,7 +120,7 @@ func (qs *quotas) admit(tenant string) (release func(), err error) {
 		b = &tenantBucket{bucket: newBucket(float64(q.Burst)), last: now}
 	}
 	if elapsed := now.Sub(b.last).Seconds(); q.QPS > 0 && elapsed > 0 {
-		b.add(elapsed * q.QPS)
+		b.add(float64(elapsed * q.QPS))
 		b.last = now
 	}
 	if q.MaxConcurrent > 0 && b.inflight >= q.MaxConcurrent {

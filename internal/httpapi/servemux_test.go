@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -118,5 +119,52 @@ func TestHostileInvalidateCardinalityIsBounded(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/invalidate?dataset=cri1", nil))
 	if rec.Code != http.StatusOK || srv.DatasetVersion("cri1") != 1 {
 		t.Fatalf("POST /invalidate?dataset=cri1 = %d, version %d", rec.Code, srv.DatasetVersion("cri1"))
+	}
+}
+
+// TestHostileRecoveryIsBounded (shard front-end): the coded (k, n) of a
+// query's recovery policy is a client-supplied size, and the parity of every
+// value the run makes is allocated by it. Parity beyond k blocks, or more data
+// groups than the cluster has workers, is a typed 400 — at parse time, or
+// from the engine once the query's cluster is known — that returns within
+// its wall bound and allocates next to nothing (coded:2,100000 used to run
+// out of memory encoding parity).
+func TestHostileRecoveryIsBounded(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	mux := NewServeMux(srv, NewQueryBuilder(engine.RecoveryPolicy{}), ServeHandlerConfig{})
+	post := func(recovery string) (*httptest.ResponseRecorder, time.Duration) {
+		body := `{"algorithm":"GD","dataset":"cri1","iterations":2,"recovery":"` + recovery + `"}`
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		return rec, time.Since(start)
+	}
+	// The largest code the default cluster (six workers) takes runs, and
+	// leaves the dataset loaded and the plan cached for what follows.
+	if rec, _ := post("coded:6,12"); rec.Code != http.StatusOK {
+		t.Fatalf("coded:6,12 = %d: %s", rec.Code, rec.Body)
+	}
+	const wallBound = 2 * time.Second
+	const allocCeiling = 16 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, hostile := range []string{"coded:2,100000", "coded:2,300", "coded:4,9", "coded:7,9", "coded:1000,1001"} {
+		rec, wall := post(hostile)
+		var body ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: error body is not JSON: %v", hostile, err)
+		}
+		if rec.Code != http.StatusBadRequest || body.Class != resilience.Compile.String() {
+			t.Errorf("%s = %d class %q, want a compile-class 400", hostile, rec.Code, body.Class)
+		}
+		if wall > wallBound {
+			t.Errorf("%s took %v to reject, bound %v", hostile, wall, wallBound)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	t.Logf("the rejections allocated %.2f MB", float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+	if got := after.TotalAlloc - before.TotalAlloc; got > allocCeiling {
+		t.Errorf("rejecting the hostile policies allocated %.1f MB, ceiling %d MB", float64(got)/(1<<20), allocCeiling>>20)
 	}
 }

@@ -255,7 +255,7 @@ func (b *blockSummary) row(cols []int, vals []float64) {
 			j = cols[p]
 		}
 		h = fold(fold(h, uint64(j)), math.Float64bits(v))
-		s += v * v
+		s += float64(v * v)
 	}
 	b.add(h, s)
 }
@@ -269,19 +269,19 @@ func (b *blockSummary) denseRows(r0, r1, r2, r3 []float64) {
 	for j, v := range r0 {
 		if v != 0 {
 			h0 = fold(fold(h0, uint64(j)), math.Float64bits(v))
-			s0 += v * v
+			s0 += float64(v * v)
 		}
 		if v := r1[j]; v != 0 {
 			h1 = fold(fold(h1, uint64(j)), math.Float64bits(v))
-			s1 += v * v
+			s1 += float64(v * v)
 		}
 		if v := r2[j]; v != 0 {
 			h2 = fold(fold(h2, uint64(j)), math.Float64bits(v))
-			s2 += v * v
+			s2 += float64(v * v)
 		}
 		if v := r3[j]; v != 0 {
 			h3 = fold(fold(h3, uint64(j)), math.Float64bits(v))
-			s3 += v * v
+			s3 += float64(v * v)
 		}
 	}
 	b.add(h0, s0)
@@ -354,7 +354,7 @@ func ABFTCheck(a, b, c *matrix.Matrix) bool {
 	ca := ColumnChecksum(a) // length k: (1ᵀa)
 	lhs := make([]float64, b.Cols())
 	b.ForEachNonzero(func(i, j int, v float64) {
-		lhs[j] += ca[i] * v
+		lhs[j] += float64(ca[i] * v)
 	})
 	rhs := ColumnChecksum(c)
 	if len(lhs) != len(rhs) {
@@ -365,7 +365,7 @@ func ABFTCheck(a, b, c *matrix.Matrix) bool {
 		if math.IsNaN(d) || math.IsInf(d, 0) {
 			return false
 		}
-		if math.Abs(d) > abftAbsTol+abftRelTol*(math.Abs(lhs[j])+math.Abs(rhs[j])) {
+		if math.Abs(d) > abftAbsTol+float64(abftRelTol*(math.Abs(lhs[j])+math.Abs(rhs[j]))) {
 			return false
 		}
 	}

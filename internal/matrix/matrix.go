@@ -63,7 +63,7 @@ type Matrix struct {
 	vals   []float64
 
 	// Carried metadata. Matrices are shared across goroutines (plan,
-	// intermediate and idempotency caches), so both fields are atomics:
+	// intermediate and idempotency caches), so the fields are atomics:
 	// racing lazy fills compute and store the same value.
 	//
 	// nnz is the number of nonzero dense cells plus one; zero means "not
@@ -80,6 +80,9 @@ type Matrix struct {
 	// summary holds what the cells come to for whoever identifies or reports
 	// the matrix without them (Summary), once somebody has made the pass.
 	summary atomic.Pointer[Summary]
+	// transposed holds the transpose once asked for (Transposed): a matrix
+	// of its own that nobody writes, for as long as the cells stay as they are.
+	transposed atomic.Pointer[Matrix]
 }
 
 // Summary is a matrix reduced to what crosses a wire in its place: Digest
@@ -133,6 +136,27 @@ func (m *Matrix) invalidate() {
 	if m.summary.Load() != nil {
 		m.summary.Store(nil)
 	}
+	if m.transposed.Load() != nil {
+		m.transposed.Store(nil)
+	}
+}
+
+// Transposed returns the transpose the matrix carries, made on first use by
+// Transpose: the same cells bit for bit, dense or CSR like m, shared by every
+// caller until a cell of m changes. Callers must not write it or give its
+// buffer up as a destination. Racing first callers compute the same cells;
+// the first to publish wins.
+func (m *Matrix) Transposed() *Matrix {
+	if t := m.transposed.Load(); t != nil {
+		return t
+	}
+	t := m.TransposeInto(nil)
+	if !m.transposed.CompareAndSwap(nil, t) {
+		if won := m.transposed.Load(); won != nil {
+			return won
+		}
+	}
+	return t
 }
 
 // NewDense returns a rows×cols dense zero matrix.
@@ -303,13 +327,14 @@ func (m *Matrix) Sparsity() float64 {
 }
 
 // Clone returns a deep copy. Carried metadata comes along (the count
-// vectors are immutable, so the copy shares them).
+// vectors and the transpose are immutable, so the copy shares them).
 func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{rows: m.rows, cols: m.cols, format: m.format}
 	c.nnz.Store(m.nnz.Load())
 	c.counts.Store(m.counts.Load())
 	c.blocks.Store(m.blocks.Load())
 	c.summary.Store(m.summary.Load())
+	c.transposed.Store(m.transposed.Load())
 	if m.format == Dense {
 		c.data = append([]float64(nil), m.data...)
 		return c

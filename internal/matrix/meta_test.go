@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -186,5 +188,102 @@ func TestConcurrentMetadataReads(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// sameStorage reports whether a and b store the same cells the same way, bit
+// for bit: shape, format and every stored value (so -0 against +0 and NaN
+// payloads count), and for CSR the same structure.
+func sameStorage(a, b *Matrix) bool {
+	if a.rows != b.rows || a.cols != b.cols || a.format != b.format {
+		return false
+	}
+	bits := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if a.format == Dense {
+		return bits(a.data, b.data)
+	}
+	return slices.Equal(a.rowPtr, b.rowPtr) && slices.Equal(a.colIdx, b.colIdx) && bits(a.vals, b.vals)
+}
+
+// TestTransposedIsCarried: the transpose a matrix carries is made once, is
+// the one Transpose makes bit for bit — signed zeros, NaN and empty rows
+// included, dense and CSR — and goes when a cell changes.
+func TestTransposedIsCarried(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	negZero := math.Copysign(0, -1)
+	dense := NewDenseData(4, 3, []float64{
+		1, negZero, nan,
+		0, 0, 0, // an empty row
+		-2.5, math.Inf(1), 0,
+		0, 3, negZero,
+	})
+	// CSR with an empty row, a stored -0 and a NaN.
+	csr := NewCSR(4, 5, []int{0, 2, 2, 4, 5}, []int{0, 3, 1, 4, 2}, []float64{negZero, 7, nan, -1, 4})
+	for _, m := range []*Matrix{dense, csr} {
+		first := m.Transposed()
+		if again := m.Transposed(); again != first {
+			t.Fatalf("%v: a second call made another transpose", m.format)
+		}
+		if !sameStorage(first, m.TransposeInto(nil)) {
+			t.Fatalf("%v: the carried transpose differs from Transpose", m.format)
+		}
+		if c := m.Clone(); c.Transposed() != first {
+			t.Fatalf("%v: a clone does not share the carried transpose", m.format)
+		}
+		flipped, ok := m.FlipValueBit(1, 51)
+		if !ok {
+			t.Fatalf("%v: nothing to flip", m.format)
+		}
+		if ft := flipped.Transposed(); ft == first || !sameStorage(ft, flipped.TransposeInto(nil)) {
+			t.Fatalf("%v: FlipValueBit's copy carries its original's transpose", m.format)
+		}
+		if m.Transposed() != first {
+			t.Fatalf("%v: flipping a copy dropped the original's transpose", m.format)
+		}
+	}
+	before := dense.TransposeInto(nil)
+	first := dense.Transposed()
+	dense.Set(1, 2, 9)
+	if got := dense.Transposed(); got == first || !sameStorage(got, dense.TransposeInto(nil)) {
+		t.Fatal("Set left the old transpose carried")
+	}
+	if !sameStorage(first, before) {
+		t.Fatal("Set wrote into the transpose it dropped")
+	}
+}
+
+// TestTransposedRacingFirstCalls: callers that race to make the transpose all
+// get the one that was published.
+func TestTransposedRacingFirstCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, m := range []*Matrix{genDense(rng, 90, 70, fillZeros), RandSparse(rng, 90, 70, 0.2)} {
+		got := make([]*Matrix, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = m.Transposed()
+			}()
+		}
+		wg.Wait()
+		for g, tm := range got {
+			if tm != got[0] {
+				t.Fatalf("%v: caller %d got another transpose than caller 0", m.format, g)
+			}
+		}
+		if !sameStorage(got[0], m.TransposeInto(nil)) {
+			t.Fatalf("%v: the published transpose differs from Transpose", m.format)
+		}
 	}
 }

@@ -293,7 +293,7 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 			return nil, err
 		}
 		c.Coords = coords
-		planner, err := costgraph.NewPlanner(costgraph.Config{
+		planner, err := costgraph.NewPlannerCtx(ctx, costgraph.Config{
 			Model:      cost.NewModel(cfg.Cluster, est),
 			Iterations: cfg.Iterations,
 		}, &search.Result{Coords: coords})
@@ -301,6 +301,9 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 			return nil, err
 		}
 		c.Decision, err = planner.Decide(nil)
+		if cerr := ctx.Err(); err != nil && cerr != nil {
+			return nil, Canceled("opt: plan", cerr)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +335,7 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 		return nil, Canceled("opt: plan", err)
 	}
 	planStart := time.Now()
-	planner, err := costgraph.NewPlanner(costgraph.Config{
+	planner, err := costgraph.NewPlannerCtx(ctx, costgraph.Config{
 		Model:      cost.NewModel(cfg.Cluster, est),
 		Iterations: cfg.Iterations,
 	}, c.Search)
@@ -340,6 +343,9 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 		return nil, err
 	}
 	c.Decision, err = selectOptions(planner, c.Search, cfg)
+	if cerr := ctx.Err(); err != nil && cerr != nil {
+		return nil, Canceled("opt: plan", cerr)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -76,7 +76,7 @@ type variant struct {
 
 func variantOf(i int) variant {
 	h := uint64(fault.DeriveSeed(^chaosSeed, i))
-	v := variant{alg: algorithms.GD, iters: 2 + int(h>>1)%2}
+	v := variant{alg: algorithms.GD, iters: 2 + int((h>>1)%2)}
 	if h&1 == 1 {
 		v.alg = algorithms.DFP
 	}

@@ -123,6 +123,6 @@ func (p RetryPolicy) Backoff(queryID uint64, attempt int) time.Duration {
 		d = p.MaxBackoff
 	}
 	u := fault.Mix64Key(uint64(p.Seed), queryID, uint64(attempt))
-	frac := 0.5 + 0.5*float64(u>>11)/(1<<53)
+	frac := 0.5 + float64(0.5*float64(u>>11)/(1<<53))
 	return time.Duration(float64(d) * frac)
 }

@@ -117,8 +117,9 @@ func BlockWise(c *chain.Coordinates, est sparsity.Estimator) *Result {
 }
 
 // BlockWiseCtx is BlockWise with cancellation: the context is checked
-// between window sweeps, so an expired or cancelled compilation stops
-// promptly and returns the context's error instead of a partial result.
+// before each window size of a block's sweep, so an expired or cancelled
+// compilation stops within one sweep of one size and returns the context's
+// error instead of a partial result.
 func BlockWiseCtx(ctx context.Context, c *chain.Coordinates, est sparsity.Estimator) (*Result, error) {
 	start := time.Now()
 	res := &Result{Coords: c}
@@ -127,11 +128,11 @@ func BlockWiseCtx(ctx context.Context, c *chain.Coordinates, est sparsity.Estima
 	order := []string{}
 
 	for _, b := range c.Blocks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		n := b.Len()
 		for size := 2; size <= n; size++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			for lo := 0; lo+size-1 < n; lo++ {
 				hi := lo + size - 1
 				window := b.Atoms[lo : hi+1]

@@ -226,9 +226,9 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 		sumNumeric(sum, reflect.ValueOf(s))
 		uptime = math.Max(uptime, s.UptimeSec)
 		w := float64(s.Completed)
-		p50 += w * s.LatencyP50Sec
-		p95 += w * s.LatencyP95Sec
-		p99 += w * s.LatencyP99Sec
+		p50 += float64(w * s.LatencyP50Sec)
+		p95 += float64(w * s.LatencyP95Sec)
+		p99 += float64(w * s.LatencyP99Sec)
 		// The merged breaker state reports the worst shard: one open
 		// breaker anywhere is the operational signal that matters.
 		if worseBreakerState(s.BreakerState, m.BreakerState) {

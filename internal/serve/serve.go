@@ -782,7 +782,9 @@ func (s *Server) classify(id uint64, stage string, err error) error {
 		class = resilience.Integrity
 	case errors.Is(err, integrity.ErrNonFinite):
 		class = resilience.Numeric
-	case stage == "compile":
+	case stage == "compile", errors.As(err, new(*engine.RecoveryPolicyError)):
+		// A policy the query's cluster cannot place is the client's to fix,
+		// like a script that does not compile.
 		class = resilience.Compile
 	}
 	return &resilience.QueryError{

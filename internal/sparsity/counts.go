@@ -302,7 +302,7 @@ func bucketClasses(idx *classIndex, vals []int) []bucket {
 			if j := slot[ci]; j >= 0 {
 				// From the zero bucket this yields {c, 1} exactly.
 				b := &acc[j]
-				b.value = (b.value*b.n + float64(vals[ci])) / (b.n + 1)
+				b.value = (float64(b.value*b.n) + float64(vals[ci])) / (b.n + 1)
 				b.n++
 			}
 		}

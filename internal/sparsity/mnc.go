@@ -51,7 +51,7 @@ func (MNC) Mul(a, b Meta) Meta {
 	classB := innerB.idx.class[:len(inner.idx.class)]
 	t := 0.0
 	for k, ci := range inner.idx.class {
-		t += fa[ci] * fb[classB[k]]
+		t += float64(fa[ci] * fb[classB[k]])
 	}
 	t *= innerRep
 	coupling := t / (nnzA * nnzB)
@@ -66,7 +66,7 @@ func (MNC) Mul(a, b Meta) Meta {
 	for _, ba := range bucketsA {
 		for _, bb := range bucketsB {
 			lambda := ba.value * bb.value * coupling
-			expNNZ += ba.n * rowRep * bb.n * colRep * -math.Expm1(-lambda)
+			expNNZ += float64(ba.n * rowRep * bb.n * colRep * -math.Expm1(-lambda))
 		}
 	}
 	cells := float64(a.Rows) * float64(b.Cols)
@@ -130,7 +130,7 @@ func propagateMulRows(rows *Counts, opposite []bucket, oppositeRep, coupling flo
 		}
 		exp := 0.0
 		for _, b := range opposite {
-			exp += b.n * oppositeRep * -math.Expm1(-float64(rc)*b.value*coupling)
+			exp += float64(b.n * oppositeRep * -math.Expm1(-float64(rc)*b.value*coupling))
 		}
 		if exp > float64(dimCap) {
 			exp = float64(dimCap)
@@ -148,7 +148,7 @@ func transposeMeta(a Meta) Meta {
 // dimension.
 func (MNC) Add(a, b Meta) Meta {
 	checkSameDims(a, b, "Add")
-	s := a.Sparsity + b.Sparsity - a.Sparsity*b.Sparsity
+	s := a.Sparsity + b.Sparsity - float64(a.Sparsity*b.Sparsity)
 	out := MetaDims(a.Rows, a.Cols, s)
 	var total int
 	out.RowCounts, total = unionCounts(a.RowCounts, b.RowCounts, int(a.Cols))

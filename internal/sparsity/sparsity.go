@@ -31,7 +31,7 @@ type Meta struct {
 }
 
 // NNZ returns the estimated number of nonzeros.
-func (m Meta) NNZ() float64 { return float64(m.Rows) * float64(m.Cols) * m.Sparsity }
+func (m Meta) NNZ() float64 { return float64(float64(m.Rows) * float64(m.Cols) * m.Sparsity) }
 
 // Valid reports whether the descriptor is structurally sound.
 func (m Meta) Valid() error {
@@ -132,14 +132,14 @@ func (Metadata) Name() string { return "MD" }
 func (Metadata) Mul(a, b Meta) Meta {
 	checkMulDims(a, b)
 	k := float64(a.Cols)
-	s := 1 - math.Pow(1-a.Sparsity*b.Sparsity, k)
+	s := 1 - math.Pow(1-float64(a.Sparsity*b.Sparsity), k)
 	return MetaDims(a.Rows, b.Cols, s)
 }
 
 // Add implements Estimator: structural union under independence.
 func (Metadata) Add(a, b Meta) Meta {
 	checkSameDims(a, b, "Add")
-	s := a.Sparsity + b.Sparsity - a.Sparsity*b.Sparsity
+	s := a.Sparsity + b.Sparsity - float64(a.Sparsity*b.Sparsity)
 	return MetaDims(a.Rows, a.Cols, s)
 }
 
