@@ -21,7 +21,7 @@ func main() {
 	workload := flag.String("workload", "DFP", "workload: GD, DFP, BFGS, GNMF, PartialDFP")
 	dsName := flag.String("dataset", "cri2", "dataset name")
 	strategy := flag.String("strategy", "adaptive", "planning strategy")
-	estimator := flag.String("estimator", "MNC", "MD, MNC, Sample")
+	estimator := flag.String("estimator", "MNC", "MD or MNC")
 	nodes := flag.Int("nodes", 0, "cluster size override (0 = default profile; one node hosts the driver)")
 	flag.Parse()
 

@@ -21,7 +21,7 @@ func main() {
 	workload := flag.String("workload", "DFP", "workload: GD, DFP, BFGS, GNMF, PartialDFP")
 	dsName := flag.String("dataset", "cri2", "dataset: cri1..3, red1..3, zipf-0.0..zipf-2.8")
 	strategy := flag.String("strategy", "adaptive", "none, explicit, conservative, aggressive, automatic, adaptive")
-	estimator := flag.String("estimator", "MNC", "MD, MNC, Sample")
+	estimator := flag.String("estimator", "MNC", "MD or MNC")
 	iterations := flag.Int("iterations", 0, "loop trip count (0 = workload default)")
 	singleNode := flag.Bool("single-node", false, "use the single-node cluster profile")
 	nodes := flag.Int("nodes", 0, "cluster size override (0 = profile default; one node hosts the driver)")

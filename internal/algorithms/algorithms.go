@@ -69,15 +69,6 @@ func MustProgram(n Name, iterations int) *lang.Program {
 	return lang.MustParse(src)
 }
 
-// Reads returns the dataset symbols a workload reads: the design matrix A
-// plus per-algorithm extras.
-func Reads(n Name) []string {
-	if n == GNMF {
-		return []string{"V", "W0", "H0"}
-	}
-	return []string{"A", "b", "H0", "x0"}
-}
-
 // gdScript is plain gradient descent: x ← x − α·Aᵀ(Ax − b).
 // AᵀA and Aᵀb are the implicit loop-constant subexpressions §6.2.2
 // discusses: rewriting the gradient as (AᵀA)x − (Aᵀb) trades per-iteration

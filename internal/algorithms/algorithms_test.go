@@ -84,3 +84,12 @@ func TestUnknownWorkload(t *testing.T) {
 		t.Fatal("unknown workload accepted")
 	}
 }
+
+// Reads returns the dataset symbols a workload reads: the design matrix A
+// plus per-algorithm extras.
+func Reads(n Name) []string {
+	if n == GNMF {
+		return []string{"V", "W0", "H0"}
+	}
+	return []string{"A", "b", "H0", "x0"}
+}

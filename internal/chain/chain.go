@@ -6,6 +6,7 @@
 package chain
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -210,6 +211,16 @@ func (e *extractor) additive(n *plan.Node, negated bool, group int) error {
 	}
 }
 
+// MaxBlockAtoms caps the atoms of one block. The planner's work on a block
+// grows as the cube of its length (the chain DP prices every split of every
+// span): on cri1's shapes a 65-atom block compiles in 6–20 ms, a 257-atom
+// one in 0.5–1.4 s. The longest block of the algorithm catalogue has 10.
+const MaxBlockAtoms = 64
+
+// ErrBlockTooLong is the error Extract wraps when a block exceeds
+// MaxBlockAtoms: the script is the client's to fix, not the planner's.
+var ErrBlockTooLong = errors.New("chain: multiplication chain too long")
+
 // chainBlock flattens a multiplication spine into a block of atoms.
 func (e *extractor) chainBlock(n *plan.Node, negated bool, group int) error {
 	b := &Block{ID: len(e.c.Blocks), Group: group, Negated: negated, Origin: n}
@@ -219,6 +230,9 @@ func (e *extractor) chainBlock(n *plan.Node, negated bool, group int) error {
 	if len(b.Atoms) == 0 {
 		// Pure scalar chain (all factors scalar) — nothing to search.
 		return nil
+	}
+	if len(b.Atoms) > MaxBlockAtoms {
+		return fmt.Errorf("%w: %d matrix factors, at most %d", ErrBlockTooLong, len(b.Atoms), MaxBlockAtoms)
 	}
 	e.c.Blocks = append(e.c.Blocks, b)
 	return nil

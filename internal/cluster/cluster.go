@@ -345,27 +345,6 @@ func (c *Cluster) ChargeProfile(flop, computeSec, transmitSec float64, bytes []f
 	c.charge(prof)
 }
 
-// ChargeCompute adds flop to the accumulator, timed at distributed or local
-// speed.
-func (c *Cluster) ChargeCompute(flop float64, local bool) {
-	speed := c.cfg.ClusterFlops()
-	if local {
-		speed = c.cfg.LocalFlops()
-	}
-	c.charge(profile{flop: flop, computeSec: flop / speed, countOp: true})
-}
-
-// ChargeTransmit adds a transmission of the given volume.
-func (c *Cluster) ChargeTransmit(p Primitive, bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	var prof profile
-	prof.bytes[p] = bytes
-	prof.transmitSec = c.cfg.TransmitWeight(p) * bytes
-	c.charge(prof)
-}
-
 // charge applies one priced profile and, when a fault plan is attached,
 // fires the events falling inside the charge's clock window. The injection
 // window is measured on the work clock (compute + transmit, excluding

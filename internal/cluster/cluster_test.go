@@ -357,3 +357,24 @@ func TestStatsSnapshotIsolation(t *testing.T) {
 		t.Fatal("snapshots share backing storage")
 	}
 }
+
+// ChargeCompute adds flop to the accumulator, timed at distributed or local
+// speed.
+func (c *Cluster) ChargeCompute(flop float64, local bool) {
+	speed := c.cfg.ClusterFlops()
+	if local {
+		speed = c.cfg.LocalFlops()
+	}
+	c.charge(profile{flop: flop, computeSec: flop / speed, countOp: true})
+}
+
+// ChargeTransmit adds a transmission of the given volume.
+func (c *Cluster) ChargeTransmit(p Primitive, bytes float64) {
+	if bytes <= 0 {
+		return
+	}
+	var prof profile
+	prof.bytes[p] = bytes
+	prof.transmitSec = c.cfg.TransmitWeight(p) * bytes
+	c.charge(prof)
+}

@@ -547,20 +547,6 @@ func (m *Model) Sum(a sparsity.Meta, aLocal bool) (sparsity.Meta, Breakdown, boo
 	return out, bd, true
 }
 
-// Collect returns the cost of pulling a distributed value into the driver.
-func (m *Model) Collect(a sparsity.Meta) Breakdown {
-	bd := m.transmit(cluster.Collect, m.bytesOf(a))
-	bd.Method = CollectOp
-	return bd
-}
-
-// Broadcast returns the cost of pushing a local value to every executor.
-func (m *Model) Broadcast(a sparsity.Meta) Breakdown {
-	bd := m.transmit(cluster.Broadcast, m.bytesOf(a))
-	bd.Method = BMM
-	return bd
-}
-
 // DFSRead returns the cost of reading a matrix from the distributed
 // filesystem and partitioning it (the input-partition phase of Fig 12: a
 // dfs read plus a shuffle into hash partitions).

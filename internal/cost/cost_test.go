@@ -417,3 +417,17 @@ func TestMulLowerBoundBelowCharge(t *testing.T) {
 		}
 	}
 }
+
+// Collect returns the cost of pulling a distributed value into the driver.
+func (m *Model) Collect(a sparsity.Meta) Breakdown {
+	bd := m.transmit(cluster.Collect, m.bytesOf(a))
+	bd.Method = CollectOp
+	return bd
+}
+
+// Broadcast returns the cost of pushing a local value to every executor.
+func (m *Model) Broadcast(a sparsity.Meta) Breakdown {
+	bd := m.transmit(cluster.Broadcast, m.bytesOf(a))
+	bd.Method = BMM
+	return bd
+}

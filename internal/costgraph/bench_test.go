@@ -1,6 +1,7 @@
 package costgraph
 
 import (
+	"context"
 	"testing"
 
 	"remac/internal/chain"
@@ -48,7 +49,7 @@ func (c *countingMNC) reportProducts(b *testing.B) {
 // view of the estimator behind the cost model.
 func mncPlanner(b *testing.B, sr *search.Result, est *countingMNC) *Planner {
 	b.Helper()
-	p, err := NewPlanner(Config{
+	p, err := NewPlanner(context.Background(), Config{
 		Model:      cost.NewModel(cluster.DefaultConfig(), sparsity.NewMemo(est)),
 		Iterations: 3,
 	}, sr)

@@ -176,15 +176,10 @@ type occRef struct {
 
 // NewPlanner builds the cost graph for a searched program: the building
 // phase of Algorithm 1 (per-option plan evaluation happens lazily and
-// memoized inside Evaluate, which keeps the graph sparse).
-func NewPlanner(cfg Config, res *search.Result) (*Planner, error) {
-	return NewPlannerCtx(context.Background(), cfg, res)
-}
-
-// NewPlannerCtx is NewPlanner with cancellation: once ctx is done, the
-// planner's evaluations stop within one span of a chain DP, and its
+// memoized inside Evaluate, which keeps the graph sparse). Once ctx is done,
+// the planner's evaluations stop within one span of a chain DP, and its
 // decisions return ctx's error.
-func NewPlannerCtx(ctx context.Context, cfg Config, res *search.Result) (*Planner, error) {
+func NewPlanner(ctx context.Context, cfg Config, res *search.Result) (*Planner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -219,29 +214,6 @@ func (p *Planner) Options() []*search.Option { return p.options }
 
 // Conflicts exposes the pairwise conflict matrix.
 func (p *Planner) Conflicts() [][]bool { return p.conflicts }
-
-// CompatibleSet reports whether the selection is pairwise conflict-free.
-func (p *Planner) CompatibleSet(sel []bool) bool {
-	ids := p.selectedIDs(sel)
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if p.conflicts[ids[i]][ids[j]] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (p *Planner) selectedIDs(sel []bool) []int {
-	var ids []int
-	for i, s := range sel {
-		if s {
-			ids = append(ids, i)
-		}
-	}
-	return ids
-}
 
 // EvaluateCost is Evaluate without materializing plan trees, memoized per
 // block and per producer on the relevant selection fingerprint. The probing
@@ -627,9 +599,6 @@ func (p *Planner) BaselineTrees() ([]*BlockPlan, float64, error) {
 	total, plans, _, err := p.Evaluate(sel)
 	return plans, total, err
 }
-
-// BuildTime reports the building-phase wall time so far.
-func (p *Planner) BuildTime() time.Duration { return p.buildTime }
 
 // Decide packages an explicit selection into a Decision (used by the
 // conservative/aggressive/automatic strategies, which choose options by

@@ -1,6 +1,7 @@
 package costgraph
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -93,7 +94,7 @@ func plannerFor(t *testing.T, r res) *Planner {
 		Model:      cost.NewModel(cluster.DefaultConfig(), sparsity.Metadata{}),
 		Iterations: 15,
 	}
-	p, err := NewPlanner(cfg, searchedDFP(t, r))
+	p, err := NewPlanner(context.Background(), cfg, searchedDFP(t, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestConfigValidation(t *testing.T) {
 		{Model: cost.NewModel(cluster.DefaultConfig(), nil), Iterations: 0},
 	}
 	for i, cfg := range cases {
-		if _, err := NewPlanner(cfg, &search.Result{Coords: &chain.Coordinates{}}); err == nil {
+		if _, err := NewPlanner(context.Background(), cfg, &search.Result{Coords: &chain.Coordinates{}}); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}

@@ -1,6 +1,7 @@
 package costgraph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -151,7 +152,7 @@ R1 = P %*% X %*% Y %*% W + P %*% Y %*% Z %*% V
 R2 = X %*% Y %*% W %*% Q + Y %*% Z %*% V %*% Q
 `
 	sq := sparsity.MetaDims(2000, 2000, 1)
-	p, err := NewPlanner(Config{
+	p, err := NewPlanner(context.Background(), Config{
 		Model:      cost.NewModel(cluster.DefaultConfig(), sparsity.Metadata{}),
 		Iterations: 1,
 	}, searched(t, src, res{"P": sq, "Q": sq, "V": sq, "W": sq, "X": sq, "Y": sq, "Z": sq}))

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"remac/internal/algorithms"
-	"remac/internal/gateway/chaostest"
 	"remac/internal/resilience"
 	"remac/internal/serve"
 )
@@ -93,16 +92,16 @@ func TestShardKillChaosStorm(t *testing.T) {
 
 	const shards = 3
 	var slotMu sync.Mutex
-	slots := make([]*chaostest.Killable, shards)
-	mkShard := func(id string) *chaostest.Killable {
-		return chaostest.NewKillable(serve.New(serve.Config{Workers: 2, QueueDepth: 64, ShardID: id}))
+	slots := make([]*Killable, shards)
+	mkShard := func(id string) *Killable {
+		return NewKillable(serve.New(serve.Config{Workers: 2, QueueDepth: 64, ShardID: id}))
 	}
 	insts := make([]Instance, shards)
 	for i := range insts {
 		slots[i] = mkShard(fmt.Sprintf("shard-%d", i))
 		insts[i] = slots[i]
 	}
-	slot := func(i int) *chaostest.Killable {
+	slot := func(i int) *Killable {
 		slotMu.Lock()
 		defer slotMu.Unlock()
 		return slots[i]
@@ -167,7 +166,7 @@ func TestShardKillChaosStorm(t *testing.T) {
 	for cycle := 0; cycle < 3; cycle++ {
 		victim := int(chaosMix(shardChaosSeed+uint64(cycle)) % shards)
 		ejBefore := g.Stats().Ejections
-		slot(victim).Kill(chaostest.KillErrors)
+		slot(victim).Kill(KillErrors)
 
 		// Ejection within the probe budget. Passive detection racing ahead
 		// of the prober is fine — then the counter has already moved and no

@@ -316,9 +316,6 @@ func (g *Gateway) swapInstance(i int, fresh Instance) Instance {
 // prober (ProbeInterval > 0), used by tests, benches and operators.
 func (g *Gateway) ProbeNow() { g.life.probeRound() }
 
-// ShardState returns shard i's current lifecycle state.
-func (g *Gateway) ShardState(i int) ShardState { return g.life.snapshotStates()[i] }
-
 // routeKey is the ring key for a query: dataset@version, so every query
 // touching one dataset version shares a home shard (and with it the plan
 // cache, intermediate cache and MQO batches warmed by its siblings).

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"remac/internal/gateway/chaostest"
 	"remac/internal/resilience"
 	"remac/internal/serve"
 )
@@ -43,7 +42,7 @@ func (f *fakeShard) Do(ctx context.Context, q serve.Query) (*serve.QueryResult, 
 	f.deadlines = append(f.deadlines, dl)
 	f.timeouts = append(f.timeouts, q.Timeout)
 	if f.down {
-		return nil, &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: chaostest.ErrShardDown}
+		return nil, &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: ErrShardDown}
 	}
 	if f.overloaded {
 		return nil, &resilience.QueryError{Class: resilience.Overloaded, Stage: "admission", Err: serve.ErrOverloaded}

@@ -14,7 +14,7 @@ import (
 )
 
 // The goldens below were recorded at the commit before the SplitMix64
-// finalizer moved into fault.Mix64. Ring placement and chaostest.NetFault
+// finalizer moved into fault.Mix64. Ring placement and NetFault
 // rolls are what the chaos storms replay by seed, so a refactor of the mixer
 // may never move them.
 

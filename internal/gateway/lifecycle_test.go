@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"remac/internal/gateway/chaostest"
 	"remac/internal/resilience"
 )
 
@@ -170,7 +169,7 @@ func TestPassiveDetectorCountsConsecutiveInternalOnly(t *testing.T) {
 	q.Attempts = 1 // the home shard only: no failover or spill-over
 	home := g.routableOrder(q)[0]
 
-	internal := &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: chaostest.ErrShardDown}
+	internal := &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: ErrShardDown}
 	overloaded := &resilience.QueryError{Class: resilience.Overloaded, Stage: "admission", Err: errors.New("busy")}
 	canceled := &resilience.QueryError{Class: resilience.Canceled, Stage: "wait", Err: context.Canceled}
 	sent := 0
@@ -261,7 +260,7 @@ func TestLifecycleFailoverDisabled(t *testing.T) {
 	home := g.routableOrder(q)[0]
 	fakes[home].setDown(true)
 	_, err := g.Do(context.Background(), Request{Tenant: "t", Query: q})
-	if !errors.Is(err, chaostest.ErrShardDown) {
+	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("want the shard's own error, got %v", err)
 	}
 	if errors.Is(err, ErrFailoverExhausted) {
@@ -330,14 +329,14 @@ func TestLifecycleDeadlineExhaustedTyped(t *testing.T) {
 	home := scout.routableOrder(q)[0]
 	scout.Shutdown(context.Background())
 
-	hung := chaostest.NewKillable(newFakeShard("shard-hung"))
+	hung := NewKillable(newFakeShard("shard-hung"))
 	healthy := newFakeShard("shard-ok")
 	insts := make([]Instance, 2)
 	insts[home] = hung
 	insts[1-home] = healthy
 	g := NewWithInstances(cfg, insts)
 	defer g.Shutdown(context.Background())
-	hung.Kill(chaostest.KillHang)
+	hung.Kill(KillHang)
 
 	start := time.Now()
 	_, err := g.Do(context.Background(), Request{Tenant: "t", Query: q})
@@ -467,7 +466,7 @@ func TestLifecycleRejoinBlockedUntilCatchUp(t *testing.T) {
 // path.
 func TestLifecycleHangDetection(t *testing.T) {
 	inner := newFakeShard("shard-0")
-	k := chaostest.NewKillable(inner)
+	k := NewKillable(inner)
 	healthy := newFakeShard("shard-1")
 	g := NewWithInstances(Config{
 		Seed: 1, EjectAfter: 2, RejoinProbes: 1, PassiveFailures: -1,
@@ -475,7 +474,7 @@ func TestLifecycleHangDetection(t *testing.T) {
 	}, []Instance{k, healthy})
 	defer g.Shutdown(context.Background())
 
-	k.Kill(chaostest.KillHang)
+	k.Kill(KillHang)
 	g.ProbeNow()
 	if got := g.ShardState(0); got != ShardSuspect {
 		t.Fatalf("hung probe: state %v, want suspect", got)
@@ -548,3 +547,6 @@ func TestLifecycleNoRoutableShards(t *testing.T) {
 		}
 	}
 }
+
+// ShardState returns shard i's current lifecycle state.
+func (g *Gateway) ShardState(i int) ShardState { return g.life.snapshotStates()[i] }

@@ -243,7 +243,7 @@ func wireRequest(q serve.Query) (httpapi.QueryRequest, error) {
 		Algorithm:           q.Algorithm,
 		Dataset:             q.Dataset,
 		Iterations:          q.Iterations,
-		Strategy:            httpapi.StrategyName(q.Strategy),
+		Strategy:            q.Strategy.Name(),
 		MaxIterations:       q.MaxIterations,
 		Recovery:            q.Recovery.String(),
 		NoPlanCache:         q.NoPlanCache,

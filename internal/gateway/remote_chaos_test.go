@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"remac/internal/engine"
-	"remac/internal/gateway/chaostest"
 	"remac/internal/httpapi"
 	"remac/internal/resilience"
 	"remac/internal/serve"
@@ -23,7 +22,7 @@ const remoteStormSeed uint64 = 0xBAD_0C7E7
 
 // TestRemotePartitionChaosStorm drives the full remote transport through
 // a seeded network-partition storm (run under -race in CI): three real
-// remac-serve HTTP shards behind chaostest.NetFault transports injecting resets,
+// remac-serve HTTP shards behind NetFault transports injecting resets,
 // dropped-after-commit responses, garbled bodies and latency spikes,
 // while a controller repeatedly partitions a seeded victim, drives
 // ejection on wire evidence alone, broadcasts an invalidation the
@@ -88,7 +87,7 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 	const shards = 3
 	servers := make([]*serve.Server, shards)
 	fronts := make([]*httptest.Server, shards)
-	faults := make([]*chaostest.NetFault, shards)
+	faults := make([]*NetFault, shards)
 	budget := NewRetryBudget(256, 1)
 	insts := make([]Instance, shards)
 	for i := 0; i < shards; i++ {
@@ -98,7 +97,7 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 			servers[i], httpapi.NewQueryBuilder(engine.RecoveryPolicy{}),
 			httpapi.ServeHandlerConfig{OnQuery: countExecs(id)},
 		))
-		faults[i] = chaostest.NewNetFault(nil, chaostest.NetFaultConfig{
+		faults[i] = NewNetFault(nil, NetFaultConfig{
 			Seed:        remoteStormSeed + uint64(i),
 			ResetRate:   0.04,
 			DropRate:    0.04,
@@ -187,7 +186,7 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 	for cycle := 0; cycle < 2; cycle++ {
 		victim := int(chaosMix(remoteStormSeed+uint64(cycle)) % shards)
 		ejBefore := g.Stats().Ejections
-		faults[victim].SetPartition(chaostest.PartitionAll)
+		faults[victim].SetPartition(PartitionAll)
 
 		for r := 0; r < cfg.EjectAfter && g.Stats().Ejections == ejBefore; r++ {
 			g.ProbeNow()
@@ -214,7 +213,7 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 			t.Fatalf("cycle %d: shard %d readmitted while still partitioned", cycle, victim)
 		}
 
-		faults[victim].SetPartition(chaostest.PartitionNone)
+		faults[victim].SetPartition(PartitionNone)
 		for r := 0; r < 6 && g.ShardState(victim) != ShardHealthy; r++ {
 			g.ProbeNow()
 		}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"remac/internal/engine"
-	"remac/internal/gateway/chaostest"
 	"remac/internal/httpapi"
 	"remac/internal/resilience"
 	"remac/internal/serve"
@@ -83,7 +82,7 @@ func TestRemoteDoEndToEnd(t *testing.T) {
 // the original result and the plan executes exactly once.
 func TestRemoteDroppedResponseReplays(t *testing.T) {
 	srv, hs := startShard(t, serve.Config{Workers: 2}, httpapi.ServeHandlerConfig{})
-	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1})
+	nf := NewNetFault(nil, NetFaultConfig{Seed: 1})
 	ri := NewRemote(RemoteConfig{
 		BaseURL: hs.URL,
 		Client:  &http.Client{Transport: nf},
@@ -119,7 +118,7 @@ func TestRemoteDroppedResponseReplays(t *testing.T) {
 // hammering the wire.
 func TestRemoteRetryBudgetExhaustion(t *testing.T) {
 	_, hs := startShard(t, serve.Config{Workers: 2}, httpapi.ServeHandlerConfig{})
-	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1})
+	nf := NewNetFault(nil, NetFaultConfig{Seed: 1})
 	budget := NewRetryBudget(1, 0)
 	ri := NewRemote(RemoteConfig{
 		BaseURL: hs.URL,
@@ -180,7 +179,7 @@ func TestRemoteSendsGrantTheUnitTheyTake(t *testing.T) {
 		mux.ServeHTTP(w, r)
 	}))
 	defer hs.Close()
-	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1})
+	nf := NewNetFault(nil, NetFaultConfig{Seed: 1})
 	ri := NewRemote(RemoteConfig{BaseURL: hs.URL, Client: &http.Client{Transport: nf}})
 	defer ri.Shutdown(context.Background())
 	do := func(n int, key string) (*serve.QueryResult, error) {
@@ -215,7 +214,7 @@ func TestRemoteSendsGrantTheUnitTheyTake(t *testing.T) {
 
 	nf.ForceDropNext(10)
 	_, err = do(2, "grant-2")
-	if !resilience.IsClass(err, resilience.Internal) || !errors.Is(err, chaostest.ErrNetDropped) || len(sends) != 2 || allow.Left() != 0 {
+	if !resilience.IsClass(err, resilience.Internal) || !errors.Is(err, ErrNetDropped) || len(sends) != 2 || allow.Left() != 0 {
 		t.Fatalf("allowance of 2 against a dead wire: %d sends, %d left, err %v; want 2 sends and Internal wire exhaustion",
 			len(sends), allow.Left(), err)
 	}
@@ -256,8 +255,8 @@ func TestRemoteStatusErrorIsAuthoritative(t *testing.T) {
 // passive ejection key on.
 func TestRemoteWireExhaustionIsInternal(t *testing.T) {
 	_, hs := startShard(t, serve.Config{Workers: 2}, httpapi.ServeHandlerConfig{})
-	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1})
-	nf.SetPartition(chaostest.PartitionData)
+	nf := NewNetFault(nil, NetFaultConfig{Seed: 1})
+	nf.SetPartition(PartitionData)
 	ri := NewRemote(RemoteConfig{
 		BaseURL: hs.URL,
 		Client:  &http.Client{Transport: nf},
@@ -274,22 +273,22 @@ func TestRemoteWireExhaustionIsInternal(t *testing.T) {
 	if !resilience.IsClass(err, resilience.Internal) {
 		t.Fatalf("wire exhaustion class = %v, want Internal", err)
 	}
-	if !errors.Is(err, chaostest.ErrNetPartition) {
+	if !errors.Is(err, ErrNetPartition) {
 		t.Fatalf("root cause lost: %v", err)
 	}
 	// The probe path still works under an asymmetric data partition.
 	if hz := ri.Healthz(); !hz.OK {
-		t.Fatalf("probe path severed by chaostest.PartitionData: %+v", hz)
+		t.Fatalf("probe path severed by PartitionData: %+v", hz)
 	}
 	// Full partition severs probes too, and version reads fail to -1.
-	nf.SetPartition(chaostest.PartitionAll)
+	nf.SetPartition(PartitionAll)
 	if hz := ri.Healthz(); hz.OK {
-		t.Fatal("probe succeeded under chaostest.PartitionAll")
+		t.Fatal("probe succeeded under PartitionAll")
 	}
 	if v := ri.DatasetVersion("cri1"); v != -1 {
 		t.Fatalf("partitioned DatasetVersion = %d, want -1", v)
 	}
-	nf.SetPartition(chaostest.PartitionNone)
+	nf.SetPartition(PartitionNone)
 	if hz := ri.Healthz(); !hz.OK {
 		t.Fatalf("healed probe still failing: %+v", hz)
 	}
@@ -299,7 +298,7 @@ func TestRemoteWireExhaustionIsInternal(t *testing.T) {
 // timeout bounds the wire attempt; expiry surfaces as Canceled class.
 func TestRemoteDeadlineCarving(t *testing.T) {
 	_, hs := startShard(t, serve.Config{Workers: 1}, httpapi.ServeHandlerConfig{})
-	nf := chaostest.NewNetFault(nil, chaostest.NetFaultConfig{Seed: 1, LatencyRate: 1, Latency: 5 * time.Second})
+	nf := NewNetFault(nil, NetFaultConfig{Seed: 1, LatencyRate: 1, Latency: 5 * time.Second})
 	ri := NewRemote(RemoteConfig{
 		BaseURL:        hs.URL,
 		Client:         &http.Client{Transport: nf},
@@ -520,22 +519,22 @@ func (i *instanceFunc) Healthz() serve.Health              { return i.inner.Heal
 func (i *instanceFunc) Readyz() serve.Health               { return i.inner.Readyz() }
 func (i *instanceFunc) Shutdown(ctx context.Context) error { return i.inner.Shutdown(ctx) }
 
-// TestKillablePartition: chaostest.KillPartition fails queries with the wire
+// TestKillablePartition: KillPartition fails queries with the wire
 // taxonomy, reports partitioned probes and -1 versions, and heals with
 // shard state intact on Revive.
 func TestKillablePartition(t *testing.T) {
 	inner := newFakeShard("shard-0")
-	k := chaostest.NewKillable(inner)
+	k := NewKillable(inner)
 	defer k.Shutdown(context.Background())
 
 	k.InvalidateDataset("cri1")
-	k.Kill(chaostest.KillPartition)
+	k.Kill(KillPartition)
 	_, err := k.Do(context.Background(), gatewayQuery("cri1"))
 	if err == nil {
 		t.Fatal("partitioned killable served")
 	}
-	if !resilience.IsClass(err, resilience.Internal) || !errors.Is(err, chaostest.ErrNetPartition) {
-		t.Fatalf("want Internal/chaostest.ErrNetPartition, got %v", err)
+	if !resilience.IsClass(err, resilience.Internal) || !errors.Is(err, ErrNetPartition) {
+		t.Fatalf("want Internal/ErrNetPartition, got %v", err)
 	}
 	if hz := k.Healthz(); hz.OK || hz.Status != "partitioned" {
 		t.Fatalf("partitioned Healthz = %+v", hz)

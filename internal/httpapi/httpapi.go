@@ -117,47 +117,6 @@ func BuildResponse(res *serve.QueryResult) QueryResponse {
 	return resp
 }
 
-// ParseStrategy maps the wire strategy names onto opt strategies.
-func ParseStrategy(s string) (opt.Strategy, error) {
-	switch s {
-	case "", "adaptive":
-		return opt.Adaptive, nil
-	case "none", "no-elimination":
-		return opt.NoElimination, nil
-	case "explicit":
-		return opt.Explicit, nil
-	case "conservative":
-		return opt.Conservative, nil
-	case "aggressive":
-		return opt.Aggressive, nil
-	case "automatic":
-		return opt.Automatic, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
-}
-
-// StrategyName is the inverse of ParseStrategy: the wire name a strategy
-// travels under, so a remote transport can re-submit a built query with
-// the same elimination behavior. ParseStrategy(StrategyName(s)) == s for
-// every strategy ParseStrategy accepts.
-func StrategyName(s opt.Strategy) string {
-	switch s {
-	case opt.NoElimination:
-		return "none"
-	case opt.Explicit:
-		return "explicit"
-	case opt.Conservative:
-		return "conservative"
-	case opt.Aggressive:
-		return "aggressive"
-	case opt.Automatic:
-		return "automatic"
-	default:
-		return "adaptive"
-	}
-}
-
 // QueryBuilder resolves QueryRequests into serve.Queries over the
 // registered datasets (data.Load shares each read-only across queries).
 type QueryBuilder struct {
@@ -216,7 +175,7 @@ func (b *QueryBuilder) Build(req QueryRequest) (serve.Query, error) {
 	q.Algorithm = req.Algorithm
 	q.Dataset = req.Dataset
 	q.Iterations = iters
-	q.Strategy, err = ParseStrategy(req.Strategy)
+	q.Strategy, err = opt.ParseStrategy(req.Strategy)
 	if err != nil {
 		return q, err
 	}

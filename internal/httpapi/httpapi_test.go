@@ -144,14 +144,15 @@ func TestClassFromStringRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStrategyNameRoundTrip: ParseStrategy(StrategyName(s)) == s for every
-// strategy, so remote re-submission preserves elimination behavior.
+// TestStrategyNameRoundTrip: opt.ParseStrategy(s.Name()) == s for every
+// strategy a query can name, so remote re-submission preserves elimination
+// behavior.
 func TestStrategyNameRoundTrip(t *testing.T) {
 	for _, s := range []opt.Strategy{
 		opt.Adaptive, opt.NoElimination, opt.Explicit,
 		opt.Conservative, opt.Aggressive, opt.Automatic,
 	} {
-		back, err := ParseStrategy(StrategyName(s))
+		back, err := opt.ParseStrategy(s.Name())
 		if err != nil {
 			t.Fatalf("strategy %v: %v", s, err)
 		}

@@ -13,10 +13,56 @@ import (
 	"testing"
 	"time"
 
+	"remac/internal/chain"
 	"remac/internal/engine"
 	"remac/internal/resilience"
 	"remac/internal/serve"
 )
+
+// TestLongChainIsBounded: a script whose multiplication chain has more than
+// chain.MaxBlockAtoms factors is a compile-class 400 before the planner
+// prices it, and one at the cap compiles and runs.
+func TestLongChainIsBounded(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	mux := NewServeMux(srv, NewQueryBuilder(engine.RecoveryPolicy{}), ServeHandlerConfig{})
+	// post sends x = … %*% t(A) %*% b, atoms factors in all: A and t(A)
+	// alternate so that every product is defined and the result is a vector.
+	post := func(atoms int) (*httptest.ResponseRecorder, time.Duration) {
+		factors := make([]string, atoms-1)
+		for i := range factors {
+			factors[i] = "t(A)"
+			if (atoms-1-i)%2 == 0 {
+				factors[i] = "A"
+			}
+		}
+		script := "A = read(\"A\")\nb = read(\"b\")\nx = " + strings.Join(factors, " %*% ") + " %*% b\n"
+		body, err := json.Marshal(QueryRequest{Dataset: "cri1", Script: script})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(string(body))))
+		return rec, time.Since(start)
+	}
+	if rec, _ := post(chain.MaxBlockAtoms); rec.Code != http.StatusOK {
+		t.Fatalf("%d atoms = %d: %s", chain.MaxBlockAtoms, rec.Code, rec.Body)
+	}
+	for _, atoms := range []int{chain.MaxBlockAtoms + 1, 1001} {
+		rec, wall := post(atoms)
+		var body ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%d atoms: error body is not JSON: %v", atoms, err)
+		}
+		if rec.Code != http.StatusBadRequest || body.Class != resilience.Compile.String() {
+			t.Errorf("%d atoms = %d class %q, want a compile-class 400: %s", atoms, rec.Code, body.Class, rec.Body)
+		}
+		if wall > time.Second {
+			t.Errorf("%d atoms took %v to reject", atoms, wall)
+		}
+	}
+}
 
 // TestAttemptsLeftHeaderBoundsTheShard: X-Attempts-Left is the allowance
 // the sender grants. A gateway's send carries 1, and then the plan executes

@@ -122,47 +122,6 @@ var Builtins = map[string]int{ // name -> arity
 	"abs":       1,
 }
 
-// Reads returns the dataset names the program reads, in order of first
-// appearance.
-func (p *Program) Reads() []string {
-	seen := map[string]bool{}
-	var names []string
-	var visitExpr func(Expr)
-	visitExpr = func(e Expr) {
-		switch e := e.(type) {
-		case *Bin:
-			visitExpr(e.L)
-			visitExpr(e.R)
-		case *Un:
-			visitExpr(e.X)
-		case *Call:
-			if e.Fn == "read" && len(e.Args) == 1 {
-				if s, ok := e.Args[0].(*Str); ok && !seen[s.V] {
-					seen[s.V] = true
-					names = append(names, s.V)
-				}
-			}
-			for _, a := range e.Args {
-				visitExpr(a)
-			}
-		}
-	}
-	var visitStmts func([]Stmt)
-	visitStmts = func(stmts []Stmt) {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *Assign:
-				visitExpr(s.Expr)
-			case *While:
-				visitExpr(s.Cond)
-				visitStmts(s.Body)
-			}
-		}
-	}
-	visitStmts(p.Stmts)
-	return names
-}
-
 // Loop returns the program's single while loop and the statements before
 // and after it. Programs with no loop return nil for the loop.
 func (p *Program) Loop() (pre []Stmt, loop *While, post []Stmt) {
@@ -190,28 +149,5 @@ func AssignedIn(stmts []Stmt) map[string]bool {
 		}
 	}
 	walk(stmts)
-	return out
-}
-
-// RefsIn returns the set of variable names referenced by an expression.
-func RefsIn(e Expr) map[string]bool {
-	out := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch e := e.(type) {
-		case *Ref:
-			out[e.Name] = true
-		case *Bin:
-			walk(e.L)
-			walk(e.R)
-		case *Un:
-			walk(e.X)
-		case *Call:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
 	return out
 }

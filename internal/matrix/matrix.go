@@ -41,13 +41,6 @@ func (f Format) String() string {
 // format if S > 0.4".
 const DenseThreshold = 0.4
 
-// CSRThreshold is the sparsity above which a sparse matrix uses CSR rather
-// than an ultra-sparse coordinate encoding (paper: 0.0004 < S <= 0.4 uses
-// compressed sparse rows). We use CSR for everything at or below
-// DenseThreshold; the size model in SizeBytes still distinguishes the
-// ultra-sparse regime.
-const CSRThreshold = 0.0004
-
 // Matrix is a two-dimensional float64 matrix in either dense or CSR format.
 // The zero value is not usable; use the constructors.
 type Matrix struct {

@@ -80,6 +80,49 @@ func (s Strategy) String() string {
 	}
 }
 
+// strategyNames is the one table of the strategies a query can name: the
+// names travel on the wire and are the public remac.Strategy values.
+var strategyNames = []struct {
+	name     string
+	strategy Strategy
+}{
+	{"none", NoElimination},
+	{"explicit", Explicit},
+	{"conservative", Conservative},
+	{"aggressive", Aggressive},
+	{"automatic", Automatic},
+	{"adaptive", Adaptive},
+}
+
+// ParseStrategy returns the strategy a name selects; the empty name is
+// Adaptive, and an unknown one is an error listing the accepted names.
+func ParseStrategy(name string) (Strategy, error) {
+	if name == "" {
+		return Adaptive, nil
+	}
+	for _, e := range strategyNames {
+		if e.name == name {
+			return e.strategy, nil
+		}
+	}
+	names := make([]string, len(strategyNames))
+	for i, e := range strategyNames {
+		names[i] = e.name
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want one of %s)", name, strings.Join(names, ", "))
+}
+
+// Name is the name ParseStrategy takes back to s. A strategy no query can
+// name (SPORESLike, Manual) is named as the default, Adaptive.
+func (s Strategy) Name() string {
+	for _, e := range strategyNames {
+		if e.strategy == s {
+			return e.name
+		}
+	}
+	return "adaptive"
+}
+
 // Combiner selects the adaptive combination algorithm (Fig 10's DP vs Enum).
 type Combiner int
 
@@ -293,7 +336,7 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 			return nil, err
 		}
 		c.Coords = coords
-		planner, err := costgraph.NewPlannerCtx(ctx, costgraph.Config{
+		planner, err := costgraph.NewPlanner(ctx, costgraph.Config{
 			Model:      cost.NewModel(cfg.Cluster, est),
 			Iterations: cfg.Iterations,
 		}, &search.Result{Coords: coords})
@@ -335,7 +378,7 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 		return nil, Canceled("opt: plan", err)
 	}
 	planStart := time.Now()
-	planner, err := costgraph.NewPlannerCtx(ctx, costgraph.Config{
+	planner, err := costgraph.NewPlanner(ctx, costgraph.Config{
 		Model:      cost.NewModel(cfg.Cluster, est),
 		Iterations: cfg.Iterations,
 	}, c.Search)

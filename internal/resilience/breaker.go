@@ -135,17 +135,6 @@ func (b *Breaker) Counters() BreakerCounters {
 	return b.counters
 }
 
-// FailureRate returns the windowed failure rate (0 when under MinSamples).
-// Nil-safe.
-func (b *Breaker) FailureRate() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.failureRateLocked()
-}
-
 func (b *Breaker) failureRateLocked() float64 {
 	if b.filled < b.cfg.MinSamples {
 		return 0

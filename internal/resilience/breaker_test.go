@@ -185,3 +185,14 @@ func TestNilBreaker(t *testing.T) {
 		t.Fatal("nil breaker counters != zero")
 	}
 }
+
+// FailureRate returns the windowed failure rate (0 when under MinSamples).
+// Nil-safe.
+func (b *Breaker) FailureRate() float64 {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.failureRateLocked()
+}

@@ -87,16 +87,6 @@ type Result struct {
 	TimedOut bool
 }
 
-// OptionByKey returns the option with the given canonical key, or nil.
-func (r *Result) OptionByKey(key string) *Option {
-	for _, o := range r.Options {
-		if o.Key == key {
-			return o
-		}
-	}
-	return nil
-}
-
 // hit is one sliding-window observation: where, and with which atoms.
 type hit struct {
 	occ   Occurrence

@@ -394,3 +394,13 @@ func dumpOptions(r *Result) string {
 	}
 	return b.String()
 }
+
+// OptionByKey returns the option with the given canonical key, or nil.
+func (r *Result) OptionByKey(key string) *Option {
+	for _, o := range r.Options {
+		if o.Key == key {
+			return o
+		}
+	}
+	return nil
+}

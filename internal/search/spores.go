@@ -5,20 +5,13 @@ import (
 	"time"
 
 	"remac/internal/chain"
-	"remac/internal/sparsity"
 )
 
 // This file implements the SPORES-style baseline of §6.2: an equality-
 // saturation optimizer that, for long multiplication chains, falls back to
 // sampling a limited number of chain permutations/parenthesizations. It
-// finds only the common subexpressions explicit in the sampled plans, does
-// not support loop-constant elimination, and relies on a fused mmchain
-// operator limited to three-matrix chains whose middle operand has at most
-// MMChainColLimit columns.
-
-// MMChainColLimit is the default column cap of the fused mmchain operator
-// (the paper: "less than 1K in default").
-const MMChainColLimit = 1000
+// finds only the common subexpressions explicit in the sampled plans and
+// does not support loop-constant elimination.
 
 // SPORESConfig tunes the sampled search.
 type SPORESConfig struct {
@@ -108,20 +101,4 @@ func randomTree(rng *rand.Rand, lo, hi int) *treeNode {
 	}
 	k := lo + rng.Intn(hi-lo)
 	return &treeNode{lo: lo, hi: hi, l: randomTree(rng, lo, k), r: randomTree(rng, k+1, hi)}
-}
-
-// MMChainEligible reports whether the three-atom window starting at lo can
-// use the fused mmchain operator: the middle operand's column count must
-// not exceed the limit. SPORES depends on this fusion to accelerate chains
-// it cannot reorder (§6.2.2: it fails on cri3, whose dataset matrix has 15K
-// columns).
-func MMChainEligible(c *chain.Coordinates, b *chain.Block, lo int) bool {
-	if lo < 0 || lo+2 >= b.Len() {
-		return false
-	}
-	m, err := c.AtomMeta(b.Atoms[lo+1], sparsity.Metadata{})
-	if err != nil {
-		return false
-	}
-	return m.Cols <= MMChainColLimit
 }

@@ -94,7 +94,7 @@ func TestMetadataAddElemMul(t *testing.T) {
 }
 
 func TestTransposeSwapsDims(t *testing.T) {
-	for _, e := range []Estimator{Metadata{}, MNC{}, Sampling{Fraction: 0.5}} {
+	for _, e := range []Estimator{Metadata{}, MNC{}} {
 		out := e.Transpose(MetaDims(3, 7, 0.5))
 		if out.Rows != 7 || out.Cols != 3 {
 			t.Errorf("%s: transpose dims %dx%d", e.Name(), out.Rows, out.Cols)
@@ -179,33 +179,8 @@ func TestMNCAddDerivesFromCounts(t *testing.T) {
 	}
 }
 
-func TestSamplingBetweenMDAndMNC(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := matrix.ZipfSparse(rng, 200, 200, 0.03, 1.5)
-	b := matrix.ZipfSparse(rng, 200, 200, 0.03, 1.5)
-	sEst, actual := estimateVsActual(t, Sampling{Fraction: 0.25}, a, b)
-	if sEst < 0 || sEst > 1 {
-		t.Fatalf("sampling estimate out of range: %g", sEst)
-	}
-	// Sampling should not be wildly off (same order of magnitude).
-	if sEst > 0 && actual > 0 {
-		ratio := sEst / actual
-		if ratio < 0.1 || ratio > 10 {
-			t.Fatalf("sampling estimate %g vs actual %g off by >10x", sEst, actual)
-		}
-	}
-}
-
-func TestSamplingDefaultFraction(t *testing.T) {
-	s := Sampling{} // zero Fraction must not divide by zero
-	out := s.Mul(MetaDims(10, 10, 0.5), MetaDims(10, 10, 0.5))
-	if out.Sparsity < 0 || out.Sparsity > 1 {
-		t.Fatal("invalid sparsity with default fraction")
-	}
-}
-
 func TestPropEstimatesInUnitRange(t *testing.T) {
-	ests := []Estimator{Metadata{}, MNC{}, Sampling{Fraction: 0.5}}
+	ests := []Estimator{Metadata{}, MNC{}}
 	f := func(seed int64, r1, c1, c2 uint8, s1, s2 float64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, k, p := int(r1%20)+2, int(c1%20)+2, int(c2%20)+2
@@ -232,7 +207,7 @@ func TestPropEstimatesInUnitRange(t *testing.T) {
 }
 
 func TestPropEstimatorNames(t *testing.T) {
-	if (Metadata{}).Name() != "MD" || (MNC{}).Name() != "MNC" || (Sampling{}).Name() != "Sample" {
+	if (Metadata{}).Name() != "MD" || (MNC{}).Name() != "MNC" {
 		t.Fatal("estimator names changed — experiment output depends on them")
 	}
 }

@@ -16,7 +16,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -334,22 +333,6 @@ func (r *Recorder) Summary() Summary {
 	return sum
 }
 
-// Slowest returns the k operator spans with the largest simulated total
-// seconds, slowest first.
-func (r *Recorder) Slowest(k int) []Span {
-	var ops []Span
-	for _, s := range r.Spans() {
-		if !s.Group {
-			ops = append(ops, s)
-		}
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].TotalSec() > ops[j].TotalSec() })
-	if k < len(ops) {
-		ops = ops[:k]
-	}
-	return ops
-}
-
 // GroupCost aggregates the operator spans enclosed by group spans sharing a
 // label — e.g. one statement across all iterations.
 type GroupCost struct {
@@ -429,21 +412,4 @@ func (r *Recorder) GroupCosts(kind string) []GroupCost {
 		}
 	}
 	return out
-}
-
-// FormatGroupCosts renders a group-cost table (the remac-explain
-// per-statement view).
-func FormatGroupCosts(costs []GroupCost) string {
-	var b []byte
-	b = fmt.Appendf(b, "%-24s %6s %8s %12s %12s %12s\n",
-		"statement", "execs", "ops", "compute(s)", "transmit(s)", "total(s)")
-	for _, g := range costs {
-		label := g.Label
-		if label == "" {
-			label = "(outside statements)"
-		}
-		b = fmt.Appendf(b, "%-24s %6d %8d %12.3f %12.3f %12.3f\n",
-			label, g.Executions, g.Ops, g.ComputeSec, g.TransmitSec, g.TotalSec())
-	}
-	return string(b)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -98,9 +99,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	if s := r.Summary(); s.Ops != 0 {
 		t.Error("nil Summary should be empty")
 	}
-	if r.Slowest(3) != nil {
-		t.Error("nil Slowest should be nil")
-	}
 	if len(r.GroupCosts("stmt")) != 0 {
 		t.Error("nil GroupCosts should be empty")
 	}
@@ -167,21 +165,6 @@ func TestSummaryAggregatesOperatorSpansOnly(t *testing.T) {
 	}
 	if sum.ByKind[0].Ops != 2 || sum.ByKind[0].TotalSec() != 4.0 {
 		t.Errorf("mul kind stat wrong: %+v", sum.ByKind[0])
-	}
-}
-
-func TestSlowest(t *testing.T) {
-	rec := New()
-	for _, sec := range []float64{1, 5, 3, 2} {
-		rec.Record(Span{Kind: "mul", ComputeSec: sec})
-	}
-	rec.Begin("stmt", "never the slowest")
-	top := rec.Slowest(2)
-	if len(top) != 2 || top[0].ComputeSec != 5 || top[1].ComputeSec != 3 {
-		t.Fatalf("Slowest(2) = %+v", top)
-	}
-	if len(rec.Slowest(100)) != 4 {
-		t.Error("Slowest must cap at the operator span count")
 	}
 }
 
@@ -279,4 +262,21 @@ func TestRecorderConcurrentUse(t *testing.T) {
 		}
 		seen[s.ID] = true
 	}
+}
+
+// FormatGroupCosts renders a group-cost table (the remac-explain
+// per-statement view).
+func FormatGroupCosts(costs []GroupCost) string {
+	var b []byte
+	b = fmt.Appendf(b, "%-24s %6s %8s %12s %12s %12s\n",
+		"statement", "execs", "ops", "compute(s)", "transmit(s)", "total(s)")
+	for _, g := range costs {
+		label := g.Label
+		if label == "" {
+			label = "(outside statements)"
+		}
+		b = fmt.Appendf(b, "%-24s %6d %8d %12.3f %12.3f %12.3f\n",
+			label, g.Executions, g.Ops, g.ComputeSec, g.TransmitSec, g.TotalSec())
+	}
+	return string(b)
 }

@@ -47,8 +47,6 @@ const (
 	// MNC is the structure-exploiting count-sketch estimator (ReMac's
 	// reported configuration).
 	MNC Estimator = "MNC"
-	// Sample estimates from subsampled count sketches.
-	Sample Estimator = "Sample"
 )
 
 // Combiner selects how adaptive elimination combines options (Fig 10).
@@ -215,34 +213,21 @@ func Compile(script string, inputs map[string]Input, cfg Config) (*Program, erro
 // names to the planner's; the empty string is the default, and anything else
 // that is not a known name is an error naming the accepted ones.
 func strategyInternal(s Strategy) (opt.Strategy, error) {
-	switch s {
-	case NoElimination:
-		return opt.NoElimination, nil
-	case Explicit:
-		return opt.Explicit, nil
-	case Conservative:
-		return opt.Conservative, nil
-	case Aggressive:
-		return opt.Aggressive, nil
-	case Automatic:
-		return opt.Automatic, nil
-	case "", Adaptive:
-		return opt.Adaptive, nil
+	strategy, err := opt.ParseStrategy(string(s))
+	if err != nil {
+		return 0, fmt.Errorf("remac: %w", err)
 	}
-	return 0, fmt.Errorf("remac: unknown strategy %q (want %s, %s, %s, %s, %s or %s)", s,
-		NoElimination, Explicit, Conservative, Aggressive, Automatic, Adaptive)
+	return strategy, nil
 }
 
 func estimatorInternal(e Estimator) (sparsity.Estimator, error) {
 	switch e {
 	case MD:
 		return sparsity.Metadata{}, nil
-	case Sample:
-		return sparsity.Sampling{Fraction: 0.1}, nil
 	case "", MNC:
 		return sparsity.MNC{}, nil
 	}
-	return nil, fmt.Errorf("remac: unknown estimator %q (want %s, %s or %s)", e, MD, MNC, Sample)
+	return nil, fmt.Errorf("remac: unknown estimator %q (want %s or %s)", e, MD, MNC)
 }
 
 func combinerInternal(c Combiner) (opt.Combiner, error) {

@@ -143,10 +143,11 @@ func TestCompileRejectsUnknownNames(t *testing.T) {
 	}{
 		{"defaults", remac.Config{}, nil},
 		{"named defaults", remac.Config{Strategy: remac.Adaptive, Estimator: remac.MNC, Combiner: remac.DP}, nil},
-		{"every other name", remac.Config{Strategy: remac.NoElimination, Estimator: remac.Sample, Combiner: remac.EnumBFS}, nil},
+		{"every other name", remac.Config{Strategy: remac.NoElimination, Estimator: remac.MD, Combiner: remac.EnumBFS}, nil},
 		{"mistyped strategy", remac.Config{Strategy: "agressive"}, []string{`strategy "agressive"`, "aggressive", "adaptive", "none"}},
 		{"case matters", remac.Config{Strategy: "Adaptive"}, []string{`strategy "Adaptive"`}},
-		{"mistyped estimator", remac.Config{Estimator: "mnc"}, []string{`estimator "mnc"`, "MD", "MNC", "Sample"}},
+		{"mistyped estimator", remac.Config{Estimator: "mnc"}, []string{`estimator "mnc"`, "MD", "MNC"}},
+		{"dropped estimator", remac.Config{Estimator: "Sample"}, []string{`unknown estimator "Sample"`, "MD", "MNC"}},
 		{"mistyped combiner", remac.Config{Combiner: "Enum"}, []string{`combiner "Enum"`, "DP", "Enum-DFS", "Enum-BFS"}},
 	} {
 		_, err := remac.Compile("A = read(\"A\")\nx = A %*% A", inputs, tc.cfg)
