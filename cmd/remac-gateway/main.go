@@ -53,7 +53,7 @@
 // 503; a query whose deadline runs out across attempts is 504. Every
 // response echoes X-Request-ID (client-sent or generated).
 //
-// SIGINT/SIGTERM drain every shard, flush the audit queue, then exit.
+// SIGINT/SIGTERM drain every shard, then exit.
 package main
 
 import (
@@ -225,7 +225,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Int64Var(&sc.IntermediateBudgetBytes, "inter-budget", 4<<30, "intermediate cache budget per shard in modelled bytes (negative: disabled)")
 	fs.DurationVar(&sc.BatchWindow, "batch-window", 2*time.Millisecond, "MQO batching window per shard (0: disabled)")
 	fs.StringVar(&o.recovery, "recovery", "", "default recovery policy: lineage, checkpoint, coded or coded:k,n")
-	fs.IntVar(&c.AuditDepth, "audit-depth", 1024, "audit queue depth (negative: audit plane disabled)")
 	fs.Func("quota", "per-tenant quota tenant=qps[:burst[:concurrent]] (repeatable)", func(spec string) error {
 		name, q, err := parseQuota(spec)
 		if err == nil {

@@ -201,3 +201,53 @@ func TestFig8aSearchComparison(t *testing.T) {
 		}
 	}
 }
+
+// TestFig9Shape holds Fig 9's ordering over its 18 rows. The values are
+// simulated-clock seconds, so comparisons are exact (BFGS aside, below):
+// conservative never loses to SystemDS and adaptive never to the better of
+// conservative and aggressive; adaptive takes aggressive's plan on the tall
+// cri1/red1, where every option pays; aggressive's hoist loses on the wide
+// cri3/red3; and DFP on cri2, cri3 and red3 needs a mixed combination that
+// beats both.
+//
+// BFGS misses the second rule by a hair: there adaptive adds the CSE H·y
+// to the other options it selects, which the cost model prices as a gain
+// and the simulated cluster charges a little more compute (on red3 6.25e-5
+// s, 347.656516 vs conservative's 347.656454 s; on cri2, cri3 and red1 less).
+// BFGS rows may exceed the minimum by bfgsSlack, relative.
+func TestFig9Shape(t *testing.T) {
+	const bfgsSlack = 1e-6
+	tbl, err := Fig9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 18 {
+		t.Fatalf("Fig 9 has %d rows, want 18", len(tbl.Rows))
+	}
+	for _, r := range tbl.Rows {
+		sysds, cons, aggr, adap := r.Values["SystemDS"], r.Values["conservative"], r.Values["aggressive"], r.Values["adaptive"]
+		ds := r.Label[strings.Index(r.Label, "/")+1:]
+		if cons > sysds {
+			t.Errorf("%s: conservative %g > SystemDS %g", r.Label, cons, sysds)
+		}
+		slack := 0.0
+		if strings.HasPrefix(r.Label, "BFGS/") {
+			slack = bfgsSlack
+		}
+		if adap > min(cons, aggr)*(1+slack) {
+			t.Errorf("%s: adaptive %g > min(conservative %g, aggressive %g)", r.Label, adap, cons, aggr)
+		}
+		if (ds == "cri1" || ds == "red1") && adap != aggr {
+			t.Errorf("%s: adaptive %g != aggressive %g", r.Label, adap, aggr)
+		}
+		if (ds == "cri3" || ds == "red3") && aggr <= cons {
+			t.Errorf("%s: aggressive %g <= conservative %g", r.Label, aggr, cons)
+		}
+		switch r.Label {
+		case "DFP/cri2", "DFP/cri3", "DFP/red3":
+			if adap >= min(cons, aggr) {
+				t.Errorf("%s: adaptive %g does not beat min(conservative %g, aggressive %g)", r.Label, adap, cons, aggr)
+			}
+		}
+	}
+}

@@ -74,7 +74,7 @@ func BenchmarkChainDP(b *testing.B) {
 	}
 	sel := make([]bool, len(sr.Options))
 	run := func(b *testing.B, p *Planner) {
-		items, err := p.contract(longest, sel)
+		items, err := p.contract(longest, 0, longest.Len()-1, sel, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

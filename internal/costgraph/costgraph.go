@@ -1,8 +1,8 @@
 // Package costgraph implements adaptive elimination (§4): the building
 // phase that evaluates each elimination option's plan trees into a cost
 // graph, and the probing phase that selects the efficient combination of
-// options through dynamic programming with candidate costs — plus the
-// brute-force enumeration baselines of §6.3.3.
+// options through dynamic programming with candidate costs — beside every
+// other selection rule of the evaluation (select.go).
 //
 // The cost graph is organized exactly as the paper's: operators are keyed
 // by coordinate intervals O(I_l, I_r) within multiplication-chain blocks;
@@ -14,6 +14,7 @@ package costgraph
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -209,12 +210,6 @@ func NewPlanner(ctx context.Context, cfg Config, res *search.Result) (*Planner, 
 	return p, nil
 }
 
-// Options returns the option set under consideration.
-func (p *Planner) Options() []*search.Option { return p.options }
-
-// Conflicts exposes the pairwise conflict matrix.
-func (p *Planner) Conflicts() [][]bool { return p.conflicts }
-
 // EvaluateCost is Evaluate without materializing plan trees, memoized per
 // block and per producer on the relevant selection fingerprint. The probing
 // and enumeration loops call this; only the final decision materializes
@@ -250,7 +245,7 @@ func (p *Planner) EvaluateCost(sel []bool) (float64, error) {
 		if o.Kind == search.CSEGroup {
 			contracted = 2
 		}
-		key := append(buf[:0], byte(o.ID), byte(o.ID>>8), '|')
+		key := binary.AppendUvarint(buf[:0], uint64(o.ID))
 		for _, occ := range o.Occs[:min(contracted, len(o.Occs))] {
 			key = p.appendFingerprint(key, occ.Block, sel, o.ID)
 		}
@@ -269,12 +264,20 @@ func (p *Planner) EvaluateCost(sel []bool) (float64, error) {
 }
 
 // appendFingerprint appends to buf an encoding of which of a block's
-// candidate options are selected (excluding one option, for producer keys).
+// candidate options are selected (excluding one option, for producer keys):
+// the block ID, the count of those options and their IDs, each a uvarint, so
+// no two blocks or selections, nor two fingerprints in a row, read alike.
 func (p *Planner) appendFingerprint(buf []byte, blockID int, sel []bool, exclude int) []byte {
-	buf = append(buf, byte(blockID), byte(blockID>>8))
+	n := 0
 	for _, id := range p.blockOpts[blockID] {
 		if id != exclude && sel[id] {
-			buf = append(buf, byte(id), byte(id>>8), ',')
+			n++
+		}
+	}
+	buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(blockID)), uint64(n))
+	for _, id := range p.blockOpts[blockID] {
+		if id != exclude && sel[id] {
+			buf = binary.AppendUvarint(buf, uint64(id))
 		}
 	}
 	return buf
@@ -320,7 +323,7 @@ func (p *Planner) Evaluate(sel []bool) (float64, []*BlockPlan, []*ProducerPlan, 
 // selection: maximal selected spans become reuse leaves; the rest is the
 // classic matrix-chain DP priced by the cost model.
 func (p *Planner) blockPlan(b *chain.Block, sel []bool) (*BlockPlan, error) {
-	items, err := p.contract(b, sel)
+	items, err := p.contract(b, 0, b.Len()-1, sel, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -344,51 +347,6 @@ type item struct {
 	// cost is the item's own charge inside this block (e.g. transposing a
 	// flipped reuse).
 	cost float64
-}
-
-// contract replaces maximal selected spans with reuse leaves.
-func (p *Planner) contract(b *chain.Block, sel []bool) ([]item, error) {
-	var items []item
-	n := b.Len()
-	for i := 0; i < n; {
-		// Find the longest selected span starting at i.
-		best := -1
-		var bestRef occRef
-		for j := n - 1; j > i; j-- {
-			ref, ok := p.occIndex[[3]int{b.ID, i, j}]
-			if !ok {
-				continue
-			}
-			if sel[ref.opt.ID] {
-				best = j
-				bestRef = ref
-				break
-			}
-		}
-		if best >= 0 {
-			m, err := p.coords.SpanMeta(b, i, best, p.cfg.Model.Estimator())
-			if err != nil {
-				return nil, err
-			}
-			it := item{lo: i, hi: best, meta: m, local: p.cfg.Model.FitsLocal(m), reuse: bestRef.opt, flipped: bestRef.flipped}
-			if bestRef.flipped {
-				// Reusing the transposed cached value costs a transpose.
-				_, bd, _ := p.cfg.Model.Transpose(m, it.local)
-				it.cost = bd.Total()
-			}
-			items = append(items, it)
-			i = best + 1
-			continue
-		}
-		m, err := p.coords.AtomMeta(b.Atoms[i], p.cfg.Model.Estimator())
-		if err != nil {
-			return nil, err
-		}
-		a := b.Atoms[i]
-		items = append(items, item{lo: i, hi: i, meta: m, local: p.cfg.Model.FitsLocal(m), sym: a.Sym, t: a.T})
-		i++
-	}
-	return items, nil
 }
 
 // tsmmPair reports whether two adjacent single-atom items form a
@@ -499,7 +457,7 @@ func (p *Planner) producer(o *search.Option, sel []bool) (*ProducerPlan, error) 
 	// occurrences are found through the option's first occurrence.
 	occ := o.Occs[0]
 	b := p.coords.Blocks[occ.Block]
-	items, err := p.contractRange(b, occ.Lo, occ.Hi, sel, o)
+	items, err := p.contract(b, occ.Lo, occ.Hi, sel, o)
 	if err != nil {
 		return nil, err
 	}
@@ -516,24 +474,23 @@ func (p *Planner) producer(o *search.Option, sel []bool) (*ProducerPlan, error) 
 	return pp, nil
 }
 
-// contractRange contracts the sub-chain [lo, hi] of a block, reusing
-// selected options strictly nested inside (excluding self).
-func (p *Planner) contractRange(b *chain.Block, lo, hi int, sel []bool, self *search.Option) ([]item, error) {
+// contract contracts the sub-chain [lo, hi] of a block, replacing maximal
+// selected spans with reuse leaves. A producer (self non-nil) computes its
+// span, so neither that span nor another occurrence of self is a reuse leaf
+// in it.
+func (p *Planner) contract(b *chain.Block, lo, hi int, sel []bool, self *search.Option) ([]item, error) {
 	var items []item
 	for i := lo; i <= hi; {
+		// Find the longest selected span starting at i.
 		best := -1
 		var bestRef occRef
 		for j := hi; j > i; j-- {
-			if i == lo && j == hi {
-				continue // skip self span
-			}
-			ref, ok := p.occIndex[[3]int{b.ID, i, j}]
-			if !ok || ref.opt == self {
+			if self != nil && i == lo && j == hi {
 				continue
 			}
-			if sel[ref.opt.ID] {
-				best = j
-				bestRef = ref
+			ref, ok := p.occIndex[[3]int{b.ID, i, j}]
+			if ok && ref.opt != self && sel[ref.opt.ID] {
+				best, bestRef = j, ref
 				break
 			}
 		}
@@ -544,6 +501,7 @@ func (p *Planner) contractRange(b *chain.Block, lo, hi int, sel []bool, self *se
 			}
 			it := item{lo: i, hi: best, meta: m, local: p.cfg.Model.FitsLocal(m), reuse: bestRef.opt, flipped: bestRef.flipped}
 			if bestRef.flipped {
+				// Reusing the transposed cached value costs a transpose.
 				_, bd, _ := p.cfg.Model.Transpose(m, it.local)
 				it.cost = bd.Total()
 			}
@@ -571,7 +529,7 @@ func (p *Planner) groupProducer(o *search.Option, sel []bool) (*ProducerPlan, er
 	for i := 0; i < 2 && i < len(o.Occs); i++ {
 		occ := o.Occs[i]
 		b := p.coords.Blocks[occ.Block]
-		items, err := p.contractRange(b, occ.Lo, occ.Hi, sel, o)
+		items, err := p.contract(b, occ.Lo, occ.Hi, sel, o)
 		if err != nil {
 			return nil, err
 		}
@@ -598,29 +556,4 @@ func (p *Planner) BaselineTrees() ([]*BlockPlan, float64, error) {
 	sel := make([]bool, len(p.options))
 	total, plans, _, err := p.Evaluate(sel)
 	return plans, total, err
-}
-
-// Decide packages an explicit selection into a Decision (used by the
-// conservative/aggressive/automatic strategies, which choose options by
-// rule rather than by probing).
-func (p *Planner) Decide(sel []bool) (*Decision, error) {
-	start := time.Now()
-	total, plans, producers, err := p.Evaluate(sel)
-	if err != nil {
-		return nil, err
-	}
-	d := &Decision{
-		BlockPlans: plans,
-		Producers:  producers,
-		TotalCost:  total,
-		BuildTime:  p.buildTime,
-		ProbeTime:  time.Since(start),
-		Evaluated:  1,
-	}
-	for i, s := range sel {
-		if s {
-			d.Selected = append(d.Selected, p.options[i])
-		}
-	}
-	return d, nil
 }

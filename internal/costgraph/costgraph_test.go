@@ -115,7 +115,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEvaluateBaseline(t *testing.T) {
 	p := plannerFor(t, tallResolver())
-	sel := make([]bool, len(p.Options()))
+	sel := make([]bool, len(p.options))
 	total, plans, producers, err := p.Evaluate(sel)
 	if err != nil {
 		t.Fatal(err)
@@ -137,15 +137,15 @@ func TestEvaluateBaseline(t *testing.T) {
 
 func TestSingleOptionChangesCost(t *testing.T) {
 	p := plannerFor(t, tallResolver())
-	sel := make([]bool, len(p.Options()))
+	sel := make([]bool, len(p.options))
 	base, _, _, _ := p.Evaluate(sel)
 	changed := false
-	for i := range p.Options() {
+	for i := range p.options {
 		sel[i] = true
 		c, _, _, err := p.Evaluate(sel)
 		sel[i] = false
 		if err != nil {
-			t.Fatalf("option %s: %v", p.Options()[i].Key, err)
+			t.Fatalf("option %s: %v", p.options[i].Key, err)
 		}
 		if c != base {
 			changed = true
@@ -279,7 +279,7 @@ func TestEnumerateRespectsBudget(t *testing.T) {
 	}
 	// The filter phase alone evaluates each option once; the budget caps
 	// the total.
-	if d.Evaluated > len(p.Options())+20 {
+	if d.Evaluated > len(p.options)+20 {
 		t.Fatalf("budget ignored: %d evaluations", d.Evaluated)
 	}
 }
@@ -353,5 +353,37 @@ func TestBaselineTrees(t *testing.T) {
 func TestEnumModeString(t *testing.T) {
 	if DFS.String() != "DFS" || BFS.String() != "BFS" {
 		t.Fatal("mode names changed")
+	}
+}
+
+// TestMemoKeysKeepIDsApart: the block and producer cost memos are keyed by
+// selection fingerprints, so two selections that read alike would share a
+// memoised cost. Option and block IDs 65 536 apart, and two fingerprints in
+// a row, must give distinct keys.
+func TestMemoKeysKeepIDsApart(t *testing.T) {
+	const wide = 1 << 16
+	p := &Planner{blockOpts: map[int][]int{0: {1, 2, wide + 1}, 2: {1}}}
+	sel := func(ids ...int) []bool {
+		s := make([]bool, wide+2)
+		for _, id := range ids {
+			s[id] = true
+		}
+		return s
+	}
+	key := func(s []bool, blocks ...int) string {
+		var buf []byte
+		for _, b := range blocks {
+			buf = p.appendFingerprint(buf, b, s, -1)
+		}
+		return string(buf)
+	}
+	for _, c := range []struct{ name, a, b string }{
+		{"option IDs", key(sel(1), 0), key(sel(wide+1), 0)},
+		{"block IDs", key(sel(), 0), key(sel(), wide)},
+		{"fingerprints in a row", key(sel(2), 0, 1), key(sel(1), 0, 2)},
+	} {
+		if c.a == c.b {
+			t.Errorf("%s: two selections share the memo key %x", c.name, c.a)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // on. They run on the DFP cost graph with randomized selections.
 
 func randomCompatibleSelection(p *Planner, rng *rand.Rand) []bool {
-	sel := make([]bool, len(p.Options()))
+	sel := make([]bool, len(p.options))
 	order := rng.Perm(len(sel))
 	for _, i := range order {
 		if rng.Float64() < 0.4 && p.compatibleWith(sel, i) {
@@ -82,7 +82,7 @@ func TestPropProbeNotWorseThanRandomSelections(t *testing.T) {
 			keys := []string{}
 			for i, s := range sel {
 				if s {
-					keys = append(keys, p.Options()[i].Key)
+					keys = append(keys, p.options[i].Key)
 				}
 			}
 			t.Fatalf("random selection %v (cost %g) beats the probe (%g)", keys, c, probe.TotalCost)
@@ -94,9 +94,9 @@ func TestPropProducerNestingTerminates(t *testing.T) {
 	// With everything compatible selected, producer evaluation recurses
 	// through nested reuses; it must terminate and stay positive.
 	p := plannerFor(t, tallResolver())
-	sel := make([]bool, len(p.Options()))
+	sel := make([]bool, len(p.options))
 	for i := range sel {
-		if p.compatibleWith(sel, i) && p.Options()[i].Kind != search.CSEGroup {
+		if p.compatibleWith(sel, i) && p.options[i].Kind != search.CSEGroup {
 			sel[i] = true
 		}
 	}
@@ -160,7 +160,7 @@ R2 = X %*% Y %*% W %*% Q + Y %*% Z %*% V %*% Q
 		t.Fatal(err)
 	}
 	group, nested := -1, -1
-	for i, o := range p.Options() {
+	for i, o := range p.options {
 		switch {
 		case o.Kind == search.CSEGroup && o.Key == "(X·Y·W + Y·Z·V)":
 			group = i
@@ -171,7 +171,7 @@ R2 = X %*% Y %*% W %*% Q + Y %*% Z %*% V %*% Q
 	if group < 0 || nested < 0 {
 		t.Fatalf("options not found (group %d, nested %d)", group, nested)
 	}
-	sel := make([]bool, len(p.Options()))
+	sel := make([]bool, len(p.options))
 	sel[group] = true
 	if _, err := p.EvaluateCost(sel); err != nil { // fills the producer memo
 		t.Fatal(err)

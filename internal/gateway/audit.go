@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,9 +16,8 @@ const EventTransition = "transition"
 // with server logs and error bodies; a passive ejection carries the
 // request id of the query that tripped it.
 type Event struct {
-	// Seq is a gateway-assigned total order over events (1-based). The
-	// asynchronous writer preserves submission order per goroutine; Seq
-	// orders events globally even across concurrent submitters.
+	// Seq is a gateway-assigned total order over events (1-based), even
+	// across concurrent submitters; the tail and the sink see it in order.
 	Seq uint64 `json:"seq"`
 	// TimeUnixNano is the event's wall-clock timestamp.
 	TimeUnixNano int64 `json:"time_unix_nano"`
@@ -63,9 +61,6 @@ type Event struct {
 // states around the move, the trigger and its evidence, and — for passive
 // ejections — the request id of the query that tripped the window.
 func (g *Gateway) recordTransition(shard int, from, to ShardState, reason, evidence, requestID string) {
-	if g.audit == nil {
-		return
-	}
 	ev := Event{
 		Kind:      EventTransition,
 		Shard:     shard,
@@ -82,81 +77,51 @@ func (g *Gateway) recordTransition(shard int, from, to ShardState, reason, evide
 	g.audit.submit(ev, g.cfg.Clock())
 }
 
-// Sink consumes audit events off the auditor's queue, one call per event,
-// from a single goroutine. Implementations may block (a file or network
-// sink); the queue absorbs bursts and Submit never blocks the serving
-// path.
+// Sink receives every audit event, one call per event in Seq order, on the
+// submitting goroutine and under the auditor's lock: it must return quickly
+// and must not call back into the gateway.
 type Sink interface {
 	Record(Event)
 }
 
-// auditor is the queued, non-blocking audit writer: Submit enqueues (or
-// drops, counting) and returns immediately; a single background goroutine
-// drains the queue into the in-memory tail and the optional sink. Drain
-// flushes everything accepted before it and stops the writer.
+// auditor records audit events synchronously: submit appends to the
+// in-memory tail served by GET /audit and hands the event to the optional
+// sink before it returns.
 type auditor struct {
-	ch      chan Event
-	sink    Sink // optional
-	seq     atomic.Uint64
-	dropped atomic.Uint64
-	written atomic.Uint64
+	sink Sink // optional
 
 	mu      sync.Mutex
+	seq     uint64  // events recorded, and the last Seq stamped
 	tail    []Event // the most recent events, oldest first, at most tailCap
 	tailCap int
-
-	done chan struct{}
 }
 
-// newAuditor starts the writer goroutine. depth bounds the queue, tailCap
-// bounds the in-memory tail served by GET /audit.
-func newAuditor(depth, tailCap int, sink Sink) *auditor {
-	a := &auditor{
-		ch:      make(chan Event, depth),
-		sink:    sink,
-		tailCap: tailCap,
-		done:    make(chan struct{}),
-	}
-	go a.run()
-	return a
+// newAuditor returns an auditor whose tail holds tailCap events.
+func newAuditor(tailCap int, sink Sink) *auditor {
+	return &auditor{sink: sink, tailCap: tailCap}
 }
 
-func (a *auditor) run() {
-	defer close(a.done)
-	for e := range a.ch {
-		if a.sink != nil {
-			a.sink.Record(e)
-		}
-		a.written.Add(1)
-	}
-}
-
-// submit stamps the event (sequence + time), records it on the in-memory
-// tail synchronously — so a GET /audit right after a query always sees it
-// — and enqueues it for the sink without ever blocking the serving path: a
-// full queue drops the sink write and counts the drop, which the stats
-// surface so an undersized queue is visible rather than silent.
+// submit stamps the event (sequence + time) and records it on the tail and
+// the sink, under one lock so both see events in Seq order even across
+// concurrent submitters — and a GET /audit right after a query sees it.
 func (a *auditor) submit(e Event, now time.Time) {
 	e.TimeUnixNano = now.UnixNano()
-	// Seq is stamped under the tail mutex so the tail is ordered by Seq
-	// even across concurrent submitters.
 	a.mu.Lock()
-	e.Seq = a.seq.Add(1)
+	defer a.mu.Unlock()
+	a.seq++
+	e.Seq = a.seq
 	if len(a.tail) == 2*a.tailCap {
 		// Slide the window back to the front of the array every tailCap
 		// events, so memory stays at two tails however long the process runs.
 		a.tail = a.tail[:copy(a.tail, a.tail[a.tailCap:])]
 	}
 	a.tail = append(a.tail, e)
-	a.mu.Unlock()
-	select {
-	case a.ch <- e:
-	default:
-		a.dropped.Add(1)
+	if a.sink != nil {
+		a.sink.Record(e)
 	}
 }
 
-// Tail returns up to n most recent written events, oldest first.
+// Tail returns up to n most recent events, oldest first.
 func (a *auditor) Tail(n int) []Event {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -167,15 +132,9 @@ func (a *auditor) Tail(n int) []Event {
 	return append([]Event{}, a.tail[len(a.tail)-keep:]...)
 }
 
-// Drain closes the queue and waits until the writer has flushed every
-// accepted event into the tail and the sink. Submit must not be called
-// after Drain begins.
-func (a *auditor) Drain() {
-	close(a.ch)
-	<-a.done
-}
-
-// counters reports accepted-and-written vs dropped event totals.
-func (a *auditor) counters() (written, dropped uint64) {
-	return a.written.Load(), a.dropped.Load()
+// written counts the events recorded.
+func (a *auditor) written() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.seq
 }

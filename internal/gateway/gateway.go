@@ -96,12 +96,8 @@ type Config struct {
 	// DefaultQuota applies to tenants without an explicit entry.
 	DefaultQuota TenantQuota
 
-	// AuditDepth bounds the audit queue (default 1024); a full queue drops
-	// events (counted) rather than blocking the serving path. Negative
-	// disables the audit plane entirely.
-	AuditDepth int
-	// AuditSink, when non-nil, additionally receives every event from the
-	// single writer goroutine (a JSONL file, a test recorder, …).
+	// AuditSink, when non-nil, additionally receives every audit event, in
+	// Seq order (a JSONL file, a test recorder, …).
 	AuditSink Sink
 
 	// Clock is injectable for tests (quota refill and audit timestamps).
@@ -137,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadyQuorum <= 0 {
 		c.ReadyQuorum = 1
-	}
-	if c.AuditDepth == 0 {
-		c.AuditDepth = 1024
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -275,9 +268,7 @@ func NewWithInstances(cfg Config, instances []Instance) *Gateway {
 		quotas:   newQuotas(cfg.Quotas, cfg.DefaultQuota, cfg.Clock),
 		versions: map[string]int64{},
 		tenants:  lru.New[string, *tenantStats](tenantCap),
-	}
-	if cfg.AuditDepth > 0 {
-		g.audit = newAuditor(cfg.AuditDepth, auditTail, cfg.AuditSink)
+		audit:    newAuditor(auditTail, cfg.AuditSink),
 	}
 	g.life = newLifecycle(g)
 	return g
@@ -555,20 +546,18 @@ func (g *Gateway) record(r *request, err error) (*Result, error) {
 		}
 	})
 	g.tenantFinish(r.tenant, latency, flop, err)
-	if g.audit != nil {
-		g.audit.submit(Event{
-			Tenant:       r.tenant,
-			RequestID:    r.rid,
-			CanonicalKey: canonicalKey(r.q.Script),
-			Dataset:      r.q.Dataset,
-			Shard:        r.shard,
-			Outcome:      outcomeClass(err),
-			Spilled:      r.spilled,
-			Failover:     r.failedOver,
-			FLOP:         flop,
-			LatencySec:   latency,
-		}, now)
-	}
+	g.audit.submit(Event{
+		Tenant:       r.tenant,
+		RequestID:    r.rid,
+		CanonicalKey: canonicalKey(r.q.Script),
+		Dataset:      r.q.Dataset,
+		Shard:        r.shard,
+		Outcome:      outcomeClass(err),
+		Spilled:      r.spilled,
+		Failover:     r.failedOver,
+		FLOP:         flop,
+		LatencySec:   latency,
+	}, now)
 	if err != nil {
 		return nil, err
 	}
@@ -676,12 +665,8 @@ func (g *Gateway) ShardVersions(id string) []int64 {
 	return out
 }
 
-// Audit returns up to n most recent audit events, oldest first (nil when
-// the audit plane is disabled).
+// Audit returns up to n most recent audit events, oldest first.
 func (g *Gateway) Audit(n int) []Event {
-	if g.audit == nil {
-		return nil
-	}
 	return g.audit.Tail(n)
 }
 
@@ -739,9 +724,8 @@ func (g *Gateway) fleetHealth(probe func(Instance) serve.Health) Health {
 }
 
 // Shutdown stops the lifecycle monitor (and waits out its in-flight
-// respawn cleanups), drains every shard concurrently, then drains the
-// audit queue (flushing accepted events into the tail and sink). It
-// returns the first shard error, if any.
+// respawn cleanups) and drains every shard concurrently. It returns the
+// first shard error, if any.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.life.shutdown()
 	var wg sync.WaitGroup
@@ -754,9 +738,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 		}(i, g.instance(i))
 	}
 	wg.Wait()
-	if g.audit != nil {
-		g.audit.Drain()
-	}
 	return errors.Join(errs...)
 }
 

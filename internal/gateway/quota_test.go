@@ -186,7 +186,6 @@ func TestHostileTenantCardinalityIsBounded(t *testing.T) {
 	const workers, slots = 4, 4
 	sh := &holdShard{fakeShard: newFakeShard("s0"), entered: make(chan struct{}), release: make(chan struct{})}
 	g := NewWithInstances(Config{
-		AuditDepth:   -1,
 		DefaultQuota: TenantQuota{MaxConcurrent: slots}, // every tenant gets a bucket
 	}, []Instance{sh})
 	defer g.Shutdown(context.Background())

@@ -1,7 +1,8 @@
 // Package opt is the optimizer pipeline: it compiles a parsed program
 // through lowering, normalization, coordinate extraction, redundancy search
 // and option selection, producing everything the engine needs to run. The
-// six selection strategies of the evaluation are implemented here:
+// selection strategies of the evaluation, whose rules live side by side in
+// internal/costgraph:
 //
 //	NoElimination — stock SystemDS with CSE disabled (SystemDS*)
 //	Explicit      — stock SystemDS: identical-subtree CSE only
@@ -343,7 +344,8 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 		if err != nil {
 			return nil, err
 		}
-		c.Decision, err = planner.Decide(nil)
+		// No options: the decision only orders each block's chain.
+		c.Decision, err = planner.Manual(nil)
 		if cerr := ctx.Err(); err != nil && cerr != nil {
 			return nil, Canceled("opt: plan", cerr)
 		}
@@ -385,7 +387,7 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 	if err != nil {
 		return nil, err
 	}
-	c.Decision, err = selectOptions(planner, c.Search, cfg)
+	c.Decision, err = selectOptions(planner, cfg)
 	if cerr := ctx.Err(); err != nil && cerr != nil {
 		return nil, Canceled("opt: plan", cerr)
 	}
@@ -437,8 +439,9 @@ func buildResolver(plans *plan.Plans, inputs map[string]sparsity.Meta, est spars
 	return r, nil
 }
 
-// selectOptions applies the strategy.
-func selectOptions(p *costgraph.Planner, res *search.Result, cfg Config) (*costgraph.Decision, error) {
+// selectOptions maps the strategy (and, for Adaptive, the combiner) to its
+// selection rule.
+func selectOptions(p *costgraph.Planner, cfg Config) (*costgraph.Decision, error) {
 	switch cfg.Strategy {
 	case Adaptive:
 		switch cfg.Combiner {
@@ -450,147 +453,18 @@ func selectOptions(p *costgraph.Planner, res *search.Result, cfg Config) (*costg
 			return p.Probe()
 		}
 	case Conservative:
-		return conservative(p, res)
+		return p.Conservative()
 	case Aggressive:
-		return greedyAll(p, res, true)
+		return p.Aggressive()
 	case Automatic:
-		return greedyAll(p, res, false)
+		return p.Automatic()
 	case SPORESLike:
 		// SPORES is cost-based (equality saturation extracts the cheapest
 		// plan from its e-graph), so pick among its sampled options with
 		// the prober rather than applying everything.
 		return p.Probe()
 	case Manual:
-		return manual(p, cfg.ManualKeys)
+		return p.Manual(cfg.ManualKeys)
 	}
 	return nil, fmt.Errorf("opt: strategy %v does not select options", cfg.Strategy)
-}
-
-// manual selects the named options in order, skipping conflicts with
-// already-selected ones.
-func manual(p *costgraph.Planner, keys []string) (*costgraph.Decision, error) {
-	sel := make([]bool, len(p.Options()))
-	for _, key := range keys {
-		for i, o := range p.Options() {
-			if o.Key != key || sel[i] {
-				continue
-			}
-			ok := true
-			for j, s := range sel {
-				if s && p.Conflicts()[i][j] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				sel[i] = true
-			}
-		}
-	}
-	return p.Decide(sel)
-}
-
-// conservative selects the options whose occurrence spans all appear as
-// operator intervals of the baseline (no-elimination) block trees — i.e.
-// the options that follow the original execution order.
-func conservative(p *costgraph.Planner, res *search.Result) (*costgraph.Decision, error) {
-	base, _, err := p.BaselineTrees()
-	if err != nil {
-		return nil, err
-	}
-	intervals := map[[3]int]bool{}
-	for _, bp := range base {
-		bp.Root.Walk(func(n *costgraph.OpNode) {
-			intervals[[3]int{bp.Block.ID, n.Lo, n.Hi}] = true
-		})
-	}
-	sel := make([]bool, len(p.Options()))
-	for i, o := range p.Options() {
-		ok := true
-		for _, occ := range o.Occs {
-			if !intervals[[3]int{occ.Block, occ.Lo, occ.Hi}] {
-				ok = false
-				break
-			}
-		}
-		if !ok || o.Kind == search.CSEGroup {
-			continue
-		}
-		sel[i] = true
-	}
-	return p.Decide(sel)
-}
-
-// greedyAll selects every option that fits: conflicting options are skipped
-// in priority order. With orderChangingFirst, options that change the
-// original execution order are tried first (the aggressive strategy);
-// otherwise LSE options and longer spans lead (the automatic strategy).
-func greedyAll(p *costgraph.Planner, res *search.Result, orderChangingFirst bool) (*costgraph.Decision, error) {
-	opts := p.Options()
-	order := make([]int, len(opts))
-	for i := range order {
-		order[i] = i
-	}
-	var inBaseline map[int]bool
-	if orderChangingFirst {
-		base, _, err := p.BaselineTrees()
-		if err != nil {
-			return nil, err
-		}
-		intervals := map[[3]int]bool{}
-		for _, bp := range base {
-			bp.Root.Walk(func(n *costgraph.OpNode) {
-				intervals[[3]int{bp.Block.ID, n.Lo, n.Hi}] = true
-			})
-		}
-		inBaseline = map[int]bool{}
-		for i, o := range opts {
-			all := true
-			for _, occ := range o.Occs {
-				if !intervals[[3]int{occ.Block, occ.Lo, occ.Hi}] {
-					all = false
-					break
-				}
-			}
-			inBaseline[i] = all
-		}
-	}
-	weight := func(i int) int {
-		w := 0
-		for _, occ := range opts[i].Occs {
-			w += occ.Len()
-		}
-		if opts[i].Kind == search.LSE {
-			w *= 2
-		}
-		return w
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if orderChangingFirst && inBaseline[i] != inBaseline[j] {
-			return !inBaseline[i] // order-changing first
-		}
-		wi, wj := weight(i), weight(j)
-		if wi != wj {
-			return wi > wj
-		}
-		return i < j
-	})
-	sel := make([]bool, len(opts))
-	for _, i := range order {
-		if opts[i].Kind == search.CSEGroup {
-			continue
-		}
-		compatible := true
-		for j, s := range sel {
-			if s && p.Conflicts()[i][j] {
-				compatible = false
-				break
-			}
-		}
-		if compatible {
-			sel[i] = true
-		}
-	}
-	return p.Decide(sel)
 }
