@@ -103,7 +103,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("spores/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				search.SPORES(coords, search.DefaultSPORESConfig())
+				search.SPORES(coords)
 			}
 		})
 	}

@@ -29,6 +29,7 @@ var testOnlyExports = map[string]string{
 	"matrix.Matrix.DenseRow":          "the engine and data tests compare matrices row by row",
 	"matrix.Matrix.Equal":             "the engine, data, distmat and integrity tests compare cells",
 	"matrix.RandSymmetric":            "the plan tests build symmetric inputs",
+	"plan.Eval":                       "the naive reference evaluator the plan tests compare against, and the oracle a generated-program test is to reuse",
 	"sparsity.Meta.WithVirtualDims":   "the engine's tests price an input at its full scale",
 	"gateway.Gateway.ProbeNow":        "the gateway's tests drive probe rounds without the background prober",
 	"resilience.MarkTransient":        "the serve and httpapi tests make an execution error retryable",
@@ -50,7 +51,9 @@ var testOnlyExports = map[string]string{
 // other than by its declaration — in this module or in benchmark/, cmd/ or
 // examples/ — or is in testOnlyExports. A func is named as pkg.Name from
 // another package or as Name inside its own; a method is named by any
-// selector .Name, whatever its receiver. An export that only tests call is
+// selector .Name, whatever its receiver. A func's own body does not count:
+// Name inside func Name, or recv.Name inside method Name, is a recursive
+// call, not a user. An export that only tests call is
 // a capability no production path runs: delete it, or move it into the
 // tests that use it. An entry of testOnlyExports that is named after all,
 // or no longer declared, fails too.
@@ -127,22 +130,39 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 		}
 
 		selected := map[*ast.Ident]bool{} // the Sel of a non-package selector
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					pkgUses[[2]string{imports[x.Name], n.Sel.Name}] = true
-					return false
-				}
-				memberUses[n.Sel.Name] = true
-				selected[n.Sel] = true
-			case *ast.Ident:
-				if !declared[n] && !selected[n] {
-					pkgUses[[2]string{own, n.Name}] = true
+		for _, dl := range f.Decls {
+			// A func naming itself in its own body — Name for a func,
+			// recv.Name for a method — is no user of itself.
+			self, recv := "", ""
+			if fd, ok := dl.(*ast.FuncDecl); ok {
+				self = fd.Name.Name
+				if fd.Recv != nil {
+					recv = "_"
+					if names := fd.Recv.List[0].Names; len(names) > 0 {
+						recv = names[0].Name
+					}
 				}
 			}
-			return true
-		})
+			ast.Inspect(dl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					x, _ := n.X.(*ast.Ident)
+					if x != nil && imports[x.Name] != "" {
+						pkgUses[[2]string{imports[x.Name], n.Sel.Name}] = true
+						return false
+					}
+					selected[n.Sel] = true
+					if x == nil || x.Name != recv || n.Sel.Name != self {
+						memberUses[n.Sel.Name] = true
+					}
+				case *ast.Ident:
+					if !declared[n] && !selected[n] && (recv != "" || n.Name != self) {
+						pkgUses[[2]string{own, n.Name}] = true
+					}
+				}
+				return true
+			})
+		}
 		return nil
 	})
 	if err != nil {

@@ -132,7 +132,7 @@ func Fig8a() (*Table, error) {
 		}
 
 		if alg == algorithms.PartialDFP {
-			sp := search.SPORES(coords, search.DefaultSPORESConfig())
+			sp := search.SPORES(coords)
 			row.Values["SPORES"] = float64(sp.Elapsed.Microseconds()) / 1000
 		} else {
 			row.Text["SPORES"] = "n/a"

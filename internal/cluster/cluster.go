@@ -241,8 +241,6 @@ type Cluster struct {
 	mu    sync.Mutex
 	stats Stats
 	inj   *fault.Injector
-	// backoffBase is the first-retry delay of the attached plan.
-	backoffBase float64
 	// onFault receives the accounted consequence of each fired event, after
 	// the cluster's own bookkeeping and outside the lock (the observer may
 	// charge recovery back into the cluster).
@@ -297,7 +295,6 @@ func (c *Cluster) SetFaults(p *fault.Plan, observer func(FaultCharge)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.inj = p.NewInjector()
-	c.backoffBase = p.BackoffBase()
 	c.onFault = observer
 }
 
@@ -395,7 +392,7 @@ func (c *Cluster) injectLocked(from, to float64, prof profile) []FaultCharge {
 	}
 	fired := make([]FaultCharge, 0, len(events))
 	retries := 0
-	stretched := 1.0
+	stretched := false
 	masked := 0
 	for _, ev := range events {
 		fc := FaultCharge{Event: ev}
@@ -410,17 +407,13 @@ func (c *Cluster) injectLocked(from, to float64, prof profile) []FaultCharge {
 				fc.CodedMasked = true
 				break
 			}
-			factor := ev.Factor
-			if factor <= 1 {
-				factor = fault.DefaultStragglerFactor
-			}
 			// The stage waits on its slowest task: the operator stretches
-			// to the straggler factor. Straggling tasks idle in parallel,
-			// so several stragglers within one charge cost the maximum
-			// stretch, not the sum.
-			if factor > stretched {
-				fc.RecoverySec = (factor - stretched) * prof.totalSec()
-				stretched = factor
+			// to StragglerFactor. Straggling tasks idle in parallel, so
+			// several stragglers within one charge cost one stretch, not
+			// the sum.
+			if !stretched {
+				fc.RecoverySec = (fault.StragglerFactor - 1) * prof.totalSec()
+				stretched = true
 			}
 		case fault.TransmissionError:
 			// Capped exponential backoff per consecutive retry of one
@@ -432,7 +425,7 @@ func (c *Cluster) injectLocked(from, to float64, prof profile) []FaultCharge {
 			if exp > maxBackoffDoublings {
 				exp = maxBackoffDoublings
 			}
-			delay := float64(c.backoffBase * math.Pow(2, float64(exp)))
+			delay := float64(fault.BackoffBaseSec * math.Pow(2, float64(exp)))
 			retries++
 			// One in-flight task fails, so one worker's share of the
 			// operator re-runs — stages retry tasks, not themselves.

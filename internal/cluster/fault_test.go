@@ -18,10 +18,10 @@ func faultedCluster(t *testing.T, observer func(FaultCharge), events ...fault.Ev
 }
 
 func TestStragglerStretchesCharge(t *testing.T) {
-	c := faultedCluster(t, nil, fault.Event{At: 0.5, Kind: fault.Straggler, Factor: 3})
+	c := faultedCluster(t, nil, fault.Event{At: 0.5, Kind: fault.Straggler})
 	c.ChargeProfile(1e9, 1.0, 0.5, nil) // clock 0 -> 1.5, event fires
 	s := c.Stats()
-	if want := 2 * 1.5; math.Abs(s.RecoverySec-want) > 1e-12 {
+	if want := (fault.StragglerFactor - 1) * 1.5; math.Abs(s.RecoverySec-want) > 1e-12 {
 		t.Fatalf("RecoverySec = %g, want %g ((factor-1) × op seconds)", s.RecoverySec, want)
 	}
 	if s.Retries != 0 || s.FailedWorkers != 0 {
@@ -36,14 +36,14 @@ func TestStragglersInOneChargeTakeMaxStretch(t *testing.T) {
 	// Straggling tasks idle in parallel: a stage with several stragglers
 	// finishes with its slowest one, so the stretches must not stack.
 	c := faultedCluster(t, nil,
-		fault.Event{At: 0.2, Kind: fault.Straggler, Factor: 2},
-		fault.Event{At: 0.4, Kind: fault.Straggler, Factor: 3},
-		fault.Event{At: 0.6, Kind: fault.Straggler, Factor: 2},
+		fault.Event{At: 0.2, Kind: fault.Straggler},
+		fault.Event{At: 0.4, Kind: fault.Straggler},
+		fault.Event{At: 0.6, Kind: fault.Straggler},
 	)
 	c.ChargeProfile(1e9, 1.0, 0.0, nil) // all three fire in one charge
 	s := c.Stats()
-	if want := (3 - 1) * 1.0; math.Abs(s.RecoverySec-want) > 1e-12 {
-		t.Fatalf("RecoverySec = %g, want %g (max stretch, not sum)", s.RecoverySec, want)
+	if want := (fault.StragglerFactor - 1) * 1.0; math.Abs(s.RecoverySec-want) > 1e-12 {
+		t.Fatalf("RecoverySec = %g, want %g (one stretch, not three)", s.RecoverySec, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"remac/internal/chain"
 	"remac/internal/cluster"
@@ -239,7 +238,7 @@ func TestEnumerateAtLeastAsGoodAsProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enum, err := p.Enumerate(DFS, EnumBudget{MaxCombos: 200_000, Deadline: 30 * time.Second})
+	enum, err := p.Enumerate(DFS, EnumBudget{MaxCombos: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,23 +118,23 @@ func (m EnumMode) String() string {
 	return "DFS"
 }
 
-// EnumBudget bounds an enumeration run.
+// EnumBudget bounds an enumeration run. It has no wall-clock cutoff, which
+// would make the plan depend on host speed; the planner's context stops a
+// runaway enumeration instead.
 type EnumBudget struct {
 	// MaxCombos caps evaluated combinations (0 = unlimited).
 	MaxCombos int
-	// Deadline caps wall time (0 = unlimited).
-	Deadline time.Duration
 }
 
 // Enumerate evaluates option combinations exhaustively (within budget) and
 // returns the best found: combinations enumerated depth-first or
 // breadth-first, contradictory selections pruned, each evaluated through the
-// cost model. The budget (combination count and deadline) stands in for the
-// combinatorial explosion that makes full enumeration infeasible for
-// DFP-sized programs (the paper measured over three days for GNMF). Options
-// that cannot improve anything on their own are filtered first, like the
-// paper's enumeration which considers the "millions of possible
-// combinations" of useful options rather than the full power set.
+// cost model. The combination budget stands in for the combinatorial
+// explosion that makes full enumeration infeasible for DFP-sized programs
+// (the paper measured over three days for GNMF). Options that cannot improve
+// anything on their own are filtered first, like the paper's enumeration
+// which considers the "millions of possible combinations" of useful options
+// rather than the full power set.
 func (p *Planner) Enumerate(mode EnumMode, budget EnumBudget) (*Decision, error) {
 	start := time.Now()
 	baseSel := make([]bool, len(p.options))
@@ -172,15 +172,8 @@ func (p *Planner) Enumerate(mode EnumMode, budget EnumBudget) (*Decision, error)
 
 	bestSel := make([]bool, len(p.options))
 	bestCost := base
-	deadline := time.Time{}
-	if budget.Deadline > 0 {
-		deadline = start.Add(budget.Deadline)
-	}
 	outOfBudget := func() bool {
-		if budget.MaxCombos > 0 && evaluated >= budget.MaxCombos {
-			return true
-		}
-		return !deadline.IsZero() && time.Now().After(deadline)
+		return budget.MaxCombos > 0 && evaluated >= budget.MaxCombos
 	}
 
 	try := func(sel []bool) error {

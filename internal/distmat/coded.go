@@ -143,12 +143,9 @@ func (ctx *Context) codedSettle(d *DistMatrix, bd cost.Breakdown) {
 		return
 	}
 	ctx.encodeParity(d)
-	if len(ctx.masked) == 0 {
-		return
-	}
 	masked := ctx.masked
-	ctx.masked = nil
-	for i, factor := range masked {
+	ctx.masked = 0
+	for i := 0; i < masked; i++ {
 		if d.parity != nil {
 			// The straggling task's output block is reconstructed from the
 			// stage's parity outputs (encoding commutes with the linear
@@ -159,7 +156,7 @@ func (ctx *Context) codedSettle(d *DistMatrix, bd cost.Breakdown) {
 		}
 		// No parity to decode from: the stage waited out the straggler
 		// after all; charge the stretch it masked too early.
-		sec := (factor - 1) * bd.Total()
+		sec := (fault.StragglerFactor - 1) * bd.Total()
 		ctx.Cluster.ChargeRecovery(0, sec, [4]float64{})
 		ctx.recordFault("fault", "fault/straggler", sec, 0, [4]float64{})
 	}

@@ -61,9 +61,9 @@ type Context struct {
 	// off); codedSeq numbers encoded values for deterministic placement.
 	codedK, codedN int
 	codedSeq       int64
-	// masked holds the stretch factors of straggler events the cluster
-	// masked against a coded stage, awaiting settlement by codedSettle.
-	masked []float64
+	// masked counts the straggler events the cluster masked against a
+	// coded stage, awaiting settlement by codedSettle.
+	masked int
 	// pending holds corruption events the injector fired but the integrity
 	// layer has not yet settled against the charging operator's payload.
 	pending []fault.Event
@@ -110,11 +110,7 @@ func (ctx *Context) onFault(fc cluster.FaultCharge) {
 		// parity (or charges the stretch retroactively if the stage's
 		// output carries no parity). The zero-cost span keeps the fault
 		// visible in the trace.
-		f := fc.Event.Factor
-		if f <= 1 {
-			f = fault.DefaultStragglerFactor
-		}
-		ctx.masked = append(ctx.masked, f)
+		ctx.masked++
 		ctx.recordFault("fault", "fault/"+fc.Event.Kind.String(), 0, 0, fc.Bytes)
 		return
 	}

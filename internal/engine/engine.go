@@ -110,8 +110,9 @@ var ErrCanceled = opt.ErrCanceled
 // Keys are the option's canonical expression key plus the producer plan's
 // shape signature (opt.SharedKey), so a value under one key stands for the
 // bitwise-identical sequence of kernel executions. A source shared across
-// runs must namespace keys by dataset version and cluster configuration (see
-// internal/serve) and synchronize: the engine calls it from the run's own
+// runs must namespace keys by dataset version (and by cluster configuration
+// if its runs differ in one; internal/serve's all run on the default
+// cluster) and synchronize: the engine calls it from the run's own
 // goroutine.
 type LSESource interface {
 	Acquire(ctx context.Context, key string) (v Input, ok bool, err error)

@@ -42,8 +42,8 @@ const (
 	// re-transmits its data.
 	TransmissionError
 	// Straggler slows the operator executing when it fires: the stage waits
-	// on its slowest task, so the operator's time stretches by the
-	// straggler factor.
+	// on its slowest task, so the operator's time stretches by
+	// StragglerFactor.
 	Straggler
 	// Corruption silently flips a bit in a block payload of the operator
 	// executing when it fires — in flight on the wire or at rest under a
@@ -78,46 +78,19 @@ type Event struct {
 	Kind Kind
 	// Worker is the failing worker's index (WorkerFailure only).
 	Worker int
-	// Factor is the slowdown multiplier (Straggler only): strictly greater
-	// than 1, or 0 to select DefaultStragglerFactor. Values in (0,1] and
-	// negatives are rejected by the constructors.
-	Factor float64
 	// Bits is the corruption entropy (Corruption only): which block, which
 	// landing (in flight vs. at rest) and which bit are all derived from it,
 	// so the damage a schedule does is as deterministic as its timing.
 	Bits uint64
 }
 
-// DefaultStragglerFactor stretches a straggled operator to 2x its time,
-// the common "slowest task takes about twice the median" observation.
-const DefaultStragglerFactor = 2.0
+// StragglerFactor stretches a straggled operator to 2x its time, the
+// common "slowest task takes about twice the median" observation.
+const StragglerFactor = 2.0
 
-// FactorError reports a straggler factor that is set but not a slowdown.
-// A factor of 0 means "unset" and defaults to DefaultStragglerFactor;
-// anything else must be strictly greater than 1 — a factor in (0,1] would
-// be a speedup (or a no-op), and a negative one is meaningless. Checked
-// constructors return it; the plain constructors panic with it.
-type FactorError struct {
-	// Factor is the rejected value.
-	Factor float64
-}
-
-func (e *FactorError) Error() string {
-	return fmt.Sprintf("fault: straggler factor %g: must be > 1 (0 selects the default %g)",
-		e.Factor, DefaultStragglerFactor)
-}
-
-// checkFactor validates a straggler factor, treating 0 as unset.
-func checkFactor(f float64) error {
-	if f != 0 && f <= 1 {
-		return &FactorError{Factor: f}
-	}
-	return nil
-}
-
-// DefaultBackoffBaseSec is the first retry delay; the k-th consecutive
-// retry of one operator waits base·2^(k-1) seconds.
-const DefaultBackoffBaseSec = 1.0
+// BackoffBaseSec is the first retry delay; the k-th consecutive retry of
+// one operator waits base·2^(k-1) seconds.
+const BackoffBaseSec = 1.0
 
 // Config parameterizes a rate-based plan. Rates are Poisson intensities in
 // events per simulated hour; a zero rate disables that fault kind.
@@ -133,13 +106,6 @@ type Config struct {
 	StragglersPerHour float64
 	// CorruptionsPerHour schedules silent payload bit flips.
 	CorruptionsPerHour float64
-	// StragglerFactor is the slowdown multiplier: strictly greater than 1,
-	// or 0 to select DefaultStragglerFactor. Values in (0,1] and negatives
-	// are rejected (see FactorError) rather than silently replaced.
-	StragglerFactor float64
-	// BackoffBaseSec is the first retry delay (default
-	// DefaultBackoffBaseSec).
-	BackoffBaseSec float64
 	// Workers bounds the failed-worker index draw (default 1).
 	Workers int
 }
@@ -176,7 +142,7 @@ func DeriveSeed(seed int64, index int) int64 {
 }
 
 // Derive returns the config reseeded for the index-th member of a family
-// of concurrent runs (see DeriveSeed). Rates and factors are unchanged.
+// of concurrent runs (see DeriveSeed). Rates are unchanged.
 func (c Config) Derive(index int) Config {
 	c.Seed = DeriveSeed(c.Seed, index)
 	return c
@@ -201,73 +167,27 @@ type Plan struct {
 }
 
 // NewPlan builds a rate-based plan. It returns nil when every rate is zero,
-// so callers can treat "no faults configured" and "no plan" uniformly. It
-// panics on an invalid StragglerFactor (programmer error); front-ends taking
-// user-supplied configurations should use NewChecked.
+// so callers can treat "no faults configured" and "no plan" uniformly.
 func NewPlan(cfg Config) *Plan {
-	p, err := NewChecked(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// NewChecked is NewPlan returning the validation error instead of panicking:
-// a StragglerFactor that is set (nonzero) but not > 1 yields a *FactorError.
-// An unset (zero) factor still defaults to DefaultStragglerFactor.
-func NewChecked(cfg Config) (*Plan, error) {
-	if err := checkFactor(cfg.StragglerFactor); err != nil {
-		return nil, err
-	}
 	if cfg.WorkerFailuresPerHour <= 0 && cfg.TransmitErrorsPerHour <= 0 &&
 		cfg.StragglersPerHour <= 0 && cfg.CorruptionsPerHour <= 0 {
-		return nil, nil
-	}
-	if cfg.StragglerFactor == 0 {
-		cfg.StragglerFactor = DefaultStragglerFactor
-	}
-	if cfg.BackoffBaseSec <= 0 {
-		cfg.BackoffBaseSec = DefaultBackoffBaseSec
+		return nil
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	return &Plan{cfg: cfg}, nil
+	return &Plan{cfg: cfg}
 }
 
 // FromEvents builds a plan from an explicit event list (tests and targeted
-// what-if runs). Events are replayed in At order; the zero Factor defaults
-// to DefaultStragglerFactor. It panics on a set-but-invalid Factor
-// (programmer error); use FromEventsChecked for user-supplied schedules.
+// what-if runs). Events are replayed in At order.
 func FromEvents(events ...Event) *Plan {
-	p, err := FromEventsChecked(events...)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// FromEventsChecked is FromEvents returning a *FactorError instead of
-// panicking when a straggler event carries a Factor that is set (nonzero)
-// but not > 1.
-func FromEventsChecked(events ...Event) (*Plan, error) {
 	if len(events) == 0 {
-		return nil, nil
+		return nil
 	}
 	evs := append([]Event(nil), events...)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	for i := range evs {
-		if evs[i].Kind != Straggler {
-			continue
-		}
-		if err := checkFactor(evs[i].Factor); err != nil {
-			return nil, err
-		}
-		if evs[i].Factor == 0 {
-			evs[i].Factor = DefaultStragglerFactor
-		}
-	}
-	return &Plan{cfg: Config{BackoffBaseSec: DefaultBackoffBaseSec}, events: evs}, nil
+	return &Plan{events: evs}
 }
 
 // Enabled reports whether the plan schedules any faults. Nil-safe.
@@ -291,14 +211,6 @@ func (p *Plan) SchedulesCorruption() bool {
 		return false
 	}
 	return p.cfg.CorruptionsPerHour > 0
-}
-
-// BackoffBase returns the first-retry delay in seconds. Nil-safe.
-func (p *Plan) BackoffBase() float64 {
-	if p == nil || p.cfg.BackoffBaseSec <= 0 {
-		return DefaultBackoffBaseSec
-	}
-	return p.cfg.BackoffBaseSec
 }
 
 // NewInjector returns a fresh replay cursor over the plan. Nil-safe: a nil
@@ -353,8 +265,6 @@ func (s *stream) draw(t float64) {
 	switch s.kind {
 	case WorkerFailure:
 		ev.Worker = s.rng.Intn(s.cfg.Workers)
-	case Straggler:
-		ev.Factor = s.cfg.StragglerFactor
 	case Corruption:
 		ev.Bits = s.rng.Uint64()
 	}

@@ -106,9 +106,6 @@ func TestExplicitEventsReplayInOrder(t *testing.T) {
 	if len(evs) != 1 || evs[0].Kind != Straggler {
 		t.Fatalf("window (25,1000] = %v", evs)
 	}
-	if evs[0].Factor != DefaultStragglerFactor {
-		t.Fatalf("straggler factor defaulted to %g", evs[0].Factor)
-	}
 	if evs := inj.Advance(1000, 1e12); len(evs) != 0 {
 		t.Fatalf("exhausted plan fired %v", evs)
 	}
@@ -150,17 +147,6 @@ func TestKindStringExhaustive(t *testing.T) {
 	}
 	if s := numKinds.String(); !strings.HasPrefix(s, "Kind(") {
 		t.Errorf("numKinds.String() = %q, want the Kind(%%d) fallback", s)
-	}
-}
-
-func TestBackoffBaseDefaults(t *testing.T) {
-	var p *Plan
-	if p.BackoffBase() != DefaultBackoffBaseSec {
-		t.Fatal("nil plan backoff default wrong")
-	}
-	q := NewPlan(Config{StragglersPerHour: 1, BackoffBaseSec: 2.5})
-	if q.BackoffBase() != 2.5 {
-		t.Fatal("configured backoff not honored")
 	}
 }
 

@@ -196,10 +196,9 @@ type Compiled struct {
 	UsesRawBody bool
 	Coords      *chain.Coordinates
 	Search      *search.Result
-	Decision    *costgraph.Decision
-	// SelectedKeys is the set of applied option keys (empty for
-	// NoElimination/Explicit).
-	SelectedKeys map[string]bool
+	// Decision is the plan choice: the applied options (none for
+	// NoElimination/Explicit, whose decision only orders the chains).
+	Decision *costgraph.Decision
 	// SearchTime and PlanTime split compilation like Fig 8(a)/10(a).
 	SearchTime time.Duration
 	PlanTime   time.Duration
@@ -308,11 +307,10 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 		return nil, err
 	}
 	c := &Compiled{
-		Config:       cfg,
-		Program:      prog,
-		Plans:        plans,
-		Resolver:     res,
-		SelectedKeys: map[string]bool{},
+		Config:   cfg,
+		Program:  prog,
+		Plans:    plans,
+		Resolver: res,
 	}
 
 	// Extend the declared symmetry facts with provably symmetric derived
@@ -367,7 +365,7 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 
 	searchStart := time.Now()
 	if cfg.Strategy == SPORESLike {
-		c.Search = search.SPORES(coords, search.DefaultSPORESConfig())
+		c.Search = search.SPORES(coords)
 	} else {
 		c.Search, err = search.BlockWiseCtx(ctx, coords, est)
 		if err != nil {
@@ -395,9 +393,6 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 		return nil, err
 	}
 	c.PlanTime = time.Since(planStart)
-	for _, o := range c.Decision.Selected {
-		c.SelectedKeys[o.Key] = true
-	}
 	c.TotalTime = time.Since(start)
 	return c, nil
 }

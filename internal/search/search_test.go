@@ -290,7 +290,7 @@ func TestTreeWiseTimesOutOnDFP(t *testing.T) {
 
 func TestSPORESFindsExplicitButMissesTransposeHidden(t *testing.T) {
 	c := coordsFor(t, dfpSrc, dfpResolver())
-	sp := SPORES(c, SPORESConfig{Samples: 64, Seed: 1, MaxChainLen: 12})
+	sp := SPORES(c)
 	bw := BlockWise(c, sparsity.Metadata{})
 	if len(sp.Options) == 0 {
 		t.Fatal("SPORES found nothing")
@@ -381,7 +381,7 @@ func TestEmptyCoordinates(t *testing.T) {
 	if r := TreeWise(c, time.Second); len(r.Options) != 0 || r.TimedOut {
 		t.Fatal("tree-wise broken on empty coordinates")
 	}
-	if r := SPORES(c, DefaultSPORESConfig()); len(r.Options) != 0 {
+	if r := SPORES(c); len(r.Options) != 0 {
 		t.Fatal("SPORES broken on empty coordinates")
 	}
 }

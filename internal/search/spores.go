@@ -13,43 +13,35 @@ import (
 // finds only the common subexpressions explicit in the sampled plans and
 // does not support loop-constant elimination.
 
-// SPORESConfig tunes the sampled search.
-type SPORESConfig struct {
-	// Samples is the number of full plans drawn (the paper's "limited
-	// number of attempts" on permutations of a chain).
-	Samples int
-	// Seed makes sampling reproducible.
-	Seed int64
-	// MaxChainLen is the longest chain SPORES handles natively; the
+// The evaluation's sampling setup.
+const (
+	// sporesSamples is the number of full plans drawn (the paper's
+	// "limited number of attempts" on permutations of a chain).
+	sporesSamples = 64
+	// sporesSeed makes sampling reproducible.
+	sporesSeed = 1
+	// sporesMaxChainLen is the longest chain SPORES handles natively; the
 	// current implementation of SPORES "does not support running DFP or
 	// BFGS entirely", which the evaluation works around by feeding it the
 	// longest supported subexpression (partial DFP). Coordinates containing
 	// longer chains are still processed, chain by chain.
-	MaxChainLen int
-}
-
-// DefaultSPORESConfig mirrors the evaluation setup.
-func DefaultSPORESConfig() SPORESConfig {
-	return SPORESConfig{Samples: 64, Seed: 1, MaxChainLen: 12}
-}
+	sporesMaxChainLen = 12
+)
 
 // SPORES runs the sampled baseline: for each sampled full plan, collect
 // explicit subtree keys; keys seen at two or more disjoint spans across the
 // samples become CSE options. No LSE options are produced.
-func SPORES(c *chain.Coordinates, cfg SPORESConfig) *Result {
+func SPORES(c *chain.Coordinates) *Result {
 	start := time.Now()
 	res := &Result{Coords: c}
-	if cfg.Samples <= 0 {
-		cfg.Samples = 64
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(sporesSeed))
 
 	table := map[string][]twSpan{}
 	var order []string
-	for s := 0; s < cfg.Samples; s++ {
+	for s := 0; s < sporesSamples; s++ {
 		res.Visited++
 		for _, b := range c.Blocks {
-			if b.Len() > cfg.MaxChainLen && cfg.MaxChainLen > 0 {
+			if b.Len() > sporesMaxChainLen {
 				// Chains beyond the supported length are skipped (the
 				// sampling cannot cover them meaningfully).
 				continue

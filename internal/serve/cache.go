@@ -16,12 +16,13 @@ import (
 )
 
 // planKey is the compiled-plan cache identity: canonical program text plus
-// everything else that can change the chosen plan — input shapes and
-// sparsity buckets, cluster configuration, strategy, estimator, combiner,
-// and the expected iteration count the adaptive selector amortizes over.
-// Key computation is on the warm path; a matrix carries its nonzero count,
-// so only the first key over a given input scans it.
-func planKey(q Query, cfg opt.Config) (string, error) {
+// everything else of the query that can change the chosen plan — input
+// shapes and sparsity buckets, strategy, and the expected iteration count
+// the adaptive selector amortizes over (estimator, combiner and cluster are
+// the same for every query, see execute). Key computation is on the warm
+// path; a matrix carries its nonzero count, so only the first key over a
+// given input scans it.
+func planKey(q Query) (string, error) {
 	canon, err := lang.Canonical(q.Script)
 	if err != nil {
 		return "", err
@@ -48,8 +49,7 @@ func planKey(q Query, cfg opt.Config) (string, error) {
 		}
 		fmt.Fprintf(&b, "%s=%dx%d@%s;", name, vr, vc, sparsityBucket(in.Data.Sparsity()))
 	}
-	fmt.Fprintf(&b, "\n%v|%s|%v|it%d|%s",
-		cfg.Strategy, cfg.Estimator.Name(), cfg.Combiner, cfg.Iterations, clusterSig(cfg.Cluster))
+	fmt.Fprintf(&b, "\n%v|it%d", q.Strategy, q.Iterations)
 	return b.String(), nil
 }
 

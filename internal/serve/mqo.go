@@ -3,7 +3,7 @@
 // MQO batch. A member run's LSE source (interView) consults the batch after
 // the intermediate cache, so a loop-constant subexpression appearing in
 // several member plans — under its opt.SharedKey, the key the intermediate
-// cache uses too, namespaced by dataset version and cluster signature —
+// cache uses too, namespaced by dataset version —
 // executes once and its materialized value feeds every consumer. Values
 // stay bitwise identical to unbatched execution because the sharing key pins
 // the exact kernel sequence, and failure semantics stay typed: a producer
@@ -84,7 +84,7 @@ type sharedEntry struct {
 }
 
 // session opens one engine run's view of the batch, scoped to the
-// intermediate-cache namespace (dataset@version|clusterSig): only runs in
+// intermediate-cache namespace (dataset@version): only runs in
 // the same namespace can observe each other's values.
 func (b *mqoBatch) session(namespace string) *mqoSession {
 	return &mqoSession{b: b, ns: namespace, leading: map[string]*sharedEntry{}}

@@ -4,13 +4,15 @@
 // two cross-query caches over the compiler and engine:
 //
 //   - a compiled-plan cache (LRU over canonicalized program text + input
-//     metadata + cluster configuration), so repeat queries skip the search
-//     phase whose compile time Fig 8(a) measures, and
+//     metadata + strategy and iteration count), so repeat queries skip the
+//     search phase whose compile time Fig 8(a) measures, and
 //   - a cross-query intermediate cache (byte-budgeted LRU keyed by canonical
-//     expression + producer-plan signature, namespaced by dataset version and
-//     cluster configuration), so concurrent sessions against the same
-//     dataset reuse loop-constant intermediates like AᵀA and Aᵀb instead of
-//     recomputing them.
+//     expression + producer-plan signature, namespaced by dataset version),
+//     so concurrent sessions against the same dataset reuse loop-constant
+//     intermediates like AᵀA and Aᵀb instead of recomputing them.
+//
+// Every query plans with the MNC estimator and the DP combiner on the
+// paper's seven-node testbed (cluster.DefaultConfig).
 //
 // The serving path is hardened by internal/resilience: every query runs
 // panic-isolated (a panicking query degrades into a structured
@@ -36,6 +38,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +52,6 @@ import (
 	"remac/internal/opt"
 	"remac/internal/resilience"
 	"remac/internal/sparsity"
-	"remac/internal/trace"
 )
 
 // Errors returned by Do.
@@ -145,12 +147,7 @@ type Query struct {
 	// the default is applied only when the whole field set is zero — use
 	// NewQuery for the defaulted form). Iterations defaults to 15.
 	Strategy   opt.Strategy
-	Estimator  sparsity.Estimator // nil → MNC
-	Combiner   opt.Combiner
 	Iterations int
-	// Cluster is the simulated cluster configuration; the zero value means
-	// cluster.DefaultConfig().
-	Cluster cluster.Config
 	// Timeout overrides the server's DefaultTimeout when positive.
 	Timeout time.Duration
 	// Attempts overrides, when positive, the attempt allowance whoever
@@ -183,8 +180,6 @@ type Query struct {
 	// engine.RunOptions.NaNGuard); caught poison fails with a Numeric-class
 	// error instead of a silently wrong result.
 	NaNGuard integrity.GuardMode
-	// Trace attaches a span recorder to the run (returned on the result).
-	Trace bool
 	// NoPlanCache / NoIntermediateCache opt this query out of the shared
 	// caches: the cold reference the cache-correctness tests compare warm
 	// runs against, and the no_plan_cache / no_intermediate_cache fields of
@@ -211,7 +206,7 @@ type Query struct {
 }
 
 // NewQuery returns a Query with the library defaults: adaptive strategy,
-// MNC estimator, 15 expected iterations.
+// 15 expected iterations.
 func NewQuery(script string, inputs map[string]engine.Input) Query {
 	return Query{Script: script, Inputs: inputs, Strategy: opt.Adaptive, Iterations: 15}
 }
@@ -279,8 +274,6 @@ type QueryResult struct {
 	// many the enabled verification mode caught (digest + ABFT), and the
 	// lineage repair attempts they cost.
 	CorruptionsInjected, CorruptionsDetected, IntegrityRepairs int
-	// Trace is the query's span recorder (nil unless Query.Trace).
-	Trace *trace.Recorder
 	// ResultHash is the identity of Values (integrity.DigestValues): two
 	// results hash equal iff they bind the same names to matrices of the
 	// same shape with the same nonzero cells bit for bit, whatever their
@@ -806,17 +799,11 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	if q.Iterations == 0 {
 		q.Iterations = 15
 	}
-	if q.Estimator == nil {
-		q.Estimator = sparsity.MNC{}
-	}
-	if q.Cluster.Nodes == 0 {
-		q.Cluster = cluster.DefaultConfig()
-	}
 	ocfg := opt.Config{
 		Strategy:   q.Strategy,
-		Estimator:  q.Estimator,
-		Combiner:   q.Combiner,
-		Cluster:    q.Cluster,
+		Estimator:  sparsity.MNC{},
+		Combiner:   opt.DP,
+		Cluster:    cluster.DefaultConfig(),
 		Iterations: q.Iterations,
 	}
 
@@ -826,10 +813,6 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 		return nil, s.classify(0, "compile", err)
 	}
 
-	var rec *trace.Recorder
-	if q.Trace {
-		rec = trace.New()
-	}
 	var lse engine.LSESource
 	var view *interView
 	if reuseEligible(q) && (s.inter != nil || j.batch != nil) {
@@ -861,7 +844,7 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	// Every engine run counts, retries included: the counter the remote
 	// chaos harness asserts "zero duplicate executions" against.
 	s.metrics.add(func(c *Snapshot) { c.Executions++ })
-	res, err := engine.RunWithOptions(ctx, compiled, q.Inputs, rec, engine.RunOptions{
+	res, err := engine.RunWithOptions(ctx, compiled, q.Inputs, nil, engine.RunOptions{
 		MaxIter:  q.MaxIterations,
 		Faults:   q.Faults,
 		Recovery: q.Recovery,
@@ -884,7 +867,6 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 		},
 		Values:    map[string]*matrix.Matrix{},
 		Summaries: map[string]ValueSummary{},
-		Trace:     rec,
 	}
 	out.cells = &resultCells{run: res, first: out}
 	for name, v := range res.Env {
@@ -949,7 +931,7 @@ func (s *Server) plan(ctx context.Context, q Query, ocfg opt.Config) (*opt.Compi
 		c, err := compile()
 		return c, time.Since(start).Seconds(), false, err
 	}
-	key, err := planKey(q, ocfg)
+	key, err := planKey(q)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -981,25 +963,14 @@ func reuseEligible(q Query) bool {
 		!(q.Recovery.Kind == engine.RecoverCoded && q.Faults.Enabled())
 }
 
-// namespaceFor scopes intermediate-cache keys: dataset id + version +
-// cluster signature. The version bound at query start makes an
-// InvalidateDataset bump instantly unreachable; the cluster signature keeps
-// values produced under one simulated topology from serving another (plan
-// choice — and with it the bitwise kernel sequence — depends on it).
+// namespaceFor scopes intermediate-cache keys: dataset@version. The version
+// bound at query start makes an InvalidateDataset bump instantly
+// unreachable.
 func (s *Server) namespaceFor(q Query) string {
-	return fmt.Sprintf("%s@%d|%s", q.Dataset, s.DatasetVersion(q.Dataset), clusterSig(q.Cluster))
+	return namespacePrefix(q.Dataset) + strconv.FormatInt(s.DatasetVersion(q.Dataset), 10)
 }
 
 func namespacePrefix(dataset string) string { return dataset + "@" }
-
-// clusterSig fingerprints every cluster parameter that can change plan
-// choice or placement.
-func clusterSig(c cluster.Config) string {
-	return fmt.Sprintf("n%d.c%d.f%g.net%g.disk%g.mem%d.b%d.e%g.j%g.sp%g.nl%t.d%t",
-		c.Nodes, c.CoresPerNode, c.FlopsPerCore, c.NetBandwidth, c.DiskBandwidth,
-		c.DriverMemory, c.BlockSize, c.Efficiency, c.JobOverheadSec, c.SparsePenalty,
-		c.NoLocalMode, c.DenseOnly)
-}
 
 // HashValues is the result identity carried as QueryResult.ResultHash:
 // integrity.DigestValues, computed once per execution. The idempotency

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"remac/internal/algorithms"
-	"remac/internal/cluster"
 	"remac/internal/data"
 	"remac/internal/engine"
 	"remac/internal/fault"
@@ -213,30 +212,6 @@ func TestIntermediatesDoNotSurviveDatasetBump(t *testing.T) {
 	}
 	if res.IntermediateHits != 0 {
 		t.Errorf("got %d intermediate hits across a dataset version bump", res.IntermediateHits)
-	}
-}
-
-// TestIntermediatesDoNotCrossClusterConfigs: values computed under one
-// simulated cluster must not serve a query under another (negative test).
-func TestIntermediatesDoNotCrossClusterConfigs(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Shutdown(context.Background())
-	q := testQuery(t, algorithms.DFP, "cri1", 5)
-	if _, err := s.Do(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	other := q
-	other.Cluster = cluster.DefaultConfig()
-	other.Cluster.Nodes = 3
-	res, err := s.Do(context.Background(), other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PlanCacheHit {
-		t.Error("plan compiled for one cluster served another")
-	}
-	if res.IntermediateHits != 0 {
-		t.Errorf("got %d intermediate hits across cluster configs", res.IntermediateHits)
 	}
 }
 

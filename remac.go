@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"remac/internal/cluster"
@@ -260,27 +260,21 @@ func (p *Program) Options() []OptionInfo {
 	if p.compiled.Search == nil {
 		return nil
 	}
+	selected := p.SelectedKeys()
 	out := make([]OptionInfo, 0, len(p.compiled.Search.Options))
 	for _, o := range p.compiled.Search.Options {
 		out = append(out, OptionInfo{
 			Kind:        o.Kind.String(),
 			Key:         o.Key,
 			Occurrences: len(o.Occs),
-			Selected:    p.compiled.SelectedKeys[o.Key],
+			Selected:    slices.Contains(selected, o.Key),
 		})
 	}
 	return out
 }
 
 // SelectedKeys returns the applied option keys, sorted.
-func (p *Program) SelectedKeys() []string {
-	keys := make([]string, 0, len(p.compiled.SelectedKeys))
-	for k := range p.compiled.SelectedKeys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (p *Program) SelectedKeys() []string { return p.compiled.Decision.Keys() }
 
 // Explain renders the coordinate system, the discovered options and the
 // selection — the remac-explain tool's output.
@@ -295,9 +289,10 @@ func (p *Program) Explain() string {
 	}
 	if c.Search != nil {
 		fmt.Fprintf(&b, "\noptions found: %d (search %v)\n", len(c.Search.Options), c.SearchTime)
+		selected := p.SelectedKeys()
 		for _, o := range c.Search.Options {
 			mark := " "
-			if c.SelectedKeys[o.Key] {
+			if slices.Contains(selected, o.Key) {
 				mark = "*"
 			}
 			fmt.Fprintf(&b, " %s %s\n", mark, o.String())
@@ -326,15 +321,11 @@ type FaultConfig struct {
 	// checkpointed) when next used.
 	WorkerFailuresPerHour float64
 	// TransmitErrorsPerHour fails one in-flight task of the running
-	// operator, retried after a capped exponential backoff with
+	// operator, retried after a capped exponential backoff from 1s with
 	// retransmission of that task's share.
 	TransmitErrorsPerHour float64
-	// StragglersPerHour stretches the running operator by StragglerFactor.
+	// StragglersPerHour stretches the running operator to twice its time.
 	StragglersPerHour float64
-	// StragglerFactor defaults to 2.
-	StragglerFactor float64
-	// BackoffBaseSec is the first-retry backoff delay. Default 1s.
-	BackoffBaseSec float64
 	// CorruptionsPerHour flips one bit in a payload in flight or in a
 	// distributed multiply's compute phase. Detection (and hence repair)
 	// depends on RunOptions.Verify; an undetected flip propagates into the
@@ -372,17 +363,15 @@ type RunOptions struct {
 	Trace bool
 }
 
-func (f *FaultConfig) internal(workers int) (*fault.Plan, error) {
+func (f *FaultConfig) internal(workers int) *fault.Plan {
 	if f == nil {
-		return nil, nil
+		return nil
 	}
-	return fault.NewChecked(fault.Config{
+	return fault.NewPlan(fault.Config{
 		Seed:                  f.Seed,
 		WorkerFailuresPerHour: f.WorkerFailuresPerHour,
 		TransmitErrorsPerHour: f.TransmitErrorsPerHour,
 		StragglersPerHour:     f.StragglersPerHour,
-		StragglerFactor:       f.StragglerFactor,
-		BackoffBaseSec:        f.BackoffBaseSec,
 		CorruptionsPerHour:    f.CorruptionsPerHour,
 		Workers:               workers,
 	})
@@ -480,16 +469,12 @@ func (p *Program) RunContext(ctx context.Context, opts RunOptions) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	plan, err := opts.Faults.internal(p.compiled.Config.Cluster.Workers())
-	if err != nil {
-		return nil, err
-	}
 	var rec *trace.Recorder
 	if opts.Trace {
 		rec = trace.New()
 	}
 	res, err := engine.RunWithOptions(ctx, p.compiled, ins, rec, engine.RunOptions{
-		Faults:   plan,
+		Faults:   opts.Faults.internal(p.compiled.Config.Cluster.Workers()),
 		Recovery: recovery,
 		MaxIter:  opts.MaxIterations,
 		Verify:   verify,
