@@ -1,9 +1,10 @@
 // Package engine executes compiled programs on the simulated distributed
-// runtime: it lowers the statement plans into a schedule over distmat values
-// once per run, drives the loop, hoists loop-constant producers out of it
-// (LSE), reuses common-subexpression results within an iteration (CSE), and
-// accounts the phase breakdown (input partition / compilation / computation /
-// transmission) the paper's Fig 12 reports.
+// runtime: it interprets the schedule a compiled plan lowers on its first run
+// (opt.Compiled.Schedule) over distmat values, driving the loop, hoisting
+// loop-constant producers out of it (LSE) and reusing common-subexpression
+// results within an iteration (CSE), and accounts the phase breakdown (input
+// partition / compilation / computation / transmission) the paper's Fig 12
+// reports. What a run owns is its slot values, its stack and its cluster.
 package engine
 
 import (
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"remac/internal/cluster"
 	"remac/internal/distmat"
@@ -180,6 +180,10 @@ func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input
 	if err != nil {
 		return nil, err
 	}
+	s, err := c.Schedule()
+	if err != nil {
+		return nil, err
+	}
 	cl := cluster.New(c.Config.Cluster)
 	ctx := distmat.NewContext(cl)
 	if goCtx != nil {
@@ -196,11 +200,12 @@ func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input
 	}
 	e := &executor{
 		c:          c,
+		s:          s,
 		goCtx:      goCtx,
 		ctx:        ctx,
 		rec:        rec,
 		inputs:     inputs,
-		names:      map[string]int{},
+		slots:      make([]*distmat.DistMatrix, len(s.Kinds)),
 		checkpoint: rp.Kind == RecoverCheckpoint,
 		lse:        opts.LSE,
 		maxIter:    MaxIterations,
@@ -209,26 +214,23 @@ func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input
 	if opts.MaxIter > 0 {
 		e.maxIter = opts.MaxIter
 	}
-	if err := e.lower(); err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 
 func (e *executor) run() (*Result, error) {
-	c, ctx, rec, maxIter := e.c, e.ctx, e.rec, e.maxIter
-	if err := e.exec(e.code[:e.ends[0]]); err != nil {
+	c, s, ctx, rec, maxIter := e.c, e.s, e.ctx, e.rec, e.maxIter
+	if err := e.exec(s.Code[:s.Ends[0]]); err != nil {
 		return nil, err
 	}
 	iterations := 0
-	for loop := c.Plans.Loop; loop != nil; iterations++ {
+	for ; s.Cond != nil; iterations++ {
 		if iterations >= maxIter {
 			return nil, &MaxIterationsError{Iterations: maxIter}
 		}
 		if err := e.canceled(); err != nil {
 			return nil, err
 		}
-		v, err := e.condValue(loop.Cond)
+		v, err := e.condValue(s.Cond)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +241,7 @@ func (e *executor) run() (*Result, error) {
 		if rec != nil {
 			id = rec.Begin("iteration", fmt.Sprintf("iteration %d", iterations+1))
 		}
-		err = e.exec(e.code[e.ends[0]:e.ends[1]])
+		err = e.exec(s.Code[s.Ends[0]:s.Ends[1]])
 		if err == nil && e.guard == integrity.GuardPerIteration {
 			e.guardIteration()
 		}
@@ -254,7 +256,7 @@ func (e *executor) run() (*Result, error) {
 			e.afterIteration()
 		}
 	}
-	if err := e.exec(e.code[e.ends[1]:]); err != nil {
+	if err := e.exec(s.Code[s.Ends[1]:]); err != nil {
 		return nil, err
 	}
 	// A corruption or NaN surfaced by the final operator has no later
@@ -276,26 +278,18 @@ func (e *executor) run() (*Result, error) {
 	}, nil
 }
 
+// executor is the state of one run: c's schedule s, shared by every run of c,
+// and what the run owns — the values of the schedule's slots, the stack, the
+// cluster — with the optional source of LSE values (RunOptions).
 type executor struct {
 	c      *opt.Compiled
+	s      *opt.Schedule
 	goCtx  context.Context
 	ctx    *distmat.Context
 	rec    *trace.Recorder
 	inputs map[string]Input
-
-	// lse is the optional source of LSE values (RunOptions).
-	lse LSESource
-
-	// code is the schedule (schedule.go): the pre-loop statements, the loop
-	// body and the post-loop statements, ending at ends.
-	code []instr
-	ends [3]int
-	// slots is the slot table, with each slot's kind and label (a name's is
-	// the name); names finds a name's slot.
+	lse    LSESource
 	slots  []*distmat.DistMatrix
-	kinds  []slotKind
-	labels []string
-	names  map[string]int
 	// stack is the value stack; stmt and span are the statement running and
 	// its span; misses lists the LSE values the source missed that the run
 	// has yet to settle, innermost last.
@@ -326,23 +320,9 @@ type miss struct {
 	flop float64
 }
 
-// slotOf returns the slot of key in m, made on first use.
-func (e *executor) slotOf(m map[string]int, kind slotKind, key string) int {
-	k, ok := m[key]
-	if !ok {
-		k = len(e.slots)
-		e.slots, e.kinds, e.labels = append(e.slots, nil), append(e.kinds, kind), append(e.labels, key)
-		m[key] = k
-	}
-	return k
-}
-
-// slot returns the slot of a name.
-func (e *executor) slot(name string) int { return e.slotOf(e.names, nameSlot, name) }
-
 // exec runs a stretch of the schedule: the one run loop, for the pre-loop
 // statements, an iteration of the body and the post-loop statements alike.
-func (e *executor) exec(code []instr) error {
+func (e *executor) exec(code []opt.Instr) error {
 	for pc := 0; pc < len(code); pc++ {
 		skip, err := e.step(&code[pc])
 		if err != nil {
@@ -357,7 +337,7 @@ func (e *executor) exec(code []instr) error {
 			return fmt.Errorf("engine: %s: %w", e.stmt, err)
 		}
 		if skip {
-			pc += code[pc].n
+			pc += code[pc].N
 		}
 	}
 	return nil
@@ -365,8 +345,8 @@ func (e *executor) exec(code []instr) error {
 
 // step runs one instruction, after the checks an evaluation starts with; skip
 // reports a full reuse slot, whose producing instructions the run skips.
-func (e *executor) step(in *instr) (skip bool, err error) {
-	if in.entry {
+func (e *executor) step(in *opt.Instr) (skip bool, err error) {
+	if in.Entry {
 		if err = e.canceled(); err == nil {
 			err = e.ctx.IntegrityErr()
 		}
@@ -375,60 +355,60 @@ func (e *executor) step(in *instr) (skip bool, err error) {
 		}
 	}
 	top := len(e.stack) - 1
-	switch in.op {
-	case opStmt:
-		e.stmt, e.span = in.label, e.rec.Begin("stmt", in.label)
-	case opBind:
-		e.bind(in.a, e.stack[top])
+	switch in.Op {
+	case opt.OpStmt:
+		e.stmt, e.span = in.Label, e.rec.Begin("stmt", in.Label)
+	case opt.OpBind:
+		e.bind(in.A, e.stack[top])
 		e.stack = e.stack[:top]
 		e.rec.End(e.span)
 		e.span = 0
-		for _, k := range in.clears {
+		for _, k := range in.Clears {
 			v := e.slots[k]
 			e.slots[k] = nil
 			e.drop(v)
 		}
-	case opLoad:
-		v, err := e.load(in.a, in.b)
+	case opt.OpLoad:
+		v, err := e.load(in.A, in.B)
 		e.stack = append(e.stack, v)
 		return false, err
-	case opConst:
-		e.stack = append(e.stack, e.scalar(in.val))
-	case opEnter:
-		v := e.slots[in.a]
-		if v == nil && in.label != "" {
-			v, err = e.share(in.a, in.label)
-			e.slots[in.a] = v
+	case opt.OpConst:
+		e.stack = append(e.stack, e.scalar(in.Val))
+	case opt.OpEnter:
+		v := e.slots[in.A]
+		if v == nil && in.Label != "" && e.lse != nil {
+			v, err = e.share(in.A, in.Label)
+			e.slots[in.A] = v
 		}
 		if v != nil {
 			e.stack = append(e.stack, v)
 			return true, nil
 		}
-	case opFill:
-		if in.a >= 0 {
-			e.fill(in.a, in.label, e.stack[top])
+	case opt.OpFill:
+		if in.A >= 0 {
+			e.fill(in.A, in.Label, e.stack[top])
 		}
-	case opFusedT:
+	case opt.OpFusedT:
 		e.stack[top] = e.stack[top].TransposeFused()
-	case opT:
+	case opt.OpT:
 		e.stack[top] = e.stack[top].Transpose().Temp()
-	case opUnary:
-		e.stack[top], err = e.unary(in.kind, e.stack[top])
+	case opt.OpUnary:
+		e.stack[top], err = e.unary(in.Kind, e.stack[top])
 	default:
 		l, r := e.stack[top-1], e.stack[top]
 		e.stack = e.stack[:top]
 		var v *distmat.DistMatrix
-		switch in.op {
-		case opBinary:
-			v, err = e.applyBin(in.kind, l, r)
-		case opMul:
-			if in.swap {
+		switch in.Op {
+		case opt.OpBinary:
+			v, err = e.applyBin(in.Kind, l, r)
+		case opt.OpMul:
+			if in.Swap {
 				l, r = r, l
 			}
-			v = l.MulHinted(r, in.tsmm)
-		case opScale:
+			v = l.MulHinted(r, in.TSMM)
+		case opt.OpScale:
 			v = l.Scale(r.Data().ScalarValue())
-		case opAdd:
+		case opt.OpAdd:
 			v = l.Add(r)
 		}
 		if err == nil {
@@ -446,7 +426,7 @@ func (e *executor) guardIteration() {
 	env := e.env()
 	names := make([]string, 0, len(env))
 	for name := range env {
-		if baseSym(name) == name {
+		if plan.BaseSym(name) == name {
 			names = append(names, name)
 		}
 	}
@@ -458,8 +438,8 @@ func (e *executor) guardIteration() {
 
 // env maps the bound names to their values.
 func (e *executor) env() map[string]*distmat.DistMatrix {
-	env := make(map[string]*distmat.DistMatrix, len(e.names))
-	for name, k := range e.names {
+	env := make(map[string]*distmat.DistMatrix, len(e.s.Names))
+	for name, k := range e.s.Names {
 		if v := e.slots[k]; v != nil {
 			env[name] = v
 		}
@@ -491,7 +471,7 @@ func (e *executor) drop(v *distmat.DistMatrix) {
 // later ones, materialised on the way out (Checkpoint, Data).
 func (e *executor) fill(k int, key string, v *distmat.DistMatrix) {
 	e.slots[k] = v.Retain()
-	if e.kinds[k] != lseSlot {
+	if e.s.Kinds[k] != opt.LSESlot {
 		return
 	}
 	if e.checkpoint {
@@ -635,18 +615,12 @@ func (e *executor) load(sym, base int) (*distmat.DistMatrix, error) {
 	if v := e.slots[base]; v != nil {
 		return v, nil
 	}
-	if in, ok := e.inputs[e.labels[base]]; ok {
+	if in, ok := e.inputs[e.s.Labels[base]]; ok {
 		v := distmat.Read(e.ctx, in.Data, in.VRows, in.VCols)
 		e.slots[base] = v
 		return v, nil
 	}
-	return nil, fmt.Errorf("unbound symbol %q", e.labels[sym])
-}
-
-// baseSym strips the "#n" version suffix.
-func baseSym(sym string) string {
-	base, _, _ := strings.Cut(sym, "#")
-	return base
+	return nil, fmt.Errorf("unbound symbol %q", e.s.Labels[sym])
 }
 
 // condValue evaluates a loop condition over the scalar bindings.
@@ -655,7 +629,7 @@ func (e *executor) condValue(expr lang.Expr) (float64, error) {
 	case *lang.Num:
 		return expr.V, nil
 	case *lang.Ref:
-		v, err := e.load(e.slot(expr.Name), e.slot(baseSym(expr.Name)))
+		v, err := e.load(e.s.Names[expr.Name], e.s.Names[plan.BaseSym(expr.Name)])
 		if err != nil {
 			return 0, err
 		}

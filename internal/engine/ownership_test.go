@@ -61,15 +61,15 @@ func (e *executor) retained() (held map[string]*matrix.Matrix, deferred []string
 		if v == nil {
 			continue
 		}
-		label := e.labels[k]
+		label, kind := e.s.Labels[k], e.s.Kinds[k]
 		switch {
-		case e.kinds[k] == nameSlot:
+		case kind == opt.NameSlot:
 			add("env["+label+"]", v)
-		case e.kinds[k] == lseSlot && (e.checkpoint || e.lse != nil):
+		case kind == opt.LSESlot && (e.checkpoint || e.lse != nil):
 			// Checkpointed, or handed to the source: cells.
 			add("env[lse slot "+label+"]", v)
 		default:
-			add([...]string{"name", "lse", "cse", "subtree"}[e.kinds[k]]+" slot "+label, v)
+			add([...]string{"name", "lse", "cse", "subtree"}[kind]+" slot "+label, v)
 		}
 		if tv := v.Fused(); tv != nil {
 			add("env[fused "+label+"]", tv)
@@ -580,9 +580,10 @@ func TestOwnershipConcurrentRunsShareInputsAndIntermediates(t *testing.T) {
 // operators per iteration, it stays an expression until H is bound (distmat:
 // deferred.go), and the H it replaces is retired into the free list, so a run
 // writes into two n×n buffers by turns — the rest of the budget is the
-// A-sized values of each iteration, about 1.5 and 1.4 times what they came to
-// when the bound was set (0.22 and 1.65 buffers at GOMAXPROCS 1, up to 0.29
-// and 1.88 at 64, where more stripes hand off). The fused t(A), 0.2 buffers,
+// A-sized values of each iteration (0.14 and 1.50 buffers at GOMAXPROCS 1, up
+// to 0.22 and 1.81 at 64, where more stripes hand off). The plan's schedule is
+// not among them: the warm-up run lowered it, and the budget fell by what
+// lowering it on every run took, 0.07 buffers. The fused t(A), 0.2 buffers,
 // is not among them: it rides on the input matrix, which the warm-up run
 // transposed. The
 // hand-over store is emptied first (two collections empty a sync.Pool): the
@@ -597,7 +598,7 @@ func TestExecAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		iters  int
 		budget float64
-	}{{3, 2 + 0.33}, {15, 2 + 2.3}} {
+	}{{3, 2 + 0.26}, {15, 2 + 2.23}} {
 		for _, alg := range []algorithms.Name{algorithms.DFP, algorithms.BFGS} {
 			for _, strategy := range []opt.Strategy{opt.NoElimination, opt.Adaptive} {
 				c := compileOn(t, alg, ds, strategy, tc.iters)

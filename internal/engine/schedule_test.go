@@ -1,14 +1,19 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"remac/internal/algorithms"
+	"remac/internal/cluster"
 	"remac/internal/data"
 	"remac/internal/lang"
 	"remac/internal/opt"
+	"remac/internal/sparsity"
 )
 
 // allStrategies is every strategy; Manual with no keys applies nothing.
@@ -126,4 +131,92 @@ var iterationBudget = map[algorithms.Name]float64{
 	algorithms.DFP:  44 << 10,
 	algorithms.BFGS: 30 << 10,
 	algorithms.GNMF: 26 << 10,
+}
+
+// TestRunsShareOneSchedule: a compiled plan is lowered once, by its first
+// run, and every later run reads the schedule that run built; setting up a
+// run of a warmed plan allocates only what the run owns: its executor, slot
+// values, cluster and context.
+func TestRunsShareOneSchedule(t *testing.T) {
+	ds := data.MustLoad("cri2")
+	for _, alg := range ownershipAlgs {
+		c := compileOn(t, alg, ds, opt.Adaptive, 3)
+		ins := inputsOn(alg, ds)
+		setUp := func() *executor {
+			e, err := newExecutor(context.Background(), c, ins, nil, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		first := setUp()
+		if _, err := first.run(); err != nil {
+			t.Fatal(err)
+		}
+		if second := setUp(); second.s != first.s {
+			t.Errorf("%v: the second run lowered the plan again", alg)
+		}
+		allocs := testing.AllocsPerRun(20, func() { setUp() })
+		t.Logf("%v: %.0f allocations to set a run up", alg, allocs)
+		if allocs > 8 {
+			t.Errorf("%v: setting a run of a warmed plan up took %.0f allocations, budget 8", alg, allocs)
+		}
+	}
+}
+
+// TestConcurrentFirstRunsShareOneSchedule: eight runs that are all the first
+// of one plan race to lower it, under every strategy whose schedule differs —
+// the raw body, identical-subtree slots, option slots, a hand-picked
+// combination — and each returns what a solo run of its own plan returns, bit
+// for bit, with the same charges. Run it under -race.
+func TestConcurrentFirstRunsShareOneSchedule(t *testing.T) {
+	const runs = 8
+	ds := data.MustLoad("cri1")
+	ins := inputsOn(algorithms.DFP, ds)
+	compile := func(strategy opt.Strategy) *opt.Compiled {
+		c, err := opt.Compile(algorithms.MustProgram(algorithms.DFP, 3), inputMetas(algorithms.DFP, ds), opt.Config{
+			Strategy: strategy, Estimator: sparsity.MNC{}, Cluster: cluster.DefaultConfig(), Iterations: 3,
+			ManualKeys: []string{"A'·A", "H·g·g'·H"}, // Fig 3's pair
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, strategy := range []opt.Strategy{opt.NoElimination, opt.Explicit, opt.Conservative, opt.Adaptive, opt.Manual} {
+		solo, err := runPlain(compile(strategy), ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := compile(strategy)
+		if strategy == opt.Manual && len(c.Decision.Selected) == 0 {
+			t.Fatal("Manual selected no option; the test checks nothing of its slots")
+		}
+		results, errs := make([]*Result, runs), make([]error, runs)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for g := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				results[g], errs[g] = runPlain(c, ins)
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		for g, res := range results {
+			if errs[g] != nil {
+				t.Fatalf("%v run %d: %v", strategy, g, errs[g])
+			}
+			if !reflect.DeepEqual(res.Stats, solo.Stats) || res.Iterations != solo.Iterations {
+				t.Errorf("%v run %d: charged %+v, the solo run %+v", strategy, g, res.Stats, solo.Stats)
+			}
+			for name, v := range solo.Env {
+				if !sameBits(res.Env[name].Data(), v.Data()) {
+					t.Errorf("%v run %d: %s differs from the solo run", strategy, g, name)
+				}
+			}
+		}
+	}
 }

@@ -36,7 +36,7 @@ func fusedInput(t *testing.T, c *opt.Compiled, ins map[string]Input, opts RunOpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := e.slots[e.slot("A")]
+	a := e.slots[e.s.Names["A"]]
 	if a == nil || a.Fused() == nil {
 		t.Fatal("the plan fused no transpose of input A; the test checks nothing")
 	}
@@ -153,7 +153,7 @@ func TestCarriedTransposeConcurrentRuns(t *testing.T) {
 				return
 			}
 			if results[g], errs[g] = e.run(); errs[g] == nil {
-				if a := e.slots[e.slot("A")]; a != nil && a.Fused() != nil {
+				if a := e.slots[e.s.Names["A"]]; a != nil && a.Fused() != nil {
 					fused[g] = a.Fused().Data()
 				}
 			}

@@ -141,22 +141,18 @@ func DeriveSeed(seed int64, index int) int64 {
 	return int64(Mix64Key(uint64(seed), uint64(index)+1, 0))
 }
 
-// Derive returns the config reseeded for the index-th member of a family
-// of concurrent runs (see DeriveSeed). Rates are unchanged.
-func (c Config) Derive(index int) Config {
-	c.Seed = DeriveSeed(c.Seed, index)
-	return c
-}
-
-// Derive returns an independent per-query plan: rate-based plans are
-// rebuilt on the derived seed; explicit-event plans replay the same
-// authored schedule for every query (the author pinned exact times, so
-// there is nothing to decorrelate). Nil-safe.
+// Derive returns an independent plan for the index-th member of a family of
+// concurrent runs: rate-based plans are rebuilt on the seed DeriveSeed
+// derives, at the same rates; explicit-event plans replay the same authored
+// schedule for every query (the author pinned exact times, so there is
+// nothing to decorrelate). Nil-safe.
 func (p *Plan) Derive(index int) *Plan {
 	if p == nil || p.events != nil {
 		return p
 	}
-	return NewPlan(p.cfg.Derive(index))
+	cfg := p.cfg
+	cfg.Seed = DeriveSeed(cfg.Seed, index)
+	return NewPlan(cfg)
 }
 
 // Plan is an immutable fault schedule: rate streams or an explicit event

@@ -20,12 +20,24 @@ import (
 )
 
 // TestLongChainIsBounded: a script whose multiplication chain has more than
-// chain.MaxBlockAtoms factors is a compile-class 400 before the planner
-// prices it, and one at the cap compiles and runs.
+// chain.MaxBlockAtoms factors, or whose loop body has more than
+// chain.MaxScriptAtoms in all, each of its chains under the first cap, is a
+// compile-class 400 before the planner prices it, and one at the block cap
+// compiles and runs.
 func TestLongChainIsBounded(t *testing.T) {
 	srv := serve.New(serve.Config{Workers: 1})
 	defer srv.Shutdown(context.Background())
 	mux := NewServeMux(srv, NewQueryBuilder(engine.RecoveryPolicy{}), ServeHandlerConfig{})
+	send := func(script string) (*httptest.ResponseRecorder, time.Duration) {
+		body, err := json.Marshal(QueryRequest{Dataset: "cri1", Script: script})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(string(body))))
+		return rec, time.Since(start)
+	}
 	// post sends x = … %*% t(A) %*% b, atoms factors in all: A and t(A)
 	// alternate so that every product is defined and the result is a vector.
 	post := func(atoms int) (*httptest.ResponseRecorder, time.Duration) {
@@ -36,31 +48,40 @@ func TestLongChainIsBounded(t *testing.T) {
 				factors[i] = "A"
 			}
 		}
-		script := "A = read(\"A\")\nb = read(\"b\")\nx = " + strings.Join(factors, " %*% ") + " %*% b\n"
-		body, err := json.Marshal(QueryRequest{Dataset: "cri1", Script: script})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		start := time.Now()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(string(body))))
-		return rec, time.Since(start)
+		return send("A = read(\"A\")\nb = read(\"b\")\nx = " + strings.Join(factors, " %*% ") + " %*% b\n")
 	}
 	if rec, _ := post(chain.MaxBlockAtoms); rec.Code != http.StatusOK {
 		t.Fatalf("%d atoms = %d: %s", chain.MaxBlockAtoms, rec.Code, rec.Body)
 	}
-	for _, atoms := range []int{chain.MaxBlockAtoms + 1, 1001} {
-		rec, wall := post(atoms)
+	// A loop body of statements x = t(A) %*% A %*% … %*% x, each one atom
+	// under the block cap, one statement over the script cap.
+	loop := "A = read(\"A\")\nx = read(\"x0\")\ni = 0\nwhile (i < 3) {\n"
+	for k := 0; k <= chain.MaxScriptAtoms/(chain.MaxBlockAtoms-1); k++ {
+		loop += "    x = " + strings.Repeat("t(A) %*% A %*% ", (chain.MaxBlockAtoms-2)/2) + "x\n"
+	}
+	loop += "    i = i + 1\n}\n"
+	for _, tc := range []struct {
+		what string
+		send func() (*httptest.ResponseRecorder, time.Duration)
+	}{
+		{"one chain over the block cap", func() (*httptest.ResponseRecorder, time.Duration) { return post(chain.MaxBlockAtoms + 1) }},
+		{"one chain of 1001 atoms", func() (*httptest.ResponseRecorder, time.Duration) { return post(1001) }},
+		{"a loop body over the script cap", func() (*httptest.ResponseRecorder, time.Duration) { return send(loop) }},
+	} {
+		rec, wall := tc.send()
 		var body ErrorResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatalf("%d atoms: error body is not JSON: %v", atoms, err)
+			t.Fatalf("%s: error body is not JSON: %v", tc.what, err)
 		}
 		if rec.Code != http.StatusBadRequest || body.Class != resilience.Compile.String() {
-			t.Errorf("%d atoms = %d class %q, want a compile-class 400: %s", atoms, rec.Code, body.Class, rec.Body)
+			t.Errorf("%s = %d class %q, want a compile-class 400: %s", tc.what, rec.Code, body.Class, rec.Body)
 		}
 		if wall > time.Second {
-			t.Errorf("%d atoms took %v to reject", atoms, wall)
+			t.Errorf("%s took %v to reject", tc.what, wall)
 		}
+	}
+	if rec, _ := send(loop); !strings.Contains(rec.Body.String(), chain.ErrScriptTooLong.Error()) {
+		t.Errorf("the loop body over the script cap failed for another reason: %s", rec.Body)
 	}
 }
 

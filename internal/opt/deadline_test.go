@@ -29,16 +29,17 @@ func chainsScript(blocks, factors int) string {
 	return b.String()
 }
 
-// TestCompileStopsAtTheDeadline: 200 blocks of 63 atoms, each under
-// chain.MaxBlockAtoms, take 1.1 s (NoElimination) and 4.3 s (Adaptive) to
-// compile on a 2-core x86 host, almost all of it in the window sweep, the
-// chain DP and the probe. Each checks the context often enough that a
-// 100 ms deadline ends the compilation within a second, with ErrCanceled.
+// TestCompileStopsAtTheDeadline: 16 blocks of 63 atoms, each under
+// chain.MaxBlockAtoms and 1 008 in all, under chain.MaxScriptAtoms, take
+// 0.11–0.19 s (NoElimination) and 0.4 s (Adaptive) to compile on a 2-core
+// x86 host, almost all of it in the window sweep, the chain DP and the probe.
+// Each checks the context often enough that a 10 ms deadline ends the
+// compilation within a second, with ErrCanceled.
 func TestCompileStopsAtTheDeadline(t *testing.T) {
-	prog := lang.MustParse(chainsScript(200, 62))
+	prog := lang.MustParse(chainsScript(16, 62))
 	metas := inputMetas(t, algorithms.DFP, "cri1")
 	for _, strategy := range []Strategy{Adaptive, NoElimination} {
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 		start := time.Now()
 		_, err := CompileCtx(ctx, prog, metas, Config{Strategy: strategy, Cluster: cluster.DefaultConfig(), Iterations: 3})
 		wall := time.Since(start)
@@ -47,7 +48,7 @@ func TestCompileStopsAtTheDeadline(t *testing.T) {
 			t.Fatalf("%v: err = %v after %v, want ErrCanceled", strategy, err, wall)
 		}
 		if wall > time.Second {
-			t.Errorf("%v: a 100 ms deadline stopped the compilation after %v", strategy, wall)
+			t.Errorf("%v: a 10 ms deadline stopped the compilation after %v", strategy, wall)
 		}
 		t.Logf("%v: canceled after %v", strategy, wall)
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"remac/internal/chain"
@@ -57,42 +58,27 @@ const (
 	Manual
 )
 
-// String names the strategy as reported in experiment output.
-func (s Strategy) String() string {
-	switch s {
-	case NoElimination:
-		return "SystemDS*"
-	case Explicit:
-		return "SystemDS"
-	case Conservative:
-		return "conservative"
-	case Aggressive:
-		return "aggressive"
-	case Automatic:
-		return "automatic"
-	case Adaptive:
-		return "adaptive"
-	case SPORESLike:
-		return "SPORES"
-	case Manual:
-		return "manual"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
+// strategyNames is the one table of the strategies, by Strategy: the name a
+// query selects it by (none for SPORESLike and Manual; the names travel on
+// the wire and are the public remac.Strategy values) and the name experiment
+// output reports it under.
+var strategyNames = [...]struct{ name, report string }{
+	NoElimination: {"none", "SystemDS*"},
+	Explicit:      {"explicit", "SystemDS"},
+	Conservative:  {"conservative", "conservative"},
+	Aggressive:    {"aggressive", "aggressive"},
+	Automatic:     {"automatic", "automatic"},
+	Adaptive:      {"adaptive", "adaptive"},
+	SPORESLike:    {"", "SPORES"},
+	Manual:        {"", "manual"},
 }
 
-// strategyNames is the one table of the strategies a query can name: the
-// names travel on the wire and are the public remac.Strategy values.
-var strategyNames = []struct {
-	name     string
-	strategy Strategy
-}{
-	{"none", NoElimination},
-	{"explicit", Explicit},
-	{"conservative", Conservative},
-	{"aggressive", Aggressive},
-	{"automatic", Automatic},
-	{"adaptive", Adaptive},
+// String names the strategy as reported in experiment output.
+func (s Strategy) String() string {
+	if s < 0 || int(s) >= len(strategyNames) {
+		return fmt.Sprintf("Strategy(%d)", int(s))
+	}
+	return strategyNames[s].report
 }
 
 // ParseStrategy returns the strategy a name selects; the empty name is
@@ -101,14 +87,14 @@ func ParseStrategy(name string) (Strategy, error) {
 	if name == "" {
 		return Adaptive, nil
 	}
-	for _, e := range strategyNames {
+	var names []string
+	for s, e := range strategyNames {
 		if e.name == name {
-			return e.strategy, nil
+			return Strategy(s), nil
 		}
-	}
-	names := make([]string, len(strategyNames))
-	for i, e := range strategyNames {
-		names[i] = e.name
+		if e.name != "" {
+			names = append(names, e.name)
+		}
 	}
 	return 0, fmt.Errorf("unknown strategy %q (want one of %s)", name, strings.Join(names, ", "))
 }
@@ -116,10 +102,8 @@ func ParseStrategy(name string) (Strategy, error) {
 // Name is the name ParseStrategy takes back to s. A strategy no query can
 // name (SPORESLike, Manual) is named as the default, Adaptive.
 func (s Strategy) Name() string {
-	for _, e := range strategyNames {
-		if e.strategy == s {
-			return e.name
-		}
+	if s >= 0 && int(s) < len(strategyNames) && strategyNames[s].name != "" {
+		return strategyNames[s].name
 	}
 	return "adaptive"
 }
@@ -172,30 +156,21 @@ type Resolver struct {
 
 // MetaFor implements plan.Resolver.
 func (r *Resolver) MetaFor(sym string) (sparsity.Meta, bool) {
-	m, ok := r.metas[strings.SplitN(sym, "#", 2)[0]]
+	m, ok := r.metas[plan.BaseSym(sym)]
 	return m, ok
 }
 
 // IsSymmetric implements plan.Resolver.
 func (r *Resolver) IsSymmetric(sym string) bool { return r.sym.IsSymmetric(sym) }
 
-// Compiled is a fully optimized program ready for execution.
+// Compiled is a fully optimized program ready for execution. It holds the
+// schedule its first run lowers (Schedule), so it is never copied.
 type Compiled struct {
 	Config   Config
 	Program  *lang.Program
-	Plans    *plan.Plans
 	Resolver *Resolver
-	// NormalizedBody holds the normalized trees the engine executes. For
-	// option strategies it aligns with the non-inlined body statements
-	// (inlined definitions are absorbed); for the SystemDS baselines
-	// (UsesRawBody) it aligns with every body statement's raw tree.
-	NormalizedBody []*plan.Node
-	// UsesRawBody marks the SystemDS-style baselines: statement-by-
-	// statement execution of uninlined trees with cost-ordered chains but
-	// no elimination options.
-	UsesRawBody bool
-	Coords      *chain.Coordinates
-	Search      *search.Result
+	Coords   *chain.Coordinates
+	Search   *search.Result
 	// Decision is the plan choice: the applied options (none for
 	// NoElimination/Explicit, whose decision only orders the chains).
 	Decision *costgraph.Decision
@@ -203,6 +178,17 @@ type Compiled struct {
 	SearchTime time.Duration
 	PlanTime   time.Duration
 	TotalTime  time.Duration
+
+	plans *plan.Plans
+	// normalizedBody holds the body trees the schedule runs: the normalized
+	// trees of the statements nothing inlined, or, for the SystemDS
+	// baselines (usesRawBody: no elimination options, cost-ordered chains),
+	// every body statement's raw tree.
+	normalizedBody []*plan.Node
+	usesRawBody    bool
+	lowered        sync.Once
+	schedule       *Schedule
+	lowerErr       error
 }
 
 // SharedKey is the key a run shares a loop-constant (LSE) producer's value
@@ -309,7 +295,7 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 	c := &Compiled{
 		Config:   cfg,
 		Program:  prog,
-		Plans:    plans,
+		plans:    plans,
 		Resolver: res,
 	}
 
@@ -326,53 +312,31 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 		// get cost-optimal multiplication order, which stock SystemDS also
 		// applies; only CSE/LSE is disabled (or, for Explicit, limited to
 		// identical subtrees at execution time).
-		c.UsesRawBody = true
+		c.usesRawBody = true
 		for _, sp := range plans.Body {
-			c.NormalizedBody = append(c.NormalizedBody, plan.PushDownTranspose(sp.Raw, sym))
+			c.normalizedBody = append(c.normalizedBody, plan.PushDownTranspose(sp.Raw, sym))
 		}
-		coords, err := chain.Extract(c.NormalizedBody, res, sym)
-		if err != nil {
-			return nil, err
+	} else {
+		for _, root := range plans.SearchRoots() {
+			c.normalizedBody = append(c.normalizedBody, plan.Normalize(root, sym))
 		}
-		c.Coords = coords
-		planner, err := costgraph.NewPlanner(ctx, costgraph.Config{
-			Model:      cost.NewModel(cfg.Cluster, est),
-			Iterations: cfg.Iterations,
-		}, &search.Result{Coords: coords})
-		if err != nil {
-			return nil, err
-		}
-		// No options: the decision only orders each block's chain.
-		c.Decision, err = planner.Manual(nil)
-		if cerr := ctx.Err(); err != nil && cerr != nil {
-			return nil, Canceled("opt: plan", cerr)
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.TotalTime = time.Since(start)
-		return c, nil
 	}
-
-	for _, root := range plans.SearchRoots() {
-		c.NormalizedBody = append(c.NormalizedBody, plan.Normalize(root, sym))
-	}
-	coords, err := chain.Extract(c.NormalizedBody, res, sym)
+	coords, err := chain.Extract(c.normalizedBody, res, sym)
 	if err != nil {
 		return nil, err
 	}
 	c.Coords = coords
 
-	searchStart := time.Now()
-	if cfg.Strategy == SPORESLike {
-		c.Search = search.SPORES(coords)
-	} else {
-		c.Search, err = search.BlockWiseCtx(ctx, coords, est)
-		if err != nil {
+	found := &search.Result{Coords: coords} // the baselines search for nothing
+	if !c.usesRawBody {
+		searchStart := time.Now()
+		if cfg.Strategy == SPORESLike {
+			found = search.SPORES(coords)
+		} else if found, err = search.BlockWiseCtx(ctx, coords, est); err != nil {
 			return nil, Canceled("opt: search", err)
 		}
+		c.Search, c.SearchTime = found, time.Since(searchStart)
 	}
-	c.SearchTime = time.Since(searchStart)
 
 	if err := ctx.Err(); err != nil {
 		return nil, Canceled("opt: plan", err)
@@ -381,7 +345,7 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 	planner, err := costgraph.NewPlanner(ctx, costgraph.Config{
 		Model:      cost.NewModel(cfg.Cluster, est),
 		Iterations: cfg.Iterations,
-	}, c.Search)
+	}, found)
 	if err != nil {
 		return nil, err
 	}
@@ -438,6 +402,9 @@ func buildResolver(plans *plan.Plans, inputs map[string]sparsity.Meta, est spars
 // selection rule.
 func selectOptions(p *costgraph.Planner, cfg Config) (*costgraph.Decision, error) {
 	switch cfg.Strategy {
+	case NoElimination, Explicit:
+		// No options: the decision only orders each block's chain.
+		return p.Manual(nil)
 	case Adaptive:
 		switch cfg.Combiner {
 		case EnumDFS:

@@ -32,7 +32,7 @@ func TestCompileNoElimination(t *testing.T) {
 	if c.Search != nil {
 		t.Fatal("SystemDS* must not search for options")
 	}
-	if !c.UsesRawBody {
+	if !c.usesRawBody {
 		t.Fatal("baselines execute the raw statement trees")
 	}
 	// The baseline still gets cost-ordered chain plans (stock SystemDS

@@ -1,4 +1,4 @@
-package engine
+package opt
 
 import (
 	"fmt"
@@ -6,62 +6,90 @@ import (
 
 	"remac/internal/chain"
 	"remac/internal/costgraph"
-	"remac/internal/opt"
+	"remac/internal/lang"
 	"remac/internal/plan"
 	"remac/internal/search"
 )
 
-// The schedule: newExecutor lowers the pre-loop statements, the loop body
-// (raw or normalized) and the post-loop statements once per run into one flat
-// list of instructions, walking each tree in the order a recursive evaluation
-// takes it: every kernel call, charge and span comes in that order. Operands
-// pass on a value stack; what outlives an expression lives in numbered slots:
-// the names, and the reuse slots — an option's value and, under Explicit and
+// The schedule: Compiled.Schedule lowers the pre-loop statements, the loop
+// body (raw or normalized) and the post-loop statements into one flat list of
+// instructions on the plan's first run, and every later run of the plan reads
+// that list; each tree is walked in the order a recursive evaluation takes it:
+// every kernel call, charge and span comes in that order. Operands pass on a
+// value stack; what outlives an expression lives in numbered slots: the
+// names, and the reuse slots — an option's value and, under Explicit and
 // Conservative, a subtree or chain span repeated in its statement list (stock
 // SystemDS's identical-subtree CSE). A reuse slot is filled on its first read,
-// an opEnter that skips the producer when the slot is full, and cleared (an
+// an OpEnter that skips the producer when the slot is full, and cleared (an
 // LSE slot never) by the bind ending the last statement of its list that reads
 // it, or one assigning a symbol it reads. A clear lets go like a rebinding
 // does: a value the run made is recycled when its last holder lets go.
 
-type opcode uint8
+// Opcode is what an instruction does.
+type Opcode uint8
 
 const (
-	opStmt   opcode = iota // begin the statement span of label
-	opBind                 // pop into name slot a, end the span, clear the slots of clears
-	opLoad                 // push name slot a, else b, else the input named b
-	opConst                // push the scalar val
-	opEnter                // slot a full (or shared under key label): push it, skip n
-	opFill                 // slot a ← the top of the stack (a < 0: a slot read once)
-	opFusedT               // top ← its fused transpose
-	opT                    // top ← its transpose
-	opUnary                // top ← kind(top)
-	opBinary               // l, r ← kind(l, r)
-	opMul                  // l, r ← l·r (swap: r·l) under the TSMM hint
-	opScale                // v, s ← s·v
-	opAdd                  // l, r ← l + r
+	OpStmt   Opcode = iota // begin the statement span of Label
+	OpBind                 // pop into name slot A, end the span, clear the slots of Clears
+	OpLoad                 // push name slot A, else B, else the input named B
+	OpConst                // push the scalar Val
+	OpEnter                // slot A full (or shared under key Label): push it, skip N
+	OpFill                 // slot A ← the top of the stack (A < 0: a slot read once)
+	OpFusedT               // top ← its fused transpose
+	OpT                    // top ← its transpose
+	OpUnary                // top ← Kind(top)
+	OpBinary               // l, r ← Kind(l, r)
+	OpMul                  // l, r ← l·r (Swap: r·l) under the TSMM hint
+	OpScale                // v, s ← s·v
+	OpAdd                  // l, r ← l + r
 )
 
-type instr struct {
-	kind    plan.Kind
-	a, b, n int
-	val     float64
-	label   string
-	clears  []int
-	op      opcode
-	// entry marks where an evaluation starts: the run checks for
+// Instr is one instruction of a schedule.
+type Instr struct {
+	Kind    plan.Kind
+	A, B, N int
+	Val     float64
+	Label   string
+	Clears  []int
+	Op      Opcode
+	// Entry marks where an evaluation starts: the run checks for
 	// cancellation and integrity errors before the instruction.
-	entry, tsmm, swap bool
+	Entry, TSMM, Swap bool
 }
 
-type slotKind uint8
+// SlotKind is what a slot holds: a name's binding or a reuse slot's value.
+type SlotKind uint8
 
 const (
-	nameSlot slotKind = iota
-	lseSlot
-	cseSlot
-	subtreeSlot
+	NameSlot SlotKind = iota
+	LSESlot
+	CSESlot
+	SubtreeSlot
 )
+
+// Schedule is a compiled plan lowered for the engine. Every run of the plan,
+// concurrent ones included, reads the one schedule and none writes to it.
+type Schedule struct {
+	// Code is the pre-loop statements, the loop body and the post-loop
+	// statements, ending at Ends.
+	Code []Instr
+	Ends [3]int
+	// Kinds and Labels give each slot's kind and label (a name's is the
+	// name); Names finds a name's slot.
+	Kinds  []SlotKind
+	Labels []string
+	Names  map[string]int
+	// Cond is the loop condition, nil for a straight-line program; each
+	// name it reads, and its base name, has a slot.
+	Cond lang.Expr
+}
+
+// Schedule returns the plan lowered for the engine: built by the first call,
+// kept with its error, and shared by every later one.
+func (c *Compiled) Schedule() (*Schedule, error) {
+	c.lowered.Do(func() { c.schedule, c.lowerErr = c.lower() })
+	return c.schedule, c.lowerErr
+}
 
 // stmt is a statement of a list: its tree, the name it binds and its label;
 // a promotion has no tree and binds target to the value of from.
@@ -71,7 +99,7 @@ type stmt struct {
 }
 
 // use is what a statement list does with a reuse slot: the symbols its
-// producer reads, the last statement reading it, and where each read's opFill
+// producer reads, the last statement reading it, and where each read's OpFill
 // is.
 type use struct {
 	refs  map[string]bool
@@ -80,7 +108,8 @@ type use struct {
 }
 
 type lowering struct {
-	e         *executor
+	*Schedule
+	c         *Compiled
 	blocks    map[*plan.Node]*costgraph.BlockPlan
 	producers map[string]*costgraph.ProducerPlan
 	options   map[string]int // option slots by key
@@ -95,11 +124,10 @@ type lowering struct {
 	err   error
 }
 
-// lower builds e.code, the lists ending at e.ends; a promotion is the load and
-// bind of a statement with no span.
-func (e *executor) lower() error {
-	c := e.c
-	l := &lowering{e: e, blocks: map[*plan.Node]*costgraph.BlockPlan{},
+// lower builds the schedule; a promotion is the load and bind of a statement
+// with no span.
+func (c *Compiled) lower() (*Schedule, error) {
+	l := &lowering{Schedule: &Schedule{Names: map[string]int{}}, c: c, blocks: map[*plan.Node]*costgraph.BlockPlan{},
 		producers: map[string]*costgraph.ProducerPlan{}, options: map[string]int{}}
 	if c.Decision != nil {
 		for _, bp := range c.Decision.BlockPlans {
@@ -114,7 +142,7 @@ func (e *executor) lower() error {
 	// inlined, bind versioned symbols — inlined references to the pre-update
 	// value keep resolving to the old binding — and promote them at the end
 	// of the body, so the next iteration and the loop condition see them.
-	sps := [3][]plan.StmtPlan{c.Plans.Pre, c.Plans.Body, c.Plans.Post}
+	sps := [3][]plan.StmtPlan{c.plans.Pre, c.plans.Body, c.plans.Post}
 	var lists [3][]stmt
 	var promote []stmt
 	for i := range sps {
@@ -122,10 +150,10 @@ func (e *executor) lower() error {
 			switch {
 			case i != 1:
 				lists[i] = append(lists[i], stmt{tree: sp.Raw, target: sp.Target, label: sp.Target})
-			case c.UsesRawBody:
-				lists[1] = append(lists[1], stmt{tree: c.NormalizedBody[j], target: sp.Target, label: sp.Target})
+			case c.usesRawBody:
+				lists[1] = append(lists[1], stmt{tree: c.normalizedBody[j], target: sp.Target, label: sp.Target})
 			case !sp.Inlined:
-				lists[1] = append(lists[1], stmt{tree: c.NormalizedBody[len(lists[1])], target: sp.TargetSym, label: sp.Target})
+				lists[1] = append(lists[1], stmt{tree: c.normalizedBody[len(lists[1])], target: sp.TargetSym, label: sp.Target})
 				if sp.TargetSym != sp.Target {
 					promote = append(promote, stmt{target: sp.Target, from: sp.TargetSym})
 				}
@@ -135,18 +163,54 @@ func (e *executor) lower() error {
 	lists[1] = append(lists[1], promote...)
 	for i, list := range lists {
 		if err := l.list(list, sps[i]); err != nil {
-			return err
+			return nil, err
 		}
-		e.ends[i] = len(e.code)
+		l.Ends[i] = len(l.Code)
 	}
-	return nil
+	if c.plans.Loop != nil {
+		l.Cond = c.plans.Loop.Cond
+		l.cond(l.Cond)
+	}
+	return l.Schedule, nil
 }
+
+// cond gives each name the loop condition reads, and its base name, a slot.
+func (l *lowering) cond(x lang.Expr) {
+	switch x := x.(type) {
+	case *lang.Ref:
+		l.slot(x.Name)
+		l.slot(plan.BaseSym(x.Name))
+	case *lang.Un:
+		l.cond(x.X)
+	case *lang.Bin:
+		l.cond(x.L)
+		l.cond(x.R)
+	case *lang.Call:
+		for _, a := range x.Args {
+			l.cond(a)
+		}
+	}
+}
+
+// slotOf returns the slot of key in m, made on first use.
+func (l *lowering) slotOf(m map[string]int, kind SlotKind, key string) int {
+	k, ok := m[key]
+	if !ok {
+		k = len(l.Kinds)
+		l.Kinds, l.Labels = append(l.Kinds, kind), append(l.Labels, key)
+		m[key] = k
+	}
+	return k
+}
+
+// slot returns the slot of a name.
+func (l *lowering) slot(name string) int { return l.slotOf(l.Names, NameSlot, name) }
 
 // list lowers one statement list, and marks after each statement the clears
 // of the reuse slots whose lifetime ends there.
 func (l *lowering) list(stmts []stmt, sps []plan.StmtPlan) error {
 	l.explicit, l.subtrees, l.uses = nil, map[string]int{}, map[int]*use{}
-	if s := l.e.c.Config.Strategy; s == opt.Explicit || s == opt.Conservative {
+	if s := l.c.Config.Strategy; s == Explicit || s == Conservative {
 		// Explicit is stock SystemDS's identical-subtree CSE; Conservative
 		// subsumes it ("applies CSE after all optimizations improving the
 		// operator order", §6.3.1). Each statement list is a DAG of its own.
@@ -162,18 +226,18 @@ func (l *lowering) list(stmts []stmt, sps []plan.StmtPlan) error {
 		if st.tree == nil {
 			l.load(st.from)
 		} else {
-			l.emit(instr{op: opStmt, label: st.label})
+			l.emit(Instr{Op: OpStmt, Label: st.label})
 			if l.node(st.tree); l.err != nil {
-				return fmt.Errorf("engine: %s: %w", st.label, l.err)
+				return fmt.Errorf("opt: %s: %w", st.label, l.err)
 			}
 		}
-		binds[s] = l.emit(instr{op: opBind, a: l.e.slot(st.target)})
+		binds[s] = l.emit(Instr{Op: OpBind, A: l.slot(st.target)})
 	}
 	var slots []int
 	for k, u := range l.uses {
-		if l.e.kinds[k] == subtreeSlot && len(u.fills) == 1 {
-			l.e.code[u.fills[0]].a = -1 // read once: nothing to keep
-		} else if l.e.kinds[k] != lseSlot {
+		if l.Kinds[k] == SubtreeSlot && len(u.fills) == 1 {
+			l.Code[u.fills[0]].A = -1 // read once: nothing to keep
+		} else if l.Kinds[k] != LSESlot {
 			slots = append(slots, k)
 		}
 	}
@@ -181,32 +245,32 @@ func (l *lowering) list(stmts []stmt, sps []plan.StmtPlan) error {
 	for s, st := range stmts {
 		for _, k := range slots {
 			if u := l.uses[k]; s == u.last || s < u.last && u.refs[st.target] {
-				l.e.code[binds[s]].clears = append(l.e.code[binds[s]].clears, k)
+				l.Code[binds[s]].Clears = append(l.Code[binds[s]].Clears, k)
 			}
 		}
 	}
 	return nil
 }
 
-func (l *lowering) emit(in instr) int {
-	in.entry, l.entry = l.entry, false
-	l.e.code = append(l.e.code, in)
-	return len(l.e.code) - 1
+func (l *lowering) emit(in Instr) int {
+	in.Entry, l.entry = l.entry, false
+	l.Code = append(l.Code, in)
+	return len(l.Code) - 1
 }
 
-// read lowers a read of reuse slot k: an opEnter, what produce emits, the
-// opFill. An LSE value the run may share with others goes under key share.
+// read lowers a read of reuse slot k: an OpEnter, what produce emits, the
+// OpFill. An LSE value a run may share with others goes under key share.
 func (l *lowering) read(k int, share string, produce func()) {
-	enter := l.emit(instr{op: opEnter, a: k, label: share})
+	enter := l.emit(Instr{Op: OpEnter, A: k, Label: share})
 	produce()
-	fill := l.emit(instr{op: opFill, a: k, label: share})
-	l.e.code[enter].n = fill - enter
+	fill := l.emit(Instr{Op: OpFill, A: k, Label: share})
+	l.Code[enter].N = fill - enter
 	u := l.uses[k]
 	if u == nil {
 		u = &use{refs: map[string]bool{}}
-		for _, in := range l.e.code[enter:fill] {
-			if in.op == opLoad {
-				u.refs[in.label] = true
+		for _, in := range l.Code[enter:fill] {
+			if in.Op == OpLoad {
+				u.refs[in.Label] = true
 			}
 		}
 		l.uses[k] = u
@@ -223,13 +287,13 @@ func (l *lowering) node(n *plan.Node) {
 		l.op(bp.Block, bp.Root)
 		for _, dep := range bp.Block.ScalarDeps {
 			l.node(dep)
-			l.emit(instr{op: opScale})
+			l.emit(Instr{Op: OpScale})
 		}
 		return
 	}
 	if l.explicit != nil && len(n.Kids) > 0 {
 		if key := n.Key(); l.explicit[key] > 0 {
-			l.read(l.e.slotOf(l.subtrees, subtreeSlot, key), "", func() { l.structural(n) })
+			l.read(l.slotOf(l.subtrees, SubtreeSlot, key), "", func() { l.structural(n) })
 			return
 		}
 	}
@@ -242,7 +306,7 @@ func (l *lowering) structural(n *plan.Node) {
 		l.load(n.Sym)
 		return
 	case plan.Const:
-		l.emit(instr{op: opConst, val: n.Val})
+		l.emit(Instr{Op: OpConst, Val: n.Val})
 		return
 	}
 	for _, k := range n.Kids {
@@ -250,18 +314,18 @@ func (l *lowering) structural(n *plan.Node) {
 	}
 	switch {
 	case n.Kind == plan.Trans && n.L().Kind == plan.Leaf:
-		l.emit(instr{op: opFusedT}) // like chain atoms
+		l.emit(Instr{Op: OpFusedT}) // like chain atoms
 	case n.Kind == plan.Trans:
-		l.emit(instr{op: opT})
+		l.emit(Instr{Op: OpT})
 	case len(n.Kids) == 1:
-		l.emit(instr{op: opUnary, kind: n.Kind})
+		l.emit(Instr{Op: OpUnary, Kind: n.Kind})
 	default:
-		l.emit(instr{op: opBinary, kind: n.Kind})
+		l.emit(Instr{Op: OpBinary, Kind: n.Kind})
 	}
 }
 
 func (l *lowering) load(sym string) {
-	l.emit(instr{op: opLoad, a: l.e.slot(sym), b: l.e.slot(baseSym(sym)), label: sym})
+	l.emit(Instr{Op: OpLoad, A: l.slot(sym), B: l.slot(plan.BaseSym(sym)), Label: sym})
 }
 
 // op lowers one node of a block plan: a reuse leaf reads its option's slot,
@@ -274,7 +338,7 @@ func (l *lowering) op(b *chain.Block, n *costgraph.OpNode) {
 	case n.ReuseOf != nil:
 		l.option(n.ReuseOf)
 		if n.Flipped {
-			l.emit(instr{op: opT})
+			l.emit(Instr{Op: OpT})
 		}
 		return
 	case n.Lo == n.Hi:
@@ -285,56 +349,51 @@ func (l *lowering) op(b *chain.Block, n *costgraph.OpNode) {
 	mul := func() {
 		l.op(b, n.L)
 		l.op(b, n.R)
-		l.emit(instr{op: opMul, tsmm: n.L.IsLeaf() && n.R.IsLeaf() && lhs.Sym == rhs.Sym && lhs.T != rhs.T})
+		l.emit(Instr{Op: OpMul, TSMM: n.L.IsLeaf() && n.R.IsLeaf() && lhs.Sym == rhs.Sym && lhs.T != rhs.T})
 	}
 	if l.explicit == nil {
 		mul()
 		return
 	}
-	l.read(l.e.slotOf(l.subtrees, subtreeSlot, chain.SpanKey(b.Atoms[n.Lo:n.Hi+1])), "", mul)
+	l.read(l.slotOf(l.subtrees, SubtreeSlot, chain.SpanKey(b.Atoms[n.Lo:n.Hi+1])), "", mul)
 }
 
 func (l *lowering) atom(a chain.Atom) {
 	if a.Opaque {
 		l.node(a.Node)
 		if a.T {
-			l.emit(instr{op: opT})
+			l.emit(Instr{Op: OpT})
 		}
 		return
 	}
 	l.load(a.Sym)
 	if a.T {
 		// Fused: chain atoms never materialize a distributed transpose.
-		l.emit(instr{op: opFusedT})
+		l.emit(Instr{Op: OpFusedT})
 	}
 }
 
 // option lowers a read of a selected option's slot, whose producer runs on
 // the first read: a cross-block group sums its first two occurrences, any
 // other option runs its producer plan over the first occurrence, normalized
-// to the canonical orientation. With a source (RunOptions.LSE), an LSE value
-// is shared with other runs under its opt.SharedKey.
+// to the canonical orientation. An LSE value's read carries its SharedKey, for
+// a run with a source of shared values (engine.RunOptions.LSE).
 func (l *lowering) option(o *search.Option) {
 	pp, ok := l.producers[o.Key]
 	if !ok {
 		l.err = fmt.Errorf("no producer for option %q", o.Key)
 		return
 	}
-	kind := cseSlot
+	kind := CSESlot
 	if o.Kind == search.LSE {
-		kind = lseSlot
+		kind = LSESlot
 	}
-	k := l.e.slotOf(l.options, kind, o.Key)
-	share := ""
-	if l.e.lse != nil {
-		share = opt.SharedKey(pp)
-	}
-	l.read(k, share, func() {
-		blocks := l.e.c.Coords.Blocks
+	l.read(l.slotOf(l.options, kind, o.Key), SharedKey(pp), func() {
+		blocks := l.c.Coords.Blocks
 		if o.Kind != search.CSEGroup {
 			occ := o.Occs[0]
 			if l.op(blocks[occ.Block], pp.Root); occ.Flipped {
-				l.emit(instr{op: opT})
+				l.emit(Instr{Op: OpT})
 			}
 			return
 		}
@@ -349,9 +408,9 @@ func (l *lowering) option(o *search.Option) {
 			l.atom(b.Atoms[occ.Hi])
 			for i := occ.Hi - 1; i >= occ.Lo; i-- {
 				l.atom(b.Atoms[i])
-				l.emit(instr{op: opMul, swap: true})
+				l.emit(Instr{Op: OpMul, Swap: true})
 			}
 		}
-		l.emit(instr{op: opAdd})
+		l.emit(Instr{Op: OpAdd})
 	})
 }

@@ -67,7 +67,7 @@ func Build(prog *lang.Program) (*Plans, error) {
 		bodyAssigned = map[string]bool{}
 	}
 	// Everything not assigned in the loop body is loop-constant.
-	isLoopConst := func(sym string) bool { return !bodyAssigned[baseSym(sym)] }
+	isLoopConst := func(sym string) bool { return !bodyAssigned[BaseSym(sym)] }
 
 	lower := func(stmts []lang.Stmt, inLoop bool) ([]StmtPlan, error) {
 		b := &builder{
@@ -117,15 +117,15 @@ func Build(prog *lang.Program) (*Plans, error) {
 	for _, sp := range p.Body {
 		sp.Tree.Walk(func(n *Node) {
 			if n.Kind == Leaf {
-				p.LoopConst[baseSym(n.Sym)] = n.LoopConst
+				p.LoopConst[BaseSym(n.Sym)] = n.LoopConst
 			}
 		})
 	}
 	return p, nil
 }
 
-// baseSym strips the "#n" version suffix.
-func baseSym(sym string) string {
+// BaseSym strips the "#n" version suffix.
+func BaseSym(sym string) string {
 	for i := 0; i < len(sym); i++ {
 		if sym[i] == '#' {
 			return sym[:i]
@@ -155,7 +155,7 @@ func (b *builder) assign(a *lang.Assign) (StmtPlan, error) {
 	sp := StmtPlan{Target: a.Name, Tree: tree, Raw: raw, Src: a}
 	selfRef := false
 	tree.Walk(func(n *Node) {
-		if n.Kind == Leaf && baseSym(n.Sym) == a.Name {
+		if n.Kind == Leaf && BaseSym(n.Sym) == a.Name {
 			selfRef = true
 		}
 	})

@@ -15,7 +15,7 @@ import (
 func Eval(n *Node, env map[string]*matrix.Matrix) (*matrix.Matrix, error) {
 	switch n.Kind {
 	case Leaf:
-		v, ok := env[baseSym(n.Sym)]
+		v, ok := env[BaseSym(n.Sym)]
 		if !ok {
 			return nil, fmt.Errorf("plan: eval: unbound symbol %q", n.Sym)
 		}

@@ -10,7 +10,7 @@ package plan
 type SymTable map[string]bool
 
 // IsSymmetric implements a Resolver-compatible symmetry lookup.
-func (t SymTable) IsSymmetric(sym string) bool { return t != nil && t[baseSym(sym)] }
+func (t SymTable) IsSymmetric(sym string) bool { return t != nil && t[BaseSym(sym)] }
 
 // PushDownTranspose rewrites the tree so transpositions sit directly on
 // leaves: t(AB) → t(B)t(A), t(A+B) → t(A)+t(B), t(t(A)) → A. Transposes of
