@@ -324,3 +324,40 @@ func TestFig9Shape(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultsShape holds the faults table's shape (EXPERIMENTS.md, Faults):
+// coded and checkpoint recovery recompute nothing at every rate while
+// lineage recomputes at 120/h and 480/h; coded decodes at every rate, and at
+// 480/h its recovery time is below lineage's.
+func TestFaultsShape(t *testing.T) {
+	tbl, err := Faults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]map[string]float64{}
+	for _, r := range tbl.Rows {
+		rows[r.Label] = r.Values
+	}
+	for _, rate := range []string{"30", "120", "480"} {
+		arm := func(policy string) map[string]float64 {
+			v, ok := rows["ReMac/"+policy+" @"+rate+"/h"]
+			if !ok {
+				t.Fatalf("no ReMac/%s row at %s/h", policy, rate)
+			}
+			return v
+		}
+		lineage, ckpt, coded := arm("lineage"), arm("ckpt"), arm("coded:4,7")
+		if ckpt["recompGFLOP"] != 0 || coded["recompGFLOP"] != 0 {
+			t.Errorf("%s/h: checkpoint recomputes %g GFLOP, coded %g; want 0", rate, ckpt["recompGFLOP"], coded["recompGFLOP"])
+		}
+		if rate != "30" && lineage["recompGFLOP"] <= 0 {
+			t.Errorf("%s/h: lineage recomputes nothing", rate)
+		}
+		if coded["decode(s)"] <= 0 {
+			t.Errorf("%s/h: coded decodes nothing", rate)
+		}
+		if rate == "480" && coded["recovery(s)"] >= lineage["recovery(s)"] {
+			t.Errorf("480/h: coded recovery %g s is not below lineage's %g s", coded["recovery(s)"], lineage["recovery(s)"])
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package distmat
 
 // Coded k-of-n recovery for distributed values (third recovery policy next
-// to lineage recomputation and DFS checkpoints; DESIGN.md §15).
+// to lineage recomputation and DFS checkpoints; DESIGN.md §14).
 //
 // A systematic low-weight erasure code splits a distributed matrix row-wise
 // into k data groups and appends p = n-k parity blocks, each a sparse linear
@@ -13,16 +13,15 @@ package distmat
 // of a checkpoint, at parity cost instead of full-copy cost — so worker
 // failures can only erase data groups.
 //
-// Encoding is real: parity blocks are materialized from the sample data, so
-// decoded values are numerically honest (bitwise-identical when every
-// systematic block survives, tolerance-bounded float residue when the
-// parity-decode path runs; the measured relative error is flagged on the
-// recovery/coded-decode span). Costs are virtual like every other operator:
-// encode FLOP and DFS parity-write bytes are charged through the cluster
-// clock as encode/parity spans, decode time and bytes through
-// ChargeCodedDecode as recovery/coded-decode fault spans with FLOP 0 —
-// decode is new work, not recomputation, so coded recovery keeps
-// RecomputeFLOP at zero.
+// Like the other two policies, coded recovery only moves the clock: an
+// injected fault loses no cell, so the result is the fault-free run's, bit
+// for bit. What the code needs of the data is the parity blocks' nonzero
+// count, which prices their DFS write; whether an erasure pattern decodes
+// depends on the coefficients alone. Encode FLOP and DFS parity-write bytes
+// are charged through the cluster clock as encode/parity spans, decode time
+// and bytes through ChargeCodedDecode as recovery/coded-decode fault spans
+// with FLOP 0 — decode is new work, not recomputation, so coded recovery
+// keeps RecomputeFLOP at zero.
 
 import (
 	"math"
@@ -33,7 +32,6 @@ import (
 	"remac/internal/fault"
 	"remac/internal/matrix"
 	"remac/internal/sparsity"
-	"remac/internal/trace"
 )
 
 // Default code parameters: 4 data groups, 2 parity blocks (tolerates any
@@ -71,8 +69,7 @@ type codedParity struct {
 	groupRows int     // materialized rows per data group (last may be short)
 	supports  [][]int // parity j combines data groups supports[j]
 	coeffs    [][]float64
-	blocks    []*matrix.Matrix // p materialized parity blocks, groupRows×cols
-	meta      sparsity.Meta    // virtual-scale parity block descriptor
+	meta      sparsity.Meta // virtual-scale parity block descriptor
 }
 
 // codedLayout builds the banded supports and Cauchy coefficients of the
@@ -83,31 +80,16 @@ type codedParity struct {
 // coefficient matrix nonsingular (Cauchy), leaving only support coverage to
 // limit decodability.
 func codedLayout(k, p int) (supports [][]int, coeffs [][]float64, w int) {
-	w = k - p + 1
-	if w < 2 {
-		w = 2
-	}
-	if w > k {
-		w = k
-	}
+	w = max(k-p+1, 2) // ≤ k, so a support never wraps onto itself
 	stride := (k + p - 1) / p
 	supports = make([][]int, p)
 	coeffs = make([][]float64, p)
 	for j := 0; j < p; j++ {
-		seen := make(map[int]bool, w)
-		sup := make([]int, 0, w)
-		cs := make([]float64, 0, w)
 		for t := 0; t < w; t++ {
 			g := (j*stride + t) % k
-			if seen[g] {
-				continue
-			}
-			seen[g] = true
-			sup = append(sup, g)
-			cs = append(cs, 1/(float64(k+j)+0.5-float64(g)))
+			supports[j] = append(supports[j], g)
+			coeffs[j] = append(coeffs[j], 1/(float64(k+j)+0.5-float64(g)))
 		}
-		supports[j] = sup
-		coeffs[j] = cs
 	}
 	return supports, coeffs, w
 }
@@ -135,9 +117,10 @@ func (cp *codedParity) groupOf(row int) int {
 // codedSettle runs after every operator derivation (and after Read): it
 // encodes parity for the freshly produced value and settles any straggler
 // events the cluster masked against the coded stage — each masked straggler
-// decodes one block from parity instead of stretching the stage. Values
-// that cannot carry parity (local, too small) settle masked stragglers by
-// charging the stretch they would have cost retroactively.
+// is charged the decode of one block from parity instead of the stretch (a
+// single group is always covered, and the charge is the same for every
+// group). Values that cannot carry parity (local, too small) settle masked
+// stragglers by charging the stretch they would have cost retroactively.
 func (ctx *Context) codedSettle(d *DistMatrix, bd cost.Breakdown) {
 	if !ctx.Coded() {
 		return
@@ -147,11 +130,7 @@ func (ctx *Context) codedSettle(d *DistMatrix, bd cost.Breakdown) {
 	ctx.masked = 0
 	for i := 0; i < masked; i++ {
 		if d.parity != nil {
-			// The straggling task's output block is reconstructed from the
-			// stage's parity outputs (encoding commutes with the linear
-			// stage, so output parity is available without the slow task).
-			g := int(uint64(fault.DeriveSeed(ctx.codedSeq, i)) % uint64(d.parity.k))
-			ctx.decodeGroups(d, []int{g})
+			ctx.chargeDecode(d, 1)
 			continue
 		}
 		// No parity to decode from: the stage waited out the straggler
@@ -162,11 +141,11 @@ func (ctx *Context) codedSettle(d *DistMatrix, bd cost.Breakdown) {
 	}
 }
 
-// encodeParity materializes the p parity blocks of a freshly produced
-// non-local value and charges the encode honestly: 2·w·nnz/k FLOP per
-// parity block at virtual scale, plus the DFS write of the parity bytes.
-// The encode rides the producing stage (no extra job launch), so only
-// compute and transmit time are charged.
+// encodeParity attaches parity to a freshly produced non-local value and
+// charges the encode: 2·w·nnz/k FLOP per parity block at virtual scale, plus
+// the DFS write of the parity bytes at the parity's sparsity. The encode
+// rides the producing stage (no extra job launch), so only compute and
+// transmit time are charged.
 func (ctx *Context) encodeParity(d *DistMatrix) {
 	k, n := ctx.codedK, ctx.codedN
 	p := n - k
@@ -188,35 +167,10 @@ func (ctx *Context) encodeParity(d *DistMatrix) {
 	}
 
 	start := time.Now()
-	bufs := make([][]float64, p)
-	for j := range bufs {
-		if ctx.abandoned() {
-			return // uncoded: lost blocks would recover by lineage
-		}
-		bufs[j] = make([]float64, gr*cols)
-	}
-	d.data.ForEachNonzero(func(i, j int, v float64) {
-		g := cp.groupOf(i)
-		lr := i - g*gr
-		for pj := 0; pj < p; pj++ {
-			if c := cp.coeffOf(pj, g); c != 0 {
-				bufs[pj][lr*cols+j] += float64(c * v)
-			}
-		}
-	})
-	nnz := 0
-	cp.blocks = make([]*matrix.Matrix, p)
-	for j := range bufs {
-		if ctx.abandoned() {
-			return
-		}
-		b := matrix.NewDenseData(gr, cols, bufs[j]).Compact()
-		nnz += b.NNZ()
-		cp.blocks[j] = b
-	}
+	nnz := cp.parityNNZ(d.data)
 	wall := time.Since(start)
 
-	// Virtual-scale accounting: parity sparsity is measured from the real
+	// Virtual-scale accounting: parity sparsity is that of the sample's
 	// parity blocks (the low-weight code's sparsity preservation shows up
 	// here — the bench reads it off the encode/parity span's Out shape).
 	ps := float64(nnz) / (float64(p) * float64(gr) * float64(cols))
@@ -236,21 +190,41 @@ func (ctx *Context) encodeParity(d *DistMatrix) {
 	d.parity = cp
 }
 
-// abandoned reports whether the run's Done channel is closed.
-func (ctx *Context) abandoned() bool {
-	select {
-	case <-ctx.Done:
-		return true
-	default:
-		return false
+// parityNNZ counts the nonzeros of m's p parity blocks without building
+// them. Parity j's cell (r, c) sums the support groups' cells at row r of
+// each group, column c, with nonzero coefficients, so it is nonzero where
+// any of those groups is (unless nonzero terms cancel exactly): the count
+// is the size of the union of the support groups' nonzero patterns. One
+// pass over m marks, per cell of a group, which groups are nonzero there.
+func (cp *codedParity) parityNNZ(m *matrix.Matrix) int {
+	words := (cp.k + 63) / 64
+	cols := m.Cols()
+	cells := cp.groupRows * cols
+	seen := make([]uint64, cells*words)
+	m.ForEachNonzero(func(i, j int, _ float64) {
+		g := cp.groupOf(i)
+		seen[((i-g*cp.groupRows)*cols+j)*words+g/64] |= 1 << (g % 64)
+	})
+	nnz := 0
+	for c := 0; c < cells; c++ {
+		cell := seen[c*words : (c+1)*words]
+		for _, sup := range cp.supports {
+			for _, g := range sup {
+				if cell[g/64]&(1<<(g%64)) != 0 {
+					nnz++
+					break
+				}
+			}
+		}
 	}
+	return nnz
 }
 
 // repairCoded settles a coded value against the worker failures since it
 // was last resident: data groups homed on failed workers are erased; if the
 // code can reconstruct them (≤ p erasures with solvable supports) the value
-// decodes from parity with zero recomputation, otherwise the erased
-// fraction falls back to lineage (or DFS re-read for inputs) like an
+// is charged the decode from parity with zero recomputation, otherwise the
+// erased fraction falls back to lineage (or DFS re-read for inputs) like an
 // uncoded value.
 func (d *DistMatrix) repairCoded(from int) {
 	ctx := d.ctx
@@ -276,121 +250,25 @@ func (d *DistMatrix) repairCoded(from int) {
 	if len(erased) == 0 {
 		return
 	}
-	if ctx.decodeGroups(d, erased) {
+	if len(erased) <= cp.p && cp.solvable(erased) {
+		ctx.chargeDecode(d, len(erased))
 		return
 	}
 	// Unrecoverable pattern (more erasures than surviving parity can
 	// cover): the erased fraction recomputes from lineage, exactly like the
 	// uncoded path, and the recompute FLOP is reported honestly.
-	lost := float64(len(erased)) / float64(cp.k)
-	bd, label := d.prod, "recovery/lineage"
-	if d.ckpt {
-		bd, label = ctx.Model.DFSRead(d.vMeta), "recovery/checkpoint"
-	} else if bd.FLOP == 0 && bd.Total() == 0 {
-		bd, label = ctx.Model.DFSRead(d.vMeta), "recovery/dfs-read"
-	}
-	var bytes [4]float64
-	for i := range bytes {
-		bytes[i] = bd.Bytes[i] * lost
-	}
-	flop := bd.FLOP * lost
-	sec := bd.Total() * lost
-	ctx.Cluster.ChargeRecovery(flop, sec, bytes)
-	ctx.recordFault("recovery", label, sec, flop, bytes)
+	d.chargeLost(float64(len(erased)) / float64(cp.k))
 }
 
-// decodeGroups reconstructs the erased data groups from parity: for each
-// chosen parity block, the known groups' contributions are subtracted,
-// leaving a linear system in the erased groups whose Cauchy coefficient
-// submatrix is inverted by Gaussian elimination. Returns false (charging
-// nothing) when no parity subset covers the erasures. On success the
-// decoded rows replace the erased ones in a fresh matrix (values may be
-// shared across caches — never mutated in place), the decode seconds and
-// bytes are charged through ChargeCodedDecode, and the measured relative
-// error is flagged on the recovery/coded-decode span.
-func (ctx *Context) decodeGroups(d *DistMatrix, erased []int) bool {
+// chargeDecode charges the decode of e erased data groups from parity at
+// virtual scale: read e parity blocks back from DFS, combine them with the
+// surviving groups (2·(w+1)·nnz/k FLOP per group), shuffle the rebuilt
+// blocks to their new homes. The FLOP is decode work, not recomputation:
+// its time lands in DecodeSec and the span carries FLOP 0, keeping
+// RecomputeFLOP zero for coded recoveries. No cell is written — none was
+// lost.
+func (ctx *Context) chargeDecode(d *DistMatrix, e int) {
 	cp := d.parity
-	e := len(erased)
-	if e == 0 {
-		return true
-	}
-	if e > cp.p {
-		return false
-	}
-	start := time.Now()
-	choice, inv := cp.solvableSubset(erased)
-	if choice == nil {
-		return false
-	}
-	rows, cols := d.data.Rows(), d.data.Cols()
-	gr := cp.groupRows
-
-	// RHS_r = parity_r - Σ_{known g ∈ support_r} c[r][g]·G_g.
-	erasedSet := make(map[int]bool, e)
-	for _, g := range erased {
-		erasedSet[g] = true
-	}
-	rhs := make([][]float64, e)
-	for r, pj := range choice {
-		buf := make([]float64, gr*cols)
-		cp.blocks[pj].ForEachNonzero(func(i, j int, v float64) {
-			buf[i*cols+j] = v
-		})
-		d.data.ForEachNonzero(func(i, j int, v float64) {
-			g := cp.groupOf(i)
-			if erasedSet[g] {
-				return
-			}
-			if c := cp.coeffOf(pj, g); c != 0 {
-				buf[(i-g*gr)*cols+j] -= float64(c * v)
-			}
-		})
-		rhs[r] = buf
-	}
-
-	// X_c = Σ_r inv[c][r]·RHS_r, written over the erased rows of a copy.
-	out := d.data.ToDense()
-	if out == d.data {
-		out = out.Clone()
-	}
-	var maxDiff, maxOrig float64
-	for c, g := range erased {
-		lo := g * gr
-		hi := lo + gr
-		if hi > rows {
-			hi = rows
-		}
-		for i := lo; i < hi; i++ {
-			lr := i - lo
-			for j := 0; j < cols; j++ {
-				var x float64
-				for r := range choice {
-					x += float64(inv[c][r] * rhs[r][lr*cols+j])
-				}
-				orig := d.data.At(i, j)
-				if diff := math.Abs(x - orig); diff > maxDiff {
-					maxDiff = diff
-				}
-				if a := math.Abs(orig); a > maxOrig {
-					maxOrig = a
-				}
-				out.Set(i, j, x)
-			}
-		}
-	}
-	relErr := maxDiff
-	if maxOrig > 0 {
-		relErr = maxDiff / maxOrig
-	}
-	d.data = out.Compact()
-	wall := time.Since(start)
-
-	// Virtual-scale decode charge: read the chosen parity blocks back from
-	// DFS, combine them with the surviving groups (2·(w+1)·nnz/k FLOP per
-	// reconstructed group), shuffle the rebuilt blocks to their new homes.
-	// The FLOP is decode work, not recomputation: its time lands in
-	// DecodeSec and the span carries FLOP 0, keeping RecomputeFLOP zero
-	// for coded recoveries.
 	cfg := ctx.Cluster.Config()
 	fe := float64(e)
 	flop := 2 * (float64(cp.weight) + 1) * fe * d.vMeta.NNZ() / float64(cp.k)
@@ -403,20 +281,14 @@ func (ctx *Context) decodeGroups(d *DistMatrix, erased []int) bool {
 	bytes[cluster.DFS] = parityBytes
 	bytes[cluster.Shuffle] = reconBytes
 	ctx.Cluster.ChargeCodedDecode(sec, bytes)
-	if ctx.Recorder != nil {
-		sp := trace.FaultOp("recovery", "recovery/coded-decode", sec, 0, bytes)
-		sp.RelErr = relErr
-		sp.WallNS = wall.Nanoseconds()
-		ctx.Recorder.Record(sp)
-	}
-	return true
+	ctx.recordFault("recovery", "recovery/coded-decode", sec, 0, bytes)
 }
 
-// solvableSubset picks e of the p parity blocks whose coefficient submatrix
-// over the erased groups is invertible, returning the chosen parity indices
-// and the inverse. Subsets are tried in lexicographic order; nil when none
-// is solvable (an erased group outside every surviving support).
-func (cp *codedParity) solvableSubset(erased []int) ([]int, [][]float64) {
+// solvable reports whether some e of the p parity blocks have a
+// nonsingular coefficient submatrix over the e erased groups, trying
+// subsets in lexicographic order; false when none does (an erased group
+// outside every surviving support).
+func (cp *codedParity) solvable(erased []int) bool {
 	e := len(erased)
 	idx := make([]int, e)
 	for i := range idx {
@@ -430,8 +302,8 @@ func (cp *codedParity) solvableSubset(erased []int) ([]int, [][]float64) {
 				a[r][c] = cp.coeffOf(idx[r], g)
 			}
 		}
-		if inv := invertSmall(a); inv != nil {
-			return append([]int(nil), idx...), inv
+		if !singular(a) {
+			return true
 		}
 		// Advance to the next e-combination of {0..p-1}.
 		i := e - 1
@@ -439,7 +311,7 @@ func (cp *codedParity) solvableSubset(erased []int) ([]int, [][]float64) {
 			i--
 		}
 		if i < 0 {
-			return nil, nil
+			return false
 		}
 		idx[i]++
 		for j := i + 1; j < e; j++ {
@@ -448,45 +320,35 @@ func (cp *codedParity) solvableSubset(erased []int) ([]int, [][]float64) {
 	}
 }
 
-// invertSmall inverts a small dense matrix by Gauss-Jordan elimination with
-// partial pivoting; nil when singular (pivot below tolerance).
-func invertSmall(a [][]float64) [][]float64 {
-	n := len(a)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, 2*n)
-		copy(m[i], a[i])
-		m[i][n+i] = 1
-	}
+// singular reports whether a small square matrix is singular: Gaussian
+// elimination with partial pivoting meets a pivot below tolerance.
+func singular(a [][]float64) bool {
 	const tol = 1e-12
+	n := len(a)
 	for col := 0; col < n; col++ {
 		piv := col
 		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
+			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
 				piv = r
 			}
 		}
-		if math.Abs(m[piv][col]) < tol {
-			return nil
+		if math.Abs(a[piv][col]) < tol {
+			return true
 		}
-		m[col], m[piv] = m[piv], m[col]
-		p := m[col][col]
-		for j := col; j < 2*n; j++ {
-			m[col][j] /= p
+		a[col], a[piv] = a[piv], a[col]
+		p := a[col][col]
+		for j := col; j < n; j++ {
+			a[col][j] /= p
 		}
-		for r := 0; r < n; r++ {
-			if r == col || m[r][col] == 0 {
+		for r := col + 1; r < n; r++ {
+			if a[r][col] == 0 {
 				continue
 			}
-			f := m[r][col]
-			for j := col; j < 2*n; j++ {
-				m[r][j] -= float64(f * m[col][j])
+			f := a[r][col]
+			for j := col; j < n; j++ {
+				a[r][j] -= float64(f * a[col][j])
 			}
 		}
 	}
-	inv := make([][]float64, n)
-	for i := range inv {
-		inv[i] = m[i][n : 2*n]
-	}
-	return inv
+	return false
 }

@@ -43,11 +43,6 @@ type Context struct {
 	// NaNGuard selects the non-finite scan cadence (off, per iteration via
 	// GuardValue, or per charged operator).
 	NaNGuard integrity.GuardMode
-	// Done, when non-nil, is closed once the run is abandoned: work that
-	// holds no operator's result (a parity encode) stops there, and the
-	// caller returns its cancellation at its next check.
-	Done <-chan struct{}
-
 	// failEpoch counts worker-failure events observed so far. Every
 	// DistMatrix remembers the epoch at which it was last fully resident;
 	// a distributed value whose epoch lags behind lost blocks to the
@@ -271,7 +266,14 @@ func (d *DistMatrix) repair() {
 	// Each failure loses a 1/W slice of the partitions; k independent
 	// failures lose 1-(1-1/W)^k of them.
 	w := float64(ctx.Cluster.Config().Workers())
-	lost := 1 - math.Pow(1-1/w, float64(k))
+	d.chargeLost(1 - math.Pow(1-1/w, float64(k)))
+}
+
+// chargeLost charges the lost fraction of the value's recovery cost —
+// checkpoint read, lineage recomputation, or DFS re-read for inputs — and
+// mirrors the charge as a recovery span.
+func (d *DistMatrix) chargeLost(lost float64) {
+	ctx := d.ctx
 	bd, label := d.prod, "recovery/lineage"
 	if d.ckpt {
 		bd, label = ctx.Model.DFSRead(d.vMeta), "recovery/checkpoint"

@@ -186,9 +186,6 @@ func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input
 	}
 	cl := cluster.New(c.Config.Cluster)
 	ctx := distmat.NewContext(cl)
-	if goCtx != nil {
-		ctx.Done = goCtx.Done()
-	}
 	ctx.Recorder = rec
 	ctx.Verify = opts.Verify
 	ctx.NaNGuard = opts.NaNGuard

@@ -88,10 +88,11 @@ func TestCarriedTransposeSharedAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestCarriedTransposeSurvivesFaultedRuns: recovery and integrity repair
-// rebuild or replace a value's cells, never the carried transpose's — after a
-// coded run under worker failures and a corrupting run under verification,
-// it is still the transpose of A.
+// TestCarriedTransposeSurvivesFaultedRuns: integrity repair replaces a
+// value's cells, never the carried transpose's, and coded recovery writes no
+// cell at all — a coded run under worker failures reads the carried
+// transpose, and after it and a corrupting run under verification, it is
+// still the transpose of A.
 func TestCarriedTransposeSurvivesFaultedRuns(t *testing.T) {
 	ds := smallDataset("cri2", 400, 120)
 	c := compileOn(t, algorithms.DFP, ds, opt.Conservative, 15)
@@ -102,6 +103,7 @@ func TestCarriedTransposeSurvivesFaultedRuns(t *testing.T) {
 		name   string
 		opts   RunOptions
 		landed func(*Result) bool
+		reads  bool // the run must read A and its carried transpose
 	}{
 		{"coded", RunOptions{
 			Faults: fault.NewPlan(fault.Config{
@@ -111,16 +113,19 @@ func TestCarriedTransposeSurvivesFaultedRuns(t *testing.T) {
 				Workers:               cluster.DefaultConfig().Workers(),
 			}),
 			Recovery: RecoveryPolicy{Kind: RecoverCoded},
-		}, func(r *Result) bool { return r.Stats.CodedRecoveries > 0 }},
+		}, func(r *Result) bool { return r.Stats.CodedRecoveries > 0 }, true},
 		{"corrupted", RunOptions{Faults: corruptionPlan(5), Verify: integrity.VerifyABFT},
-			func(r *Result) bool { return r.Stats.CorruptionsInjected > 0 }},
+			func(r *Result) bool { return r.Stats.CorruptionsInjected > 0 }, false},
 	} {
 		res, in := fusedInput(t, c, ins, tc.opts, nil)
 		if !tc.landed(res) {
 			t.Fatalf("%s: no fault landed; the test checks nothing", tc.name)
 		}
-		// A value decoded from parity or repaired from a corrupted read is a
-		// matrix of the run's own, and so is its transpose.
+		// A value repaired from a corrupted read is a matrix of the run's
+		// own, and so is its transpose.
+		if tc.reads && in.Data() != a {
+			t.Fatalf("%s: the run's value of A is not the input matrix", tc.name)
+		}
 		if in.Data() == a && in.Fused().Data() != carried {
 			t.Fatalf("%s: the run did not read the carried transpose", tc.name)
 		}

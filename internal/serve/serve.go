@@ -165,10 +165,7 @@ type Query struct {
 	Faults *fault.Plan
 	// Recovery selects the recovery policy for this query's run: lineage
 	// recomputation (zero value), DFS checkpoints, or k-of-n coded
-	// recovery (see engine.RecoveryPolicy). A coded query with faults
-	// enabled opts out of cross-query value sharing: its intermediates may
-	// carry parity-decode float residue, which must not propagate into
-	// sibling queries that expect bitwise-reproducible values.
+	// recovery (see engine.RecoveryPolicy).
 	Recovery engine.RecoveryPolicy
 	// Verify selects the integrity verification mode for this query's run
 	// (see engine.RunOptions.Verify): detected corruptions repair through
@@ -955,12 +952,11 @@ func (s *Server) plan(ctx context.Context, q Query, ocfg opt.Config) (*opt.Compi
 // whose values may differ from a clean run's bits keeps them to itself: one
 // injecting payload corruption with verification off — a verified value is
 // repaired to the bitwise-clean result or fails typed, an unverified one may
-// be silently damaged — and a coded-recovery run under fault injection, whose
-// values may come through the tolerance-bounded parity decode.
+// be silently damaged. Fail-stop faults only move the clock under every
+// recovery policy, so they do not bar reuse.
 func reuseEligible(q Query) bool {
 	return q.Dataset != "" && !q.NoIntermediateCache &&
-		!(q.Faults.SchedulesCorruption() && q.Verify == integrity.VerifyOff) &&
-		!(q.Recovery.Kind == engine.RecoverCoded && q.Faults.Enabled())
+		!(q.Faults.SchedulesCorruption() && q.Verify == integrity.VerifyOff)
 }
 
 // namespaceFor scopes intermediate-cache keys: dataset@version. The version

@@ -72,11 +72,6 @@ type Span struct {
 	// RecoverySec is the simulated time a fault span spent in backoff,
 	// retransmission, straggling or recomputation (fault spans only).
 	RecoverySec float64 `json:"recovery_sec,omitempty"`
-	// RelErr is the measured relative error a coded decode introduced into
-	// the reconstructed blocks (recovery/coded-decode spans only): results
-	// on the parity-decode path are tolerance-bounded rather than bitwise
-	// identical, and the span flags by exactly how much.
-	RelErr float64 `json:"rel_err,omitempty"`
 	// Bytes maps primitive name → simulated volume; only charged primitives
 	// appear.
 	Bytes map[string]float64 `json:"bytes,omitempty"`
