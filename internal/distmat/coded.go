@@ -120,7 +120,9 @@ func (cp *codedParity) groupOf(row int) int {
 // is charged the decode of one block from parity instead of the stretch (a
 // single group is always covered, and the charge is the same for every
 // group). Values that cannot carry parity (local, too small) settle masked
-// stragglers by charging the stretch they would have cost retroactively.
+// stragglers by charging, retroactively, the one stretch the stage would
+// have cost: stragglers idle in parallel, so several in one stage cost one
+// stretch, as in the cluster's own charge.
 func (ctx *Context) codedSettle(d *DistMatrix, bd cost.Breakdown) {
 	if !ctx.Coded() {
 		return
@@ -128,13 +130,11 @@ func (ctx *Context) codedSettle(d *DistMatrix, bd cost.Breakdown) {
 	ctx.encodeParity(d)
 	masked := ctx.masked
 	ctx.masked = 0
-	for i := 0; i < masked; i++ {
-		if d.parity != nil {
+	if d.parity != nil {
+		for i := 0; i < masked; i++ {
 			ctx.chargeDecode(d, 1)
-			continue
 		}
-		// No parity to decode from: the stage waited out the straggler
-		// after all; charge the stretch it masked too early.
+	} else if masked > 0 {
 		sec := (fault.StragglerFactor - 1) * bd.Total()
 		ctx.Cluster.ChargeRecovery(0, sec, [4]float64{})
 		ctx.recordFault("fault", "fault/straggler", sec, 0, [4]float64{})
