@@ -319,7 +319,7 @@ func TestCodedParityCountMatchesANumericEncode(t *testing.T) {
 	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Inf(1), math.NaN()} {
 		cells[(i*97+13)%len(cells)] = v
 	}
-	cells[5] = math.Inf(1) // group 0 against -Inf in group 1: the sum is NaN
+	cells[5] = math.Inf(1) // for k = 4, against -Inf in group 1: the sum is NaN
 	cells[10*cols+5] = math.Inf(-1)
 	dense := matrix.NewDenseData(rows, cols, cells)
 	for _, m := range []*matrix.Matrix{dense, dense.ToCSR()} {
