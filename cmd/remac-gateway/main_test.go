@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"remac/internal/chain"
 	"remac/internal/engine"
 	"remac/internal/gateway"
 	"remac/internal/httpapi"
@@ -88,6 +89,30 @@ func TestGatewayRejectsUnplaceableRecovery(t *testing.T) {
 		}
 		if rec.Code != http.StatusBadRequest || body.Class != resilience.Compile.String() {
 			t.Errorf("%s = %d class %q, want a compile-class 400", recovery, rec.Code, body.Class)
+		}
+	}
+}
+
+// TestGatewayLongChainIsBounded: the gateway front-end rejects a loop-free
+// chain over chain.MaxBlockAtoms as a compile-class 400 under every strategy,
+// the SystemDS baselines (which run it as written, searching nothing) too,
+// like the serve front-end (httpapi's TestLongChainIsBounded).
+func TestGatewayLongChainIsBounded(t *testing.T) {
+	_, mux := testHandler(t, gateway.Config{})
+	script := "A = read(\"A\")\nx = read(\"x0\")\nr = " + strings.Repeat("t(A) %*% A %*% ", chain.MaxBlockAtoms/2+1) + "x\n"
+	for _, strategy := range []string{"none", "explicit", "adaptive"} {
+		body, err := json.Marshal(httpapi.QueryRequest{Dataset: "cri1", Script: script, Strategy: strategy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(string(body))))
+		var resp httpapi.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: error body is not JSON: %v", strategy, err)
+		}
+		if rec.Code != http.StatusBadRequest || resp.Class != resilience.Compile.String() || !strings.Contains(resp.Error, chain.ErrBlockTooLong.Error()) {
+			t.Errorf("%s = %d class %q, want a compile-class 400 for the block cap: %s", strategy, rec.Code, resp.Class, rec.Body)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 var testOnlyExports = map[string]string{
 	"distmat.Context.Idle":            "the engine's ownership tests read a run's free list",
 	"distmat.DistMatrix.Fused":        "the engine's transpose tests read the transpose a value keeps",
-	"distmat.DistMatrix.Deferred":     "the engine's ownership tests find the values a run leaves deferred",
 	"distmat.DistMatrix.Reads":        "the engine's ownership tests check the buffers a deferred value reads",
 	"distmat.DistMatrix.Checkpointed": "distmat's fault tests check that a value was persisted",
 	"cluster.Stats.TotalBytes":        "the engine and distmat tests compare volume over all primitives",

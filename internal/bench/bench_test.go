@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"remac/internal/algorithms"
+	"remac/internal/data"
 	"remac/internal/opt"
 )
 
@@ -231,6 +232,49 @@ func TestFig11Shape(t *testing.T) {
 		}
 		if !(remac < sysds && sysds < pbdr) {
 			t.Errorf("%s: want ReMac %g < SystemDS %g < pbdR %g", r.Label, remac, sysds, pbdr)
+		}
+	}
+}
+
+// TestFig12Shape holds Fig 12's shape over its six datasets, on the
+// simulated columns only (compile is wall-clock), exactly: ReMac's partition +
+// compute + transmit is below SystemDS's on every row; transmission is
+// SystemDS's largest phase on every row; and the plan flip between zipf-1.4
+// and zipf-2.1, where MNC sees AᵀA concentrate and ReMac hoists it, shows as
+// ReMac's transmission rising while SystemDS's falls.
+func TestFig12Shape(t *testing.T) {
+	tbl, err := Fig12()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 12 {
+		t.Fatalf("Fig 12 has %d rows, want a SystemDS and a ReMac row for each of six datasets", len(tbl.Rows))
+	}
+	rows := map[string]map[string]float64{}
+	for _, r := range tbl.Rows {
+		rows[r.Label] = r.Values
+	}
+	simulated := func(v map[string]float64) float64 { return v["partition"] + v["compute"] + v["transmit"] }
+	for _, ds := range append([]string{"cri2"}, data.ZipfNames...) {
+		sysds, remac := rows[ds+"/SystemDS"], rows[ds+"/ReMac"]
+		if sysds == nil || remac == nil {
+			t.Fatalf("%s: no row for SystemDS or ReMac", ds)
+		}
+		if a, b := simulated(remac), simulated(sysds); !(a < b) {
+			t.Errorf("%s: ReMac's simulated phases %g s are not below SystemDS's %g s", ds, a, b)
+		}
+		if tr := sysds["transmit"]; !(tr > sysds["compute"] && tr > sysds["partition"]) {
+			t.Errorf("%s: SystemDS transmits %g s, not its largest phase (compute %g s, partition %g s)",
+				ds, tr, sysds["compute"], sysds["partition"])
+		}
+	}
+	for _, sys := range []struct {
+		name   string
+		rising bool
+	}{{"ReMac", true}, {"SystemDS", false}} {
+		before, after := rows["zipf-1.4/"+sys.name]["transmit"], rows["zipf-2.1/"+sys.name]["transmit"]
+		if (after > before) != sys.rising || after == before {
+			t.Errorf("%s transmits %g s on zipf-1.4 and %g s on zipf-2.1: want it to rise %v", sys.name, before, after, sys.rising)
 		}
 	}
 }

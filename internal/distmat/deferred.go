@@ -72,7 +72,7 @@ func (d *DistMatrix) operand() *matrix.Expr {
 func (ctx *Context) deferOp(kind, label string, e *matrix.Expr, bd cost.Breakdown, in []sparsity.Meta, outMeta sparsity.Meta, start time.Time, operands ...*DistMatrix) *DistMatrix {
 	ctx.apply(kind, label, bd, in, &outMeta, time.Since(start))
 	ctx.settle(kind, label, bd, outMeta, nil, nil)
-	nd := operands[0].derive(nil, outMeta, true, bd)
+	nd := operands[0].derive(nil, outMeta, true, bd, nil)
 	nd.expr = e
 	for _, x := range operands {
 		switch {
@@ -104,6 +104,9 @@ func (ctx *Context) deferOp(kind, label string, e *matrix.Expr, bd cost.Breakdow
 
 // borrow records that d's expression reads the cells of l, which lives on.
 func (d *DistMatrix) borrow(l *DistMatrix) {
+	if l.src != nil {
+		l = l.src
+	}
 	l.loans++
 	if d.lenders == nil {
 		d.lenders = make([]*DistMatrix, 0, 8) // an update tail borrows 5 or 6 times: one allocation

@@ -70,7 +70,9 @@ type Context struct {
 	// the run takes one as its destination (ownership.go): never more than the
 	// values that were dead at once. What is left when the run ends is handed
 	// over to later runs (HandOver).
-	free map[int][][]float64
+	free    map[int][][]float64
+	give    *DistMatrix // what the next operator is given (Give)
+	escaped bool        // a corruption escaped verification: nothing is
 }
 
 // NewContext creates a runtime context for a cluster.
@@ -175,6 +177,7 @@ type DistMatrix struct {
 	owned   [][]float64
 	lenders []*DistMatrix
 	loans   int
+	src     *DistMatrix // the value whose cells d was given (Give; ownership.go)
 }
 
 // New wraps a materialized matrix with virtual dimensions and places it
@@ -233,8 +236,33 @@ func (d *DistMatrix) VirtualDims() (int64, int64) { return d.vMeta.Rows, d.vMeta
 // Meta returns the virtual-scale estimation descriptor.
 func (d *DistMatrix) Meta() sparsity.Meta { return d.vMeta }
 
-func (d *DistMatrix) derive(m *matrix.Matrix, meta sparsity.Meta, local bool, prod cost.Breakdown) *DistMatrix {
-	nd := &DistMatrix{ctx: d.ctx, data: m, vMeta: meta, local: local, prod: prod, epoch: d.ctx.failEpoch}
+// Give hands the next operator v, made by one like it: it is charged,
+// recorded, settled and given its lineage as ever, but takes v's cells for its
+// kernel's. Give returns what was given before; Give(nil) withdraws it.
+func (ctx *Context) Give(v *DistMatrix) (was *DistMatrix) {
+	if was, ctx.give = ctx.give, v; ctx.escaped {
+		ctx.give = nil
+	}
+	return was
+}
+
+// given withdraws what the operator of the kind over a and b was given.
+func (ctx *Context) given(kind string, a, b *matrix.Matrix) (out *matrix.Matrix, g *DistMatrix) {
+	if g, ctx.give = ctx.give, nil; g != nil {
+		out = g.data
+	}
+	if onKernel != nil {
+		onKernel(kind, g != nil, a, b)
+	}
+	return out, g
+}
+
+// onKernel, when a test of this package sets it, sees every given call.
+var onKernel func(kind string, given bool, a, b *matrix.Matrix)
+
+// derive makes an operator's result, over the cells of src if given them.
+func (d *DistMatrix) derive(m *matrix.Matrix, meta sparsity.Meta, local bool, prod cost.Breakdown, src *DistMatrix) *DistMatrix {
+	nd := &DistMatrix{ctx: d.ctx, data: m, vMeta: meta, local: local, prod: prod, epoch: d.ctx.failEpoch, src: src}
 	d.ctx.codedSettle(nd, prod)
 	return nd
 }
@@ -368,14 +396,15 @@ func (d *DistMatrix) ewise(o *DistMatrix, kind cost.EWiseKind, op string) *DistM
 	}
 	dm, om := d.force(), o.force()
 	start = time.Now() // the kernel's wall, not an operand's evaluation
+	out, g := d.ctx.given("ewise", dm, om)
 	dst := d.ctx.dest(dm.Rows()*dm.Cols(), d, o)
-	var out *matrix.Matrix
-	switch op {
-	case "+":
+	switch {
+	case g != nil:
+	case op == "+":
 		out = dm.AddInto(dst, om)
-	case "-":
+	case op == "-":
 		out = dm.SubInto(dst, om)
-	case "*":
+	case op == "*":
 		out = dm.ElemMulInto(dst, om)
 	default:
 		out = dm.ElemDivInto(dst, om)
@@ -384,7 +413,7 @@ func (d *DistMatrix) ewise(o *DistMatrix, kind cost.EWiseKind, op string) *DistM
 	d.ctx.apply("ewise", "ewise/"+op, bd, in, &outMeta, wall)
 	out = d.ctx.settle("ewise", "ewise/"+op, bd, outMeta, out, nil)
 	d.ctx.recycle(out, dst, d, o)
-	return d.derive(out, outMeta, outLocal, bd)
+	return d.derive(out, outMeta, outLocal, bd, g)
 }
 
 // Transpose returns dᵀ.
@@ -400,13 +429,16 @@ func (d *DistMatrix) Transpose() *DistMatrix {
 	}
 	m := d.force()
 	start = time.Now()
+	out, g := d.ctx.given("transpose", m, nil)
 	dst := d.ctx.dest(m.Rows() * m.Cols())
-	out := m.TransposeInto(dst)
+	if g == nil {
+		out = m.TransposeInto(dst)
+	}
 	wall := time.Since(start)
 	d.ctx.apply("transpose", "transpose", bd, in, &outMeta, wall)
 	out = d.ctx.settle("transpose", "transpose", bd, outMeta, out, nil)
 	d.ctx.recycle(out, dst, d)
-	return d.derive(out, outMeta, outLocal, bd)
+	return d.derive(out, outMeta, outLocal, bd, g)
 }
 
 // TransposeFused returns dᵀ without charging the cluster: leaf transposes
@@ -424,11 +456,11 @@ func (d *DistMatrix) TransposeFused() *DistMatrix {
 		// Uncharged: the fused view inherits its parent's lineage.
 		meta := sparsity.MNC{}.Transpose(d.vMeta)
 		if d.input {
-			d.fused = d.derive(m.Transposed(), meta, d.local, d.prod)
+			d.fused = d.derive(m.Transposed(), meta, d.local, d.prod, nil)
 			return d.fused
 		}
 		dst := d.ctx.dest(m.Rows() * m.Cols())
-		d.fused = d.derive(m.TransposeInto(dst), meta, d.local, d.prod)
+		d.fused = d.derive(m.TransposeInto(dst), meta, d.local, d.prod, nil)
 		d.ctx.release(d.fused.data, dst)
 		d.fused.holds = 1 // d holds it
 	}
@@ -448,13 +480,16 @@ func (d *DistMatrix) Scale(s float64) *DistMatrix {
 	}
 	m := d.force()
 	start = time.Now()
+	out, g := d.ctx.given("scale", m, nil)
 	dst := d.ctx.dest(m.Rows()*m.Cols(), d)
-	out := m.ScaleInto(dst, s)
+	if g == nil {
+		out = m.ScaleInto(dst, s)
+	}
 	wall := time.Since(start)
 	d.ctx.apply("scale", "scale", bd, in, &outMeta, wall)
 	out = d.ctx.settle("scale", "scale", bd, outMeta, out, nil)
 	d.ctx.recycle(out, dst, d)
-	return d.derive(out, outMeta, outLocal, bd)
+	return d.derive(out, outMeta, outLocal, bd, g)
 }
 
 // AddScalar returns d + s on every element, charged as an element-wise
@@ -465,14 +500,17 @@ func (d *DistMatrix) AddScalar(s float64) *DistMatrix {
 	d.repair()
 	m := d.force()
 	start := time.Now()
+	out, g := d.ctx.given("add-scalar", m, nil)
 	dst := d.ctx.dest(m.Rows()*m.Cols(), d)
-	out := m.AddScalarInto(dst, s)
+	if g == nil {
+		out = m.AddScalarInto(dst, s)
+	}
 	wall := time.Since(start)
 	outMeta, bd, outLocal := d.ctx.Model.AddScalar(d.vMeta, d.local)
 	d.ctx.apply("add-scalar", "add-scalar", bd, []sparsity.Meta{d.vMeta}, &outMeta, wall)
 	out = d.ctx.settle("add-scalar", "add-scalar", bd, outMeta, out, nil)
 	d.ctx.recycle(out, dst, d)
-	return d.derive(out, outMeta, outLocal, bd)
+	return d.derive(out, outMeta, outLocal, bd, g)
 }
 
 // Sum returns the scalar sum of all elements; distributed inputs aggregate
@@ -483,14 +521,17 @@ func (d *DistMatrix) Sum() float64 {
 	d.repair()
 	m := d.force()
 	start := time.Now()
-	v := m.Sum()
+	out, _ := d.ctx.given("sum", m, nil)
+	if out == nil {
+		out = matrix.Scalar(m.Sum())
+	}
 	wall := time.Since(start)
 	outMeta, bd, _ := d.ctx.Model.Sum(d.vMeta, d.local)
 	d.ctx.apply("sum", "sum", bd, []sparsity.Meta{d.vMeta}, &outMeta, wall)
 	// Route the scalar through settlement as a 1×1 block so a corruption
 	// landing on the collected partials damages (or is caught on) the sum
 	// like any other payload.
-	v = d.ctx.settle("sum", "sum", bd, outMeta, matrix.Scalar(v), nil).ScalarValue()
+	v := d.ctx.settle("sum", "sum", bd, outMeta, out, nil).ScalarValue()
 	d.ctx.recycle(nil, nil, d)
 	return v
 }
@@ -559,12 +600,15 @@ func (d *DistMatrix) MulHinted(o *DistMatrix, tsmm bool) *DistMatrix {
 			return d.ctx.deferOp("mul", label, e, bd, in, outMeta, start, d, o)
 		}
 	}
+	out, g := d.ctx.given("mul", dm, om)
 	dst := d.ctx.dest(dm.Rows() * om.Cols())
-	out := dm.MulInto(dst, om)
+	if g == nil {
+		out = dm.MulInto(dst, om)
+	}
 	wall := time.Since(start)
 	d.ctx.apply("mul", label, bd, in, &outMeta, wall)
 	// ABFT reads both operands, so they are given up only after settlement.
 	out = d.ctx.settle("mul", label, bd, outMeta, out, &mulOperands{a: dm, b: om})
 	d.ctx.recycle(out, dst, d, o)
-	return d.derive(out, outMeta, outLocal, bd)
+	return d.derive(out, outMeta, outLocal, bd, g)
 }

@@ -172,6 +172,7 @@ func (ctx *Context) settleEvent(ev fault.Event, kind, label string, bd cost.Brea
 	ctx.recordFault("fault", "fault/corruption", 0, 0, [4]float64{})
 	if !detected {
 		ctx.Cluster.AddIntegrity(cluster.IntegrityCharge{Injected: 1})
+		ctx.escaped = true
 		return corrupted
 	}
 

@@ -19,12 +19,13 @@ import (
 // a temporary and is never written: Pin and Retain withdraw the declaration.
 // What the run made comes back once its last holder (a name, a reuse slot)
 // has let go, if no unevaluated expression reads it (Retire); the buffers idle
-// when the run ends serve the next run (HandOver).
+// when the run ends serve the next run (HandOver). A value given its cells
+// (Give) is no temporary, and its source counts its holders and loans.
 
 // Temp declares d a temporary and returns it. The caller vouches that it
 // holds the only reference to d and to d's matrix.
 func (d *DistMatrix) Temp() *DistMatrix {
-	d.temp = true
+	d.temp = d.src == nil
 	return d
 }
 
@@ -37,7 +38,10 @@ func (d *DistMatrix) Pin() *DistMatrix {
 // Retain withdraws Temp for a holder and returns d as it is, deferred or not;
 // holds counts the holders of a value the run made (a temporary till then).
 func (d *DistMatrix) Retain() *DistMatrix {
-	if d.temp || d.holds > 0 {
+	if d.holds == 0 && d.src != nil {
+		d.src.Retain() // one hold on the cells for all of d's holders
+	}
+	if d.temp || d.holds > 0 || d.src != nil {
 		d.temp, d.holds = false, d.holds+1
 	}
 	return d
@@ -59,6 +63,9 @@ func (d *DistMatrix) Retire() []float64 {
 	d.fused.Retire()
 	buf := d.data.Buffer()
 	d.data, d.fused = nil, nil
+	if d.src != nil {
+		return d.src.Retire()
+	}
 	d.ctx.release(nil, buf)
 	return buf
 }

@@ -263,6 +263,12 @@ func (e *executor) run() (*Result, error) {
 	}
 	// What the run returns is reachable from Env; what is idle is not, and the
 	// next run's first n×n result goes where this run's last dead one was.
+	for k, kind := range s.Kinds {
+		if v := e.slots[k]; kind == opt.RepeatSlot {
+			e.slots[k] = nil
+			e.drop(v)
+		}
+	}
 	ctx.HandOver()
 	return &Result{
 		Env:               e.env(),
@@ -351,6 +357,9 @@ func (e *executor) step(in *opt.Instr) (skip bool, err error) {
 			return false, err
 		}
 	}
+	if in.Repeat {
+		e.ctx.Give(e.slots[in.A])
+	}
 	top := len(e.stack) - 1
 	switch in.Op {
 	case opt.OpStmt:
@@ -410,6 +419,12 @@ func (e *executor) step(in *opt.Instr) (skip bool, err error) {
 		}
 		if err == nil {
 			e.stack[top-1] = v.Temp()
+		}
+	}
+	if in.Repeat { // what was not taken is withdrawn; an empty slot takes what was made
+		e.ctx.Give(nil)
+		if err == nil && e.slots[in.A] == nil && !e.stack[len(e.stack)-1].Deferred() {
+			e.slots[in.A] = e.stack[len(e.stack)-1].Retain()
 		}
 	}
 	return false, err
@@ -573,7 +588,10 @@ func (e *executor) applyBin(k plan.Kind, l, r *distmat.DistMatrix) (*distmat.Dis
 			// Scalar broadcast against a matrix.
 			s := l.Data().ScalarValue()
 			if k == plan.Sub {
+				// Not the value a repeat is given: that is the sum's.
+				g := e.ctx.Give(nil)
 				r = r.Scale(-1).Temp()
+				e.ctx.Give(g)
 			}
 			return r.AddScalar(s), nil
 		case rs:

@@ -69,7 +69,7 @@ func (e *executor) retained() (held map[string]*matrix.Matrix, deferred []string
 			// Checkpointed, or handed to the source: cells.
 			add("env[lse slot "+label+"]", v)
 		default:
-			add([...]string{"name", "lse", "cse", "subtree"}[kind]+" slot "+label, v)
+			add([...]string{"name", "lse", "cse", "subtree", "repeat"}[kind]+" slot "+label, v)
 		}
 		if tv := v.Fused(); tv != nil {
 			add("env[fused "+label+"]", tv)

@@ -23,13 +23,15 @@ import (
 // chain.MaxBlockAtoms factors, or whose loop body has more than
 // chain.MaxScriptAtoms in all, each of its chains under the first cap, is a
 // compile-class 400 before the planner prices it, and one at the block cap
-// compiles and runs.
+// compiles and runs. The caps hold under every strategy, the SystemDS
+// baselines too, and for the statements outside a loop, which no strategy
+// searches.
 func TestLongChainIsBounded(t *testing.T) {
 	srv := serve.New(serve.Config{Workers: 1})
 	defer srv.Shutdown(context.Background())
 	mux := NewServeMux(srv, NewQueryBuilder(engine.RecoveryPolicy{}), ServeHandlerConfig{})
-	send := func(script string) (*httptest.ResponseRecorder, time.Duration) {
-		body, err := json.Marshal(QueryRequest{Dataset: "cri1", Script: script})
+	send := func(script string, strategy ...string) (*httptest.ResponseRecorder, time.Duration) {
+		body, err := json.Marshal(QueryRequest{Dataset: "cri1", Script: script, Strategy: strings.Join(strategy, "")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +42,7 @@ func TestLongChainIsBounded(t *testing.T) {
 	}
 	// post sends x = … %*% t(A) %*% b, atoms factors in all: A and t(A)
 	// alternate so that every product is defined and the result is a vector.
-	post := func(atoms int) (*httptest.ResponseRecorder, time.Duration) {
+	chainOf := func(atoms int) string {
 		factors := make([]string, atoms-1)
 		for i := range factors {
 			factors[i] = "t(A)"
@@ -48,7 +50,10 @@ func TestLongChainIsBounded(t *testing.T) {
 				factors[i] = "A"
 			}
 		}
-		return send("A = read(\"A\")\nb = read(\"b\")\nx = " + strings.Join(factors, " %*% ") + " %*% b\n")
+		return "A = read(\"A\")\nb = read(\"b\")\nx = " + strings.Join(factors, " %*% ") + " %*% b\n"
+	}
+	post := func(atoms int, strategy ...string) (*httptest.ResponseRecorder, time.Duration) {
+		return send(chainOf(atoms), strategy...)
 	}
 	if rec, _ := post(chain.MaxBlockAtoms); rec.Code != http.StatusOK {
 		t.Fatalf("%d atoms = %d: %s", chain.MaxBlockAtoms, rec.Code, rec.Body)
@@ -67,6 +72,11 @@ func TestLongChainIsBounded(t *testing.T) {
 		{"one chain over the block cap", func() (*httptest.ResponseRecorder, time.Duration) { return post(chain.MaxBlockAtoms + 1) }},
 		{"one chain of 1001 atoms", func() (*httptest.ResponseRecorder, time.Duration) { return post(1001) }},
 		{"a loop body over the script cap", func() (*httptest.ResponseRecorder, time.Duration) { return send(loop) }},
+		{"one chain of 1101 atoms under NoElimination", func() (*httptest.ResponseRecorder, time.Duration) { return post(1101, "none") }},
+		{"one chain of 1101 atoms under Explicit", func() (*httptest.ResponseRecorder, time.Duration) { return post(1101, "explicit") }},
+		{"a pre-loop chain over the block cap", func() (*httptest.ResponseRecorder, time.Duration) {
+			return send(chainOf(chain.MaxBlockAtoms+1) + "i = 0\nwhile (i < 3) {\n    i = i + 1\n}\n")
+		}},
 	} {
 		rec, wall := tc.send()
 		var body ErrorResponse

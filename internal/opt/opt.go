@@ -326,6 +326,19 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 		return nil, err
 	}
 	c.Coords = coords
+	// The atom caps bound every strategy's statements, searched or run as
+	// written: those outside the loop, or all of a loop-free program's.
+	var outside []*plan.Node
+	for _, sps := range [][]plan.StmtPlan{plans.Pre, plans.Post} {
+		for _, sp := range sps {
+			if k := sp.Raw.Kind; k != plan.Leaf && k != plan.Const { // a read or a constant: no chain
+				outside = append(outside, plan.PushDownTranspose(sp.Raw, sym))
+			}
+		}
+	}
+	if _, err := chain.Extract(outside, res, sym); err != nil {
+		return nil, err
+	}
 
 	found := &search.Result{Coords: coords} // the baselines search for nothing
 	if !c.usesRawBody {

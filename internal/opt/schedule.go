@@ -2,7 +2,10 @@ package opt
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"remac/internal/chain"
 	"remac/internal/costgraph"
@@ -24,6 +27,7 @@ import (
 // LSE slot never) by the bind ending the last statement of its list that reads
 // it, or one assigning a symbol it reads. A clear lets go like a rebinding
 // does: a value the run made is recycled when its last holder lets go.
+// Those reads are uncharged; a repeat slot's are charged: see repeats.
 
 // Opcode is what an instruction does.
 type Opcode uint8
@@ -53,8 +57,9 @@ type Instr struct {
 	Clears  []int
 	Op      Opcode
 	// Entry marks where an evaluation starts: the run checks for
-	// cancellation and integrity errors before the instruction.
-	Entry, TSMM, Swap bool
+	// cancellation and integrity errors before the instruction. A Repeat
+	// operator's value has repeat slot A.
+	Entry, TSMM, Swap, Repeat bool
 }
 
 // SlotKind is what a slot holds: a name's binding or a reuse slot's value.
@@ -65,6 +70,7 @@ const (
 	LSESlot
 	CSESlot
 	SubtreeSlot
+	RepeatSlot
 )
 
 // Schedule is a compiled plan lowered for the engine. Every run of the plan,
@@ -171,6 +177,7 @@ func (c *Compiled) lower() (*Schedule, error) {
 		l.Cond = c.plans.Loop.Cond
 		l.cond(l.Cond)
 	}
+	l.repeats()
 	return l.Schedule, nil
 }
 
@@ -413,4 +420,111 @@ func (l *lowering) option(o *search.Option) {
 		}
 		l.emit(Instr{Op: OpAdd})
 	})
+}
+
+// value is what a value number stands for: an operator over operands'
+// numbers, a load by its slots and their bindings, a constant's bits.
+type value struct {
+	op   Opcode
+	kind plan.Kind
+	x, y int
+	bits uint64
+}
+
+// repeats numbers the values of the operator instructions as a run of one
+// iteration takes them (a reuse slot already full skips its producer), and
+// gives a repeat slot to each charged one the run may compute again before a
+// name it reads is rebound: one computed twice, or one in the body over names
+// the body never binds. The first computation fills the slot, which clears at
+// every bind of a name it reads; the others are charged as the plan says and
+// take its cells (distmat: Give). A name's binding is numbered afresh at each
+// bind, and at the body's and post-loop's entry if the body binds it.
+func (l *lowering) repeats() {
+	nums, binds, full := map[value]int{}, map[int]bool{}, map[int]int{}
+	// By number: the repeat slot, the instruction computing it first, and
+	// the name slots read, sorted; by name, the repeat slots reading it.
+	slots, first, clears := map[int]int{}, map[int]int{}, map[int][]int{}
+	var reads [][]int
+	ver, fresh, stack := make([]int, len(l.Kinds)), 0, []int(nil)
+	number := func(v value, a, b []int) int { // a and b: what the operands read
+		if _, ok := nums[v]; !ok {
+			r := slices.Concat(a, b)
+			slices.Sort(r)
+			nums[v], reads = len(reads), append(reads, slices.Compact(r))
+		}
+		return nums[v]
+	}
+	mark := func(pc, n int) {
+		if _, ok := slots[n]; !ok {
+			slots[n] = len(l.Kinds)
+			l.Kinds, l.Labels = append(l.Kinds, RepeatSlot), append(l.Labels, "#"+strconv.Itoa(n))
+			for _, name := range reads[n] {
+				clears[name] = append(clears[name], slots[n])
+			}
+		}
+		l.Code[pc].A, l.Code[pc].Repeat = slots[n], true
+	}
+	for _, in := range l.Code[l.Ends[0]:l.Ends[1]] {
+		if in.Op == OpBind {
+			binds[in.A] = true
+		}
+	}
+	for pc := 0; pc < len(l.Code); pc++ {
+		if pc == l.Ends[0] || pc == l.Ends[1] { // the body's entry is also its end's
+			for k := range binds {
+				fresh, ver[k] = fresh+1, fresh+1
+			}
+		}
+		in := &l.Code[pc]
+		top := len(stack) - 1
+		switch in.Op {
+		case OpStmt:
+		case OpBind:
+			stack, fresh, ver[in.A] = stack[:top], fresh+1, fresh+1
+			for _, k := range in.Clears {
+				delete(full, k)
+			}
+		case OpLoad:
+			stack = append(stack, number(value{op: OpLoad, x: in.A, y: in.B, bits: uint64(ver[in.A])<<32 | uint64(ver[in.B])},
+				[]int{in.A}, []int{in.B}))
+		case OpConst:
+			stack = append(stack, number(value{op: OpConst, bits: math.Float64bits(in.Val)}, nil, nil))
+		case OpEnter:
+			if n, ok := full[in.A]; ok {
+				stack = append(stack, n)
+				pc += in.N
+			}
+		case OpFill:
+			if in.A >= 0 {
+				full[in.A] = stack[top]
+			}
+		default:
+			v, ry := value{op: in.Op, kind: in.Kind, x: stack[top]}, []int(nil)
+			if in.Op >= OpBinary {
+				if v.x, v.y = stack[top-1], stack[top]; in.Swap {
+					v.x, v.y = v.y, v.x
+				}
+				stack, top, ry = stack[:top], top-1, reads[v.y]
+			}
+			n := number(v, reads[v.x], ry)
+			stack[top] = n
+			// Charged ones only: the other unary kinds are scalar arithmetic.
+			if in.Op == OpFusedT || in.Op == OpUnary && in.Kind != plan.Neg && in.Kind != plan.SumAll {
+				continue
+			}
+			pc0, twice := first[n]
+			if !twice {
+				first[n], pc0 = pc, pc
+			}
+			if body := pc >= l.Ends[0] && pc < l.Ends[1]; twice || body && !slices.ContainsFunc(reads[n], func(k int) bool { return binds[k] }) {
+				mark(pc, n)
+				mark(pc0, n)
+			}
+		}
+	}
+	for pc := range l.Code {
+		if in := &l.Code[pc]; in.Op == OpBind {
+			in.Clears = append(in.Clears, clears[in.A]...)
+		}
+	}
 }
