@@ -44,24 +44,26 @@ func BenchmarkQuasiNewtonRun(b *testing.B) {
 	}
 }
 
-// BenchmarkGNMFRun times whole Adaptive runs of GNMF on cri1 at the
-// benchmark's trip count and at the paper's (algorithms.DefaultIterations),
+// BenchmarkGNMFRun times whole Adaptive runs of GNMF on cri1 (V dense) and
+// cri3 (V sparse) at the benchmark's trip count and at the paper's (algorithms.DefaultIterations),
 // the plan compiled outside the loop. The loop-invariant V * V and
 // sum(V * V) are charged every iteration and computed once a run. Run with
 //
 //	go test -run '^$' -bench GNMFRun -benchtime 20x ./internal/engine
 func BenchmarkGNMFRun(b *testing.B) {
-	ds := data.MustLoad("cri1")
-	for _, iters := range []int{3, algorithms.DefaultIterations(algorithms.GNMF)} {
-		c := compileOn(b, algorithms.GNMF, ds, opt.Adaptive, iters)
-		ins := inputsOn(algorithms.GNMF, ds)
-		b.Run(fmt.Sprint(iters), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := runPlain(c, ins); err != nil {
-					b.Fatal(err)
+	for _, name := range []string{"cri1", "cri3"} {
+		ds := data.MustLoad(name)
+		for _, iters := range []int{3, algorithms.DefaultIterations(algorithms.GNMF)} {
+			c := compileOn(b, algorithms.GNMF, ds, opt.Adaptive, iters)
+			ins := inputsOn(algorithms.GNMF, ds)
+			b.Run(fmt.Sprintf("%s/%d", name, iters), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := runPlain(c, ins); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

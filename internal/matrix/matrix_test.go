@@ -140,7 +140,7 @@ func TestMulAllFormatPairsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := RandSparse(rng, 13, 9, 0.3)
 	b := RandSparse(rng, 9, 11, 0.3)
-	ref := mulDenseDense(nil, a.ToDense(), b.ToDense())
+	ref := mulDenseDense(nil, a.ToDense(), b.ToDense(), vectorLoops)
 	for _, pair := range []struct {
 		name string
 		got  *Matrix

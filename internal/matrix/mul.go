@@ -29,7 +29,7 @@ func (m *Matrix) MulInto(dst []float64, other *Matrix) *Matrix {
 	var out *Matrix
 	switch {
 	case m.format == Dense && other.format == Dense:
-		out = mulDenseDense(dst, m, other)
+		out = mulDenseDense(dst, m, other, vectorLoops)
 	case m.format == CSR && other.format == Dense:
 		out = mulCSRDense(dst, m, other)
 	case m.format == Dense && other.format == CSR:
@@ -96,9 +96,14 @@ func Stripes(n int, work func(i int) int, body func(lo, hi int) int) int {
 // products over operands about half zero, not squares. They also differ in
 // what a dirty destination asks of them: the mat-vec writes every cell, the
 // outer product zero-fills the rows it skips, the few-row path copies every
-// cell out of its tile, and the row path clears each row as it reaches it —
-// inside the stripe, while the row is about to be in cache anyway.
-func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
+// cell out of its tile, the row path clears each row as it reaches it —
+// inside the stripe, while the row is about to be in cache anyway — and the
+// narrow path clears its stripe before its first block of k.
+//
+// vector (vectorLoops, but for the test that holds the paths equal) sends
+// every product at most narrowCols wide, other than the mat-vec and the outer
+// product, to mulNarrow, and lets the other paths run their AVX2 loops.
+func mulDenseDense(dst []float64, a, b *Matrix, vector bool) *Matrix {
 	out, dirty := denseOver(dst, a.rows, b.cols)
 	n, k, p := a.rows, a.cols, b.cols
 	ad, bd, od := a.data, b.data, out.data
@@ -106,12 +111,14 @@ func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
 	switch {
 	case p == 1:
 		nnz = Stripes(n, func(i int) int { return i * k }, func(lo, hi int) int {
-			return mulMatVec(od[lo:hi], ad[lo*k:hi*k], bd, vectorLoops)
+			return mulMatVec(od[lo:hi], ad[lo*k:hi*k], bd, vector)
 		})
 	case k == 1:
 		nnz = Stripes(n, func(i int) int { return i * p }, func(lo, hi int) int {
 			return mulOuter(od[lo*p:hi*p], ad[lo:hi], bd, dirty)
 		})
+	case vector && p <= narrowCols:
+		nnz = mulNarrow(od, ad, bd, n, k, p, dirty)
 	case n < 64:
 		// A shape test, not a stripe size: a few rows (a vector·matrix, most
 		// often) share out worse than their columns, so stripe the columns.
@@ -133,11 +140,11 @@ func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
 					i := 0
 					for ; full && i+2 <= n; i += 2 {
 						a0, a1 := ad[i*k+k0:i*k+k1], ad[(i+1)*k+k0:(i+1)*k+k1]
-						mulRowPair(t[i*w:(i+1)*w], t[(i+1)*w:(i+2)*w], a0, a1, bd[k0*p+c0:], p, vectorLoops)
+						mulRowPair(t[i*w:(i+1)*w], t[(i+1)*w:(i+2)*w], a0, a1, bd[k0*p+c0:], p, vector)
 					}
 					for ; i < n; i++ {
 						blk := ad[i*k+k0 : i*k+k1]
-						mulRow(t[i*w:(i+1)*w], blk, nonzeroK(&idx, blk), bd[k0*p+c0:], p, vectorLoops)
+						mulRow(t[i*w:(i+1)*w], blk, nonzeroK(&idx, blk), bd[k0*p+c0:], p, vector)
 					}
 				}
 				for i := 0; i < n; i++ {
@@ -158,7 +165,7 @@ func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
 				if dirty {
 					clear(o)
 				}
-				mulRowPair(o[:p], o[p:], ad[i*k:(i+1)*k], ad[(i+1)*k:(i+2)*k], bd, p, vectorLoops)
+				mulRowPair(o[:p], o[p:], ad[i*k:(i+1)*k], ad[(i+1)*k:(i+2)*k], bd, p, vector)
 				c += countNonzero(o)
 			}
 			for ; i < hi; i++ {
@@ -168,7 +175,7 @@ func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
 				}
 				for k0 := 0; k0 < k; k0 += kBlock {
 					blk := ad[i*k+k0 : i*k+min(k0+kBlock, k)]
-					mulRow(o, blk, nonzeroK(&idx, blk), bd[k0*p:], p, vectorLoops)
+					mulRow(o, blk, nonzeroK(&idx, blk), bd[k0*p:], p, vector)
 				}
 				c += countNonzero(o)
 			}
@@ -177,6 +184,51 @@ func mulDenseDense(dst []float64, a, b *Matrix) *Matrix {
 	}
 	out.setNNZ(nnz)
 	return out
+}
+
+// narrowCols is the widest output row mulNarrowAVX2 holds in registers:
+// twelve of the sixteen YMM registers, four cells each, while the other four
+// hold a[i,k]'s broadcast, its zero mask, a product and the mask of the
+// row's last cells.
+const narrowCols = 48
+
+// narrowKBlock is the depth of mulNarrow's blocks of k: a block of b is at
+// most narrowKBlock·narrowCols cells, 384 KiB, which stays in L2 while every
+// row of a stripe streams it.
+const narrowKBlock = 1024
+
+// mulNarrow computes a·b into od for p ≤ narrowCols and k ≥ 2 in
+// mulNarrowAVX2 and returns its nonzero count. It stripes the rows, or the
+// columns in groups of four when there are fewer rows than processors.
+func mulNarrow(od, ad, bd []float64, n, k, p int, dirty bool) int {
+	if n >= runtime.GOMAXPROCS(0) {
+		return Stripes(n, func(i int) int { return i * k * p }, func(lo, hi int) int {
+			return mulNarrowStripe(od, ad, bd, lo, hi, 0, p, k, p, dirty)
+		})
+	}
+	return Stripes((p+3)/4, func(j int) int { return j * 4 * n * k }, func(lo, hi int) int {
+		return mulNarrowStripe(od, ad, bd, 0, n, 4*lo, min(4*hi, p), k, p, dirty)
+	})
+}
+
+// mulNarrowStripe computes rows [lo, hi) and columns [c0, c1) of the product
+// one block of k at a time, every block adding into the cells the one before
+// left, and returns their nonzero count.
+func mulNarrowStripe(od, ad, bd []float64, lo, hi, c0, c1, k, p int, dirty bool) int {
+	if lo == hi {
+		return 0
+	}
+	if dirty {
+		for i := lo; i < hi; i++ {
+			clear(od[i*p+c0 : i*p+c1])
+		}
+	}
+	o, nnz := od[lo*p+c0:(hi-1)*p+c1], 0
+	for k0 := 0; k0 < k; k0 += narrowKBlock {
+		k1 := min(k0+narrowKBlock, k)
+		nnz = mulNarrowAVX2(o, ad[lo*k+k0:(hi-1)*k+k1], bd[k0*p+c0:(k1-1)*p+c1], hi-lo, k1-k0, c1-c0, p, k)
+	}
+	return nnz
 }
 
 // mulOuter writes the rank-one product x·yᵀ (one pass, nothing read back)
@@ -309,11 +361,9 @@ func nonzeroK(idx *[kBlock]int32, a []float64) []int32 {
 // vector (vectorLoops, but for the test that holds the two paths equal): the
 // groups of four run over the longest prefix of o whose length is a multiple
 // of 4 in mulRowAVX2, lane by lane through the same statements (the cells of
-// a row do not depend on one another), and in the Go loop over the rest. No
-// width needs the Go loop alone: mulRowAVX2 runs every group of the block in
-// one call, and BenchmarkMulDenseDense's narrowest rows — 5 and 10 columns:
-// WtW at -cpu 2 and 1, tall, VHt — ran 1.1–2.0× faster with it than without
-// (median of 12 alternating pairs at each of -cpu 1 and 2, 2-core Xeon).
+// a row do not depend on one another), and in the Go loop over the rest.
+// With vector, only rows wider than narrowCols come here: mulNarrow takes
+// the narrower ones.
 func mulRow(o, a []float64, nz []int32, b []float64, stride int, vector bool) {
 	j0 := 0
 	if n4 := len(nz) &^ 3; vector && n4 > 0 && len(o) >= 4 {

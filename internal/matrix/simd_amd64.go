@@ -1,11 +1,14 @@
 package matrix
 
 // The AVX2 loops of simd_amd64.s: the update tails' (deferred.go), the
-// groups of four k of the row accumulates and the mat-vec (mul.go). Each
-// tail and accumulate runs the first len(out)&^3 cells of its output row,
-// the mat-vec the first len(o)&^7 rows; the caller runs the rest with the
-// Go loop, which stays the reference, and slices every operand to what the
-// loop reads, so that an index out of range panics in Go before it is read.
+// groups of four k of the row accumulates, the mat-vec and the narrow
+// product (mul.go). Each tail and accumulate runs the first len(out)&^3
+// cells of its output row, the mat-vec the first len(o)&^7 rows; the caller
+// runs the rest with the Go loop, which stays the reference. The narrow
+// product runs every cell of its rows, masking the last one to four, and the
+// Go paths of mulDenseDense are its reference. Callers slice every operand to
+// what the loop reads, so that an index out of range panics in Go before it
+// is read.
 
 // vectorLoops is whether the AVX2 loops may run: decided once, from CPUID —
 // the processor has AVX2 (leaf 7, EBX bit 5) and AVX with OSXSAVE (leaf 1,
@@ -52,3 +55,6 @@ func mulRowPairAVX2(o0, o1, a0, a1, b []float64, stride int)
 
 //go:noescape
 func mulMatVecAVX2(o, a, x []float64)
+
+//go:noescape
+func mulNarrowAVX2(o, a, b []float64, rows, k, w, stride, ka int) (nnz int)

@@ -410,3 +410,153 @@ mvstore:
 mvdone:
 	VZEROUPPER
 	RET
+
+// Lanes narrowMask<>+8·(4−r) … +8·(7−r) are r all-ones lanes, then zeros:
+// the mask of a row's last r ∈ 1…4 cells.
+DATA  narrowMask<>+0(SB)/8, $-1
+DATA  narrowMask<>+8(SB)/8, $-1
+DATA  narrowMask<>+16(SB)/8, $-1
+DATA  narrowMask<>+24(SB)/8, $-1
+GLOBL narrowMask<>(SB), RODATA|NOPTR, $64
+
+// The narrow product's steps. A row of c = ⌈w/4⌉ chunks of four cells keeps
+// its full chunks in Y0… and its last, the w − 4(c−1) cells Y15 masks, in
+// Y11 (one row) or, for two rows of at most 16 cells, in Y0…Y3 and Y4…Y7
+// with the last chunks in Y3 and Y7. A step of k broadcasts a[i,k], marks
+// its lanes NEQ_UQ +0 (true for NaN, as Go's av != 0) and adds to every
+// chunk the product with b's row of k masked to +0 where the mark is false:
+// added to a sum that started at +0, that +0 leaves the sum as skipping the
+// step would (see mulMatVec). R8 walks a's row along k, R9 b's rows.
+#define HEAD1 VBROADCASTSD (R8), Y12; VXORPD Y14, Y14, Y14; VCMPPD $4, Y14, Y12, Y13
+#define FULL1(Y, OFF) VMULPD OFF(R9), Y12, Y14; VANDPD Y13, Y14, Y14; VADDPD Y14, Y, Y
+#define LAST1(OFF) VMASKMOVPD OFF(R9), Y15, Y14; VMULPD Y12, Y14, Y14; VANDPD Y13, Y14, Y14; VADDPD Y14, Y11, Y11
+#define HEAD2 VBROADCASTSD (R8), Y8; VBROADCASTSD (R8)(R11*1), Y9; VXORPD Y14, Y14, Y14; VCMPPD $4, Y14, Y8, Y10; VCMPPD $4, Y14, Y9, Y11
+#define MA2(Y, Z) VMULPD Y12, Y8, Y13; VANDPD Y10, Y13, Y13; VADDPD Y13, Y, Y; VMULPD Y12, Y9, Y14; VANDPD Y11, Y14, Y14; VADDPD Y14, Z, Z
+#define FULL2(Y, Z, OFF) VMOVUPD OFF(R9), Y12; MA2(Y, Z)
+#define LAST2(OFF) VMASKMOVPD OFF(R9), Y15, Y12; MA2(Y3, Y7)
+#define NEXT(L, S) ADDQ $8, R8; ADDQ R10, R9; DECQ CX; JNZ L; JMP S
+
+// LOAD, and for two rows LOAD2, take full chunk N−2 of the row at DI (and
+// SI) into Y (and Z) if there are N chunks or more, else jump to the k
+// loop L of N−1 chunks. STORE and STORE2 write them back the same way and
+// count their nonzero lanes into ACC against the +0 in ZERO.
+#define LOAD(N, Y, OFF, L) CMPQ R13, $N; JLT L; VMOVUPD OFF(DI), Y
+#define LOAD2(N, Y, Z, OFF, L) LOAD(N, Y, OFF, L); VMOVUPD OFF(SI), Z
+#define COUNT(Y, ZERO, T, ACC) VCMPPD $4, ZERO, Y, T; VPSUBQ T, ACC, ACC
+#define STORE(N, Y, OFF, L) CMPQ R13, $N; JLT L; VMOVUPD Y, OFF(DI); COUNT(Y, Y13, Y14, Y12)
+#define STORE2(N, Y, Z, OFF, L) CMPQ R13, $N; JLT L; VMOVUPD Y, OFF(DI); VMOVUPD Z, OFF(SI); COUNT(Y, Y9, Y10, Y8); COUNT(Z, Y9, Y10, Y8)
+#define STORELAST(Y, P, ZERO, T, ACC) VMASKMOVPD Y, Y15, (P)(R12*1); VCMPPD $4, ZERO, Y, T; VANDPD Y15, T, T; VPSUBQ T, ACC, ACC
+
+// func mulNarrowAVX2(o, a, b []float64, rows, k, w, stride, ka int) (nnz int)
+//
+// For each of rows rows i (a's at ka cells apart, o's at stride): for j < w,
+// o[i·stride+j] += a[i·ka+kk]·b[kk·stride+j] for kk ascending below k where
+// a[i·ka+kk] is not ±0, each row loaded once, held in registers over the k
+// and stored once; returns the nonzero cells written. Rows go two at a time
+// while w ≤ 16 and two are left.
+TEXT ·mulNarrowAVX2(SB), NOSPLIT, $0-120
+	MOVQ    o_base+0(FP), DI
+	MOVQ    a_base+24(FP), AX
+	MOVQ    b_base+48(FP), BX
+	MOVQ    rows+72(FP), R14
+	MOVQ    w+88(FP), R13
+	MOVQ    stride+96(FP), R10
+	SHLQ    $3, R10           // bytes per row of o and of b
+	MOVQ    ka+104(FP), R11
+	SHLQ    $3, R11           // bytes per row of a
+	ADDQ    $3, R13
+	SHRQ    $2, R13           // c, chunks of a row
+	LEAQ    -1(R13), R12
+	SHLQ    $5, R12           // bytes to the last chunk, 32(c−1)
+	LEAQ    (R13*4), SI
+	SUBQ    w+88(FP), SI      // 4c − w, lanes past the row
+	LEAQ    narrowMask<>(SB), R9
+	VMOVDQU (R9)(SI*8), Y15
+	XORQ    DX, DX
+	TESTQ   R14, R14
+	JZ      narrowdone
+
+narrowrow:
+	MOVQ k+80(FP), CX
+	MOVQ AX, R8
+	MOVQ BX, R9
+	CMPQ R13, $4
+	JGT  one
+	CMPQ R14, $2
+	JGE  two
+
+one:
+	VMASKMOVPD (DI)(R12*1), Y15, Y11
+	LOAD(2, Y0, 0, one1); LOAD(3, Y1, 32, one2); LOAD(4, Y2, 64, one3); LOAD(5, Y3, 96, one4)
+	LOAD(6, Y4, 128, one5); LOAD(7, Y5, 160, one6); LOAD(8, Y6, 192, one7); LOAD(9, Y7, 224, one8)
+	LOAD(10, Y8, 256, one9); LOAD(11, Y9, 288, one10); LOAD(12, Y10, 320, one11); JMP one12
+
+one1:  HEAD1; LAST1(0); NEXT(one1, store1)
+one2:  HEAD1; FULL1(Y0, 0); LAST1(32); NEXT(one2, store1)
+one3:  HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); LAST1(64); NEXT(one3, store1)
+one4:  HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); FULL1(Y2, 64); LAST1(96); NEXT(one4, store1)
+one5:  HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); FULL1(Y2, 64); FULL1(Y3, 96); LAST1(128); NEXT(one5, store1)
+one6:  HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); FULL1(Y2, 64); FULL1(Y3, 96); FULL1(Y4, 128)
+	LAST1(160); NEXT(one6, store1)
+one7:  HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); FULL1(Y2, 64); FULL1(Y3, 96); FULL1(Y4, 128)
+	FULL1(Y5, 160); LAST1(192); NEXT(one7, store1)
+one8:  HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); FULL1(Y2, 64); FULL1(Y3, 96); FULL1(Y4, 128)
+	FULL1(Y5, 160); FULL1(Y6, 192); LAST1(224); NEXT(one8, store1)
+one9:  HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); FULL1(Y2, 64); FULL1(Y3, 96); FULL1(Y4, 128)
+	FULL1(Y5, 160); FULL1(Y6, 192); FULL1(Y7, 224); LAST1(256); NEXT(one9, store1)
+one10: HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); FULL1(Y2, 64); FULL1(Y3, 96); FULL1(Y4, 128)
+	FULL1(Y5, 160); FULL1(Y6, 192); FULL1(Y7, 224); FULL1(Y8, 256); LAST1(288); NEXT(one10, store1)
+one11: HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); FULL1(Y2, 64); FULL1(Y3, 96); FULL1(Y4, 128)
+	FULL1(Y5, 160); FULL1(Y6, 192); FULL1(Y7, 224); FULL1(Y8, 256); FULL1(Y9, 288)
+	LAST1(320); NEXT(one11, store1)
+one12: HEAD1; FULL1(Y0, 0); FULL1(Y1, 32); FULL1(Y2, 64); FULL1(Y3, 96); FULL1(Y4, 128)
+	FULL1(Y5, 160); FULL1(Y6, 192); FULL1(Y7, 224); FULL1(Y8, 256); FULL1(Y9, 288)
+	FULL1(Y10, 320); LAST1(352); NEXT(one12, store1)
+
+store1:
+	VXORPD Y13, Y13, Y13
+	VPXOR  Y12, Y12, Y12
+	STORELAST(Y11, DI, Y13, Y14, Y12)
+	STORE(2, Y0, 0, count1); STORE(3, Y1, 32, count1); STORE(4, Y2, 64, count1); STORE(5, Y3, 96, count1)
+	STORE(6, Y4, 128, count1); STORE(7, Y5, 160, count1); STORE(8, Y6, 192, count1); STORE(9, Y7, 224, count1)
+	STORE(10, Y8, 256, count1); STORE(11, Y9, 288, count1); STORE(12, Y10, 320, count1)
+
+count1:
+	SUMQ(Y12, X12, SI)
+	ADDQ SI, DX
+	ADDQ R10, DI
+	ADDQ R11, AX
+	DECQ R14
+	JNZ  narrowrow
+	JMP  narrowdone
+
+two:
+	LEAQ       (DI)(R10*1), SI
+	VMASKMOVPD (DI)(R12*1), Y15, Y3
+	VMASKMOVPD (SI)(R12*1), Y15, Y7
+	LOAD2(2, Y0, Y4, 0, two1); LOAD2(3, Y1, Y5, 32, two2); LOAD2(4, Y2, Y6, 64, two3)
+
+two4: HEAD2; FULL2(Y0, Y4, 0); FULL2(Y1, Y5, 32); FULL2(Y2, Y6, 64); LAST2(96); NEXT(two4, store2)
+two3: HEAD2; FULL2(Y0, Y4, 0); FULL2(Y1, Y5, 32); LAST2(64); NEXT(two3, store2)
+two2: HEAD2; FULL2(Y0, Y4, 0); LAST2(32); NEXT(two2, store2)
+two1: HEAD2; LAST2(0); NEXT(two1, store2)
+
+store2:
+	VXORPD Y9, Y9, Y9
+	VPXOR  Y8, Y8, Y8
+	STORELAST(Y3, DI, Y9, Y10, Y8)
+	STORELAST(Y7, SI, Y9, Y10, Y8)
+	STORE2(2, Y0, Y4, 0, count2); STORE2(3, Y1, Y5, 32, count2); STORE2(4, Y2, Y6, 64, count2)
+
+count2:
+	SUMQ(Y8, X8, CX)
+	ADDQ CX, DX
+	LEAQ (DI)(R10*2), DI
+	LEAQ (AX)(R11*2), AX
+	SUBQ $2, R14
+	JNZ  narrowrow
+
+narrowdone:
+	MOVQ       DX, nnz+112(FP)
+	VZEROUPPER
+	RET

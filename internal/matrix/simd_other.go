@@ -30,3 +30,7 @@ func mulRowPairAVX2(o0, o1, a0, a1, b []float64, stride int) {
 func mulMatVecAVX2(o, a, x []float64) {
 	panic("matrix: no vector loops")
 }
+
+func mulNarrowAVX2(o, a, b []float64, rows, k, w, stride, ka int) (nnz int) {
+	panic("matrix: no vector loops")
+}

@@ -156,3 +156,59 @@ func TestSIMDMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestSIMDMatchesScalarNarrowProducts holds mulNarrowAVX2 to the Go paths of
+// mulDenseDense: every output width p from 1 to 49 (1 and 49 stay off the
+// narrow path), row counts around the pairs and the 64-row threshold, k from
+// 2 to 300 and past one block of k, over a fully filled and a ~55 %-filled
+// a, into fresh and NaN-filled destinations. Both operands mix in ±0, ±Inf,
+// NaN and the other simdValues about once in 2k cells, so that a masked
+// 0·Inf, a kept NaN of a and a rounding each show without every cell turning
+// NaN. Cells must agree bit for bit (a NaN's payload aside) and the nonzero
+// counts exactly.
+func TestSIMDMatchesScalarNarrowProducts(t *testing.T) {
+	if !vectorLoops {
+		t.Skip("no AVX2 on this processor (or not amd64): the Go loops are the only path")
+	}
+	rng := rand.New(rand.NewSource(43))
+	operand := func(rows, cols int, fill float64, every int) *Matrix {
+		v := make([]float64, rows*cols)
+		for i := range v {
+			switch {
+			case rng.Intn(every) == 0:
+				v[i] = simdValues[rng.Intn(len(simdValues))]
+			case rng.Float64() < fill:
+				v[i] = 4*rng.Float64() - 2
+			}
+		}
+		return NewDenseData(rows, cols, v)
+	}
+	check := func(n, k, p int, fill float64, dirtyDst bool) {
+		t.Helper()
+		a, b := operand(n, k, fill, 2*k), operand(k, p, 1, 2*k)
+		var dg, dw []float64
+		if dirtyDst {
+			dg, dw = dirty(n*p), dirty(n*p)
+		}
+		got, want := mulDenseDense(dg, a, b, true), mulDenseDense(dw, a, b, false)
+		ctx := fmt.Sprintf("%d×%d·%d×%d filled %.2f, dirty %v", n, k, k, p, fill, dirtyDst)
+		requireSameBits(t, ctx, got, want)
+		if got.NNZ() != want.NNZ() {
+			t.Fatalf("%s: nnz %d, want %d", ctx, got.NNZ(), want.NNZ())
+		}
+	}
+	for p := 1; p <= 49; p++ {
+		for _, n := range []int{1, 2, 3, 10, 63, 64, 67} {
+			for _, k := range []int{2, 3, 5, 47, 300} {
+				for _, fill := range []float64{1, 0.55} {
+					check(n, k, p, fill, (n+k+p)%2 == 0)
+				}
+			}
+		}
+	}
+	for _, p := range []int{5, 17, 48} {
+		for _, n := range []int{3, 67} {
+			check(n, narrowKBlock+5, p, 0.55, p == 17)
+		}
+	}
+}

@@ -37,6 +37,10 @@ func TestKernelsIndependentOfStripeCount(t *testing.T) {
 	fullA := genDense(rng, 10, 4000, fillPlain)
 	chunkA, chunkB := genHalf(rng, 34, 300), genDense(rng, 300, 2*tileCells/34+5, fillZeros)
 	halfTall, narrowB := genHalf(rng, rows, 47), genDense(rng, 47, 10, fillPlain)
+	// A narrow product of two rows: its columns stripe in groups of four
+	// at GOMAXPROCS 3 and 8, its rows at 1 and 2, over two blocks of k.
+	twoRows, narrowDeep := genHalf(rng, 2, 1400), genDense(rng, 1400, 47, fillPlain)
+	poisonSkipped(rng, twoRows, narrowDeep)
 	fullTall := genDense(rng, rows+1, 13, fillPlain)
 	sparseA, sparseB := RandSparse(rng, rows, 4*wide, 0.3), RandSparse(rng, 4*wide, 60, 0.05)
 	denseB, denseA := genDense(rng, 4*wide, 30, fillPlain), genDense(rng, rows, 4*wide, fillZeros)
@@ -72,6 +76,7 @@ func TestKernelsIndependentOfStripeCount(t *testing.T) {
 		{"few rows, columns in chunks", chunkB.cols * 34 * 300, func() *Matrix { return chunkA.Mul(chunkB) }},
 		{"k-unrolled", rows * 13 * 40, func() *Matrix { return tall.Mul(narrow) }},
 		{"k-unrolled, narrow, half zero", rows * 47 * 10, func() *Matrix { return halfTall.Mul(narrowB) }},
+		{"narrow, two rows, columns in groups", 48 * 2 * 1400, func() *Matrix { return twoRows.MulInto(dirty(2*47), narrowDeep) }},
 		{"k-unrolled, rows in pairs", (rows + 1) * 13 * 40, func() *Matrix { return fullTall.MulInto(dirty((rows+1)*40), narrow) }},
 		{"k-unrolled into a dirty destination", rows * 13 * 40, func() *Matrix { return tall.MulInto(dirty(rows*40), narrow) }},
 		{"csr·dense", (nnzA + rows) * 30, func() *Matrix { return sparseA.Mul(denseB) }},

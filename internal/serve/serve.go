@@ -224,7 +224,8 @@ type Record struct {
 	// full compilation on a plan-cache miss, a lookup on a hit.
 	CompileSec float64 `json:"compile_sec"`
 	// WallSec is the real end-to-end execution time of the query body
-	// (compile + run), excluding queueing.
+	// (compile, run, and the result digest: every value's summary and the
+	// result hash), excluding queueing.
 	WallSec float64 `json:"wall_sec"`
 	// PlanCacheHit marks a compiled-plan reuse.
 	PlanCacheHit bool `json:"plan_cache_hit"`
@@ -859,7 +860,6 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 			ComputeSec:   res.Stats.ComputeTime,
 			TransmitSec:  res.Stats.TransmitTime,
 			CompileSec:   compileSec,
-			WallSec:      time.Since(start).Seconds(),
 			PlanCacheHit: planHit,
 		},
 		Values:    map[string]*matrix.Matrix{},
@@ -872,6 +872,7 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 		out.Summaries[name] = ValueSummary{Rows: m.Rows(), Cols: m.Cols(), Frobenius: math.Sqrt(integrity.Summarise(m).SumSq)}
 	}
 	out.ResultHash = HashValues(out.Values)
+	out.WallSec = time.Since(start).Seconds()
 	if compiled.Decision != nil {
 		out.SelectedKeys = compiled.Decision.Keys()
 	}
