@@ -66,8 +66,8 @@ func BenchmarkMulDenseDense(b *testing.B) {
 	b.Run("WtV/cri1", func(b *testing.B) { benchMul(b, wT4000, cri1) })
 	b.Run("WtW", func(b *testing.B) { benchMul(b, wT2000, w2000) })
 	b.Run("VHt/cri1", func(b *testing.B) { benchMul(b, cri1, hh) })
-	// GNMF's W·(H·Hᵀ) and H·Hᵀ at cri3's shape, and GD-on-red1's other
-	// narrow product Wᵀ·V: outputs of 10 and 34 columns.
+	// GNMF's W·(H·Hᵀ) over a 4000-row V (cri1, red1), its H·Hᵀ over cri3's
+	// 1500 columns, and its Wᵀ·V on red1: outputs of 10 and 34 columns.
 	h1500, hh10 := matrix.RandDense(rng, 10, 1500), matrix.RandDense(rng, 10, 10)
 	w4000 := matrix.RandDense(rng, 4000, 10)
 	b.Run("WHHt", func(b *testing.B) { benchMul(b, w4000, hh10) })
