@@ -236,11 +236,11 @@ func (d *DistMatrix) VirtualDims() (int64, int64) { return d.vMeta.Rows, d.vMeta
 // Meta returns the virtual-scale estimation descriptor.
 func (d *DistMatrix) Meta() sparsity.Meta { return d.vMeta }
 
-// Give hands the next operator v, made by one like it: it is charged,
-// recorded, settled and given its lineage as ever, but takes v's cells for its
-// kernel's. Give returns what was given before; Give(nil) withdraws it.
+// Give hands the next operator the cells of v, made by one like it, if it has
+// any: that operator is charged, recorded, settled and given its lineage as
+// ever. Give returns what was given before; Give(nil) withdraws it.
 func (ctx *Context) Give(v *DistMatrix) (was *DistMatrix) {
-	if was, ctx.give = ctx.give, v; ctx.escaped {
+	if was, ctx.give = ctx.give, v; ctx.escaped || v != nil && v.expr != nil {
 		ctx.give = nil
 	}
 	return was

@@ -70,6 +70,15 @@ func (d *DistMatrix) Retire() []float64 {
 	return buf
 }
 
+// Publish returns d's cells for holders outside the run: d, and the value it
+// was given its cells by, stop being the run's, so no Retire gives them up.
+func (d *DistMatrix) Publish() *matrix.Matrix {
+	for x := d; x != nil; x = x.src {
+		x.temp, x.holds = false, 0
+	}
+	return d.force()
+}
+
 // live panics on a consumed temporary.
 func (d *DistMatrix) live() {
 	if d.data == nil && d.expr == nil {

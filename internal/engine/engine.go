@@ -202,7 +202,7 @@ func newExecutor(goCtx context.Context, c *opt.Compiled, inputs map[string]Input
 		ctx:        ctx,
 		rec:        rec,
 		inputs:     inputs,
-		slots:      make([]*distmat.DistMatrix, len(s.Kinds)),
+		slots:      make([]*distmat.DistMatrix, len(s.Labels)),
 		checkpoint: rp.Kind == RecoverCheckpoint,
 		lse:        opts.LSE,
 		maxIter:    MaxIterations,
@@ -263,12 +263,7 @@ func (e *executor) run() (*Result, error) {
 	}
 	// What the run returns is reachable from Env; what is idle is not, and the
 	// next run's first n×n result goes where this run's last dead one was.
-	for k, kind := range s.Kinds {
-		if v := e.slots[k]; kind == opt.RepeatSlot {
-			e.slots[k] = nil
-			e.drop(v)
-		}
-	}
+	e.clear(s.Clears)
 	ctx.HandOver()
 	return &Result{
 		Env:               e.env(),
@@ -315,10 +310,9 @@ type executor struct {
 	afterRetire    func(buf []float64)
 }
 
-// miss is an LSE production the run settles with its source: the slot, the
-// sharing key and the FLOP charged before it started.
+// miss is an LSE production the run settles with its source when the slot
+// fills: the sharing key and the FLOP charged before it started.
 type miss struct {
-	slot int
 	key  string
 	flop float64
 }
@@ -369,11 +363,7 @@ func (e *executor) step(in *opt.Instr) (skip bool, err error) {
 		e.stack = e.stack[:top]
 		e.rec.End(e.span)
 		e.span = 0
-		for _, k := range in.Clears {
-			v := e.slots[k]
-			e.slots[k] = nil
-			e.drop(v)
-		}
+		e.clear(in.Clears)
 	case opt.OpLoad:
 		v, err := e.load(in.A, in.B)
 		e.stack = append(e.stack, v)
@@ -383,7 +373,7 @@ func (e *executor) step(in *opt.Instr) (skip bool, err error) {
 	case opt.OpEnter:
 		v := e.slots[in.A]
 		if v == nil && in.Label != "" && e.lse != nil {
-			v, err = e.share(in.A, in.Label)
+			v, err = e.share(in.Label)
 			e.slots[in.A] = v
 		}
 		if v != nil {
@@ -392,7 +382,7 @@ func (e *executor) step(in *opt.Instr) (skip bool, err error) {
 		}
 	case opt.OpFill:
 		if in.A >= 0 {
-			e.fill(in.A, in.Label, e.stack[top])
+			e.fill(in, e.stack[top])
 		}
 	case opt.OpFusedT:
 		e.stack[top] = e.stack[top].TransposeFused()
@@ -470,7 +460,7 @@ func (e *executor) bind(k int, v *distmat.DistMatrix) {
 
 // drop lets one holder of v (if any) — a name, a reuse slot — go. A value the
 // run made is recycled when its last holder lets go and no unevaluated
-// expression reads it; an input, a cache hit or an LSE value never is
+// expression reads it; an input, a cache hit or a published value never is
 // (distmat: Retire).
 func (e *executor) drop(v *distmat.DistMatrix) {
 	if buf := v.Retire(); buf != nil && e.afterRetire != nil {
@@ -478,22 +468,28 @@ func (e *executor) drop(v *distmat.DistMatrix) {
 	}
 }
 
-// fill retains v in reuse slot k, which is the run's own: a deferred value
-// stays deferred in it. An LSE value then goes to DFS, to sibling runs and to
-// later ones, materialised on the way out (Checkpoint, Data).
-func (e *executor) fill(k int, key string, v *distmat.DistMatrix) {
-	e.slots[k] = v.Retain()
-	if e.s.Kinds[k] != opt.LSESlot {
-		return
+// clear empties the slots ks, each of which lets its value go.
+func (e *executor) clear(ks []int) {
+	for _, k := range ks {
+		v := e.slots[k]
+		e.slots[k] = nil
+		e.drop(v)
 	}
-	if e.checkpoint {
+}
+
+// fill retains v in reuse slot in.A, which is the run's own: a deferred value
+// stays deferred in it. A value the run keeps then goes to DFS, and one the
+// source missed (the last miss: productions nest) to sibling runs and later
+// ones, as cells no longer the run's (Checkpoint, Publish).
+func (e *executor) fill(in *opt.Instr, v *distmat.DistMatrix) {
+	if e.slots[in.A] = v.Retain(); in.Keep && e.checkpoint {
 		// Loop-hoisted values live for the whole run: paying one DFS write
 		// here converts every later failure's recompute into a DFS read.
 		v.Checkpoint()
 	}
-	if n := len(e.misses) - 1; n >= 0 && e.misses[n].slot == k {
+	if n := len(e.misses) - 1; n >= 0 && in.Label != "" {
 		vr, vc := v.VirtualDims()
-		e.lse.Publish(key, Input{Data: v.Data(), VRows: vr, VCols: vc}, e.ctx.Cluster.Stats().FLOP-e.misses[n].flop)
+		e.lse.Publish(in.Label, Input{Data: v.Publish(), VRows: vr, VCols: vc}, e.ctx.Cluster.Stats().FLOP-e.misses[n].flop)
 		e.misses = e.misses[:n]
 	}
 }
@@ -502,7 +498,7 @@ func (e *executor) fill(k int, key string, v *distmat.DistMatrix) {
 // value made elsewhere costs nothing on this run's simulated cluster: it is
 // resident already. A miss is settled when the slot fills, or when the run
 // fails first.
-func (e *executor) share(k int, key string) (*distmat.DistMatrix, error) {
+func (e *executor) share(key string) (*distmat.DistMatrix, error) {
 	iv, ok, err := e.lse.Acquire(e.goCtx, key)
 	switch {
 	case err != nil:
@@ -510,7 +506,7 @@ func (e *executor) share(k int, key string) (*distmat.DistMatrix, error) {
 	case ok:
 		return distmat.New(e.ctx, iv.Data, iv.VRows, iv.VCols), nil
 	}
-	e.misses = append(e.misses, miss{k, key, e.ctx.Cluster.Stats().FLOP})
+	e.misses = append(e.misses, miss{key, e.ctx.Cluster.Stats().FLOP})
 	return nil, nil
 }
 

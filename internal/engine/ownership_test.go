@@ -57,19 +57,25 @@ func (e *executor) retained() (held map[string]*matrix.Matrix, deferred []string
 		}
 		out[where] = v.Data()
 	}
+	kept := map[int]bool{}
+	for _, in := range e.s.Code {
+		if in.Op == opt.OpFill && in.Keep {
+			kept[in.A] = true
+		}
+	}
 	for k, v := range e.slots {
 		if v == nil {
 			continue
 		}
-		label, kind := e.s.Labels[k], e.s.Kinds[k]
+		label := e.s.Labels[k]
 		switch {
-		case kind == opt.NameSlot:
+		case e.s.Names[label] == k:
 			add("env["+label+"]", v)
-		case kind == opt.LSESlot && (e.checkpoint || e.lse != nil):
+		case kept[k] && (e.checkpoint || e.lse != nil):
 			// Checkpointed, or handed to the source: cells.
-			add("env[lse slot "+label+"]", v)
+			add("env[kept slot "+label+"]", v)
 		default:
-			add([...]string{"name", "lse", "cse", "subtree", "repeat"}[kind]+" slot "+label, v)
+			add("reuse slot "+label, v)
 		}
 		if tv := v.Fused(); tv != nil {
 			add("env[fused "+label+"]", tv)
@@ -470,6 +476,90 @@ func TestOwnershipRebindingKeepsWhatCanStillBeRead(t *testing.T) {
 		if name == "alias" && aliased == 0 {
 			t.Fatalf("%s: B and H never named one value while another was retired", name)
 		}
+	}
+}
+
+// postLoopRebindScript hoists t(A)·A and t(A)·b out of the loop, where the
+// strategies that apply LSE options do, and rebinds A after it: that bind
+// clears the slots of the loop-constant values, which the run handed to its
+// source.
+const postLoopRebindScript = `
+A = read("A")
+b = read("b")
+x = read("x0")
+i = 0
+while (i < 4) {
+    g = t(A) %*% A %*% x - t(A) %*% b
+    x = x - 0.0001 * g
+    i = i + 1
+}
+A = A * 2
+r = t(A) %*% A %*% x
+`
+
+// TestOwnershipPublishedValuesAreNeverRetired: a value handed to the source
+// (Publish) is no longer the run's. The post-loop bind of A clears the slots
+// of the kept values that read A, and the end of the run clears the rest;
+// under every strategy, no retirement gives up a buffer the source was handed
+// (poisonRetired), no retained buffer is idle (checkOwnership), and the run
+// ends in the cells of one with no source.
+func TestOwnershipPublishedValuesAreNeverRetired(t *testing.T) {
+	ds := smallDataset("cri1", 200, 48)
+	metas, ins := inputMetas(algorithms.DFP, ds), inputsOn(algorithms.DFP, ds)
+	prog := lang.MustParse(postLoopRebindScript)
+	published, cleared := 0, 0
+	for _, strategy := range ownershipStrategies {
+		ctx := fmt.Sprint(strategy)
+		c := compileProgram(t, "post-loop rebind", prog, metas, strategy, 4)
+		plain, err := runPlain(c, ins)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		s, err := c.Schedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := map[int]bool{}
+		for _, in := range s.Code {
+			kept[in.A] = kept[in.A] || in.Op == opt.OpFill && in.Keep
+		}
+		for _, in := range s.Code[s.Ends[1]:] {
+			for _, k := range in.Clears {
+				if in.Op == opt.OpBind && in.A == s.Names["A"] && kept[k] {
+					cleared++
+				}
+			}
+		}
+		rec := &fakeSource{}
+		e, err := newExecutor(context.Background(), c, ins, nil, RunOptions{LSE: rec})
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		poisonRetired(t, ctx, e, rec)
+		poison := e.afterRetire
+		e.afterRetire = func(buf []float64) {
+			poison(buf)
+			checkOwnership(t, ctx+" on a retirement", e, rec)
+		}
+		iteration := 0
+		e.afterIteration = func() {
+			iteration++
+			checkOwnership(t, fmt.Sprintf("%s after iteration %d", ctx, iteration), e, rec)
+		}
+		res, err := e.run()
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		checkOwnership(t, ctx+" at the end", e, rec)
+		published += len(rec.given)
+		for name, v := range plain.Env {
+			if !sameBits(res.Env[name].Data(), v.Data()) {
+				t.Fatalf("%s: %s differs from the run with no source", ctx, name)
+			}
+		}
+	}
+	if published == 0 || cleared == 0 {
+		t.Fatalf("%d values handed to the source, %d kept slots cleared by the post-loop bind of A: the test checks nothing", published, cleared)
 	}
 }
 

@@ -23,7 +23,8 @@ func consumed(v *distmat.DistMatrix) (gone bool) {
 // hoistedOuterScript hoists a rank-one product of a value the run made out of
 // the loop (an LSE option under the strategies that apply one): a value only
 // the loop-constant slot holds, read by no operator that needs its cells, so
-// at the end of the run it is still an expression, and u is on loan to it.
+// when the loop ends it is still an expression, and u is on loan to it. The
+// end of the run drops it unevaluated, and the loan is never returned.
 const hoistedOuterScript = `
 A = read("A")
 b = read("b")
@@ -41,10 +42,10 @@ while (i < 4) {
 // TestReleaseLeavesSharedValuesAlone: Release retires what the run made and
 // only the result's names hold, and nothing else. Whatever anybody else can
 // reach — the inputs, what the run handed to the intermediate cache or
-// published to sibling runs, what it took from the cache, what its own reuse
-// slots retained, and a value an expression nobody evaluated still reads (a
-// lender with its loan out) — is still there bit for bit after every buffer
-// Release gave up has been filled with NaN.
+// published to sibling runs, what it took from the cache, and a value an
+// expression nobody evaluated read when the loop ended (a lender with its
+// loan out) — is still there bit for bit after every buffer Release gave up
+// has been filled with NaN.
 func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 	ds := smallDataset("cri1", 200, 48)
 	metas, ins := inputMetas(algorithms.DFP, ds), inputsOn(algorithms.DFP, ds)
@@ -70,6 +71,14 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
+				var leaves map[string][]float64
+				leafCells := map[string][]float64{}
+				e.afterIteration = func() {
+					_, _, leaves = e.retained()
+					for at, buf := range leaves {
+						leafCells[at] = append([]float64(nil), buf...)
+					}
+				}
 				res, err := e.run()
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
@@ -86,22 +95,18 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 				for sym, in := range ins {
 					others["input "+sym] = in.Data
 				}
-				held, _, leaves := e.retained()
-				for at, m := range held {
-					// The run's own reuse slots, under the labels retained
-					// gives them; the rest is the names', and the fused
-					// transposes their values keep go with them.
-					if !strings.HasPrefix(at, "env[") || strings.HasPrefix(at, "env[lse slot ") {
-						others[at] = m
+				held, _, _ := e.retained()
+				for at := range held {
+					// The end of the run cleared the reuse slots: what is
+					// held is the names', and the fused transposes their
+					// values keep go with them.
+					if !strings.HasPrefix(at, "env[") || strings.HasPrefix(at, "env[kept slot ") {
+						t.Fatalf("%s: %s is full after the run", ctx, at)
 					}
 				}
 				copies := map[string]*matrix.Matrix{}
 				for at, m := range others {
 					copies[at] = m.Clone()
-				}
-				leafCells := map[string][]float64{}
-				for at, buf := range leaves {
-					leafCells[at] = append([]float64(nil), buf...)
 				}
 				buffers := map[*distmat.DistMatrix][]float64{}
 				for _, v := range res.Env {

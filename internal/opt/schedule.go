@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 
 	"remac/internal/chain"
@@ -20,14 +19,13 @@ import (
 // that list; each tree is walked in the order a recursive evaluation takes it:
 // every kernel call, charge and span comes in that order. Operands pass on a
 // value stack; what outlives an expression lives in numbered slots: the
-// names, and the reuse slots — an option's value and, under Explicit and
-// Conservative, a subtree or chain span repeated in its statement list (stock
-// SystemDS's identical-subtree CSE). A reuse slot is filled on its first read,
-// an OpEnter that skips the producer when the slot is full, and cleared (an
-// LSE slot never) by the bind ending the last statement of its list that reads
-// it, or one assigning a symbol it reads. A clear lets go like a rebinding
-// does: a value the run made is recycled when its last holder lets go.
-// Those reads are uncharged; a repeat slot's are charged: see repeats.
+// names, and the reuse slots, one per value. A planned one — an option's value
+// and, under Explicit and Conservative, a subtree or chain span repeated in its
+// statement list (stock SystemDS's identical-subtree CSE) — is filled on its
+// first read, an OpEnter that skips the producer when the slot is full, and
+// read uncharged; a repeat's reads are charged. A clear lets go like a
+// rebinding does: a value the run made is recycled when its last holder lets
+// go. See lifetimes.
 
 // Opcode is what an instruction does.
 type Opcode uint8
@@ -38,7 +36,7 @@ const (
 	OpLoad                 // push name slot A, else B, else the input named B
 	OpConst                // push the scalar Val
 	OpEnter                // slot A full (or shared under key Label): push it, skip N
-	OpFill                 // slot A ← the top of the stack (A < 0: a slot read once)
+	OpFill                 // slot A ← the top of the stack (A < 0: keep nothing; Keep: for the run)
 	OpFusedT               // top ← its fused transpose
 	OpT                    // top ← its transpose
 	OpUnary                // top ← Kind(top)
@@ -58,20 +56,9 @@ type Instr struct {
 	Op      Opcode
 	// Entry marks where an evaluation starts: the run checks for
 	// cancellation and integrity errors before the instruction. A Repeat
-	// operator's value has repeat slot A.
-	Entry, TSMM, Swap, Repeat bool
+	// operator takes slot A's cells, or fills it; a Keep fill is the run's.
+	Entry, TSMM, Swap, Repeat, Keep bool
 }
-
-// SlotKind is what a slot holds: a name's binding or a reuse slot's value.
-type SlotKind uint8
-
-const (
-	NameSlot SlotKind = iota
-	LSESlot
-	CSESlot
-	SubtreeSlot
-	RepeatSlot
-)
 
 // Schedule is a compiled plan lowered for the engine. Every run of the plan,
 // concurrent ones included, reads the one schedule and none writes to it.
@@ -80,11 +67,11 @@ type Schedule struct {
 	// statements, ending at Ends.
 	Code []Instr
 	Ends [3]int
-	// Kinds and Labels give each slot's kind and label (a name's is the
-	// name); Names finds a name's slot.
-	Kinds  []SlotKind
+	// Labels gives each slot's label (a name's is the name); Names finds a
+	// name's slot; the end of a run clears the reuse slots of Clears.
 	Labels []string
 	Names  map[string]int
+	Clears []int
 	// Cond is the loop condition, nil for a straight-line program; each
 	// name it reads, and its base name, has a slot.
 	Cond lang.Expr
@@ -104,15 +91,6 @@ type stmt struct {
 	target, label, from string
 }
 
-// use is what a statement list does with a reuse slot: the symbols its
-// producer reads, the last statement reading it, and where each read's OpFill
-// is.
-type use struct {
-	refs  map[string]bool
-	last  int
-	fills []int
-}
-
 type lowering struct {
 	*Schedule
 	c         *Compiled
@@ -120,14 +98,11 @@ type lowering struct {
 	producers map[string]*costgraph.ProducerPlan
 	options   map[string]int // option slots by key
 	// Per list: the repeated subtree keys (nil unless Explicit or
-	// Conservative) and their slots, and the reuse slots read.
+	// Conservative) and their slots.
 	explicit map[string]int
 	subtrees map[string]int
-	uses     map[int]*use
-	// The statement being lowered.
-	stmt  int
-	entry bool
-	err   error
+	entry    bool
+	err      error
 }
 
 // lower builds the schedule; a promotion is the load and bind of a statement
@@ -177,7 +152,7 @@ func (c *Compiled) lower() (*Schedule, error) {
 		l.Cond = c.plans.Loop.Cond
 		l.cond(l.Cond)
 	}
-	l.repeats()
+	l.lifetimes()
 	return l.Schedule, nil
 }
 
@@ -200,23 +175,22 @@ func (l *lowering) cond(x lang.Expr) {
 }
 
 // slotOf returns the slot of key in m, made on first use.
-func (l *lowering) slotOf(m map[string]int, kind SlotKind, key string) int {
+func (l *lowering) slotOf(m map[string]int, key string) int {
 	k, ok := m[key]
 	if !ok {
-		k = len(l.Kinds)
-		l.Kinds, l.Labels = append(l.Kinds, kind), append(l.Labels, key)
+		k = len(l.Labels)
+		l.Labels = append(l.Labels, key)
 		m[key] = k
 	}
 	return k
 }
 
 // slot returns the slot of a name.
-func (l *lowering) slot(name string) int { return l.slotOf(l.Names, NameSlot, name) }
+func (l *lowering) slot(name string) int { return l.slotOf(l.Names, name) }
 
-// list lowers one statement list, and marks after each statement the clears
-// of the reuse slots whose lifetime ends there.
+// list lowers one statement list.
 func (l *lowering) list(stmts []stmt, sps []plan.StmtPlan) error {
-	l.explicit, l.subtrees, l.uses = nil, map[string]int{}, map[int]*use{}
+	l.explicit, l.subtrees = nil, map[string]int{}
 	if s := l.c.Config.Strategy; s == Explicit || s == Conservative {
 		// Explicit is stock SystemDS's identical-subtree CSE; Conservative
 		// subsumes it ("applies CSE after all optimizations improving the
@@ -227,9 +201,7 @@ func (l *lowering) list(stmts []stmt, sps []plan.StmtPlan) error {
 		}
 		l.explicit = plan.ExplicitCSEKeys(roots)
 	}
-	binds := make([]int, len(stmts))
-	for s, st := range stmts {
-		l.stmt = s
+	for _, st := range stmts {
 		if st.tree == nil {
 			l.load(st.from)
 		} else {
@@ -238,23 +210,7 @@ func (l *lowering) list(stmts []stmt, sps []plan.StmtPlan) error {
 				return fmt.Errorf("opt: %s: %w", st.label, l.err)
 			}
 		}
-		binds[s] = l.emit(Instr{Op: OpBind, A: l.slot(st.target)})
-	}
-	var slots []int
-	for k, u := range l.uses {
-		if l.Kinds[k] == SubtreeSlot && len(u.fills) == 1 {
-			l.Code[u.fills[0]].A = -1 // read once: nothing to keep
-		} else if l.Kinds[k] != LSESlot {
-			slots = append(slots, k)
-		}
-	}
-	sort.Ints(slots)
-	for s, st := range stmts {
-		for _, k := range slots {
-			if u := l.uses[k]; s == u.last || s < u.last && u.refs[st.target] {
-				l.Code[binds[s]].Clears = append(l.Code[binds[s]].Clears, k)
-			}
-		}
+		l.emit(Instr{Op: OpBind, A: l.slot(st.target)})
 	}
 	return nil
 }
@@ -266,24 +222,12 @@ func (l *lowering) emit(in Instr) int {
 }
 
 // read lowers a read of reuse slot k: an OpEnter, what produce emits, the
-// OpFill. An LSE value a run may share with others goes under key share.
-func (l *lowering) read(k int, share string, produce func()) {
+// OpFill. A value a run may share goes under key share; keep: the run's.
+func (l *lowering) read(k int, share string, keep bool, produce func()) {
 	enter := l.emit(Instr{Op: OpEnter, A: k, Label: share})
 	produce()
-	fill := l.emit(Instr{Op: OpFill, A: k, Label: share})
+	fill := l.emit(Instr{Op: OpFill, A: k, Label: share, Keep: keep})
 	l.Code[enter].N = fill - enter
-	u := l.uses[k]
-	if u == nil {
-		u = &use{refs: map[string]bool{}}
-		for _, in := range l.Code[enter:fill] {
-			if in.Op == OpLoad {
-				u.refs[in.Label] = true
-			}
-		}
-		l.uses[k] = u
-	}
-	u.last = l.stmt
-	u.fills = append(u.fills, fill)
 }
 
 // node lowers a plan tree: a chain region with a resolved block plan through
@@ -300,7 +244,7 @@ func (l *lowering) node(n *plan.Node) {
 	}
 	if l.explicit != nil && len(n.Kids) > 0 {
 		if key := n.Key(); l.explicit[key] > 0 {
-			l.read(l.slotOf(l.subtrees, SubtreeSlot, key), "", func() { l.structural(n) })
+			l.read(l.slotOf(l.subtrees, key), "", false, func() { l.structural(n) })
 			return
 		}
 	}
@@ -362,7 +306,7 @@ func (l *lowering) op(b *chain.Block, n *costgraph.OpNode) {
 		mul()
 		return
 	}
-	l.read(l.slotOf(l.subtrees, SubtreeSlot, chain.SpanKey(b.Atoms[n.Lo:n.Hi+1])), "", mul)
+	l.read(l.slotOf(l.subtrees, chain.SpanKey(b.Atoms[n.Lo:n.Hi+1])), "", false, mul)
 }
 
 func (l *lowering) atom(a chain.Atom) {
@@ -383,19 +327,15 @@ func (l *lowering) atom(a chain.Atom) {
 // option lowers a read of a selected option's slot, whose producer runs on
 // the first read: a cross-block group sums its first two occurrences, any
 // other option runs its producer plan over the first occurrence, normalized
-// to the canonical orientation. An LSE value's read carries its SharedKey, for
-// a run with a source of shared values (engine.RunOptions.LSE).
+// to the canonical orientation. The run keeps an LSE value, and its read
+// carries its SharedKey for a source of shared values (engine.RunOptions.LSE).
 func (l *lowering) option(o *search.Option) {
 	pp, ok := l.producers[o.Key]
 	if !ok {
 		l.err = fmt.Errorf("no producer for option %q", o.Key)
 		return
 	}
-	kind := CSESlot
-	if o.Kind == search.LSE {
-		kind = LSESlot
-	}
-	l.read(l.slotOf(l.options, kind, o.Key), SharedKey(pp), func() {
+	l.read(l.slotOf(l.options, o.Key), SharedKey(pp), o.Kind == search.LSE, func() {
 		blocks := l.c.Coords.Blocks
 		if o.Kind != search.CSEGroup {
 			occ := o.Occs[0]
@@ -431,43 +371,73 @@ type value struct {
 	bits uint64
 }
 
-// repeats numbers the values of the operator instructions as a run of one
-// iteration takes them (a reuse slot already full skips its producer), and
-// gives a repeat slot to each charged one the run may compute again before a
-// name it reads is rebound: one computed twice, or one in the body over names
-// the body never binds. The first computation fills the slot, which clears at
-// every bind of a name it reads; the others are charged as the plan says and
-// take its cells (distmat: Give). A name's binding is numbered afresh at each
-// bind, and at the body's and post-loop's entry if the body binds it.
-func (l *lowering) repeats() {
-	nums, binds, full := map[value]int{}, map[int]bool{}, map[int]int{}
-	// By number: the repeat slot, the instruction computing it first, and
-	// the name slots read, sorted; by name, the repeat slots reading it.
-	slots, first, clears := map[int]int{}, map[int]int{}, map[int][]int{}
-	var reads [][]int
-	ver, fresh, stack := make([]int, len(l.Kinds)), 0, []int(nil)
+// lifetimes gives every slot its clears: each bind of a name its value reads,
+// the end of the run (Clears) and, for a per-iteration slot (a planned one the
+// run does not keep), the bind ending its list's last statement that reads
+// it. One read once in its list keeps nothing; so does one read only as the
+// whole producer of another slot's read, which runs only when that slot, and
+// so this one, is empty. It numbers the values as a run of one iteration
+// takes them (a full reuse slot skips its producer; a name's binding is
+// numbered afresh at each bind, and at the body's and post-loop's entry if
+// the body binds it), and marks the repeats, charged as the plan says
+// (distmat: Give). A charged operator whose value a reuse slot filled outside
+// any producer holds repeats that slot; one whose value no reuse slot holds
+// gets a slot of its own, filled by its first computation, if the run may
+// compute it again before a name it reads is rebound: twice, or in the body
+// over names the body never binds. Nothing in a kept value's producer, which
+// runs once a run, is a repeat.
+func (l *lowering) lifetimes() {
+	// By slot, the name slots its value reads; by bind, the per-iteration
+	// slots whose last read it ends.
+	reads, ends := map[int][]int{}, map[int][]int{}
+	// By instruction, a candidate repeat's number (else -1); the name slots
+	// the body binds.
+	vals, binds := make([]int, len(l.Code)), map[int]bool{}
+	fill := func(e int) *Instr { return &l.Code[e+l.Code[e].N] }
+	for i, start := range [3]int{0, l.Ends[0], l.Ends[1]} {
+		enters := map[int][]int{}
+		for pc := start; pc < l.Ends[i]; pc++ {
+			if in := &l.Code[pc]; in.Op == OpEnter {
+				enters[in.A] = append(enters[in.A], pc)
+			} else if in.Op == OpBind && i == 1 {
+				binds[in.A] = true
+			}
+			vals[pc] = -1
+		}
+		for k, es := range enters {
+			inner := true
+			for _, e := range es {
+				o := l.Code[e-1]
+				inner = inner && o.Op == OpEnter && e-1+o.N == e+l.Code[e].N+1
+			}
+			switch last := es[len(es)-1]; {
+			case fill(last).Keep:
+			case len(es) == 1 || inner:
+				for _, e := range es {
+					fill(e).A = -1
+				}
+			default:
+				for l.Code[last].Op != OpBind {
+					last++
+				}
+				ends[last] = append(ends[last], k)
+			}
+		}
+	}
+	clears := func(k, pc int) bool { return slices.Contains(reads[k], l.Code[pc].A) || slices.Contains(ends[pc], k) }
+	// By number: the name slots read, sorted, a reuse slot's value or not,
+	// and the candidates; by slot, the number filled, and by number the slot
+	// filled outside any producer.
+	var nreads [][]int
+	nums, kept, count, full, held := map[value]int{}, map[int]bool{}, map[int]int{}, map[int]int{}, map[int]int{}
+	ver, fresh, stack, depth, once := make([]int, len(l.Labels)), 0, []int(nil), 0, 0
 	number := func(v value, a, b []int) int { // a and b: what the operands read
 		if _, ok := nums[v]; !ok {
 			r := slices.Concat(a, b)
 			slices.Sort(r)
-			nums[v], reads = len(reads), append(reads, slices.Compact(r))
+			nums[v], nreads = len(nreads), append(nreads, slices.Compact(r))
 		}
 		return nums[v]
-	}
-	mark := func(pc, n int) {
-		if _, ok := slots[n]; !ok {
-			slots[n] = len(l.Kinds)
-			l.Kinds, l.Labels = append(l.Kinds, RepeatSlot), append(l.Labels, "#"+strconv.Itoa(n))
-			for _, name := range reads[n] {
-				clears[name] = append(clears[name], slots[n])
-			}
-		}
-		l.Code[pc].A, l.Code[pc].Repeat = slots[n], true
-	}
-	for _, in := range l.Code[l.Ends[0]:l.Ends[1]] {
-		if in.Op == OpBind {
-			binds[in.A] = true
-		}
 	}
 	for pc := 0; pc < len(l.Code); pc++ {
 		if pc == l.Ends[0] || pc == l.Ends[1] { // the body's entry is also its end's
@@ -481,8 +451,11 @@ func (l *lowering) repeats() {
 		case OpStmt:
 		case OpBind:
 			stack, fresh, ver[in.A] = stack[:top], fresh+1, fresh+1
-			for _, k := range in.Clears {
-				delete(full, k)
+			for k, n := range full {
+				if clears(k, pc) {
+					delete(full, k)
+					delete(held, n)
+				}
 			}
 		case OpLoad:
 			stack = append(stack, number(value{op: OpLoad, x: in.A, y: in.B, bits: uint64(ver[in.A])<<32 | uint64(ver[in.B])},
@@ -493,38 +466,57 @@ func (l *lowering) repeats() {
 			if n, ok := full[in.A]; ok {
 				stack = append(stack, n)
 				pc += in.N
+			} else if depth++; pc >= once && fill(pc).Keep {
+				once = pc + in.N
 			}
 		case OpFill:
-			if in.A >= 0 {
-				full[in.A] = stack[top]
+			if n := stack[top]; in.A >= 0 {
+				full[in.A], kept[n], reads[in.A] = n, true, nreads[n]
+				if depth == 1 {
+					held[n] = in.A
+				}
 			}
+			depth--
 		default:
 			v, ry := value{op: in.Op, kind: in.Kind, x: stack[top]}, []int(nil)
 			if in.Op >= OpBinary {
 				if v.x, v.y = stack[top-1], stack[top]; in.Swap {
 					v.x, v.y = v.y, v.x
 				}
-				stack, top, ry = stack[:top], top-1, reads[v.y]
+				stack, top, ry = stack[:top], top-1, nreads[v.y]
 			}
-			n := number(v, reads[v.x], ry)
+			n := number(v, nreads[v.x], ry)
 			stack[top] = n
 			// Charged ones only: the other unary kinds are scalar arithmetic.
-			if in.Op == OpFusedT || in.Op == OpUnary && in.Kind != plan.Neg && in.Kind != plan.SumAll {
+			if in.Op == OpFusedT || in.Op == OpUnary && in.Kind != plan.Neg && in.Kind != plan.SumAll || pc < once {
 				continue
 			}
-			pc0, twice := first[n]
-			if !twice {
-				first[n], pc0 = pc, pc
-			}
-			if body := pc >= l.Ends[0] && pc < l.Ends[1]; twice || body && !slices.ContainsFunc(reads[n], func(k int) bool { return binds[k] }) {
-				mark(pc, n)
-				mark(pc0, n)
+			if k, ok := held[n]; ok {
+				in.A, in.Repeat = k, true
+			} else {
+				vals[pc] = n
+				count[n]++
 			}
 		}
 	}
+	slots := map[string]int{}
+	for pc, n := range vals {
+		body := pc >= l.Ends[0] && pc < l.Ends[1]
+		if n >= 0 && !kept[n] && (count[n] > 1 || body && !slices.ContainsFunc(nreads[n], func(k int) bool { return binds[k] })) {
+			k := l.slotOf(slots, "#"+strconv.Itoa(n))
+			reads[k], l.Code[pc].A, l.Code[pc].Repeat = nreads[n], k, true
+		}
+	}
 	for pc := range l.Code {
-		if in := &l.Code[pc]; in.Op == OpBind {
-			in.Clears = append(in.Clears, clears[in.A]...)
+		for k := 0; k < len(l.Labels) && l.Code[pc].Op == OpBind; k++ {
+			if clears(k, pc) {
+				l.Code[pc].Clears = append(l.Code[pc].Clears, k)
+			}
+		}
+	}
+	for k := range l.Labels {
+		if _, ok := reads[k]; ok {
+			l.Clears = append(l.Clears, k)
 		}
 	}
 }

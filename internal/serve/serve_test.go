@@ -154,11 +154,11 @@ func TestUnverifiedCorruptionPoisonsNoCache(t *testing.T) {
 	bitwiseEqualValues(t, refRes.Values, clean.Values)
 }
 
-// TestPlanCacheWarmCompileFaster: a plan-cache hit compiles nothing. After
-// the cold run's one miss, every warm run reports a hit and the miss count
-// stays one while the hits reach three: counted operations, not wall time,
-// which a loaded host stretches on either side.
-func TestPlanCacheWarmCompileFaster(t *testing.T) {
+// TestPlanCacheHitCompilesNothing: after the cold run's one miss, every warm
+// run reports a hit and the miss count stays one while the hits reach three:
+// counted operations, not wall time, which a loaded host stretches on either
+// side.
+func TestPlanCacheHitCompilesNothing(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	q := testQuery(t, algorithms.DFP, "cri2", 5)
