@@ -93,7 +93,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 		coords := syntheticChain(n)
 		b.Run(fmt.Sprintf("block-wise/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				search.BlockWise(coords, sparsity.Metadata{})
+				search.BlockWise(coords)
 			}
 		})
 		b.Run(fmt.Sprintf("tree-wise/n=%d", n), func(b *testing.B) {

@@ -11,7 +11,6 @@ import (
 	"remac/internal/opt"
 	"remac/internal/plan"
 	"remac/internal/search"
-	"remac/internal/sparsity"
 )
 
 // Fig3 reproduces the motivation experiment: SystemDS on DFP with
@@ -121,7 +120,7 @@ func Fig8a() (*Table, error) {
 		plan.ExplicitCSEKeys(roots)
 		row.Values["SystemDS"] = float64(time.Since(start).Microseconds()) / 1000
 
-		bw := search.BlockWise(coords, sparsity.Metadata{})
+		bw := search.BlockWise(coords)
 		row.Values["block-wise"] = float64(bw.Elapsed.Microseconds()) / 1000
 
 		tw := search.TreeWise(coords, treeWiseDeadline)
@@ -214,7 +213,7 @@ func OptionCensus() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := search.BlockWise(coords, sparsity.Metadata{})
+		r := search.BlockWise(coords)
 		row := Row{Label: string(alg), Values: map[string]float64{
 			"options": float64(len(r.Options)),
 		}}

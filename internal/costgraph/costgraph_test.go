@@ -84,7 +84,7 @@ func searched(t testing.TB, src string, r res) *search.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return search.BlockWise(c, sparsity.Metadata{})
+	return search.BlockWise(c)
 }
 
 func plannerFor(t *testing.T, r res) *Planner {

@@ -77,7 +77,7 @@ func TestCodedDecodeRecoversWithoutRecompute(t *testing.T) {
 	c := codedCtx(4, 6)
 	rng := rand.New(rand.NewSource(41))
 	a := scaledDataset(c, rng)
-	b := a.Scale(2)
+	b := a.Scale(2).Retain()
 	if b.parity == nil {
 		t.Fatal("derived value must carry parity")
 	}
@@ -136,7 +136,7 @@ func TestCodedSurvivorsStayBitwise(t *testing.T) {
 	c := codedCtx(4, 6)
 	rng := rand.New(rand.NewSource(42))
 	a := scaledDataset(c, rng)
-	b := a.Scale(2)
+	b := a.Scale(2).Retain()
 	before := b.Data()
 	w := c.Cluster.Config().Workers() // 6 workers, 4 groups: home+4 hosts none
 	c.onFault(cluster.FaultCharge{Event: fault.Event{
@@ -202,9 +202,9 @@ func TestCodedStatsEqualsSpans(t *testing.T) {
 	}))
 	rng := rand.New(rand.NewSource(44))
 	a := scaledDataset(c, rng)
-	b := a.Scale(2)
+	b := a.Scale(2).Retain()
 	for i := 0; i < 20; i++ {
-		b = b.Add(a)
+		b = b.Add(a).Retain()
 		b.Sum()
 	}
 
@@ -275,7 +275,7 @@ func TestCodedErasureVerdicts(t *testing.T) {
 			}
 			c := codedCtx(tc.k, tc.n)
 			a := Read(c, matrix.RandSparse(rand.New(rand.NewSource(int64(mask))), 40, 20, 0.2), 50_000_000, 8000)
-			b := a.Scale(2)
+			b := a.Scale(2).Retain()
 			m := b.Data()
 			want := cellsOf(m)
 			w := c.Cluster.Config().Workers()

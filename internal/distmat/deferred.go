@@ -30,13 +30,11 @@ import (
 //   - Ownership. A deferred value takes over its temporary operands at once —
 //     they are emptied, so using them again panics as ever — but their
 //     buffers are leaves now: they reach the free list when the expression
-//     has been evaluated, and not at all once a value that is not a
-//     temporary (a retained one) has lent its expression to another, which
-//     may be evaluated at any later time. An operand that lives on — a bound
-//     value read as a leaf — is a loan: the lender counts it, the evaluation
-//     returns it, and a lender is not retired (ownership.go) while it has one
-//     out. A borrower that is dropped unevaluated never returns its loans,
-//     and those lenders are simply left to the collector.
+//     is evaluated or dropped (letGo), and not at all once a value that is
+//     not a temporary (a retained one) has lent its expression to another,
+//     which may be evaluated at any later time. An operand that lives on — a
+//     bound value read as a leaf — is a lender: the expression holds it
+//     (ownership.go) until it is evaluated or dropped.
 
 // unobserved reports whether settle leaves alone the payload of an operator
 // charged bd: it ran in driver memory with nothing in flight (a corruption
@@ -83,13 +81,13 @@ func (ctx *Context) deferOp(kind, label string, e *matrix.Expr, bd cost.Breakdow
 		case !x.temp:
 			// x lives on and so does its expression, inside e: whichever of
 			// the two is evaluated first must leave the leaves to the other,
-			// and each returns a loan of its own on what they both read.
+			// and each holds what they both read.
 			x.owned = nil
 			for _, l := range x.lenders {
 				nd.borrow(l)
 			}
 		default:
-			// The buffers and the loans move with the expression; x is
+			// The buffers and the lenders move with the expression; x is
 			// emptied, so its lists may be built on.
 			nd.owned = append(x.owned, nd.owned...)
 			if x.data != nil && x.data.Buffer() != nil {
@@ -104,34 +102,36 @@ func (ctx *Context) deferOp(kind, label string, e *matrix.Expr, bd cost.Breakdow
 
 // borrow records that d's expression reads the cells of l, which lives on.
 func (d *DistMatrix) borrow(l *DistMatrix) {
-	if l.src != nil {
-		l = l.src
-	}
-	l.loans++
 	if d.lenders == nil {
 		d.lenders = make([]*DistMatrix, 0, 8) // an update tail borrows 5 or 6 times: one allocation
 	}
-	d.lenders = append(d.lenders, l)
+	d.lenders = append(d.lenders, l.Retain())
 }
 
 // force materialises a deferred value in place and returns the matrix: one
-// evaluation into a recycled or fresh buffer, after which the buffers the
-// expression owned are free and its loans returned.
+// evaluation into a recycled or fresh buffer, after which the expression
+// lets go.
 func (d *DistMatrix) force() *matrix.Matrix {
 	d.live()
 	if e := d.expr; e != nil {
 		dst := d.ctx.dest(e.Rows() * e.Cols())
-		d.data, d.expr = e.Eval(dst), nil
+		d.data = e.Eval(dst)
 		d.ctx.release(d.data, dst)
-		for _, buf := range d.owned {
-			d.ctx.release(d.data, buf)
-		}
-		for _, l := range d.lenders {
-			l.loans--
-		}
-		d.owned, d.lenders = nil, nil
+		d.letGo(d.data)
 	}
 	return d.data
+}
+
+// letGo ends d's expression, evaluated into out or dropped (nil): the buffers
+// it took over go to the free list, and its lenders lose its hold.
+func (d *DistMatrix) letGo(out *matrix.Matrix) {
+	for _, buf := range d.owned {
+		d.ctx.release(out, buf)
+	}
+	for _, l := range d.lenders {
+		l.Retire()
+	}
+	d.expr, d.owned, d.lenders = nil, nil, nil
 }
 
 // Deferred reports whether the value's cells are yet to be computed.

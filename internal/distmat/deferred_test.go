@@ -64,21 +64,21 @@ func TestDeferredChainIsOnePassAndRecyclesItsLeavesOnce(t *testing.T) {
 	const n = 48
 	o := newUpdateOperands(c, 50, n)
 	// Temporary vectors (H·g and the like), so the products own leaves.
-	u := o.u.Scale(2).Temp()
-	d := o.d.Scale(3).Temp()
+	u := o.u.Scale(2)
+	d := o.d.Scale(3)
 	uBuf, dBuf := u.data.Buffer(), d.data.Buffer()
 
-	p1 := u.Mul(o.vT).Temp()
+	p1 := u.Mul(o.vT)
 	if !p1.Deferred() || u.data != nil {
 		t.Fatalf("rank-one product: deferred %v, temporary operand emptied %v", p1.Deferred(), u.data == nil)
 	}
 	requireConsumed(t, "a vector a deferred product took over", func() { u.Data() })
-	s1 := p1.Scale(0.5).Temp()
+	s1 := p1.Scale(0.5)
 	requireConsumed(t, "a deferred value a deferred scale took over", func() { p1.Scale(2) })
-	diff := o.h.Sub(s1).Temp()
-	p2 := d.Mul(o.dT).Temp()
-	s2 := p2.Scale(0.25).Temp()
-	sum := diff.Add(s2).Temp()
+	diff := o.h.Sub(s1)
+	p2 := d.Mul(o.dT)
+	s2 := p2.Scale(0.25)
+	sum := diff.Add(s2)
 	for what, v := range map[string]*DistMatrix{"scale": s1, "H − …": diff, "second product": p2, "… + …": sum} {
 		if what != "… + …" && (v.data != nil || v.expr != nil) {
 			t.Fatalf("%s: not emptied by its consumer", what)
@@ -122,21 +122,21 @@ func TestDeferredSharedValueLendsItsLeaves(t *testing.T) {
 		c := ctx()
 		const n = 40
 		o := newUpdateOperands(c, 51, n)
-		hy := o.h.Mul(o.d).Temp() // a true multiply: materialised
+		hy := o.h.Mul(o.d) // a true multiply: materialised
 		if hy.Deferred() {
 			t.Fatal("matrix·vector deferred")
 		}
 		hyBuf := hy.data.Buffer()
-		s := hy.Mul(o.dT).Temp().Retain()
+		s := hy.Mul(o.dT).Retain()
 		if !s.Deferred() || len(s.owned) != 1 {
 			t.Fatalf("S: deferred %v, owns %d buffers", s.Deferred(), len(s.owned))
 		}
-		sT := s.Transpose().Temp()
+		sT := s.Transpose()
 		if !sT.Deferred() || !s.Deferred() || s.owned != nil {
 			t.Fatalf("Sᵀ deferred %v; S still deferred %v and owning %d", sT.Deferred(), s.Deferred(), len(s.owned))
 		}
-		sym := s.Add(sT).Temp()
-		upd := o.h.Sub(sym.Scale(0.5).Temp()).Temp()
+		sym := s.Add(sT)
+		upd := o.h.Sub(sym.Scale(0.5))
 		if !upd.Deferred() || len(upd.owned) != 0 {
 			t.Fatalf("update: deferred %v, owns %d buffers (S lent its leaves, it did not give them)", upd.Deferred(), len(upd.owned))
 		}
@@ -169,75 +169,99 @@ func TestDeferredSharedValueLendsItsLeaves(t *testing.T) {
 	}
 }
 
-// TestDeferredLoansKeepALenderFromRetiring: a named value read as a leaf by an
-// expression still to be evaluated is on loan. The evaluation returns the
-// loan; a temporary borrower that is consumed passes its loans on; a retained
-// borrower that lends its expression has them copied, one to return for each
-// expression; and a borrower nobody evaluates keeps its lender for good.
-func TestDeferredLoansKeepALenderFromRetiring(t *testing.T) {
+// TestDeferredBorrowersHoldTheirLenders: a named value read as a leaf by an
+// expression still to be evaluated is held by it. The evaluation lets go; a
+// temporary borrower that is consumed passes its holds on; a retained
+// borrower that lends its expression has them copied, one for each
+// expression; and a borrower dropped unevaluated lets go of what it took
+// over and what it borrowed. A lender whose last holder lets go is retired,
+// its buffer on the free list once.
+func TestDeferredBorrowersHoldTheirLenders(t *testing.T) {
 	c := ctx()
 	const n = 32
 	o := newUpdateOperands(c, 57, n)
 	named := func() (*DistMatrix, []float64) {
-		h := o.h.Scale(2).Temp().Pin()
+		h := o.h.Scale(2).Pin()
 		return h, cellsOf(h.Data())
 	}
-	kept := func(what string, h *DistMatrix, cells []float64, loans int) {
+	held := func(what string, h *DistMatrix, cells []float64, holds int) {
 		t.Helper()
-		if h.loans != loans {
-			t.Fatalf("%s: %d loans out, want %d", what, h.loans, loans)
-		}
-		if h.Retire() != nil {
-			t.Fatalf("%s: a lender was retired", what)
+		if h.holds != holds {
+			t.Fatalf("%s: %d holds, want %d", what, h.holds, holds)
 		}
 		requireCells(t, what, h.Data(), cells)
 	}
-	retires := func(what string, h *DistMatrix) {
+	retired := func(what string, h *DistMatrix, buf []float64) {
 		t.Helper()
-		if h.loans != 0 || h.Retire() == nil {
-			t.Fatalf("%s: %d loans out, or not retired", what, h.loans)
+		if h.holds != 0 || idleHolds(c, buf) != 1 {
+			t.Fatalf("%s: %d holds, the buffer free %d× (want 0, 1)", what, h.holds, idleHolds(c, buf))
 		}
+		requireConsumed(t, what, func() { h.Data() })
 		poisonIdle(c)
 	}
 	hm := o.hm.Scale(2)
 	pm := o.um.Mul(o.vm)
 
-	// Returned by the evaluation.
+	// Let go by the evaluation.
 	h, cells := named()
-	upd := h.Sub(o.u.Mul(o.vT).Temp()).Temp()
-	kept("read by a deferred difference", h, cells, 1)
+	upd := h.Sub(o.u.Mul(o.vT))
+	held("read by a deferred difference", h, cells, 2)
 	want := cellsOf(hm.Sub(pm))
 	requireCells(t, "the difference", upd.Data(), want)
-	retires("after the evaluation", h)
+	held("after the evaluation", h, cells, 1)
+	if buf := h.Retire(); buf == nil || idleHolds(c, buf) != 1 {
+		t.Fatal("the name let go last, and the lender is not free once")
+	}
+	poisonIdle(c)
 	requireCells(t, "the difference, its lender retired", upd.Data(), want)
 
-	// Moved with a consumed temporary.
+	// Moved with a consumed temporary, and holding its lender past the name.
 	h, cells = named()
-	scaled := h.Sub(o.u.Mul(o.vT).Temp()).Temp().Scale(3).Temp()
-	kept("read by a scale of a difference", h, cells, 1)
+	buf := h.Data().Buffer()
+	scaled := h.Sub(o.u.Mul(o.vT)).Scale(3)
+	held("read by a scale of a difference", h, cells, 2)
+	if h.Retire() != nil {
+		t.Fatal("a lender was retired while a borrower held it")
+	}
+	held("its name let go", h, cells, 1)
 	requireCells(t, "the scaled difference", scaled.Data(), cellsOf(hm.Sub(pm).Scale(3)))
-	retires("after the evaluation of the consumer", h)
+	retired("after the evaluation of the consumer", h, buf)
 
 	// Copied when a retained value lends its expression; the vectors of a
-	// product are loans like a matrix leaf.
+	// product are lenders like a matrix leaf.
 	h, cells = named()
-	uNamed := o.u.Scale(1).Temp().Pin()
+	uNamed := o.u.Scale(1).Pin()
 	uCells := cellsOf(uNamed.Data())
-	shared := h.Add(uNamed.Mul(o.vT).Temp()).Temp().Retain()
-	kept("read by a cached sum", h, cells, 1)
-	twice := shared.Scale(2).Temp()
-	kept("read by a cached sum and by its consumer", h, cells, 2)
-	kept("a product's vector, likewise", uNamed, uCells, 2)
+	shared := h.Add(uNamed.Mul(o.vT)).Retain()
+	held("read by a cached sum", h, cells, 2)
+	twice := shared.Scale(2)
+	held("read by a cached sum and by its consumer", h, cells, 3)
+	held("a product's vector, likewise", uNamed, uCells, 3)
 	requireCells(t, "the consumer", twice.Data(), cellsOf(hm.Add(pm).Scale(2)))
-	kept("the cached sum is still to be evaluated", h, cells, 1)
+	held("the cached sum is still to be evaluated", h, cells, 2)
 	requireCells(t, "the cached sum", shared.Data(), cellsOf(hm.Add(pm)))
-	retires("both evaluated", h)
-	retires("both evaluated: the vector", uNamed)
+	held("both evaluated", h, cells, 1)
+	held("both evaluated: the vector", uNamed, uCells, 1)
+	if h.Retire() == nil || uNamed.Retire() == nil {
+		t.Fatal("both evaluated, and a name let go last: not retired")
+	}
+	poisonIdle(c)
 
-	// Never returned by a borrower nobody evaluates.
+	// Let go by a borrower dropped unevaluated, with the temporary it took over.
 	h, cells = named()
-	h.Add(o.u.Mul(o.vT).Temp()) // dropped
-	kept("read by an expression that was dropped", h, cells, 1)
+	buf = h.Data().Buffer()
+	u := o.u.Scale(2)
+	uBuf := u.data.Buffer()
+	dropped := h.Add(u.Mul(o.vT)).Retain() // a reuse slot holds it
+	if h.Retire() != nil {
+		t.Fatal("a lender was retired while a borrower held it")
+	}
+	held("read by an expression a reuse slot holds", h, cells, 1)
+	if dropped.Retire() != nil || idleHolds(c, uBuf) != 1 {
+		t.Fatalf("the dropped expression: its vector free %d×, want 1", idleHolds(c, uBuf))
+	}
+	requireConsumed(t, "the dropped expression", func() { dropped.Data() })
+	retired("read by an expression that was dropped", h, buf)
 }
 
 // TestDeferredSameTemporaryOnBothSides: V + V over a deferred temporary takes
@@ -245,10 +269,10 @@ func TestDeferredLoansKeepALenderFromRetiring(t *testing.T) {
 func TestDeferredSameTemporaryOnBothSides(t *testing.T) {
 	c := ctx()
 	o := newUpdateOperands(c, 52, 30)
-	u := o.u.Scale(2).Temp()
+	u := o.u.Scale(2)
 	uBuf := u.data.Buffer()
-	p := u.Mul(o.vT).Temp()
-	twice := p.Add(p).Temp()
+	p := u.Mul(o.vT)
+	twice := p.Add(p)
 	if !twice.Deferred() || len(twice.owned) != 1 || p.expr != nil {
 		t.Fatalf("V + V: deferred %v, owns %d, operand emptied %v", twice.Deferred(), len(twice.owned), p.expr == nil)
 	}
@@ -259,7 +283,7 @@ func TestDeferredSameTemporaryOnBothSides(t *testing.T) {
 	}
 	// V − V is empty: the evaluation falls back on the eager operators, the
 	// result is CSR and its destination goes back where it came from.
-	q := o.u.Mul(o.vT).Temp()
+	q := o.u.Mul(o.vT)
 	zero := q.Sub(q)
 	idle := len(c.Idle())
 	if m := zero.Data(); m.Format() != matrix.CSR || m.NNZ() != 0 {
@@ -298,7 +322,7 @@ func TestDeferredForcePoints(t *testing.T) {
 	} {
 		c := ctx()
 		o := newUpdateOperands(c, 53, n)
-		v := o.u.Mul(o.vT).Scale(3)
+		v := o.u.Mul(o.vT).Scale(3).Retain()
 		if !v.Deferred() {
 			t.Fatalf("%s: setup did not defer", what)
 		}
@@ -372,8 +396,8 @@ func TestDeferredOperatorsChargeAndRecordAsEager(t *testing.T) {
 		c.Recorder = trace.New()
 		c.NaNGuard = guard
 		o := newUpdateOperands(c, 55, 36)
-		s := o.h.Mul(o.d).Temp().Mul(o.dT).Temp().Retain()
-		upd := o.h.Add(o.u.Mul(o.vT).Temp().Scale(0.5).Temp()).Temp().Sub(s.Add(s.Transpose().Temp()).Temp().Scale(2).Temp())
+		s := o.h.Mul(o.d).Mul(o.dT).Retain()
+		upd := o.h.Add(o.u.Mul(o.vT).Scale(0.5)).Sub(s.Add(s.Transpose()).Scale(2))
 		return c.Cluster.Stats(), c.Recorder.Spans(), upd.Data()
 	}
 	dStats, dSpans, dOut := run(integrity.GuardOff)

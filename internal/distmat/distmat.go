@@ -160,7 +160,7 @@ type DistMatrix struct {
 	parity *codedParity
 	// temp marks a temporary (ownership.go): a value only the expression
 	// under evaluation holds, which the operator that consumes it may
-	// overwrite or recycle. Values are not temporaries unless Temp said so.
+	// overwrite or recycle. Every operator's result is one (derive).
 	temp  bool
 	holds int         // holders of a value the run made (ownership.go)
 	fused *DistMatrix // the transpose TransposeFused keeps with d
@@ -169,14 +169,12 @@ type DistMatrix struct {
 	input bool
 	// expr is the payload of a deferred value (deferred.go): data stays nil
 	// until force evaluates it. owned lists the buffers of the temporaries the
-	// expression took over, which go to the free list once it is evaluated;
-	// lenders lists the values that live on and whose cells the expression
-	// reads, each of which counts the loan (loans) until the evaluation returns
-	// it and is not retired while it has one out.
+	// expression took over, which go to the free list once it is evaluated or
+	// dropped; lenders lists the values that live on and whose cells the
+	// expression reads, each held by it till then.
 	expr    *matrix.Expr
 	owned   [][]float64
 	lenders []*DistMatrix
-	loans   int
 	src     *DistMatrix // the value whose cells d was given (Give; ownership.go)
 }
 
@@ -260,9 +258,10 @@ func (ctx *Context) given(kind string, a, b *matrix.Matrix) (out *matrix.Matrix,
 // onKernel, when a test of this package sets it, sees every given call.
 var onKernel func(kind string, given bool, a, b *matrix.Matrix)
 
-// derive makes an operator's result, over the cells of src if given them.
+// derive makes an operator's result: a temporary, or over the cells of src if
+// given them.
 func (d *DistMatrix) derive(m *matrix.Matrix, meta sparsity.Meta, local bool, prod cost.Breakdown, src *DistMatrix) *DistMatrix {
-	nd := &DistMatrix{ctx: d.ctx, data: m, vMeta: meta, local: local, prod: prod, epoch: d.ctx.failEpoch, src: src}
+	nd := &DistMatrix{ctx: d.ctx, data: m, vMeta: meta, local: local, prod: prod, epoch: d.ctx.failEpoch, temp: src == nil, src: src}
 	d.ctx.codedSettle(nd, prod)
 	return nd
 }
@@ -445,24 +444,26 @@ func (d *DistMatrix) Transpose() *DistMatrix {
 // inside multiplication chains are fused into the multiply operators
 // (SystemDS rewrites t(A) %*% x into a transpose-fused matrix multiply
 // rather than materializing t(A)), and the cost model prices the fused
-// multiply on the transposed metadata. The transpose is kept, and retired,
-// with d: the kernel runs once per value. An input's transpose rides on its
-// matrix (matrix.Transposed), so the kernel runs once per input across runs;
-// it has no holder here, and no free list ever gets its buffer.
+// multiply on the transposed metadata. The transpose is kept, held and
+// retired with d: the kernel runs once per value. An input's transpose rides
+// on its matrix (matrix.Transposed), so the kernel runs once per input across
+// runs; the input is never retired, and no free list ever gets its buffer.
 func (d *DistMatrix) TransposeFused() *DistMatrix {
 	if d.fused == nil {
 		d.repair()
 		m := d.force()
 		// Uncharged: the fused view inherits its parent's lineage.
 		meta := sparsity.MNC{}.Transpose(d.vMeta)
+		var t *matrix.Matrix
 		if d.input {
-			d.fused = d.derive(m.Transposed(), meta, d.local, d.prod, nil)
-			return d.fused
+			t = m.Transposed()
+		} else {
+			dst := d.ctx.dest(m.Rows() * m.Cols())
+			t = m.TransposeInto(dst)
+			d.ctx.release(t, dst)
 		}
-		dst := d.ctx.dest(m.Rows() * m.Cols())
-		d.fused = d.derive(m.TransposeInto(dst), meta, d.local, d.prod, nil)
-		d.ctx.release(d.fused.data, dst)
-		d.fused.holds = 1 // d holds it
+		d.fused = d.derive(t, meta, d.local, d.prod, nil)
+		d.fused.temp, d.fused.holds = false, 1 // d holds it
 	}
 	return d.fused
 }

@@ -28,7 +28,7 @@ func TestLineageRepairChargesProducerFraction(t *testing.T) {
 	c := faultCtx(fault.Event{At: 1e18, Kind: fault.WorkerFailure}) // never fires by clock
 	rng := rand.New(rand.NewSource(30))
 	a := scaledDataset(c, rng)
-	b := a.Scale(2) // the producer whose cost lineage repair re-runs
+	b := a.Scale(2).Retain() // the producer whose cost lineage repair re-runs
 	prod := b.prod
 	if prod.Total() == 0 {
 		t.Fatal("test needs a nonzero producer cost")
@@ -214,9 +214,9 @@ func TestStatsEqualsSpansUnderFaults(t *testing.T) {
 	}))
 	rng := rand.New(rand.NewSource(35))
 	a := scaledDataset(c, rng)
-	b := a.Scale(2)
+	b := a.Scale(2).Retain()
 	for i := 0; i < 20; i++ {
-		b = b.Add(a)
+		b = b.Add(a).Retain()
 		b.Sum()
 	}
 

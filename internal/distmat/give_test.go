@@ -25,7 +25,7 @@ func TestRepeatGivenOperatorChargesAsItsKernel(t *testing.T) {
 		run := func(give bool) (*Context, *DistMatrix, *DistMatrix) {
 			c := tracedCtx()
 			o := newUpdateOperands(c, 7, n)
-			first := op(o.h, o.h).Temp().Retain()
+			first := op(o.h, o.h).Retain()
 			if give {
 				c.Give(first)
 			}
@@ -58,22 +58,22 @@ func TestRepeatGivenOperatorChargesAsItsKernel(t *testing.T) {
 }
 
 // TestRepeatGivenValueLeavesItsCellsToTheSource: a value over given cells is
-// no temporary, so no consumer writes over them; its holders hold the source,
-// and its loans are the source's, so the cells go to the free list when the
-// last holder of either lets go and no expression still reads them.
+// no temporary, so no consumer writes over them; it holds the source for all
+// of its holders, an expression that reads it among them, so the cells go to
+// the free list when the last holder of either lets go.
 func TestRepeatGivenValueLeavesItsCellsToTheSource(t *testing.T) {
 	c := ctx()
 	const n = 32
 	o := newUpdateOperands(c, 11, n)
 	given := func(x *DistMatrix) (first, repeat *DistMatrix, cells []float64) {
-		first = x.Scale(2).Temp().Retain() // the repeat slot holds it
+		first = x.Scale(2).Retain() // the repeat slot holds it
 		c.Give(first)
 		repeat = x.Scale(2)
 		return first, repeat, cellsOf(first.Data())
 	}
 
 	first, repeat, cells := given(o.h)
-	repeat.Temp().Scale(3).Temp()
+	repeat.Scale(3)
 	requireCells(t, "the source, its repeat consumed", first.Data(), cells)
 	repeat.Pin() // bound to a name
 	if buf := first.Retire(); buf != nil {
@@ -85,14 +85,19 @@ func TestRepeatGivenValueLeavesItsCellsToTheSource(t *testing.T) {
 		t.Fatal("the last holder let go, and the cells are not free once")
 	}
 
-	first, repeat, cells = given(o.u)
+	first, repeat, _ = given(o.u)
+	buf := first.Data().Buffer()
 	outer := repeat.Mul(o.vT) // deferred, reading the repeat's cells
-	if !outer.Deferred() || first.loans != 1 {
-		t.Fatalf("deferred %v, %d loans on the source: want a deferred product borrowing it", outer.Deferred(), first.loans)
+	if !outer.Deferred() || first.holds != 2 || repeat.holds != 1 {
+		t.Fatalf("deferred %v, %d holds on the source, %d on the repeat: want a deferred product holding the repeat, and the repeat the source",
+			outer.Deferred(), first.holds, repeat.holds)
 	}
-	if buf := first.Retire(); buf != nil {
-		t.Fatal("a source with a loan out was retired")
+	if first.Retire() != nil {
+		t.Fatal("a source a borrower holds was retired")
 	}
 	poisonIdle(c)
 	requireCells(t, "the product over a repeat", outer.Data(), cellsOf(o.um.Scale(2).Mul(o.vm)))
+	if idleHolds(c, buf) != 1 || first.holds != 0 {
+		t.Fatalf("the evaluation let go: the cells are free %d×, the source keeps %d holds (want 1, 0)", idleHolds(c, buf), first.holds)
+	}
 }

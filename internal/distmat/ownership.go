@@ -8,26 +8,21 @@ import (
 
 // This file is the ownership rule that lets execution run without garbage.
 //
-// A value is a temporary only if its producer's caller said so with Temp:
-// nothing but the expression under evaluation holds it, so the one operator
-// that consumes it may write its own result over the value's dense buffer
-// (element-wise, scale and add-scalar passes, which read a cell before they
-// write it) or, when the result cannot live there, hand the buffer to the
-// context's free list for a later operator to use as its destination. A
-// consumed temporary is emptied: using it again panics. Everything else —
-// inputs, cache hits, anything bound, cached, published or returned — is not
-// a temporary and is never written: Pin and Retain withdraw the declaration.
-// What the run made comes back once its last holder (a name, a reuse slot)
-// has let go, if no unevaluated expression reads it (Retire); the buffers idle
-// when the run ends serve the next run (HandOver). A value given its cells
-// (Give) is no temporary, and its source counts its holders and loans.
-
-// Temp declares d a temporary and returns it. The caller vouches that it
-// holds the only reference to d and to d's matrix.
-func (d *DistMatrix) Temp() *DistMatrix {
-	d.temp = d.src == nil
-	return d
-}
+// Every operator's result is a temporary (derive): nothing but the expression
+// under evaluation holds it, so the one operator that consumes it may write
+// its own result over the value's dense buffer (element-wise, scale and
+// add-scalar passes, which read a cell before they write it) or, when the
+// result cannot live there, hand the buffer to the context's free list for a
+// later operator to use as its destination. A consumed temporary is emptied:
+// using it again panics. A value the run made counts its holders (holds): a
+// name, a reuse slot, an unevaluated expression that reads it (deferred.go),
+// the source it was handed to (Publish), a value keeping it as its fused
+// transpose. Retain takes a hold, and a held value is no temporary; Retire
+// lets one go, and the last to go recycles the value. Inputs, cache hits and
+// other values the run did not make have no holds and are never written. A
+// value given its cells (Give) is no temporary: it holds its source for all
+// of its holders. What is idle when the run ends serves the next run
+// (HandOver).
 
 // Pin is Retain for a holder that reads cells, and returns d materialised.
 func (d *DistMatrix) Pin() *DistMatrix {
@@ -35,8 +30,8 @@ func (d *DistMatrix) Pin() *DistMatrix {
 	return d.Retain()
 }
 
-// Retain withdraws Temp for a holder and returns d as it is, deferred or not;
-// holds counts the holders of a value the run made (a temporary till then).
+// Retain takes a hold on d for a holder and returns d as it is, deferred or
+// not; a value the run did not make is left as it is.
 func (d *DistMatrix) Retain() *DistMatrix {
 	if d.holds == 0 && d.src != nil {
 		d.src.Retain() // one hold on the cells for all of d's holders
@@ -48,16 +43,20 @@ func (d *DistMatrix) Retain() *DistMatrix {
 }
 
 // Retire lets one holder of d go. When the last holder of a value the run made
-// lets go and no unevaluated expression reads it (deferred.go: loans), d and
-// its fused transpose are emptied like consumed temporaries and their buffers
-// go to the free list; Retire returns d's. Anything else — nil, an input, a
-// cache hit, a value held or lent still, one still deferred — is left as it
-// is; so is recovery state, since nothing uses a retired value.
+// lets go, a deferred d lets go of what its expression took over and borrowed
+// (letGo), d and its fused transpose are emptied like consumed temporaries,
+// and their buffers go to the free list; Retire returns d's. Anything else —
+// nil, a value the run did not make, one held still — is left as it is; so is
+// recovery state, since nothing uses a retired value.
 func (d *DistMatrix) Retire() []float64 {
-	if d == nil || d.holds == 0 || d.holds == 1 && d.loans > 0 {
+	if d == nil || d.holds == 0 {
 		return nil
 	}
-	if d.holds--; d.holds > 0 || d.data == nil {
+	if d.holds--; d.holds > 0 {
+		return nil
+	}
+	if d.expr != nil {
+		d.letGo(nil)
 		return nil
 	}
 	d.fused.Retire()
@@ -70,12 +69,10 @@ func (d *DistMatrix) Retire() []float64 {
 	return buf
 }
 
-// Publish returns d's cells for holders outside the run: d, and the value it
-// was given its cells by, stop being the run's, so no Retire gives them up.
+// Publish returns d's cells for holders outside the run: the source takes a
+// hold it never lets go, so no Retire gives them up.
 func (d *DistMatrix) Publish() *matrix.Matrix {
-	for x := d; x != nil; x = x.src {
-		x.temp, x.holds = false, 0
-	}
+	d.Retain()
 	return d.force()
 }
 

@@ -50,29 +50,29 @@ func TestOwnershipTemporariesAreOverwrittenOrRecycled(t *testing.T) {
 	aCells, bCells := cellsOf(am), cellsOf(bm)
 	a, b := New(c, am, 0, 0), New(c, bm, 0, 0)
 
-	sum := a.Add(b).Temp() // operands are not temporaries: a fresh buffer
+	sum := a.Add(b) // operands are not temporaries: a fresh buffer
 	buf := first(sum)
-	scaled := sum.Scale(2).Temp() // in place
+	scaled := sum.Scale(2) // in place
 	if first(scaled) != buf {
 		t.Fatal("scale of a temporary did not run in place")
 	}
 	requireConsumed(t, "Data of a consumed temporary", func() { sum.Data() })
-	diff := a.Sub(scaled).Temp() // in place over the right operand
+	diff := a.Sub(scaled) // in place over the right operand
 	if first(diff) != buf {
 		t.Fatal("a − temporary did not run in place")
 	}
 	if len(c.Idle()) != 0 {
 		t.Fatalf("%d buffers idle while every one is in use", len(c.Idle()))
 	}
-	tr := diff.Transpose().Temp() // cannot alias: fresh buffer, operand recycled
+	tr := diff.Transpose() // cannot alias: fresh buffer, operand recycled
 	if idle := c.Idle(); first(tr) == buf || len(idle) != 1 || &idle[0][0] != buf {
 		t.Fatalf("transpose of a temporary: result on operand's buffer %v, idle %d", first(tr) == buf, len(idle))
 	}
-	prod := a.Mul(tr).Temp() // destination from the free list; tr recycled after
+	prod := a.Mul(tr) // destination from the free list; tr recycled after
 	if first(prod) != buf || len(c.Idle()) != 1 {
 		t.Fatalf("product: on the recycled buffer %v, idle %d (want 1: the transpose's)", first(prod) == buf, len(c.Idle()))
 	}
-	sq := prod.ElemMul(prod).Temp() // the same temporary on both sides
+	sq := prod.ElemMul(prod) // the same temporary on both sides
 	if first(sq) != buf || len(c.Idle()) != 1 {
 		t.Fatalf("V ⊙ V: in place %v, idle %d", first(sq) == buf, len(c.Idle()))
 	}
@@ -97,28 +97,40 @@ func TestOwnershipTemporariesAreOverwrittenOrRecycled(t *testing.T) {
 	requireCells(t, "b", b.Data(), bCells)
 }
 
-// TestOwnershipIsOffUnlessDeclared: values nobody declared temporary behave
-// as they always have — operands stay readable, nothing is recycled.
-func TestOwnershipIsOffUnlessDeclared(t *testing.T) {
+// TestOwnershipInputsAndGivenValuesAreNeverTemporaries: what New and Read
+// wrap, and a value over cells it was given, is no temporary — every operator
+// reads it and writes elsewhere, and its buffer never reaches the free list —
+// while what an operator makes is one.
+func TestOwnershipInputsAndGivenValuesAreNeverTemporaries(t *testing.T) {
 	c := ctx()
 	rng := rand.New(rand.NewSource(41))
-	a, b := New(c, matrix.RandDense(rng, 30, 30), 0, 0), New(c, matrix.RandDense(rng, 30, 30), 0, 0)
-	x := a.Add(b)
-	xCells := cellsOf(x.Data())
-	y := x.Scale(3)
-	z := x.Mul(y).Transpose().AddScalar(1)
-	z.Sum()
-	requireCells(t, "operand after use", x.Data(), xCells)
-	if first(y) == first(x) || len(c.Idle()) != 0 {
-		t.Fatalf("undeclared values were reused: in place %v, idle %d", first(y) == first(x), len(c.Idle()))
+	a, b := New(c, matrix.RandDense(rng, 30, 30), 0, 0), Read(c, matrix.RandDense(rng, 30, 30), 0, 0)
+	src := a.Scale(3).Retain() // a repeat slot holds it
+	c.Give(src)
+	g := a.Scale(3)
+	values := map[string]*DistMatrix{"New": a, "Read": b, "given": g}
+	cells := map[string][]float64{}
+	for what, v := range values {
+		if v.temp {
+			t.Fatalf("%s: a temporary", what)
+		}
+		cells[what] = cellsOf(v.Data())
 	}
-	// Pin withdraws a declaration.
-	p := a.Add(b).Temp().Pin()
-	q := p.Scale(2)
-	if first(q) == first(p) {
-		t.Fatal("a pinned value was overwritten")
+	for what, v := range values {
+		for _, out := range []*DistMatrix{v.Add(b), a.Sub(v), v.Scale(2), v.AddScalar(1), v.Transpose(), v.Mul(a)} {
+			if over := sameBuffer(out.Data().Buffer(), v.Data().Buffer()); !out.temp || over {
+				t.Fatalf("%s: the result is a temporary %v, over the operand %v", what, out.temp, over)
+			}
+		}
+		v.Sum()
+		for _, buf := range c.Idle() {
+			if sameBuffer(buf, v.Data().Buffer()) {
+				t.Fatalf("%s: on the free list", what)
+			}
+		}
+		poisonIdle(c)
+		requireCells(t, what+" after use", v.Data(), cells[what])
 	}
-	requireCells(t, "pinned operand", p.Data(), xCells)
 }
 
 // TestOwnershipScratchOfACSRResultIsRecycledOnce: when the result compacts
@@ -128,7 +140,7 @@ func TestOwnershipScratchOfACSRResultIsRecycledOnce(t *testing.T) {
 	c := ctx()
 	rng := rand.New(rand.NewSource(42))
 	a := New(c, matrix.RandDense(rng, 30, 30), 0, 0)
-	tmp := a.Scale(2).Temp()
+	tmp := a.Scale(2)
 	buf := first(tmp)
 	zero := tmp.Sub(tmp)
 	if zero.Data().Format() != matrix.CSR || zero.Data().NNZ() != 0 {
@@ -137,7 +149,7 @@ func TestOwnershipScratchOfACSRResultIsRecycledOnce(t *testing.T) {
 	if idle := c.Idle(); len(idle) != 1 || &idle[0][0] != buf {
 		t.Fatalf("%d idle buffers after V − V, want the one scratch", len(idle))
 	}
-	tmp = a.Scale(2).Temp() // takes the idle buffer
+	tmp = a.Scale(2) // takes the idle buffer
 	if first(tmp) != buf {
 		t.Fatal("the idle buffer was not taken")
 	}
@@ -145,7 +157,7 @@ func TestOwnershipScratchOfACSRResultIsRecycledOnce(t *testing.T) {
 		t.Fatalf("scale by zero: %d idle buffers, want 1", len(c.Idle()))
 	}
 	// A CSR temporary has no buffer to give.
-	sp := New(c, matrix.RandSparse(rng, 30, 30, 0.1), 0, 0).Scale(2).Temp()
+	sp := New(c, matrix.RandSparse(rng, 30, 30, 0.1), 0, 0).Scale(2)
 	sp.Transpose()
 	if len(c.Idle()) != 1 {
 		t.Fatalf("a CSR temporary changed the free list: %d idle", len(c.Idle()))
@@ -164,7 +176,7 @@ func TestOwnershipUndetectedCorruptionLeavesTheCleanBufferBehind(t *testing.T) {
 	// is in flight and the flip lands.
 	am, bm := matrix.RandDense(rng, 60, 50), matrix.RandDense(rng, 60, 50)
 	a, b := New(c, am, 50_000_000, 8000), New(c, bm, 50_000_000, 8000)
-	tmp := a.Scale(2).Temp()
+	tmp := a.Scale(2)
 	buf := first(tmp)
 	c.pending = append(c.pending, fault.Event{Kind: fault.Corruption, Bits: 0x1234567})
 	out := tmp.Add(b)
@@ -189,7 +201,7 @@ func TestOwnershipConsumedTemporaryPanics(t *testing.T) {
 	c := ctx()
 	rng := rand.New(rand.NewSource(44))
 	a := New(c, matrix.RandDense(rng, 20, 20), 0, 0)
-	dead := a.Scale(2).Temp()
+	dead := a.Scale(2)
 	live := dead.AddScalar(1)
 	for what, use := range map[string]func(){
 		"Data":       func() { dead.Data() },
@@ -210,14 +222,15 @@ func TestOwnershipConsumedTemporaryPanics(t *testing.T) {
 
 // TestOwnershipRetireRecyclesOnlyWhatTheRunMadeAndOnlyNamesHeld: a temporary
 // that was given a name comes back when the name lets go; an input, a cache
-// hit, and anything a cache retained before or after it was named, never do.
+// hit, anything a cache retained before or after it was named, and anything
+// handed to the source, never do.
 func TestOwnershipRetireRecyclesOnlyWhatTheRunMadeAndOnlyNamesHeld(t *testing.T) {
 	c := ctx()
 	rng := rand.New(rand.NewSource(45))
 	am := matrix.RandDense(rng, 30, 30)
 	a := New(c, am, 0, 0)
 
-	made := a.Scale(2).Temp().Pin()
+	made := a.Scale(2).Pin()
 	buf := first(made)
 	next := made.Scale(3) // a named value is not a temporary: not overwritten
 	if first(next) == buf {
@@ -234,12 +247,16 @@ func TestOwnershipRetireRecyclesOnlyWhatTheRunMadeAndOnlyNamesHeld(t *testing.T)
 		t.Fatal("a value retired twice")
 	}
 
+	published := func(v *DistMatrix) *DistMatrix {
+		v.Publish()
+		return v
+	}
 	for what, v := range map[string]*DistMatrix{
 		"an input or cache hit":            New(c, matrix.RandDense(rng, 30, 30), 0, 0).Pin(),
-		"a value nobody declared":          a.Scale(2).Pin(),
-		"a cached value, named later":      a.Scale(2).Temp().Retain().Pin(),
-		"a named value, cached later":      a.Scale(2).Temp().Pin().Retain(),
-		"a temporary that was never named": a.Scale(2).Temp(),
+		"a named value, handed out":        published(a.Scale(2).Pin()),
+		"a cached value, named later":      a.Scale(2).Retain().Pin(),
+		"a named value, cached later":      a.Scale(2).Pin().Retain(),
+		"a temporary that was never named": a.Scale(2),
 	} {
 		cells := cellsOf(v.Data())
 		idle := len(c.Idle())
@@ -251,7 +268,7 @@ func TestOwnershipRetireRecyclesOnlyWhatTheRunMadeAndOnlyNamesHeld(t *testing.T)
 	}
 
 	// A CSR value has no buffer to give, but is as dead.
-	sp := New(c, matrix.RandSparse(rng, 30, 30, 0.1), 0, 0).Scale(2).Temp().Pin()
+	sp := New(c, matrix.RandSparse(rng, 30, 30, 0.1), 0, 0).Scale(2).Pin()
 	idle := len(c.Idle())
 	if sp.Retire() != nil || len(c.Idle()) != idle {
 		t.Fatal("a CSR value changed the free list")
@@ -266,7 +283,7 @@ func TestOwnershipRetireIgnoresRecoveryState(t *testing.T) {
 	c := codedCtx(4, 6)
 	rng := rand.New(rand.NewSource(46))
 	a := New(c, matrix.RandDense(rng, 64, 50), 50_000_000, 8000) // distributed
-	v := a.Scale(2).Temp()
+	v := a.Scale(2)
 	if v.parity == nil {
 		t.Fatal("setup: the value carries no parity")
 	}
@@ -296,8 +313,8 @@ func TestOwnershipHandOverServesLaterRunsAndEmptiesTheFreeList(t *testing.T) {
 	// four), so a miss proves nothing and is tried again with a new buffer.
 	for attempt := 0; attempt < 50 && got == nil; attempt++ {
 		c := ctx()
-		New(c, am, 0, 0).Scale(2).Temp().Sum() // consumed: its buffer is idle
-		New(c, matrix.RandVector(rng, n), 0, 0).Scale(2).Temp().Sum()
+		New(c, am, 0, 0).Scale(2).Sum() // consumed: its buffer is idle
+		New(c, matrix.RandVector(rng, n), 0, 0).Scale(2).Sum()
 		if len(c.Idle()) != 2 {
 			t.Fatalf("setup: %d idle buffers, want an n×n one and a vector", len(c.Idle()))
 		}

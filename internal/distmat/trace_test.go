@@ -122,7 +122,7 @@ func TestSpanTotalsMatchClusterStats(t *testing.T) {
 
 	ax := a.Mul(x)
 	g := a.Transpose().Mul(ax)
-	g = g.Scale(0.5).Add(h.Mul(x))
+	g = g.Scale(0.5).Add(h.Mul(x)).Retain()
 	g.AddScalar(1)
 	g.Sum()
 

@@ -387,7 +387,7 @@ func (e *executor) step(in *opt.Instr) (skip bool, err error) {
 	case opt.OpFusedT:
 		e.stack[top] = e.stack[top].TransposeFused()
 	case opt.OpT:
-		e.stack[top] = e.stack[top].Transpose().Temp()
+		e.stack[top] = e.stack[top].Transpose()
 	case opt.OpUnary:
 		e.stack[top], err = e.unary(in.Kind, e.stack[top])
 	default:
@@ -407,9 +407,7 @@ func (e *executor) step(in *opt.Instr) (skip bool, err error) {
 		case opt.OpAdd:
 			v = l.Add(r)
 		}
-		if err == nil {
-			e.stack[top-1] = v.Temp()
-		}
+		e.stack[top-1] = v
 	}
 	if in.Repeat { // what was not taken is withdrawn; an empty slot takes what was made
 		e.ctx.Give(nil)
@@ -459,9 +457,9 @@ func (e *executor) bind(k int, v *distmat.DistMatrix) {
 }
 
 // drop lets one holder of v (if any) — a name, a reuse slot — go. A value the
-// run made is recycled when its last holder lets go and no unevaluated
-// expression reads it; an input, a cache hit or a published value never is
-// (distmat: Retire).
+// run made is recycled when its last holder, an unevaluated expression that
+// reads it included, lets go; an input, a cache hit or a published value
+// never is (distmat: Retire).
 func (e *executor) drop(v *distmat.DistMatrix) {
 	if buf := v.Retire(); buf != nil && e.afterRetire != nil {
 		e.afterRetire(buf)
@@ -527,7 +525,7 @@ func (e *executor) canceled() error {
 func (e *executor) unary(k plan.Kind, x *distmat.DistMatrix) (*distmat.DistMatrix, error) {
 	switch k {
 	case plan.Neg:
-		return x.Scale(-1).Temp(), nil
+		return x.Scale(-1), nil
 	case plan.SumAll:
 		return e.scalar(x.Sum()), nil
 	case plan.AsScalar:
@@ -555,10 +553,9 @@ func (e *executor) unary(k plan.Kind, x *distmat.DistMatrix) (*distmat.DistMatri
 	return nil, fmt.Errorf("engine: not a unary op: %v", k)
 }
 
-// applyBin applies a binary operator. The value it returns is always one it
-// has just made, never an operand, which is why the run may declare it a
-// temporary. Shapes are asked of the values, not of their matrices: Data
-// would materialise a deferred operand the operator may well defer over.
+// applyBin applies a binary operator. Shapes are asked of the values, not of
+// their matrices: Data would materialise a deferred operand the operator may
+// well defer over.
 func (e *executor) applyBin(k plan.Kind, l, r *distmat.DistMatrix) (*distmat.DistMatrix, error) {
 	ls, rs := l.IsScalar(), r.IsScalar()
 	switch k {
@@ -586,7 +583,7 @@ func (e *executor) applyBin(k plan.Kind, l, r *distmat.DistMatrix) (*distmat.Dis
 			if k == plan.Sub {
 				// Not the value a repeat is given: that is the sum's.
 				g := e.ctx.Give(nil)
-				r = r.Scale(-1).Temp()
+				r = r.Scale(-1)
 				e.ctx.Give(g)
 			}
 			return r.AddScalar(s), nil

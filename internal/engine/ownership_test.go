@@ -28,6 +28,8 @@ var (
 	ownershipAlgs       = []algorithms.Name{algorithms.GD, algorithms.DFP, algorithms.BFGS, algorithms.GNMF}
 	ownershipStrategies = []opt.Strategy{opt.NoElimination, opt.Explicit, opt.Conservative, opt.Aggressive,
 		opt.Automatic, opt.Adaptive, opt.SPORESLike}
+	// optionStrategies are those that apply LSE and CSE options.
+	optionStrategies = []opt.Strategy{opt.Conservative, opt.Aggressive, opt.Automatic, opt.Adaptive}
 )
 
 // smallDataset is a dataset shaped like name, small enough to run every
@@ -438,7 +440,7 @@ func TestOwnershipRebindingKeepsWhatCanStillBeRead(t *testing.T) {
 				}
 				poison(buf)
 				// A slot still holding an unevaluated reader of a bound value:
-				// the loan is what keeps that value when its name is rebound.
+				// the reader's hold keeps that value when its name is rebound.
 				_, _, leaves := e.retained()
 				for _, buf := range leaves {
 					for _, v := range env {
@@ -560,6 +562,42 @@ func TestOwnershipPublishedValuesAreNeverRetired(t *testing.T) {
 	}
 	if published == 0 || cleared == 0 {
 		t.Fatalf("%d values handed to the source, %d kept slots cleared by the post-loop bind of A: the test checks nothing", published, cleared)
+	}
+}
+
+// TestOwnershipRebindingRetiresTheFusedTranspose: BFGS reads t(s) through
+// TransposeFused, and under the option strategies H·y and t(s) are read by
+// the deferred H·y·t(s) a reuse slot holds, which the run drops unevaluated.
+// Once s is rebound and that expression has let go, the transpose s kept is
+// retired with it.
+func TestOwnershipRebindingRetiresTheFusedTranspose(t *testing.T) {
+	ds := smallDataset("cri1", 300, 40)
+	for _, strategy := range optionStrategies {
+		ctx := fmt.Sprint(strategy)
+		c := compileOn(t, algorithms.BFGS, ds, strategy, 4)
+		e, err := newExecutor(context.Background(), c, inputsOn(algorithms.BFGS, ds), nil, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		var s, fused *distmat.DistMatrix
+		checked, iteration := 0, 0
+		e.afterIteration = func() {
+			iteration++
+			now := e.slots[e.s.Names["s"]]
+			if fused != nil && now != s {
+				if !consumed(fused) {
+					t.Errorf("%s: after iteration %d, the transpose of the s of iteration %d is not retired", ctx, iteration, iteration-1)
+				}
+				checked++
+			}
+			s, fused = now, now.Fused()
+		}
+		if _, err := e.run(); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if checked != 3 {
+			t.Fatalf("%s: checked %d transposes of a rebound s, want 3", ctx, checked)
+		}
 	}
 }
 

@@ -23,8 +23,8 @@ func consumed(v *distmat.DistMatrix) (gone bool) {
 // hoistedOuterScript hoists a rank-one product of a value the run made out of
 // the loop (an LSE option under the strategies that apply one): a value only
 // the loop-constant slot holds, read by no operator that needs its cells, so
-// when the loop ends it is still an expression, and u is on loan to it. The
-// end of the run drops it unevaluated, and the loan is never returned.
+// when the loop ends it is still an expression, and it holds u. The end of
+// the run drops it unevaluated, and it lets go of u.
 const hoistedOuterScript = `
 A = read("A")
 b = read("b")
@@ -43,9 +43,9 @@ while (i < 4) {
 // only the result's names hold, and nothing else. Whatever anybody else can
 // reach — the inputs, what the run handed to the intermediate cache or
 // published to sibling runs, what it took from the cache, and a value an
-// expression nobody evaluated read when the loop ended (a lender with its
-// loan out) — is still there bit for bit after every buffer Release gave up
-// has been filled with NaN.
+// expression still held reads — is still there bit for bit after every buffer
+// Release gave up has been filled with NaN. The hoisted product dropped
+// unevaluated at the run's end holds u no more: Release retires u.
 func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 	ds := smallDataset("cri1", 200, 48)
 	metas, ins := inputMetas(algorithms.DFP, ds), inputsOn(algorithms.DFP, ds)
@@ -56,7 +56,7 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 		"alias":       lang.MustParse(aliasScript),
 		"hoisted":     lang.MustParse(hoistedOuterScript),
 	}
-	retired, hits, handedOut, lent := 0, 0, 0, 0
+	retired, hits, handedOut := 0, 0, 0
 	for name, prog := range programs {
 		for _, strategy := range ownershipStrategies {
 			c := compileProgram(t, name, prog, metas, strategy, 4)
@@ -70,14 +70,6 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 				e, err := newExecutor(context.Background(), c, ins, nil, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
-				}
-				var leaves map[string][]float64
-				leafCells := map[string][]float64{}
-				e.afterIteration = func() {
-					_, _, leaves = e.retained()
-					for at, buf := range leaves {
-						leafCells[at] = append([]float64(nil), buf...)
-					}
 				}
 				res, err := e.run()
 				if err != nil {
@@ -95,7 +87,11 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 				for sym, in := range ins {
 					others["input "+sym] = in.Data
 				}
-				held, _, _ := e.retained()
+				held, _, leaves := e.retained()
+				leafCells := map[string][]float64{}
+				for at, buf := range leaves {
+					leafCells[at] = append([]float64(nil), buf...)
+				}
 				for at := range held {
 					// The end of the run cleared the reuse slots: what is
 					// held is the names', and the fused transposes their
@@ -114,7 +110,6 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 				}
 				handedOut += len(rec.given)
 				hits += rec.hits
-				lent += len(leaves)
 
 				res.Release()
 
@@ -158,11 +153,13 @@ func TestReleaseLeavesSharedValuesAlone(t *testing.T) {
 						t.Fatalf("%s: the result no longer names input %s", ctx, sym)
 					}
 				}
+				if name == "hoisted" && !consumed(res.Env["u"]) {
+					t.Fatalf("%s: Release did not retire u", ctx)
+				}
 			}
 		}
 	}
-	if retired == 0 || hits == 0 || handedOut == 0 || lent == 0 {
-		t.Fatalf("%d values retired, %d cache hits, %d values handed out, %d loans out at the end of a run: the test was to see each",
-			retired, hits, handedOut, lent)
+	if retired == 0 || hits == 0 || handedOut == 0 {
+		t.Fatalf("%d values retired, %d cache hits, %d values handed out: the test was to see each", retired, hits, handedOut)
 	}
 }

@@ -345,7 +345,7 @@ func compile(ctx context.Context, prog *lang.Program, inputs map[string]sparsity
 		searchStart := time.Now()
 		if cfg.Strategy == SPORESLike {
 			found = search.SPORES(coords)
-		} else if found, err = search.BlockWiseCtx(ctx, coords, est); err != nil {
+		} else if found, err = search.BlockWiseCtx(ctx, coords); err != nil {
 			return nil, Canceled("opt: search", err)
 		}
 		c.Search, c.SearchTime = found, time.Since(searchStart)

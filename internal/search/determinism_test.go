@@ -65,8 +65,8 @@ func TestTreeWiseDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // exactly (guards the map-iteration ordering in the options-building pass).
 func TestBlockWiseRepeatable(t *testing.T) {
 	c := coordsFor(t, dfpSrc, dfpResolver())
-	a := optionFingerprint(BlockWise(c, sparsity.Metadata{}))
-	b := optionFingerprint(BlockWise(c, sparsity.Metadata{}))
+	a := optionFingerprint(BlockWise(c))
+	b := optionFingerprint(BlockWise(c))
 	if len(a) != len(b) {
 		t.Fatalf("option counts differ across runs: %d vs %d", len(a), len(b))
 	}
@@ -100,7 +100,7 @@ R5 = Y %*% X %*% P + Y %*% Z %*% P
 	listing := func() string {
 		var lines []string
 		groups := 0
-		for _, o := range BlockWise(c, sparsity.Metadata{}).Options {
+		for _, o := range BlockWise(c).Options {
 			if o.Kind == CSEGroup {
 				groups++
 			}

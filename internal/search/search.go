@@ -97,8 +97,8 @@ type hit struct {
 // every size over every block, record canonical keys in a hash table, read
 // CSE options off key conflicts and LSE options off fully loop-constant
 // windows, then run the cross-block grouping extension.
-func BlockWise(c *chain.Coordinates, est sparsity.Estimator) *Result {
-	res, err := BlockWiseCtx(context.Background(), c, est)
+func BlockWise(c *chain.Coordinates) *Result {
+	res, err := BlockWiseCtx(context.Background(), c)
 	if err != nil {
 		// Unreachable: the background context never cancels.
 		panic(err)
@@ -110,7 +110,7 @@ func BlockWise(c *chain.Coordinates, est sparsity.Estimator) *Result {
 // before each window size of a block's sweep, so an expired or cancelled
 // compilation stops within one sweep of one size and returns the context's
 // error instead of a partial result.
-func BlockWiseCtx(ctx context.Context, c *chain.Coordinates, est sparsity.Estimator) (*Result, error) {
+func BlockWiseCtx(ctx context.Context, c *chain.Coordinates) (*Result, error) {
 	start := time.Now()
 	res := &Result{Coords: c}
 
@@ -126,9 +126,6 @@ func BlockWiseCtx(ctx context.Context, c *chain.Coordinates, est sparsity.Estima
 			for lo := 0; lo+size-1 < n; lo++ {
 				hi := lo + size - 1
 				window := b.Atoms[lo : hi+1]
-				if !spanWellFormed(c, b, lo, hi) {
-					continue
-				}
 				res.Visited++
 				key, flipped := chain.CanonicalSpan(window)
 				if _, seen := table[key]; !seen {
@@ -179,16 +176,7 @@ func BlockWiseCtx(ctx context.Context, c *chain.Coordinates, est sparsity.Estima
 		o.ID = i
 	}
 	res.Elapsed = time.Since(start)
-	_ = est
 	return res, nil
-}
-
-// spanWellFormed verifies the window is a valid chain product (inner
-// dimensions agree). Extraction guarantees this for whole blocks, and
-// contiguous sub-windows of a valid chain are always valid, so this is a
-// cheap structural guard kept for synthetic coordinates built by hand.
-func spanWellFormed(_ *chain.Coordinates, b *chain.Block, lo, hi int) bool {
-	return lo >= 0 && hi < b.Len()
 }
 
 // disjointOccurrences filters a key's hits to a maximal set of pairwise

@@ -65,7 +65,7 @@ func coordsFor(t *testing.T, src string, r res) *chain.Coordinates {
 
 func TestBlockWiseFindsATALSE(t *testing.T) {
 	c := coordsFor(t, dfpSrc, dfpResolver())
-	r := BlockWise(c, sparsity.Metadata{})
+	r := BlockWise(c)
 	if len(r.Options) == 0 {
 		t.Fatal("no options found")
 	}
@@ -87,7 +87,7 @@ func TestBlockWiseFindsImplicitCSEHiddenByTranspose(t *testing.T) {
 	// atoms differ, but the same effect shows on AᵀAH vs HAᵀA (H
 	// symmetric): both must map to one option key.
 	c := coordsFor(t, dfpSrc, dfpResolver())
-	r := BlockWise(c, sparsity.Metadata{})
+	r := BlockWise(c)
 	k1 := chain.CanonicalKey([]chain.Atom{{Sym: "A", T: true}, {Sym: "A"}, {Sym: "H", Symm: true}})
 	k2 := chain.CanonicalKey([]chain.Atom{{Sym: "H", Symm: true}, {Sym: "A", T: true}, {Sym: "A"}})
 	if k1 != k2 {
@@ -105,7 +105,7 @@ func TestBlockWiseDFPOptionCount(t *testing.T) {
 	// but must still cover the full window space (Visited tracks the raw
 	// candidate windows).
 	c := coordsFor(t, dfpSrc, dfpResolver())
-	r := BlockWise(c, sparsity.Metadata{})
+	r := BlockWise(c)
 	if len(r.Options) < 10 {
 		t.Fatalf("option count = %d, expected at least the dozen distinct DFP redundancies", len(r.Options))
 	}
@@ -116,7 +116,7 @@ func TestBlockWiseDFPOptionCount(t *testing.T) {
 
 func TestLSEDominatesCSEForLoopConstantSpans(t *testing.T) {
 	c := coordsFor(t, dfpSrc, dfpResolver())
-	r := BlockWise(c, sparsity.Metadata{})
+	r := BlockWise(c)
 	for _, o := range r.Options {
 		if o.Kind != CSE {
 			continue
@@ -157,7 +157,7 @@ func TestConflictsPartialOverlap(t *testing.T) {
 
 func TestConflictMatrixSymmetric(t *testing.T) {
 	c := coordsFor(t, dfpSrc, dfpResolver())
-	r := BlockWise(c, sparsity.Metadata{})
+	r := BlockWise(c)
 	m := ConflictMatrix(r.Options)
 	conflicts := 0
 	for i := range m {
@@ -181,7 +181,7 @@ func TestConflictMatrixSymmetric(t *testing.T) {
 func TestDFPHasTheContradiction(t *testing.T) {
 	// §2.2: the LSE of AᵀA and the CSE of A·(Hg) contradict.
 	c := coordsFor(t, dfpSrc, dfpResolver())
-	r := BlockWise(c, sparsity.Metadata{})
+	r := BlockWise(c)
 	atA := r.OptionByKey("A'·A")
 	if atA == nil {
 		t.Skip("AᵀA canonical key differs")
@@ -206,7 +206,7 @@ y = A %*% A %*% A %*% A
 `
 	r := res{"A": sparsity.MetaDims(10, 10, 1)}
 	c := coordsFor(t, src, r)
-	result := BlockWise(c, sparsity.Metadata{})
+	result := BlockWise(c)
 	aa := result.OptionByKey("A·A")
 	if aa == nil {
 		t.Fatal("A·A option missing")
@@ -240,7 +240,7 @@ while (i < 3) {
 		"w": sparsity.MetaDims(10, 1, 1),
 	}
 	c := coordsFor(t, src, r)
-	bw := BlockWise(c, sparsity.Metadata{})
+	bw := BlockWise(c)
 	tw := TreeWise(c, 30*time.Second)
 	if tw.TimedOut {
 		t.Fatal("tree-wise timed out on a GD-sized program")
@@ -291,7 +291,7 @@ func TestTreeWiseTimesOutOnDFP(t *testing.T) {
 func TestSPORESFindsExplicitButMissesTransposeHidden(t *testing.T) {
 	c := coordsFor(t, dfpSrc, dfpResolver())
 	sp := SPORES(c)
-	bw := BlockWise(c, sparsity.Metadata{})
+	bw := BlockWise(c)
 	if len(sp.Options) == 0 {
 		t.Fatal("SPORES found nothing")
 	}
@@ -336,7 +336,7 @@ R2 = X %*% Y %*% Q + Y %*% Z %*% Q
 		"Z": sparsity.MetaDims(10, 10, 1),
 	}
 	c := coordsFor(t, src, r)
-	result := BlockWise(c, sparsity.Metadata{})
+	result := BlockWise(c)
 	var group *Option
 	for _, o := range result.Options {
 		if o.Kind == CSEGroup && strings.Contains(o.Key, "X·Y") && strings.Contains(o.Key, "Y·Z") {
@@ -353,7 +353,7 @@ R2 = X %*% Y %*% Q + Y %*% Z %*% Q
 
 func TestSpanMetaOfOption(t *testing.T) {
 	c := coordsFor(t, dfpSrc, dfpResolver())
-	r := BlockWise(c, sparsity.Metadata{})
+	r := BlockWise(c)
 	atA := r.OptionByKey("A'·A")
 	if atA == nil {
 		t.Skip("key differs")
@@ -375,7 +375,7 @@ func TestOptionKindStrings(t *testing.T) {
 
 func TestEmptyCoordinates(t *testing.T) {
 	c := &chain.Coordinates{}
-	if r := BlockWise(c, sparsity.Metadata{}); len(r.Options) != 0 {
+	if r := BlockWise(c); len(r.Options) != 0 {
 		t.Fatal("options from empty coordinates")
 	}
 	if r := TreeWise(c, time.Second); len(r.Options) != 0 || r.TimedOut {
