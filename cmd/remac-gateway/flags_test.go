@@ -20,7 +20,7 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	registerFlags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := []string{"addr", "attempt-timeout", "batch-window", "default-quota", "eject-after",
+	want := []string{"addr", "attempt-timeout", "default-quota", "eject-after",
 		"inter-budget", "max-body", "passive-failures", "plan-cache", "probe-interval", "queue", "quota",
 		"ready-quorum", "recovery", "rejoin-probes", "seed", "shard", "shards",
 		"timeout", "workers"}

@@ -223,7 +223,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&c.DefaultTimeout, "timeout", 0, "default per-query deadline (0: none)")
 	fs.IntVar(&sc.PlanCacheEntries, "plan-cache", 128, "compiled-plan cache entries per shard (negative: disabled)")
 	fs.Int64Var(&sc.IntermediateBudgetBytes, "inter-budget", 4<<30, "intermediate cache budget per shard in modelled bytes (negative: disabled)")
-	fs.DurationVar(&sc.BatchWindow, "batch-window", 2*time.Millisecond, "MQO batching window per shard (0: disabled)")
 	fs.StringVar(&o.recovery, "recovery", "", "default recovery policy: lineage, checkpoint, coded or coded:k,n")
 	fs.Func("quota", "per-tenant quota tenant=qps[:burst[:concurrent]] (repeatable)", func(spec string) error {
 		name, q, err := parseQuota(spec)

@@ -15,7 +15,7 @@ func TestFlagSurfaceGolden(t *testing.T) {
 	o := registerFlags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	want := []string{"addr", "batch-window", "inter-budget", "max-body", "plan-cache", "queue", "recovery",
+	want := []string{"addr", "inter-budget", "max-body", "plan-cache", "queue", "recovery",
 		"retries", "shard", "timeout", "workers"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flag surface changed:\n got %q\nwant %q", got, want)

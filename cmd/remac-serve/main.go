@@ -57,7 +57,6 @@ package main
 import (
 	"flag"
 	"log"
-	"time"
 
 	"remac/internal/engine"
 	"remac/internal/httpapi"
@@ -85,7 +84,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&c.DefaultTimeout, "timeout", 0, "default per-query deadline (0: none)")
 	fs.IntVar(&c.PlanCacheEntries, "plan-cache", 128, "compiled-plan cache entries (negative: disabled)")
 	fs.Int64Var(&c.IntermediateBudgetBytes, "inter-budget", 4<<30, "intermediate cache budget in modelled bytes (negative: disabled)")
-	fs.DurationVar(&c.BatchWindow, "batch-window", 2*time.Millisecond, "MQO batching window: queries admitted within it share loop-constant producer executions (0: disabled)")
 	fs.IntVar(&c.Retry.MaxAttempts, "retries", 0, "attempt allowance of a query that arrives without one (0: default 3, negative: one attempt, no retries)")
 	fs.StringVar(&o.recovery, "recovery", "", "default recovery policy for queries that do not set one: lineage, checkpoint, coded or coded:k,n")
 	fs.StringVar(&c.ShardID, "shard", "", "shard label for this instance in metrics snapshots (set by a gateway tier)")

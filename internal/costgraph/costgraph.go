@@ -114,7 +114,7 @@ type Decision struct {
 }
 
 // ProducerSig encodes the shape of a producer plan tree — its split points —
-// so an intermediate-cache or MQO sharing key pins down the exact kernel
+// so an intermediate-cache key pins down the exact kernel
 // sequence that produced the value. Two queries whose optimizers
 // parenthesized the same canonical expression differently get different
 // keys, which is what makes reusing a materialized value bitwise-identical

@@ -61,7 +61,7 @@ func (r *Result) TotalSec() float64 { return r.Stats.TotalTime() + r.CompileSec 
 // The names are all that held the values the run made and bound, so each of
 // those is retired like a rebound name's previous value, and the buffers go
 // to later runs (distmat: Retire, HandOver). What something else holds — an
-// input, an intermediate-cache entry, a value published to sibling runs or
+// input, an intermediate-cache entry, a value published to later runs or
 // checkpointed, a lender — Retire leaves as it is. Env keeps the names; the
 // retired values are empty and panic on use. Call it once, from one goroutine.
 func (r *Result) Release() {
@@ -98,14 +98,10 @@ func (e *MaxIterationsError) Unwrap() error { return ErrMaxIterations }
 var ErrCanceled = opt.ErrCanceled
 
 // LSESource fills loop-constant (LSE) values from outside the run: a
-// cross-run cache, sibling runs of a batch, or both. Before computing an LSE
-// producer the engine Acquires its key: ok means the returned Input is the
-// value, and the run adopts it at no charge (it may block until a sibling's
-// production settles); a miss means the run computes it. Every miss is
-// settled once: Publish hands over the value with the FLOP its production
-// charged, and Fail the error that ended the run before the value was made.
-// A source ignores what it has no use for — a Publish of a key it keeps no
-// claim on, a Fail of a key nobody waits for.
+// cross-run cache. Before computing an LSE producer the engine Acquires its
+// key: ok means the returned Input is the value, and the run adopts it at no
+// charge; a miss means the run computes it and Publishes it when its slot
+// fills. A run that fails before the slot fills publishes nothing.
 //
 // Keys are the option's canonical expression key plus the producer plan's
 // shape signature (opt.SharedKey), so a value under one key stands for the
@@ -115,9 +111,8 @@ var ErrCanceled = opt.ErrCanceled
 // cluster) and synchronize: the engine calls it from the run's own
 // goroutine.
 type LSESource interface {
-	Acquire(ctx context.Context, key string) (v Input, ok bool, err error)
-	Publish(key string, v Input, flop float64)
-	Fail(key string, err error)
+	Acquire(key string) (v Input, ok bool)
+	Publish(key string, v Input)
 }
 
 // RunOptions configures the run-time (as opposed to compile-time) behavior
@@ -289,12 +284,10 @@ type executor struct {
 	lse    LSESource
 	slots  []*distmat.DistMatrix
 	// stack is the value stack; stmt and span are the statement running and
-	// its span; misses lists the LSE values the source missed that the run
-	// has yet to settle, innermost last.
-	stack  []*distmat.DistMatrix
-	stmt   string
-	span   int64
-	misses []miss
+	// its span.
+	stack []*distmat.DistMatrix
+	stmt  string
+	span  int64
 
 	// checkpoint persists LSE values to DFS on first computation
 	// (RecoverCheckpoint).
@@ -310,26 +303,13 @@ type executor struct {
 	afterRetire    func(buf []float64)
 }
 
-// miss is an LSE production the run settles with its source when the slot
-// fills: the sharing key and the FLOP charged before it started.
-type miss struct {
-	key  string
-	flop float64
-}
-
 // exec runs a stretch of the schedule: the one run loop, for the pre-loop
 // statements, an iteration of the body and the post-loop statements alike.
 func (e *executor) exec(code []opt.Instr) error {
 	for pc := 0; pc < len(code); pc++ {
 		skip, err := e.step(&code[pc])
 		if err != nil {
-			// Settle every production under way, so a sibling waiting on one
-			// fails typed (or, for a cancellation specific to this run,
-			// promotes a new producer) instead of blocking on it.
-			for i := len(e.misses) - 1; i >= 0; i-- {
-				e.lse.Fail(e.misses[i].key, err)
-			}
-			e.misses, e.stack = e.misses[:0], e.stack[:0]
+			e.stack = e.stack[:0]
 			e.rec.End(e.span)
 			return fmt.Errorf("engine: %s: %w", e.stmt, err)
 		}
@@ -373,7 +353,7 @@ func (e *executor) step(in *opt.Instr) (skip bool, err error) {
 	case opt.OpEnter:
 		v := e.slots[in.A]
 		if v == nil && in.Label != "" && e.lse != nil {
-			v, err = e.share(in.Label)
+			v = e.share(in.Label)
 			e.slots[in.A] = v
 		}
 		if v != nil {
@@ -476,36 +456,30 @@ func (e *executor) clear(ks []int) {
 }
 
 // fill retains v in reuse slot in.A, which is the run's own: a deferred value
-// stays deferred in it. A value the run keeps then goes to DFS, and one the
-// source missed (the last miss: productions nest) to sibling runs and later
-// ones, as cells no longer the run's (Checkpoint, Publish).
+// stays deferred in it. A value the run keeps then goes to DFS, and a keyed
+// one (the source missed it: a hit skips the fill) to later runs, as cells no
+// longer the run's (Checkpoint, Publish).
 func (e *executor) fill(in *opt.Instr, v *distmat.DistMatrix) {
 	if e.slots[in.A] = v.Retain(); in.Keep && e.checkpoint {
 		// Loop-hoisted values live for the whole run: paying one DFS write
 		// here converts every later failure's recompute into a DFS read.
 		v.Checkpoint()
 	}
-	if n := len(e.misses) - 1; n >= 0 && in.Label != "" {
+	if in.Label != "" && e.lse != nil {
 		vr, vc := v.VirtualDims()
-		e.lse.Publish(in.Label, Input{Data: v.Publish(), VRows: vr, VCols: vc}, e.ctx.Cluster.Stats().FLOP-e.misses[n].flop)
-		e.misses = e.misses[:n]
+		e.lse.Publish(in.Label, Input{Data: v.Publish(), VRows: vr, VCols: vc})
 	}
 }
 
 // share looks an LSE value up in the source before the run computes it. A
 // value made elsewhere costs nothing on this run's simulated cluster: it is
-// resident already. A miss is settled when the slot fills, or when the run
-// fails first.
-func (e *executor) share(key string) (*distmat.DistMatrix, error) {
-	iv, ok, err := e.lse.Acquire(e.goCtx, key)
-	switch {
-	case err != nil:
-		return nil, err
-	case ok:
-		return distmat.New(e.ctx, iv.Data, iv.VRows, iv.VCols), nil
+// resident already. A miss is nil.
+func (e *executor) share(key string) *distmat.DistMatrix {
+	iv, ok := e.lse.Acquire(key)
+	if !ok {
+		return nil
 	}
-	e.misses = append(e.misses, miss{key, e.ctx.Cluster.Stats().FLOP})
-	return nil, nil
+	return distmat.New(e.ctx, iv.Data, iv.VRows, iv.VCols)
 }
 
 // canceled returns the wrapped ErrCanceled when the run's context is done.

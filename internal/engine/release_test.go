@@ -41,8 +41,8 @@ while (i < 4) {
 
 // TestReleaseLeavesSharedValuesAlone: Release retires what the run made and
 // only the result's names hold, and nothing else. Whatever anybody else can
-// reach — the inputs, what the run handed to the intermediate cache or
-// published to sibling runs, what it took from the cache, and a value an
+// reach — the inputs, what the run published to the intermediate cache,
+// what it took from the cache, and a value an
 // expression still held reads — is still there bit for bit after every buffer
 // Release gave up has been filled with NaN. The hoisted product dropped
 // unevaluated at the run's end holds u no more: Release retires u.

@@ -190,10 +190,10 @@ func FromEvents(events ...Event) *Plan {
 func (p *Plan) Enabled() bool { return p != nil }
 
 // SchedulesCorruption reports whether the plan can fire payload-corruption
-// events (rate-based or explicit). Nil-safe. The serving layer's MQO
-// coordinator consults it: a query that may corrupt its own payloads only
-// shares produced values when a verification mode can catch (and repair or
-// fail) the damage.
+// events (rate-based or explicit). Nil-safe. The serving layer's
+// intermediate cache consults it: a query that may corrupt its own payloads
+// only shares produced values when a verification mode can catch (and
+// repair or fail) the damage.
 func (p *Plan) SchedulesCorruption() bool {
 	if p == nil {
 		return false

@@ -1,6 +1,6 @@
 // Package gateway is the sharded multi-node serving tier: a front-end
 // that routes queries across several serve.Server instances with
-// dataset-affine consistent-hash placement (so plan/intermediate/MQO
+// dataset-affine consistent-hash placement (so plan and intermediate
 // cache locality survives scale-out), layers per-tenant admission quotas
 // above each shard's circuit breaker, fans dataset invalidations out to
 // every shard with an acknowledged ordered broadcast, and records every
@@ -309,7 +309,7 @@ func (g *Gateway) ProbeNow() { g.life.probeRound() }
 
 // routeKey is the ring key for a query: dataset@version, so every query
 // touching one dataset version shares a home shard (and with it the plan
-// cache, intermediate cache and MQO batches warmed by its siblings).
+// cache and intermediate cache warmed by its siblings).
 // After an invalidation bumps the version the key changes — placement
 // deliberately re-rolls, which is free because the bump already made every
 // cached value unreachable. Dataset-less queries route by canonical

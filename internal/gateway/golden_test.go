@@ -67,7 +67,7 @@ func TestStatsKeysGolden(t *testing.T) {
 		v    interface{}
 		want []string
 	}{
-		{"Stats", Stats{}, []string{"audit_dropped", "audit_written", "deadline_exceeded", "ejections",
+		{"Stats", Stats{}, []string{"audit_written", "deadline_exceeded", "ejections",
 			"failed_over", "failover_exhausted", "invalidations", "invalidations_lagged", "merged",
 			"overload_rejected", "per_shard", "quota_rejected", "rejoins", "respawns", "routed", "shards",
 			"spilled", "tenants"}},
@@ -137,7 +137,7 @@ func TestQueryResponseKeysGolden(t *testing.T) {
 	fillDistinct(t, reflect.ValueOf(&resp).Elem(), &n)
 	want := []string{"attempts", "coded_recoveries", "compile_sec", "compute_sec", "decode_sec", "encode_flop",
 		"failover", "flop", "intermediate_hits", "intermediate_misses", "iterations", "plan_cache_hit", "replayed",
-		"request_id", "result_hash", "selected_keys", "shard", "shared_hits", "shared_produced", "simulated_sec",
+		"request_id", "result_hash", "selected_keys", "shard", "simulated_sec",
 		"spilled", "transmit_sec", "values", "wall_sec"}
 	if got := jsonKeys(t, resp); !reflect.DeepEqual(got, want) {
 		t.Fatalf("QueryResponse JSON keys = %q, want %q", got, want)

@@ -18,9 +18,8 @@ import (
 //
 // Routing on dataset@version (see Gateway.routeKey) is what makes shard
 // scale-out preserve cache locality: every query touching one dataset
-// version lands on the same home shard, so that shard's plan cache,
-// intermediate cache and MQO batches see the whole overlapping stream
-// instead of 1/N of it.
+// version lands on the same home shard, so that shard's plan cache and
+// intermediate cache see the whole overlapping stream instead of 1/N of it.
 type ring struct {
 	points []ringPoint // sorted by hash
 	shards int

@@ -105,11 +105,9 @@ type Stats struct {
 	Rejoins   uint64 `json:"rejoins"`
 	// AuditWritten counts the audit events recorded.
 	AuditWritten uint64 `json:"audit_written"`
-	// AuditDropped is always 0: events are recorded synchronously and none
-	// is dropped. The key stays in the payload because readers of the
-	// /stats key set, the benchmark's gateway.audit_dropped ledger line
-	// among them, read it.
-	AuditDropped uint64 `json:"audit_dropped"`
+	// Deprecated: AuditDropped is always 0 and not on the wire: events are
+	// recorded synchronously and none is dropped.
+	AuditDropped uint64 `json:"-"`
 
 	// Merged is the cross-shard aggregate (serve.MergeSnapshots).
 	Merged serve.Snapshot `json:"merged"`

@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -192,14 +191,13 @@ type Compiled struct {
 }
 
 // SharedKey is the key a run shares a loop-constant (LSE) producer's value
-// under, with later runs and with the sibling runs of an MQO batch: the
-// option's transpose-normalized canonical key (chain.CanonicalKey form, e.g.
-// "A'·A") and the producer plan's shape signature (costgraph.ProducerSig),
-// with "|f" when the producer computes the transposed chain and transposes
-// back — a distinct kernel sequence. So two values under one key come from
-// the bitwise-identical sequence of kernel executions. "" when the value
-// cannot be shared: it is not loop-constant, or its producer reads other
-// options' run-local values.
+// under with later runs (engine.LSESource): the option's transpose-normalized
+// canonical key (chain.CanonicalKey form, e.g. "A'·A") and the producer
+// plan's shape signature (costgraph.ProducerSig), with "|f" when the producer
+// computes the transposed chain and transposes back — a distinct kernel
+// sequence. So two values under one key come from the bitwise-identical
+// sequence of kernel executions. "" when the value cannot be shared: it is
+// not loop-constant, or its producer reads other options' run-local values.
 func SharedKey(pp *costgraph.ProducerPlan) string {
 	if pp == nil || pp.Option == nil || pp.Option.Kind != search.LSE {
 		return ""
@@ -212,24 +210,6 @@ func SharedKey(pp *costgraph.ProducerPlan) string {
 		sig += "|f"
 	}
 	return pp.Option.Key + "|" + sig
-}
-
-// SharedManifest lists the SharedKey of each of the compiled plan's
-// shareable loop-constant producers, sorted: what a serving layer's MQO
-// batch indexes a plan by. Nil when the decision selected none (including
-// every non-adaptive strategy without producer plans).
-func (c *Compiled) SharedManifest() []string {
-	if c == nil || c.Decision == nil {
-		return nil
-	}
-	var keys []string
-	for _, pp := range c.Decision.Producers {
-		if k := SharedKey(pp); k != "" {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // ErrCanceled reports a compilation or execution abandoned because its

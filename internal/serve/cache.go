@@ -184,54 +184,37 @@ func (c *interCache) usage() (entries int, bytes int64) {
 	return c.c.Len(), c.c.Cost()
 }
 
-// view is one run's engine.LSESource, scoped to its (dataset version,
-// cluster) namespace: the intermediate cache first, then the batch session
-// the run joins, if any. c may be nil (intermediate caching off). A view is
-// used by a single engine run (one goroutine), and counts that run's cache
-// hits and misses; the cache and the batch handle cross-query
-// synchronization.
-func (c *interCache) view(namespace string) *interView {
-	return &interView{ns: namespace, c: c}
-}
-
+// interView is one run's engine.LSESource: the intermediate cache under the
+// run's namespace, dataset@version, with the version bound when the view is
+// made (Server.view). A view is used by a single engine run (one goroutine)
+// and counts that run's cache hits and misses; the cache synchronizes the
+// runs that share it.
 type interView struct {
+	s            *Server
+	dataset      string
+	version      int64
 	ns           string
-	c            *interCache
-	sess         *mqoSession
 	hits, misses int
 }
 
-// Acquire adopts the cached value, else the batch's: a sibling's published
-// value, or a miss — this run produces the value, for the batch or alone.
-func (v *interView) Acquire(ctx context.Context, key string) (engine.Input, bool, error) {
-	if v.c != nil {
-		if iv, ok := v.c.get(v.ns + "|" + key); ok {
-			v.hits++
-			return iv, true, nil
-		}
+// Acquire adopts the cached value, else reports a miss: the run computes it.
+func (v *interView) Acquire(key string) (engine.Input, bool) {
+	iv, ok := v.s.inter.get(v.ns + "|" + key)
+	if ok {
+		v.hits++
+	} else {
 		v.misses++
 	}
-	if v.sess == nil {
-		return engine.Input{}, false, nil
-	}
-	iv, role, err := v.sess.Acquire(ctx, key)
-	return iv, err == nil && role == shareHit, err
+	return iv, ok
 }
 
-// Publish settles the batch claim the run holds on key, if any, and then
-// offers the value to the cache.
-func (v *interView) Publish(key string, iv engine.Input, flop float64) {
-	if v.sess != nil {
-		v.sess.Publish(key, iv, flop)
-	}
-	if v.c != nil {
-		v.c.put(v.ns+"|"+key, iv)
-	}
-}
-
-// Fail settles the batch claim the run holds on key, if any.
-func (v *interView) Fail(key string, err error) {
-	if v.sess != nil {
-		v.sess.Fail(key, err)
+// Publish offers the value to the cache. InvalidateDataset bumps the version
+// before it drops the namespace, so a put that lands after the drop sees the
+// bump here and drops the retired namespace itself: no entry outlives its
+// version unreachable.
+func (v *interView) Publish(key string, iv engine.Input) {
+	v.s.inter.put(v.ns+"|"+key, iv)
+	if v.s.DatasetVersion(v.dataset) != v.version {
+		v.s.inter.dropNamespace(v.ns + "|")
 	}
 }

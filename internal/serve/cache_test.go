@@ -75,19 +75,39 @@ func TestInterCacheDropNamespace(t *testing.T) {
 }
 
 func TestInterViewCountsAndPrefixes(t *testing.T) {
-	c := newInterCache(1 << 20)
-	a := c.view("nsA")
-	b := c.view("nsB")
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	a, b := s.view("dsA"), s.view("dsB")
 	v := denseIntermediate(2, 2)
-	a.Publish("k", v, 0)
-	if _, ok, _ := a.Acquire(context.Background(), "k"); !ok {
-		t.Fatal("nsA lost its own entry")
+	a.Publish("k", v)
+	if _, ok := a.Acquire("k"); !ok {
+		t.Fatal("dsA lost its own entry")
 	}
-	if _, ok, _ := b.Acquire(context.Background(), "k"); ok {
-		t.Error("nsB read nsA's entry")
+	if _, ok := b.Acquire("k"); ok {
+		t.Error("dsB read dsA's entry")
 	}
 	if a.hits != 1 || a.misses != 0 || b.hits != 0 || b.misses != 1 {
 		t.Errorf("counters: a=%d/%d b=%d/%d, want 1/0 and 0/1", a.hits, a.misses, b.hits, b.misses)
+	}
+}
+
+// TestLatePublishAfterInvalidateLeavesNoEntry: a run whose view was bound
+// before an InvalidateDataset publishes after it. Its key is under the
+// retired version, which nothing can reach, so the cache must not keep it
+// holding budget until the LRU evicts it.
+func TestLatePublishAfterInvalidateLeavesNoEntry(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	late := s.view("cri1")
+	s.InvalidateDataset("cri1")
+	late.Publish("k", denseIntermediate(2, 2))
+	if n, bytes := s.inter.usage(); n != 0 || bytes != 0 {
+		t.Fatalf("cache holds %d entries (%d bytes) after a publish under a retired version, want none", n, bytes)
+	}
+	fresh := s.view("cri1")
+	fresh.Publish("k", denseIntermediate(2, 2))
+	if _, ok := s.view("cri1").Acquire("k"); !ok {
+		t.Fatal("a publish under the current version was dropped")
 	}
 }
 

@@ -4,19 +4,18 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"remac/internal/algorithms"
 )
 
-// TestInvalidateRacesBatchedQueries races InvalidateDataset bumps against
-// a stream of MQO-batched queries (run under -race in CI). The contract
+// TestInvalidateRacesConcurrentQueries races InvalidateDataset bumps against
+// a stream of concurrent queries (run under -race in CI). The contract
 // under test: a version bump can never corrupt a result — every query,
 // whichever side of a bump it lands on, returns bitwise the reference
 // values, because each run binds the dataset version at query start and
 // old-version cache keys become unreachable atomically with the bump.
-func TestInvalidateRacesBatchedQueries(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 64, BatchWindow: 2 * time.Millisecond})
+func TestInvalidateRacesConcurrentQueries(t *testing.T) {
+	s := New(Config{Workers: 4, QueueDepth: 64})
 	defer s.Shutdown(context.Background())
 
 	q := testQuery(t, algorithms.DFP, "cri1", 3)
@@ -56,16 +55,15 @@ func TestInvalidateRacesBatchedQueries(t *testing.T) {
 	}
 
 	// A final bump after the storm settles: the very next query must see a
-	// cold intermediate cache and a fresh MQO index — zero cross-query
-	// hits — proving the bump made every prior intermediate unreachable.
+	// cold intermediate cache — zero cross-query hits — proving the bump
+	// made every prior intermediate unreachable.
 	s.InvalidateDataset("cri1")
 	res, err := s.Do(context.Background(), testQuery(t, algorithms.DFP, "cri1", 3))
 	if err != nil {
 		t.Fatalf("post-bump query: %v", err)
 	}
-	if res.IntermediateHits != 0 || res.SharedHits != 0 {
-		t.Fatalf("post-bump query reused stale work: %d intermediate hits, %d shared hits",
-			res.IntermediateHits, res.SharedHits)
+	if res.IntermediateHits != 0 {
+		t.Fatalf("post-bump query reused stale work: %d intermediate hits", res.IntermediateHits)
 	}
 	bitwiseEqualValues(t, ref.Values, res.Values)
 }

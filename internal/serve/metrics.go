@@ -170,19 +170,12 @@ type Snapshot struct {
 	DecodeSec       float64 `json:"decode_sec"`
 	EncodeFLOP      float64 `json:"encode_flop"`
 
-	// MQO (cross-query redundancy elimination) counters: batches formed
-	// and queries batched (occupancy = queries/batches), shared-key
-	// overlaps observed in the cross-query subexpression index, producer
-	// adoptions and executions through the batch coordinator, leaderships
-	// abandoned by panicking producers, and the charged FLOP the adoptions
-	// avoided.
-	MQOBatches        uint64  `json:"mqo_batches"`
-	MQOBatchedQueries uint64  `json:"mqo_batched_queries"`
-	MQOOverlapKeys    uint64  `json:"mqo_overlap_keys"`
-	MQOSharedHits     uint64  `json:"mqo_shared_hits"`
-	MQOSharedProduced uint64  `json:"mqo_shared_produced"`
-	MQOAbandoned      uint64  `json:"mqo_abandoned"`
-	MQOFlopSaved      float64 `json:"mqo_flop_saved"`
+	// Deprecated: MQOSharedHits is always 0 and not on the wire: the
+	// intermediate cache is the one cross-query source of loop-constant
+	// values.
+	MQOSharedHits uint64 `json:"-"`
+	// Deprecated: MQOBatchedQueries is always 0 and not on the wire.
+	MQOBatchedQueries uint64 `json:"-"`
 }
 
 // snapshot copies the accumulators and fills in the derived fields.

@@ -303,24 +303,24 @@ func TestReadyzHintIsTheCooldownRemainder(t *testing.T) {
 // the worst breaker state wins.
 func TestMergeSnapshots(t *testing.T) {
 	a := Snapshot{
-		Shard:         "shard-0",
-		UptimeSec:     10,
-		Completed:     30,
-		Failed:        1,
-		PlanHits:      9,
-		PlanMisses:    1,
-		InterHits:     20,
-		InterMisses:   5,
-		InterBytes:    1 << 20,
-		InterEntries:  4,
-		QueueDepth:    2,
-		InFlight:      1,
-		LatencyP50Sec: 0.010,
-		LatencyP95Sec: 0.020,
-		BreakerState:  resilience.BreakerClosed.String(),
-		Breaker:       resilience.BreakerCounters{Opened: 1, Shed: 3},
-		MQOSharedHits: 4,
-		MQOFlopSaved:  1000,
+		Shard:            "shard-0",
+		UptimeSec:        10,
+		Completed:        30,
+		Failed:           1,
+		PlanHits:         9,
+		PlanMisses:       1,
+		InterHits:        20,
+		InterMisses:      5,
+		InterBytes:       1 << 20,
+		InterEntries:     4,
+		QueueDepth:       2,
+		InFlight:         1,
+		LatencyP50Sec:    0.010,
+		LatencyP95Sec:    0.020,
+		BreakerState:     resilience.BreakerClosed.String(),
+		Breaker:          resilience.BreakerCounters{Opened: 1, Shed: 3},
+		IntegrityRepairs: 4,
+		RepairSec:        1000,
 	}
 	b := Snapshot{
 		Shard:         "shard-1",
@@ -374,8 +374,8 @@ func TestMergeSnapshots(t *testing.T) {
 	if m.Breaker.Opened != 3 || m.Breaker.Shed != 3 {
 		t.Fatalf("breaker counters did not sum: %+v", m.Breaker)
 	}
-	if m.MQOSharedHits != 4 || m.MQOFlopSaved != 1000 {
-		t.Fatalf("MQO counters did not sum: %+v", m)
+	if m.IntegrityRepairs != 4 || m.RepairSec != 1000 {
+		t.Fatalf("integrity counters did not sum: %+v", m)
 	}
 }
 
@@ -402,10 +402,9 @@ func TestSnapshotKeysGolden(t *testing.T) {
 		"idem_replays", "in_flight", "integrity_repairs", "intermediate_cache_bytes",
 		"intermediate_cache_entries", "intermediate_cache_hit_rate", "intermediate_cache_hits",
 		"intermediate_cache_misses", "latency_p50_sec", "latency_p95_sec", "latency_p99_sec",
-		"mqo_abandoned", "mqo_batched_queries", "mqo_batches", "mqo_flop_saved", "mqo_overlap_keys",
-		"mqo_shared_hits", "mqo_shared_produced", "panics_recovered", "plan_cache_entries",
-		"plan_cache_hit_rate", "plan_cache_hits", "plan_cache_misses", "qps", "queue_depth", "rejected",
-		"repair_sec", "retries", "shed", "uptime_sec", "worker_respawns"}
+		"panics_recovered", "plan_cache_entries", "plan_cache_hit_rate", "plan_cache_hits",
+		"plan_cache_misses", "qps", "queue_depth", "rejected", "repair_sec", "retries", "shed",
+		"uptime_sec", "worker_respawns"}
 	b, err := json.Marshal(Snapshot{})
 	if err != nil {
 		t.Fatal(err)

@@ -90,14 +90,9 @@ type Config struct {
 	// charged at the simulated cluster's modelled (virtual-scale) value
 	// sizes. Default 4 GiB; negative disables intermediate caching.
 	IntermediateBudgetBytes int64
-	// BatchWindow enables multi-query optimization: queries admitted within
-	// the same window form one MQO batch whose runs share loop-constant
-	// producer executions through a per-batch coordinator (a subchain like
-	// t(X)%*%X appearing in N member plans executes once and feeds all N
-	// consumers, transposed consumers included). Zero — the default —
-	// disables batching entirely: every query runs exactly as it would have
-	// before MQO existed. cmd/remac-serve defaults the flag to a few ms.
-	BatchWindow time.Duration
+	// Deprecated: BatchWindow is ignored. The intermediate cache is the one
+	// cross-query source of loop-constant values.
+	BatchWindow time.Duration `json:"-"`
 
 	// Retry is the backoff schedule of transient-failure re-execution and
 	// the attempt allowance minted for a query that arrives without one
@@ -232,11 +227,6 @@ type Record struct {
 	// IntermediateHits/Misses count cross-query LSE cache consultations.
 	IntermediateHits   int `json:"intermediate_hits"`
 	IntermediateMisses int `json:"intermediate_misses"`
-	// SharedHits / SharedProduced count this run's MQO coordinator traffic:
-	// loop-constant producers adopted from sibling queries in the batch,
-	// and producers this run executed once on the whole batch's behalf.
-	SharedHits     int `json:"shared_hits,omitempty"`
-	SharedProduced int `json:"shared_produced,omitempty"`
 	// CodedRecoveries / DecodeSec / EncodeFLOP report the coded-recovery
 	// accounting of the run: k-of-n decodes performed (no recomputation),
 	// their simulated decode time, and the parity-encoding work charged.
@@ -246,8 +236,8 @@ type Record struct {
 	// SelectedKeys are the applied elimination option keys (sorted).
 	SelectedKeys []string `json:"selected_keys,omitempty"`
 	// FLOP is the total floating-point work charged to this query's
-	// simulated cluster. Adopting a shared producer charges nothing, so
-	// batched arms of a workload sum to less than unbatched ones.
+	// simulated cluster. Adopting a cached loop-constant value charges
+	// nothing.
 	FLOP float64 `json:"flop,omitempty"`
 	// Attempts is the number of execution attempts this result took
 	// (1 + retries).
@@ -392,9 +382,6 @@ type job struct {
 	ctx context.Context
 	q   Query
 	out chan jobOut // buffered: workers never block on abandoned callers
-	// batch is the MQO batch this query was admitted into (nil when
-	// batching is off); set once at admission, before the job is enqueued.
-	batch *mqoBatch
 }
 
 // Server is a concurrent query server. Create with New, submit with Do,
@@ -412,10 +399,9 @@ type Server struct {
 	closed   bool
 	versions map[string]int64
 
-	plans   *planCache
-	inter   *interCache
-	batches *batcher
-	idem    *idemWindow
+	plans *planCache
+	inter *interCache
+	idem  *idemWindow
 }
 
 // New starts a server with cfg.Workers executor goroutines.
@@ -434,9 +420,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.IntermediateBudgetBytes > 0 {
 		s.inter = newInterCache(cfg.IntermediateBudgetBytes)
-	}
-	if cfg.BatchWindow > 0 {
-		s.batches = newBatcher(cfg.BatchWindow)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -525,27 +508,10 @@ func (s *Server) submit(ctx context.Context, q Query) (*QueryResult, error) {
 		s.metrics.add(func(c *Snapshot) { c.Shed++ })
 		return nil, overloadedErr(id, retryAfter, ErrOverloaded)
 	}
-	// MQO batch membership is decided at admission time: everything that
-	// arrives inside one window shares a batch, regardless of when the
-	// worker pool actually gets to each query. Assigned before the enqueue
-	// so the worker never races the assignment.
-	var newBatch bool
-	if s.batches != nil {
-		j.batch, newBatch = s.batches.assign(time.Now())
-	}
 	select {
 	case s.queue <- j:
 		s.mu.Unlock()
-		s.metrics.add(func(c *Snapshot) {
-			c.QueueDepth++
-			if j.batch != nil {
-				// Batch occupancy is batched queries / batches.
-				c.MQOBatchedQueries++
-				if newBatch {
-					c.MQOBatches++
-				}
-			}
-		})
+		s.metrics.add(func(c *Snapshot) { c.QueueDepth++ })
 	default:
 		s.mu.Unlock()
 		s.metrics.add(func(c *Snapshot) { c.Rejected++ })
@@ -761,10 +727,6 @@ func (s *Server) classify(id uint64, stage string, err error) error {
 	}
 	class := resilience.Execution
 	switch {
-	case errors.Is(err, errSharedAbandoned):
-		// A sibling query panicked while producing a value this run waited
-		// for: server-attributable, like the panic itself.
-		class = resilience.Internal
 	case errors.Is(err, engine.ErrCanceled):
 		class = resilience.Canceled
 	case errors.Is(err, engine.ErrMaxIterations):
@@ -788,11 +750,11 @@ func (s *Server) classify(id uint64, stage string, err error) error {
 }
 
 // execute runs one query end to end: plan (cached or compiled), then
-// execute on a fresh simulated cluster. A run reuseEligible admits gets one
-// source of loop-constant values: the cross-query intermediate cache and,
-// when the query was admitted into an MQO batch, the batch. Returned errors
-// are classified (compile vs execution vs canceled vs max-iterations).
-func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err error) {
+// execute on a fresh simulated cluster. A run reuseEligible admits gets the
+// cross-query intermediate cache as its source of loop-constant values.
+// Returned errors are classified (compile vs execution vs canceled vs
+// max-iterations).
+func (s *Server) execute(ctx context.Context, j *job) (*QueryResult, error) {
 	q := j.q
 	if q.Iterations == 0 {
 		q.Iterations = 15
@@ -813,31 +775,9 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 
 	var lse engine.LSESource
 	var view *interView
-	if reuseEligible(q) && (s.inter != nil || j.batch != nil) {
-		view = s.inter.view(s.namespaceFor(q))
+	if reuseEligible(q) && s.inter != nil {
+		view = s.view(q.Dataset)
 		lse = view
-	}
-	if view != nil && j.batch != nil {
-		sess := j.batch.session(view.ns)
-		view.sess = sess
-		// The deferred close settles any leadership this run still holds
-		// when it unwinds — including a panic unwind, where err is nil and
-		// every waiting sibling gets the typed "abandoned" error instead of
-		// blocking forever or silently missing a value.
-		defer func() {
-			abandoned := sess.close(err)
-			s.metrics.add(func(c *Snapshot) {
-				c.MQOSharedHits += uint64(sess.hits)
-				c.MQOSharedProduced += uint64(sess.led)
-				c.MQOFlopSaved += sess.flopSaved
-				c.MQOAbandoned += uint64(abandoned)
-			})
-		}()
-		// Announce this plan's shareable subexpressions to the batch's
-		// cross-query index (metrics observe how many keys overlap).
-		if n := sess.announce(compiled.SharedManifest()); n > 0 {
-			s.metrics.add(func(c *Snapshot) { c.MQOOverlapKeys += uint64(n) })
-		}
 	}
 	// Every engine run counts, retries included: the counter the remote
 	// chaos harness asserts "zero duplicate executions" against.
@@ -853,7 +793,7 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	if err != nil {
 		return nil, s.classify(0, "execute", err)
 	}
-	out = &QueryResult{
+	out := &QueryResult{
 		Record: Record{
 			Iterations:   res.Iterations,
 			SimulatedSec: res.Stats.TotalTime(),
@@ -878,9 +818,6 @@ func (s *Server) execute(ctx context.Context, j *job) (out *QueryResult, err err
 	}
 	if view != nil {
 		out.IntermediateHits, out.IntermediateMisses = view.hits, view.misses
-		if view.sess != nil {
-			out.SharedHits, out.SharedProduced = view.sess.hits, view.sess.led
-		}
 	}
 	st := res.Stats
 	out.FLOP = st.FLOP
@@ -947,8 +884,8 @@ func (s *Server) plan(ctx context.Context, q Query, ocfg opt.Config) (*opt.Compi
 	return c, time.Since(start).Seconds(), hit, nil
 }
 
-// reuseEligible decides whether a query's run takes part in reuse at all —
-// the intermediate cache and the MQO batch alike. Reuse needs a dataset id to
+// reuseEligible decides whether a query's run takes part in the intermediate
+// cache at all. Reuse needs a dataset id to
 // namespace values by, and a query may opt out (NoIntermediateCache). A run
 // whose values may differ from a clean run's bits keeps them to itself: one
 // injecting payload corruption with verification off — a verified value is
@@ -960,11 +897,12 @@ func reuseEligible(q Query) bool {
 		!(q.Faults.SchedulesCorruption() && q.Verify == integrity.VerifyOff)
 }
 
-// namespaceFor scopes intermediate-cache keys: dataset@version. The version
+// view scopes a run's intermediate-cache keys: dataset@version. The version
 // bound at query start makes an InvalidateDataset bump instantly
 // unreachable.
-func (s *Server) namespaceFor(q Query) string {
-	return namespacePrefix(q.Dataset) + strconv.FormatInt(s.DatasetVersion(q.Dataset), 10)
+func (s *Server) view(dataset string) *interView {
+	v := s.DatasetVersion(dataset)
+	return &interView{s: s, dataset: dataset, version: v, ns: namespacePrefix(dataset) + strconv.FormatInt(v, 10)}
 }
 
 func namespacePrefix(dataset string) string { return dataset + "@" }
