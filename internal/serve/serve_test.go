@@ -116,9 +116,16 @@ func TestServeCachedResultsBitwiseIdentical(t *testing.T) {
 	}
 	bitwiseEqualValues(t, refRes.Values, warm1.Values)
 	bitwiseEqualValues(t, refRes.Values, warm2.Values)
+}
 
-	// A concurrent burst through the intermediate cache — DFP and GD on
-	// cri1, GNMF on red2 — is bitwise the serial cache-free runs.
+// TestConcurrentBurstMatchesSerialBitwise: a concurrent burst through the
+// intermediate cache — DFP and GD on cri1, GNMF on red2 — is bitwise the
+// serial cache-free runs.
+func TestConcurrentBurstMatchesSerialBitwise(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+
+	var err error
 	workloads := []Query{
 		testQuery(t, algorithms.DFP, "cri1", 2),
 		testQuery(t, algorithms.GD, "cri1", 2),
