@@ -268,3 +268,46 @@ func TestHealthAtQuorum(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlongIDsAreRefused: the gateway front-end refuses an X-Request-ID
+// or X-Idempotency-Key longer than httpapi.MaxIDBytes as remac-serve does —
+// a compile-class 400, under a generated id when the request id is the
+// overlong one — before routing: no shard executes and no idempotency key
+// is entered. Values at the bound are served.
+func TestOverlongIDsAreRefused(t *testing.T) {
+	h, mux := testHandler(t, gateway.Config{})
+	post := func(header, value string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/query",
+			strings.NewReader(`{"algorithm":"GD","dataset":"cri1","iterations":2}`))
+		req.Header.Set(header, value)
+		mux.ServeHTTP(rec, req)
+		return rec
+	}
+	long := strings.Repeat("k", httpapi.MaxIDBytes+1)
+	for _, header := range []string{httpapi.RequestIDHeader, httpapi.IdempotencyKeyHeader} {
+		rec := post(header, long)
+		var body httpapi.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: error body is not JSON: %v", header, err)
+		}
+		rid := rec.Header().Get(httpapi.RequestIDHeader)
+		if rec.Code != http.StatusBadRequest || body.Class != "compile" || rid == "" || rid == long || body.RequestID != rid {
+			t.Errorf("%d-byte %s = %d class %q, request id %.20q (body %.20q); want a compile-class 400 under a short id",
+				len(long), header, rec.Code, body.Class, rid, body.RequestID)
+		}
+	}
+	if m := h.gw.Stats().Merged; m.Executions != 0 || m.IdemEntries != 0 {
+		t.Fatalf("refused requests left %d executions, %d idempotency entries; want none", m.Executions, m.IdemEntries)
+	}
+	for i, header := range []string{httpapi.RequestIDHeader, httpapi.IdempotencyKeyHeader} {
+		if rec := post(header, strings.Repeat(string(rune('a'+i)), httpapi.MaxIDBytes)); rec.Code != http.StatusOK {
+			t.Errorf("%d-byte %s = %d, want 200: %s", httpapi.MaxIDBytes, header, rec.Code, rec.Body)
+		}
+	}
+	// Each served request enters one key: the request id the gateway stamps,
+	// or the client's own.
+	if m := h.gw.Stats().Merged; m.Executions != 2 || m.IdemEntries != 2 {
+		t.Fatalf("two served requests left %d executions, %d idempotency entries; want 2 and 2", m.Executions, m.IdemEntries)
+	}
+}

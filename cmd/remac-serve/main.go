@@ -21,11 +21,9 @@
 //	              Bodies are capped (-max-body, default 1 MiB → 413); an
 //	              X-Idempotency-Key header makes retried submissions
 //	              replay the committed result instead of re-executing
-//	              (for the last 1024 keys). An
-//	              X-Attempts-Left header is the attempt allowance the
-//	              sender grants this query (a gateway's send carries 1);
-//	              it is clamped to -retries, and anything but a positive
-//	              integer is a 400.
+//	              (for the last 1024 keys). Each query executes once.
+//	              An X-Idempotency-Key or X-Request-ID over 256 bytes is
+//	              a 400.
 //	GET  /stats   aggregate metrics snapshot (QPS, latency percentiles,
 //	              cache hit rates, queue depth, resilience counters) as JSON.
 //	GET  /healthz liveness probe: 200 while the process and pool are up.
@@ -84,7 +82,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&c.DefaultTimeout, "timeout", 0, "default per-query deadline (0: none)")
 	fs.IntVar(&c.PlanCacheEntries, "plan-cache", 128, "compiled-plan cache entries (negative: disabled)")
 	fs.Int64Var(&c.IntermediateBudgetBytes, "inter-budget", 4<<30, "intermediate cache budget in modelled bytes (negative: disabled)")
-	fs.IntVar(&c.Retry.MaxAttempts, "retries", 0, "attempt allowance of a query that arrives without one (0: default 3, negative: one attempt, no retries)")
 	fs.StringVar(&o.recovery, "recovery", "", "default recovery policy for queries that do not set one: lineage, checkpoint, coded or coded:k,n")
 	fs.StringVar(&c.ShardID, "shard", "", "shard label for this instance in metrics snapshots (set by a gateway tier)")
 	fs.Int64Var(&o.maxBody, "max-body", 0, "max POST /query body bytes (0: 1 MiB default, negative: unbounded)")

@@ -142,3 +142,43 @@ func TestRequestIDPropagation(t *testing.T) {
 		t.Fatalf("/stats header id = %q, want stats-id", got)
 	}
 }
+
+// TestOverlongIDsAreRefused: an X-Request-ID or X-Idempotency-Key longer
+// than httpapi.MaxIDBytes is a compile-class 400 — an overlong request id
+// answered under one the server generated — that executes nothing and
+// enters no idempotency key. Values at the bound are served.
+func TestOverlongIDsAreRefused(t *testing.T) {
+	srv, mux := testHandler(t)
+	post := func(header, value string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/query",
+			strings.NewReader(`{"algorithm":"GD","dataset":"cri1","iterations":2}`))
+		req.Header.Set(header, value)
+		mux.ServeHTTP(rec, req)
+		return rec
+	}
+	long := strings.Repeat("k", httpapi.MaxIDBytes+1)
+	for _, header := range []string{httpapi.RequestIDHeader, httpapi.IdempotencyKeyHeader} {
+		rec := post(header, long)
+		var body httpapi.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: error body is not JSON: %v", header, err)
+		}
+		rid := rec.Header().Get(httpapi.RequestIDHeader)
+		if rec.Code != http.StatusBadRequest || body.Class != "compile" || rid == "" || rid == long || body.RequestID != rid {
+			t.Errorf("%d-byte %s = %d class %q, request id %.20q (body %.20q); want a compile-class 400 under a short id",
+				len(long), header, rec.Code, body.Class, rid, body.RequestID)
+		}
+	}
+	if snap := srv.Metrics(); snap.Executions != 0 || snap.IdemEntries != 0 {
+		t.Fatalf("refused requests left %d executions, %d idempotency entries; want none", snap.Executions, snap.IdemEntries)
+	}
+	for i, header := range []string{httpapi.RequestIDHeader, httpapi.IdempotencyKeyHeader} {
+		if rec := post(header, strings.Repeat(string(rune('a'+i)), httpapi.MaxIDBytes)); rec.Code != http.StatusOK {
+			t.Errorf("%d-byte %s = %d, want 200: %s", httpapi.MaxIDBytes, header, rec.Code, rec.Body)
+		}
+	}
+	if snap := srv.Metrics(); snap.Executions != 2 || snap.IdemEntries != 1 {
+		t.Fatalf("two served requests left %d executions, %d idempotency entries; want 2 and 1", snap.Executions, snap.IdemEntries)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -35,8 +36,9 @@ var (
 // root, or, for a bare file name, anywhere in the tree — and every
 // `pkg.Ident` or `pkg.Type.Member` whose pkg is a package of this module
 // names a declaration there (ledger metrics like `serve.plan_hit_rate`
-// excepted). A PR that deletes a test, a file or a name fails here until its
-// prose follows.
+// excepted), and every -flag on a `go run ./cmd/<bin>` line is one that
+// cmd/<bin>/main.go registers. A change that deletes a test, a file, a name
+// or a flag fails here until its prose follows.
 func TestDocLinksResolve(t *testing.T) {
 	funcs := map[string]bool{}
 	files := map[string]bool{} // base names
@@ -91,13 +93,29 @@ func TestDocLinksResolve(t *testing.T) {
 		return false
 	}
 	metrics := ledgerMetrics(t)
+	binFlags := map[string]map[string]bool{}
 
 	for _, doc := range linkedDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, line := range strings.Split(string(text), "\n") {
+		lines := strings.Split(string(text), "\n")
+		for _, c := range docCommands(lines) {
+			flags, ok := binFlags[c.bin]
+			if !ok {
+				if flags, err = registeredFlags(c.bin); err != nil {
+					t.Fatalf("%s:%d: go run ./cmd/%s: %v", doc, c.line, c.bin, err)
+				}
+				binFlags[c.bin] = flags
+			}
+			for _, f := range c.flags {
+				if !flags[f] {
+					t.Errorf("%s:%d: `-%s` is no flag of cmd/%s", doc, c.line, f, c.bin)
+				}
+			}
+		}
+		for i, line := range lines {
 			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
 				for _, name := range testName.FindAllString(span[1], -1) {
 					if !resolves(name) {
@@ -254,4 +272,93 @@ func ledgerMetrics(t *testing.T) map[string]bool {
 		names[m.Name] = true
 	}
 	return names
+}
+
+// docCommand is one `go run ./cmd/<bin>` command in the prose: the binary,
+// the line it starts on, and the names of the flags it passes.
+type docCommand struct {
+	bin   string
+	line  int
+	flags []string
+}
+
+var (
+	goRun   = regexp.MustCompile("go run \\./cmd/([\\w-]+)([^`]*)")
+	flagArg = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+)
+
+// docCommands finds every `go run ./cmd/<bin>` command in lines and the
+// flags on it, following backslash continuations onto the next line. A
+// command ends at a closing backtick, a " #" comment or a shell operator.
+func docCommands(lines []string) []docCommand {
+	var out []docCommand
+	for i := 0; i < len(lines); i++ {
+		m := goRun.FindStringSubmatch(lines[i])
+		if m == nil {
+			continue
+		}
+		c := docCommand{bin: m[1], line: i + 1}
+		for rest := m[2]; ; rest = lines[i] {
+			rest, _, _ = strings.Cut(rest, " #")
+			rest, cont := strings.CutSuffix(strings.TrimSpace(rest), `\`)
+			for _, tok := range strings.Fields(rest) {
+				if strings.ContainsAny(tok[:1], "&|;<>") {
+					cont = false
+					break
+				}
+				if f := flagArg.FindStringSubmatch(tok); f != nil {
+					c.flags = append(c.flags, f[1])
+				}
+			}
+			if !cont || i+1 == len(lines) {
+				break
+			}
+			i++
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// flagDefiners are the flag package's functions and *flag.FlagSet methods
+// that define a flag; its name is the first string literal of the call.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// registeredFlags is the set of flag names cmd/<bin>/main.go defines: every
+// flagDefiners call on the flag package or on a flag set named fs, found by
+// parsing the file.
+func registeredFlags(bin string) (map[string]bool, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", bin, "main.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	flags := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !flagDefiners[sel.Sel.Name] {
+			return true
+		}
+		if recv, ok := sel.X.(*ast.Ident); !ok || (recv.Name != "flag" && recv.Name != "fs") {
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[name] = true
+				}
+				break
+			}
+		}
+		return true
+	})
+	return flags, nil
 }

@@ -32,7 +32,6 @@ var testOnlyExports = map[string]string{
 	"plan.Eval":                       "the naive reference evaluator the plan tests compare against, and the oracle a generated-program test is to reuse",
 	"sparsity.Meta.WithVirtualDims":   "the engine's tests price an input at its full scale",
 	"gateway.Gateway.ProbeNow":        "the gateway's tests drive probe rounds without the background prober",
-	"resilience.MarkTransient":        "the serve and httpapi tests make an execution error retryable",
 	// Methods of standard-library interfaces, which the standard library
 	// calls.
 	"serve.ValueSummary.MarshalJSON":   "encoding/json calls it",
@@ -43,7 +42,6 @@ var testOnlyExports = map[string]string{
 	"integrity.NumericError.Unwrap":    "errors.Is and errors.As call it",
 	"resilience.QueryError.Unwrap":     "errors.Is and errors.As call it",
 	"resilience.QueryError.Is":         "errors.Is calls it",
-	"resilience.transientError.Unwrap": "errors.Is and errors.As call it",
 }
 
 // TestInternalExportsHaveUsers: every exported func, method, const or var

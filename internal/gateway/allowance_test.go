@@ -106,12 +106,11 @@ func TestAllowanceBoundsTheWalk(t *testing.T) {
 			sink := &recordingSink{}
 			g := NewWithInstances(Config{Seed: uint64(seed), AuditSink: sink, PassiveFailures: -1, EjectAfter: -1}, insts)
 			q := gatewayQuery("cri1")
-			q.Attempts = allowance
 			if hangs {
 				q.Timeout = 20 * time.Millisecond // what reaching the hung shard costs
 			}
 			order := g.routableOrder(q)
-			res, err := g.Do(context.Background(), Request{Tenant: "t", Query: q})
+			res, err := g.Do(context.Background(), Request{Tenant: "t", Query: q, Attempts: allowance})
 			st := g.Stats()
 			if serr := g.Shutdown(context.Background()); serr != nil {
 				t.Fatal(serr)

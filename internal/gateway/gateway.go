@@ -112,7 +112,7 @@ const (
 	// auditTail is how many events Audit (GET /audit) can look back on.
 	auditTail = 256
 	// DefaultAllowance is the attempt allowance Do mints for a request that
-	// does not bring its own (Query.Attempts): enough for a shard try and its
+	// does not bring its own (Request.Attempts): enough for a shard try and its
 	// execution on three shards, or for one remote shard's three wire sends
 	// followed by a try and a send on the next.
 	DefaultAllowance = 6
@@ -152,6 +152,9 @@ type Request struct {
 	// Query is the underlying serving query. Query.Dataset is also the
 	// routing key (with the gateway's dataset version appended).
 	Query serve.Query
+	// Attempts, when positive, is the attempt allowance Do mints for the
+	// request (resilience.Allowance) in place of DefaultAllowance.
+	Attempts int
 }
 
 // Result is a gateway-served query result: the shard outcome plus routing
@@ -389,13 +392,13 @@ func (g *Gateway) Do(ctx context.Context, req Request) (*Result, error) {
 		r.q.IdempotencyKey = r.rid
 	}
 
-	// Both bounds are bound once, here, and cleared on the query so no shard
-	// can re-arm a fresh one per try. The deadline: every try shares the
-	// remaining time. The allowance: every shard try, wire send and engine
+	// Both bounds are bound once, here. The deadline: every try shares the
+	// remaining time, and it is cleared on the query so no shard can re-arm a
+	// fresh one per try. The allowance: every shard try, wire send and engine
 	// execution this request causes anywhere in the tier takes one unit of
 	// it before starting, so the request never starts more than it was
 	// minted with.
-	timeout, attempts := r.q.Timeout, r.q.Attempts
+	timeout, attempts := r.q.Timeout, req.Attempts
 	if timeout == 0 {
 		timeout = g.cfg.DefaultTimeout
 	}
@@ -409,7 +412,7 @@ func (g *Gateway) Do(ctx context.Context, req Request) (*Result, error) {
 	}
 	r.allow = resilience.NewAllowance(attempts)
 	ctx = resilience.WithAllowance(ctx, r.allow)
-	r.q.Timeout, r.q.Attempts = 0, 0
+	r.q.Timeout = 0
 
 	release, err := g.quotas.admit(r.tenant)
 	if err == nil {

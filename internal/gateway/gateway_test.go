@@ -195,11 +195,11 @@ func TestGatewaySpilloverBounded(t *testing.T) {
 	defer g.Shutdown(context.Background())
 
 	q := gatewayQuery("cri1")
-	q.Attempts = 2 // two shard tries: the home and one spill target
+	req := Request{Tenant: "t", Query: q, Attempts: 2} // two shard tries: the home and one spill target
 	order := g.order(q)
 	fakes[order[0]].setOverloaded(true)
 
-	res, err := g.Do(context.Background(), Request{Tenant: "t", Query: q})
+	res, err := g.Do(context.Background(), req)
 	if err != nil {
 		t.Fatalf("Do with open home breaker: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestGatewaySpilloverBounded(t *testing.T) {
 	// Saturate the alternate too: both tries are spent on rejections, so
 	// the third shard is never tried and the rejection surfaces typed.
 	fakes[order[1]].setOverloaded(true)
-	_, err = g.Do(context.Background(), Request{Tenant: "t", Query: q})
+	_, err = g.Do(context.Background(), req)
 	if !resilience.IsClass(err, resilience.Overloaded) {
 		t.Fatalf("exhausted spill-over returned %v, want Overloaded class", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"remac/internal/httpapi"
 	"remac/internal/serve"
@@ -135,7 +136,7 @@ func TestQueryResponseKeysGolden(t *testing.T) {
 	var resp httpapi.QueryResponse
 	n := 0
 	fillDistinct(t, reflect.ValueOf(&resp).Elem(), &n)
-	want := []string{"attempts", "coded_recoveries", "compile_sec", "compute_sec", "decode_sec", "encode_flop",
+	want := []string{"coded_recoveries", "compile_sec", "compute_sec", "decode_sec", "encode_flop",
 		"failover", "flop", "intermediate_hits", "intermediate_misses", "iterations", "plan_cache_hit", "replayed",
 		"request_id", "result_hash", "selected_keys", "shard", "simulated_sec",
 		"spilled", "transmit_sec", "values", "wall_sec"}
@@ -170,5 +171,36 @@ func TestWireRecordRoundTrip(t *testing.T) {
 	}
 	if out.ResultHash != in.ResultHash || !reflect.DeepEqual(out.Summaries, in.Summaries) {
 		t.Errorf("hash %016x, summaries %+v; want %016x, %+v", out.ResultHash, out.Summaries, in.ResultHash, in.Summaries)
+	}
+}
+
+// TestWireBackoffGolden pins wireBackoff's delays (nanoseconds, re-sends
+// 1..6) to the values the wire schedule drew when it was a general retry
+// policy (2ms base, 20ms cap, seed 0), so a chaos run replays its re-send
+// schedule by (key hash, send). Every delay is the capped doubling of 2ms
+// scaled by a jitter factor in [0.5, 1.0), and ids draw apart.
+func TestWireBackoffGolden(t *testing.T) {
+	for _, tc := range []struct {
+		id   uint64
+		want [6]int64
+	}{
+		{1, [6]int64{1942570, 3601562, 7102700, 12902045, 12521871, 18035553}},
+		{17, [6]int64{1670545, 2681163, 7233404, 14280448, 16897875, 13503891}},
+		{1 << 40, [6]int64{1033157, 2409359, 5652952, 8094699, 11889587, 15510188}},
+	} {
+		for i, want := range tc.want {
+			send := i + 1
+			got := wireBackoff(tc.id, send)
+			if int64(got) != want {
+				t.Errorf("id %d send %d: %d ns, want %d", tc.id, send, int64(got), want)
+			}
+			capped := min(2*time.Millisecond<<(send-1), 20*time.Millisecond)
+			if got < capped/2 || got >= capped {
+				t.Errorf("id %d send %d: %v outside [%v, %v)", tc.id, send, got, capped/2, capped)
+			}
+		}
+	}
+	if wireBackoff(1, 1) == wireBackoff(2, 1) {
+		t.Error("different ids drew identical jitter")
 	}
 }

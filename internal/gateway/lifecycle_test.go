@@ -166,7 +166,6 @@ func TestPassiveDetectorCountsConsecutiveInternalOnly(t *testing.T) {
 	g := NewWithInstances(Config{Seed: 1, PassiveFailures: 2, RejoinProbes: 1}, insts)
 	defer g.Shutdown(context.Background())
 	q := gatewayQuery("cri1")
-	q.Attempts = 1 // the home shard only: no failover or spill-over
 	home := g.routableOrder(q)[0]
 
 	internal := &resilience.QueryError{Class: resilience.Internal, Stage: "shard", Err: ErrShardDown}
@@ -178,7 +177,8 @@ func TestPassiveDetectorCountsConsecutiveInternalOnly(t *testing.T) {
 		for _, out := range outcomes {
 			sent++
 			fakes[home].fail = out
-			g.Do(context.Background(), Request{Tenant: "t", RequestID: fmt.Sprintf("req-%d", sent), Query: q})
+			// Attempts 1: the home shard only, no failover or spill-over.
+			g.Do(context.Background(), Request{Tenant: "t", RequestID: fmt.Sprintf("req-%d", sent), Query: q, Attempts: 1})
 		}
 		fakes[home].fail = nil
 	}
@@ -224,8 +224,7 @@ func TestLifecycleFailoverExhausted(t *testing.T) {
 		f.setDown(true)
 	}
 	q := gatewayQuery("cri1")
-	q.Attempts = 2
-	_, err := g.Do(context.Background(), Request{Tenant: "t", Query: q})
+	_, err := g.Do(context.Background(), Request{Tenant: "t", Query: q, Attempts: 2})
 	if err == nil {
 		t.Fatal("want failure when every shard is down")
 	}
@@ -256,10 +255,9 @@ func TestLifecycleFailoverDisabled(t *testing.T) {
 	defer g.Shutdown(context.Background())
 
 	q := gatewayQuery("cri1")
-	q.Attempts = 1
 	home := g.routableOrder(q)[0]
 	fakes[home].setDown(true)
-	_, err := g.Do(context.Background(), Request{Tenant: "t", Query: q})
+	_, err := g.Do(context.Background(), Request{Tenant: "t", Query: q, Attempts: 1})
 	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("want the shard's own error, got %v", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"remac/internal/engine"
+	"remac/internal/fault"
 	"remac/internal/httpapi"
 	"remac/internal/resilience"
 	"remac/internal/serve"
@@ -260,26 +261,37 @@ func wireRequest(q serve.Query) (httpapi.QueryRequest, error) {
 	return req, nil
 }
 
-// wireRetry is the wire-retry delay schedule: resilience's one capped
-// exponential backoff at transport scale (2ms doubling to a 20ms cap),
-// jittered per (idempotency key, attempt) so concurrent retriers do not
-// synchronize. Constants, not configuration.
-var wireRetry = resilience.RetryPolicy{BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond}
-
 // wireSends caps how many times one Do puts its request on the wire (the
 // first send included), so that a shard that cannot be reached leaves the
 // request allowance enough to fail over with.
 const wireSends = 3
 
+// wireBackoff is the delay before re-send number send (1 is the first
+// re-send) of the request whose idempotency key hashes to id: 2ms doubling
+// to a 20ms cap, scaled by a jitter factor in [0.5, 1.0) drawn from (id,
+// send) alone, so concurrent re-senders do not synchronize and a chaos run
+// replays its schedule. Constants, not configuration.
+func wireBackoff(id uint64, send int) time.Duration {
+	const base, ceiling = 2 * time.Millisecond, 20 * time.Millisecond
+	d := base
+	for k := 1; k < send && d < ceiling; k++ {
+		d *= 2
+	}
+	d = min(d, ceiling)
+	u := fault.Mix64Key(0, id, uint64(send))
+	frac := 0.5 + float64(0.5*float64(u>>11)/(1<<53))
+	return time.Duration(float64(d) * frac)
+}
+
 // Do submits the query over the wire. Only transport failures (resets,
 // timeouts, torn or garbled bodies) are re-sent — under the same
 // idempotency key, so a response lost after the shard committed replays
 // the original result instead of re-executing. Every send takes one unit
-// of the request's allowance and grants the shard exactly that unit; a
-// re-send must also be funded by the shared budget. An HTTP error status
-// parses back into the typed error the shard wrote (Retry-After included)
-// and returns immediately: overload, quota and client errors are answers
-// for the gateway's walk, not transport noise.
+// of the request's allowance, and the shard it reaches executes at most
+// once; a re-send must also be funded by the shared budget. An HTTP error
+// status parses back into the typed error the shard wrote (Retry-After
+// included) and returns immediately: overload, quota and client errors are
+// answers for the gateway's walk, not transport noise.
 func (ri *RemoteInstance) Do(ctx context.Context, q serve.Query) (*serve.QueryResult, error) {
 	req, err := wireRequest(q)
 	if err != nil {
@@ -307,7 +319,7 @@ func (ri *RemoteInstance) Do(ctx context.Context, q serve.Query) (*serve.QueryRe
 				}
 			}
 			ri.count(func(ws *WireStats) { ws.Retries++ })
-			t := time.NewTimer(wireRetry.Backoff(hashKey(0, q.IdempotencyKey), sends))
+			t := time.NewTimer(wireBackoff(hashKey(0, q.IdempotencyKey), sends))
 			select {
 			case <-t.C:
 			case <-ctx.Done():
@@ -315,7 +327,7 @@ func (ri *RemoteInstance) Do(ctx context.Context, q serve.Query) (*serve.QueryRe
 				return nil, wireCanceled(ctx, lastErr)
 			}
 		}
-		res, err := ri.attempt(ctx, q.IdempotencyKey, payload, sends)
+		res, err := ri.attempt(ctx, q.IdempotencyKey, payload)
 		if err == nil {
 			if ri.cfg.Budget != nil {
 				ri.cfg.Budget.Success()
@@ -363,7 +375,7 @@ const maxWireBody = 8 << 20
 // attempt is one wire round-trip under a deadline carved from ctx. Every
 // transport failure comes back as a wireError; Do tells a failed wire from
 // an expired deadline.
-func (ri *RemoteInstance) attempt(ctx context.Context, key string, payload []byte, attempt int) (*serve.QueryResult, error) {
+func (ri *RemoteInstance) attempt(ctx context.Context, key string, payload []byte) (*serve.QueryResult, error) {
 	ri.count(func(ws *WireStats) { ws.Attempts++ })
 	timeout := ri.cfg.AttemptTimeout
 	if dl, ok := ctx.Deadline(); ok {
@@ -385,8 +397,6 @@ func (ri *RemoteInstance) attempt(ctx context.Context, key string, payload []byt
 	if key != "" {
 		hreq.Header.Set(httpapi.IdempotencyKeyHeader, key)
 	}
-	hreq.Header.Set(httpapi.AttemptHeader, strconv.Itoa(attempt))
-	hreq.Header.Set(httpapi.AttemptsLeftHeader, "1") // the unit this send took, and no more
 	resp, err := ri.cfg.Client.Do(hreq)
 	if err != nil {
 		return nil, &wireError{err}

@@ -75,7 +75,7 @@ func TestRemotePartitionChaosStorm(t *testing.T) {
 	countExecs := func(shardID string) func(q *serve.Query, r *http.Request) {
 		return func(q *serve.Query, r *http.Request) {
 			key := shardID + "|" + q.IdempotencyKey
-			q.Probe = func(int) error {
+			q.Probe = func() error {
 				execMu.Lock()
 				execCount[key]++
 				execMu.Unlock()

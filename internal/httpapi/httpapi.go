@@ -38,18 +38,11 @@ const TenantHeader = "X-Tenant"
 // window returns the original result instead of re-executing the plan.
 const IdempotencyKeyHeader = "X-Idempotency-Key"
 
-// AttemptHeader carries the zero-based transport attempt number of a
-// (possibly retried) request — diagnostic only; replay suppression keys
-// off IdempotencyKeyHeader alone.
-const AttemptHeader = "X-Attempt"
-
-// AttemptsLeftHeader carries the attempt allowance a sender grants the
-// receiving shard for this request (resilience.Allowance on the wire). A
-// gateway's wire send debits one unit of the request's allowance and grants
-// exactly that unit: the response that would say what the shard spent can
-// be lost, so nothing the sender still holds ever crosses. A direct client
-// may send more; the shard clamps it to its own Retry.MaxAttempts.
-const AttemptsLeftHeader = "X-Attempts-Left"
+// MaxIDBytes bounds an X-Request-ID or X-Idempotency-Key value on both
+// front-ends. Every id is echoed back and the idempotency window keeps the
+// last 1024 keys, so a longer value is refused (Endpoint, DecodeAndBuild):
+// a Compile-class 400 that executes nothing and enters no key.
+const MaxIDBytes = 256
 
 // MaxQueryBodyBytes is the default POST /query body cap for both
 // front-ends (DecodeQuery); oversize bodies fail with a typed 413.
@@ -303,21 +296,6 @@ func WriteHealth(w http.ResponseWriter, requestID string, ok bool, retryAfter ti
 // badRequest is the Compile-class (400) error of a malformed request.
 func badRequest(format string, args ...any) error {
 	return &resilience.QueryError{Class: resilience.Compile, Stage: "request", Err: fmt.Errorf(format, args...)}
-}
-
-// AttemptsLeft reads the allowance a sender granted (AttemptsLeftHeader):
-// 0 when the header is absent, its positive count when present, and an
-// error (a 400 for the caller to write) for anything else.
-func AttemptsLeft(r *http.Request) (int, error) {
-	v := strings.TrimSpace(r.Header.Get(AttemptsLeftHeader))
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("%s must be a positive integer, got %q", AttemptsLeftHeader, v)
-	}
-	return n, nil
 }
 
 // DatasetParam reads the ?dataset= parameter of /invalidate and /version.

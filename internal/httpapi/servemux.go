@@ -26,21 +26,34 @@ type ServeHandlerConfig struct {
 
 // Endpoint adapts h to a handler with the preamble every endpoint of both
 // front-ends starts with: any method but the endpoint's own is a 405, and
-// the request id is read (or generated) once.
+// the request id is read (or generated) once. A client id over MaxIDBytes is
+// a 400 under an id the server generates in its place.
 func Endpoint(method string, h func(w http.ResponseWriter, r *http.Request, requestID string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
 			http.Error(w, method+" required", http.StatusMethodNotAllowed)
 			return
 		}
-		h(w, r, RequestID(r))
+		rid := RequestID(r)
+		if len(rid) > MaxIDBytes {
+			rid = NewRequestID()
+			WriteError(w, rid, badRequest("%s exceeds %d bytes", RequestIDHeader, MaxIDBytes))
+			return
+		}
+		h(w, r, rid)
 	}
 }
 
 // DecodeAndBuild is the front half of POST /query on both front-ends: the
-// body-capped decode, the dataset-bound build, and the client's idempotency
-// key. ok is false once the error response has been written.
+// client's idempotency key (at most MaxIDBytes), the body-capped decode and
+// the dataset-bound build. ok is false once the error response has been
+// written.
 func (b *QueryBuilder) DecodeAndBuild(w http.ResponseWriter, r *http.Request, requestID string, maxBytes int64) (req QueryRequest, q serve.Query, ok bool) {
+	key := strings.TrimSpace(r.Header.Get(IdempotencyKeyHeader))
+	if len(key) > MaxIDBytes {
+		WriteError(w, requestID, badRequest("%s exceeds %d bytes", IdempotencyKeyHeader, MaxIDBytes))
+		return req, q, false
+	}
 	if req, ok = DecodeQuery(w, r, requestID, maxBytes); !ok {
 		return req, q, false
 	}
@@ -52,7 +65,7 @@ func (b *QueryBuilder) DecodeAndBuild(w http.ResponseWriter, r *http.Request, re
 	// A client-pinned key survives client-side retries across connections;
 	// without one a gateway stamps the request id, so its own re-sends and
 	// failovers stay replay-safe.
-	if key := strings.TrimSpace(r.Header.Get(IdempotencyKeyHeader)); key != "" {
+	if key != "" {
 		q.IdempotencyKey = key
 	}
 	return req, q, true
@@ -69,7 +82,7 @@ type serveHandler struct {
 }
 
 // NewServeMux wires the single-shard HTTP front-end over a serve.Server:
-// POST /query (body-capped, idempotency-key and allowance aware), GET
+// POST /query (body-capped, idempotency-key aware), GET
 // /stats, /healthz, /readyz, /version, and POST /invalidate.
 func NewServeMux(srv *serve.Server, builder *QueryBuilder, cfg ServeHandlerConfig) *http.ServeMux {
 	h := &serveHandler{srv: srv, builder: builder, cfg: cfg}
@@ -93,13 +106,6 @@ func NewServeMux(srv *serve.Server, builder *QueryBuilder, cfg ServeHandlerConfi
 func (h *serveHandler) query(w http.ResponseWriter, r *http.Request, rid string) {
 	_, q, ok := h.builder.DecodeAndBuild(w, r, rid, h.cfg.MaxBodyBytes)
 	if !ok {
-		return
-	}
-	// A gateway's send grants the unit it debited; a direct client may ask
-	// for more and is clamped to the server's own allowance.
-	var err error
-	if q.Attempts, err = AttemptsLeft(r); err != nil {
-		WriteError(w, rid, badRequest("%w", err))
 		return
 	}
 	if h.cfg.OnQuery != nil {

@@ -3,13 +3,11 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,68 +90,6 @@ func TestLongChainIsBounded(t *testing.T) {
 	}
 	if rec, _ := send(loop); !strings.Contains(rec.Body.String(), chain.ErrScriptTooLong.Error()) {
 		t.Errorf("the loop body over the script cap failed for another reason: %s", rec.Body)
-	}
-}
-
-// TestAttemptsLeftHeaderBoundsTheShard: X-Attempts-Left is the allowance
-// the sender grants. A gateway's send carries 1, and then the plan executes
-// at most once — no retry. A direct client may ask for more and is clamped to
-// the server's own Retry.MaxAttempts. Anything but a positive integer is a
-// typed 400 that never reaches the engine.
-func TestAttemptsLeftHeaderBoundsTheShard(t *testing.T) {
-	srv := serve.New(serve.Config{
-		Workers: 2,
-		Retry:   resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
-	})
-	defer srv.Shutdown(context.Background())
-	var execs atomic.Int32
-	mux := NewServeMux(srv, NewQueryBuilder(engine.RecoveryPolicy{}), ServeHandlerConfig{
-		OnQuery: func(q *serve.Query, r *http.Request) {
-			flaky := r.Header.Get("X-Test-Mode") == "flaky"
-			q.Probe = func(int) error {
-				execs.Add(1)
-				if flaky {
-					return resilience.MarkTransient(errors.New("induced transient failure"))
-				}
-				return nil
-			}
-		},
-	})
-	post := func(mode, attemptsLeft string) *httptest.ResponseRecorder {
-		t.Helper()
-		execs.Store(0)
-		req := httptest.NewRequest(http.MethodPost, "/query",
-			strings.NewReader(`{"algorithm":"GD","dataset":"cri1","iterations":2}`))
-		req.Header.Set("X-Test-Mode", mode)
-		if attemptsLeft != "" {
-			req.Header.Set(AttemptsLeftHeader, attemptsLeft)
-		}
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, req)
-		return rec
-	}
-
-	for _, tc := range []struct {
-		header string
-		want   int32
-	}{{"1", 1}, {"2", 2}, {"3", 3}, {"50", 3}, {"", 3}} {
-		rec := post("flaky", tc.header)
-		if rec.Code != http.StatusInternalServerError || execs.Load() != tc.want {
-			t.Errorf("%s: %q on an always-transient query = %d with %d executions, want 500 after %d",
-				AttemptsLeftHeader, tc.header, rec.Code, execs.Load(), tc.want)
-		}
-	}
-
-	for _, bad := range []string{"abc", "-1", "0", "1.5", "2 3"} {
-		rec := post("", bad)
-		var body ErrorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatalf("%q: error body is not JSON: %v", bad, err)
-		}
-		if rec.Code != http.StatusBadRequest || body.Class != resilience.Compile.String() || execs.Load() != 0 {
-			t.Errorf("%s: %q = %d class %q after %d executions, want a compile-class 400 and none",
-				AttemptsLeftHeader, bad, rec.Code, body.Class, execs.Load())
-		}
 	}
 }
 

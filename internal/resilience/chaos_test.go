@@ -2,8 +2,8 @@
 // resilience_test so it can drive internal/serve end to end (serve imports
 // resilience, so an internal test here would cycle).
 //
-// The storm is fully deterministic: query kinds, fault sub-streams and retry
-// jitter all derive from ChaosSeed, so a failure reproduces bit-for-bit.
+// The storm is fully deterministic: query kinds and fault sub-streams derive
+// from ChaosSeed, so a failure reproduces bit-for-bit.
 // Run it under -race (CI does) — the assertions are as much about what the
 // race detector stays silent on as about the explicit checks.
 package resilience_test
@@ -36,8 +36,7 @@ type queryKind int
 
 const (
 	kindHealthy   queryKind = iota // fault-injected but well-formed: must succeed bitwise-correct
-	kindFlaky                      // transient probe failure on attempt 0: retried to success
-	kindPanic                      // probe panics every attempt: structured Internal error
+	kindPanic                      // probe panics: structured Internal error
 	kindTimeout                    // microsecond deadline: canceled, queued or running
 	kindDivergent                  // MaxIterations=1 bomb: typed MaxIterations error
 	kindCorrupt                    // silent corruption + ABFT: bitwise-repaired or typed Integrity error
@@ -45,14 +44,12 @@ const (
 	kindCoded                      // straggler-heavy + coded recovery: bitwise-correct success
 )
 
-// kindOf deterministically assigns a kind to a storm index: ~46% healthy,
-// ~8% each of the seven chaos modes.
+// kindOf deterministically assigns a kind to a storm index: ~54% healthy,
+// ~8% each of the six chaos modes.
 func kindOf(i int) queryKind {
 	switch h := uint64(fault.DeriveSeed(chaosSeed, i)) % 13; {
-	case h < 6:
-		return kindHealthy
 	case h < 7:
-		return kindFlaky
+		return kindHealthy
 	case h < 8:
 		return kindPanic
 	case h < 9:
@@ -133,9 +130,9 @@ func bitwiseEqualValues(a, b map[string]*matrix.Matrix) error {
 }
 
 // TestChaosSoak is the acceptance harness: a seeded storm of concurrent
-// queries — healthy ones carrying derived fault sub-streams, plus flaky,
-// panicking, canceled and divergent ones — against a server with retry and
-// the circuit breaker enabled. It asserts the process
+// queries — healthy ones carrying derived fault sub-streams, plus
+// panicking, canceled, divergent, corrupted, non-finite and coded ones —
+// against a server with the circuit breaker enabled. It asserts the process
 // survives, every Do returns (shedding, never deadlock), successes are
 // bitwise identical to fault-free serial references, failures carry the
 // right taxonomy class, the server still serves after the storm, and
@@ -150,12 +147,9 @@ func TestChaosSoak(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
 	// Fault-free serial references, one per healthy variant, computed on a
-	// plain single-worker server without retries (none of its queries fails,
-	// so its breaker never trips).
-	ref := serve.New(serve.Config{
-		Workers: 1,
-		Retry:   resilience.RetryPolicy{MaxAttempts: -1},
-	})
+	// plain single-worker server (none of its queries fails, so its breaker
+	// never trips).
+	ref := serve.New(serve.Config{Workers: 1})
 	refs := map[variant]map[string]*matrix.Matrix{}
 	for _, alg := range []algorithms.Name{algorithms.GD, algorithms.DFP} {
 		for _, iters := range []int{2, 3} {
@@ -199,7 +193,6 @@ func TestChaosSoak(t *testing.T) {
 	s := serve.New(serve.Config{
 		Workers:    4,
 		QueueDepth: 16,
-		Retry:      resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Seed: chaosSeed},
 		Breaker: resilience.BreakerConfig{
 			Window: 64, MinSamples: 16, FailureThreshold: 0.5, Cooldown: 100 * time.Millisecond,
 		},
@@ -225,15 +218,8 @@ func TestChaosSoak(t *testing.T) {
 				q.Faults = rootFaults.Derive(i)
 				ctx := context.Background()
 				switch kind {
-				case kindFlaky:
-					q.Probe = func(attempt int) error {
-						if attempt == 0 {
-							return resilience.MarkTransient(errors.New("chaos: transient fault"))
-						}
-						return nil
-					}
 				case kindPanic:
-					q.Probe = func(int) error { panic("chaos: panic probe") }
+					q.Probe = func() error { panic("chaos: panic probe") }
 				case kindTimeout:
 					var cancel context.CancelFunc
 					ctx, cancel = context.WithTimeout(ctx, time.Microsecond)
@@ -281,15 +267,12 @@ func TestChaosSoak(t *testing.T) {
 			continue
 		}
 		switch o.kind {
-		case kindHealthy, kindFlaky:
+		case kindHealthy:
 			if o.err != nil {
 				t.Errorf("query %d (%v): %v", o.idx, o.kind, o.err)
 				continue
 			}
 			ok++
-			if o.kind == kindFlaky && o.res.Attempts < 2 {
-				t.Errorf("query %d: flaky query succeeded in %d attempts, want a retry", o.idx, o.res.Attempts)
-			}
 			if err := bitwiseEqualValues(o.res.Values, refs[variantOf(o.idx)]); err != nil {
 				t.Errorf("query %d: fault-injected result diverged from serial reference: %v", o.idx, err)
 			}
@@ -437,9 +420,9 @@ func TestChaosStormDeterministicMixture(t *testing.T) {
 		counts[kindOf(i)]++
 	}
 	if h := counts[kindHealthy]; h < 400 || h > 600 {
-		t.Errorf("healthy fraction %d/1000, want ~500", h)
+		t.Errorf("healthy fraction %d/1000, want ~540", h)
 	}
-	for _, k := range []queryKind{kindFlaky, kindPanic, kindTimeout, kindDivergent, kindCorrupt, kindNaN, kindCoded} {
+	for _, k := range []queryKind{kindPanic, kindTimeout, kindDivergent, kindCorrupt, kindNaN, kindCoded} {
 		if c := counts[k]; c < 40 || c > 140 {
 			t.Errorf("kind %d fraction %d/1000, want ~77", k, c)
 		}

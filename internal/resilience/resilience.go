@@ -1,21 +1,19 @@
 // Package resilience is the serving layer's fault-handling toolkit: a typed
 // query-error taxonomy with errors.Is/As support, one attempt allowance per
-// request, a capped-backoff retry schedule with deterministic seeded jitter,
-// a closed/open/half-open circuit breaker, and panic capture with stack
-// redaction.
+// request, a closed/open/half-open circuit breaker, and panic capture with
+// stack redaction.
 //
 // The package mirrors what SystemDS inherits from Spark's driver/executor
 // recovery: a single misbehaving query — a panic, a runaway loop, a
-// transient failure — must degrade into a structured error on that query
+// corrupted block lineage could not repair — must degrade into a structured error on that query
 // alone, never into a process crash or a wedged admission queue. It is
 // deliberately dependency-free (standard library only) so internal/serve,
 // internal/gateway and cmd/remac-serve can all consume it; classification
 // of engine errors into classes happens at the serving layer, which knows
 // the sentinels.
 //
-// Everything policy-driven is deterministic: retry jitter derives from a
-// seed, a query id and an attempt number, and the breaker takes an
-// injectable clock, so the chaos soak harness replays identical storms.
+// The breaker takes an injectable clock, so the chaos soak harness replays
+// identical storms.
 package resilience
 
 import (
@@ -41,8 +39,7 @@ const (
 	// Compile is a front-end failure: parse or plan-compilation error in
 	// the submitted program. A client bug; retrying the same text is futile.
 	Compile
-	// Execution is a run-time failure inside the engine. Transient
-	// execution errors (see MarkTransient) are retried by the server.
+	// Execution is a run-time failure inside the engine.
 	Execution
 	// MaxIterations is a loop that never met its condition before the
 	// iteration cap — a divergent program, not a server fault.
@@ -170,8 +167,6 @@ type QueryError struct {
 	// ordinary errors). Addresses and pointer arguments are scrubbed; see
 	// RedactStack.
 	Stack string
-	// Transient marks an execution failure worth retrying server-side.
-	Transient bool
 	// RetryAfter hints when an Overloaded rejection is worth retrying.
 	RetryAfter time.Duration
 }
@@ -201,31 +196,4 @@ func ClassOf(err error) (Class, bool) {
 func IsClass(err error, c Class) bool {
 	got, ok := ClassOf(err)
 	return ok && got == c
-}
-
-// transientError marks a failure as transient (retry-worthy).
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// MarkTransient wraps err so IsTransient reports true through any further
-// wrapping. Used by fault probes and by any engine path that distinguishes
-// recoverable failures.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) is marked
-// transient, either via MarkTransient or a QueryError's Transient flag.
-func IsTransient(err error) bool {
-	var te *transientError
-	if errors.As(err, &te) {
-		return true
-	}
-	var qe *QueryError
-	return errors.As(err, &qe) && qe.Transient
 }

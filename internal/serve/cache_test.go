@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"remac/internal/algorithms"
 	"remac/internal/engine"
 	"remac/internal/matrix"
 	"remac/internal/opt"
@@ -53,6 +54,72 @@ func TestInterCacheBudgetEviction(t *testing.T) {
 	}
 	if n, _ := c.usage(); n != 3 {
 		t.Errorf("entries = %d after refused insert, want 3", n)
+	}
+}
+
+// TestIntermediateBudgetThroughTheServer: the -inter-budget knob as served
+// queries see it. GD, DFP and GNMF on two datasets, served through a server
+// whose intermediate budget is one byte short of what the workload publishes,
+// keep the cache within the budget and evict — the workload publishes more
+// values than the cache ends up holding, and a repeat of the first query
+// misses what it published, where an unbounded cache hits — and return the
+// bits of cache-free runs. A negative budget caches nothing and returns the
+// same bits.
+func TestIntermediateBudgetThroughTheServer(t *testing.T) {
+	var queries []Query
+	for _, ds := range []string{"cri1", "red1"} {
+		for _, alg := range []algorithms.Name{algorithms.GD, algorithms.DFP, algorithms.GNMF} {
+			queries = append(queries, testQuery(t, alg, ds, 3))
+		}
+	}
+	// run serves the workload and then its first query again, one at a time.
+	run := func(cfg Config, noCache bool) (Snapshot, []*QueryResult) {
+		s := New(cfg)
+		defer s.Shutdown(context.Background())
+		var out []*QueryResult
+		for _, q := range append(queries, queries[0]) {
+			q.NoIntermediateCache = noCache
+			res, err := s.Do(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return s.Metrics(), out
+	}
+	_, ref := run(Config{Workers: 1}, true)
+	unbounded, free := run(Config{Workers: 1}, false)
+	if repeat := free[len(queries)]; repeat.IntermediateHits == 0 || repeat.IntermediateMisses != 0 {
+		t.Fatalf("unbounded cache: the repeat had %d hits, %d misses; want hits only", repeat.IntermediateHits, repeat.IntermediateMisses)
+	}
+
+	budget := unbounded.InterBytes - 1
+	bounded, got := run(Config{Workers: 1, IntermediateBudgetBytes: budget}, false)
+	if bounded.InterBytes > budget {
+		t.Errorf("intermediate_cache_bytes %d over the %d-byte budget", bounded.InterBytes, budget)
+	}
+	published := 0
+	for _, res := range got {
+		published += res.IntermediateMisses // a sequential miss computes the value and publishes it
+	}
+	if bounded.InterEntries >= published {
+		t.Errorf("%d values published, %d entries held: nothing was evicted", published, bounded.InterEntries)
+	}
+	if repeat := got[len(queries)]; repeat.IntermediateMisses == 0 {
+		t.Errorf("the repeat of the first query missed nothing under a %d-byte budget", budget)
+	}
+
+	off, none := run(Config{Workers: 1, IntermediateBudgetBytes: -1}, false)
+	if off.InterEntries != 0 || off.InterHits != 0 || off.InterBytes != 0 {
+		t.Errorf("negative budget: %d entries, %d hits, %d bytes; want none", off.InterEntries, off.InterHits, off.InterBytes)
+	}
+	for i := range ref {
+		for _, arm := range [][]*QueryResult{got, none} {
+			if arm[i].ResultHash != ref[i].ResultHash {
+				t.Errorf("query %d: hash %016x, cache-free run %016x", i, arm[i].ResultHash, ref[i].ResultHash)
+			}
+			bitwiseEqualValues(t, ref[i].Values, arm[i].Values)
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ func TestIdemConcurrentDuplicatesCoalesce(t *testing.T) {
 // TestIdemFailureReleasesKey: a leader that fails leaves no replay entry —
 // the retry under the same key executes fresh and can succeed.
 func TestIdemFailureReleasesKey(t *testing.T) {
-	s := New(Config{Workers: 2, Retry: resilience.RetryPolicy{MaxAttempts: -1}})
+	s := New(Config{Workers: 2})
 	defer s.Shutdown(context.Background())
 
 	q := testQuery(t, algorithms.GD, "cri1", 2)

@@ -141,15 +141,13 @@ type Snapshot struct {
 	// Resilience counters.
 	PanicsRecovered uint64                     `json:"panics_recovered"`
 	WorkerRespawns  uint64                     `json:"worker_respawns"`
-	Retries         uint64                     `json:"retries"`
 	BreakerState    string                     `json:"breaker_state"`
 	Breaker         resilience.BreakerCounters `json:"breaker"`
 
-	// Idempotency counters: engine plan executions (retries included),
-	// keyed resubmissions replayed from the completed window, duplicates
-	// coalesced onto an in-flight leader, and the window's current
-	// occupancy. Executions - Completed is the re-execution
-	// overhead; replays and coalesces are executions that never happened.
+	// Idempotency counters: engine plan executions, keyed resubmissions
+	// replayed from the completed window, duplicates coalesced onto an
+	// in-flight leader, and the window's current occupancy. Replays and
+	// coalesces are executions that never happened.
 	Executions    uint64 `json:"executions"`
 	IdemReplays   uint64 `json:"idem_replays"`
 	IdemCoalesced uint64 `json:"idem_coalesced"`
@@ -176,6 +174,9 @@ type Snapshot struct {
 	MQOSharedHits uint64 `json:"-"`
 	// Deprecated: MQOBatchedQueries is always 0 and not on the wire.
 	MQOBatchedQueries uint64 `json:"-"`
+	// Deprecated: Retries is always 0 and not on the wire: a server executes
+	// each query once.
+	Retries uint64 `json:"-"`
 }
 
 // snapshot copies the accumulators and fills in the derived fields.

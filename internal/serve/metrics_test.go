@@ -154,7 +154,6 @@ func TestBreakerCountersInSnapshot(t *testing.T) {
 	s := New(Config{
 		Workers:    1,
 		QueueDepth: 8,
-		Retry:      resilience.RetryPolicy{MaxAttempts: -1}, // isolate the breaker
 		Breaker: resilience.BreakerConfig{
 			Window: 8, MinSamples: 4, FailureThreshold: 0.5,
 			Cooldown: time.Second, HalfOpenProbes: 2, Now: now,
@@ -163,7 +162,7 @@ func TestBreakerCountersInSnapshot(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	fail := testQuery(t, algorithms.GD, "cri1", 2)
-	fail.Probe = func(int) error { return errors.New("probe: backend down") }
+	fail.Probe = func() error { return errors.New("probe: backend down") }
 	ok := testQuery(t, algorithms.GD, "cri1", 2)
 
 	if st := s.Metrics().BreakerState; st != "closed" {
@@ -225,7 +224,6 @@ func TestHealthProbes(t *testing.T) {
 	s := New(Config{
 		Workers:    1,
 		QueueDepth: 4,
-		Retry:      resilience.RetryPolicy{MaxAttempts: -1},
 		Breaker: resilience.BreakerConfig{
 			Window: 8, MinSamples: 2, FailureThreshold: 0.5,
 			Cooldown: time.Minute, HalfOpenProbes: 1,
@@ -241,7 +239,7 @@ func TestHealthProbes(t *testing.T) {
 
 	// Trip the breaker: still live, no longer ready, with a retry hint.
 	fail := testQuery(t, algorithms.GD, "cri1", 2)
-	fail.Probe = func(int) error { return errors.New("probe: down") }
+	fail.Probe = func() error { return errors.New("probe: down") }
 	for i := 0; i < 2; i++ {
 		s.Do(context.Background(), fail)
 	}
@@ -273,7 +271,6 @@ func TestReadyzHintIsTheCooldownRemainder(t *testing.T) {
 	nowNS.Store(time.Unix(1700000000, 0).UnixNano())
 	s := New(Config{
 		Workers: 1,
-		Retry:   resilience.RetryPolicy{MaxAttempts: -1},
 		Breaker: resilience.BreakerConfig{
 			Window: 8, MinSamples: 2, FailureThreshold: 0.5, Cooldown: time.Second,
 			Now: func() time.Time { return time.Unix(0, nowNS.Load()) },
@@ -281,7 +278,7 @@ func TestReadyzHintIsTheCooldownRemainder(t *testing.T) {
 	})
 	defer s.Shutdown(context.Background())
 	fail := testQuery(t, algorithms.GD, "cri1", 2)
-	fail.Probe = func(int) error { return errors.New("probe: down") }
+	fail.Probe = func() error { return errors.New("probe: down") }
 	for i := 0; i < 2; i++ {
 		s.Do(context.Background(), fail)
 	}
@@ -403,7 +400,7 @@ func TestSnapshotKeysGolden(t *testing.T) {
 		"intermediate_cache_entries", "intermediate_cache_hit_rate", "intermediate_cache_hits",
 		"intermediate_cache_misses", "latency_p50_sec", "latency_p95_sec", "latency_p99_sec",
 		"panics_recovered", "plan_cache_entries", "plan_cache_hit_rate", "plan_cache_hits",
-		"plan_cache_misses", "qps", "queue_depth", "rejected", "repair_sec", "retries", "shed",
+		"plan_cache_misses", "qps", "queue_depth", "rejected", "repair_sec", "shed",
 		"uptime_sec", "worker_respawns"}
 	b, err := json.Marshal(Snapshot{})
 	if err != nil {

@@ -16,12 +16,13 @@
 //
 // The serving path is hardened by internal/resilience: every query runs
 // panic-isolated (a panicking query degrades into a structured
-// Internal-class QueryError, and a worker that somehow dies respawns),
-// transient execution failures retry with capped seeded backoff above the
-// plan cache, and admission runs through a circuit breaker in front of the
-// bounded queue. A keyed submission executes at most once within the
-// idempotency window. Liveness and readiness are exposed via Healthz/Readyz
-// and the resilience counters fold into the Metrics snapshot.
+// Internal-class QueryError, and a worker that somehow dies respawns), and
+// admission runs through a circuit breaker in front of the bounded queue.
+// Each admitted query executes once: a lost block is recovered inside the
+// run (lineage, checkpoint or coded recovery), so no failure leaves the
+// engine as one worth re-running. A keyed submission executes at most once
+// within the idempotency window. Liveness and readiness are exposed via
+// Healthz/Readyz and the resilience counters fold into the Metrics snapshot.
 //
 // Every query still executes on its own isolated simulated cluster and
 // trace recorder; only immutable compiled plans and materialized
@@ -94,11 +95,6 @@ type Config struct {
 	// cross-query source of loop-constant values.
 	BatchWindow time.Duration `json:"-"`
 
-	// Retry is the backoff schedule of transient-failure re-execution and
-	// the attempt allowance minted for a query that arrives without one
-	// (Retry.MaxAttempts; negative: one attempt, no retries). The zero
-	// value enables the resilience defaults.
-	Retry resilience.RetryPolicy
 	// Breaker configures the admission circuit breaker. The zero value
 	// enables the resilience defaults.
 	Breaker resilience.BreakerConfig
@@ -120,12 +116,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Probe is a chaos hook invoked at the start of every execution attempt of
-// a query. Returning an error fails the attempt as an execution error —
-// wrap it with resilience.MarkTransient to make the server retry — and a
-// panic exercises the panic-isolation path. The argument is the zero-based
-// retry attempt number.
-type Probe func(attempt int) error
+// Probe is a chaos hook invoked at the start of a query's execution.
+// Returning an error fails the query as an execution error, and a panic
+// exercises the panic-isolation path.
+type Probe func() error
 
 // Query is one DML program submission.
 type Query struct {
@@ -145,12 +139,6 @@ type Query struct {
 	Iterations int
 	// Timeout overrides the server's DefaultTimeout when positive.
 	Timeout time.Duration
-	// Attempts overrides, when positive, the attempt allowance whoever
-	// admits the query mints for it (resilience.Allowance): a gateway mints
-	// exactly this many, a standalone server the smaller of this and its
-	// Retry.MaxAttempts. A query that reaches a server under a context
-	// already carrying an allowance spends that one instead.
-	Attempts int
 	// MaxIterations overrides the engine's runaway-loop cap when positive.
 	MaxIterations int
 	// Faults injects a deterministic fault schedule into this query's
@@ -178,8 +166,8 @@ type Query struct {
 	// POST /query, which a remote shard receives as sent.
 	NoPlanCache         bool
 	NoIntermediateCache bool
-	// Probe, when non-nil, runs at the start of every execution attempt
-	// (chaos/fault testing; see Probe).
+	// Probe, when non-nil, runs at the start of the execution (chaos/fault
+	// testing; see Probe).
 	Probe Probe
 	// IdempotencyKey deduplicates retried submissions: two Do calls with
 	// the same non-empty key within the server's idempotency window (the
@@ -239,9 +227,6 @@ type Record struct {
 	// simulated cluster. Adopting a cached loop-constant value charges
 	// nothing.
 	FLOP float64 `json:"flop,omitempty"`
-	// Attempts is the number of execution attempts this result took
-	// (1 + retries).
-	Attempts int `json:"attempts,omitempty"`
 	// Replayed marks a result served from the idempotency window (or a
 	// coalesced duplicate of an in-flight leader) rather than a fresh
 	// execution.
@@ -575,8 +560,8 @@ func (s *Server) DatasetVersion(id string) int64 {
 }
 
 // worker drains the admission queue. It is panic-isolated twice over: each
-// query attempt runs under its own recover (guarded), and a panic that
-// somehow escapes that — a bug in the pool itself — is caught here, counted,
+// query runs under its own recover (guarded), and a panic that somehow
+// escapes that — a bug in the pool itself — is caught here, counted,
 // and the worker respawned so capacity never silently decays. The
 // wg.Add-before-Done ordering keeps Shutdown's WaitGroup balanced across a
 // respawn.
@@ -628,15 +613,9 @@ func (s *Server) recordOutcome(err error) {
 	}
 }
 
-// run executes a job with retries layered above the engine (and the plan
-// cache, so every retry reuses the compiled plan): transient failures
-// re-execute after a capped, seeded backoff for as long as the request's
-// attempt allowance funds them.
+// run executes a job once, under its deadline and its share of the
+// request's attempt allowance.
 func (s *Server) run(j *job) (*QueryResult, error) {
-	// The per-query deadline is bound once, before the first attempt:
-	// retries and backoff sleeps share its remaining budget (they run under
-	// j.ctx), so a query can never exceed its deadline by straggling
-	// through the retry loop.
 	timeout := j.q.Timeout
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -646,52 +625,20 @@ func (s *Server) run(j *job) (*QueryResult, error) {
 		defer cancel()
 		j.ctx = ctx
 	}
-	// The allowance is bound the same way: the one the context carries
-	// (minted by the gateway and already debited by everything that ran
-	// before this shard), or, for a query nobody upstream bounded, a fresh
-	// one of Retry.MaxAttempts that a smaller Query.Attempts lowers.
-	policy := s.cfg.Retry.WithDefaults()
-	allow := resilience.AllowanceFrom(j.ctx)
-	if allow == nil {
-		n := policy.MaxAttempts
-		if j.q.Attempts > 0 && j.q.Attempts < n {
-			n = j.q.Attempts
-		}
-		allow = resilience.NewAllowance(n)
+	// An allowance handed down in the context (minted by a gateway and
+	// already debited by everything that ran before this shard) pays for the
+	// execution; one with nothing left buys none. A query nobody upstream
+	// bounded executes once all the same.
+	if allow := resilience.AllowanceFrom(j.ctx); allow != nil && !allow.Take() {
+		return nil, overloadedErr(j.id, time.Second, resilience.ErrAllowanceSpent)
 	}
-	var lastErr error
-	for attempt := 0; attempt < policy.MaxAttempts && allow.Take(); attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(policy.Backoff(j.id, attempt))
-			select {
-			case <-t.C:
-			case <-j.ctx.Done():
-				t.Stop()
-				return nil, canceledErr(j.id, "backoff", j.ctx.Err())
-			}
-			s.metrics.add(func(c *Snapshot) { c.Retries++ })
-		}
-		res, err := s.guarded(j, attempt)
-		if err == nil {
-			res.Attempts = attempt + 1
-			return res, nil
-		}
-		if !resilience.IsTransient(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		// Handed an allowance with nothing left in it: not one execution.
-		lastErr = overloadedErr(j.id, time.Second, resilience.ErrAllowanceSpent)
-	}
-	return nil, lastErr
+	return s.guarded(j)
 }
 
 // guarded is one panic-isolated execution: a panic anywhere in the probe,
 // compiler or engine becomes an Internal-class QueryError with a redacted
 // stack, and the worker survives.
-func (s *Server) guarded(j *job, attempt int) (res *QueryResult, err error) {
+func (s *Server) guarded(j *job) (res *QueryResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.add(func(c *Snapshot) { c.PanicsRecovered++ })
@@ -699,7 +646,7 @@ func (s *Server) guarded(j *job, attempt int) (res *QueryResult, err error) {
 		}
 	}()
 	if j.q.Probe != nil {
-		if perr := j.q.Probe(attempt); perr != nil {
+		if perr := j.q.Probe(); perr != nil {
 			return nil, s.classify(j.id, "execute", perr)
 		}
 	}
@@ -740,13 +687,7 @@ func (s *Server) classify(id uint64, stage string, err error) error {
 		// like a script that does not compile.
 		class = resilience.Compile
 	}
-	return &resilience.QueryError{
-		Class:     class,
-		QueryID:   id,
-		Stage:     stage,
-		Err:       err,
-		Transient: class == resilience.Execution && resilience.IsTransient(err),
-	}
+	return &resilience.QueryError{Class: class, QueryID: id, Stage: stage, Err: err}
 }
 
 // execute runs one query end to end: plan (cached or compiled), then
@@ -779,8 +720,8 @@ func (s *Server) execute(ctx context.Context, j *job) (*QueryResult, error) {
 		view = s.view(q.Dataset)
 		lse = view
 	}
-	// Every engine run counts, retries included: the counter the remote
-	// chaos harness asserts "zero duplicate executions" against.
+	// Every engine run counts: the counter the remote chaos harness asserts
+	// "zero duplicate executions" against.
 	s.metrics.add(func(c *Snapshot) { c.Executions++ })
 	res, err := engine.RunWithOptions(ctx, compiled, q.Inputs, nil, engine.RunOptions{
 		MaxIter:  q.MaxIterations,

@@ -358,7 +358,7 @@ func TestCanceledWhileQueued(t *testing.T) {
 	}
 	executed := false
 	q := testQuery(t, algorithms.GD, "cri1", 2)
-	q.Probe = func(int) error { executed = true; return nil }
+	q.Probe = func() error { executed = true; return nil }
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -406,7 +406,7 @@ func TestPanicIsolation(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Shutdown(context.Background())
 	bomb := testQuery(t, algorithms.GD, "cri1", 2)
-	bomb.Probe = func(int) error { panic("poison query") }
+	bomb.Probe = func() error { panic("poison query") }
 	_, err := s.Do(context.Background(), bomb)
 	var qe *resilience.QueryError
 	if !errors.As(err, &qe) || qe.Class != resilience.Internal {
@@ -467,110 +467,52 @@ func TestWorkerRespawn(t *testing.T) {
 	}
 }
 
-// TestRetryTransient: a transient execution failure is retried with the
-// plan cache reused, and the query ultimately succeeds.
-func TestRetryTransient(t *testing.T) {
-	s := New(Config{Workers: 1, Retry: resilience.RetryPolicy{
-		MaxAttempts: 3, BaseBackoff: time.Millisecond, Seed: 7,
-	}})
-	defer s.Shutdown(context.Background())
-	q := testQuery(t, algorithms.GD, "cri1", 2)
-	// Warm the plan cache so the retried run can hit it.
-	if _, err := s.Do(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	flaky := q
-	var attempts []int
-	flaky.Probe = func(attempt int) error {
-		attempts = append(attempts, attempt)
-		if attempt < 2 {
-			return resilience.MarkTransient(errors.New("synthetic transient fault"))
-		}
-		return nil
-	}
-	res, err := s.Do(context.Background(), flaky)
-	if err != nil {
-		t.Fatalf("flaky query: %v", err)
-	}
-	if res.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", res.Attempts)
-	}
-	if !res.PlanCacheHit {
-		t.Error("retried run missed the plan cache")
-	}
-	if want := []int{0, 1, 2}; len(attempts) != 3 || attempts[0] != want[0] || attempts[1] != want[1] || attempts[2] != want[2] {
-		t.Errorf("probe attempts = %v, want %v", attempts, want)
-	}
-	if snap := s.Metrics(); snap.Retries != 2 {
-		t.Errorf("retries = %d, want 2", snap.Retries)
-	}
-}
-
-// TestExecutionsDebitTheAllowance: every engine execution takes a unit of
-// the request's allowance before it starts. An allowance handed down in the
-// context is spent and never exceeded, whatever Retry.MaxAttempts says; one
-// that arrives empty buys no execution and fails typed; and without one the server mints Retry.MaxAttempts,
-// which Query.Attempts can lower but not raise.
+// TestExecutionsDebitTheAllowance: a query executes once, and an allowance
+// handed down in the context pays one unit for it before it starts, whatever
+// is left over; one that arrives empty buys no execution and fails typed. A
+// query nobody upstream bounded executes once all the same.
 func TestExecutionsDebitTheAllowance(t *testing.T) {
-	s := New(Config{Workers: 1, Retry: resilience.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond}})
+	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	q := testQuery(t, algorithms.GD, "cri1", 2)
+	failing := q
 	var execs int
-	q.Probe = func(int) error {
+	failing.Probe = func() error {
 		execs++
-		return resilience.MarkTransient(errors.New("induced transient failure"))
+		return errors.New("induced execution failure")
 	}
-	for _, tc := range []struct {
-		handed, attempts int // handed < 0: no allowance in the context
-		want             int
-	}{{handed: 2, want: 2}, {handed: 9, want: 4}, {handed: 2, attempts: 4, want: 2},
-		{handed: -1, want: 4}, {handed: -1, attempts: 3, want: 3}, {handed: -1, attempts: 50, want: 4}} {
-		execs = 0
-		ctx := context.Background()
-		var allow *resilience.Allowance
-		if tc.handed >= 0 {
-			allow = resilience.NewAllowance(tc.handed)
-			ctx = resilience.WithAllowance(ctx, allow)
-		}
-		tq := q
-		tq.Attempts = tc.attempts
-		_, err := s.Do(ctx, tq)
-		if !errors.Is(err, resilience.ErrExecution) || execs != tc.want {
-			t.Errorf("handed %d, Query.Attempts %d: %d executions (err %v), want %d ending in the execution error",
-				tc.handed, tc.attempts, execs, err, tc.want)
-		}
-		if allow != nil && allow.Left() != tc.handed-tc.want {
-			t.Errorf("handed %d: %d left after %d executions", tc.handed, allow.Left(), tc.want)
+	for _, handed := range []int{-1, 1, 2, 9} { // -1: no allowance in the context
+		for _, tq := range []Query{q, failing} {
+			execs = 0
+			ctx := context.Background()
+			var allow *resilience.Allowance
+			if handed >= 0 {
+				allow = resilience.NewAllowance(handed)
+				ctx = resilience.WithAllowance(ctx, allow)
+			}
+			before := s.Metrics().Executions
+			_, err := s.Do(ctx, tq)
+			if tq.Probe == nil {
+				if after := s.Metrics().Executions; err != nil || after != before+1 {
+					t.Errorf("handed %d: %d executions (err %v), want 1", handed, after-before, err)
+				}
+			} else if !errors.Is(err, resilience.ErrExecution) || execs != 1 {
+				t.Errorf("handed %d: failing query ran %d times (err %v), want once ending in the execution error", handed, execs, err)
+			}
+			if allow != nil && allow.Left() != handed-1 {
+				t.Errorf("handed %d: %d left after one execution, want %d", handed, allow.Left(), handed-1)
+			}
 		}
 	}
 
 	execs = 0
 	before := s.Metrics()
-	_, err := s.Do(resilience.WithAllowance(context.Background(), resilience.NewAllowance(0)), q)
+	_, err := s.Do(resilience.WithAllowance(context.Background(), resilience.NewAllowance(0)), failing)
 	if !errors.Is(err, resilience.ErrAllowanceSpent) || !resilience.IsClass(err, resilience.Overloaded) || execs != 0 {
 		t.Fatalf("empty allowance: %d executions, err %v; want none and Overloaded/ErrAllowanceSpent", execs, err)
 	}
 	if after := s.Metrics(); after.Executions != before.Executions {
 		t.Fatalf("empty allowance executed: %d → %d executions", before.Executions, after.Executions)
-	}
-}
-
-// TestNonTransientNotRetried: ordinary execution errors and panics fail
-// immediately without burning retry attempts.
-func TestNonTransientNotRetried(t *testing.T) {
-	s := New(Config{Workers: 1, Retry: resilience.RetryPolicy{
-		MaxAttempts: 3, BaseBackoff: time.Millisecond,
-	}})
-	defer s.Shutdown(context.Background())
-	q := testQuery(t, algorithms.GD, "cri1", 2)
-	calls := 0
-	q.Probe = func(int) error { calls++; return errors.New("deterministic bug") }
-	_, err := s.Do(context.Background(), q)
-	if !errors.Is(err, resilience.ErrExecution) {
-		t.Fatalf("got %v, want execution-class error", err)
-	}
-	if calls != 1 {
-		t.Errorf("non-transient error executed %d times, want 1", calls)
 	}
 }
 
@@ -740,43 +682,5 @@ func TestStrategyDistinguishesPlans(t *testing.T) {
 	}
 	if res.PlanCacheHit {
 		t.Error("plan cached under Adaptive served a NoElimination query")
-	}
-}
-
-// TestRetriesShareQueryDeadline: the per-query deadline is bound once
-// before the first attempt, so retries and their backoff sleeps spend the
-// same budget. A 50ms query whose every attempt fails transiently must
-// fail Canceled as soon as the deadline lands in the first 200ms backoff —
-// not grind through seconds of per-attempt timeouts.
-func TestRetriesShareQueryDeadline(t *testing.T) {
-	s := New(Config{
-		Workers: 1,
-		Retry: resilience.RetryPolicy{
-			MaxAttempts: 5,
-			BaseBackoff: 200 * time.Millisecond,
-			MaxBackoff:  200 * time.Millisecond,
-		},
-	})
-	defer s.Shutdown(context.Background())
-
-	q := testQuery(t, algorithms.GD, "cri1", 1)
-	q.Timeout = 50 * time.Millisecond
-	q.Probe = func(int) error {
-		return resilience.MarkTransient(errors.New("induced transient failure"))
-	}
-
-	start := time.Now()
-	_, err := s.Do(context.Background(), q)
-	elapsed := time.Since(start)
-	if !errors.Is(err, engine.ErrCanceled) {
-		t.Fatalf("deadline-bounded retries: got %v, want ErrCanceled", err)
-	}
-	if !resilience.IsClass(err, resilience.Canceled) {
-		t.Fatalf("deadline-bounded retries: error class not Canceled: %v", err)
-	}
-	// Generous bound: one backoff at most, never the 800ms+ of summed
-	// backoffs a per-attempt deadline would allow.
-	if elapsed > 700*time.Millisecond {
-		t.Fatalf("query outlived its deadline: took %v with a 50ms budget", elapsed)
 	}
 }

@@ -20,7 +20,7 @@ func TestSettableFieldSurfaceGolden(t *testing.T) {
 		v    any
 		want []string
 	}{
-		{serve.Query{}, []string{"Script", "Inputs", "Dataset", "Strategy", "Iterations", "Timeout", "Attempts",
+		{serve.Query{}, []string{"Script", "Inputs", "Dataset", "Strategy", "Iterations", "Timeout",
 			"MaxIterations", "Faults", "Recovery", "Verify", "NaNGuard", "NoPlanCache", "NoIntermediateCache",
 			"Probe", "IdempotencyKey", "Algorithm"}},
 		{fault.Config{}, []string{"Seed", "WorkerFailuresPerHour", "TransmitErrorsPerHour", "StragglersPerHour",
