@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"remac/internal/engine"
-	"remac/internal/fault"
 	"remac/internal/httpapi"
 	"remac/internal/resilience"
 	"remac/internal/serve"
@@ -267,20 +266,11 @@ func wireRequest(q serve.Query) (httpapi.QueryRequest, error) {
 const wireSends = 3
 
 // wireBackoff is the delay before re-send number send (1 is the first
-// re-send) of the request whose idempotency key hashes to id: 2ms doubling
-// to a 20ms cap, scaled by a jitter factor in [0.5, 1.0) drawn from (id,
-// send) alone, so concurrent re-senders do not synchronize and a chaos run
-// replays its schedule. Constants, not configuration.
+// re-send) of the request whose idempotency key hashes to id: resilience's
+// one backoff at transport scale, 2ms doubling to a 20ms cap. Constants,
+// not configuration.
 func wireBackoff(id uint64, send int) time.Duration {
-	const base, ceiling = 2 * time.Millisecond, 20 * time.Millisecond
-	d := base
-	for k := 1; k < send && d < ceiling; k++ {
-		d *= 2
-	}
-	d = min(d, ceiling)
-	u := fault.Mix64Key(0, id, uint64(send))
-	frac := 0.5 + float64(0.5*float64(u>>11)/(1<<53))
-	return time.Duration(float64(d) * frac)
+	return resilience.Backoff(2*time.Millisecond, 20*time.Millisecond, id, send)
 }
 
 // Do submits the query over the wire. Only transport failures (resets,

@@ -1,19 +1,21 @@
 // Package resilience is the serving layer's fault-handling toolkit: a typed
 // query-error taxonomy with errors.Is/As support, one attempt allowance per
-// request, a closed/open/half-open circuit breaker, and panic capture with
-// stack redaction.
+// request, a capped-backoff schedule with deterministic jitter, a
+// closed/open/half-open circuit breaker, and panic capture with stack
+// redaction.
 //
 // The package mirrors what SystemDS inherits from Spark's driver/executor
 // recovery: a single misbehaving query — a panic, a runaway loop, a
-// corrupted block lineage could not repair — must degrade into a structured error on that query
-// alone, never into a process crash or a wedged admission queue. It is
-// deliberately dependency-free (standard library only) so internal/serve,
-// internal/gateway and cmd/remac-serve can all consume it; classification
-// of engine errors into classes happens at the serving layer, which knows
-// the sentinels.
+// corrupted block lineage could not repair — must degrade into a structured
+// error on that query alone, never into a process crash or a wedged
+// admission queue. It imports nothing but the standard library and
+// internal/fault's mixer, so internal/serve, internal/gateway and
+// cmd/remac-serve can all consume it; classification of engine errors into
+// classes happens at the serving layer, which knows the sentinels.
 //
-// The breaker takes an injectable clock, so the chaos soak harness replays
-// identical storms.
+// Backoff jitter derives from a key and an attempt number, and the breaker
+// takes an injectable clock, so the chaos soak harness replays identical
+// storms.
 package resilience
 
 import (
@@ -21,6 +23,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"remac/internal/fault"
 )
 
 // Class partitions query failures by what the caller should do about them.
@@ -196,4 +200,20 @@ func ClassOf(err error) (Class, bool) {
 func IsClass(err error, c Class) bool {
 	got, ok := ClassOf(err)
 	return ok && got == c
+}
+
+// Backoff is the delay before retry number attempt (1 is the first retry)
+// of the request keyed by id: base doubling to a ceiling, scaled by a jitter
+// factor in [0.5, 1.0) drawn from (id, attempt) alone. No RNG state is
+// consulted, so concurrent retriers do not synchronize and a chaos run
+// replays its schedule.
+func Backoff(base, ceiling time.Duration, id uint64, attempt int) time.Duration {
+	d := base
+	for k := 1; k < attempt && d < ceiling; k++ {
+		d *= 2
+	}
+	d = min(d, ceiling)
+	u := fault.Mix64Key(0, id, uint64(attempt))
+	frac := 0.5 + float64(0.5*float64(u>>11)/(1<<53))
+	return time.Duration(float64(d) * frac)
 }

@@ -62,6 +62,49 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 }
 
+// TestBackoffDeterministicCappedJittered: equal (id, attempt) give equal
+// delays; delays grow exponentially, stay within [0.5, 1.0)× the capped
+// base, and differ across ids.
+func TestBackoffDeterministicCappedJittered(t *testing.T) {
+	const base, ceiling = 10 * time.Millisecond, 80 * time.Millisecond
+	for attempt := 1; attempt <= 6; attempt++ {
+		d1 := Backoff(base, ceiling, 42, attempt)
+		d2 := Backoff(base, ceiling, 42, attempt)
+		if d1 != d2 {
+			t.Fatalf("attempt %d: nondeterministic backoff %v vs %v", attempt, d1, d2)
+		}
+		capped := min(base<<(attempt-1), ceiling)
+		if d1 < capped/2 || d1 >= capped {
+			t.Errorf("attempt %d: %v outside [%v, %v)", attempt, d1, capped/2, capped)
+		}
+	}
+	if Backoff(base, ceiling, 1, 1) == Backoff(base, ceiling, 2, 1) {
+		t.Error("different ids drew identical jitter")
+	}
+}
+
+// TestBackoffGolden pins the jittered delay sequence (nanoseconds, attempts
+// 1..6) at a 10ms base and 1s ceiling to the values the seed-0 retry schedule
+// drew before it became a plain function: chaos runs replay retry schedules
+// by (id, attempt). The wire's own parameters are pinned by the gateway's
+// TestWireBackoffGolden.
+func TestBackoffGolden(t *testing.T) {
+	for _, tc := range []struct {
+		id   uint64
+		want [6]int64
+	}{
+		{1, [6]int64{9712852, 18007812, 35513503, 64510228, 100174972, 288568849}},
+		{17, [6]int64{8352726, 13405817, 36167024, 71402241, 135183003, 216062259}},
+		{1 << 40, [6]int64{5165788, 12046798, 28264760, 40473497, 95116699, 248163008}},
+	} {
+		for a, want := range tc.want {
+			if got := int64(Backoff(10*time.Millisecond, time.Second, tc.id, a+1)); got != want {
+				t.Errorf("id %d attempt %d: %d ns, want %d", tc.id, a+1, got, want)
+			}
+		}
+	}
+}
+
 // TestAllowance: an allowance grants exactly what it was minted with, to
 // however many takers race for it, and rides the context like a deadline.
 func TestAllowance(t *testing.T) {
